@@ -17,6 +17,12 @@
 #                       concurrency-*, and a readability subset) over every
 #                       translation unit in src/, against a fresh
 #                       compile_commands.json
+#   ./ci.sh --bench-smoke  builds dvcbench and runs each of its four
+#                       workloads for one second (seed 1, untraced);
+#                       fails unless every result line reports
+#                       "correct": true and "failed": 0, and prints each
+#                       workload's modelled_digest so two commits can be
+#                       diffed
 #
 # All modes exit non-zero on any build or test failure.
 set -euo pipefail
@@ -80,11 +86,28 @@ case "${1:-}" in
     find src -name '*.cpp' -print0 |
       xargs -0 -P "$JOBS" -n 1 "$TIDY" -p build-tidy --quiet
     ;;
+  --bench-smoke)
+    for w in sweep26 steady26 ckpt16 fleet; do
+      out="$(python3 dvcbench/run.py --workload "$w" --seed 1 --seconds 1 \
+               --trace 0)"
+      printf '%s\n' "$out" | python3 -c '
+import json, re, sys
+w, text = sys.argv[1], sys.stdin.read()
+lines = text.strip().splitlines()
+result = json.loads(lines[-1]) if lines else {}
+digest = re.search(r"modelled_digest = (\S+)", text)
+correct, failed = result.get("correct"), result.get("failed")
+print("%s: modelled_digest=%s correct=%s failed=%s"
+      % (w, digest.group(1) if digest else "missing", correct, failed))
+sys.exit(0 if digest and correct is True and failed == 0 else 1)
+' "$w"
+    done
+    ;;
   "")
     build_and_test build -DDVC_WERROR=ON
     ;;
   *)
-    echo "usage: $0 [--sanitize|--soak|--coverage|--tidy]" >&2
+    echo "usage: $0 [--sanitize|--soak|--coverage|--tidy|--bench-smoke]" >&2
     exit 2
     ;;
 esac

@@ -33,8 +33,11 @@ void CocheckCoordinator::checkpoint(app::ParallelApp& application,
                                             &images, fp] {
     application.request_quiesce([this, round, &application, &images, fp] {
       // 2. Ranks are parked; wait for in-flight traffic to drain.
+      // The poll loop refers to itself weakly; its pending event owns
+      // it, so it is freed once the loop stops rescheduling.
       auto poll = std::make_shared<std::function<void()>>();
-      *poll = [this, round, &application, &images, fp, poll] {
+      *poll = [this, round, &application, &images, fp,
+               self = std::weak_ptr<std::function<void()>>(poll)] {
         if (sim_->now() - round->started > cfg_.quiesce_timeout) {
           application.release_quiesce();
           round->result.ok = false;
@@ -42,7 +45,8 @@ void CocheckCoordinator::checkpoint(app::ParallelApp& application,
           return;
         }
         if (!application.mesh_drained()) {
-          sim_->schedule_after(cfg_.drain_poll, [poll] { (*poll)(); });
+          sim_->schedule_after(cfg_.drain_poll,
+                               [poll = self.lock()] { (*poll)(); });
           return;
         }
         // 3. Consistent cut achieved by cooperation: write each process

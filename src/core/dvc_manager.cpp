@@ -489,9 +489,12 @@ void DvcManager::live_migrate_vc(
     // Iterative pre-copy: stream the whole guest while it runs, then
     // stream what it dirtied meanwhile, and so on until the residual is
     // small (or we give up and eat a longer stop-and-copy).
+    // The round refers to itself weakly; its pending event owns it, so
+    // it is freed after the last round.
     auto round = std::make_shared<std::function<void(double, int)>>();
-    *round = [this, ms, round, &vc, &m, i, src, dst, per_vm_bw, cfg,
-              finish_member](double residual, int round_no) {
+    *round = [this, ms, &vc, &m, i, src, dst, per_vm_bw, cfg, finish_member,
+              self = std::weak_ptr<std::function<void(double, int)>>(round)](
+                 double residual, int round_no) {
       if (m.state() == vm::DomainState::kDead ||
           fabric_->node(dst).failed()) {
         finish_member(i, false);
@@ -503,7 +506,8 @@ void DvcManager::live_migrate_vc(
         const double t = residual / per_vm_bw;
         ms->stats.bytes_moved += residual;
         sim_->schedule_after(sim::from_seconds(t),
-                             [round, residual, t, dirty, round_no] {
+                             [round = self.lock(), residual, t, dirty,
+                              round_no] {
                                const double next = std::min(
                                    residual, dirty * t);
                                (*round)(next, round_no + 1);

@@ -83,11 +83,22 @@ bool Network::send(const Packet& p) {
   }
   const sim::Time arrive =
       depart + link_->latency(p.src.host, p.dst.host, rng_);
-  sim_->schedule_at(arrive, [this, p] { deliver(p); });
+  if (free_in_flight_.empty()) {
+    free_in_flight_.push_back(static_cast<std::uint32_t>(in_flight_.size()));
+    in_flight_.emplace_back();
+  }
+  const std::uint32_t slot = free_in_flight_.back();
+  free_in_flight_.pop_back();
+  in_flight_[slot] = p;
+  sim_->schedule_at(arrive, [this, slot] { deliver(slot); });
   return true;
 }
 
-void Network::deliver(const Packet& p) {
+void Network::deliver(std::uint32_t slot) {
+  // Copy out and free the slot first: on_packet may send (and so grow or
+  // reuse the pool) before it returns.
+  const Packet p = in_flight_[slot];
+  free_in_flight_.push_back(slot);
   // A packet reaching a paused/saved/failed host is lost: the virtual NIC
   // is not consuming its ring, so nothing is ACKed (paper §3, scenario 1).
   if (!host_up(p.dst.host)) {

@@ -138,11 +138,11 @@ class ClusterLinkModel final : public LinkModel {
 
   /// Declares which cluster a host belongs to (default: cluster 0).
   void set_cluster(HostId host, std::uint32_t cluster) override {
+    if (host >= cluster_of_.size()) cluster_of_.resize(host + 1, 0);
     cluster_of_[host] = cluster;
   }
   [[nodiscard]] std::uint32_t cluster_of(HostId host) const {
-    const auto it = cluster_of_.find(host);
-    return it == cluster_of_.end() ? 0 : it->second;
+    return host < cluster_of_.size() ? cluster_of_[host] : 0;
   }
 
   /// Symmetric override: applies to traffic in both directions between the
@@ -210,7 +210,8 @@ class ClusterLinkModel final : public LinkModel {
   }
 
   Config cfg_;
-  std::unordered_map<HostId, std::uint32_t> cluster_of_;
+  /// Indexed by HostId (hosts are allocated densely by Network).
+  std::vector<std::uint32_t> cluster_of_;
   std::unordered_map<std::uint64_t, PairOverride> overrides_;
 };
 
@@ -281,7 +282,8 @@ class Network final {
   }
 
  private:
-  void deliver(const Packet& p);
+  /// Delivers the in-flight packet parked in pool slot `slot`.
+  void deliver(std::uint32_t slot);
 
   sim::Simulation* sim_;
   std::shared_ptr<LinkModel> link_;
@@ -293,6 +295,10 @@ class Network final {
                                       std::function<void(bool)>>>
       state_observers_;
   std::unordered_map<Address, PacketSink*, AddressHash> sinks_;
+  // In-flight packets, so the delivery event captures a pool index (and
+  // fits std::function's inline buffer) instead of a whole Packet.
+  std::vector<Packet> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   telemetry::MetricsRegistry* metrics_ = nullptr;

@@ -1,16 +1,33 @@
 #include "sim/simulation.hpp"
 
+#include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace dvc::sim {
 
 EventId Simulation::schedule_impl(Time at, std::function<void()> fn,
                                   bool daemon) {
-  const EventId id = next_id_++;
-  queue_.push(Entry{at < now_ ? now_ : at, id, daemon, std::move(fn)});
-  live_.emplace(id, daemon);
+  if (free_slots_.empty()) {
+    if (slots_.size() > kSlotMask) {
+      throw std::length_error("Simulation: too many pending events");
+    }
+    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
+    slots_.emplace_back();
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  const std::uint64_t seq = next_seq_++;
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.seq = seq;
+  s.daemon = daemon;
+  const EventId order = seq << kSlotBits | slot;
+  heap_.push_back(Key{at < now_ ? now_ : at, order});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++live_;
   if (!daemon) ++foreground_pending_;
-  return id;
+  return order;
 }
 
 EventId Simulation::schedule_at(Time at, std::function<void()> fn) {
@@ -22,44 +39,64 @@ EventId Simulation::schedule_daemon_at(Time at, std::function<void()> fn) {
 }
 
 bool Simulation::cancel(EventId id) {
-  const auto it = live_.find(id);
-  if (it == live_.end()) return false;  // never scheduled, fired, or stale
-  if (!it->second) --foreground_pending_;
-  live_.erase(it);
-  // Lazy deletion: the entry stays queued but is skipped when popped.
-  cancelled_.insert(id);
+  const std::uint64_t seq = id >> kSlotBits;
+  const std::uint64_t slot = id & kSlotMask;
+  // seq 0 is never issued, so kInvalidEvent and fired/cancelled slots
+  // (seq reset to 0) can never match.
+  if (seq == 0 || slot >= slots_.size() || slots_[slot].seq != seq) {
+    return false;  // never scheduled, fired, cancelled, or stale
+  }
+  Slot& s = slots_[slot];
+  s.seq = 0;
+  --live_;
+  if (!s.daemon) --foreground_pending_;
+  // The key stays queued; skim() drops it (and frees the slot) at the top.
   return true;
 }
 
-bool Simulation::pop_one(Entry& out) {
-  while (!queue_.empty()) {
-    // priority_queue::top() is const; the closure must be moved out, so we
-    // copy the POD fields first and const_cast the function (safe: the
-    // entry is popped immediately afterwards).
-    Entry& top = const_cast<Entry&>(queue_.top());
-    if (auto it = cancelled_.find(top.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      queue_.pop();
-      continue;
-    }
-    out.at = top.at;
-    out.id = top.id;
-    out.daemon = top.daemon;
-    out.fn = std::move(top.fn);
-    live_.erase(top.id);
-    if (!top.daemon) --foreground_pending_;
-    queue_.pop();
-    return true;
+void Simulation::pop_key() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+}
+
+void Simulation::release(std::uint32_t slot) {
+  // Move the closure out first: its destructor may re-enter the kernel
+  // (schedule/cancel), which can reallocate slots_.
+  const std::function<void()> dead = std::move(slots_[slot].fn);
+  slots_[slot].fn = nullptr;
+  free_slots_.push_back(slot);
+}
+
+bool Simulation::skim() {
+  while (!heap_.empty()) {
+    const std::uint64_t order = heap_.front().order;
+    const auto slot = static_cast<std::uint32_t>(order & kSlotMask);
+    if (slots_[slot].seq == order >> kSlotBits) return true;
+    pop_key();
+    release(slot);
   }
   return false;
 }
 
-bool Simulation::step() {
-  Entry e;
-  if (!pop_one(e)) return false;
-  now_ = e.at;
+void Simulation::fire_top() {
+  const Key k = heap_.front();
+  pop_key();
+  const auto slot = static_cast<std::uint32_t>(k.order & kSlotMask);
+  Slot& s = slots_[slot];
+  const std::function<void()> fn = std::move(s.fn);
+  s.fn = nullptr;
+  s.seq = 0;
+  --live_;
+  if (!s.daemon) --foreground_pending_;
+  free_slots_.push_back(slot);
+  now_ = k.at;
   ++executed_;
-  e.fn();
+  fn();
+}
+
+bool Simulation::step() {
+  if (!skim()) return false;
+  fire_top();
   return true;
 }
 
@@ -71,21 +108,8 @@ std::uint64_t Simulation::run(std::uint64_t limit) {
 
 std::uint64_t Simulation::run_until(Time until) {
   std::uint64_t n = 0;
-  Entry e;
-  while (!queue_.empty()) {
-    if (queue_.top().at > until) break;
-    if (!pop_one(e)) break;
-    if (e.at > until) {
-      // pop_one skipped cancelled entries and surfaced a later one; put the
-      // real event back and stop. (Cheaper than peek-with-skip.)
-      live_.emplace(e.id, e.daemon);
-      if (!e.daemon) ++foreground_pending_;
-      queue_.push(std::move(e));
-      break;
-    }
-    now_ = e.at;
-    ++executed_;
-    e.fn();
+  while (skim() && heap_.front().at <= until) {
+    fire_top();
     ++n;
   }
   if (now_ < until) now_ = until;

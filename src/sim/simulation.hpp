@@ -3,9 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -13,6 +10,8 @@
 namespace dvc::sim {
 
 /// Identifier of a scheduled event; usable to cancel it before it fires.
+/// Encodes `seq << 24 | slot`: the event's insertion sequence number and
+/// the kernel slot holding its closure (see Simulation).
 using EventId = std::uint64_t;
 
 inline constexpr EventId kInvalidEvent = 0;
@@ -23,6 +22,13 @@ inline constexpr EventId kInvalidEvent = 0;
 /// kernel fires them in (time, insertion-order) order, so two events at the
 /// same tick run in the order they were scheduled. This total order plus
 /// per-component `Rng` streams makes every run bit-for-bit reproducible.
+///
+/// Layout: closures live in a slot array (recycled through a free list);
+/// the binary heap orders only 16-byte `(at, order)` keys, where
+/// `order = seq << 24 | slot`. The EventId is that `order`, so cancel() is
+/// an index plus a sequence compare. A cancelled key stays in the heap
+/// and is dropped when it reaches the top; its slot (and closure) is
+/// released then, exactly when the key leaves the heap.
 class Simulation final {
  public:
   Simulation() = default;
@@ -72,7 +78,7 @@ class Simulation final {
 
   /// Number of events currently pending (daemons included).
   [[nodiscard]] std::size_t pending() const noexcept {
-    return live_.size();
+    return live_;
   }
 
   /// Number of pending non-daemon events (what keeps run() alive).
@@ -84,32 +90,48 @@ class Simulation final {
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
  private:
-  struct Entry {
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
+
+  /// Heap key. `order` is `seq << kSlotBits | slot`; `seq` grows with
+  /// every schedule, so comparing `order` compares insertion order. That
+  /// leaves 40 bits of `seq` (~1.1e12 schedules per Simulation) and 2^24
+  /// slots for queued keys, cancelled ones included (schedule throws past
+  /// that).
+  struct Key {
     Time at;
-    EventId id;
-    bool daemon;
-    std::function<void()> fn;
+    std::uint64_t order;
   };
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      return a.at != b.at ? a.at > b.at : a.id > b.id;
+    bool operator()(const Key& a, const Key& b) const noexcept {
+      return a.at != b.at ? a.at > b.at : a.order > b.order;
     }
+  };
+  /// Owner of one queued event's closure. A slot belongs to exactly one
+  /// heap key from schedule until that key leaves the heap (fired, or
+  /// skimmed off after a cancel), then returns to the free list.
+  struct Slot {
+    std::function<void()> fn;
+    std::uint64_t seq = 0;  ///< live event's seq; 0 once fired/cancelled
+    bool daemon = false;
   };
 
   EventId schedule_impl(Time at, std::function<void()> fn, bool daemon);
-  bool pop_one(Entry& out);
+  /// Drops cancelled keys off the heap top; true if a live key remains.
+  bool skim();
+  /// Pops the (live) top key and runs its closure.
+  void fire_top();
+  void pop_key();
+  void release(std::uint32_t slot);
 
   Time now_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
+  std::size_t live_ = 0;
   std::size_t foreground_pending_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  // Lazy-deletion tombstones for queued-but-cancelled entries.
-  std::unordered_set<EventId> cancelled_;
-  // Every not-yet-fired, not-cancelled event, with its daemon-ness. The
-  // authoritative liveness record: cancel() consults it so that an id whose
-  // entry already fired is rejected instead of poisoning the counters.
-  std::unordered_map<EventId, bool> live_;
+  std::vector<Key> heap_;  ///< binary min-heap on (at, order)
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace dvc::sim

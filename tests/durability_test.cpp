@@ -143,11 +143,14 @@ TEST(DurabilityTest, TornNewestGenerationIsCaughtAtRestoreAndFallsBack) {
   // the store actually has writes in flight (deterministic — the sim replays
   // identically every run).
   int torn = 0;
+  // Weak self-reference: the pending event owns the loop, so it is freed
+  // when the loop stops (a strong self-capture would leak a cycle).
   auto tear = std::make_shared<std::function<void()>>();
-  *tear = [&s, &torn, tear] {
+  *tear = [&s, &torn, self = std::weak_ptr<std::function<void()>>(tear)] {
     torn += static_cast<int>(s.bed.store.tear_inflight_writes());
     if (torn == 0 && s.bed.sim.now() < 65 * sim::kSecond) {
-      s.bed.sim.schedule_after(sim::kSecond / 5, [tear] { (*tear)(); });
+      s.bed.sim.schedule_after(sim::kSecond / 5,
+                               [tear = self.lock()] { (*tear)(); });
     }
   };
   s.bed.sim.schedule_at(50 * sim::kSecond, [&] {

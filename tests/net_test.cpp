@@ -7,6 +7,7 @@
 
 #include "net/network.hpp"
 #include "sim/simulation.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace dvc::net {
 namespace {
@@ -160,6 +161,92 @@ TEST(NetworkTest, UnknownHostThrows) {
   Collector sink;
   EXPECT_THROW(f.net.attach({999, 0}, &sink), std::out_of_range);
   EXPECT_THROW(f.net.attach({f.a, 0}, nullptr), std::invalid_argument);
+}
+
+/// Records every packet and echoes it back to its source from inside
+/// on_packet, so deliveries reuse in-flight pool slots mid-delivery.
+class Echo final : public PacketSink {
+ public:
+  Network* net = nullptr;
+  std::vector<Packet> packets;
+  void on_packet(const Packet& p) override {
+    packets.push_back(p);
+    Packet back = p;
+    back.src = p.dst;
+    back.dst = p.src;
+    back.kind = Packet::Kind::kAck;
+    back.ack = p.seq;
+    net->send(back);
+  }
+};
+
+Packet numbered(HostId src, HostId dst, std::uint64_t i) {
+  Packet p;
+  p.src = {src, 1};
+  p.dst = {dst, 2};
+  p.kind = Packet::Kind::kData;
+  p.seq = i;
+  p.size_bytes = 1000;
+  p.msg_id = 1'000'000'000'000ull + i;
+  p.tag = static_cast<std::uint32_t>(i * 3);
+  p.epoch = static_cast<std::uint32_t>(i % 7);
+  return p;
+}
+
+TEST(NetworkTest, InFlightPoolReuseKeepsEveryFieldAndOrder) {
+  NetFixture f;
+  telemetry::MetricsRegistry metrics;
+  f.net.set_metrics(&metrics);
+  const HostId dark = f.net.new_host();
+  Echo echo;
+  echo.net = &f.net;
+  Collector acks;
+  f.net.attach({f.b, 2}, &echo);
+  f.net.attach({f.a, 1}, &acks);
+  f.net.attach({dark, 2}, &acks);
+
+  // Two waves; the second is sent while the first is half delivered, so
+  // its packets land in recycled pool slots alongside live ones.
+  constexpr std::uint64_t kWave = 500;
+  for (std::uint64_t i = 0; i < kWave; ++i) {
+    ASSERT_TRUE(f.net.send(numbered(f.a, f.b, i)));
+  }
+  f.sim.run_until(300 * sim::kMicrosecond);
+  EXPECT_GT(echo.packets.size(), 0u);
+  EXPECT_LT(echo.packets.size(), kWave);
+  for (std::uint64_t i = kWave; i < 2 * kWave; ++i) {
+    ASSERT_TRUE(f.net.send(numbered(f.a, f.b, i)));
+  }
+  f.net.set_host_up(dark, false);
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    f.net.send(numbered(f.a, dark, i));
+  }
+  f.sim.run();
+
+  ASSERT_EQ(echo.packets.size(), 2 * kWave);
+  ASSERT_EQ(acks.packets.size(), 2 * kWave);
+  for (std::uint64_t i = 0; i < 2 * kWave; ++i) {
+    const Packet want = numbered(f.a, f.b, i);
+    const Packet& got = echo.packets[i];
+    EXPECT_EQ(got.src, want.src);
+    EXPECT_EQ(got.dst, want.dst);
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.seq, want.seq);
+    EXPECT_EQ(got.size_bytes, want.size_bytes);
+    EXPECT_EQ(got.msg_id, want.msg_id);
+    EXPECT_EQ(got.tag, want.tag);
+    EXPECT_EQ(got.epoch, want.epoch);
+    const Packet& ack = acks.packets[i];
+    EXPECT_EQ(ack.kind, Packet::Kind::kAck);
+    EXPECT_EQ(ack.ack, i);
+    EXPECT_EQ(ack.msg_id, want.msg_id);
+    EXPECT_EQ(ack.tag, want.tag);
+    EXPECT_EQ(ack.epoch, want.epoch);
+  }
+  EXPECT_EQ(metrics.counter("net.network.packets_dropped_dark").value(),
+            50u);
+  EXPECT_EQ(f.net.packets_delivered(), 4 * kWave);
+  EXPECT_EQ(f.net.packets_dropped(), 50u);
 }
 
 TEST(ClusterLinkModelTest, IntraVsInterClusterTiers) {

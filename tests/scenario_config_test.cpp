@@ -64,6 +64,22 @@ TEST(ScenarioConfigTest, BadNumericsNameTheKeyAndValue) {
   EXPECT_THROW((void)cfg.get_int("count", 0), std::invalid_argument);
 }
 
+TEST(ScenarioConfigTest, U32KeysRejectValuesThatWouldNarrow) {
+  const auto cfg = ScenarioConfig::parse(
+      "msg_bytes = 5000000000\nneg = -1\nmax = 4294967295\n");
+  try {
+    (void)cfg.get_u32("msg_bytes", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("msg_bytes"), std::string::npos) << what;
+    EXPECT_NE(what.find("5000000000"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)cfg.get_u32("neg", 0), std::invalid_argument);
+  EXPECT_EQ(cfg.get_u32("max", 0), 4294967295u);
+  EXPECT_EQ(cfg.get_u32("missing", 7), 7u);
+}
+
 TEST(ScenarioConfigTest, ValidateKeysRejectsUnknownKey) {
   const auto cfg = ScenarioConfig::parse("experiment = migrate\nsede = 7\n");
   try {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <map>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -181,6 +183,199 @@ TEST(SimulationTest, CancellingADaemonKeepsForegroundCountRight) {
   EXPECT_TRUE(s.cancel(d));
   EXPECT_EQ(s.pending_foreground(), 1u);
   EXPECT_EQ(s.run(), 1u);
+}
+
+// EventId = seq << 24 | slot; the low bits name the kernel slot.
+std::uint64_t slot_of(EventId id) { return id & 0xffffffu; }
+
+TEST(SimulationTest, StaleIdCannotCancelTheSlotsNewOccupant) {
+  Simulation s;
+  const EventId fired = s.schedule_at(1, [] {});
+  s.run();
+  bool second_fired = false;
+  const EventId reused = s.schedule_at(5, [&] { second_fired = true; });
+  ASSERT_EQ(slot_of(reused), slot_of(fired));  // the slot was recycled
+  EXPECT_NE(reused, fired);
+  EXPECT_FALSE(s.cancel(fired));
+  EXPECT_EQ(s.pending(), 1u);
+
+  // Same through the cancel path: once the cancelled key leaves the heap
+  // its slot is reused, and the old id still cannot touch the new event.
+  EXPECT_TRUE(s.cancel(reused));
+  s.run_until(10);  // skims the cancelled key, freeing the slot
+  bool third_fired = false;
+  const EventId again = s.schedule_at(20, [&] { third_fired = true; });
+  ASSERT_EQ(slot_of(again), slot_of(reused));
+  EXPECT_FALSE(s.cancel(reused));
+  EXPECT_EQ(s.pending_foreground(), 1u);
+  s.run();
+  EXPECT_FALSE(second_fired);
+  EXPECT_TRUE(third_fired);
+}
+
+TEST(SimulationTest, EventCancellingItselfGetsFalse) {
+  Simulation s;
+  EventId self = kInvalidEvent;
+  bool result = true;
+  self = s.schedule_at(3, [&] { result = s.cancel(self); });
+  s.schedule_at(4, [] {});
+  s.run();
+  EXPECT_FALSE(result);
+  EXPECT_EQ(s.executed(), 2u);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.pending_foreground(), 0u);
+}
+
+TEST(SimulationTest, SameTickFifoHoldsAcrossSlotReuse) {
+  Simulation s;
+  // Scatter the free list: fire some slots, cancel others, in an order
+  // that leaves the free list non-monotonic.
+  std::vector<EventId> ids;
+  for (int i = 0; i < 12; ++i) ids.push_back(s.schedule_at(i, [] {}));
+  for (int i = 11; i >= 0; i -= 3) s.cancel(ids[i]);
+  s.run();
+  std::vector<int> order;
+  for (int i = 0; i < 32; ++i) {
+    s.schedule_at(100, [&order, i] { order.push_back(i); });
+  }
+  s.run();
+  ASSERT_EQ(order.size(), 32u);
+  for (int i = 0; i < 32; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(SimulationTest, RunUntilWithCancelledHeadAndLiveEventBeyond) {
+  Simulation s;
+  std::vector<Time> fired;
+  const EventId head = s.schedule_at(5, [&] { fired.push_back(5); });
+  s.schedule_at(50, [&] { fired.push_back(50); });
+  ASSERT_TRUE(s.cancel(head));
+  EXPECT_EQ(s.run_until(10), 0u);
+  EXPECT_EQ(s.now(), 10);
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.pending_foreground(), 1u);
+  // Work scheduled at the boundary still runs before the later event.
+  s.schedule_at(10, [&] { fired.push_back(10); });
+  EXPECT_EQ(s.run_until(10), 1u);
+  EXPECT_EQ(s.run_until(60), 1u);
+  EXPECT_EQ(fired, (std::vector<Time>{10, 50}));
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(SimulationTest, DaemonAndForegroundCountsSurviveCancelAfterReuse) {
+  Simulation s;
+  const EventId d = s.schedule_daemon_at(1, [] {});
+  const EventId f = s.schedule_at(2, [] {});
+  s.run();  // both fire; both slots go back to the free list
+  // Reuse the slots with the opposite daemon-ness.
+  const EventId f2 = s.schedule_at(10, [] {});
+  const EventId d2 = s.schedule_daemon_at(10, [] {});
+  EXPECT_EQ(s.pending(), 2u);
+  EXPECT_EQ(s.pending_foreground(), 1u);
+  EXPECT_FALSE(s.cancel(d));
+  EXPECT_FALSE(s.cancel(f));
+  EXPECT_EQ(s.pending(), 2u);
+  EXPECT_EQ(s.pending_foreground(), 1u);
+  EXPECT_TRUE(s.cancel(d2));
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.pending_foreground(), 1u);
+  EXPECT_TRUE(s.cancel(f2));
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.pending_foreground(), 0u);
+  EXPECT_EQ(s.run(), 0u);
+}
+
+// Seeded differential test: random schedule / daemon / cancel / step /
+// run_until / run operations against a std::multimap reference, which
+// keeps equal-time entries in insertion order. Firing order, now(),
+// pending() and pending_foreground() must match after every operation.
+TEST(SimulationTest, MatchesMultimapReferenceUnderRandomOperations) {
+  struct RefEvent {
+    int label;
+    bool daemon;
+  };
+  using RefQueue = std::multimap<Time, RefEvent>;
+  Simulation s;
+  RefQueue ref;
+  Time ref_now = 0;
+  std::size_t ref_foreground = 0;
+  std::vector<int> fired;
+  std::vector<int> ref_fired;
+  std::vector<EventId> ids;                         // by label
+  std::map<int, RefQueue::iterator> ref_pending;    // live labels
+  Rng rng(20071);
+
+  auto ref_pop = [&] {
+    const auto it = ref.begin();
+    ref_now = it->first;
+    ref_fired.push_back(it->second.label);
+    if (!it->second.daemon) --ref_foreground;
+    ref_pending.erase(it->second.label);
+    ref.erase(it);
+  };
+
+  for (int op = 0; op < 100000; ++op) {
+    const std::uint64_t kind = rng.below(100);
+    if (kind < 45) {
+      // Relative or (possibly past) absolute schedule; ties are common.
+      const bool daemon = rng.chance(0.2);
+      const int label = static_cast<int>(ids.size());
+      const bool absolute = rng.chance(0.3);
+      const Time at = absolute
+                          ? ref_now + static_cast<Time>(rng.below(40)) - 10
+                          : ref_now + static_cast<Time>(rng.below(30));
+      auto fn = [&fired, label] { fired.push_back(label); };
+      const EventId id =
+          daemon ? s.schedule_daemon_at(at, fn) : s.schedule_at(at, fn);
+      ids.push_back(id);
+      const auto it =
+          ref.emplace(at < ref_now ? ref_now : at, RefEvent{label, daemon});
+      ref_pending.emplace(label, it);
+      if (!daemon) ++ref_foreground;
+    } else if (kind < 65) {
+      if (ids.empty()) continue;
+      const int label = static_cast<int>(rng.below(ids.size()));
+      const auto it = ref_pending.find(label);
+      const bool expect = it != ref_pending.end();
+      if (expect) {
+        if (!it->second->second.daemon) --ref_foreground;
+        ref.erase(it->second);
+        ref_pending.erase(it);
+      }
+      ASSERT_EQ(s.cancel(ids[static_cast<std::size_t>(label)]), expect)
+          << "op " << op;
+    } else if (kind < 85) {
+      const bool expect = !ref.empty();
+      if (expect) ref_pop();
+      ASSERT_EQ(s.step(), expect) << "op " << op;
+    } else if (kind < 97) {
+      const Time until = ref_now + static_cast<Time>(rng.below(20));
+      std::uint64_t expect = 0;
+      while (!ref.empty() && ref.begin()->first <= until) {
+        ref_pop();
+        ++expect;
+      }
+      if (ref_now < until) ref_now = until;
+      ASSERT_EQ(s.run_until(until), expect) << "op " << op;
+    } else {
+      const std::uint64_t limit = rng.below(8);
+      std::uint64_t expect = 0;
+      while (expect < limit && ref_foreground > 0 && !ref.empty()) {
+        ref_pop();
+        ++expect;
+      }
+      ASSERT_EQ(s.run(limit), expect) << "op " << op;
+    }
+    ASSERT_EQ(s.now(), ref_now) << "op " << op;
+    ASSERT_EQ(s.pending(), ref.size()) << "op " << op;
+    ASSERT_EQ(s.pending_foreground(), ref_foreground) << "op " << op;
+    ASSERT_EQ(fired.size(), ref_fired.size()) << "op " << op;
+    if (!fired.empty()) {
+      ASSERT_EQ(fired.back(), ref_fired.back()) << "op " << op;
+    }
+  }
+  EXPECT_EQ(fired, ref_fired);
+  EXPECT_GT(fired.size(), 30000u);
 }
 
 TEST(RngTest, DeterministicForSameSeed) {

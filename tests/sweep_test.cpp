@@ -138,6 +138,17 @@ TEST(SweepHarnessTest, ReproReplaysARecordedCellBitForBit) {
   }
 }
 
+TEST(SweepHarnessTest, OversizedMsgBytesFailsTheCellNamingTheKey) {
+  // bytes_per_msg is 32-bit: 5e9 must not silently become 705032704.
+  SweepGrid grid = SweepGrid::load(
+      "g", std::string(kGrid) + "msg_bytes = 5000000000\n");
+  grid.set_seeds({1});
+  const CellOutcome out = run_cell(grid.cells().front());
+  EXPECT_EQ(out.status, CellStatus::kWedged);
+  EXPECT_NE(out.error.find("msg_bytes"), std::string::npos) << out.error;
+  EXPECT_EQ(out.iterations, 0u);
+}
+
 TEST(SweepHarnessTest, ReproCommandLineNamesTheCell) {
   SweepGrid grid = SweepGrid::load("scenarios/sweep_unit.scn", kGrid);
   grid.set_seeds({4});

@@ -189,10 +189,8 @@ std::unique_ptr<Scenario> build(const tools::ScenarioConfig& cfg) {
       throw std::invalid_argument("unknown pattern: " + pattern);
     }
   }
-  const std::int64_t msg_bytes = cfg.get_int("msg_bytes", 0);
-  if (msg_bytes > 0) {
-    workload.bytes_per_msg = static_cast<std::uint64_t>(msg_bytes);
-  }
+  const std::uint32_t msg_bytes = cfg.get_u32("msg_bytes", 0);
+  if (msg_bytes > 0) workload.bytes_per_msg = msg_bytes;
   sc->application = std::make_unique<app::ParallelApp>(
       sc->room.sim, sc->room.fabric.network(), sc->vc->contexts(),
       workload);

@@ -71,6 +71,19 @@ class ScenarioConfig final {
     }
   }
 
+  /// get_int() for keys stored in a 32-bit field: values outside
+  /// [0, UINT32_MAX] throw naming the key instead of silently narrowing.
+  [[nodiscard]] std::uint32_t get_u32(const std::string& key,
+                                      std::uint32_t fallback) const {
+    const std::int64_t v = get_int(key, fallback);
+    if (v < 0 || v > std::int64_t{UINT32_MAX}) {
+      throw std::invalid_argument("scenario key '" + key +
+                                  "': out of range [0, 4294967295]: " +
+                                  values_.at(key));
+    }
+    return static_cast<std::uint32_t>(v);
+  }
+
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
     const auto it = values_.find(key);

@@ -276,10 +276,8 @@ void run_cell_impl(const SweepCell& cell, CellOutcome& out) {
       throw std::invalid_argument("unknown pattern: " + pattern);
     }
   }
-  const std::int64_t msg_bytes = cfg.get_int("msg_bytes", 0);
-  if (msg_bytes > 0) {
-    workload.bytes_per_msg = static_cast<std::uint64_t>(msg_bytes);
-  }
+  const std::uint32_t msg_bytes = cfg.get_u32("msg_bytes", 0);
+  if (msg_bytes > 0) workload.bytes_per_msg = msg_bytes;
   auto application = std::make_unique<app::ParallelApp>(
       room.sim, room.fabric.network(), vc->contexts(), workload);
   room.dvc->attach_app(*vc, *application);
@@ -533,6 +531,8 @@ std::string CellOutcome::to_json() const {
   j += "]";
   j += ",\"repro\":\"" + json_escape(repro) + "\"";
   j += "}";
+  // Callers keep one string per cell; drop the doubling slack (~2x).
+  j.shrink_to_fit();
   return j;
 }
 
