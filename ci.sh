@@ -2,10 +2,13 @@
 # Tier-1 verification for the DVC simulator.
 #
 #   ./ci.sh             configure (warnings-as-errors), build, and run the
-#                       full test suite
-#   ./ci.sh --sanitize  same, under AddressSanitizer + UBSan (separate
-#                       build tree, slower; catches lifetime/UB bugs the
-#                       plain build cannot)
+#                       full test suite; then configure and build (not run)
+#                       dvcbench from dvcbench/ into build/dvcbench-pkg,
+#                       since it compiles src/ plus tools/sweep.cpp on its
+#                       own and must keep linking
+#   ./ci.sh --sanitize  the test suite under AddressSanitizer + UBSan
+#                       (separate build tree, slower; catches lifetime/UB
+#                       bugs the plain build cannot)
 #   ./ci.sh --soak      the sanitizer build with -DDVC_SOAK=ON, running
 #                       only the soak-labelled suites (`ctest -L soak`) —
 #                       the randomized failure schedules where lifetime
@@ -105,6 +108,8 @@ sys.exit(0 if digest and correct is True and failed == 0 else 1)
     ;;
   "")
     build_and_test build -DDVC_WERROR=ON
+    cmake -B build/dvcbench-pkg -S dvcbench
+    cmake --build build/dvcbench-pkg --target dvcbench -j "$JOBS"
     ;;
   *)
     echo "usage: $0 [--sanitize|--soak|--coverage|--tidy|--bench-smoke]" >&2

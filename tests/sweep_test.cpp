@@ -138,15 +138,73 @@ TEST(SweepHarnessTest, ReproReplaysARecordedCellBitForBit) {
   }
 }
 
-TEST(SweepHarnessTest, OversizedMsgBytesFailsTheCellNamingTheKey) {
-  // bytes_per_msg is 32-bit: 5e9 must not silently become 705032704.
-  SweepGrid grid = SweepGrid::load(
-      "g", std::string(kGrid) + "msg_bytes = 5000000000\n");
-  grid.set_seeds({1});
-  const CellOutcome out = run_cell(grid.cells().front());
-  EXPECT_EQ(out.status, CellStatus::kWedged);
-  EXPECT_NE(out.error.find("msg_bytes"), std::string::npos) << out.error;
-  EXPECT_EQ(out.iterations, 0u);
+TEST(SweepHarnessTest, OutOfRangeCountKeysFailTheCellNamingTheKey) {
+  // Count keys land in 32-bit (retry counts: int) fields. A value that
+  // does not fit must fail the cell naming the key, not wrap silently:
+  // vc_size = 4294967298 used to run as a 2-guest VC, and
+  // guest_ram_mib = -1 as a ~16 EiB guest.
+  struct Case {
+    const char* key;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"clusters", "4294967297"},
+      {"nodes_per_cluster", "-8"},
+      {"vc_size", "4294967298"},
+      {"iterations", "4294967306"},
+      {"guest_ram_mib", "-1"},
+      {"msg_bytes", "5000000000"},
+      {"store_replicas", "-1"},
+      {"keep_checkpoints", "4294967298"},
+      {"max_restore_retries", "2147483648"},
+      {"lsc.max_round_retries", "-1"},
+  };
+  for (const Case& c : cases) {
+    SweepGrid grid = SweepGrid::load(
+        "g", std::string(kGrid) + c.key + " = " + c.value + "\n");
+    grid.set_seeds({1});
+    const CellOutcome out = run_cell(grid.cells().front());
+    EXPECT_EQ(out.status, CellStatus::kWedged) << c.key;
+    EXPECT_NE(out.error.find(std::string("'") + c.key + "'"),
+              std::string::npos)
+        << c.key << ": " << out.error;
+    EXPECT_NE(out.error.find("out of range"), std::string::npos)
+        << c.key << ": " << out.error;
+    EXPECT_EQ(out.iterations, 0u) << c.key;
+  }
+}
+
+TEST(SweepHarnessTest, NodeFailuresWithProactiveEvacuationReplay) {
+  // The mtbf_per_node_s path: random node failures, half of them
+  // predicted, with proactive evacuation on. Seed 4 loses VC members to
+  // unpredicted failures twice, so the cell must recover, and a second
+  // run must reproduce the outcome byte for byte.
+  SweepGrid grid = SweepGrid::load("node_failures.scn", R"(
+nodes_per_cluster = 8
+vc_size = 4
+guest_ram_mib = 64
+pattern = alltoall
+msg_bytes = 2048
+iterations = 60
+checkpoint_interval_s = 10
+mtbf_per_node_s = 300
+repair_s = 30
+predicted_fraction = 0.5
+prediction_lead_s = 20
+proactive = true
+horizon_s = 600
+settle_s = 10
+)");
+  grid.set_seeds({4});
+  const SweepCell cell = grid.cells().front();
+  const CellOutcome first = run_cell(cell);
+  const CellOutcome second = run_cell(cell);
+  EXPECT_TRUE(first.status == CellStatus::kCompleted ||
+              first.status == CellStatus::kDiagnosed)
+      << first.to_json();
+  EXPECT_TRUE(first.violations.empty()) << first.to_json();
+  EXPECT_GT(first.recoveries, 0u) << first.to_json();
+  EXPECT_EQ(first.to_json(), second.to_json());
 }
 
 TEST(SweepHarnessTest, ReproCommandLineNamesTheCell) {

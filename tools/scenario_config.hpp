@@ -72,14 +72,16 @@ class ScenarioConfig final {
   }
 
   /// get_int() for keys stored in a 32-bit field: values outside
-  /// [0, UINT32_MAX] throw naming the key instead of silently narrowing.
+  /// [0, max] throw naming the key instead of silently narrowing.
   [[nodiscard]] std::uint32_t get_u32(const std::string& key,
-                                      std::uint32_t fallback) const {
+                                      std::uint32_t fallback,
+                                      std::uint32_t max = UINT32_MAX) const {
     const std::int64_t v = get_int(key, fallback);
-    if (v < 0 || v > std::int64_t{UINT32_MAX}) {
+    if (v < 0 || v > std::int64_t{max}) {
       throw std::invalid_argument("scenario key '" + key +
-                                  "': out of range [0, 4294967295]: " +
-                                  values_.at(key));
+                                  "': out of range [0, " +
+                                  std::to_string(max) +
+                                  "]: " + values_.at(key));
     }
     return static_cast<std::uint32_t>(v);
   }

@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "app/workload.hpp"
-#include "ckpt/lsc.hpp"
-#include "core/machine_room.hpp"
-#include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "tools/scenario_keys.hpp"
 
@@ -208,52 +205,50 @@ std::vector<SweepCell> SweepGrid::cells() const {
   return out;
 }
 
-// ---- one cell ---------------------------------------------------------------
+// ---- cell assembly ----------------------------------------------------------
 
 namespace {
 
-void run_cell_impl(const SweepCell& cell, CellOutcome& out) {
-  const ScenarioConfig& cfg = cell.cfg;
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+/// The VC's name in every driver; it reaches only checkpoint labels.
+constexpr const char* kVcName = "sweep";
 
+/// Retry counts land in `int` fields.
+constexpr auto kMaxRetries =
+    static_cast<std::uint32_t>(std::numeric_limits<int>::max());
+
+/// A `*_s` key as a simulated duration.
+sim::Duration seconds(const ScenarioConfig& cfg, const char* key,
+                      double fallback) {
+  return sim::from_seconds(cfg.get_double(key, fallback));
+}
+
+core::MachineRoomOptions room_options(const ScenarioConfig& cfg) {
   core::MachineRoomOptions o;
-  o.clusters = static_cast<std::uint32_t>(cfg.get_int("clusters", 1));
-  o.nodes_per_cluster =
-      static_cast<std::uint32_t>(cfg.get_int("nodes_per_cluster", 32));
-  o.seed = seed;
+  o.clusters = cfg.get_u32("clusters", 1);
+  o.nodes_per_cluster = cfg.get_u32("nodes_per_cluster", 32);
+  o.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
   const double write_mbps = cfg.get_double("store_write_mbps", 100.0);
   o.store.write_bps = write_mbps * 1e6;
   o.store.read_bps = 2 * write_mbps * 1e6;
   o.hv.abort_saves_on_failure =
       cfg.get_bool("abort_saves_on_failure", false);
-  o.store_replicas =
-      static_cast<std::uint32_t>(cfg.get_int("store_replicas", 0));
-  core::MachineRoom room(o);
+  o.store_replicas = cfg.get_u32("store_replicas", 0);
+  return o;
+}
 
-  const auto vc_size =
-      static_cast<std::uint32_t>(cfg.get_int("vc_size", 16));
-  core::VcSpec spec;
-  spec.name = "sweep";
-  spec.size = vc_size;
-  spec.guest.ram_bytes =
-      static_cast<std::uint64_t>(cfg.get_int("guest_ram_mib", 256)) << 20;
-  const auto placement = room.dvc->pick_nodes(vc_size);
-  if (!placement) {
-    throw std::runtime_error("not enough nodes for vc_size=" +
-                             std::to_string(vc_size));
-  }
-  core::VirtualCluster* vc = &room.dvc->create_vc(spec, *placement, {});
-  const std::int64_t head = cfg.get_int("coordinator.head_node", -1);
-  if (head >= 0) {
-    room.dvc->designate_head_node(
-        static_cast<hw::NodeId>(head),
-        sim::from_seconds(cfg.get_double("coordinator.lease_s", 10.0)));
-  }
-  room.sim.run_until(20 * sim::kSecond);
+app::Pattern parse_pattern(const std::string& p) {
+  if (p == "none") return app::Pattern::kNone;
+  if (p == "ring") return app::Pattern::kRing;
+  if (p == "broadcast") return app::Pattern::kBroadcast;
+  if (p == "treebroadcast") return app::Pattern::kTreeBroadcast;
+  if (p == "alltoall") return app::Pattern::kAllToAll;
+  throw std::invalid_argument("unknown pattern: " + p);
+}
 
+app::WorkloadSpec workload_spec(const ScenarioConfig& cfg,
+                                std::uint32_t vc_size) {
   const std::string kind = cfg.get_string("workload", "ptrans");
-  const auto iterations =
-      static_cast<std::uint32_t>(cfg.get_int("iterations", 1000));
+  const std::uint32_t iterations = cfg.get_u32("iterations", 1000);
   const double iter_s = cfg.get_double("iter_seconds", 0.5);
   app::WorkloadSpec workload =
       kind == "hpl" ? app::make_hpl(16384, vc_size, iterations)
@@ -261,162 +256,188 @@ void run_cell_impl(const SweepCell& cell, CellOutcome& out) {
   workload.flops_per_rank_iter = iter_s * 1e10;
   workload.bytes_per_msg = 64 << 10;
   const std::string pattern = cfg.get_string("pattern", "");
-  if (!pattern.empty()) {
-    if (pattern == "none") {
-      workload.pattern = app::Pattern::kNone;
-    } else if (pattern == "ring") {
-      workload.pattern = app::Pattern::kRing;
-    } else if (pattern == "broadcast") {
-      workload.pattern = app::Pattern::kBroadcast;
-    } else if (pattern == "treebroadcast") {
-      workload.pattern = app::Pattern::kTreeBroadcast;
-    } else if (pattern == "alltoall") {
-      workload.pattern = app::Pattern::kAllToAll;
-    } else {
-      throw std::invalid_argument("unknown pattern: " + pattern);
-    }
-  }
+  if (!pattern.empty()) workload.pattern = parse_pattern(pattern);
   const std::uint32_t msg_bytes = cfg.get_u32("msg_bytes", 0);
   if (msg_bytes > 0) workload.bytes_per_msg = msg_bytes;
-  auto application = std::make_unique<app::ParallelApp>(
-      room.sim, room.fabric.network(), vc->contexts(), workload);
+  return workload;
+}
+
+/// The fault plan of the `fault.*` keys: scripted events plus stochastic
+/// processes sampled on fault.seed, so the schedule is the same for every
+/// run of a scenario whatever the room does. `fault.start_s` shifts the
+/// whole schedule, so a grid can open the fault window after the first
+/// complete checkpoint instead of during boot.
+fault::FaultPlan fault_plan(const ScenarioConfig& cfg,
+                            const core::MachineRoom& room,
+                            std::uint64_t seed) {
+  fault::FaultPlan plan;
+  const std::string script = cfg.get_string("fault.script", "");
+  if (!script.empty()) plan = fault::FaultPlan::parse_script(script);
+  fault::StochasticFaults fs;
+  fs.horizon = seconds(cfg, "fault.horizon_s", 0.0);
+  fs.node_crash_mtbf = seconds(cfg, "fault.node_crash_mtbf_s", 0.0);
+  fs.node_down_for = seconds(cfg, "fault.node_down_s", 0.0);
+  fs.link_down_mtbf = seconds(cfg, "fault.link_down_mtbf_s", 0.0);
+  fs.link_down_for = seconds(cfg, "fault.link_down_s", 30.0);
+  fs.disk_slow_mtbf = seconds(cfg, "fault.disk_slow_mtbf_s", 0.0);
+  fs.disk_slow_for = seconds(cfg, "fault.disk_slow_s", 60.0);
+  fs.disk_slow_factor = cfg.get_double("fault.disk_slow_factor", 10.0);
+  fs.clock_step_mtbf = seconds(cfg, "fault.clock_step_mtbf_s", 0.0);
+  fs.clock_step_max = static_cast<sim::Duration>(
+      cfg.get_double("fault.clock_step_ms", 500.0) * sim::kMillisecond);
+  fs.store_corrupt_mtbf = seconds(cfg, "fault.store_corrupt_mtbf_s", 0.0);
+  fs.store_tear_mtbf = seconds(cfg, "fault.store_tear_mtbf_s", 0.0);
+  fs.partition_mtbf = seconds(cfg, "fault.partition_mtbf_s", 0.0);
+  fs.partition_for = seconds(cfg, "fault.partition_s", 30.0);
+  fs.coordinator_crash_mtbf =
+      seconds(cfg, "fault.coordinator_crash_mtbf_s", 0.0);
+  fs.coordinator_down_for = seconds(cfg, "fault.coordinator_down_s", 20.0);
+  if (fs.horizon > 0) {
+    const auto fault_seed = static_cast<std::uint64_t>(
+        cfg.get_int("fault.seed", static_cast<std::int64_t>(seed)));
+    plan.sample(fs, static_cast<std::uint32_t>(room.fabric.node_count()),
+                static_cast<std::uint32_t>(room.fabric.cluster_count()),
+                sim::Rng(fault_seed),
+                static_cast<std::uint32_t>(1 + room.replica_stores.size()));
+  }
+  const sim::Duration start = seconds(cfg, "fault.start_s", 0.0);
+  if (start > 0) {
+    fault::FaultPlan shifted;
+    for (fault::FaultEvent e : plan.schedule()) {
+      e.at += start;
+      shifted.add(e);
+    }
+    plan = std::move(shifted);
+  }
+  return plan;
+}
+
+}  // namespace
+
+CellRig::CellRig(const ScenarioConfig& config)
+    : cfg(config), room(room_options(config)) {
+  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  if (cfg.get_bool("trace", true)) {
+    room.trace.set_echo(true);
+    room.trace.set_min_level(sim::TraceLevel::kInfo);
+  }
+
+  const std::uint32_t vc_size = cfg.get_u32("vc_size", 16);
+  core::VcSpec spec;
+  spec.name = kVcName;
+  spec.size = vc_size;
+  spec.guest.ram_bytes = std::uint64_t{cfg.get_u32("guest_ram_mib", 256)}
+                         << 20;
+  const auto placement = room.dvc->pick_nodes(vc_size);
+  if (!placement) {
+    throw std::runtime_error("not enough nodes for vc_size=" +
+                             std::to_string(vc_size));
+  }
+  vc = &room.dvc->create_vc(spec, *placement, {});
+  // Opt-in coordinator fault domain: the control plane runs on a head
+  // node, journals intents, and fences its commands with an epoch.
+  const std::int64_t head = cfg.get_int("coordinator.head_node", -1);
+  if (head >= 0) {
+    room.dvc->designate_head_node(static_cast<hw::NodeId>(head),
+                                  seconds(cfg, "coordinator.lease_s", 10.0));
+  }
+  room.sim.run_until(20 * sim::kSecond);
+
+  application = std::make_unique<app::ParallelApp>(
+      room.sim, room.fabric.network(), vc->contexts(),
+      workload_spec(cfg, vc_size));
   room.dvc->attach_app(*vc, *application);
   application->start();
 
-  ckpt::NtpLscCoordinator lsc(room.sim, {}, sim::Rng(seed ^ 0xD5C));
-  lsc.set_metrics(&room.metrics);
+  lsc = std::make_unique<ckpt::NtpLscCoordinator>(
+      room.sim, ckpt::NtpLscCoordinator::Config{}, sim::Rng(seed ^ 0xD5C));
+  lsc->set_metrics(&room.metrics);
   ckpt::LscCoordinator::RetryPolicy retry;
-  retry.round_timeout =
-      sim::from_seconds(cfg.get_double("lsc.round_timeout_s", 0.0));
-  retry.max_round_retries =
-      static_cast<int>(cfg.get_int("lsc.max_round_retries", 0));
-  retry.backoff =
-      sim::from_seconds(cfg.get_double("lsc.retry_backoff_s", 2.0));
-  lsc.set_retry_policy(retry);
+  retry.round_timeout = seconds(cfg, "lsc.round_timeout_s", 0.0);
+  retry.max_round_retries = static_cast<int>(
+      cfg.get_u32("lsc.max_round_retries", 0, kMaxRetries));
+  retry.backoff = seconds(cfg, "lsc.retry_backoff_s", 2.0);
+  lsc->set_retry_policy(retry);
 
   // The invariant checker rides along by default; a scenario opts out
   // with `check.invariants = off` (e.g. to time checker overhead).
-  std::unique_ptr<check::Invariants> inv;
   if (cfg.get_bool("check.invariants", true)) {
     inv = std::make_unique<check::Invariants>(check::Invariants::Wiring{
         &room.sim, room.dvc.get(), &room.images, &room.fence,
         &room.metrics});
     inv->attach();
-    lsc.set_check(inv.get());
+    lsc->set_check(inv.get());
   }
 
-  // Fault injection, dvcsim grammar plus `fault.start_s`: the sampled
-  // schedule is shifted wholesale so the fault window opens after the
-  // first complete checkpoint instead of during boot.
-  std::unique_ptr<fault::FaultInjector> injector;
   if (cfg.get_bool("fault.enabled", false)) {
-    fault::FaultPlan plan;
-    const std::string script = cfg.get_string("fault.script", "");
-    if (!script.empty()) plan = fault::FaultPlan::parse_script(script);
-    fault::StochasticFaults fs;
-    fs.horizon = sim::from_seconds(cfg.get_double("fault.horizon_s", 0.0));
-    fs.node_crash_mtbf =
-        sim::from_seconds(cfg.get_double("fault.node_crash_mtbf_s", 0.0));
-    fs.node_down_for =
-        sim::from_seconds(cfg.get_double("fault.node_down_s", 0.0));
-    fs.link_down_mtbf =
-        sim::from_seconds(cfg.get_double("fault.link_down_mtbf_s", 0.0));
-    fs.link_down_for =
-        sim::from_seconds(cfg.get_double("fault.link_down_s", 30.0));
-    fs.disk_slow_mtbf =
-        sim::from_seconds(cfg.get_double("fault.disk_slow_mtbf_s", 0.0));
-    fs.disk_slow_for =
-        sim::from_seconds(cfg.get_double("fault.disk_slow_s", 60.0));
-    fs.disk_slow_factor = cfg.get_double("fault.disk_slow_factor", 10.0);
-    fs.clock_step_mtbf =
-        sim::from_seconds(cfg.get_double("fault.clock_step_mtbf_s", 0.0));
-    fs.clock_step_max = static_cast<sim::Duration>(
-        cfg.get_double("fault.clock_step_ms", 500.0) * sim::kMillisecond);
-    fs.store_corrupt_mtbf = sim::from_seconds(
-        cfg.get_double("fault.store_corrupt_mtbf_s", 0.0));
-    fs.store_tear_mtbf =
-        sim::from_seconds(cfg.get_double("fault.store_tear_mtbf_s", 0.0));
-    fs.partition_mtbf =
-        sim::from_seconds(cfg.get_double("fault.partition_mtbf_s", 0.0));
-    fs.partition_for =
-        sim::from_seconds(cfg.get_double("fault.partition_s", 30.0));
-    fs.coordinator_crash_mtbf = sim::from_seconds(
-        cfg.get_double("fault.coordinator_crash_mtbf_s", 0.0));
-    fs.coordinator_down_for = sim::from_seconds(
-        cfg.get_double("fault.coordinator_down_s", 20.0));
-    if (fs.horizon > 0) {
-      const auto fault_seed = static_cast<std::uint64_t>(
-          cfg.get_int("fault.seed", static_cast<std::int64_t>(seed)));
-      plan.sample(fs,
-                  static_cast<std::uint32_t>(room.fabric.node_count()),
-                  static_cast<std::uint32_t>(room.fabric.cluster_count()),
-                  sim::Rng(fault_seed),
-                  static_cast<std::uint32_t>(
-                      1 + room.replica_stores.size()));
-    }
-    const sim::Duration start =
-        sim::from_seconds(cfg.get_double("fault.start_s", 0.0));
-    if (start > 0) {
-      fault::FaultPlan shifted;
-      for (fault::FaultEvent e : plan.schedule()) {
-        e.at += start;
-        shifted.add(e);
-      }
-      plan = std::move(shifted);
-    }
+    const fault::FaultPlan plan = fault_plan(cfg, room, seed);
+    // A `coordcrash` event takes the DVC coordinator down for its payload
+    // duration.
     injector = std::make_unique<fault::FaultInjector>(
         room.sim,
         fault::FaultInjector::Hooks{
             &room.fabric, &room.store, room.time.get(), room.replica_ptrs(),
-            [&room](sim::Duration down_for) {
+            [this](sim::Duration down_for) {
               room.dvc->crash_coordinator(down_for);
             }},
         &room.metrics);
     injector->arm(plan);
+    faults_armed = plan.size();
   }
-  const double mtbf_s = cfg.get_double("mtbf_per_node_s", 0.0);
-  if (mtbf_s > 0.0) {
-    const double repair_s = cfg.get_double("repair_s", 1800.0);
-    room.fabric.subscribe_failures([&room, repair_s](hw::NodeId n) {
-      room.sim.schedule_after(sim::from_seconds(repair_s), [&room, n] {
-        room.fabric.repair_node(n);
-      });
-    });
-    room.fabric.arm_random_failures(
-        sim::from_seconds(mtbf_s), cfg.get_double("predicted_fraction", 0.0),
-        sim::from_seconds(cfg.get_double("prediction_lead_s", 120.0)));
-  }
+}
 
+CellRig::~CellRig() {
+  if (inv != nullptr) inv->detach();
+}
+
+void CellRig::start_recovery() {
   core::DvcManager::RecoveryPolicy policy;
-  policy.coordinator = &lsc;
-  policy.interval =
-      sim::from_seconds(cfg.get_double("checkpoint_interval_s", 300.0));
+  policy.coordinator = lsc.get();
+  policy.interval = seconds(cfg, "checkpoint_interval_s", 300.0);
   policy.incremental = cfg.get_bool("incremental", false);
   policy.proactive_migration = cfg.get_bool("proactive", false);
-  policy.watchdog_interval =
-      sim::from_seconds(cfg.get_double("watchdog_interval_s", 0.0));
-  policy.keep_checkpoints =
-      static_cast<std::size_t>(cfg.get_int("keep_checkpoints", 2));
-  policy.max_restore_retries =
-      static_cast<int>(cfg.get_int("max_restore_retries", 4));
+  policy.watchdog_interval = seconds(cfg, "watchdog_interval_s", 0.0);
+  policy.keep_checkpoints = cfg.get_u32("keep_checkpoints", 2);
+  policy.max_restore_retries = static_cast<int>(
+      cfg.get_u32("max_restore_retries", 4, kMaxRetries));
   room.dvc->enable_auto_recovery(*vc, policy);
+
+  const double mtbf_s = cfg.get_double("mtbf_per_node_s", 0.0);
+  if (mtbf_s <= 0.0) return;
+  const sim::Duration repair = seconds(cfg, "repair_s", 1800.0);
+  room.fabric.subscribe_failures([this, repair](hw::NodeId n) {
+    room.sim.schedule_after(repair, [this, n] { room.fabric.repair_node(n); });
+  });
+  room.fabric.arm_random_failures(
+      sim::from_seconds(mtbf_s), cfg.get_double("predicted_fraction", 0.0),
+      seconds(cfg, "prediction_lead_s", 120.0));
+}
+
+// ---- one cell ---------------------------------------------------------------
+
+namespace {
+
+void run_cell_impl(const SweepCell& cell, CellOutcome& out) {
+  const ScenarioConfig& cfg = cell.cfg;
+  CellRig rig(cfg);
+  rig.start_recovery();
+  core::MachineRoom& room = rig.room;
+  core::VirtualCluster* vc = rig.vc;
+  app::ParallelApp* application = rig.application.get();
+  check::Invariants* inv = rig.inv.get();
 
   // Sliced driving, soak-style: keep going on transient application
   // failure (the watchdog may still roll the job back); stop only on
   // completion, a terminal diagnosis, or the horizon.
-  const sim::Time horizon =
-      sim::from_seconds(cfg.get_double("horizon_s", 3600.0));
-  const sim::Duration slice =
-      sim::from_seconds(cfg.get_double("slice_s", 10.0));
+  const sim::Time horizon = seconds(cfg, "horizon_s", 3600.0);
+  const sim::Duration slice = seconds(cfg, "slice_s", 10.0);
   while (!application->completed() && room.sim.now() < horizon) {
     if (vc->state() == core::VcState::kFailed) break;
     room.sim.run_until(room.sim.now() + slice);
   }
   // Let in-flight churn (a recovery racing job completion) settle before
   // sampling the outcome.
-  room.sim.run_until(
-      room.sim.now() +
-      sim::from_seconds(cfg.get_double("settle_s", 30.0)));
+  room.sim.run_until(room.sim.now() + seconds(cfg, "settle_s", 30.0));
   const bool completed = application->completed();
   if (completed) {
     // Stop the periodic machinery and drain every remaining foreground
@@ -468,7 +489,6 @@ void run_cell_impl(const SweepCell& cell, CellOutcome& out) {
   } else {
     out.status = CellStatus::kWedged;
   }
-  if (inv != nullptr) inv->detach();
 }
 
 }  // namespace

@@ -1,11 +1,17 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "app/workload.hpp"
 #include "check/invariants.hpp"
+#include "ckpt/lsc.hpp"
+#include "core/machine_room.hpp"
+#include "fault/fault_injector.hpp"
 #include "tools/scenario_config.hpp"
 
 namespace dvc::tools {
@@ -98,6 +104,41 @@ class SweepGrid final {
   std::vector<std::string> mixes_;
   std::map<std::string, std::map<std::string, std::string>> overrides_;
   std::vector<std::uint64_t> seeds_;
+};
+
+/// A scenario turned into a running cell: the one place that maps scenario
+/// keys to simulator objects, for dvcsim and run_cell alike, so a sweep
+/// cell replays in dvcsim as the same simulation. The constructor builds,
+/// in order: the machine room (echoing its trace when `trace` is true), the
+/// VC and its optional head node, the boot to 20 s, the workload's
+/// ParallelApp, the LSC coordinator with its retry policy, the invariant
+/// checker and the fault injector. Driving the simulation is the caller's
+/// job. Throws std::invalid_argument naming the key on a bad value, and
+/// std::runtime_error when the VC does not fit the room.
+class CellRig final {
+ public:
+  /// `cfg` must outlive the rig.
+  explicit CellRig(const ScenarioConfig& cfg);
+  ~CellRig();
+  CellRig(const CellRig&) = delete;
+  CellRig& operator=(const CellRig&) = delete;
+
+  /// Enables auto-recovery from the policy keys (checkpoint_interval_s,
+  /// incremental, proactive, watchdog_interval_s, keep_checkpoints,
+  /// max_restore_retries), then arms random node failures when
+  /// mtbf_per_node_s > 0, each repaired after repair_s.
+  void start_recovery();
+
+  const ScenarioConfig& cfg;
+  core::MachineRoom room;
+  core::VirtualCluster* vc = nullptr;
+  std::unique_ptr<app::ParallelApp> application;
+  std::unique_ptr<ckpt::NtpLscCoordinator> lsc;
+  /// Attached unless `check.invariants = off`; detached by the destructor.
+  std::unique_ptr<check::Invariants> inv;
+  /// Armed only when `fault.enabled`; `faults_armed` counts its events.
+  std::unique_ptr<fault::FaultInjector> injector;
+  std::size_t faults_armed = 0;
 };
 
 /// Runs one cell to its outcome: a silent dvcsim-reliability-style run
