@@ -23,9 +23,9 @@
 #   ./ci.sh --bench-smoke  builds dvcbench and runs each of its four
 #                       workloads for one second (seed 1, untraced);
 #                       fails unless every result line reports
-#                       "correct": true and "failed": 0, and prints each
-#                       workload's modelled_digest so two commits can be
-#                       diffed
+#                       "correct": true and "failed": 0 and each
+#                       workload's modelled_digest equals its line in
+#                       tests/golden/dvcbench_digests.txt
 #
 # All modes exit non-zero on any build or test failure.
 set -euo pipefail
@@ -90,20 +90,33 @@ case "${1:-}" in
       xargs -0 -P "$JOBS" -n 1 "$TIDY" -p build-tidy --quiet
     ;;
   --bench-smoke)
+    golden=tests/golden/dvcbench_digests.txt
     for w in sweep26 steady26 ckpt16 fleet; do
       out="$(python3 dvcbench/run.py --workload "$w" --seed 1 --seconds 1 \
                --trace 0)"
       printf '%s\n' "$out" | python3 -c '
 import json, re, sys
-w, text = sys.argv[1], sys.stdin.read()
+w, golden_path, text = sys.argv[1], sys.argv[2], sys.stdin.read()
 lines = text.strip().splitlines()
 result = json.loads(lines[-1]) if lines else {}
-digest = re.search(r"modelled_digest = (\S+)", text)
+found = re.search(r"modelled_digest = (\S+)", text)
+digest = found.group(1) if found else "missing"
+golden = {}
+with open(golden_path) as f:
+    for line in f:
+        fields = line.split("#", 1)[0].split()
+        if fields:
+            golden[fields[0]] = fields[1]
+want = golden.get(w, "missing")
 correct, failed = result.get("correct"), result.get("failed")
-print("%s: modelled_digest=%s correct=%s failed=%s"
-      % (w, digest.group(1) if digest else "missing", correct, failed))
-sys.exit(0 if digest and correct is True and failed == 0 else 1)
-' "$w"
+print("%s: modelled_digest=%s (golden %s) correct=%s failed=%s"
+      % (w, digest, want, correct, failed))
+ok = digest == want != "missing" and correct is True and failed == 0
+if digest != want:
+    print("%s: modelled_digest differs from %s" % (w, golden_path),
+          file=sys.stderr)
+sys.exit(0 if ok else 1)
+' "$w" "$golden"
     done
     ;;
   "")

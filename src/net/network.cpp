@@ -10,6 +10,7 @@ HostId Network::new_host() {
   const HostId id = static_cast<HostId>(up_.size());
   up_.push_back(true);
   egress_free_.push_back(0);
+  sinks_.emplace_back();
   return id;
 }
 
@@ -44,10 +45,16 @@ bool Network::host_up(HostId host) const {
 void Network::attach(const Address& addr, PacketSink* sink) {
   if (addr.host >= up_.size()) throw std::out_of_range("unknown host");
   if (sink == nullptr) throw std::invalid_argument("null sink");
-  sinks_[addr] = sink;
+  std::vector<PacketSink*>& row = sinks_[addr.host];
+  if (addr.port >= row.size()) row.resize(addr.port + std::size_t{1});
+  row[addr.port] = sink;
 }
 
-void Network::detach(const Address& addr) { sinks_.erase(addr); }
+void Network::detach(const Address& addr) {
+  if (addr.host >= sinks_.size()) return;
+  std::vector<PacketSink*>& row = sinks_[addr.host];
+  if (addr.port < row.size()) row[addr.port] = nullptr;
+}
 
 void Network::set_metrics(telemetry::MetricsRegistry* m) {
   metrics_ = m;
@@ -105,11 +112,13 @@ void Network::deliver(std::uint32_t slot) {
     if (packets_dark_c_ != nullptr) packets_dark_c_->add();
     return;
   }
-  const auto it = sinks_.find(p.dst);
-  if (it == sinks_.end()) return;  // no listener: dropped like a closed port
+  // host_up() implies the host exists, so its row does too.
+  const std::vector<PacketSink*>& row = sinks_[p.dst.host];
+  PacketSink* const sink = p.dst.port < row.size() ? row[p.dst.port] : nullptr;
+  if (sink == nullptr) return;  // no listener: dropped like a closed port
   ++delivered_;
   if (packets_delivered_c_ != nullptr) packets_delivered_c_->add();
-  it->second->on_packet(p);
+  sink->on_packet(p);
 }
 
 }  // namespace dvc::net

@@ -28,12 +28,6 @@ struct Address {
   friend bool operator==(const Address&, const Address&) = default;
 };
 
-struct AddressHash {
-  std::size_t operator()(const Address& a) const noexcept {
-    return (static_cast<std::size_t>(a.host) << 16) ^ a.port;
-  }
-};
-
 /// Wire packet. The simulator is metadata-only: packets carry sizes and
 /// protocol fields, never real payload bytes.
 struct Packet {
@@ -294,7 +288,10 @@ class Network final {
   std::unordered_map<HostId, std::map<std::uint64_t,
                                       std::function<void(bool)>>>
       state_observers_;
-  std::unordered_map<Address, PacketSink*, AddressHash> sinks_;
+  /// Bound sinks, indexed [host][port]; a row grows to its highest bound
+  /// port (MpiJob binds port = peer rank, so rows stay short and dense).
+  /// Null, or a port past the row's end, is a closed port.
+  std::vector<std::vector<PacketSink*>> sinks_;
   // In-flight packets, so the delivery event captures a pool index (and
   // fits std::function's inline buffer) instead of a whole Packet.
   std::vector<Packet> in_flight_;

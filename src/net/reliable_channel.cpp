@@ -1,6 +1,7 @@
 #include "net/reliable_channel.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace dvc::net {
 
@@ -32,9 +33,8 @@ ReliableEndpoint::~ReliableEndpoint() {
 std::uint64_t ReliableEndpoint::send(std::uint32_t bytes, std::uint32_t tag) {
   if (state_ == State::kFailed) return 0;
   const std::uint64_t seq = next_seq_++;
-  const Pending m{bytes, tag};
-  unacked_.emplace(seq, m);
-  transmit(seq, m);
+  unacked_.push_back(Pending{bytes, tag});
+  transmit(seq, unacked_.back());
   if (timer_ == sim::kInvalidEvent) arm_timer();
   return seq + 1;  // 1-based message id so 0 can mean "not sent"
 }
@@ -105,8 +105,7 @@ void ReliableEndpoint::on_timer() {
     set_stalled(true);
   }
   // Retransmit the oldest unacknowledged message, back off, re-arm.
-  const auto& [seq, m] = *unacked_.begin();
-  transmit(seq, m);
+  transmit(first_unacked(), unacked_.front());
   rto_ = std::min(
       static_cast<sim::Duration>(static_cast<double>(rto_) * cfg_.backoff),
       cfg_.max_rto);
@@ -140,8 +139,10 @@ TransportSnapshot ReliableEndpoint::snapshot() const {
   TransportSnapshot s;
   s.next_seq = next_seq_;
   s.acked = acked_;
-  for (const auto& [seq, m] : unacked_) {
-    s.unacked.emplace(seq, std::make_pair(m.bytes, m.tag));
+  std::uint64_t seq = first_unacked();
+  for (const Pending& m : unacked_) {
+    s.unacked.emplace_hint(s.unacked.end(), seq++,
+                           std::make_pair(m.bytes, m.tag));
   }
   s.expected = expected_;
   for (const auto& [seq, m] : reorder_) {
@@ -152,13 +153,23 @@ TransportSnapshot ReliableEndpoint::snapshot() const {
 
 void ReliableEndpoint::restore(const TransportSnapshot& snap,
                                std::uint32_t epoch) {
+  // Map keys are distinct and ascending, so n keys running from
+  // next_seq - n to next_seq - 1 are exactly that contiguous run.
+  const std::size_t n = snap.unacked.size();
+  if (n > 0 && (n > snap.next_seq ||
+                snap.unacked.begin()->first != snap.next_seq - n ||
+                snap.unacked.rbegin()->first != snap.next_seq - 1)) {
+    throw std::invalid_argument(
+        "TransportSnapshot: unacked seqs must be contiguous and end at "
+        "next_seq - 1");
+  }
   epoch_ = epoch;
   state_ = State::kOpen;
   next_seq_ = snap.next_seq;
   acked_ = snap.acked;
   unacked_.clear();
   for (const auto& [seq, m] : snap.unacked) {
-    unacked_.emplace(seq, Pending{m.first, m.second});
+    unacked_.push_back(Pending{m.first, m.second});
   }
   expected_ = snap.expected;
   reorder_.clear();
@@ -187,7 +198,13 @@ void ReliableEndpoint::on_packet(const Packet& p) {
   if (p.kind == Packet::Kind::kAck) {
     if (p.ack > acked_) {
       acked_ = p.ack;
-      unacked_.erase(unacked_.begin(), unacked_.lower_bound(acked_));
+      const std::uint64_t first = first_unacked();
+      if (acked_ > first) {
+        const std::uint64_t n =
+            std::min<std::uint64_t>(acked_ - first, unacked_.size());
+        unacked_.erase(unacked_.begin(),
+                       unacked_.begin() + static_cast<std::ptrdiff_t>(n));
+      }
       // Forward progress: reset the backoff schedule.
       retries_ = 0;
       rto_ = cfg_.initial_rto;
@@ -213,7 +230,17 @@ void ReliableEndpoint::on_packet(const Packet& p) {
     return;
   }
 
-  reorder_.emplace(p.seq, Pending{p.size_bytes - kHeaderBytes, p.tag});
+  const Pending arrived{p.size_bytes - kHeaderBytes, p.tag};
+  if (p.seq == expected_ && reorder_.empty()) {
+    // In order with nothing buffered: deliver without touching reorder_.
+    ++expected_;
+    ++delivered_count_;
+    if (on_delivery_) {
+      on_delivery_(Message{p.seq + 1, arrived.bytes, arrived.tag});
+    }
+  } else if (reorder_.emplace(p.seq, arrived).second) {
+    ++buffered_;
+  }
   while (!reorder_.empty() && reorder_.begin()->first == expected_) {
     const Pending m = reorder_.begin()->second;
     const std::uint64_t seq = reorder_.begin()->first;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -31,6 +32,9 @@ struct TransportSnapshot {
   std::uint64_t expected = 0;
   std::map<std::uint64_t, std::pair<std::uint32_t, std::uint32_t>>
       reorder;  ///< seq -> (bytes, tag)
+
+  friend bool operator==(const TransportSnapshot&,
+                         const TransportSnapshot&) = default;
 };
 
 /// Retransmission policy of the TCP-like transport. The total retry budget
@@ -134,6 +138,12 @@ class ReliableEndpoint final : public PacketSink {
   [[nodiscard]] std::uint64_t duplicates_discarded() const noexcept {
     return duplicates_;
   }
+  /// Data segments that went through the reorder buffer: they arrived out
+  /// of order, or while out-of-order ones were waiting. Every other new
+  /// segment was handed straight to the delivery handler.
+  [[nodiscard]] std::uint64_t buffered() const noexcept {
+    return buffered_;
+  }
 
   void on_packet(const Packet& p) override;
 
@@ -146,6 +156,9 @@ class ReliableEndpoint final : public PacketSink {
   /// stack never saw the abort. `epoch` must be the same on both sides of
   /// the connection and strictly greater than any previous incarnation, so
   /// in-flight packets from before the rollback are discarded on arrival.
+  /// Throws std::invalid_argument, leaving the endpoint untouched, unless
+  /// the snapshot's unacked seqs are the contiguous run ending at
+  /// next_seq - 1, as snapshot() always produces.
   void restore(const TransportSnapshot& snap, std::uint32_t epoch);
 
   [[nodiscard]] std::uint32_t epoch() const noexcept { return epoch_; }
@@ -156,6 +169,10 @@ class ReliableEndpoint final : public PacketSink {
     std::uint32_t tag;
   };
 
+  /// Sequence number of unacked_.front().
+  [[nodiscard]] std::uint64_t first_unacked() const noexcept {
+    return next_seq_ - unacked_.size();
+  }
   void transmit(std::uint64_t seq, const Pending& m);
   void send_ack();
   void arm_timer();
@@ -174,7 +191,12 @@ class ReliableEndpoint final : public PacketSink {
   // Sender state.
   std::uint64_t next_seq_ = 0;          ///< next sequence number to assign
   std::uint64_t acked_ = 0;             ///< peer has everything below this
-  std::map<std::uint64_t, Pending> unacked_;
+  /// Unacknowledged messages, oldest first. Sends append and ACKs trim
+  /// the front, so the seqs are always the contiguous run ending at
+  /// next_seq_: [first_unacked(), next_seq_). That run starts at acked_
+  /// except after a rollback past an orphan message, when the restored
+  /// peer may ACK seqs this side has not re-sent yet.
+  std::deque<Pending> unacked_;
   int retries_ = 0;
   sim::Duration rto_ = 0;
   sim::EventId timer_ = sim::kInvalidEvent;
@@ -187,6 +209,7 @@ class ReliableEndpoint final : public PacketSink {
   std::map<std::uint64_t, Pending> reorder_;
   std::uint64_t delivered_count_ = 0;
   std::uint64_t duplicates_ = 0;
+  std::uint64_t buffered_ = 0;
   std::uint64_t retransmissions_ = 0;
   bool stalled_ = false;
   std::uint64_t stalls_reported_ = 0;

@@ -1,6 +1,5 @@
 #include "sim/simulation.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -23,9 +22,8 @@ EventId Simulation::schedule_impl(Time at, std::function<void()> fn,
   s.seq = seq;
   s.daemon = daemon;
   const EventId order = seq << kSlotBits | slot;
-  heap_.push_back(Key{at < now_ ? now_ : at, order});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  ++live_;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Key{at < now_ ? now_ : at, order});
   if (!daemon) ++foreground_pending_;
   return order;
 }
@@ -46,56 +44,78 @@ bool Simulation::cancel(EventId id) {
   if (seq == 0 || slot >= slots_.size() || slots_[slot].seq != seq) {
     return false;  // never scheduled, fired, cancelled, or stale
   }
-  Slot& s = slots_[slot];
-  s.seq = 0;
-  --live_;
-  if (!s.daemon) --foreground_pending_;
-  // The key stays queued; skim() drops it (and frees the slot) at the top.
+  remove_at(slots_[slot].pos);
+  // The closure dies at the end of this statement, once the heap and the
+  // slot are consistent again: its destructor may schedule or cancel.
+  vacate(static_cast<std::uint32_t>(slot));
   return true;
 }
 
-void Simulation::pop_key() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
+void Simulation::place(std::size_t i, const Key& k) noexcept {
+  heap_[i] = k;
+  slots_[k.order & kSlotMask].pos = static_cast<std::uint32_t>(i);
 }
 
-void Simulation::release(std::uint32_t slot) {
-  // Move the closure out first: its destructor may re-enter the kernel
-  // (schedule/cancel), which can reallocate slots_.
-  const std::function<void()> dead = std::move(slots_[slot].fn);
-  slots_[slot].fn = nullptr;
-  free_slots_.push_back(slot);
-}
-
-bool Simulation::skim() {
-  while (!heap_.empty()) {
-    const std::uint64_t order = heap_.front().order;
-    const auto slot = static_cast<std::uint32_t>(order & kSlotMask);
-    if (slots_[slot].seq == order >> kSlotBits) return true;
-    pop_key();
-    release(slot);
+void Simulation::sift_up(std::size_t i, Key k) noexcept {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!before(k, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
   }
-  return false;
+  place(i, k);
+}
+
+void Simulation::sift_down(std::size_t i, Key k) noexcept {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = i * kArity + 1;
+    if (first >= n) break;
+    const std::size_t last = first + kArity < n ? first + kArity : n;
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < last; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
+    }
+    if (!before(heap_[best], k)) break;
+    place(i, heap_[best]);
+    i = best;
+  }
+  place(i, k);
+}
+
+void Simulation::remove_at(std::size_t i) noexcept {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // the removed key was the last one
+  if (i > 0 && before(last, heap_[(i - 1) / kArity])) {
+    sift_up(i, last);
+  } else {
+    sift_down(i, last);
+  }
+}
+
+std::function<void()> Simulation::vacate(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  std::function<void()> fn = std::move(s.fn);
+  s.fn = nullptr;
+  s.seq = 0;
+  if (!s.daemon) --foreground_pending_;
+  free_slots_.push_back(slot);
+  return fn;
 }
 
 void Simulation::fire_top() {
   const Key k = heap_.front();
-  pop_key();
-  const auto slot = static_cast<std::uint32_t>(k.order & kSlotMask);
-  Slot& s = slots_[slot];
-  const std::function<void()> fn = std::move(s.fn);
-  s.fn = nullptr;
-  s.seq = 0;
-  --live_;
-  if (!s.daemon) --foreground_pending_;
-  free_slots_.push_back(slot);
+  remove_at(0);
+  const std::function<void()> fn =
+      vacate(static_cast<std::uint32_t>(k.order & kSlotMask));
   now_ = k.at;
   ++executed_;
   fn();
 }
 
 bool Simulation::step() {
-  if (!skim()) return false;
+  if (heap_.empty()) return false;
   fire_top();
   return true;
 }
@@ -108,7 +128,7 @@ std::uint64_t Simulation::run(std::uint64_t limit) {
 
 std::uint64_t Simulation::run_until(Time until) {
   std::uint64_t n = 0;
-  while (skim() && heap_.front().at <= until) {
+  while (!heap_.empty() && heap_.front().at <= until) {
     fire_top();
     ++n;
   }

@@ -24,11 +24,13 @@ inline constexpr EventId kInvalidEvent = 0;
 /// per-component `Rng` streams makes every run bit-for-bit reproducible.
 ///
 /// Layout: closures live in a slot array (recycled through a free list);
-/// the binary heap orders only 16-byte `(at, order)` keys, where
-/// `order = seq << 24 | slot`. The EventId is that `order`, so cancel() is
-/// an index plus a sequence compare. A cancelled key stays in the heap
-/// and is dropped when it reaches the top; its slot (and closure) is
-/// released then, exactly when the key leaves the heap.
+/// a 4-ary min-heap orders only 16-byte `(at, order)` keys, where
+/// `order = seq << 24 | slot`. The EventId is that `order`, so cancel()
+/// finds its slot by index and checks the sequence number. Each slot
+/// records where its key sits in the heap, so cancel() removes the key at
+/// once (the last key fills the hole and sifts up or down) and releases
+/// the slot and its closure before returning: the heap only ever holds
+/// live events, and pending() is its size.
 class Simulation final {
  public:
   Simulation() = default;
@@ -57,10 +59,11 @@ class Simulation final {
                               std::move(fn));
   }
 
-  /// Cancels a pending event. Returns true if it had not yet fired;
-  /// cancelling an id that already fired (or was already cancelled) is a
-  /// harmless no-op returning false — it cannot skew pending() or the
-  /// foreground count.
+  /// Cancels a pending event. Returns true if it had not yet fired; its
+  /// key leaves the queue and its closure is destroyed before cancel
+  /// returns. Cancelling an id that already fired (or was already
+  /// cancelled) is a harmless no-op returning false — it cannot skew
+  /// pending() or the foreground count.
   bool cancel(EventId id);
 
   /// Runs a single event. Returns false if the queue is empty.
@@ -78,7 +81,7 @@ class Simulation final {
 
   /// Number of events currently pending (daemons included).
   [[nodiscard]] std::size_t pending() const noexcept {
-    return live_;
+    return heap_.size();
   }
 
   /// Number of pending non-daemon events (what keeps run() alive).
@@ -92,44 +95,49 @@ class Simulation final {
  private:
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
+  static constexpr std::size_t kArity = 4;
 
   /// Heap key. `order` is `seq << kSlotBits | slot`; `seq` grows with
   /// every schedule, so comparing `order` compares insertion order. That
   /// leaves 40 bits of `seq` (~1.1e12 schedules per Simulation) and 2^24
-  /// slots for queued keys, cancelled ones included (schedule throws past
-  /// that).
+  /// slots for pending events (schedule throws past that).
   struct Key {
     Time at;
     std::uint64_t order;
   };
-  struct Later {
-    bool operator()(const Key& a, const Key& b) const noexcept {
-      return a.at != b.at ? a.at > b.at : a.order > b.order;
-    }
-  };
-  /// Owner of one queued event's closure. A slot belongs to exactly one
-  /// heap key from schedule until that key leaves the heap (fired, or
-  /// skimmed off after a cancel), then returns to the free list.
+  [[nodiscard]] static bool before(const Key& a, const Key& b) noexcept {
+    return a.at != b.at ? a.at < b.at : a.order < b.order;
+  }
+  /// Owner of one pending event's closure. A slot belongs to exactly one
+  /// heap key from schedule until that key fires or is cancelled, then
+  /// returns to the free list.
   struct Slot {
     std::function<void()> fn;
     std::uint64_t seq = 0;  ///< live event's seq; 0 once fired/cancelled
+    std::uint32_t pos = 0;  ///< index of the event's key in heap_
     bool daemon = false;
   };
 
   EventId schedule_impl(Time at, std::function<void()> fn, bool daemon);
-  /// Drops cancelled keys off the heap top; true if a live key remains.
-  bool skim();
-  /// Pops the (live) top key and runs its closure.
+  /// Pops the top key and runs its closure.
   void fire_top();
-  void pop_key();
-  void release(std::uint32_t slot);
+  /// Writes `k` at heap index `i` and records the index in its slot.
+  void place(std::size_t i, const Key& k) noexcept;
+  /// Hole-based sifts: move `k` from the hole at `i` towards its place.
+  void sift_up(std::size_t i, Key k) noexcept;
+  void sift_down(std::size_t i, Key k) noexcept;
+  /// Removes the key at heap index `i`, keeping the heap ordered.
+  void remove_at(std::size_t i) noexcept;
+  /// Frees a slot whose key has left the heap and hands back its closure.
+  /// The caller destroys the closure after the kernel is consistent, since
+  /// its destructor may re-enter the kernel (and reallocate slots_).
+  std::function<void()> vacate(std::uint32_t slot);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::size_t live_ = 0;
   std::size_t foreground_pending_ = 0;
-  std::vector<Key> heap_;  ///< binary min-heap on (at, order)
+  std::vector<Key> heap_;  ///< 4-ary min-heap on (at, order)
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
 };

@@ -163,6 +163,62 @@ TEST(NetworkTest, UnknownHostThrows) {
   EXPECT_THROW(f.net.attach({f.a, 0}, nullptr), std::invalid_argument);
 }
 
+TEST(NetworkTest, DeliveryAfterDetachIsAClosedPortDrop) {
+  NetFixture f;
+  Collector sink;
+  f.net.attach({f.b, 7}, &sink);
+  Packet p;
+  p.src = {f.a, 1};
+  p.dst = {f.b, 7};
+  ASSERT_TRUE(f.net.send(p));
+  f.net.detach({f.b, 7});  // the packet is already on the wire
+  f.sim.run();
+  EXPECT_TRUE(sink.packets.empty());
+  EXPECT_EQ(f.net.packets_delivered(), 0u);
+  EXPECT_EQ(f.net.packets_dropped(), 1u);
+  f.net.detach({f.b, 7});   // detaching twice is harmless
+  f.net.detach({f.b, 900});  // as is a port that was never bound
+}
+
+TEST(NetworkTest, ReattachReplacesTheSink) {
+  NetFixture f;
+  Collector first;
+  Collector second;
+  f.net.attach({f.b, 3}, &first);
+  f.net.attach({f.b, 3}, &second);
+  Packet p;
+  p.src = {f.a, 1};
+  p.dst = {f.b, 3};
+  ASSERT_TRUE(f.net.send(p));
+  f.sim.run();
+  EXPECT_TRUE(first.packets.empty());
+  EXPECT_EQ(second.packets.size(), 1u);
+}
+
+TEST(NetworkTest, PortBeyondTheTableIsDropped) {
+  NetFixture f;
+  Collector sink;
+  f.net.attach({f.b, 2}, &sink);
+  Packet p;
+  p.src = {f.a, 1};
+  for (const std::uint16_t port : {3, 9, 65535}) {
+    p.dst = {f.b, port};
+    ASSERT_TRUE(f.net.send(p));
+  }
+  p.dst = {f.a, 2};  // a host with no sinks at all
+  ASSERT_TRUE(f.net.send(p));
+  f.sim.run();
+  EXPECT_TRUE(sink.packets.empty());
+  EXPECT_EQ(f.net.packets_delivered(), 0u);
+  EXPECT_EQ(f.net.packets_dropped(), 4u);
+  // The highest port still binds and delivers.
+  f.net.attach({f.b, 65535}, &sink);
+  p.dst = {f.b, 65535};
+  ASSERT_TRUE(f.net.send(p));
+  f.sim.run();
+  EXPECT_EQ(sink.packets.size(), 1u);
+}
+
 /// Records every packet and echoes it back to its source from inside
 /// on_packet, so deliveries reuse in-flight pool slots mid-delivery.
 class Echo final : public PacketSink {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -281,6 +284,106 @@ TEST(ReliableChannelTest, RestoreReopensFailedEndpoint) {
   f.sim.run();
   EXPECT_FALSE(f.a.failed());
   EXPECT_EQ(got.size(), 1u);
+}
+
+// Both receive paths: in-order segments with nothing buffered go straight
+// to the handler, the rest wait in the reorder buffer. Jitter reorders
+// back-to-back bursts and loss opens gaps that retransmits fill.
+TEST(ReliableConnectionTest, JitterAndLossDeliverExactlyOnceOnBothPaths) {
+  sim::Simulation sim;
+  auto link = std::make_shared<FlatLinkModel>(FlatLinkModel::Config{
+      50 * sim::kMicrosecond, 20 * sim::kMicrosecond, 0.05, 1e9});
+  Network net(sim, link, sim::Rng(2024));
+  const HostId h1 = net.new_host();
+  const HostId h2 = net.new_host();
+  ReliableConfig cfg;
+  cfg.initial_rto = 5 * sim::kMillisecond;  // gaps close between bursts
+  cfg.max_retries = 14;
+  ReliableConnection conn(sim, net, {h1, 3}, {h2, 4}, cfg);
+  ReliableEndpoint& rx = conn.end_b();
+  std::vector<Message> got;
+  rx.set_delivery_handler([&](const Message& m) {
+    // Counters already include this message when the handler runs.
+    EXPECT_EQ(rx.messages_delivered(), m.id);
+    EXPECT_EQ(rx.snapshot().expected, m.id);
+    got.push_back(m);
+  });
+  constexpr std::uint32_t kBursts = 100;
+  constexpr std::uint32_t kPerBurst = 4;
+  for (std::uint32_t b = 0; b < kBursts; ++b) {
+    sim.schedule_at(b * 2 * sim::kMillisecond, [&conn, b] {
+      for (std::uint32_t i = 0; i < kPerBurst; ++i) {
+        conn.end_a().send(100 + i, b * kPerBurst + i);
+      }
+    });
+  }
+  sim.run();
+  ASSERT_FALSE(conn.failed());
+  ASSERT_EQ(got.size(), std::size_t{kBursts} * kPerBurst);
+  for (std::uint32_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, i + 1u);
+    EXPECT_EQ(got[i].tag, i);
+    EXPECT_EQ(got[i].bytes, 100 + i % kPerBurst);
+  }
+  EXPECT_GT(conn.end_a().retransmissions(), 0u);
+  EXPECT_GT(rx.buffered(), 0u);           // the reorder path
+  EXPECT_LT(rx.buffered(), got.size());  // the direct path
+  EXPECT_EQ(rx.messages_delivered(), got.size());
+  EXPECT_EQ(conn.end_a().unacked(), 0u);
+}
+
+// Leaves a with three unacked messages and b with two buffered behind the
+// first, which was dropped at b's frozen NIC.
+void open_gap(ChannelFixture& f) {
+  f.net.set_host_up(f.b_host, false);
+  f.a.send(10, 1);
+  f.sim.run_until(f.sim.now() + sim::kMillisecond);
+  f.net.set_host_up(f.b_host, true);
+  f.a.send(20, 2);
+  f.a.send(30, 3);
+  f.sim.run_until(f.sim.now() + sim::kMillisecond);
+}
+
+TEST(ReliableChannelTest, SnapshotRestoreSnapshotRoundTrips) {
+  ChannelFixture f;
+  std::vector<Message> got;
+  f.b.set_delivery_handler([&](const Message& m) { got.push_back(m); });
+  open_gap(f);
+  const TransportSnapshot sa = f.a.snapshot();
+  const TransportSnapshot sb = f.b.snapshot();
+  ASSERT_EQ(sa.unacked.size(), 3u);
+  ASSERT_EQ(sb.reorder.size(), 2u);
+  EXPECT_TRUE(got.empty());
+  f.a.restore(sa, /*epoch=*/1);
+  f.b.restore(sb, /*epoch=*/1);
+  EXPECT_EQ(f.a.snapshot(), sa);
+  EXPECT_EQ(f.b.snapshot(), sb);
+  f.sim.run();
+  ASSERT_EQ(got.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) EXPECT_EQ(got[i].tag, i + 1);
+  EXPECT_EQ(f.a.unacked(), 0u);
+}
+
+TEST(ReliableChannelTest, RestoreRejectsNonContiguousUnacked) {
+  ChannelFixture f;
+  open_gap(f);
+  const TransportSnapshot before = f.a.snapshot();
+  const std::pair<std::uint32_t, std::uint32_t> m{64, 0};
+  TransportSnapshot gap;  // seq 1 missing
+  gap.next_seq = 3;
+  gap.unacked = {{0, m}, {2, m}};
+  TransportSnapshot short_run;  // does not reach next_seq - 1
+  short_run.next_seq = 3;
+  short_run.unacked = {{0, m}, {1, m}};
+  TransportSnapshot overfull;  // more unacked than ever sent
+  overfull.next_seq = 1;
+  overfull.unacked = {{0, m}, {1, m}};
+  for (const TransportSnapshot* bad : {&gap, &short_run, &overfull}) {
+    EXPECT_THROW(f.a.restore(*bad, /*epoch=*/5), std::invalid_argument);
+    // Rejected before any state changed.
+    EXPECT_EQ(f.a.snapshot(), before);
+    EXPECT_EQ(f.a.epoch(), 0u);
+  }
 }
 
 TEST(ReliableConnectionTest, WrapsTwoEndpoints) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <iterator>
 #include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -199,10 +202,9 @@ TEST(SimulationTest, StaleIdCannotCancelTheSlotsNewOccupant) {
   EXPECT_FALSE(s.cancel(fired));
   EXPECT_EQ(s.pending(), 1u);
 
-  // Same through the cancel path: once the cancelled key leaves the heap
-  // its slot is reused, and the old id still cannot touch the new event.
+  // Same through the cancel path: cancel frees the slot at once, the next
+  // schedule reuses it, and the old id still cannot touch the new event.
   EXPECT_TRUE(s.cancel(reused));
-  s.run_until(10);  // skims the cancelled key, freeing the slot
   bool third_fired = false;
   const EventId again = s.schedule_at(20, [&] { third_fired = true; });
   ASSERT_EQ(slot_of(again), slot_of(reused));
@@ -285,11 +287,103 @@ TEST(SimulationTest, DaemonAndForegroundCountsSurviveCancelAfterReuse) {
   EXPECT_EQ(s.run(), 0u);
 }
 
+TEST(SimulationTest, CancelDestroysTheClosureBeforeReturning) {
+  Simulation s;
+  auto token = std::make_shared<int>(7);
+  const std::weak_ptr<int> watch = token;
+  const EventId id = s.schedule_at(10, [token] { (void)token; });
+  s.schedule_at(20, [] {});
+  token.reset();  // the queued closure is now the only owner
+  ASSERT_FALSE(watch.expired());
+  EXPECT_TRUE(s.cancel(id));
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(s.pending(), 1u);
+}
+
+TEST(SimulationTest, ClosureDestructorMayReenterTheKernelDuringCancel) {
+  Simulation s;
+  std::vector<int> order;
+  const EventId victim = s.schedule_at(30, [&] { order.push_back(30); });
+  for (const int t : {5, 15, 25, 35}) {
+    s.schedule_at(t, [&order, t] { order.push_back(t); });
+  }
+  EventId id = kInvalidEvent;
+  EventId rescheduled = kInvalidEvent;
+  bool victim_cancelled = false;
+  bool self_cancelled = true;
+  // Runs when the cancelled closure, its only owner, is destroyed.
+  std::shared_ptr<int> hook(new int(0), [&](int* p) {
+    delete p;
+    self_cancelled = s.cancel(id);
+    // Earlier than everything: sifts up past where the cancelled key was.
+    rescheduled = s.schedule_at(1, [&] { order.push_back(1); });
+    victim_cancelled = s.cancel(victim);
+  });
+  id = s.schedule_at(10, [hook] { (void)hook; });
+  hook.reset();
+  EXPECT_TRUE(s.cancel(id));
+  EXPECT_FALSE(self_cancelled);
+  EXPECT_NE(rescheduled, kInvalidEvent);
+  EXPECT_TRUE(victim_cancelled);
+  EXPECT_EQ(s.pending(), 5u);
+  EXPECT_EQ(s.pending_foreground(), 5u);
+  EXPECT_EQ(s.run(), 5u);
+  EXPECT_EQ(order, (std::vector<int>{1, 5, 15, 25, 35}));
+}
+
+TEST(SimulationTest, PendingCountsQueuedKeysAfterManyCancels) {
+  Simulation s;
+  Rng rng(4242);
+  std::vector<EventId> ids;
+  std::size_t live = 0;
+  // Rounds of "schedule a batch, cancel most of it in random order", with
+  // partial runs in between, like retransmit timers armed and ACKed.
+  for (int round = 0; round < 20; ++round) {
+    const std::size_t base = ids.size();
+    for (int i = 0; i < 200; ++i) {
+      const Time at = s.now() + static_cast<Time>(rng.below(500));
+      ids.push_back(rng.chance(0.2) ? s.schedule_daemon_at(at, [] {})
+                                    : s.schedule_at(at, [] {}));
+      ++live;
+    }
+    for (std::size_t i = ids.size() - 1; i > base; --i) {
+      std::swap(ids[i], ids[base + rng.below(i - base + 1)]);
+    }
+    for (std::size_t i = base; i < ids.size(); ++i) {
+      if (i % 3 != 0 && s.cancel(ids[i])) --live;
+    }
+    ASSERT_EQ(s.pending(), live);
+    live -= s.run_until(s.now() + 100);
+    ASSERT_EQ(s.pending(), live);
+  }
+  // Every remaining key fires exactly once; nothing dead is left behind.
+  EXPECT_EQ(s.run_until(s.now() + 1000), live);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.pending_foreground(), 0u);
+}
+
+// Operation weights (percent) for the differential test below; whatever
+// is left after these goes to run(limit).
+struct OpMix {
+  std::uint64_t schedule;
+  std::uint64_t cancel;
+  std::uint64_t step;
+  std::uint64_t run_until;
+  /// Cancel only ids that are still queued, half the time the newest one
+  /// (the retransmit-timer pattern: arm, then cancel on the ACK). Otherwise
+  /// cancel any id ever issued, fired and cancelled ones included.
+  bool cancel_live;
+};
+
 // Seeded differential test: random schedule / daemon / cancel / step /
 // run_until / run operations against a std::multimap reference, which
 // keeps equal-time entries in insertion order. Firing order, now(),
 // pending() and pending_foreground() must match after every operation.
-TEST(SimulationTest, MatchesMultimapReferenceUnderRandomOperations) {
+struct Tally {
+  int live_cancels = 0;  ///< cancels that removed a queued event
+  std::size_t fired = 0;
+};
+Tally check_against_multimap(std::uint64_t seed, const OpMix& mix) {
   struct RefEvent {
     int label;
     bool daemon;
@@ -303,7 +397,8 @@ TEST(SimulationTest, MatchesMultimapReferenceUnderRandomOperations) {
   std::vector<int> ref_fired;
   std::vector<EventId> ids;                         // by label
   std::map<int, RefQueue::iterator> ref_pending;    // live labels
-  Rng rng(20071);
+  Tally tally;
+  Rng rng(seed);
 
   auto ref_pop = [&] {
     const auto it = ref.begin();
@@ -315,8 +410,12 @@ TEST(SimulationTest, MatchesMultimapReferenceUnderRandomOperations) {
   };
 
   for (int op = 0; op < 100000; ++op) {
-    const std::uint64_t kind = rng.below(100);
-    if (kind < 45) {
+    std::uint64_t kind = rng.below(100);
+    if (mix.cancel_live && kind >= mix.schedule &&
+        kind < mix.schedule + mix.cancel && ref_pending.empty()) {
+      kind = 0;  // nothing live to cancel: schedule instead
+    }
+    if (kind < mix.schedule) {
       // Relative or (possibly past) absolute schedule; ties are common.
       const bool daemon = rng.chance(0.2);
       const int label = static_cast<int>(ids.size());
@@ -332,23 +431,35 @@ TEST(SimulationTest, MatchesMultimapReferenceUnderRandomOperations) {
           ref.emplace(at < ref_now ? ref_now : at, RefEvent{label, daemon});
       ref_pending.emplace(label, it);
       if (!daemon) ++ref_foreground;
-    } else if (kind < 65) {
+    } else if (kind < mix.schedule + mix.cancel) {
       if (ids.empty()) continue;
-      const int label = static_cast<int>(rng.below(ids.size()));
+      int label = 0;
+      if (!mix.cancel_live) {
+        label = static_cast<int>(rng.below(ids.size()));
+      } else if (rng.chance(0.5)) {
+        label = ref_pending.rbegin()->first;
+      } else {
+        auto pick = ref_pending.begin();
+        std::advance(pick, static_cast<std::ptrdiff_t>(
+                               rng.below(ref_pending.size())));
+        label = pick->first;
+      }
       const auto it = ref_pending.find(label);
       const bool expect = it != ref_pending.end();
       if (expect) {
         if (!it->second->second.daemon) --ref_foreground;
         ref.erase(it->second);
         ref_pending.erase(it);
+        ++tally.live_cancels;
       }
-      ASSERT_EQ(s.cancel(ids[static_cast<std::size_t>(label)]), expect)
+      EXPECT_EQ(s.cancel(ids[static_cast<std::size_t>(label)]), expect)
           << "op " << op;
-    } else if (kind < 85) {
+      if (::testing::Test::HasFailure()) return tally;
+    } else if (kind < mix.schedule + mix.cancel + mix.step) {
       const bool expect = !ref.empty();
       if (expect) ref_pop();
-      ASSERT_EQ(s.step(), expect) << "op " << op;
-    } else if (kind < 97) {
+      EXPECT_EQ(s.step(), expect) << "op " << op;
+    } else if (kind < mix.schedule + mix.cancel + mix.step + mix.run_until) {
       const Time until = ref_now + static_cast<Time>(rng.below(20));
       std::uint64_t expect = 0;
       while (!ref.empty() && ref.begin()->first <= until) {
@@ -356,7 +467,7 @@ TEST(SimulationTest, MatchesMultimapReferenceUnderRandomOperations) {
         ++expect;
       }
       if (ref_now < until) ref_now = until;
-      ASSERT_EQ(s.run_until(until), expect) << "op " << op;
+      EXPECT_EQ(s.run_until(until), expect) << "op " << op;
     } else {
       const std::uint64_t limit = rng.below(8);
       std::uint64_t expect = 0;
@@ -364,18 +475,32 @@ TEST(SimulationTest, MatchesMultimapReferenceUnderRandomOperations) {
         ref_pop();
         ++expect;
       }
-      ASSERT_EQ(s.run(limit), expect) << "op " << op;
+      EXPECT_EQ(s.run(limit), expect) << "op " << op;
     }
-    ASSERT_EQ(s.now(), ref_now) << "op " << op;
-    ASSERT_EQ(s.pending(), ref.size()) << "op " << op;
-    ASSERT_EQ(s.pending_foreground(), ref_foreground) << "op " << op;
-    ASSERT_EQ(fired.size(), ref_fired.size()) << "op " << op;
-    if (!fired.empty()) {
-      ASSERT_EQ(fired.back(), ref_fired.back()) << "op " << op;
+    EXPECT_EQ(s.now(), ref_now) << "op " << op;
+    EXPECT_EQ(s.pending(), ref.size()) << "op " << op;
+    EXPECT_EQ(s.pending_foreground(), ref_foreground) << "op " << op;
+    EXPECT_EQ(fired.size(), ref_fired.size()) << "op " << op;
+    if (!fired.empty() && !ref_fired.empty()) {
+      EXPECT_EQ(fired.back(), ref_fired.back()) << "op " << op;
     }
+    if (::testing::Test::HasFailure()) return tally;
   }
   EXPECT_EQ(fired, ref_fired);
-  EXPECT_GT(fired.size(), 30000u);
+  tally.fired = fired.size();
+  return tally;
+}
+
+TEST(SimulationTest, MatchesMultimapReferenceUnderRandomOperations) {
+  const Tally t = check_against_multimap(20071, OpMix{45, 20, 20, 12, false});
+  EXPECT_GT(t.fired, 30000u);
+}
+
+TEST(SimulationTest, MatchesMultimapReferenceUnderCancelHeavyOperations) {
+  // At least a third of all operations cancel a queued event.
+  const Tally t = check_against_multimap(20072, OpMix{44, 42, 8, 4, true});
+  EXPECT_GE(t.live_cancels, 100000 / 3);
+  EXPECT_GT(t.fired, 5000u);
 }
 
 TEST(RngTest, DeterministicForSameSeed) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,6 +97,42 @@ TEST(SweepGridTest, SeedListsAndRangesParse) {
   EXPECT_EQ(a.seeds(), (std::vector<std::uint64_t>{3, 4, 5, 6}));
   const SweepGrid b = SweepGrid::load("g", "sweep.seeds = 9 2 5\n");
   EXPECT_EQ(b.seeds(), (std::vector<std::uint64_t>{9, 2, 5}));
+}
+
+TEST(SweepGridTest, SeedsAreUnsignedAndFitTheSeedKey) {
+  // Signed, suffixed or out-of-range tokens are load errors, not cells
+  // that later fail on the `seed` key.
+  for (const char* bad :
+       {"-1", "+5", "5abc", "0x10", "1..-3", "..4", "2..",
+        "9223372036854775808", "18446744073709551615",
+        "18446744073709551614..18446744073709551615", "0..1000000"}) {
+    EXPECT_THROW(SweepGrid::load("g", std::string("sweep.seeds = ") + bad +
+                                          "\n"),
+                 std::invalid_argument)
+        << bad;
+  }
+  // The largest seed the key holds is a valid range end, and the range
+  // stops there.
+  const SweepGrid top = SweepGrid::load(
+      "g", "sweep.seeds = 9223372036854775806..9223372036854775807\n");
+  ASSERT_EQ(top.seeds().size(), 2u);
+  const std::vector<SweepCell> cells = top.cells();
+  EXPECT_EQ(cells.back().cfg.get_int("seed", -1),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(SweepGrid::load("g", "sweep.seeds = 0..999999\n").seeds().size(),
+            1'000'000u);
+}
+
+TEST(SweepGridTest, ParseDecimalIsStrict) {
+  EXPECT_EQ(parse_decimal("0", 10), std::optional<std::uint64_t>{0});
+  EXPECT_EQ(parse_decimal("10", 10), std::optional<std::uint64_t>{10});
+  EXPECT_EQ(parse_decimal("007", 10), std::optional<std::uint64_t>{7});
+  EXPECT_EQ(parse_decimal("18446744073709551615", UINT64_MAX),
+            std::optional<std::uint64_t>{UINT64_MAX});
+  for (const char* bad : {"", "11", "-1", "+1", " 1", "1 ", "1e3", "abc",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(parse_decimal(bad, 10).has_value()) << bad;
+  }
 }
 
 TEST(SweepHarnessTest, AggregateBytesAreIndependentOfJobCount) {

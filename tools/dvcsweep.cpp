@@ -11,9 +11,10 @@
 //   mix.faulty.fault.node_crash_mtbf_s = 70
 //
 // The grid expands to the cross product mixes × seeds; each cell is an
-// independent Simulation run on a worker pool (--jobs, default hardware
-// concurrency) with the invariant checker attached. Outcomes merge into
-// one aggregate JSON document whose bytes are independent of --jobs.
+// independent Simulation run on a worker pool (--jobs 1..1024; 0 or no
+// flag means one per hardware thread) with the invariant checker
+// attached. Outcomes merge into one aggregate JSON document whose bytes
+// are independent of --jobs.
 //
 // Cell keys are `<grid-stem>:<mix>:<seed>`. `--repro` re-runs exactly one
 // cell on one thread and prints its outcome record — the command line
@@ -23,6 +24,7 @@
 // cell hit an invariant violation or wedged; 2 on usage/load errors.
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -31,6 +33,25 @@
 #include "tools/sweep.hpp"
 
 using namespace dvc;  // NOLINT — CLI brevity
+
+namespace {
+
+constexpr unsigned kMaxJobs = 1024;
+
+/// The --jobs value, strictly: a bad one is a usage error (exit 2).
+unsigned parse_jobs(const std::string& v) {
+  const auto n = tools::parse_decimal(v, kMaxJobs);
+  if (!n) {
+    std::fprintf(stderr,
+                 "--jobs: expected a whole number 0..%u (0 = one per"
+                 " hardware thread), got '%s'\n",
+                 kMaxJobs, v.c_str());
+    std::exit(2);
+  }
+  return static_cast<unsigned>(*n);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::string grid_path;
@@ -48,9 +69,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--jobs") {
-      jobs = static_cast<unsigned>(std::stoul(value("--jobs")));
+      jobs = parse_jobs(value("--jobs"));
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = static_cast<unsigned>(std::stoul(arg.substr(7)));
+      jobs = parse_jobs(arg.substr(7));
     } else if (arg == "--out") {
       out_path = value("--out");
     } else if (arg.rfind("--out=", 0) == 0) {

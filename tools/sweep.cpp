@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -67,21 +68,37 @@ constexpr std::uint64_t kDrainLimit = 2'000'000;
   return out;
 }
 
+/// The `seed` key is read back as a signed 64-bit integer.
+constexpr auto kMaxSeed =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+/// A grid larger than this is a typo, not a campaign.
+constexpr std::size_t kMaxSeeds = 1'000'000;
+
 [[nodiscard]] std::vector<std::uint64_t> parse_seeds(const std::string& v) {
   std::vector<std::uint64_t> seeds;
   for (const std::string& tok : split_ws(v)) {
     const auto dots = tok.find("..");
-    try {
-      if (dots != std::string::npos) {
-        const std::uint64_t lo = std::stoull(tok.substr(0, dots));
-        const std::uint64_t hi = std::stoull(tok.substr(dots + 2));
-        if (hi < lo) throw std::invalid_argument("range reversed");
-        for (std::uint64_t s = lo; s <= hi; ++s) seeds.push_back(s);
-      } else {
-        seeds.push_back(std::stoull(tok));
-      }
-    } catch (const std::exception&) {
-      throw std::invalid_argument("sweep.seeds: bad entry '" + tok + "'");
+    const bool range = dots != std::string::npos;
+    const auto lo =
+        parse_decimal(range ? tok.substr(0, dots) : tok, kMaxSeed);
+    const auto hi =
+        range ? parse_decimal(tok.substr(dots + 2), kMaxSeed) : lo;
+    if (!lo || !hi) {
+      throw std::invalid_argument("sweep.seeds: bad entry '" + tok +
+                                  "' (seeds are whole numbers 0.." +
+                                  std::to_string(kMaxSeed) + ")");
+    }
+    if (*hi < *lo) {
+      throw std::invalid_argument("sweep.seeds: bad entry '" + tok +
+                                  "' (range reversed)");
+    }
+    if (*hi - *lo >= kMaxSeeds - seeds.size()) {
+      throw std::invalid_argument("sweep.seeds: more than " +
+                                  std::to_string(kMaxSeeds) + " seeds");
+    }
+    for (std::uint64_t s = *lo;; ++s) {
+      seeds.push_back(s);
+      if (s == *hi) break;
     }
   }
   return seeds;
@@ -95,6 +112,17 @@ constexpr std::uint64_t kDrainLimit = 2'000'000;
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> parse_decimal(std::string_view text,
+                                           std::uint64_t max) noexcept {
+  std::uint64_t v = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || ptr != end || v > max) {
+    return std::nullopt;
+  }
+  return v;
+}
 
 const char* to_string(CellStatus s) noexcept {
   switch (s) {

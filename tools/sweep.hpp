@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app/workload.hpp"
@@ -25,6 +27,12 @@ enum class CellStatus : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(CellStatus s) noexcept;
+
+/// Parses an unsigned decimal strictly: digits only (no sign, blank or
+/// suffix) and at most `max`. Empty on anything else.
+[[nodiscard]] std::optional<std::uint64_t> parse_decimal(std::string_view text,
+                                                         std::uint64_t max)
+    noexcept;
 
 /// One cell of a sweep grid: a fully resolved scenario (base keys + mix
 /// overrides + seed) plus the identity that names it in the aggregate.
@@ -79,7 +87,9 @@ class SweepGrid final {
  public:
   /// Parses grid text. `name` becomes the cell-key stem and should be the
   /// grid file's path (or any stable name in tests). Throws on unknown
-  /// keys, malformed seed ranges, or overrides for undeclared mixes.
+  /// keys, malformed seed ranges, or overrides for undeclared mixes. Seeds
+  /// are unsigned decimals no larger than the `seed` key can hold (2^63 - 1),
+  /// at most a million per grid.
   static SweepGrid load(std::string name, const std::string& text);
 
   /// Replaces the grid's seed list (the CLI's --seeds override).
