@@ -21,11 +21,13 @@
 #                       translation unit in src/, against a fresh
 #                       compile_commands.json
 #   ./ci.sh --bench-smoke  builds dvcbench and runs each of its four
-#                       workloads for one second (seed 1, untraced);
-#                       fails unless every result line reports
-#                       "correct": true and "failed": 0 and each
-#                       workload's modelled_digest equals its line in
-#                       tests/golden/dvcbench_digests.txt
+#                       workloads for one second (untraced) at seed 1 and
+#                       at the held-out seed 1001; fails unless every
+#                       result line reports "correct": true and
+#                       "failed": 0 and each modelled_digest equals its
+#                       line in tests/golden/dvcbench_digests.txt
+#                       (`<workload>` for seed 1, `<workload>:1001` for
+#                       seed 1001)
 #
 # All modes exit non-zero on any build or test failure.
 set -euo pipefail
@@ -91,10 +93,13 @@ case "${1:-}" in
     ;;
   --bench-smoke)
     golden=tests/golden/dvcbench_digests.txt
-    for w in sweep26 steady26 ckpt16 fleet; do
-      out="$(python3 dvcbench/run.py --workload "$w" --seed 1 --seconds 1 \
-               --trace 0)"
-      printf '%s\n' "$out" | python3 -c '
+    for seed in 1 1001; do
+      for w in sweep26 steady26 ckpt16 fleet; do
+        key="$w"
+        [ "$seed" = 1 ] || key="$w:$seed"
+        out="$(python3 dvcbench/run.py --workload "$w" --seed "$seed" \
+                 --seconds 1 --trace 0)"
+        printf '%s\n' "$out" | python3 -c '
 import json, re, sys
 w, golden_path, text = sys.argv[1], sys.argv[2], sys.stdin.read()
 lines = text.strip().splitlines()
@@ -116,7 +121,8 @@ if digest != want:
     print("%s: modelled_digest differs from %s" % (w, golden_path),
           file=sys.stderr)
 sys.exit(0 if ok else 1)
-' "$w" "$golden"
+' "$key" "$golden"
+      done
     done
     ;;
   "")

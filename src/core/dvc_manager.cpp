@@ -12,6 +12,8 @@ namespace {
 constexpr sim::Duration kFailureDetectionDelay = 1 * sim::kSecond;
 /// Backoff before retrying a recovery that could not find nodes.
 constexpr sim::Duration kRecoveryRetryDelay = 30 * sim::kSecond;
+/// How often a headless control plane checks whether its head is back.
+constexpr sim::Duration kRepairPoll = 5 * sim::kSecond;
 }  // namespace
 
 DvcManager::DvcManager(sim::Simulation& sim, hw::Fabric& fabric,
@@ -35,31 +37,27 @@ DvcManager::DvcManager(sim::Simulation& sim, hw::Fabric& fabric,
 
 std::optional<std::vector<hw::NodeId>> DvcManager::pick_nodes(
     std::uint32_t count) const {
-  auto free_in = [this](hw::ClusterId c) {
-    std::vector<hw::NodeId> out;
-    for (const hw::NodeId n : fabric_->healthy_nodes(c)) {
-      if (!claimed_.contains(n) && !fabric_->condemned(n)) out.push_back(n);
-    }
-    return out;
-  };
-  // Pack into one physical cluster when possible; otherwise span — the
-  // remapping freedom of figure 1.
-  for (hw::ClusterId c = 0; c < fabric_->cluster_count(); ++c) {
-    auto avail = free_in(c);
-    if (avail.size() >= count) {
-      avail.resize(count);
-      return avail;
-    }
+  return fabric_->place(count,
+                        [this](hw::NodeId n) { return node_free(n); });
+}
+
+bool DvcManager::node_free(hw::NodeId n, VcId self) const {
+  const auto c = claimed_.find(n);
+  return (c == claimed_.end() || c->second == self) &&
+         !fabric_->condemned(n) && !fabric_->node(n).failed();
+}
+
+bool DvcManager::member_lost(const VirtualCluster& vc, std::uint32_t i) const {
+  const hw::NodeId n = vc.placement(i);
+  return n == hw::kInvalidNode || fabric_->node(n).failed() ||
+         vc.machine(i).state() == vm::DomainState::kDead;
+}
+
+bool DvcManager::any_member_lost(const VirtualCluster& vc) const {
+  for (std::uint32_t i = 0; i < vc.size(); ++i) {
+    if (member_lost(vc, i)) return true;
   }
-  std::vector<hw::NodeId> spanned;
-  for (hw::ClusterId c = 0; c < fabric_->cluster_count(); ++c) {
-    for (const hw::NodeId n : free_in(c)) {
-      if (spanned.size() == count) break;
-      spanned.push_back(n);
-    }
-  }
-  if (spanned.size() < count) return std::nullopt;
-  return spanned;
+  return false;
 }
 
 VirtualCluster& DvcManager::create_vc(VcSpec spec,
@@ -80,7 +78,7 @@ VirtualCluster& DvcManager::create_vc(VcSpec spec,
   VirtualCluster& vc = *rt.vc;
   vc.placement_ = std::move(placement);
   vc.instantiations_ = 1;
-  claim(vc);
+  claim(vc.placement_, id);
   vcs_.emplace(id, std::move(rt));
 
   const std::uint64_t lsn =
@@ -107,7 +105,7 @@ void DvcManager::destroy_vc(VirtualCluster& vc) {
       fleet_->on_node(vc.placement(i)).destroy_domain(vc.machine(i));
     }
   }
-  unclaim(vc);
+  unclaim(vc.placement_, vc.id());
   vc.state_ = VcState::kDestroyed;
   // Retire the VC's retained generations: shared sets are reclaimed the
   // moment their last reference drops, and the refcount table never
@@ -135,7 +133,12 @@ void DvcManager::attach_app(VirtualCluster& vc,
   vcs_.at(vc.id()).app = &application;
 }
 
-std::vector<ckpt::SaveTarget> DvcManager::save_targets(VirtualCluster& vc) {
+std::vector<ckpt::SaveTarget> DvcManager::save_targets(VirtualCluster& vc,
+                                                       bool incremental) {
+  // An incremental round needs a baseline on every member.
+  for (std::uint32_t i = 0; i < vc.size(); ++i) {
+    incremental = incremental && vc.machine(i).has_image_baseline();
+  }
   std::vector<ckpt::SaveTarget> targets;
   targets.reserve(vc.size());
   for (std::uint32_t i = 0; i < vc.size(); ++i) {
@@ -146,6 +149,7 @@ std::vector<ckpt::SaveTarget> DvcManager::save_targets(VirtualCluster& vc) {
     // is deposed before the save lands, the stale epoch is rejected at
     // the hypervisor and image-manager doors.
     t.epoch = epoch_;
+    t.incremental = incremental;
     targets.push_back(t);
   }
   return targets;
@@ -156,13 +160,12 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
                                std::function<void(ckpt::LscResult)> done,
                                bool incremental) {
   vc.state_ = VcState::kCheckpointing;
-  std::vector<ckpt::SaveTarget> targets = save_targets(vc);
-  // An incremental round needs a baseline on every member.
-  bool can_increment = incremental;
-  for (std::uint32_t i = 0; i < vc.size(); ++i) {
-    can_increment = can_increment && vc.machine(i).has_image_baseline();
-  }
-  for (auto& t : targets) t.incremental = can_increment;
+  std::vector<ckpt::SaveTarget> targets = save_targets(vc, incremental);
+  const bool can_increment =
+      incremental && std::all_of(targets.begin(), targets.end(),
+                                 [](const ckpt::SaveTarget& t) {
+                                   return t.incremental;
+                                 });
   const auto span =
       telemetry::begin_span(metrics_, sim_->now(), "dvc", "checkpoint");
   const VcId id = vc.id();
@@ -189,20 +192,10 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
         rt.vc->state_ == VcState::kDestroyed) {
       return std::nullopt;
     }
-    for (std::uint32_t i = 0; i < rt.vc->size(); ++i) {
-      const hw::NodeId n = rt.vc->placement(i);
-      if (n == hw::kInvalidNode || fabric_->node(n).failed() ||
-          rt.vc->machine(i).state() == vm::DomainState::kDead) {
-        return std::nullopt;  // still degraded; recovery owns this now
-      }
+    if (any_member_lost(*rt.vc)) {
+      return std::nullopt;  // still degraded; recovery owns this now
     }
-    std::vector<ckpt::SaveTarget> fresh = save_targets(*rt.vc);
-    bool can_inc = incremental;
-    for (std::uint32_t i = 0; i < rt.vc->size(); ++i) {
-      can_inc = can_inc && rt.vc->machine(i).has_image_baseline();
-    }
-    for (auto& t : fresh) t.incremental = can_inc;
-    return fresh;
+    return save_targets(*rt.vc, incremental);
   };
   lsc.checkpoint(
       vc.checkpoint_label(), std::move(targets), *images_,
@@ -296,9 +289,9 @@ void DvcManager::restore_vc(VirtualCluster& vc,
       fleet_->on_node(old_node).evict(m);
     }
   }
-  unclaim(vc);
+  unclaim(vc.placement_, vc.id());
   vc.placement_ = std::move(new_placement);
-  claim(vc);
+  claim(vc.placement_, vc.id());
   ++vc.instantiations_;
 
   const storage::CheckpointSetId set = vc.last_checkpoint_.set;
@@ -435,9 +428,9 @@ void DvcManager::live_migrate_vc(
     throw std::invalid_argument("placement size != vc size");
   }
   vc.state_ = VcState::kMigrating;
-  const std::vector<hw::NodeId> old_placement = vc.placements();
+  const VcId id = vc.id();
   // Reserve the targets up front so nothing else lands on them mid-move.
-  for (const hw::NodeId n : new_placement) claimed_[n] = vc.id();
+  claim(new_placement, id);
 
   struct MoveState {
     LiveMigrationStats stats;
@@ -451,28 +444,25 @@ void DvcManager::live_migrate_vc(
   auto ms = std::make_shared<MoveState>();
   ms->outstanding = vc.size();
   ms->started = sim_->now();
-  ms->old_placement = old_placement;
+  ms->old_placement = vc.placements();
   ms->new_placement = new_placement;
   ms->done = std::move(done);
 
   const double per_vm_bw = cfg.bandwidth_bps / vc.size();
-  const VcId id = vc.id();
 
   auto finish_member = [this, ms, id, &vc](std::uint32_t /*member*/,
                                            bool ok) {
     if (!ok) ms->any_failed = true;
     if (--ms->outstanding != 0) return;
-    // Release sources that are not reused as targets.
-    for (const hw::NodeId old : ms->old_placement) {
-      if (std::find(ms->new_placement.begin(), ms->new_placement.end(),
-                    old) == ms->new_placement.end()) {
-        const auto it = claimed_.find(old);
-        if (it != claimed_.end() && it->second == id) claimed_.erase(it);
-      }
-    }
+    // A member whose move failed stayed on its source node: the claims
+    // follow where every member actually ended up.
+    unclaim(ms->old_placement, id);
+    unclaim(ms->new_placement, id);
+    claim(vc.placement_, id);
     ms->stats.ok = !ms->any_failed;
     ms->stats.total_time = sim_->now() - ms->started;
-    vc.state_ = ms->any_failed ? VcState::kProvisioning : VcState::kRunning;
+    vc.state_ = ms->any_failed && any_member_lost(vc) ? VcState::kProvisioning
+                                                      : VcState::kRunning;
     if (ms->stats.ok) {
       ++live_migrations_;
       telemetry::count(metrics_, "core.dvc.live_migrations");
@@ -525,6 +515,8 @@ void DvcManager::live_migrate_vc(
                                       downtime, finish_member] {
         if (m.state() == vm::DomainState::kDead ||
             fabric_->node(dst).failed()) {
+          // The copy never landed: the guest carries on at its source.
+          fleet_->on_node(src).resume_domain(m);
           finish_member(i, false);
           return;
         }
@@ -551,19 +543,9 @@ void DvcManager::enable_auto_recovery(VirtualCluster& vc,
   const VcId id = vc.id();
   sim_->schedule_after(0, [this, id] {
     const auto it = vcs_.find(id);
-    if (it == vcs_.end() || !it->second.policy || !coordinator_up_) return;
-    VcRuntime& rt = it->second;
-    if (rt.vc->state_ != VcState::kRunning || rt.checkpoint_in_flight) {
-      return;
+    if (it != vcs_.end() && it->second.policy) {
+      start_policy_checkpoint(it->second, /*first=*/true);
     }
-    rt.checkpoint_in_flight = true;
-    checkpoint_vc(*rt.vc, *rt.policy->coordinator,
-                  [this, id](const ckpt::LscResult&) {
-                    const auto cit = vcs_.find(id);
-                    if (cit != vcs_.end()) {
-                      cit->second.checkpoint_in_flight = false;
-                    }
-                  });
   });
   schedule_periodic_checkpoint(vc.id());
   schedule_member_watchdog(vc.id());
@@ -583,31 +565,35 @@ void DvcManager::schedule_periodic_checkpoint(VcId id) {
   sim_->schedule_daemon_after(interval, [this, id] {
     auto rit = vcs_.find(id);
     if (rit == vcs_.end() || !rit->second.policy) return;
-    VcRuntime& rt = rit->second;
     // A downed coordinator skips the tick but keeps the loop alive: the
     // cadence resumes by itself once a new incarnation boots.
-    if (coordinator_up_ && rt.vc->state_ == VcState::kRunning &&
-        !rt.recovery_in_flight && !rt.checkpoint_in_flight) {
-      rt.checkpoint_in_flight = true;
-      // Incremental rounds between periodic full images (bounding the
-      // restore chain). Old generations are collected by the refcounted
-      // GC inside push_generation, which keeps a shared base full image
-      // alive for as long as any retained chain still stages it.
-      const bool incremental =
-          rt.policy->incremental &&
-          (++rt.ckpt_round % std::max(rt.policy->full_every, 1)) != 0;
-      checkpoint_vc(
-          *rt.vc, *rt.policy->coordinator,
-          [this, id](const ckpt::LscResult&) {
-            auto cit = vcs_.find(id);
-            if (cit != vcs_.end()) {
-              cit->second.checkpoint_in_flight = false;
-            }
-          },
-          incremental);
-    }
+    start_policy_checkpoint(rit->second, /*first=*/false);
     schedule_periodic_checkpoint(id);
   });
+}
+
+void DvcManager::start_policy_checkpoint(VcRuntime& rt, bool first) {
+  if (!coordinator_up_ || rt.vc->state_ != VcState::kRunning ||
+      rt.recovery_in_flight || rt.checkpoint_in_flight) {
+    return;
+  }
+  rt.checkpoint_in_flight = true;
+  // Checkpoint #0 is full; later rounds are incremental between periodic
+  // full images (bounding the restore chain). Old generations are
+  // collected by the refcounted GC inside push_generation, which keeps a
+  // shared base full image alive for as long as any retained chain still
+  // stages it.
+  const bool incremental =
+      !first && rt.policy->incremental &&
+      (++rt.ckpt_round % std::max(rt.policy->full_every, 1)) != 0;
+  const VcId id = rt.vc->id();
+  checkpoint_vc(
+      *rt.vc, *rt.policy->coordinator,
+      [this, id](const ckpt::LscResult&) {
+        const auto it = vcs_.find(id);
+        if (it != vcs_.end()) it->second.checkpoint_in_flight = false;
+      },
+      incremental);
 }
 
 void DvcManager::schedule_member_watchdog(VcId id) {
@@ -628,15 +614,7 @@ void DvcManager::schedule_member_watchdog(VcId id) {
         rt.vc->state_ != VcState::kDestroyed &&
         rt.vc->state_ != VcState::kRecovering &&
         rt.vc->state_ != VcState::kFailed) {
-      bool member_dead = false;
-      for (std::uint32_t i = 0; i < rt.vc->size(); ++i) {
-        const hw::NodeId n = rt.vc->placement(i);
-        if (rt.vc->machine(i).state() == vm::DomainState::kDead ||
-            n == hw::kInvalidNode || fabric_->node(n).failed()) {
-          member_dead = true;
-          break;
-        }
-      }
+      const bool member_dead = any_member_lost(*rt.vc);
       // An application-level abort (a rank's transport gave up) with every
       // member nominally alive: nothing else in the failure feed will ever
       // fire, so the watchdog is the only path back to the checkpoint.
@@ -692,10 +670,7 @@ void DvcManager::on_node_failure(hw::NodeId node) {
   // resurrect ranks just to redo work whose results already exist.
   if (rt.app != nullptr && rt.app->completed()) return;
   rt.recovery_in_flight = true;
-  sim_->schedule_after(kFailureDetectionDelay, [this, id] {
-    const auto rit = vcs_.find(id);
-    if (rit != vcs_.end()) recover(rit->second);
-  });
+  recover_after(id, kFailureDetectionDelay);
 }
 
 void DvcManager::on_failure_prediction(hw::NodeId node,
@@ -713,44 +688,33 @@ void DvcManager::on_failure_prediction(hw::NodeId node,
 
   // Evacuate: the same mapping with the suspect node swapped for a spare.
   VirtualCluster& vc = *rt.vc;
+  // Cluster-ordered node ids are sequential, so this is the lowest-id
+  // free node.
+  const auto spare = pick_nodes(1);
+  if (!spare) return;  // reactive recovery will handle it
   std::vector<hw::NodeId> placement = vc.placements();
-  hw::NodeId spare = hw::kInvalidNode;
-  for (const hw::NodeId n : fabric_->healthy_nodes()) {
-    if (n == node) continue;
-    if (claimed_.contains(n)) continue;
-    if (fabric_->condemned(n)) continue;  // also under a death sentence
-    spare = n;
-    break;
-  }
-  if (spare == hw::kInvalidNode) return;  // reactive recovery will handle it
-  bool found = false;
-  for (auto& n : placement) {
-    if (n == node) {
-      n = spare;
-      found = true;
-      break;
-    }
-  }
-  if (!found) return;
+  const auto slot = std::find(placement.begin(), placement.end(), node);
+  if (slot == placement.end()) return;
+  *slot = spare->front();
 
   rt.recovery_in_flight = true;
   migrate_vc(vc, *rt.policy->coordinator, std::move(placement),
              [this, id](bool ok) {
                const auto rit = vcs_.find(id);
                if (rit == vcs_.end()) return;
-               rit->second.recovery_in_flight = false;
-               if (ok) {
-                 ++evacuations_;
-                 telemetry::count(metrics_, "core.dvc.evacuations");
-                 sim::trace(trace_, sim_->now(), sim::TraceLevel::kInfo,
-                            "dvc", "vc#" + std::to_string(id) +
-                                       " evacuated ahead of the fault");
-               } else {
+               if (!ok) {
                  // The fault struck mid-evacuation: fall back to reactive
-                 // rollback from the last durable checkpoint.
-                 rit->second.recovery_in_flight = true;
+                 // rollback from the last durable checkpoint (recovery
+                 // stays in flight).
                  recover(rit->second);
+                 return;
                }
+               rit->second.recovery_in_flight = false;
+               ++evacuations_;
+               telemetry::count(metrics_, "core.dvc.evacuations");
+               sim::trace(trace_, sim_->now(), sim::TraceLevel::kInfo, "dvc",
+                          "vc#" + std::to_string(id) +
+                              " evacuated ahead of the fault");
              });
 }
 
@@ -781,21 +745,15 @@ void DvcManager::recover(VcRuntime& rt) {
     // When relocating everything, prefer nodes outside the current mapping
     // ("restart ... on a different set of physical nodes"), falling back
     // to reuse only if fresh nodes are scarce.
+    // The pool stays in flat node-id order rather than packing by cluster.
     const auto build_pool = [&](bool avoid_current) {
+      const auto in = [](const std::vector<hw::NodeId>& v, hw::NodeId n) {
+        return std::find(v.begin(), v.end(), n) != v.end();
+      };
       std::vector<hw::NodeId> pool;
-      for (const hw::NodeId n : fabric_->healthy_nodes()) {
-        const auto c = claimed_.find(n);
-        const bool claimed_by_other =
-            c != claimed_.end() && c->second != vc.id();
-        const bool reused =
-            std::find(placement.begin(), placement.end(), n) !=
-            placement.end();
-        const bool current =
-            avoid_current &&
-            std::find(vc.placement_.begin(), vc.placement_.end(), n) !=
-                vc.placement_.end();
-        if (!claimed_by_other && !reused && !current &&
-            !fabric_->condemned(n)) {
+      for (hw::NodeId n = 0; n < fabric_->node_count(); ++n) {
+        if (node_free(n, vc.id()) && !in(placement, n) &&
+            !(avoid_current && in(vc.placement_, n))) {
           pool.push_back(n);
         }
       }
@@ -808,11 +766,7 @@ void DvcManager::recover(VcRuntime& rt) {
     if (pool.size() < needs_new.size()) {
       // Not enough spares right now; retry later (a repair or another VC's
       // teardown may free nodes).
-      const VcId id = vc.id();
-      sim_->schedule_after(kRecoveryRetryDelay, [this, id] {
-        const auto rit = vcs_.find(id);
-        if (rit != vcs_.end()) recover(rit->second);
-      });
+      recover_after(vc.id(), kRecoveryRetryDelay);
       return;
     }
     for (std::size_t k = 0; k < needs_new.size(); ++k) {
@@ -845,7 +799,9 @@ void DvcManager::recover(VcRuntime& rt) {
       }
       return;
     }
-    if (chain_damaged(*rt.vc)) {
+    if (rt.vc->checkpoint_chain_.empty()
+            ? set_damaged(rt.vc->last_checkpoint_.set)
+            : chain_damaged(rt.vc->checkpoint_chain_)) {
       // The recovery point itself is bad (torn or corrupted images that
       // no replica could mask). Retrying it would wedge forever; walk
       // back a generation and re-run the lost work instead.
@@ -862,10 +818,7 @@ void DvcManager::recover(VcRuntime& rt) {
                      std::to_string(rt.vc->last_checkpoint_.set));
       rt.restore_attempts = 0;
       rt.recovery_in_flight = true;
-      sim_->schedule_after(kFailureDetectionDelay, [this, id] {
-        const auto r2 = vcs_.find(id);
-        if (r2 != vcs_.end()) recover(r2->second);
-      });
+      recover_after(id, kFailureDetectionDelay);
       return;
     }
     // A transient restore-path fault (e.g. another node died mid-restore):
@@ -878,10 +831,14 @@ void DvcManager::recover(VcRuntime& rt) {
       return;
     }
     rt.recovery_in_flight = true;
-    sim_->schedule_after(kRecoveryRetryDelay, [this, id] {
-      const auto r2 = vcs_.find(id);
-      if (r2 != vcs_.end()) recover(r2->second);
-    });
+    recover_after(id, kRecoveryRetryDelay);
+  });
+}
+
+void DvcManager::recover_after(VcId id, sim::Duration delay) {
+  sim_->schedule_after(delay, [this, id] {
+    const auto it = vcs_.find(id);
+    if (it != vcs_.end()) recover(it->second);
   });
 }
 
@@ -915,25 +872,16 @@ void DvcManager::release_generation(const VcGeneration& g) {
   }
 }
 
-bool DvcManager::generation_damaged(const VcGeneration& g) const {
-  for (const storage::CheckpointSetId s : g.chain) {
-    const storage::CheckpointSet* cs = images_->find_set(s);
-    if (cs == nullptr || cs->damaged) return true;
-  }
-  return g.chain.empty();
+bool DvcManager::set_damaged(storage::CheckpointSetId s) const {
+  const storage::CheckpointSet* cs = images_->find_set(s);
+  return cs == nullptr || cs->damaged;
 }
 
-bool DvcManager::chain_damaged(const VirtualCluster& vc) const {
-  if (!vc.checkpoint_chain_.empty()) {
-    for (const storage::CheckpointSetId s : vc.checkpoint_chain_) {
-      const storage::CheckpointSet* cs = images_->find_set(s);
-      if (cs == nullptr || cs->damaged) return true;
-    }
-    return false;
-  }
-  const storage::CheckpointSet* cs =
-      images_->find_set(vc.last_checkpoint_.set);
-  return cs == nullptr || cs->damaged;
+bool DvcManager::chain_damaged(
+    const std::vector<storage::CheckpointSetId>& chain) const {
+  return std::any_of(
+      chain.begin(), chain.end(),
+      [this](storage::CheckpointSetId s) { return set_damaged(s); });
 }
 
 bool DvcManager::fall_back_generation(VcRuntime& rt) {
@@ -949,7 +897,8 @@ bool DvcManager::fall_back_generation(VcRuntime& rt) {
     images_->discard_set(vc.last_checkpoint_.set, epoch_);
   }
   // Walk back to the newest generation not already known to be damaged.
-  while (!gens.empty() && generation_damaged(gens.back())) {
+  while (!gens.empty() &&
+         (gens.back().chain.empty() || chain_damaged(gens.back().chain))) {
     release_generation(gens.back());
     gens.pop_back();
   }
@@ -1051,22 +1000,17 @@ void DvcManager::crash_coordinator(sim::Duration down_for) {
 void DvcManager::watch_head_repair() {
   if (repair_watch_armed_) return;
   repair_watch_armed_ = true;
-  constexpr sim::Duration kRepairPoll = 5 * sim::kSecond;
   sim_->schedule_daemon_after(kRepairPoll, [this] { poll_head_repair(); });
 }
 
 void DvcManager::poll_head_repair() {
-  if (coordinator_up_ || head_node_ == hw::kInvalidNode) {
-    repair_watch_armed_ = false;
-    return;
-  }
-  if (!fabric_->node(head_node_).failed()) {
-    repair_watch_armed_ = false;
+  repair_watch_armed_ = false;
+  if (coordinator_up_ || head_node_ == hw::kInvalidNode) return;
+  if (fabric_->node(head_node_).failed()) {
+    watch_head_repair();
+  } else {
     reboot_coordinator();
-    return;
   }
-  constexpr sim::Duration kRepairPoll = 5 * sim::kSecond;
-  sim_->schedule_daemon_after(kRepairPoll, [this] { poll_head_repair(); });
 }
 
 void DvcManager::reboot_coordinator() {
@@ -1181,17 +1125,10 @@ void DvcManager::reconcile_vc(VcRuntime& rt) {
 
   // Domain reconcile: decide between resume-in-place and whole-VC
   // recovery from the surviving recovery point.
-  bool member_dead = false;
+  const bool member_dead = any_member_lost(vc);
   bool member_paused = false;
   for (std::uint32_t i = 0; i < vc.size(); ++i) {
-    const hw::NodeId n = vc.placement(i);
-    const vm::DomainState st = vc.machine(i).state();
-    if (st == vm::DomainState::kDead || n == hw::kInvalidNode ||
-        fabric_->node(n).failed()) {
-      member_dead = true;
-    } else if (st != vm::DomainState::kRunning) {
-      member_paused = true;
-    }
+    member_paused = member_paused || !vc.machine(i).running();
   }
   const bool job_live = rt.app == nullptr || !rt.app->completed();
   const bool app_failed =
@@ -1217,11 +1154,7 @@ void DvcManager::reconcile_vc(VcRuntime& rt) {
         fleet_->on_node(vc.placement(i)).resume_domain(vc.machine(i));
       }
     }
-    if (vc.state_ == VcState::kCheckpointing ||
-        vc.state_ == VcState::kMigrating ||
-        vc.state_ == VcState::kRecovering) {
-      vc.state_ = VcState::kRunning;
-    }
+    if (transitional) vc.state_ = VcState::kRunning;
     return;
   }
   // A member is gone (or the app aborted): the only consistent path is a
@@ -1239,16 +1172,16 @@ void DvcManager::reconcile_vc(VcRuntime& rt) {
   }
 }
 
-void DvcManager::claim(VirtualCluster& vc) {
-  for (const hw::NodeId n : vc.placement_) {
-    if (n != hw::kInvalidNode) claimed_[n] = vc.id();
+void DvcManager::claim(const std::vector<hw::NodeId>& nodes, VcId owner) {
+  for (const hw::NodeId n : nodes) {
+    if (n != hw::kInvalidNode) claimed_[n] = owner;
   }
 }
 
-void DvcManager::unclaim(VirtualCluster& vc) {
-  for (const hw::NodeId n : vc.placement_) {
+void DvcManager::unclaim(const std::vector<hw::NodeId>& nodes, VcId owner) {
+  for (const hw::NodeId n : nodes) {
     const auto it = claimed_.find(n);
-    if (it != claimed_.end() && it->second == vc.id()) claimed_.erase(it);
+    if (it != claimed_.end() && it->second == owner) claimed_.erase(it);
   }
 }
 

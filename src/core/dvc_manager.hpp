@@ -40,8 +40,9 @@ class DvcManager final {
 
   // ---- provisioning ----------------------------------------------------
 
-  /// Picks `count` healthy, unclaimed nodes, preferring to pack into one
-  /// physical cluster and spilling over to others (spanning) if needed.
+  /// Picks `count` free nodes (see node_free) through hw::Fabric::place:
+  /// packed into one physical cluster, lowest cluster id first, spilling
+  /// over to others (spanning) if needed.
   [[nodiscard]] std::optional<std::vector<hw::NodeId>> pick_nodes(
       std::uint32_t count) const;
 
@@ -262,8 +263,9 @@ class DvcManager final {
 
   /// The LSC save-target list for a VC (hypervisor, machine, host clock per
   /// member). Exposed so benches/tests can drive coordinators directly.
+  /// `incremental` holds only if every member has an image baseline.
   [[nodiscard]] std::vector<ckpt::SaveTarget> save_targets(
-      VirtualCluster& vc);
+      VirtualCluster& vc, bool incremental = false);
 
   /// Attaches an optional structured trace sink (null to detach).
   void set_trace(sim::TraceLog* log) noexcept { trace_ = log; }
@@ -302,11 +304,22 @@ class DvcManager final {
     int restore_attempts = 0;
   };
 
-  void claim(VirtualCluster& vc);
-  void unclaim(VirtualCluster& vc);
+  /// The one test for a node a guest may be placed on: healthy, not
+  /// condemned, and unclaimed (or already claimed by VC `self`; ids start
+  /// at 1, so the default matches no VC).
+  [[nodiscard]] bool node_free(hw::NodeId n, VcId self = 0) const;
+  /// Member `i` has no host node, its host failed, or its domain is dead.
+  [[nodiscard]] bool member_lost(const VirtualCluster& vc,
+                                 std::uint32_t i) const;
+  [[nodiscard]] bool any_member_lost(const VirtualCluster& vc) const;
+  void claim(const std::vector<hw::NodeId>& nodes, VcId owner);
+  /// Releases those of `nodes` that `owner` holds.
+  void unclaim(const std::vector<hw::NodeId>& nodes, VcId owner);
   void on_node_failure(hw::NodeId node);
   void on_failure_prediction(hw::NodeId node, sim::Duration lead);
   void recover(VcRuntime& rt);
+  /// Re-runs recover() for VC `id` after `delay`, if it still exists.
+  void recover_after(VcId id, sim::Duration delay);
   // ---- coordinator fault domain ------------------------------------------
   /// True (and counted) when a completion stamped with `issued_epoch`
   /// belongs to a dead or deposed incarnation and must be dropped.
@@ -324,12 +337,17 @@ class DvcManager final {
   void recover_control_plane();
   void reconcile_vc(VcRuntime& rt);
   void schedule_periodic_checkpoint(VcId id);
+  /// Starts a policy checkpoint round unless the VC is busy or the
+  /// coordinator is down; `first` marks the full checkpoint #0.
+  void start_policy_checkpoint(VcRuntime& rt, bool first);
   void schedule_member_watchdog(VcId id);
   // ---- generation history (refcounted checkpoint-set GC) ----------------
   void push_generation(VirtualCluster& vc);
   void release_generation(const VcGeneration& g);
-  [[nodiscard]] bool generation_damaged(const VcGeneration& g) const;
-  [[nodiscard]] bool chain_damaged(const VirtualCluster& vc) const;
+  /// Missing from the store, or torn/corrupted beyond replica repair.
+  [[nodiscard]] bool set_damaged(storage::CheckpointSetId s) const;
+  [[nodiscard]] bool chain_damaged(
+      const std::vector<storage::CheckpointSetId>& chain) const;
   /// Drops the damaged current recovery point and rolls last_checkpoint_
   /// back to the newest undamaged generation. False = none left.
   bool fall_back_generation(VcRuntime& rt);

@@ -21,16 +21,4 @@ std::vector<vm::ExecutionContext*> VirtualCluster::contexts() {
   return out;
 }
 
-bool VirtualCluster::spans_clusters(const hw::Fabric& fabric) const {
-  if (placement_.empty() || placement_.front() == hw::kInvalidNode) {
-    return false;
-  }
-  const hw::ClusterId first = fabric.node(placement_.front()).cluster();
-  for (const hw::NodeId n : placement_) {
-    if (n == hw::kInvalidNode) continue;
-    if (fabric.node(n).cluster() != first) return true;
-  }
-  return false;
-}
-
 }  // namespace dvc::core

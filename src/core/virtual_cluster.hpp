@@ -91,7 +91,9 @@ class VirtualCluster final {
   }
 
   /// True if the mapping uses nodes from more than one physical cluster.
-  [[nodiscard]] bool spans_clusters(const hw::Fabric& fabric) const;
+  [[nodiscard]] bool spans_clusters(const hw::Fabric& fabric) const {
+    return fabric.spans_clusters(placement_);
+  }
 
   /// Label under which this VC's checkpoint sets are filed.
   [[nodiscard]] std::string checkpoint_label() const {

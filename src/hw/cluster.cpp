@@ -47,6 +47,48 @@ std::vector<NodeId> Fabric::healthy_nodes(ClusterId c) const {
   return out;
 }
 
+std::optional<std::vector<NodeId>> Fabric::place(
+    std::uint32_t count, const std::function<bool(NodeId)>& usable,
+    ClusterId home, bool allow_span) const {
+  std::vector<ClusterId> order;
+  if (!clusters_.empty()) order.push_back(home);
+  for (ClusterId c = 0; c < clusters_.size(); ++c) {
+    if (c != home) order.push_back(c);
+  }
+  std::vector<std::vector<NodeId>> avail;
+  avail.reserve(order.size());
+  for (const ClusterId c : order) {
+    std::vector<NodeId> in_c;
+    for (const NodeId n : clusters_.at(c).nodes) {
+      if (!nodes_[n]->failed() && usable(n)) in_c.push_back(n);
+    }
+    if (in_c.size() >= count) {
+      in_c.resize(count);
+      return in_c;
+    }
+    avail.push_back(std::move(in_c));
+  }
+  if (!allow_span) return std::nullopt;
+  std::vector<NodeId> spanned;
+  for (const auto& in_c : avail) {
+    for (const NodeId n : in_c) {
+      if (spanned.size() == count) return spanned;
+      spanned.push_back(n);
+    }
+  }
+  if (spanned.size() < count) return std::nullopt;
+  return spanned;
+}
+
+bool Fabric::spans_clusters(const std::vector<NodeId>& nodes) const {
+  if (nodes.empty() || nodes.front() == kInvalidNode) return false;
+  const ClusterId first = node(nodes.front()).cluster();
+  for (const NodeId n : nodes) {
+    if (n != kInvalidNode && node(n).cluster() != first) return true;
+  }
+  return false;
+}
+
 void Fabric::fail_node(NodeId n) {
   PhysicalNode& node = *nodes_.at(n);
   if (node.failed_) return;

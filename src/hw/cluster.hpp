@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -94,6 +95,19 @@ class Fabric final {
   /// All currently healthy node ids, optionally restricted to one cluster.
   [[nodiscard]] std::vector<NodeId> healthy_nodes() const;
   [[nodiscard]] std::vector<NodeId> healthy_nodes(ClusterId c) const;
+
+  /// Chooses `count` healthy nodes that satisfy `usable` — the remapping
+  /// decision of figure 1. All come from the first cluster with enough,
+  /// trying `home` first and then the others in id order; failing that,
+  /// and if `allow_span`, the first `count` across clusters in that same
+  /// order. Nullopt if none fits.
+  [[nodiscard]] std::optional<std::vector<NodeId>> place(
+      std::uint32_t count, const std::function<bool(NodeId)>& usable,
+      ClusterId home = 0, bool allow_span = true) const;
+
+  /// True if `nodes` come from more than one physical cluster (unplaced
+  /// kInvalidNode slots are ignored after the first).
+  [[nodiscard]] bool spans_clusters(const std::vector<NodeId>& nodes) const;
 
   /// Marks a node failed: its NIC goes dark and observers are notified
   /// (hypervisor kills resident VMs, scheduler stops placing work on it).

@@ -6,6 +6,18 @@
 
 namespace dvc::rm {
 
+namespace {
+/// Size of the biggest physical cluster: the most one job can ever get
+/// without spanning.
+std::uint32_t largest_cluster(const hw::Fabric& fabric) {
+  std::size_t biggest = 0;
+  for (hw::ClusterId c = 0; c < fabric.cluster_count(); ++c) {
+    biggest = std::max(biggest, fabric.cluster(c).nodes.size());
+  }
+  return static_cast<std::uint32_t>(biggest);
+}
+}  // namespace
+
 Scheduler::Scheduler(sim::Simulation& sim, hw::Fabric& fabric, Config cfg)
     : sim_(&sim), fabric_(&fabric), cfg_(cfg) {
   fabric.subscribe_failures([this](hw::NodeId n) { on_node_failure(n); });
@@ -25,16 +37,9 @@ JobId Scheduler::submit(JobRequest req) {
   // Reject jobs that could never run under this configuration (a rigid
   // request bigger than any single cluster on a non-spanning system),
   // instead of head-blocking the FCFS queue forever.
-  std::uint32_t max_feasible = 0;
-  if (cfg_.allow_spanning) {
-    max_feasible = static_cast<std::uint32_t>(fabric_->node_count());
-  } else {
-    for (hw::ClusterId c = 0; c < fabric_->cluster_count(); ++c) {
-      max_feasible = std::max(
-          max_feasible,
-          static_cast<std::uint32_t>(fabric_->cluster(c).nodes.size()));
-    }
-  }
+  const std::uint32_t max_feasible =
+      cfg_.allow_spanning ? static_cast<std::uint32_t>(fabric_->node_count())
+                          : largest_cluster(*fabric_);
   const std::uint32_t floor_nodes =
       cfg_.mold_oversized
           ? (rec.request.min_nodes > 0 ? rec.request.min_nodes : 1)
@@ -61,7 +66,7 @@ void Scheduler::accumulate_busy() {
   const sim::Time now = sim_->now();
   busy_node_seconds_ +=
       sim::to_seconds(now - busy_accum_mark_) * static_cast<double>(
-          busy_.size());
+          node_owner_.size());
   busy_accum_mark_ = now;
 }
 
@@ -72,50 +77,15 @@ double Scheduler::busy_node_seconds() const {
 
 std::optional<Allocation> Scheduler::find_allocation(
     const JobRequest& req, std::uint32_t nodes) const {
-  auto free_in = [this](hw::ClusterId c) {
-    std::vector<hw::NodeId> out;
-    for (const hw::NodeId n : fabric_->healthy_nodes(c)) {
-      if (!busy_.contains(n)) out.push_back(n);
-    }
-    return out;
-  };
-
-  // First preference: entirely inside the home cluster, then any single
-  // cluster (virtual clusters give every job its own software stack, so a
-  // foreign cluster is as good as home — paper goal 2).
-  std::vector<hw::ClusterId> order;
-  order.push_back(req.home_cluster);
-  for (hw::ClusterId c = 0; c < fabric_->cluster_count(); ++c) {
-    if (c != req.home_cluster) order.push_back(c);
-  }
-  for (const hw::ClusterId c : order) {
-    auto avail = free_in(c);
-    if (avail.size() >= nodes) {
-      avail.resize(nodes);
-      return Allocation{std::move(avail), false};
-    }
-  }
-
-  if (!cfg_.allow_spanning) return std::nullopt;
-
-  // Spanning: take what the home cluster has, fill from the others.
-  Allocation alloc;
-  for (const hw::ClusterId c : order) {
-    for (const hw::NodeId n : free_in(c)) {
-      if (alloc.nodes.size() == nodes) break;
-      alloc.nodes.push_back(n);
-    }
-    if (alloc.nodes.size() == nodes) break;
-  }
-  if (alloc.nodes.size() < nodes) return std::nullopt;
-  const hw::ClusterId first = fabric_->node(alloc.nodes.front()).cluster();
-  for (const hw::NodeId n : alloc.nodes) {
-    if (fabric_->node(n).cluster() != first) {
-      alloc.spans_clusters = true;
-      break;
-    }
-  }
-  return alloc;
+  // Home cluster first, then any single cluster (virtual clusters give
+  // every job its own software stack, so a foreign cluster is as good as
+  // home — paper goal 2), then spanning if the configuration allows it.
+  auto picked = fabric_->place(
+      nodes, [this](hw::NodeId n) { return !node_owner_.contains(n); },
+      req.home_cluster, cfg_.allow_spanning);
+  if (!picked) return std::nullopt;
+  const bool spans = fabric_->spans_clusters(*picked);
+  return Allocation{std::move(*picked), spans};
 }
 
 void Scheduler::try_schedule() {
@@ -130,12 +100,7 @@ void Scheduler::try_schedule() {
     if (!alloc && cfg_.mold_oversized && !cfg_.allow_spanning) {
       // Mold an oversized request down to the largest single-cluster slice
       // that could ever satisfy it, bounded below by min_nodes.
-      std::uint32_t biggest = 0;
-      for (hw::ClusterId c = 0; c < fabric_->cluster_count(); ++c) {
-        biggest = std::max(
-            biggest,
-            static_cast<std::uint32_t>(fabric_->cluster(c).nodes.size()));
-      }
+      const std::uint32_t biggest = largest_cluster(*fabric_);
       const std::uint32_t floor_nodes =
           job.request.min_nodes > 0 ? job.request.min_nodes : 1;
       if (biggest < want && floor_nodes <= biggest) {
@@ -162,7 +127,7 @@ sim::Time Scheduler::head_shadow_time(std::uint32_t head_need) const {
   // free for the head.
   std::size_t free_now = 0;
   for (const hw::NodeId n : fabric_->healthy_nodes()) {
-    if (!busy_.contains(n)) ++free_now;
+    if (!node_owner_.contains(n)) ++free_now;
   }
   std::vector<std::pair<sim::Time, std::size_t>> ends;  // end, nodes freed
   for (const auto& [id, end] : expected_end_) {
@@ -217,7 +182,6 @@ void Scheduler::start_job(JobRecord& job, Allocation alloc) {
   job.started_at = sim_->now();
   job.allocation = std::move(alloc);
   for (const hw::NodeId n : job.allocation.nodes) {
-    busy_.insert(n);
     node_owner_[n] = job.id;
   }
   ++running_count_;
@@ -234,51 +198,32 @@ void Scheduler::start_job(JobRecord& job, Allocation alloc) {
         job.started_at, "rm",
         job.request.name.empty() ? "job" : job.request.name);
   }
-  {
-    const double n = static_cast<double>(job.allocation.nodes.size());
-    expected_end_[job.id] =
-        job.started_at +
-        sim::from_seconds(job.request.node_seconds_work / n) +
-        job.request.startup_overhead;
-  }
+  const sim::Duration run =
+      sim::from_seconds(job.request.node_seconds_work /
+                        static_cast<double>(job.allocation.nodes.size())) +
+      job.request.startup_overhead;
+  expected_end_[job.id] = job.started_at + run;
   if (on_start_) on_start_(job);
 
   if (cfg_.auto_run) {
-    const double n = static_cast<double>(job.allocation.nodes.size());
-    const sim::Duration run =
-        sim::from_seconds(job.request.node_seconds_work / n) +
-        job.request.startup_overhead;
     const JobId id = job.id;
-    sim_->schedule_after(run, [this, id] {
-      JobRecord& j = jobs_.at(id);
-      if (j.state == JobState::kRunning) {
-        finish_job(j, JobState::kCompleted);
-      }
-    });
+    sim_->schedule_after(run,
+                         [this, id] { finish_job(id, JobState::kCompleted); });
   }
 }
 
-void Scheduler::complete(JobId id) {
+void Scheduler::complete(JobId id) { finish_job(id, JobState::kCompleted); }
+
+void Scheduler::fail(JobId id) { finish_job(id, JobState::kFailed); }
+
+void Scheduler::finish_job(JobId id, JobState final_state) {
   JobRecord& job = jobs_.at(id);
-  if (job.state == JobState::kRunning) {
-    finish_job(job, JobState::kCompleted);
-  }
-}
-
-void Scheduler::fail(JobId id) {
-  JobRecord& job = jobs_.at(id);
-  if (job.state == JobState::kRunning) {
-    finish_job(job, JobState::kFailed);
-  }
-}
-
-void Scheduler::finish_job(JobRecord& job, JobState final_state) {
+  if (job.state != JobState::kRunning) return;
   accumulate_busy();
   job.state = final_state;
   job.finished_at = sim_->now();
   last_finish_ = std::max(last_finish_, job.finished_at);
   for (const hw::NodeId n : job.allocation.nodes) {
-    busy_.erase(n);
     node_owner_.erase(n);
   }
   --running_count_;
@@ -306,12 +251,10 @@ void Scheduler::on_node_failure(hw::NodeId node) {
   // recovers the job — that layer resubmits). The node also leaves the
   // allocatable pool, which try_schedule respects via healthy_nodes().
   const auto it = node_owner_.find(node);
-  if (it != node_owner_.end() && cfg_.fail_jobs_on_node_failure) {
-    JobRecord& job = jobs_.at(it->second);
-    if (job.state == JobState::kRunning) {
-      finish_job(job, JobState::kFailed);
-      return;  // finish_job already re-runs the queue
-    }
+  if (it != node_owner_.end() && cfg_.fail_jobs_on_node_failure &&
+      jobs_.at(it->second).state == JobState::kRunning) {
+    finish_job(it->second, JobState::kFailed);
+    return;  // finish_job already re-runs the queue
   }
   try_schedule();
 }

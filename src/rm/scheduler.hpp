@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -156,7 +155,8 @@ class Scheduler final {
   [[nodiscard]] std::optional<Allocation> find_allocation(
       const JobRequest& req, std::uint32_t nodes) const;
   void start_job(JobRecord& job, Allocation alloc);
-  void finish_job(JobRecord& job, JobState final_state);
+  /// Ends a running job (no-op for any other state) and re-runs the queue.
+  void finish_job(JobId id, JobState final_state);
   void on_node_failure(hw::NodeId node);
   void accumulate_busy();
 
@@ -166,7 +166,7 @@ class Scheduler final {
   JobId next_id_ = 1;
   std::map<JobId, JobRecord> jobs_;
   std::deque<JobId> queue_;
-  std::set<hw::NodeId> busy_;
+  /// Busy nodes and the job holding each.
   std::map<hw::NodeId, JobId> node_owner_;
   std::map<JobId, sim::Time> expected_end_;
   std::size_t running_count_ = 0;

@@ -91,6 +91,16 @@ TEST(DvcManagerTest, PickNodesAvoidsCondemnedNodes) {
   EXPECT_TRUE(bed.dvc->pick_nodes(8).has_value());
 }
 
+TEST(DvcManagerTest, PickNodesTriesClusterZeroFirst) {
+  // The DVC has no home cluster: with one free node left in each cluster
+  // it packs from cluster 0 and spans in cluster id order.
+  TestBed bed(two_cluster_opts());
+  bed.dvc->create_vc(small_vc(3), {0, 1, 2}, {});
+  bed.dvc->create_vc(small_vc(3), {4, 5, 6}, {});
+  EXPECT_EQ(bed.dvc->pick_nodes(1), (std::vector<hw::NodeId>{3}));
+  EXPECT_EQ(bed.dvc->pick_nodes(2), (std::vector<hw::NodeId>{3, 7}));
+}
+
 TEST(DvcManagerTest, CreateVcBootsEveryMachine) {
   TestBed bed(two_cluster_opts());
   bool ready = false;
@@ -257,6 +267,24 @@ TEST(DvcManagerTest, AutoRecoveryRelocatesAllWhenAsked) {
   }
 }
 
+TEST(DvcManagerTest, RecoveryTakesSparesInNodeIdOrder) {
+  // Relocating {0,1,2} leaves spares {3} in cluster 0 and {4..7} in
+  // cluster 1. Recovery takes them in flat node-id order, {3,4,5}; a
+  // pack-first choice would have taken {4,5,6}.
+  TestBed bed(two_cluster_opts());
+  RunningVc r(bed, 3, 600, {0, 1, 2});
+  ckpt::NtpLscCoordinator lsc(bed.sim, {}, sim::Rng(11));
+  DvcManager::RecoveryPolicy policy;
+  policy.coordinator = &lsc;
+  policy.interval = 20 * sim::kSecond;
+  policy.relocate_all = true;
+  bed.dvc->enable_auto_recovery(*r.vc, policy);
+  bed.sim.schedule_after(50 * sim::kSecond, [&] { bed.fabric.fail_node(0); });
+  bed.sim.run_until(200 * sim::kSecond);
+  ASSERT_EQ(bed.dvc->recoveries_performed(), 1u);
+  EXPECT_EQ(r.vc->placements(), (std::vector<hw::NodeId>{3, 4, 5}));
+}
+
 TEST(DvcManagerTest, RecoveryWaitsForSparesWhenNoneFree) {
   TestBed::Options opts = two_cluster_opts(2);  // only 4 nodes total
   TestBed bed(opts);
@@ -378,6 +406,42 @@ TEST(DvcManagerTest, LiveMigrationFailsCleanlyIfTargetDies) {
   bed.sim.run_until(120 * sim::kSecond);
   ASSERT_TRUE(stats.has_value());
   EXPECT_FALSE(stats->ok);
+  // Member 0 never left node 0; members 1 and 2 moved. The claims follow
+  // the actual placement and the dead target is released.
+  EXPECT_EQ(r.vc->placements(), (std::vector<hw::NodeId>{0, 6, 7}));
+  std::vector<hw::NodeId> claimed;
+  for (const auto& [node, owner] : bed.dvc->claims()) claimed.push_back(node);
+  EXPECT_EQ(claimed, (std::vector<hw::NodeId>{0, 6, 7}));
+  // No member was lost, so the VC keeps running (and checkpointing).
+  EXPECT_EQ(r.vc->state(), VcState::kRunning);
+}
+
+TEST(DvcManagerTest, LiveMigrationTargetDyingInStopAndCopyResumesAtSource) {
+  TestBed bed(two_cluster_opts());
+  RunningVc r(bed, 3, 600, {0, 1, 2});
+  DvcManager::LiveMigrationConfig cfg;
+  cfg.max_precopy_rounds = 0;  // straight to the stop-and-copy pause
+  std::optional<DvcManager::LiveMigrationStats> stats;
+  bed.dvc->live_migrate_vc(*r.vc, {5, 6, 7}, cfg,
+                           [&](DvcManager::LiveMigrationStats s) {
+                             stats = s;
+                           });
+  // Member 0 is paused for its final copy; its target dies mid-copy.
+  EXPECT_FALSE(r.vc->machine(0).running());
+  bed.sim.schedule_after(100 * sim::kMillisecond,
+                         [&] { bed.fabric.fail_node(5); });
+  bed.sim.run_until(bed.sim.now() + 10 * sim::kSecond);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_FALSE(stats->ok);
+  EXPECT_EQ(r.vc->placements(), (std::vector<hw::NodeId>{0, 6, 7}));
+  EXPECT_TRUE(r.vc->machine(0).running());
+  std::vector<hw::NodeId> claimed;
+  for (const auto& [node, owner] : bed.dvc->claims()) claimed.push_back(node);
+  EXPECT_EQ(claimed, (std::vector<hw::NodeId>{0, 6, 7}));
+  EXPECT_EQ(r.vc->state(), VcState::kRunning);
+  bed.sim.run_until(bed.sim.now() + 600 * sim::kSecond);
+  EXPECT_TRUE(r.application->completed());
+  EXPECT_FALSE(r.application->failed());
 }
 
 TEST(DvcManagerTest, ProactiveMigrationEvacuatesBeforeTheFault) {

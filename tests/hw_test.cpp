@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "hw/cluster.hpp"
@@ -77,6 +78,35 @@ TEST(FabricTest, HealthyNodesPerCluster) {
   f.fail_node(2);
   EXPECT_EQ(f.healthy_nodes(0).size(), 2u);
   EXPECT_EQ(f.healthy_nodes(1), (std::vector<NodeId>{3}));
+}
+
+TEST(FabricTest, PlacePacksHomeFirstThenSpansInTheSameOrder) {
+  sim::Simulation s;
+  Fabric f(s, {});
+  f.add_cluster("a", 3);  // nodes 0..2
+  f.add_cluster("b", 3);  // nodes 3..5
+  f.add_cluster("c", 3);  // nodes 6..8
+  f.fail_node(7);
+  const auto any = [](NodeId) { return true; };
+  const auto not_3_or_4 = [](NodeId n) { return n != 3 && n != 4; };
+  // Packs into the home cluster, else the first other cluster with room.
+  EXPECT_EQ(f.place(3, any, 1), (std::vector<NodeId>{3, 4, 5}));
+  EXPECT_EQ(f.place(3, not_3_or_4, 1), (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(f.place(2, any, 2), (std::vector<NodeId>{6, 8}));
+  // Spans home first, then the others in id order; never a failed node.
+  EXPECT_EQ(f.place(4, not_3_or_4, 2), (std::vector<NodeId>{6, 8, 0, 1}));
+  EXPECT_EQ(f.place(4, not_3_or_4, 2, /*allow_span=*/false), std::nullopt);
+  EXPECT_EQ(f.place(9, any), std::nullopt);
+}
+
+TEST(FabricTest, SpansClustersIgnoresUnplacedSlots) {
+  sim::Simulation s;
+  Fabric f(s, {});
+  f.add_cluster("a", 2);
+  f.add_cluster("b", 2);
+  EXPECT_FALSE(f.spans_clusters({}));
+  EXPECT_FALSE(f.spans_clusters({0, kInvalidNode, 1}));
+  EXPECT_TRUE(f.spans_clusters({0, kInvalidNode, 2}));
 }
 
 TEST(FabricTest, RandomFailuresFollowMtbf) {

@@ -64,6 +64,25 @@ TEST(SchedulerTest, PrefersHomeClusterThenForeign) {
   EXPECT_EQ(f.sched.running(), 2u);
 }
 
+TEST(SchedulerTest, SpansFromHomeClusterFirst) {
+  Scheduler::Config cfg;
+  cfg.allow_spanning = true;
+  RmFixture f(cfg);
+  const JobId a = f.sched.submit(job(3, 1000.0, /*home=*/1));
+  // Home cluster 1 has one node left, so this packs into cluster 0.
+  const JobId b = f.sched.submit(job(3, 1000.0, /*home=*/1));
+  // One node left in each cluster: span, taking the home node first.
+  const JobId c = f.sched.submit(job(2, 1000.0, /*home=*/1));
+  f.sim.run_until(sim::kSecond);
+  EXPECT_EQ(f.sched.job(a).allocation.nodes,
+            (std::vector<hw::NodeId>{4, 5, 6}));
+  EXPECT_EQ(f.sched.job(b).allocation.nodes,
+            (std::vector<hw::NodeId>{0, 1, 2}));
+  EXPECT_FALSE(f.sched.job(b).allocation.spans_clusters);
+  EXPECT_EQ(f.sched.job(c).allocation.nodes, (std::vector<hw::NodeId>{7, 3}));
+  EXPECT_TRUE(f.sched.job(c).allocation.spans_clusters);
+}
+
 TEST(SchedulerTest, FifoHeadBlocksQueue) {
   RmFixture f(Scheduler::Config{}, /*clusters=*/1, /*nodes=*/4);
   f.sched.submit(job(3, 300.0));  // runs, leaves 1 free
