@@ -62,12 +62,12 @@ Outcome run(sim::Duration offset_stddev, int trials) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_arguments(argc, argv);
   std::printf("A1: NTP-LSC sensitivity to clock error (26 VMs, calibrated"
               " transport)\n");
 
   TextTable table({"clock error stddev", "trials", "mean fire skew (s)",
                    "checkpoint failure rate"});
-  std::vector<MetricRow> rows;
   const sim::Duration stddevs[] = {
       1 * sim::kMillisecond,   10 * sim::kMillisecond,
       100 * sim::kMillisecond, 500 * sim::kMillisecond,
@@ -79,17 +79,10 @@ int main(int argc, char** argv) {
     table.add_row({fmt(sim::to_milliseconds(sd), 0) + " ms",
                    std::to_string(kTrials), fmt(o.mean_skew_s, 3),
                    fmt_pct(o.failure_rate)});
-    MetricRow row;
-    row.name = "jitter_sweep/stddev_ms:" +
-               std::to_string(sd / sim::kMillisecond);
-    row.counters = {{"failure_rate", o.failure_rate},
-                    {"mean_skew_s", o.mean_skew_s}};
-    rows.push_back(std::move(row));
   }
   table.print("A1  failure rate vs. clock synchronisation quality");
   std::printf("paper: millisecond NTP sync leaves orders of magnitude of\n"
               "margin; only multi-second clock error endangers the cut.\n");
 
-  register_metric_rows(rows);
-  return run_benchmark_suite(argc, argv);
+  return 0;
 }

@@ -40,6 +40,7 @@ double run(std::uint32_t vms, double write_bps, std::uint64_t guest_ram) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_arguments(argc, argv);
   std::printf("A2: whole-cluster save time vs. shared store bandwidth\n");
   std::printf("    (1 GiB guests, idle cluster)\n");
 
@@ -49,7 +50,6 @@ int main(int argc, char** argv) {
 
   TextTable table({"store MB/s", "VMs", "ckpt time (s)",
                    "single-guest time (s)", "contention factor"});
-  std::vector<MetricRow> rows;
   for (const double bw : bandwidths) {
     for (const std::uint32_t vms : vm_counts) {
       const double total_s = run(vms, bw, kRam);
@@ -57,19 +57,11 @@ int main(int argc, char** argv) {
       table.add_row({fmt(bw / 1e6, 0), std::to_string(vms),
                      fmt(total_s, 1), fmt(single_s, 1),
                      fmt(total_s / single_s, 2)});
-      MetricRow row;
-      row.name = "storage_contention/bw_mbps:" +
-                 std::to_string(static_cast<int>(bw / 1e6)) +
-                 "/vms:" + std::to_string(vms);
-      row.counters = {{"ckpt_s", total_s},
-                      {"contention_factor", total_s / single_s}};
-      rows.push_back(std::move(row));
     }
   }
   table.print("A2  save time scales with guests / bandwidth");
   std::printf("the contention factor tracks the VM count: the store, not\n"
               "the coordination, is LSC's scaling cost.\n");
 
-  register_metric_rows(rows);
-  return run_benchmark_suite(argc, argv);
+  return 0;
 }

@@ -53,10 +53,10 @@ double run(int max_retries, int trials) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_arguments(argc, argv);
   std::printf("A4: naive LSC at 10 nodes vs. transport retry budget\n");
 
   TextTable table({"max retries", "retry budget (s)", "failure rate"});
-  std::vector<MetricRow> rows;
   constexpr int kTrials = 40;
   for (const int retries : {4, 5, 6, 7, 8}) {
     net::ReliableConfig cfg;
@@ -65,16 +65,11 @@ int main(int argc, char** argv) {
     const double rate = run(retries, kTrials);
     table.add_row({std::to_string(retries), fmt(budget_s, 1),
                    fmt_pct(rate)});
-    MetricRow row;
-    row.name = "timeout_sweep/max_retries:" + std::to_string(retries);
-    row.counters = {{"budget_s", budget_s}, {"failure_rate", rate}};
-    rows.push_back(std::move(row));
   }
   table.print("A4  failure rate vs. retry budget (10-node naive LSC)");
   std::printf("the knee tracks the budget: the same skewed coordinator is\n"
               "fatal or harmless depending only on how long the transport\n"
               "keeps retrying.\n");
 
-  register_metric_rows(rows);
-  return run_benchmark_suite(argc, argv);
+  return 0;
 }

@@ -81,6 +81,7 @@ Outcome run(bool proactive, double predicted_fraction, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_arguments(argc, argv);
   std::printf("A5: reactive rollback vs. proactive evacuation under"
               " predicted faults\n");
   std::printf("    (16 VMs, ckpt every 300 s, fault warnings 120 s ahead)\n");
@@ -88,7 +89,6 @@ int main(int argc, char** argv) {
   TextTable table({"policy", "predicted faults", "completed",
                    "completion (s)", "evacuations", "rollbacks",
                    "wasted compute (s)"});
-  std::vector<MetricRow> rows;
 
   struct Case {
     const char* name;
@@ -106,19 +106,10 @@ int main(int argc, char** argv) {
                    o.completed ? "yes" : "NO", fmt(o.completion_s, 0),
                    std::to_string(o.evacuations),
                    std::to_string(o.rollbacks), fmt(o.wasted_s, 0)});
-    MetricRow row;
-    row.name = std::string("proactive/") + c.name + "/pred:" +
-               fmt(c.predicted, 1);
-    row.counters = {{"completion_s", o.completion_s},
-                    {"evacuations", static_cast<double>(o.evacuations)},
-                    {"rollbacks", static_cast<double>(o.rollbacks)},
-                    {"wasted_s", o.wasted_s}};
-    rows.push_back(std::move(row));
   }
   table.print("A5  predicted faults: evacuate instead of roll back");
   std::printf("an evacuation costs one freeze (save+restore) but redoes\n"
               "nothing; a rollback redoes up to a checkpoint interval.\n");
 
-  register_metric_rows(rows);
-  return run_benchmark_suite(argc, argv);
+  return 0;
 }

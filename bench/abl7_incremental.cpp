@@ -86,13 +86,13 @@ Outcome run(bool incremental, sim::Duration interval, double dirty_bps,
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_arguments(argc, argv);
   std::printf("A7: full vs. incremental VM-level checkpoints\n");
   std::printf("    (8 x 1 GiB guests, 10 MB/s dirty rate, full image every"
               " 6th round)\n");
 
   TextTable table({"mode", "interval", "runtime (s)", "ckpts",
                    "ckpt data (GiB)", "restore (s)", "completed"});
-  std::vector<MetricRow> rows;
   const sim::Duration intervals[] = {300 * sim::kSecond,
                                      150 * sim::kSecond};
   for (const sim::Duration interval : intervals) {
@@ -103,14 +103,6 @@ int main(int argc, char** argv) {
                      fmt(o.runtime_s, 0), std::to_string(o.checkpoints),
                      fmt(o.gib_written, 1), fmt(o.restore_s, 1),
                      o.completed ? "yes" : "NO"});
-      MetricRow row;
-      row.name = std::string("incremental/") + (inc ? "inc" : "full") +
-                 "/interval_s:" + std::to_string(interval / sim::kSecond);
-      row.counters = {{"runtime_s", o.runtime_s},
-                      {"checkpoints", static_cast<double>(o.checkpoints)},
-                      {"gib_written", o.gib_written},
-                      {"restore_s", o.restore_s}};
-      rows.push_back(std::move(row));
     }
   }
   table.print("A7  incremental checkpoints cut the dilation");
@@ -119,6 +111,5 @@ int main(int argc, char** argv) {
               "job finishes sooner at the same protection level. Restores\n"
               "pay the chain back.\n");
 
-  register_metric_rows(rows);
-  return run_benchmark_suite(argc, argv);
+  return 0;
 }

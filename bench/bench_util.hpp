@@ -1,10 +1,8 @@
 #pragma once
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <cstdio>
-#include <functional>
-#include <map>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -79,39 +77,13 @@ class TextTable final {
   return buf;
 }
 
-/// One named metric bundle produced by an experiment run.
-struct MetricRow {
-  std::string name;
-  std::map<std::string, double> counters;
-};
-
-/// Registers each metric row as a single-iteration google-benchmark so the
-/// standard flags (--benchmark_format=json, filters, ...) expose the
-/// reproduced numbers. The experiment itself ran exactly once, up front;
-/// the benchmark bodies only republish its counters.
-inline void register_metric_rows(const std::vector<MetricRow>& rows) {
-  for (const MetricRow& row : rows) {
-    benchmark::RegisterBenchmark(row.name.c_str(),
-                                 [row](benchmark::State& state) {
-                                   for (auto _ : state) {
-                                     benchmark::DoNotOptimize(_);
-                                   }
-                                   for (const auto& [k, v] : row.counters) {
-                                     state.counters[k] = v;
-                                   }
-                                 })
-        ->Iterations(1);
-  }
-}
-
-/// Standard bench epilogue: print the registered metric rows through the
-/// google-benchmark reporter.
-inline int run_benchmark_suite(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+/// The programs take no arguments: each prints one fixed table. Exits 2
+/// naming the first argument, so a stray flag is reported instead of being
+/// silently ignored.
+inline void reject_arguments(int argc, char** argv) {
+  if (argc < 2) return;
+  std::fprintf(stderr, "%s: unrecognized argument '%s'\n", argv[0], argv[1]);
+  std::exit(2);
 }
 
 }  // namespace dvc::bench

@@ -65,6 +65,7 @@ std::size_t overlap(const Mapping& a, const Mapping& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_arguments(argc, argv);
   core::MachineRoomOptions opt;
   opt.clusters = 2;
   opt.nodes_per_cluster = 32;
@@ -76,19 +77,12 @@ int main(int argc, char** argv) {
 
   TextTable table({"mapping", "vc size", "cluster0", "cluster1", "spans",
                    "provision (s)"});
-  std::vector<MetricRow> rows;
 
   const auto add = [&](const char* name, const Mapping& m) {
     table.add_row({name, std::to_string(m.size),
                    std::to_string(m.in_cluster0),
                    std::to_string(m.in_cluster1), m.spans ? "yes" : "no",
                    fmt(m.provision_s, 1)});
-    MetricRow row;
-    row.name = std::string("fig1/") + name;
-    row.counters = {{"vc_size", static_cast<double>(m.size)},
-                    {"spans", m.spans ? 1.0 : 0.0},
-                    {"provision_s", m.provision_s}};
-    rows.push_back(std::move(row));
   };
 
   // (a) VC the size of a whole physical cluster.
@@ -121,13 +115,8 @@ int main(int argc, char** argv) {
   std::printf("\nremapped 16-node VC: %zu/%u physical nodes shared between"
               " instantiations (paper: may be completely separate)\n",
               shared, 16u);
-  MetricRow remap;
-  remap.name = "fig1/remap_overlap";
-  remap.counters = {{"shared_nodes", static_cast<double>(shared)}};
-  rows.push_back(std::move(remap));
 
   table.print("F1  virtual-to-physical mappings");
 
-  register_metric_rows(rows);
-  return run_benchmark_suite(argc, argv);
+  return 0;
 }

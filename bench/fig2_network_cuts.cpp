@@ -5,7 +5,6 @@
 // the same cuts lose the message — the inconsistent case of figure 2.
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -186,12 +185,12 @@ CutOutcome run_partition(bool reliable_transport) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_arguments(argc, argv);
   std::printf("F2: consistent vs. inconsistent cuts of network state\n");
   std::printf("    (paper fig. 2 + the two §3 recovery scenarios)\n");
 
   TextTable table({"cut scenario", "transport", "sent", "delivered",
                    "dup discarded", "cut consistent"});
-  std::vector<MetricRow> rows;
 
   struct Case {
     const char* scenario;
@@ -204,44 +203,23 @@ int main(int argc, char** argv) {
       {"2: ACK in flight", true, true},
       {"2: ACK in flight", true, false},
   };
-  for (const Case& c : cases) {
-    const CutOutcome out = c.reliable ? run_reliable(c.after_delivery)
-                                      : run_unreliable(c.after_delivery);
-    table.add_row({c.scenario, c.reliable ? "reliable (TCP)" : "datagram",
+  const auto add = [&](const char* scenario, bool reliable,
+                       const CutOutcome& out) {
+    table.add_row({scenario, reliable ? "reliable (TCP)" : "datagram",
                    std::to_string(out.sent), std::to_string(out.delivered),
                    std::to_string(out.duplicates),
                    out.consistent ? "yes" : "NO (lost)"});
-    MetricRow row;
-    row.name = std::string("fig2/") +
-               (c.after_delivery ? "ack_in_flight/" : "data_in_flight/") +
-               (c.reliable ? "tcp" : "datagram");
-    row.counters = {{"delivered", static_cast<double>(out.delivered)},
-                    {"consistent", out.consistent ? 1.0 : 0.0},
-                    {"duplicates", static_cast<double>(out.duplicates)}};
-    rows.push_back(std::move(row));
+  };
+  for (const Case& c : cases) {
+    add(c.scenario, c.reliable,
+        c.reliable ? run_reliable(c.after_delivery)
+                   : run_unreliable(c.after_delivery));
   }
-  // Opt-in partition rows (same gate as the other fault benches, keeping
-  // the default table byte-stable): scenario 3 exercises the partition
-  // fault class instead of dark NICs.
-  if (std::getenv("DVC_INJECT_FAULTS") != nullptr) {
-    for (const bool reliable : {true, false}) {
-      const CutOutcome out = run_partition(reliable);
-      table.add_row({"3: 10 s partition", reliable ? "reliable (TCP)"
-                                                   : "datagram",
-                     std::to_string(out.sent), std::to_string(out.delivered),
-                     std::to_string(out.duplicates),
-                     out.consistent ? "yes" : "NO (lost)"});
-      MetricRow row;
-      row.name = std::string("fig2/partition/") +
-                 (reliable ? "tcp" : "datagram");
-      row.counters = {{"delivered", static_cast<double>(out.delivered)},
-                      {"consistent", out.consistent ? 1.0 : 0.0},
-                      {"duplicates", static_cast<double>(out.duplicates)}};
-      rows.push_back(std::move(row));
-    }
+  // Scenario 3 exercises the partition fault class instead of dark NICs.
+  for (const bool reliable : {true, false}) {
+    add("3: 10 s partition", reliable, run_partition(reliable));
   }
   table.print("F2  cut consistency by transport");
 
-  register_metric_rows(rows);
-  return run_benchmark_suite(argc, argv);
+  return 0;
 }

@@ -35,7 +35,7 @@ struct Tally {
   int restore_attempts = 0;
   int restore_ok = 0;
   int app_failures = 0;
-  sim::SummaryStats skew_ms{/*keep_samples=*/true};
+  sim::SummaryStats skew_ms;
   sim::SummaryStats save_s;
 };
 
@@ -114,6 +114,7 @@ void run_trial(const Config& cfg, int trial, Tally& tally) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_arguments(argc, argv);
   const Config configs[] = {
       {"ptrans/fast-iter", true, 0.25, 500, 0},
       {"ptrans/slow-iter", true, 0.50, 500, 1},
@@ -126,7 +127,6 @@ int main(int argc, char** argv) {
 
   TextTable table({"workload", "trials", "save ok", "restore ok",
                    "app failures", "skew ms (mean/max)", "ckpt time (s)"});
-  std::vector<MetricRow> rows;
   int total_trials = 0;
   int total_failures = 0;
   for (const Config& cfg : configs) {
@@ -143,23 +143,10 @@ int main(int argc, char** argv) {
                    fmt(tally.skew_ms.mean(), 2) + " / " +
                        fmt(tally.skew_ms.max(), 2),
                    fmt(tally.save_s.mean(), 1)});
-    MetricRow row;
-    row.name = "ntp_lsc/" + cfg.name;
-    row.counters = {
-        {"trials", static_cast<double>(tally.trials)},
-        {"save_failures",
-         static_cast<double>(tally.trials - tally.save_ok)},
-        {"restore_failures",
-         static_cast<double>(tally.restore_attempts - tally.restore_ok)},
-        {"skew_ms_mean", tally.skew_ms.mean()},
-        {"skew_ms_p99", tally.skew_ms.percentile(99)},
-    };
-    rows.push_back(std::move(row));
   }
   table.print("T2  NTP LSC: saves/restores across >2000 trials");
   std::printf("total trials: %d   total save failures: %d\n", total_trials,
               total_failures);
 
-  register_metric_rows(rows);
-  return run_benchmark_suite(argc, argv);
+  return 0;
 }

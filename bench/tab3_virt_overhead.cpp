@@ -72,6 +72,7 @@ VirtualRun run_virtual(const app::WorkloadSpec& workload,
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_arguments(argc, argv);
   std::printf("T3: native vs. virtual-cluster execution\n");
 
   struct Case {
@@ -87,25 +88,16 @@ int main(int argc, char** argv) {
 
   TextTable table({"workload", "native (s)", "virtual (s)", "overhead",
                    "provision (s)"});
-  std::vector<MetricRow> rows;
   for (const Case& c : cases) {
     const double native_s = run_native(c.workload, 21);
     const VirtualRun virt = run_virtual(c.workload, 21);
     const double overhead = virt.makespan_s / native_s - 1.0;
     table.add_row({c.name, fmt(native_s), fmt(virt.makespan_s),
                    fmt_pct(overhead), fmt(virt.provision_s, 1)});
-    MetricRow row;
-    row.name = "virt_overhead/" + c.name;
-    row.counters = {{"native_s", native_s},
-                    {"virtual_s", virt.makespan_s},
-                    {"overhead_frac", overhead},
-                    {"provision_s", virt.provision_s}};
-    rows.push_back(std::move(row));
   }
   table.print("T3  virtualisation overhead (runtime, excl. provisioning)");
   std::printf("paper context: para-virt CPU tax ~3%%; provisioning is a\n"
               "one-time per-job cost of booting the virtual cluster.\n");
 
-  register_metric_rows(rows);
-  return run_benchmark_suite(argc, argv);
+  return 0;
 }

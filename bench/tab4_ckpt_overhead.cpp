@@ -77,6 +77,7 @@ RunResult run(std::uint64_t n, sim::Duration interval, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_arguments(argc, argv);
   std::printf("T4: checkpoint overhead — HPL on 26 VMs, 512 MiB guests,\n");
   std::printf("    NTP-LSC every T seconds against a 100 MB/s store\n");
 
@@ -87,7 +88,6 @@ int main(int argc, char** argv) {
 
   TextTable table({"hpl n", "ckpt interval", "runtime (s)", "ckpts",
                    "slowdown", "save (s, mean img)", "restore (s)"});
-  std::vector<MetricRow> rows;
   for (const std::uint64_t n : sizes) {
     double baseline = 0.0;
     for (const sim::Duration interval : intervals) {
@@ -103,20 +103,11 @@ int main(int argc, char** argv) {
                      interval == 0 ? "--" : fmt_pct(slowdown),
                      interval == 0 ? "--" : fmt(r.mean_save_s, 1),
                      interval == 0 ? "--" : fmt(r.restore_s, 1)});
-      MetricRow row;
-      row.name = "ckpt_overhead/n:" + std::to_string(n) + "/interval_s:" +
-                 std::to_string(interval / sim::kSecond);
-      row.counters = {{"runtime_s", r.makespan_s},
-                      {"checkpoints", static_cast<double>(r.checkpoints)},
-                      {"slowdown_frac", slowdown},
-                      {"restore_s", r.restore_s}};
-      rows.push_back(std::move(row));
     }
   }
   table.print("T4  runtime dilation vs. checkpoint interval");
   std::printf("paper context: 'Both PTRANS and HPL reported a decreased\n"
               "speed in execution time due to the checkpoint.'\n");
 
-  register_metric_rows(rows);
-  return run_benchmark_suite(argc, argv);
+  return 0;
 }

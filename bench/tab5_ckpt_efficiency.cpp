@@ -24,6 +24,7 @@ constexpr double kStoreBps = 100e6;  // the shared NFS-class store
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_arguments(argc, argv);
   std::printf("T5: checkpoint method efficiency (26 ranks, 1 GiB guests,"
               " 100 MB/s store)\n");
 
@@ -42,7 +43,6 @@ int main(int argc, char** argv) {
   TextTable table({"workload", "method", "bytes/rank", "total", "write (s)",
                    "transparent", "relink", "app code", "parallel",
                    "applicable"});
-  std::vector<MetricRow> rows;
   for (const Case& c : cases) {
     for (const ckpt::MethodKind kind : ckpt::kAllMethods) {
       const ckpt::MethodProfile prof = ckpt::profile(kind);
@@ -60,13 +60,6 @@ int main(int argc, char** argv) {
            prof.requires_app_code ? "yes" : "no",
            prof.handles_parallel ? "yes" : "no",
            fp.applicable ? "yes" : "NO"});
-      MetricRow row;
-      row.name = "ckpt_efficiency/" + c.name + "/" +
-                 std::string(prof.name);
-      row.counters = {{"bytes_per_rank", static_cast<double>(fp.bytes)},
-                      {"applicable", fp.applicable ? 1.0 : 0.0},
-                      {"write_s", write_s}};
-      rows.push_back(std::move(row));
     }
   }
   table.print("T5  method footprint and restrictions (model)");
@@ -91,10 +84,6 @@ int main(int argc, char** argv) {
         26.0 * static_cast<double>(guest.ram_bytes) / kStoreBps;
     std::printf("\nmeasured whole-cluster VM-level save: %.1f s "
                 "(model: %.1f s)\n", measured, modelled);
-    MetricRow row;
-    row.name = "ckpt_efficiency/measured_vm_save";
-    row.counters = {{"measured_s", measured}, {"modelled_s", modelled}};
-    rows.push_back(std::move(row));
 
     // Per-rank checkpoint content measured from the guest process table.
     const vm::GuestOs& os = sc.vc->machine(0).os();
@@ -107,15 +96,9 @@ int main(int argc, char** argv) {
       measured_table.add_row(
           {std::string(ckpt::profile(kind).name),
            fmt_bytes(static_cast<double>(fp.bytes))});
-      MetricRow mrow;
-      mrow.name = std::string("ckpt_efficiency/measured/") +
-                  std::string(ckpt::profile(kind).name);
-      mrow.counters = {{"bytes", static_cast<double>(fp.bytes)}};
-      rows.push_back(std::move(mrow));
     }
     measured_table.print("T5b  live guest-OS accounting (rank 0)");
   }
 
-  register_metric_rows(rows);
-  return run_benchmark_suite(argc, argv);
+  return 0;
 }

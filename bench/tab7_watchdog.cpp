@@ -9,8 +9,8 @@
 // duration to show the threshold.
 
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
+#include <string>
 
 #include "bench_util.hpp"
 #include "fault/fault_injector.hpp"
@@ -35,8 +35,8 @@ Outcome run(sim::Duration watchdog_period, int cycles,
   const std::uint32_t ranks = 4;
   core::MachineRoomOptions opt = paper_substrate(ranks, 66);
   core::MachineRoom room(opt);
-  // Optional injected disk slowdown (DVC_INJECT_FAULTS): a degraded store
-  // stretches each save, so freezes — and watchdog reports — grow.
+  // Optional injected disk slowdown: a degraded store stretches each save,
+  // so freezes — and watchdog reports — grow.
   std::optional<fault::FaultInjector> injector;
   if (disk_slow_factor > 1.0) {
     fault::FaultPlan plan;
@@ -93,49 +93,31 @@ Outcome run(sim::Duration watchdog_period, int cycles,
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_arguments(argc, argv);
   std::printf("T7: guest watchdog reports across save/restore cycles\n");
   std::printf("    (4 x 1 GiB guests, 100 MB/s store: ~43 s freeze/cycle)\n");
 
   TextTable table({"watchdog period", "ckpt cycles", "timeouts/vm",
                    "kernel msgs/vm", "freeze s/cycle", "app unaffected"});
-  std::vector<MetricRow> rows;
   const sim::Duration periods[] = {10 * sim::kSecond, 60 * sim::kSecond,
                                    600 * sim::kSecond};
-  for (const sim::Duration p : periods) {
-    const Outcome o = run(p, /*cycles=*/5);
-    table.add_row({std::to_string(p / sim::kSecond) + " s",
-                   std::to_string(o.cycles), fmt(o.timeouts_per_vm, 1),
+  const auto add = [&](const std::string& label, const Outcome& o) {
+    table.add_row({label, std::to_string(o.cycles), fmt(o.timeouts_per_vm, 1),
                    fmt(o.kernel_msgs_per_vm, 1), fmt(o.freeze_s, 1),
                    o.app_alive ? "yes" : "NO"});
-    MetricRow row;
-    row.name = "watchdog/period_s:" + std::to_string(p / sim::kSecond);
-    row.counters = {{"timeouts_per_vm", o.timeouts_per_vm},
-                    {"kernel_msgs_per_vm", o.kernel_msgs_per_vm},
-                    {"app_alive", o.app_alive ? 1.0 : 0.0}};
-    rows.push_back(std::move(row));
+  };
+  for (const sim::Duration p : periods) {
+    add(std::to_string(p / sim::kSecond) + " s", run(p, /*cycles=*/5));
   }
-  // Opt-in fault-injection row: deliberately outside the default table so
-  // the fault-free output stays byte-stable across runs. An 8x disk
-  // slowdown stretches the ~46 s freeze to ~347 s, so the 60 s watchdog —
-  // quiet in the clean sweep — now trips on every cycle.
-  if (std::getenv("DVC_INJECT_FAULTS") != nullptr) {
-    const Outcome o = run(60 * sim::kSecond, /*cycles=*/5,
-                          /*disk_slow_factor=*/8.0);
-    table.add_row({"60 s + 8x disk slowdown", std::to_string(o.cycles),
-                   fmt(o.timeouts_per_vm, 1), fmt(o.kernel_msgs_per_vm, 1),
-                   fmt(o.freeze_s, 1), o.app_alive ? "yes" : "NO"});
-    MetricRow row;
-    row.name = "watchdog/period_s:60_diskslow_x8";
-    row.counters = {{"timeouts_per_vm", o.timeouts_per_vm},
-                    {"kernel_msgs_per_vm", o.kernel_msgs_per_vm},
-                    {"app_alive", o.app_alive ? 1.0 : 0.0}};
-    rows.push_back(std::move(row));
-  }
+  // Fault-injection row: an 8x disk slowdown stretches the ~46 s freeze to
+  // ~347 s, so the 60 s watchdog — quiet in the clean sweep — now trips on
+  // every cycle.
+  add("60 s + 8x disk slowdown",
+      run(60 * sim::kSecond, /*cycles=*/5, /*disk_slow_factor=*/8.0));
 
   table.print("T7  watchdog timeouts vs. watchdog period");
   std::printf("paper: one report per save/restore when the freeze exceeds\n"
               "the watchdog period; execution is unaffected either way.\n");
 
-  register_metric_rows(rows);
-  return run_benchmark_suite(argc, argv);
+  return 0;
 }

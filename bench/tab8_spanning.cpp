@@ -87,12 +87,12 @@ Outcome run(bool spanning, sim::Duration per_job_overhead,
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_arguments(argc, argv);
   std::printf("T8: independent clusters vs. DVC spanning — 44 rigid jobs on"
               " 2 x 32 nodes\n");
 
   TextTable table({"scheduler", "completed", "rejected", "makespan (h)",
                    "useful node-h", "mean wait (min)", "utilisation"});
-  std::vector<MetricRow> rows;
 
   struct Mode {
     const char* name;
@@ -128,14 +128,6 @@ int main(int argc, char** argv) {
                      std::to_string(o.rejected), fmt(o.makespan_h),
                      fmt(o.useful_node_hours, 0), fmt(o.mean_wait_min, 1),
                      fmt_pct(o.utilisation)});
-      MetricRow row;
-      row.name = std::string("spanning/") + sc.label + "/" + m.name;
-      row.counters = {{"completed", static_cast<double>(o.completed)},
-                      {"rejected", static_cast<double>(o.rejected)},
-                      {"makespan_h", o.makespan_h},
-                      {"useful_node_hours", o.useful_node_hours},
-                      {"utilisation", o.utilisation}};
-      rows.push_back(std::move(row));
     }
   }
   table.print("T8  spanning vs. independent clusters (rigid jobs)");
@@ -143,6 +135,5 @@ int main(int argc, char** argv) {
               "jobs no single cluster could hold — and packs fragments that\n"
               "independent clusters strand.\n");
 
-  register_metric_rows(rows);
-  return run_benchmark_suite(argc, argv);
+  return 0;
 }

@@ -9,8 +9,8 @@
 //   * DVC auto-recovery at several checkpoint intervals.
 // Reported: completion time, failures survived, and redone (wasted) work.
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
@@ -122,12 +122,11 @@ Outcome run_restart_from_scratch(std::uint64_t seed) {
 }
 
 /// DVC: periodic NTP-LSC checkpoints + automatic whole-VC recovery. With
-/// `inject_faults` (opt-in via DVC_INJECT_FAULTS so the default table stays
-/// reproducible bit-for-bit), a seeded fault schedule layers disk
-/// slowdowns, clock steps and extra reboot-style crashes on top of the
-/// baseline failure process. `storage_faults` swaps in the durability
-/// gauntlet (silent corruption + torn writes against the checkpoint
-/// store); `replicas` adds k-1 asynchronous store replicas.
+/// `inject_faults`, a seeded fault schedule layers disk slowdowns, clock
+/// steps and extra reboot-style crashes on top of the baseline failure
+/// process. `storage_faults` swaps in the durability gauntlet (silent
+/// corruption + torn writes against the checkpoint store); `replicas` adds
+/// k-1 asynchronous store replicas.
 Outcome run_dvc(sim::Duration interval, std::uint64_t seed,
                 bool inject_faults = false, bool storage_faults = false,
                 std::uint32_t replicas = 0, bool control_faults = false) {
@@ -251,124 +250,63 @@ Outcome run_dvc(sim::Duration interval, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
+  reject_arguments(argc, argv);
   std::printf("T9: reliability — 26-rank job (~1000 s useful compute) on a\n"
               "    32-node cluster with random node failures + repairs\n");
 
   TextTable table({"policy", "completed", "completion (s)", "node failures",
                    "restarts/recoveries", "ckpts", "wasted compute (s)"});
-  std::vector<MetricRow> rows;
 
   const std::uint64_t kSeed = 4242;
+  const auto add = [&](const std::string& policy, const Outcome& o) {
+    table.add_row({policy, o.completed ? "yes" : "NO", fmt(o.completion_s, 0),
+                   std::to_string(o.failures), std::to_string(o.recoveries),
+                   fmt(o.ckpt_overhead, 0), fmt(o.wasted_compute_s, 0)});
+  };
 
-  {
-    const Outcome o = run_restart_from_scratch(kSeed);
-    table.add_row({"restart from scratch", o.completed ? "yes" : "NO",
-                   fmt(o.completion_s, 0), std::to_string(o.failures),
-                   std::to_string(o.recoveries), "0",
-                   fmt(o.wasted_compute_s, 0)});
-    MetricRow row;
-    row.name = "reliability/restart_from_scratch";
-    row.counters = {{"completion_s", o.completion_s},
-                    {"restarts", static_cast<double>(o.recoveries)},
-                    {"wasted_s", o.wasted_compute_s}};
-    rows.push_back(std::move(row));
-  }
+  add("restart from scratch", run_restart_from_scratch(kSeed));
 
   const sim::Duration intervals[] = {600 * sim::kSecond, 300 * sim::kSecond,
                                      120 * sim::kSecond};
   for (const sim::Duration interval : intervals) {
-    const Outcome o = run_dvc(interval, kSeed);
-    const std::string name =
-        "DVC ckpt every " + std::to_string(interval / sim::kSecond) + " s";
-    table.add_row({name, o.completed ? "yes" : "NO", fmt(o.completion_s, 0),
-                   std::to_string(o.failures), std::to_string(o.recoveries),
-                   fmt(o.ckpt_overhead, 0), fmt(o.wasted_compute_s, 0)});
-    MetricRow row;
-    row.name = "reliability/dvc_interval_s:" +
-               std::to_string(interval / sim::kSecond);
-    row.counters = {{"completion_s", o.completion_s},
-                    {"recoveries", static_cast<double>(o.recoveries)},
-                    {"checkpoints", o.ckpt_overhead},
-                    {"wasted_s", o.wasted_compute_s}};
-    rows.push_back(std::move(row));
+    add("DVC ckpt every " + std::to_string(interval / sim::kSecond) + " s",
+        run_dvc(interval, kSeed));
   }
-  // Opt-in fault-injection row: deliberately outside the default table so
-  // the fault-free output stays byte-stable across runs.
-  if (std::getenv("DVC_INJECT_FAULTS") != nullptr) {
-    const Outcome o = run_dvc(120 * sim::kSecond, kSeed, true);
-    table.add_row({"DVC ckpt every 120 s + injected faults",
-                   o.completed ? "yes" : "NO", fmt(o.completion_s, 0),
-                   std::to_string(o.failures), std::to_string(o.recoveries),
-                   fmt(o.ckpt_overhead, 0), fmt(o.wasted_compute_s, 0)});
-    MetricRow row;
-    row.name = "reliability/dvc_injected_faults";
-    row.counters = {{"completion_s", o.completion_s},
-                    {"recoveries", static_cast<double>(o.recoveries)},
-                    {"checkpoints", o.ckpt_overhead},
-                    {"wasted_s", o.wasted_compute_s}};
-    rows.push_back(std::move(row));
+  add("DVC ckpt every 120 s + injected faults",
+      run_dvc(120 * sim::kSecond, kSeed, /*inject_faults=*/true));
 
-    // Durability row: storage faults (silent corruption + torn writes)
-    // against a k=2 replicated checkpoint store. Replica failover masks
-    // most damage; generation fallback catches what slips through.
-    const Outcome d = run_dvc(120 * sim::kSecond, kSeed, true,
-                              /*storage_faults=*/true, /*replicas=*/1);
-    table.add_row({"DVC ckpt 120 s + storage faults (k=2)",
-                   d.completed ? "yes" : "NO", fmt(d.completion_s, 0),
-                   std::to_string(d.failures), std::to_string(d.recoveries),
-                   fmt(d.ckpt_overhead, 0), fmt(d.wasted_compute_s, 0)});
-    std::printf("    storage-fault run: %llu verify failures, %llu replica"
-                " failovers, %llu generation fallbacks\n",
-                static_cast<unsigned long long>(d.verify_failures),
-                static_cast<unsigned long long>(d.failovers),
-                static_cast<unsigned long long>(d.fallbacks));
-    MetricRow drow;
-    drow.name = "reliability/dvc_storage_faults_k2";
-    drow.counters = {{"completion_s", d.completion_s},
-                     {"recoveries", static_cast<double>(d.recoveries)},
-                     {"verify_failures",
-                      static_cast<double>(d.verify_failures)},
-                     {"failovers", static_cast<double>(d.failovers)},
-                     {"fallbacks", static_cast<double>(d.fallbacks)}};
-    rows.push_back(std::move(drow));
+  // Durability row: storage faults (silent corruption + torn writes)
+  // against a k=2 replicated checkpoint store. Replica failover masks
+  // most damage; generation fallback catches what slips through.
+  const Outcome d = run_dvc(120 * sim::kSecond, kSeed, true,
+                            /*storage_faults=*/true, /*replicas=*/1);
+  add("DVC ckpt 120 s + storage faults (k=2)", d);
 
-    // Control-plane row: the coordinator itself crashes and the fabric
-    // partitions across the inter-cluster seam while the node-failure
-    // process keeps running. Epoch fencing keeps deposed writes out of
-    // the store and the recovery pass completes or aborts half-open
-    // rounds, so the job still finishes.
-    const Outcome c = run_dvc(120 * sim::kSecond, kSeed, true,
-                              /*storage_faults=*/false, /*replicas=*/0,
-                              /*control_faults=*/true);
-    table.add_row({"DVC ckpt 120 s + coordinator/partition faults",
-                   c.completed ? "yes" : "NO", fmt(c.completion_s, 0),
-                   std::to_string(c.failures), std::to_string(c.recoveries),
-                   fmt(c.ckpt_overhead, 0), fmt(c.wasted_compute_s, 0)});
-    std::printf("    control-fault run: %llu coordinator crashes, %llu"
-                " reboots, %llu partitions, %llu fenced writes\n",
-                static_cast<unsigned long long>(c.coordinator_crashes),
-                static_cast<unsigned long long>(c.coordinator_reboots),
-                static_cast<unsigned long long>(c.partitions),
-                static_cast<unsigned long long>(c.fenced_writes));
-    MetricRow crow;
-    crow.name = "reliability/dvc_control_faults";
-    crow.counters = {{"completion_s", c.completion_s},
-                     {"recoveries", static_cast<double>(c.recoveries)},
-                     {"coordinator_crashes",
-                      static_cast<double>(c.coordinator_crashes)},
-                     {"coordinator_reboots",
-                      static_cast<double>(c.coordinator_reboots)},
-                     {"partitions", static_cast<double>(c.partitions)},
-                     {"fenced_writes",
-                      static_cast<double>(c.fenced_writes)}};
-    rows.push_back(std::move(crow));
-  }
+  // Control-plane row: the coordinator itself crashes and the fabric
+  // partitions across the inter-cluster seam while the node-failure
+  // process keeps running. Epoch fencing keeps deposed writes out of
+  // the store and the recovery pass completes or aborts half-open
+  // rounds, so the job still finishes.
+  const Outcome c = run_dvc(120 * sim::kSecond, kSeed, true,
+                            /*storage_faults=*/false, /*replicas=*/0,
+                            /*control_faults=*/true);
+  add("DVC ckpt 120 s + coordinator/partition faults", c);
 
   table.print("T9  job completion under node failures");
+  std::printf("    storage-fault run: %llu verify failures, %llu replica"
+              " failovers, %llu generation fallbacks\n",
+              static_cast<unsigned long long>(d.verify_failures),
+              static_cast<unsigned long long>(d.failovers),
+              static_cast<unsigned long long>(d.fallbacks));
+  std::printf("    control-fault run: %llu coordinator crashes, %llu"
+              " reboots, %llu partitions, %llu fenced writes\n",
+              static_cast<unsigned long long>(c.coordinator_crashes),
+              static_cast<unsigned long long>(c.coordinator_reboots),
+              static_cast<unsigned long long>(c.partitions),
+              static_cast<unsigned long long>(c.fenced_writes));
   std::printf("paper: DVC bounds lost work to one checkpoint interval and\n"
               "restarts the whole virtual cluster on different nodes,\n"
               "instead of losing the entire run.\n");
 
-  register_metric_rows(rows);
-  return run_benchmark_suite(argc, argv);
+  return 0;
 }

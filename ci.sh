@@ -2,13 +2,14 @@
 # Tier-1 verification for the DVC simulator.
 #
 #   ./ci.sh             configure (warnings-as-errors), build, and run the
-#                       full test suite; then configure and build (not run)
-#                       dvcbench from dvcbench/ into build/dvcbench-pkg,
-#                       since it compiles src/ plus tools/sweep.cpp on its
-#                       own and must keep linking
+#                       full test suite (every label); then configure and
+#                       build (not run) dvcbench from dvcbench/ into
+#                       build/dvcbench-pkg, since it compiles src/ plus
+#                       tools/sweep.cpp on its own and must keep linking
 #   ./ci.sh --sanitize  the test suite under AddressSanitizer + UBSan
 #                       (separate build tree, slower; catches lifetime/UB
-#                       bugs the plain build cannot)
+#                       bugs the plain build cannot), without the `paper`
+#                       label: its four tables take ~40x longer there
 #   ./ci.sh --soak      the sanitizer build with -DDVC_SOAK=ON, running
 #                       only the soak-labelled suites (`ctest -L soak`) —
 #                       the randomized failure schedules where lifetime
@@ -29,23 +30,34 @@
 #                       (`<workload>` for seed 1, `<workload>:1001` for
 #                       seed 1001)
 #
+# Test labels: `tier1` is the fast gate (unit tests, the dvcsim/dvcsweep
+# goldens and the 17 quick bench/ paper tables, each gated byte for byte
+# against tests/golden/bench_<name>.out); `paper` holds the four slow paper
+# tables (tab2_ntp_lsc, tab9_reliability, abl1_jitter_sweep,
+# abl4_timeout_sweep), ~1 min of CPU in a release build; `soak` is the
+# fault-soak campaign. Plain `ctest` runs all three.
+#
 # All modes exit non-zero on any build or test failure.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+# Extra ctest arguments for build_and_test, e.g. a label filter.
+CTEST_FILTER=""
 build_and_test() {
   local dir="$1"
   shift
   cmake -B "$dir" -S . "$@"
   cmake --build "$dir" -j "$JOBS"
-  ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
+  # shellcheck disable=SC2086  # CTEST_FILTER is a word list
+  ctest --test-dir "$dir" --output-on-failure -j "$JOBS" $CTEST_FILTER
 }
 
 case "${1:-}" in
   --sanitize)
     SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g"
+    CTEST_FILTER="-LE paper"
     build_and_test build-asan \
       -DCMAKE_BUILD_TYPE=Debug \
       -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
