@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification for the DVC simulator.
 #
-#   ./ci.sh             configure (warnings-as-errors), build, and run the
-#                       full test suite (every label); then configure and
-#                       build (not run) dvcbench from dvcbench/ into
+#   ./ci.sh             lint instrument names (tools/lint_metric_names.py:
+#                       no telemetry::count/observe/gauge_* call under src/
+#                       may build its name with `+`), then configure
+#                       (warnings-as-errors), build, and run the full test
+#                       suite (every label); then configure and build (not
+#                       run) dvcbench from dvcbench/ into
 #                       build/dvcbench-pkg, since it compiles src/ plus
 #                       tools/sweep.cpp on its own and must keep linking
 #   ./ci.sh --sanitize  the test suite under AddressSanitizer + UBSan
@@ -138,6 +141,7 @@ sys.exit(0 if ok else 1)
     done
     ;;
   "")
+    python3 tools/lint_metric_names.py src
     build_and_test build -DDVC_WERROR=ON
     cmake -B build/dvcbench-pkg -S dvcbench
     cmake --build build/dvcbench-pkg --target dvcbench -j "$JOBS"

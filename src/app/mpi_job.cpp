@@ -65,8 +65,11 @@ bool MpiJob::send(RankId from, RankId to, std::uint32_t bytes,
 RankTransportSnapshot MpiJob::snapshot_transport(RankId rank) const {
   RankTransportSnapshot snap;
   for (RankId q = 0; q < size(); ++q) {
-    if (q == static_cast<RankId>(rank)) continue;
-    snap.to_peer.emplace(q, endpoint(rank, q).snapshot());
+    if (q == rank) continue;
+    net::TransportSnapshot s = endpoint(rank, q).snapshot();
+    if (s != net::TransportSnapshot{}) {
+      snap.to_peer.emplace_hint(snap.to_peer.end(), q, std::move(s));
+    }
   }
   return snap;
 }
@@ -74,9 +77,26 @@ RankTransportSnapshot MpiJob::snapshot_transport(RankId rank) const {
 void MpiJob::restore_transport(RankId rank,
                                const RankTransportSnapshot& snap,
                                std::uint32_t epoch) {
-  for (const auto& [q, s] : snap.to_peer) {
-    endpoint(rank, q).restore(s, epoch);
+  // Every peer, in id order: one the snapshot omits was never used
+  // before the cut, and restoring it from the empty snapshot resets any
+  // use since (same cancels, no timer armed).
+  static const net::TransportSnapshot kUnused{};
+  auto s = snap.to_peer.begin();
+  for (RankId q = 0; q < size(); ++q) {
+    if (q == rank) continue;
+    const bool present = s != snap.to_peer.end() && s->first == q;
+    endpoint(rank, q).restore(present ? s->second : kUnused, epoch);
+    if (present) ++s;
   }
+}
+
+bool MpiJob::drained() const {
+  for (const auto& row : endpoints_) {
+    for (const auto& ep : row) {
+      if (ep && ep->unacked() != 0) return false;
+    }
+  }
+  return true;
 }
 
 std::uint64_t MpiJob::messages_sent() const {

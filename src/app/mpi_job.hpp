@@ -18,6 +18,9 @@ using RankId = std::uint32_t;
 
 /// Transport state of one rank: its endpoint toward every peer. Part of a
 /// whole-guest checkpoint (the guest's TCP stacks freeze with the guest).
+/// A peer whose endpoint was never used (its snapshot would equal
+/// net::TransportSnapshot{}) is left out; restore treats it as that
+/// empty snapshot.
 struct RankTransportSnapshot {
   std::map<RankId, net::TransportSnapshot> to_peer;
 };
@@ -60,10 +63,14 @@ class MpiJob final {
   /// Captures one rank's transport state (call while its guest is paused).
   [[nodiscard]] RankTransportSnapshot snapshot_transport(RankId rank) const;
 
-  /// Rolls one rank's transport back (whole-VC restore). All ranks of a job
+  /// Rolls one rank's transport back (whole-VC restore): every endpoint
+  /// of the rank, the ones the snapshot omits included. All ranks of a job
   /// must be restored with the same epoch before any of them runs again.
   void restore_transport(RankId rank, const RankTransportSnapshot& snap,
                          std::uint32_t epoch);
+
+  /// True when no endpoint in the mesh holds an unacknowledged message.
+  [[nodiscard]] bool drained() const;
 
   /// Clears the failed flag after a successful whole-job rollback.
   void mark_recovered() noexcept { failed_ = false; }

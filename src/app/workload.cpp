@@ -327,16 +327,6 @@ void ParallelApp::release_quiesce() {
   for (auto& r : ranks_) r->resume_from_hold();
 }
 
-bool ParallelApp::mesh_drained() const {
-  for (RankId a = 0; a < spec_.ranks; ++a) {
-    const RankTransportSnapshot snap = job_.snapshot_transport(a);
-    for (const auto& [peer, s] : snap.to_peer) {
-      if (!s.unacked.empty()) return false;
-    }
-  }
-  return true;
-}
-
 void ParallelApp::note_rank_held() {
   if (!quiescing_ || !on_all_held_) return;
   for (const auto& r : ranks_) {

@@ -215,7 +215,7 @@ class ParallelApp final {
 
   /// True once every rank's outgoing channels have fully drained
   /// (no unacknowledged messages anywhere in the mesh).
-  [[nodiscard]] bool mesh_drained() const;
+  [[nodiscard]] bool mesh_drained() const { return job_.drained(); }
 
   [[nodiscard]] std::uint32_t rollback_epoch() const noexcept {
     return rollback_epoch_;

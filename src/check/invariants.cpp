@@ -1,15 +1,36 @@
 #include "check/invariants.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <utility>
 
 namespace dvc::check {
 
+namespace {
+/// Catalog names, indexed by Invariants::Invariant.
+constexpr std::string_view kInvariantNames[] = {
+    "generation-monotonicity",
+    "refcount-consistency",
+    "retention-liveness",
+    "epoch-fence",
+    "image-completeness",
+    "member-conservation",
+    "queue-hygiene",
+    "ledger-consistency",
+};
+}  // namespace
+
 Invariants::Invariants(Wiring w)
     : w_(w),
       epoch_seen_(w.fence != nullptr ? w.fence->current()
-                                     : storage::kUnfencedEpoch) {}
+                                     : storage::kUnfencedEpoch) {
+  static_assert(std::size(kInvariantNames) ==
+                static_cast<std::size_t>(Invariant::kLedgerConsistency) + 1);
+  for (const std::string_view name : kInvariantNames) {
+    violation_c_.emplace_back("check.violation." + std::string(name));
+  }
+}
 
 void Invariants::attach() {
   if (w_.dvc != nullptr) w_.dvc->set_check(this);
@@ -23,12 +44,13 @@ void Invariants::detach() {
   if (w_.fence != nullptr) w_.fence->set_check(nullptr);
 }
 
-void Invariants::violate(std::string invariant, std::string detail,
+void Invariants::violate(Invariant invariant, std::string detail,
                          Boundary b) {
+  const auto i = static_cast<std::size_t>(invariant);
   telemetry::count(w_.metrics, "check.violations");
-  telemetry::count(w_.metrics, "check.violation." + invariant);
+  telemetry::count(w_.metrics, violation_c_[i]);
   violations_.push_back(
-      Violation{std::move(invariant), std::move(detail), b,
+      Violation{std::string(kInvariantNames[i]), std::move(detail), b,
                 w_.sim != nullptr ? w_.sim->now() : 0});
 }
 
@@ -45,7 +67,7 @@ void Invariants::on_vc_boundary(Boundary boundary, std::uint64_t vc) {
       auto [it, fresh] = seal_watermark_.emplace(vc, set);
       if (!fresh) {
         if (set <= it->second) {
-          violate("generation-monotonicity",
+          violate(Invariant::kGenerationMonotonicity,
                   "vc#" + std::to_string(vc) + " sealed set#" +
                       std::to_string(set) + " at or below watermark set#" +
                       std::to_string(it->second),
@@ -55,7 +77,7 @@ void Invariants::on_vc_boundary(Boundary boundary, std::uint64_t vc) {
       }
       if (v->generations().empty() ||
           v->generations().back().checkpoint.set != set) {
-        violate("generation-monotonicity",
+        violate(Invariant::kGenerationMonotonicity,
                 "vc#" + std::to_string(vc) +
                     " newest generation disagrees with last_checkpoint "
                     "(set#" + std::to_string(set) + ")",
@@ -76,7 +98,7 @@ void Invariants::on_admitted_mutation(std::string_view op,
   const std::uint64_t current =
       w_.fence != nullptr ? w_.fence->current() : epoch_seen_;
   if (epoch != current || (w_.fence != nullptr && current != epoch_seen_)) {
-    violate("epoch-fence",
+    violate(Invariant::kEpochFence,
             "admitted " + std::string(op) + " stamped epoch " +
                 std::to_string(epoch) + " (fence at " +
                 std::to_string(current) + ", checker saw " +
@@ -87,7 +109,7 @@ void Invariants::on_admitted_mutation(std::string_view op,
 
 void Invariants::on_epoch_advance(std::uint64_t new_epoch) {
   if (new_epoch <= epoch_seen_) {
-    violate("epoch-fence",
+    violate(Invariant::kEpochFence,
             "fence advanced to epoch " + std::to_string(new_epoch) +
                 " which is not above " + std::to_string(epoch_seen_),
             Boundary::kRecovery);
@@ -101,7 +123,7 @@ void Invariants::on_round_complete(bool ok, std::uint64_t set) {
   if (!ok || w_.images == nullptr) return;
   const storage::CheckpointSet* s = w_.images->find_set(set);
   if (s == nullptr || !s->sealed || s->aborted) {
-    violate("image-completeness",
+    violate(Invariant::kImageCompleteness,
             "LSC round reported ok with set#" + std::to_string(set) +
                 (s == nullptr ? " missing from the store"
                               : (s->aborted ? " aborted" : " unsealed")),
@@ -132,24 +154,25 @@ void Invariants::check_generations(const core::VirtualCluster& vc,
         "vc#" + std::to_string(vc.id()) + " generation[" +
         std::to_string(i) + "]";
     if (g.chain.empty()) {
-      violate("generation-monotonicity", who + " has an empty chain", b);
+      violate(Invariant::kGenerationMonotonicity, who + " has an empty chain",
+              b);
       continue;
     }
     if (g.chain.back() != g.checkpoint.set) {
-      violate("generation-monotonicity",
+      violate(Invariant::kGenerationMonotonicity,
               who + " chain tail set#" + std::to_string(g.chain.back()) +
                   " != recovery point set#" +
                   std::to_string(g.checkpoint.set),
               b);
     }
     if (g.checkpoint.set <= prev_set) {
-      violate("generation-monotonicity",
+      violate(Invariant::kGenerationMonotonicity,
               who + " set#" + std::to_string(g.checkpoint.set) +
                   " does not advance past set#" + std::to_string(prev_set),
               b);
     }
     if (g.checkpoint.taken_at < prev_taken) {
-      violate("generation-monotonicity",
+      violate(Invariant::kGenerationMonotonicity,
               who + " taken_at moves backwards", b);
     }
     prev_set = g.checkpoint.set;
@@ -172,7 +195,7 @@ void Invariants::check_refcounts(Boundary b) {
   for (const auto& [s, n] : expected) {
     const auto it = actual.find(s);
     if (it == actual.end() || it->second != n) {
-      violate("refcount-consistency",
+      violate(Invariant::kRefcountConsistency,
               "set#" + std::to_string(s) + " referenced by " +
                   std::to_string(n) + " retained chains but refcounted " +
                   std::to_string(it == actual.end() ? 0 : it->second),
@@ -181,7 +204,7 @@ void Invariants::check_refcounts(Boundary b) {
   }
   for (const auto& [s, n] : actual) {
     if (!expected.contains(s)) {
-      violate("refcount-consistency",
+      violate(Invariant::kRefcountConsistency,
               "set#" + std::to_string(s) + " refcounted " +
                   std::to_string(n) + " with no retaining chain (leak)",
               b);
@@ -189,7 +212,7 @@ void Invariants::check_refcounts(Boundary b) {
     if (w_.images != nullptr) {
       const storage::CheckpointSet* cs = w_.images->find_set(s);
       if (cs == nullptr || !cs->sealed || cs->aborted) {
-        violate("retention-liveness",
+        violate(Invariant::kRetentionLiveness,
                 "refcounted set#" + std::to_string(s) +
                     (cs == nullptr
                          ? " is gone from the store"
@@ -213,18 +236,19 @@ void Invariants::check_image_sets(const core::VirtualCluster& vc,
       const std::string who = "vc#" + std::to_string(vc.id()) +
                               " chain set#" + std::to_string(s);
       if (cs == nullptr) {
-        violate("image-completeness", who + " missing from the store", b);
+        violate(Invariant::kImageCompleteness, who + " missing from the store",
+                b);
         continue;
       }
       if (!cs->sealed || cs->aborted) {
-        violate("image-completeness",
+        violate(Invariant::kImageCompleteness,
                 who + (cs->aborted ? " aborted" : " unsealed") +
                     " inside a retained chain",
                 b);
         continue;
       }
       if (cs->members.size() != cs->expected_members) {
-        violate("image-completeness",
+        violate(Invariant::kImageCompleteness,
                 who + " sealed with " + std::to_string(cs->members.size()) +
                     "/" + std::to_string(cs->expected_members) + " members",
                 b);
@@ -247,18 +271,18 @@ void Invariants::check_membership(Boundary b) {
       const std::string who = "vc#" + std::to_string(vc->id()) +
                               " member " + std::to_string(i);
       if (n == hw::kInvalidNode) {
-        violate("member-conservation", who + " has no host node", b);
+        violate(Invariant::kMemberConservation, who + " has no host node", b);
         continue;
       }
       if (!seen.insert(n).second) {
-        violate("member-conservation",
+        violate(Invariant::kMemberConservation,
                 who + " shares node " + std::to_string(n) +
                     " with another member",
                 b);
       }
       const auto it = claims.find(n);
       if (it == claims.end() || it->second != vc->id()) {
-        violate("member-conservation",
+        violate(Invariant::kMemberConservation,
                 who + " runs on node " + std::to_string(n) +
                     " which the claim table gives to " +
                     (it == claims.end()
@@ -270,7 +294,7 @@ void Invariants::check_membership(Boundary b) {
   }
   for (const auto& [node, id] : claims) {
     if (!live.contains(id)) {
-      violate("member-conservation",
+      violate(Invariant::kMemberConservation,
               "node " + std::to_string(node) + " claimed by dead vc#" +
                   std::to_string(id),
               b);
@@ -284,7 +308,7 @@ void Invariants::end_of_run(bool expect_quiesced) {
   sweep(Boundary::kEndOfRun);
   if (expect_quiesced && w_.sim != nullptr &&
       w_.sim->pending_foreground() != 0) {
-    violate("queue-hygiene",
+    violate(Invariant::kQueueHygiene,
             std::to_string(w_.sim->pending_foreground()) +
                 " foreground event(s) leaked past job completion",
             Boundary::kEndOfRun);
@@ -295,7 +319,7 @@ bool Invariants::verify_ledger(const ckpt::MessageLedger& ledger,
                                bool allow_in_flight) {
   const ckpt::MessageLedger::Verdict v = ledger.check(allow_in_flight);
   if (!v.consistent) {
-    violate("ledger-consistency", v.reason, Boundary::kEndOfRun);
+    violate(Invariant::kLedgerConsistency, v.reason, Boundary::kEndOfRun);
   }
   return v.consistent;
 }

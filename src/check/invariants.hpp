@@ -94,7 +94,19 @@ class Invariants final : public Checker {
   [[nodiscard]] std::string report() const;
 
  private:
-  void violate(std::string invariant, std::string detail, Boundary b);
+  /// The catalog above, in its order.
+  enum class Invariant : std::uint8_t {
+    kGenerationMonotonicity,
+    kRefcountConsistency,
+    kRetentionLiveness,
+    kEpochFence,
+    kImageCompleteness,
+    kMemberConservation,
+    kQueueHygiene,
+    kLedgerConsistency,
+  };
+
+  void violate(Invariant invariant, std::string detail, Boundary b);
   void sweep(Boundary b);
   void check_generations(const core::VirtualCluster& vc, Boundary b);
   void check_refcounts(Boundary b);
@@ -111,6 +123,8 @@ class Invariants final : public Checker {
   /// the watermark means the control plane resurrected an old one.
   std::map<core::VcId, storage::CheckpointSetId> seal_watermark_;
   std::vector<Violation> violations_;
+  /// `check.violation.<name>`, indexed by Invariant.
+  std::vector<telemetry::CounterHandle> violation_c_;
 };
 
 }  // namespace dvc::check

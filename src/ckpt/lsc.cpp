@@ -15,7 +15,8 @@ RoundTracker::RoundTracker(sim::Simulation& sim,
                            storage::ImageManager& images, std::string label,
                            std::function<void(LscResult)> done,
                            int attempt_no, bool resume_after_save,
-                           telemetry::MetricsRegistry* metrics)
+                           telemetry::MetricsRegistry* metrics,
+                           LscInstruments& instruments)
     : sim_(&sim),
       targets_(std::move(targets)),
       images_(&images),
@@ -25,7 +26,8 @@ RoundTracker::RoundTracker(sim::Simulation& sim,
       done_(std::move(done)),
       outstanding_(targets_.size()),
       resume_after_save_(resume_after_save),
-      metrics_(metrics) {
+      metrics_(metrics),
+      instruments_(&instruments) {
   result_.set = set_;
   result_.attempts = attempt_no;
   result_.app_snapshots.resize(targets_.size());
@@ -70,12 +72,12 @@ void RoundTracker::on_member_durable(std::size_t i, bool ok,
       // Stop-and-copy: the guest thaws the moment its image is durable.
       t.hypervisor->resume_domain(*t.machine);
     }
-    telemetry::count(metrics_, "ckpt.lsc.members_saved");
+    telemetry::count(metrics_, instruments_->members_saved);
   } else if (t.machine->pauses() > pauses_at_fire_[i]) {
     // The guest froze and then the save died (node failure mid-image):
     // work was genuinely disturbed.
     ++members_failed_;
-    telemetry::count(metrics_, "ckpt.lsc.members_failed");
+    telemetry::count(metrics_, instruments_->members_failed);
     if (resume_after_save_) {
       // A failed save must not leave a live guest frozen forever:
       // resume_domain no-ops for dead nodes/domains, so this only thaws
@@ -87,7 +89,7 @@ void RoundTracker::on_member_durable(std::size_t i, bool ok,
     // running undisturbed. Conflating this with a failed save is what
     // made every injected fault look like lost work.
     ++members_aborted_;
-    telemetry::count(metrics_, "ckpt.lsc.members_aborted");
+    telemetry::count(metrics_, instruments_->members_aborted);
   }
   if (--outstanding_ == 0) finish();
 }
@@ -106,14 +108,15 @@ void RoundTracker::finish() {
     result_.pause_skew = last_pause_ - first_pause_;
     result_.total_time = sim_->now() - first_pause_;
   }
-  telemetry::count(metrics_, result_.ok ? "ckpt.lsc.rounds"
-                   : result_.aborted_cleanly ? "ckpt.lsc.rounds_aborted"
-                                             : "ckpt.lsc.rounds_failed");
+  LscInstruments& in = *instruments_;
+  telemetry::count(metrics_, result_.ok                ? in.rounds
+                             : result_.aborted_cleanly ? in.rounds_aborted
+                                                       : in.rounds_failed);
   if (saw_pause_ && metrics_ != nullptr) {
-    metrics_->histogram("ckpt.lsc.pause_skew_s")
-        .observe(sim::to_seconds(result_.pause_skew));
-    metrics_->histogram("ckpt.lsc.round_s")
-        .observe(sim::to_seconds(result_.total_time));
+    telemetry::observe(metrics_, in.pause_skew_s,
+                       sim::to_seconds(result_.pause_skew));
+    telemetry::observe(metrics_, in.round_s,
+                       sim::to_seconds(result_.total_time));
     // Retrospective span of the freeze window: the first guest froze at
     // first_pause_, the last at last_pause_ — the skew the transport must
     // mask (visible at a glance on the trace).
@@ -122,7 +125,8 @@ void RoundTracker::finish() {
     metrics_->end_span(freeze, last_pause_);
   }
   telemetry::end_span(metrics_, round_span_, sim_->now());
-  if (done_) done_(result_);
+  // The snapshots move on to the caller: nothing reads result_ again.
+  if (done_) done_(std::move(result_));
 }
 
 // ---------------------------------------------------------------------------
@@ -162,7 +166,7 @@ void LscCoordinator::run_round(std::string label,
     if (gate->settled) {
       // The watchdog already abandoned this round; the stragglers' real
       // completion arrives here and must not reach the caller twice.
-      telemetry::count(metrics_, "ckpt.lsc.late_completions");
+      telemetry::count(metrics_, instruments_.late_completions);
       return;
     }
     gate->settled = true;
@@ -172,7 +176,7 @@ void LscCoordinator::run_round(std::string label,
     }
     r.retries = round_no;
     if (!r.ok && round_no < retry_.max_round_retries) {
-      telemetry::count(metrics_, "ckpt.lsc.round_retries");
+      telemetry::count(metrics_, instruments_.round_retries);
       telemetry::instant(metrics_, sim_->now(), "lsc", "round_retry");
       const auto next = static_cast<sim::Duration>(
           static_cast<double>(backoff) * retry_.backoff_factor);
@@ -188,7 +192,7 @@ void LscCoordinator::run_round(std::string label,
         if (retarget) {
           std::optional<std::vector<SaveTarget>> r2 = retarget();
           if (!r2.has_value()) {
-            telemetry::count(metrics_, "ckpt.lsc.retries_abandoned");
+            telemetry::count(metrics_, instruments_.retries_abandoned);
             LscResult abandoned;
             abandoned.aborted_cleanly = true;
             abandoned.retries = round_no;
@@ -214,7 +218,7 @@ void LscCoordinator::run_round(std::string label,
         sim_->schedule_after(retry_.round_timeout, [this, gate, conclude] {
           if (gate->settled) return;
           gate->watchdog = sim::kInvalidEvent;
-          telemetry::count(metrics_, "ckpt.lsc.round_timeouts");
+          telemetry::count(metrics_, instruments_.round_timeouts);
           telemetry::instant(metrics_, sim_->now(), "lsc", "round_timeout");
           LscResult r;
           r.timed_out = true;
@@ -236,7 +240,7 @@ void NaiveLscCoordinator::start_round(std::string label,
   if (targets.empty()) throw std::invalid_argument("no targets");
   auto round = std::make_shared<RoundTracker>(
       *sim_, std::move(targets), images, std::move(label), std::move(done),
-      /*attempt_no=*/1, resume_after_save, metrics_);
+      /*attempt_no=*/1, resume_after_save, metrics_, instruments_);
   // The controlling program writes `vm save` down one terminal after
   // another; each write costs a dispatch delay, so the k-th guest's save
   // command lands ~k dispatch-delays after the first. That cumulative skew
@@ -302,7 +306,7 @@ void NtpLscCoordinator::attempt(std::string label,
       sim_->schedule_after(cfg_.lead_time - cfg_.health_check_lead,
                            [this, done = std::move(done), r] {
                              telemetry::count(metrics_,
-                                              "ckpt.lsc.rounds_aborted");
+                                              instruments_.rounds_aborted);
                              telemetry::instant(metrics_, sim_->now(),
                                                 "lsc", "round_abandoned");
                              if (done) done(r);
@@ -314,7 +318,7 @@ void NtpLscCoordinator::attempt(std::string label,
         [this, label = std::move(label), targets = std::move(targets),
          &images, attempt_no, done = std::move(done),
          resume_after_save]() mutable {
-          telemetry::count(metrics_, "ckpt.lsc.health_check_retries");
+          telemetry::count(metrics_, instruments_.health_check_retries);
           telemetry::instant(metrics_, sim_->now(), "lsc",
                              "health_check_retry");
           attempt(std::move(label), std::move(targets), images,
@@ -325,7 +329,7 @@ void NtpLscCoordinator::attempt(std::string label,
 
   auto round = std::make_shared<RoundTracker>(
       *sim_, std::move(targets), images, std::move(label), std::move(done),
-      attempt_no, resume_after_save, metrics_);
+      attempt_no, resume_after_save, metrics_, instruments_);
   const std::size_t n = round->targets().size();
   for (std::size_t i = 0; i < n; ++i) {
     const clocksync::HostClock& clock = *round->targets()[i].clock;

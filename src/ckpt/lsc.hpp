@@ -54,7 +54,8 @@ struct LscResult {
   /// First freeze to last image durable: how long the checkpoint took.
   sim::Duration total_time = 0;
   /// Guest software snapshots, indexed like the targets vector. Restart
-  /// hands these back to the restored guests.
+  /// hands these back to the restored guests. core::DvcManager moves them
+  /// into the VC's recovery point, so its own continuation gets none.
   std::vector<std::any> app_snapshots;
   int attempts = 1;  ///< rounds used (health-checked retries)
   int retries = 0;   ///< whole-round retries consumed (RetryPolicy)
@@ -62,6 +63,25 @@ struct LscResult {
   /// was disturbed) vs. members whose save aborted before the freeze.
   int members_failed = 0;
   int members_aborted = 0;
+};
+
+/// The `ckpt.lsc.*` instruments of one coordinator, shared by all of its
+/// rounds and resolved on first use (telemetry::Handle).
+struct LscInstruments {
+  telemetry::CounterHandle members_saved{"ckpt.lsc.members_saved"};
+  telemetry::CounterHandle members_failed{"ckpt.lsc.members_failed"};
+  telemetry::CounterHandle members_aborted{"ckpt.lsc.members_aborted"};
+  telemetry::CounterHandle rounds{"ckpt.lsc.rounds"};
+  telemetry::CounterHandle rounds_aborted{"ckpt.lsc.rounds_aborted"};
+  telemetry::CounterHandle rounds_failed{"ckpt.lsc.rounds_failed"};
+  telemetry::HistogramHandle pause_skew_s{"ckpt.lsc.pause_skew_s"};
+  telemetry::HistogramHandle round_s{"ckpt.lsc.round_s"};
+  telemetry::CounterHandle late_completions{"ckpt.lsc.late_completions"};
+  telemetry::CounterHandle round_retries{"ckpt.lsc.round_retries"};
+  telemetry::CounterHandle retries_abandoned{"ckpt.lsc.retries_abandoned"};
+  telemetry::CounterHandle round_timeouts{"ckpt.lsc.round_timeouts"};
+  telemetry::CounterHandle health_check_retries{
+      "ckpt.lsc.health_check_retries"};
 };
 
 /// Coordinated whole-virtual-cluster checkpointing ("Lazy Synchronous
@@ -141,6 +161,7 @@ class LscCoordinator {
                            bool resume_after_save) = 0;
 
   telemetry::MetricsRegistry* metrics_ = nullptr;
+  LscInstruments instruments_;
   check::Checker* check_ = nullptr;
   sim::Simulation* sim_;
 
@@ -251,11 +272,13 @@ class NtpLscCoordinator final : public LscCoordinator {
 class RoundTracker final
     : public std::enable_shared_from_this<RoundTracker> {
  public:
+  /// `instruments` belongs to the issuing coordinator, which outlives
+  /// the round (its `done` continuation calls back into it).
   RoundTracker(sim::Simulation& sim, std::vector<SaveTarget> targets,
                storage::ImageManager& images, std::string label,
                std::function<void(LscResult)> done, int attempt_no,
-               bool resume_after_save,
-               telemetry::MetricsRegistry* metrics = nullptr);
+               bool resume_after_save, telemetry::MetricsRegistry* metrics,
+               LscInstruments& instruments);
 
   /// Issues the save for target `i` now (hypervisor adds local latency).
   void fire(std::size_t i);
@@ -286,6 +309,7 @@ class RoundTracker final
   sim::Time last_pause_ = 0;
   bool saw_pause_ = false;
   telemetry::MetricsRegistry* metrics_ = nullptr;
+  LscInstruments* instruments_;
   telemetry::MetricsRegistry::SpanId round_span_ =
       telemetry::MetricsRegistry::kInvalidSpan;
 };

@@ -14,6 +14,16 @@ constexpr sim::Duration kFailureDetectionDelay = 1 * sim::kSecond;
 constexpr sim::Duration kRecoveryRetryDelay = 30 * sim::kSecond;
 /// How often a headless control plane checks whether its head is back.
 constexpr sim::Duration kRepairPoll = 5 * sim::kSecond;
+
+/// The recovery point a sealed round leaves behind. It takes over the
+/// round's guest snapshots (moved, never copied), so the round's own
+/// continuation sees an empty `app_snapshots`.
+VcCheckpoint adopt_checkpoint(ckpt::LscResult& r, sim::Time at) {
+  return VcCheckpoint{r.set,
+                      std::make_shared<const std::vector<std::any>>(
+                          std::move(r.app_snapshots)),
+                      at};
+}
 }  // namespace
 
 DvcManager::DvcManager(sim::Simulation& sim, hw::Fabric& fabric,
@@ -211,8 +221,8 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
           return;
         }
         close_intent(lsn);
-        telemetry::count(metrics_, r.ok ? "core.dvc.checkpoints"
-                                        : "core.dvc.checkpoint_failures");
+        telemetry::count(metrics_,
+                         r.ok ? checkpoints_c_ : checkpoint_failures_c_);
         if (vc.state_ == VcState::kCheckpointing) {
           vc.state_ = VcState::kRunning;
         }
@@ -243,8 +253,7 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
                          "sealed, skew " +
                          std::to_string(sim::to_milliseconds(r.pause_skew)) +
                          " ms");
-          vc.last_checkpoint_ =
-              VcCheckpoint{r.set, r.app_snapshots, sim_->now()};
+          vc.last_checkpoint_ = adopt_checkpoint(r, sim_->now());
           if (can_increment) {
             vc.checkpoint_chain_.push_back(r.set);
           } else {
@@ -306,12 +315,15 @@ void DvcManager::restore_vc(VirtualCluster& vc,
                                 issued = epoch_, done]() {
     auto remaining = std::make_shared<std::uint32_t>(vc.size());
     auto all_ok = std::make_shared<bool>(true);
+    // Each member's restore reads its snapshot in place; holding the
+    // shared vector keeps it alive even if last_checkpoint_ moves on.
+    const auto snapshots = vc.last_checkpoint_.app_snapshots;
     for (std::uint32_t i = 0; i < vc.size(); ++i) {
       fleet_->on_node(vc.placement(i))
           .restore_domain(vc.machine(i), *images_, set, i,
-                          vc.last_checkpoint_.app_snapshots.at(i),
+                          snapshots->at(i),
                           [this, &vc, remaining, all_ok, span, restore_begin,
-                           lsn, cb = done](bool ok) {
+                           lsn, snapshots, cb = done](bool ok) {
                             if (!ok) *all_ok = false;
                             if (--*remaining == 0) {
                               vc.state_ = *all_ok ? VcState::kRunning
@@ -393,8 +405,7 @@ void DvcManager::migrate_vc(VirtualCluster& vc, ckpt::LscCoordinator& lsc,
           if (cb) cb(false);
           return;
         }
-        vc.last_checkpoint_ =
-            VcCheckpoint{r.set, r.app_snapshots, sim_->now()};
+        vc.last_checkpoint_ = adopt_checkpoint(r, sim_->now());
         ++migrations_;
         telemetry::count(metrics_, "core.dvc.migrations");
         restore_vc(vc, std::move(placement),

@@ -394,6 +394,9 @@ class DvcManager final {
   std::uint64_t orphan_rounds_aborted_ = 0;
   sim::TraceLog* trace_ = nullptr;
   telemetry::MetricsRegistry* metrics_ = nullptr;
+  telemetry::CounterHandle checkpoints_c_{"core.dvc.checkpoints"};
+  telemetry::CounterHandle checkpoint_failures_c_{
+      "core.dvc.checkpoint_failures"};
   check::Checker* check_ = nullptr;
 };
 

@@ -34,7 +34,7 @@ std::uint64_t IntentLog::append(IntentKind kind, VcId vc, std::string label,
       /*bytes=*/0, storage::synthetic_checksum(lsn, epoch, vc));
   open_.emplace(lsn, std::move(e));
   ++appended_;
-  telemetry::count(metrics_, "core.dvc.wal_appends");
+  telemetry::count(metrics_, appends_c_);
   return lsn;
 }
 
@@ -44,7 +44,7 @@ void IntentLog::close(std::uint64_t lsn) {
   store_->remove_object(it->second.token);
   open_.erase(it);
   ++closed_;
-  telemetry::count(metrics_, "core.dvc.wal_closes");
+  telemetry::count(metrics_, closes_c_);
 }
 
 }  // namespace dvc::core

@@ -77,6 +77,8 @@ class IntentLog final {
  private:
   storage::SharedStore* store_;
   telemetry::MetricsRegistry* metrics_ = nullptr;
+  telemetry::CounterHandle appends_c_{"core.dvc.wal_appends"};
+  telemetry::CounterHandle closes_c_{"core.dvc.wal_closes"};
   std::uint64_t next_lsn_ = 1;
   std::uint64_t appended_ = 0;
   std::uint64_t closed_ = 0;

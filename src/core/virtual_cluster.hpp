@@ -39,9 +39,12 @@ enum class VcState : std::uint8_t {
 
 /// The last durable coordinated checkpoint of a virtual cluster: the
 /// sealed image set plus the guest-software snapshots captured with it.
+/// The snapshots (one per member, in member order) are immutable once
+/// sealed, so every copy of a VcCheckpoint, in VirtualCluster and in its
+/// generation history, shares one vector instead of copying it.
 struct VcCheckpoint {
   storage::CheckpointSetId set = storage::kInvalidCheckpointSet;
-  std::vector<std::any> app_snapshots;
+  std::shared_ptr<const std::vector<std::any>> app_snapshots;
   sim::Time taken_at = 0;
 };
 

@@ -6,11 +6,18 @@ namespace dvc::fault {
 
 namespace {
 constexpr std::string_view kTrack = "fault";
-
-std::string counter_name(const char* stem, FaultKind k) {
-  return std::string(stem) + "." + std::string(to_string(k));
-}
 }  // namespace
+
+FaultInjector::PerKind::PerKind(std::string_view stem) {
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    counters.emplace_back(std::string(stem) + "." +
+                          std::string(to_string(static_cast<FaultKind>(k))));
+  }
+}
+
+telemetry::CounterHandle& FaultInjector::PerKind::operator[](FaultKind k) {
+  return counters[static_cast<std::size_t>(k)];
+}
 
 FaultInjector::FaultInjector(sim::Simulation& sim, Hooks hooks,
                              telemetry::MetricsRegistry* metrics)
@@ -36,7 +43,7 @@ std::uint64_t FaultInjector::directed_key(std::uint32_t from,
 void FaultInjector::skip(const FaultEvent& e) {
   ++skipped_total_;
   telemetry::count(metrics_, "fault.skipped");
-  telemetry::count(metrics_, counter_name("fault.skipped", e.kind));
+  telemetry::count(metrics_, skipped_c_[e.kind]);
 }
 
 void FaultInjector::apply(const FaultEvent& e) {
@@ -150,7 +157,7 @@ void FaultInjector::apply(const FaultEvent& e) {
   ++injected_total_;
   ++injected_[static_cast<std::size_t>(e.kind)];
   telemetry::count(metrics_, "fault.injected");
-  telemetry::count(metrics_, counter_name("fault.injected", e.kind));
+  telemetry::count(metrics_, injected_c_[e.kind]);
   telemetry::instant(metrics_, sim_->now(), kTrack, to_string(e.kind));
 }
 
@@ -219,7 +226,7 @@ void FaultInjector::lift(const FaultEvent& e) {
   }
   ++lifted_total_;
   telemetry::count(metrics_, "fault.lifted");
-  telemetry::count(metrics_, counter_name("fault.lifted", e.kind));
+  telemetry::count(metrics_, lifted_c_[e.kind]);
   telemetry::instant(metrics_, sim_->now(), kTrack,
                      std::string(to_string(e.kind)) + "_lifted");
 }

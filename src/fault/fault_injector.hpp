@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <string_view>
 #include <vector>
 
 #include "clocksync/ntp.hpp"
@@ -68,6 +69,16 @@ class FaultInjector final {
   }
 
  private:
+  static constexpr std::size_t kKinds =
+      static_cast<std::size_t>(FaultKind::kCoordinatorCrash) + 1;
+
+  /// One `<stem>.<kind>` counter per FaultKind.
+  struct PerKind {
+    explicit PerKind(std::string_view stem);
+    telemetry::CounterHandle& operator[](FaultKind k);
+    std::vector<telemetry::CounterHandle> counters;
+  };
+
   /// Fault state of one *directed* cluster edge. A symmetric fault bumps
   /// both directions; a one-way fault bumps only its own.
   struct PairState {
@@ -104,7 +115,10 @@ class FaultInjector final {
   std::uint64_t injected_total_ = 0;
   std::uint64_t lifted_total_ = 0;
   std::uint64_t skipped_total_ = 0;
-  std::array<std::uint64_t, 9> injected_{};
+  std::array<std::uint64_t, kKinds> injected_{};
+  PerKind injected_c_{"fault.injected"};
+  PerKind skipped_c_{"fault.skipped"};
+  PerKind lifted_c_{"fault.lifted"};
 };
 
 }  // namespace dvc::fault

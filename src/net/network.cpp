@@ -19,9 +19,30 @@ void Network::set_host_up(HostId host, bool up) {
   if (up_[host] == up) return;
   up_[host] = up;
   const auto it = state_observers_.find(host);
-  if (it != state_observers_.end()) {
-    const auto observers = it->second;  // observers may mutate the list
-    for (const auto& [token, fn] : observers) fn(up);
+  if (it == state_observers_.end()) return;
+  // Walk by token instead of over a copy: a callback may subscribe or
+  // unsubscribe (see subscribe_host_state), which invalidates iterators
+  // but never this host's map itself. Tokens only grow, so `bound` keeps
+  // observers added during the walk out of it.
+  auto& observers = it->second;
+  const std::uint64_t bound = next_observer_token_;
+  auto o = observers.begin();
+  while (o != observers.end() && o->first < bound) {
+    const std::uint64_t token = o->first;
+    if (!o->second) {  // running further up the stack (a nested notify)
+      ++o;
+      continue;
+    }
+    // Held out of the map while it runs, so an observer that
+    // unsubscribes itself does not destroy the function it is executing.
+    std::function<void(bool)> fn = std::move(o->second);
+    o->second = nullptr;
+    fn(up);
+    o = observers.lower_bound(token);
+    if (o != observers.end() && o->first == token) {
+      o->second = std::move(fn);
+      ++o;
+    }
   }
 }
 

@@ -238,6 +238,13 @@ class Network final {
   /// Registers a persistent observer of one host's liveness transitions.
   /// Used by transports to resume retransmission the moment a frozen guest
   /// is thawed, instead of polling. Returns a token for unsubscribe.
+  ///
+  /// Observers run in subscription order and may subscribe or unsubscribe
+  /// observers of any host, themselves included, while they run. One
+  /// notification reaches the observers subscribed when it began that are
+  /// still subscribed when their turn comes: an observer added during the
+  /// notification is not called, and one removed before its turn is
+  /// skipped.
   std::uint64_t subscribe_host_state(HostId host,
                                      std::function<void(bool)> fn);
   void unsubscribe_host_state(HostId host, std::uint64_t token);
@@ -275,6 +282,21 @@ class Network final {
     return metrics_;
   }
 
+  /// The `net.endpoint.*` counters, shared by every ReliableEndpoint on
+  /// this fabric and resolved against metrics() on first use.
+  struct EndpointInstruments {
+    telemetry::CounterHandle stalls{"net.endpoint.stalls"};
+    telemetry::CounterHandle retransmissions{"net.endpoint.retransmissions"};
+    telemetry::CounterHandle stalled{"net.endpoint.stalled"};
+    telemetry::CounterHandle stall_recoveries{
+        "net.endpoint.stall_recoveries"};
+    telemetry::CounterHandle aborts{"net.endpoint.aborts"};
+    telemetry::CounterHandle duplicates{"net.endpoint.duplicates"};
+  };
+  [[nodiscard]] EndpointInstruments& endpoint_instruments() noexcept {
+    return endpoint_instruments_;
+  }
+
  private:
   /// Delivers the in-flight packet parked in pool slot `slot`.
   void deliver(std::uint32_t slot);
@@ -304,6 +326,7 @@ class Network final {
   telemetry::Counter* packets_delivered_c_ = nullptr;
   telemetry::Counter* packets_lost_c_ = nullptr;
   telemetry::Counter* packets_dark_c_ = nullptr;
+  EndpointInstruments endpoint_instruments_;
 };
 
 }  // namespace dvc::net

@@ -90,7 +90,7 @@ void ReliableEndpoint::on_timer() {
     // state and do not advance. Park until the host is thawed; no retries
     // are consumed while frozen.
     parked_ = true;
-    telemetry::count(net_->metrics(), "net.endpoint.stalls");
+    telemetry::count(net_->metrics(), net_->endpoint_instruments().stalls);
     return;
   }
 
@@ -100,7 +100,8 @@ void ReliableEndpoint::on_timer() {
   }
   ++retries_;
   ++retransmissions_;
-  telemetry::count(net_->metrics(), "net.endpoint.retransmissions");
+  telemetry::count(net_->metrics(),
+                   net_->endpoint_instruments().retransmissions);
   if (cfg_.stall_threshold > 0 && retries_ >= cfg_.stall_threshold) {
     set_stalled(true);
   }
@@ -117,9 +118,10 @@ void ReliableEndpoint::set_stalled(bool stalled) {
   stalled_ = stalled;
   if (stalled) {
     ++stalls_reported_;
-    telemetry::count(net_->metrics(), "net.endpoint.stalled");
+    telemetry::count(net_->metrics(), net_->endpoint_instruments().stalled);
   } else {
-    telemetry::count(net_->metrics(), "net.endpoint.stall_recoveries");
+    telemetry::count(net_->metrics(),
+                     net_->endpoint_instruments().stall_recoveries);
   }
   if (on_stall_) on_stall_(stalled);
 }
@@ -127,7 +129,7 @@ void ReliableEndpoint::set_stalled(bool stalled) {
 void ReliableEndpoint::fail(std::string_view reason) {
   if (state_ == State::kFailed) return;
   state_ = State::kFailed;
-  telemetry::count(net_->metrics(), "net.endpoint.aborts");
+  telemetry::count(net_->metrics(), net_->endpoint_instruments().aborts);
   if (timer_ != sim::kInvalidEvent) {
     sim_->cancel(timer_);
     timer_ = sim::kInvalidEvent;
@@ -225,7 +227,8 @@ void ReliableEndpoint::on_packet(const Packet& p) {
     // ACK, e.g. it was lost across a checkpoint cut). Re-ACK, do not
     // redeliver — paper §3 scenario 2.
     ++duplicates_;
-    telemetry::count(net_->metrics(), "net.endpoint.duplicates");
+    telemetry::count(net_->metrics(),
+                     net_->endpoint_instruments().duplicates);
     send_ack();
     return;
   }

@@ -38,7 +38,7 @@ CheckpointSetId ImageManager::open_set(std::string label,
   s.label = std::move(label);
   s.expected_members = members;
   sets_.emplace(id, std::move(s));
-  telemetry::count(metrics_, "storage.images.sets_opened");
+  telemetry::count(metrics_, sets_opened_c_);
   return id;
 }
 
@@ -64,8 +64,7 @@ void ImageManager::add_member(CheckpointSetId set, std::uint64_t member,
                          img.replicas.assign(replicas_.size(),
                                              kInvalidObject);
                          sit->second.members.push_back(std::move(img));
-                         telemetry::count(metrics_,
-                                          "storage.images.members_added");
+                         telemetry::count(metrics_, members_added_c_);
                          replicate_member(set, member, bytes);
                          maybe_seal(sit->second);
                          if (cb) cb();
@@ -90,9 +89,8 @@ void ImageManager::replicate_member(CheckpointSetId set, std::uint64_t member,
           for (auto& m : sit->second.members) {
             if (m.member == member) {
               m.replicas[i] = obj;
-              telemetry::count(metrics_, "storage.replica.copies");
-              telemetry::count(metrics_, "storage.replica.copy_bytes",
-                               bytes);
+              telemetry::count(metrics_, replica_copies_c_);
+              telemetry::count(metrics_, replica_copy_bytes_c_, bytes);
               return;
             }
           }
@@ -120,7 +118,7 @@ void ImageManager::abort_set(CheckpointSetId set, std::uint64_t epoch) {
   for (const auto& m : it->second.members) drop_member_objects(m);
   it->second.members.clear();
   seal_callbacks_.erase(set);
-  telemetry::count(metrics_, "storage.images.sets_aborted");
+  telemetry::count(metrics_, sets_aborted_c_);
 }
 
 std::uint64_t ImageManager::discard_set(CheckpointSetId set,
@@ -136,7 +134,7 @@ std::uint64_t ImageManager::discard_set(CheckpointSetId set,
   }
   seal_callbacks_.erase(set);
   sets_.erase(it);
-  telemetry::count(metrics_, "storage.images.sets_discarded");
+  telemetry::count(metrics_, sets_discarded_c_);
   return reclaimed;
 }
 
@@ -152,7 +150,7 @@ void ImageManager::on_sealed(CheckpointSetId set, std::function<void()> fn) {
 void ImageManager::maybe_seal(CheckpointSet& s) {
   if (s.sealed || s.aborted || s.members.size() < s.expected_members) return;
   s.sealed = true;
-  telemetry::count(metrics_, "storage.images.sets_sealed");
+  telemetry::count(metrics_, sets_sealed_c_);
   const auto cbs = seal_callbacks_.find(s.id);
   if (cbs != seal_callbacks_.end()) {
     const auto fns = std::move(cbs->second);
@@ -187,7 +185,7 @@ std::vector<const CheckpointSet*> ImageManager::sets_with_label(
 void ImageManager::mark_damaged(CheckpointSet& s) {
   if (s.damaged) return;
   s.damaged = true;
-  telemetry::count(metrics_, "storage.images.sets_damaged");
+  telemetry::count(metrics_, sets_damaged_c_);
 }
 
 void ImageManager::read_member_from(CheckpointSetId set,
@@ -224,7 +222,7 @@ void ImageManager::read_member_from(CheckpointSetId set,
   }
   SharedStore* src = copy == 0 ? store_ : replicas_[copy - 1];
   const ObjectId obj = copy == 0 ? img->object : img->replicas[copy - 1];
-  if (copy > 0) telemetry::count(metrics_, "storage.replica.failovers");
+  if (copy > 0) telemetry::count(metrics_, replica_failovers_c_);
   src->read_object(obj, [this, set, member, copy,
                          cb = std::move(on_done)](ReadError err) mutable {
     if (err == ReadError::kOk) {
@@ -258,7 +256,7 @@ void ImageManager::stage_set(CheckpointSetId set,
   members.reserve(s->members.size());
   for (const auto& m : s->members) members.push_back(m.member);
   for (const std::uint64_t m : members) {
-    telemetry::count(metrics_, "storage.images.stage_reads");
+    telemetry::count(metrics_, stage_reads_c_);
     read_member(set, m, [remaining, all_ok, on_staged](bool ok) {
       if (!ok) *all_ok = false;
       if (--*remaining == 0 && on_staged) {
@@ -287,8 +285,8 @@ std::uint64_t ImageManager::prune(const std::string& label, std::size_t keep,
     }
     sets_.erase(it);
   }
-  telemetry::count(metrics_, "storage.images.sets_pruned", drop);
-  telemetry::count(metrics_, "storage.images.pruned_bytes", reclaimed);
+  telemetry::count(metrics_, sets_pruned_c_, drop);
+  telemetry::count(metrics_, pruned_bytes_c_, reclaimed);
   return reclaimed;
 }
 

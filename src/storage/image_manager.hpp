@@ -171,7 +171,7 @@ class ImageManager final {
   /// rejected because a newer coordinator incarnation holds the fence.
   [[nodiscard]] bool fenced(std::uint64_t epoch) {
     if (fence_ == nullptr || fence_->admits(epoch)) return false;
-    telemetry::count(metrics_, "storage.images.fenced_writes");
+    telemetry::count(metrics_, fenced_writes_c_);
     return true;
   }
 
@@ -188,6 +188,22 @@ class ImageManager final {
                         std::size_t copy, std::function<void(bool)> on_done);
 
   telemetry::MetricsRegistry* metrics_ = nullptr;
+  telemetry::CounterHandle fenced_writes_c_{"storage.images.fenced_writes"};
+  telemetry::CounterHandle sets_opened_c_{"storage.images.sets_opened"};
+  telemetry::CounterHandle members_added_c_{"storage.images.members_added"};
+  telemetry::CounterHandle replica_copies_c_{"storage.replica.copies"};
+  telemetry::CounterHandle replica_copy_bytes_c_{
+      "storage.replica.copy_bytes"};
+  telemetry::CounterHandle sets_aborted_c_{"storage.images.sets_aborted"};
+  telemetry::CounterHandle sets_discarded_c_{
+      "storage.images.sets_discarded"};
+  telemetry::CounterHandle sets_sealed_c_{"storage.images.sets_sealed"};
+  telemetry::CounterHandle sets_damaged_c_{"storage.images.sets_damaged"};
+  telemetry::CounterHandle replica_failovers_c_{
+      "storage.replica.failovers"};
+  telemetry::CounterHandle stage_reads_c_{"storage.images.stage_reads"};
+  telemetry::CounterHandle sets_pruned_c_{"storage.images.sets_pruned"};
+  telemetry::CounterHandle pruned_bytes_c_{"storage.images.pruned_bytes"};
   const EpochFence* fence_ = nullptr;
   check::Checker* check_ = nullptr;
   SharedStore* store_;

@@ -37,17 +37,21 @@ std::uint64_t synthetic_checksum(std::uint64_t a, std::uint64_t b,
   return h;
 }
 
-void SharedStore::set_metrics(telemetry::MetricsRegistry* m,
-                              std::string prefix) {
-  metrics_ = m;
-  metric_prefix_ = std::move(prefix);
-  writes_.set_metrics(m, metric_prefix_ + ".write_pool");
-  reads_.set_metrics(m, metric_prefix_ + ".read_pool");
-}
+SharedStore::Instruments::Instruments(const std::string& prefix)
+    : writes(prefix + ".store.writes"),
+      torn_writes(prefix + ".store.torn_writes"),
+      reads(prefix + ".store.reads"),
+      read_failures(prefix + ".store.read_failures"),
+      verify_failures(prefix + ".store.verify_failures"),
+      corruptions(prefix + ".store.corruptions"),
+      write_s(prefix + ".store.write_s") {}
 
-void SharedStore::count(const char* metric) const {
-  if (metrics_ == nullptr) return;
-  telemetry::count(metrics_, metric_prefix_ + ".store." + metric);
+void SharedStore::set_metrics(telemetry::MetricsRegistry* m,
+                              const std::string& prefix) {
+  metrics_ = m;
+  instruments_ = Instruments(prefix);
+  writes_.set_metrics(m, prefix + ".write_pool");
+  reads_.set_metrics(m, prefix + ".read_pool");
 }
 
 void SharedStore::install(ObjectId id, InflightWrite&& w, bool torn) {
@@ -63,11 +67,10 @@ void SharedStore::install(ObjectId id, InflightWrite&& w, bool torn) {
   bytes_stored_ += w.bytes;
   bytes_written_total_ += w.bytes;
   write_times_.add(sim::to_seconds(sim_->now() - w.started));
-  count(torn ? "torn_writes" : "writes");
-  if (metrics_ != nullptr) {
-    telemetry::observe(metrics_, metric_prefix_ + ".store.write_s",
-                       sim::to_seconds(sim_->now() - w.started));
-  }
+  telemetry::count(metrics_,
+                   torn ? instruments_.torn_writes : instruments_.writes);
+  telemetry::observe(metrics_, instruments_.write_s,
+                     sim::to_seconds(sim_->now() - w.started));
   // The writer learns nothing about the tear: its fsync "succeeded".
   if (w.on_complete) w.on_complete(id);
 }
@@ -119,7 +122,7 @@ void SharedStore::read_object(ObjectId id,
                                           cb = std::move(on_complete)] {
     const auto it = objects_.find(id);
     if (it == objects_.end()) {
-      count("read_failures");
+      telemetry::count(metrics_, instruments_.read_failures);
       if (cb) cb(ReadError::kNotFound);
       return;
     }
@@ -136,9 +139,11 @@ void SharedStore::read_object(ObjectId id,
       } else if (again->second.stored_checksum != again->second.checksum) {
         err = ReadError::kChecksumMismatch;
       }
-      count(err == ReadError::kOk ? "reads" : "read_failures");
+      telemetry::count(metrics_, err == ReadError::kOk
+                                     ? instruments_.reads
+                                     : instruments_.read_failures);
       if (err == ReadError::kTorn || err == ReadError::kChecksumMismatch) {
-        count("verify_failures");
+        telemetry::count(metrics_, instruments_.verify_failures);
       }
       if (cb) cb(err);
     });
@@ -157,7 +162,7 @@ bool SharedStore::corrupt_object(ObjectId id) {
   const auto it = objects_.find(id);
   if (it == objects_.end() || it->second.torn) return false;
   it->second.stored_checksum ^= kBitRot;
-  count("corruptions");
+  telemetry::count(metrics_, instruments_.corruptions);
   return true;
 }
 

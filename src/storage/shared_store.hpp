@@ -146,7 +146,7 @@ class SharedStore final {
   /// `storage.*` names; replica stores pass their own prefix so their
   /// counters stay distinguishable.
   void set_metrics(telemetry::MetricsRegistry* m,
-                   std::string prefix = "storage");
+                   const std::string& prefix = "storage");
 
   /// Observed write completion times (seconds), for bench reporting.
   [[nodiscard]] const sim::SummaryStats& write_time_stats() const noexcept {
@@ -163,8 +163,19 @@ class SharedStore final {
     std::function<void(ObjectId)> on_complete;
   };
 
+  /// `<prefix>.store.*` instruments (resolved on first use).
+  struct Instruments {
+    explicit Instruments(const std::string& prefix);
+    telemetry::CounterHandle writes;
+    telemetry::CounterHandle torn_writes;
+    telemetry::CounterHandle reads;
+    telemetry::CounterHandle read_failures;
+    telemetry::CounterHandle verify_failures;
+    telemetry::CounterHandle corruptions;
+    telemetry::HistogramHandle write_s;
+  };
+
   void install(ObjectId id, InflightWrite&& w, bool torn);
-  void count(const char* metric) const;
 
   sim::Simulation* sim_;
   Config cfg_;
@@ -179,7 +190,7 @@ class SharedStore final {
   std::uint64_t bytes_written_total_ = 0;
   sim::SummaryStats write_times_{/*keep_samples=*/true};
   telemetry::MetricsRegistry* metrics_ = nullptr;
-  std::string metric_prefix_ = "storage";
+  Instruments instruments_{"storage"};
 };
 
 }  // namespace dvc::storage

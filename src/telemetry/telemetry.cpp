@@ -1,6 +1,7 @@
 #include "telemetry/telemetry.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -108,6 +109,13 @@ double Histogram::percentile(double p) const {
 
 // ---------------------------------------------------------------------------
 // MetricsRegistry — instruments
+
+std::uint64_t MetricsRegistry::next_id() noexcept {
+  // Registries are built on dvcsweep's worker threads; 0 is Handle's
+  // "nothing cached" value.
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 Counter& MetricsRegistry::counter(std::string_view name) {
   const auto it = counters_.find(name);

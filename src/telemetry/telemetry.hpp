@@ -5,6 +5,8 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -104,7 +106,10 @@ struct Instant {
 /// Instrument names follow `subsystem.object.metric`
 /// (e.g. `vm.hypervisor.saves`, `net.endpoint.retransmissions`,
 /// `storage.write_pool.wait_s`). Instruments are created on first use and
-/// live for the registry's lifetime; all lookups are by full name.
+/// live for the registry's lifetime. counter()/gauge()/histogram() look an
+/// instrument up by its full name in a name-ordered map; code that records
+/// per event (per save, store write, LSC round or message) holds a Handle
+/// instead, so the lookup runs once per registry and never per event.
 ///
 /// Components hold a `MetricsRegistry*` that may be null — telemetry is
 /// strictly optional, exactly like sim::TraceLog. The free helpers below
@@ -122,6 +127,10 @@ class MetricsRegistry final {
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  /// Process-unique, never reused: lets a Handle tell this registry from
+  /// a destroyed one that lived at the same address.
+  [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
@@ -167,6 +176,9 @@ class MetricsRegistry final {
   void write_chrome_trace(std::ostream& out) const;
 
  private:
+  static std::uint64_t next_id() noexcept;
+
+  std::uint64_t id_ = next_id();
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
@@ -175,6 +187,44 @@ class MetricsRegistry final {
   SpanId next_span_ = 1;
 };
 
+/// One named instrument, resolved on first use. Per-event code keeps a
+/// Handle as a member and records through the count()/observe() overloads
+/// below: the first use in a registry looks the name up (creating the
+/// instrument, exactly as the name-keyed helpers do) and caches the
+/// pointer, so later uses cost one compare. Resolution is lazy on purpose:
+/// an instrument nothing records into is never created, so the exported
+/// instrument set is the same as with name-keyed recording.
+template <class Instrument>
+class Handle final {
+  static_assert(std::is_same_v<Instrument, Counter> ||
+                std::is_same_v<Instrument, Histogram>);
+
+ public:
+  explicit Handle(std::string name) : name_(std::move(name)) {}
+
+  /// The instrument in `m`, created there on first use; null if `m` is.
+  [[nodiscard]] Instrument* in(MetricsRegistry* m) {
+    if (m == nullptr) return nullptr;
+    if (m->id() != registry_) {
+      registry_ = m->id();
+      if constexpr (std::is_same_v<Instrument, Counter>) {
+        instrument_ = &m->counter(name_);
+      } else {
+        instrument_ = &m->histogram(name_);
+      }
+    }
+    return instrument_;
+  }
+
+ private:
+  std::string name_;
+  std::uint64_t registry_ = 0;  ///< id() of the registry cached below
+  Instrument* instrument_ = nullptr;
+};
+
+using CounterHandle = Handle<Counter>;
+using HistogramHandle = Handle<Histogram>;
+
 // ---- null-safe helpers (mirror sim::trace) --------------------------------
 
 inline void count(MetricsRegistry* m, std::string_view name,
@@ -182,8 +232,17 @@ inline void count(MetricsRegistry* m, std::string_view name,
   if (m != nullptr) m->counter(name).add(n);
 }
 
+inline void count(MetricsRegistry* m, CounterHandle& h,
+                  std::uint64_t n = 1) {
+  if (Counter* c = h.in(m)) c->add(n);
+}
+
 inline void observe(MetricsRegistry* m, std::string_view name, double v) {
   if (m != nullptr) m->histogram(name).observe(v);
+}
+
+inline void observe(MetricsRegistry* m, HistogramHandle& h, double v) {
+  if (Histogram* hist = h.in(m)) hist->observe(v);
 }
 
 inline void gauge_set(MetricsRegistry* m, std::string_view name, double v) {

@@ -35,9 +35,9 @@ void Hypervisor::boot_domain(VirtualMachine& vm,
                            return;
                          }
                          vm.resume();
-                         telemetry::count(metrics_, "vm.hypervisor.boots");
+                         telemetry::count(metrics_, boots_c_);
                          telemetry::observe(
-                             metrics_, "vm.hypervisor.boot_s",
+                             metrics_, boot_s_h_,
                              sim::to_seconds(sim_->now() - begin));
                          if (cb) cb();
                        });
@@ -50,7 +50,7 @@ void Hypervisor::finish_save(std::uint64_t op_id,
   if (op->finished) return;
   op->finished = true;
   telemetry::end_span(metrics_, op->span, sim_->now());
-  if (!ok) telemetry::count(metrics_, "vm.hypervisor.save_failures");
+  if (!ok) telemetry::count(metrics_, save_failures_c_);
   if (op->cb) op->cb(ok, std::move(state));
 }
 
@@ -99,7 +99,7 @@ void Hypervisor::save_domain(VirtualMachine& vm,
     sim_->schedule_after(
         cfg_.save_overhead,
         [this, &vm, &images, set, member, image_bytes, epoch, begin, op,
-         op_id, state = std::move(app_state)] {
+         op_id, state = std::move(app_state)]() mutable {
           if (op->finished) return;
           if (node_failed() || vm.state() == DomainState::kDead) {
             finish_save(op_id, op, false, std::any{});
@@ -114,7 +114,7 @@ void Hypervisor::save_domain(VirtualMachine& vm,
           images.add_member(
               set, member, image_bytes,
               [this, &vm, image_bytes, begin, op, op_id,
-               state = std::move(state)] {
+               state = std::move(state)]() mutable {
                 if (op->finished) return;
                 if (vm.state() == DomainState::kDead) {
                   finish_save(op_id, op, false, std::any{});
@@ -123,10 +123,9 @@ void Hypervisor::save_domain(VirtualMachine& vm,
                 vm.mark_saved();
                 vm.mark_imaged();
                 ++saves_completed_;
-                telemetry::count(metrics_, "vm.hypervisor.saves");
-                telemetry::count(metrics_, "vm.hypervisor.bytes_saved",
-                                 image_bytes);
-                telemetry::observe(metrics_, "vm.hypervisor.save_s",
+                telemetry::count(metrics_, saves_c_);
+                telemetry::count(metrics_, bytes_saved_c_, image_bytes);
+                telemetry::observe(metrics_, save_s_h_,
                                    sim::to_seconds(sim_->now() - begin));
                 finish_save(op_id, op, true, std::move(state));
               },
@@ -143,7 +142,8 @@ void Hypervisor::resume_domain(VirtualMachine& vm) {
 void Hypervisor::restore_domain(VirtualMachine& vm,
                                 storage::ImageManager& images,
                                 storage::CheckpointSetId set,
-                                std::uint64_t member, std::any app_state,
+                                std::uint64_t member,
+                                const std::any& app_state,
                                 std::function<void(bool)> on_done,
                                 std::uint64_t epoch) {
   if (fenced(epoch)) {
@@ -176,37 +176,32 @@ void Hypervisor::restore_domain(VirtualMachine& vm,
   // marked damaged, which recovery uses to fall back a generation).
   images.read_member(
       set, member,
-      [this, &vm, begin, span, image_bytes, state = std::move(app_state),
+      [this, &vm, begin, span, image_bytes, state = &app_state,
        cb = std::move(on_done)](bool ok) mutable {
         if (!ok || node_failed()) {
-          telemetry::count(metrics_, "vm.hypervisor.restore_failures");
+          telemetry::count(metrics_, restore_failures_c_);
           telemetry::end_span(metrics_, span, sim_->now());
           if (cb) cb(false);
           return;
         }
         sim_->schedule_after(cfg_.restore_overhead,
-                             [this, &vm, begin, span, image_bytes,
-                              state = std::move(state),
+                             [this, &vm, begin, span, image_bytes, state,
                               cb = std::move(cb)] {
                                telemetry::end_span(metrics_, span,
                                                    sim_->now());
                                if (node_failed()) {
-                                 telemetry::count(
-                                     metrics_,
-                                     "vm.hypervisor.restore_failures");
+                                 telemetry::count(metrics_,
+                                                  restore_failures_c_);
                                  if (cb) cb(false);
                                  return;
                                }
-                               vm.rollback_and_resume(state);
+                               vm.rollback_and_resume(*state);
                                ++restores_completed_;
-                               telemetry::count(metrics_,
-                                                "vm.hypervisor.restores");
-                               telemetry::count(
-                                   metrics_,
-                                   "vm.hypervisor.bytes_restored",
-                                   image_bytes);
+                               telemetry::count(metrics_, restores_c_);
+                               telemetry::count(metrics_, bytes_restored_c_,
+                                                image_bytes);
                                telemetry::observe(
-                                   metrics_, "vm.hypervisor.restore_s",
+                                   metrics_, restore_s_h_,
                                    sim::to_seconds(sim_->now() - begin));
                                if (cb) cb(true);
                              });
@@ -239,8 +234,7 @@ void Hypervisor::on_node_failure() {
   const auto residents = residents_;
   residents_.clear();
   if (!residents.empty()) {
-    telemetry::count(metrics_, "vm.hypervisor.domains_killed",
-                     residents.size());
+    telemetry::count(metrics_, domains_killed_c_, residents.size());
     telemetry::instant(metrics_, sim_->now(), track_, "node_failure");
   }
   for (VirtualMachine* vm : residents) vm->kill();
@@ -254,8 +248,8 @@ void Hypervisor::on_node_failure() {
       if (op->finished) continue;
       op->finished = true;
       ++saves_aborted_;
-      telemetry::count(metrics_, "vm.hypervisor.saves_aborted");
-      telemetry::count(metrics_, "vm.hypervisor.save_failures");
+      telemetry::count(metrics_, saves_aborted_c_);
+      telemetry::count(metrics_, save_failures_c_);
       telemetry::end_span(metrics_, op->span, sim_->now());
       if (op->cb) op->cb(false, std::any{});
     }

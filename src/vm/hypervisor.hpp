@@ -81,10 +81,13 @@ class Hypervisor final {
 
   /// Adopts a domain previously checkpointed elsewhere: stages its image
   /// from the store, rolls the guest back to `app_state`, and resumes it on
-  /// this node. `on_done(ok)` reports staging integrity.
+  /// this node. `on_done(ok)` reports staging integrity. The snapshot is
+  /// read in place, never copied: `app_state` must stay alive until
+  /// `on_done` has run (capture its owner in `on_done`).
   void restore_domain(VirtualMachine& vm, storage::ImageManager& images,
                       storage::CheckpointSetId set, std::uint64_t member,
-                      std::any app_state, std::function<void(bool)> on_done,
+                      const std::any& app_state,
+                      std::function<void(bool)> on_done,
                       std::uint64_t epoch = storage::kUnfencedEpoch);
 
   /// Removes a domain from this node without destroying it (migration
@@ -128,7 +131,7 @@ class Hypervisor final {
   /// deposed coordinator and must be rejected.
   [[nodiscard]] bool fenced(std::uint64_t epoch) {
     if (fence_ == nullptr || fence_->admits(epoch)) return false;
-    telemetry::count(metrics_, "vm.hypervisor.fenced_commands");
+    telemetry::count(metrics_, fenced_commands_c_);
     return true;
   }
 
@@ -158,6 +161,21 @@ class Hypervisor final {
   std::uint64_t restores_completed_ = 0;
   std::uint64_t saves_aborted_ = 0;
   telemetry::MetricsRegistry* metrics_ = nullptr;
+  telemetry::CounterHandle boots_c_{"vm.hypervisor.boots"};
+  telemetry::HistogramHandle boot_s_h_{"vm.hypervisor.boot_s"};
+  telemetry::CounterHandle saves_c_{"vm.hypervisor.saves"};
+  telemetry::CounterHandle bytes_saved_c_{"vm.hypervisor.bytes_saved"};
+  telemetry::HistogramHandle save_s_h_{"vm.hypervisor.save_s"};
+  telemetry::CounterHandle save_failures_c_{"vm.hypervisor.save_failures"};
+  telemetry::CounterHandle saves_aborted_c_{"vm.hypervisor.saves_aborted"};
+  telemetry::CounterHandle restores_c_{"vm.hypervisor.restores"};
+  telemetry::CounterHandle bytes_restored_c_{"vm.hypervisor.bytes_restored"};
+  telemetry::HistogramHandle restore_s_h_{"vm.hypervisor.restore_s"};
+  telemetry::CounterHandle restore_failures_c_{
+      "vm.hypervisor.restore_failures"};
+  telemetry::CounterHandle domains_killed_c_{"vm.hypervisor.domains_killed"};
+  telemetry::CounterHandle fenced_commands_c_{
+      "vm.hypervisor.fenced_commands"};
   const storage::EpochFence* fence_ = nullptr;
   std::string track_;  ///< timeline track name ("vm/node<N>")
 };

@@ -333,5 +333,45 @@ TEST(MpiJobTest, TransportSnapshotRoundTrip) {
   EXPECT_EQ(delivered, 1);
 }
 
+TEST(MpiJobTest, SnapshotOmitsNeverUsedPeers) {
+  AppFixture f(3);
+  MpiJob job(f.sim, f.fabric.network(), f.contexts);
+  for (RankId r = 0; r < 3; ++r) {
+    EXPECT_TRUE(job.snapshot_transport(r).to_peer.empty()) << "rank " << r;
+  }
+  // One message 0 -> 1 touches exactly that pair's two endpoints.
+  job.send(0, 1, 64, 0);
+  f.sim.run();
+  const RankTransportSnapshot s0 = job.snapshot_transport(0);
+  const RankTransportSnapshot s1 = job.snapshot_transport(1);
+  ASSERT_EQ(s0.to_peer.size(), 1u);
+  EXPECT_EQ(s0.to_peer.at(1).next_seq, 1u);
+  ASSERT_EQ(s1.to_peer.size(), 1u);
+  EXPECT_EQ(s1.to_peer.at(0).expected, 1u);
+  EXPECT_TRUE(job.snapshot_transport(2).to_peer.empty());
+}
+
+TEST(MpiJobTest, RestoreResetsAPeerFirstUsedAfterTheCut) {
+  AppFixture f(3);
+  MpiJob job(f.sim, f.fabric.network(), f.contexts);
+  const RankTransportSnapshot cut = job.snapshot_transport(0);
+  ASSERT_TRUE(cut.to_peer.empty());
+
+  f.vms[2]->pause();  // peer frozen: the message stays unacked
+  job.send(0, 2, 128, 0);
+  f.sim.run_until(sim::kSecond);
+  ASSERT_EQ(job.snapshot_transport(0).to_peer.at(2).unacked.size(), 1u);
+  ASSERT_GT(f.sim.pending_foreground(), 0u);  // its retransmission timer
+
+  job.restore_transport(0, cut, 1);
+  // Back to next_seq = 0 with nothing unacked, i.e. the empty snapshot,
+  // and the timer is cancelled, not re-armed.
+  EXPECT_TRUE(job.snapshot_transport(0).to_peer.empty());
+  EXPECT_EQ(f.sim.pending_foreground(), 0u);
+  const std::uint64_t retransmitted = job.retransmissions();
+  f.sim.run();
+  EXPECT_EQ(job.retransmissions(), retransmitted);
+}
+
 }  // namespace
 }  // namespace dvc::app

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <any>
 #include <memory>
 #include <optional>
 #include <set>
@@ -227,6 +228,68 @@ TEST(DvcManagerTest, MigrationMovesVcWithoutLosingWork) {
   bed.sim.run_until(600 * sim::kSecond);
   EXPECT_TRUE(r.application->completed());
   EXPECT_FALSE(r.application->failed());
+}
+
+/// Snapshot payload that counts its own copy-constructions.
+struct CopyCounted {
+  int* copies;
+  explicit CopyCounted(int* c) : copies(c) {}
+  CopyCounted(const CopyCounted& o) : copies(o.copies) { ++*copies; }
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(const CopyCounted&) = delete;
+  CopyCounted& operator=(CopyCounted&&) noexcept = default;
+  ~CopyCounted() = default;
+};
+
+/// Guest software whose every snapshot is a CopyCounted.
+class CopyCountingGuest final : public vm::GuestSoftware {
+ public:
+  explicit CopyCountingGuest(int* copies) : copies_(copies) {}
+  [[nodiscard]] std::any snapshot_state() const override {
+    return CopyCounted(copies_);
+  }
+  void restore_state(const std::any& state) override {
+    if (std::any_cast<CopyCounted>(&state) != nullptr) ++restores;
+  }
+  int restores = 0;
+
+ private:
+  int* copies_;
+};
+
+TEST(DvcManagerTest, CheckpointAndMigrationNeverCopySnapshots) {
+  // From snapshot_state() to the VC's recovery point and its generation,
+  // and on to the restored guest, each member's snapshot is moved or
+  // shared, never copied.
+  TestBed bed(two_cluster_opts());
+  VirtualCluster& vc = bed.dvc->create_vc(small_vc(3), {0, 1, 2}, {});
+  bed.sim.run_until(20 * sim::kSecond);
+  int copies = 0;
+  std::vector<std::unique_ptr<CopyCountingGuest>> guests;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    guests.push_back(std::make_unique<CopyCountingGuest>(&copies));
+    vc.machine(i).set_guest_software(guests.back().get());
+  }
+  ckpt::NtpLscCoordinator lsc(bed.sim, {}, sim::Rng(7));
+
+  bool sealed = false;
+  bed.dvc->checkpoint_vc(vc, lsc,
+                         [&](ckpt::LscResult r) { sealed = r.ok; });
+  bed.sim.run_until(60 * sim::kSecond);
+  ASSERT_TRUE(sealed);
+  EXPECT_EQ(copies, 0);
+  ASSERT_EQ(vc.last_checkpoint().app_snapshots->size(), 3u);
+  ASSERT_EQ(vc.generations().size(), 1u);
+  EXPECT_EQ(vc.generations().back().checkpoint.app_snapshots,
+            vc.last_checkpoint().app_snapshots);  // shared, not copied
+
+  bool migrated = false;
+  bed.dvc->migrate_vc(vc, lsc, {5, 6, 7}, [&](bool ok) { migrated = ok; });
+  bed.sim.run_until(120 * sim::kSecond);
+  ASSERT_TRUE(migrated);
+  EXPECT_EQ(vc.placements(), (std::vector<hw::NodeId>{5, 6, 7}));
+  EXPECT_EQ(copies, 0);
+  for (const auto& g : guests) EXPECT_EQ(g->restores, 1);
 }
 
 TEST(DvcManagerTest, AutoRecoverySurvivesNodeFailure) {

@@ -155,6 +155,50 @@ TEST(NetworkTest, UnsubscribeStopsNotifications) {
   EXPECT_EQ(events, 1);
 }
 
+TEST(NetworkTest, ObserversChangedDuringANotification) {
+  // Observer A (second of four) unsubscribes B, a later observer, and
+  // subscribes C. That notification skips B and does not reach C; every
+  // other observer runs once. The next one reaches C but not B.
+  NetFixture f;
+  std::map<char, int> calls;
+  const auto record = [&](char who) {
+    return [&calls, who](bool) { ++calls[who]; };
+  };
+  f.net.subscribe_host_state(f.a, record('0'));
+  std::uint64_t b_token = 0;
+  f.net.subscribe_host_state(f.a, [&](bool up) {
+    ++calls['A'];
+    if (up) return;
+    f.net.unsubscribe_host_state(f.a, b_token);
+    f.net.subscribe_host_state(f.a, record('C'));
+  });
+  b_token = f.net.subscribe_host_state(f.a, record('B'));
+  f.net.subscribe_host_state(f.a, record('D'));
+
+  f.net.set_host_up(f.a, false);
+  EXPECT_EQ(calls, (std::map<char, int>{{'0', 1}, {'A', 1}, {'D', 1}}));
+
+  f.net.set_host_up(f.a, true);
+  EXPECT_EQ(calls,
+            (std::map<char, int>{{'0', 2}, {'A', 2}, {'C', 1}, {'D', 2}}));
+}
+
+TEST(NetworkTest, ObserverMayUnsubscribeItself) {
+  NetFixture f;
+  int once = 0;
+  int always = 0;
+  std::uint64_t token = 0;
+  token = f.net.subscribe_host_state(f.a, [&](bool) {
+    ++once;
+    f.net.unsubscribe_host_state(f.a, token);
+  });
+  f.net.subscribe_host_state(f.a, [&](bool) { ++always; });
+  f.net.set_host_up(f.a, false);
+  f.net.set_host_up(f.a, true);
+  EXPECT_EQ(once, 1);
+  EXPECT_EQ(always, 2);
+}
+
 TEST(NetworkTest, UnknownHostThrows) {
   NetFixture f;
   EXPECT_THROW(f.net.set_host_up(999, false), std::out_of_range);

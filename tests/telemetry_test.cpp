@@ -96,6 +96,41 @@ TEST(TelemetryTest, RegistryCreatesOnFirstUseAndFindsByName) {
   EXPECT_EQ(m.find_histogram("h")->count(), 1u);
 }
 
+TEST(TelemetryTest, HandleCreatesItsInstrumentOnFirstUseOnly) {
+  CounterHandle saves("x.saves");
+  HistogramHandle save_s("x.save_s");
+  count(nullptr, saves);  // null-safe, like the name-keyed helpers
+  observe(nullptr, save_s, 1.0);
+
+  MetricsRegistry m;
+  EXPECT_EQ(m.find_counter("x.saves"), nullptr);  // holding one creates none
+  count(&m, saves);
+  count(&m, saves, 2);
+  observe(&m, save_s, 0.5);
+  EXPECT_EQ(m.counter_value("x.saves"), 3u);
+  ASSERT_NE(m.find_histogram("x.save_s"), nullptr);
+  EXPECT_EQ(m.find_histogram("x.save_s")->count(), 1u);
+
+  // A second registry gets its own instrument; the first keeps its count.
+  MetricsRegistry other;
+  count(&other, saves);
+  EXPECT_EQ(other.counter_value("x.saves"), 1u);
+  EXPECT_EQ(m.counter_value("x.saves"), 3u);
+  count(&m, saves);
+  EXPECT_EQ(m.counter_value("x.saves"), 4u);
+}
+
+TEST(TelemetryTest, HandleResolvesAgainstANewRegistryAtTheSameAddress) {
+  CounterHandle c("x.c");
+  std::optional<MetricsRegistry> slot;
+  slot.emplace();
+  count(&*slot, c);
+  slot.reset();
+  slot.emplace();  // same storage, so the same address
+  count(&*slot, c);
+  EXPECT_EQ(slot->counter_value("x.c"), 1u);
+}
+
 TEST(TelemetryTest, SpansAndInstantsRecordTimeline) {
   MetricsRegistry m;
   const auto id = m.begin_span(10 * sim::kSecond, "vm/node0", "save");
