@@ -68,8 +68,9 @@ CutOutcome run_reliable(bool cut_after_delivery) {
   net::Network net(sim, link, sim::Rng(1));
   const net::HostId ha = net.new_host();
   const net::HostId hb = net.new_host();
-  net::ReliableEndpoint a(sim, net, {ha, 1}, {hb, 1});
-  net::ReliableEndpoint b(sim, net, {hb, 1}, {ha, 1});
+  net::ReliableConnection conn(sim, net, {ha, 1}, {hb, 1});
+  net::ReliableEndpoint& a = conn.end_a();
+  net::ReliableEndpoint& b = conn.end_b();
   ckpt::MessageLedger ledger;
   b.set_delivery_handler([&](const net::Message& m) {
     ledger.record_delivery(0, 1, m.id);
@@ -157,8 +158,9 @@ CutOutcome run_partition(bool reliable_transport) {
 
   CutOutcome out;
   if (reliable_transport) {
-    net::ReliableEndpoint a(sim, net, {ha, 1}, {hb, 1});
-    net::ReliableEndpoint b(sim, net, {hb, 1}, {ha, 1});
+    net::ReliableConnection conn(sim, net, {ha, 1}, {hb, 1});
+    net::ReliableEndpoint& a = conn.end_a();
+    net::ReliableEndpoint& b = conn.end_b();
     ckpt::MessageLedger ledger;
     b.set_delivery_handler([&](const net::Message& m) {
       ledger.record_delivery(0, 1, m.id);

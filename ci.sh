@@ -12,7 +12,15 @@
 #   ./ci.sh --sanitize  the test suite under AddressSanitizer + UBSan
 #                       (separate build tree, slower; catches lifetime/UB
 #                       bugs the plain build cannot), without the `paper`
-#                       label: its four tables take ~40x longer there
+#                       label: its four tables take ~40x longer there; then
+#                       dvcbench, built optimised with the same sanitizer
+#                       flags into build-asan/dvcbench-pkg, runs each of
+#                       its four workloads once at seed 1 (`--seconds 0`:
+#                       every cell once, under a minute in all) and fails
+#                       on a non-zero exit or a result line without
+#                       "correct": true. That run is what puts fleet's
+#                       teardown order (guest VMs destroyed before their
+#                       app) under the sanitizers
 #   ./ci.sh --soak      the sanitizer build with -DDVC_SOAK=ON, running
 #                       only the soak-labelled suites (`ctest -L soak`) —
 #                       the randomized failure schedules where lifetime
@@ -65,6 +73,24 @@ case "${1:-}" in
       -DCMAKE_BUILD_TYPE=Debug \
       -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
       -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS"
+    # Optimised (dvcbench's own default build type), so the four runs
+    # take about a minute rather than four.
+    cmake -B build-asan/dvcbench-pkg -S dvcbench \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
+      -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS"
+    cmake --build build-asan/dvcbench-pkg --target dvcbench -j "$JOBS"
+    for w in sweep26 steady26 ckpt16 fleet; do
+      out="$(build-asan/dvcbench-pkg/dvcbench --workload "$w" --seed 1 \
+               --seconds 0 --trace 0)"
+      printf '%s\n' "$out" | tail -n 1 | python3 -c '
+import json, sys
+w, line = sys.argv[1], sys.stdin.read().strip()
+correct = json.loads(line).get("correct") if line.startswith("{") else None
+print("%s: correct=%s under the sanitizers" % (w, correct))
+sys.exit(0 if correct is True else 1)
+' "$w"
+    done
     ;;
   --soak)
     SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g"

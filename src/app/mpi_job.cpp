@@ -10,32 +10,38 @@ namespace {
 constexpr std::uint16_t port_for_peer(RankId peer) {
   return static_cast<std::uint16_t>(peer);
 }
+
+/// The transport state of an endpoint that has never carried traffic.
+const net::TransportSnapshot kUnused{};
 }  // namespace
 
 MpiJob::MpiJob(sim::Simulation& sim, net::Network& net,
                std::vector<vm::ExecutionContext*> ranks,
                net::ReliableConfig transport)
-    : ranks_(std::move(ranks)), handlers_(ranks_.size()) {
+    : sim_(&sim),
+      net_(&net),
+      transport_(transport),
+      ranks_(std::move(ranks)),
+      endpoints_(ranks_.size()),
+      handlers_(ranks_.size()) {
   const RankId p = size();
-  endpoints_.resize(p);
+  hosts_.reserve(p);
+  observer_tokens_.reserve(p);
   for (RankId r = 0; r < p; ++r) {
     endpoints_[r].resize(p);
-    for (RankId q = 0; q < p; ++q) {
-      if (q == r) continue;
-      const net::Address local{ranks_[r]->host(), port_for_peer(q)};
-      const net::Address peer{ranks_[q]->host(), port_for_peer(r)};
-      auto ep = std::make_unique<net::ReliableEndpoint>(sim, net, local,
-                                                        peer, transport);
-      ep->set_delivery_handler([this, r, q](const net::Message& m) {
-        if (handlers_[r]) handlers_[r](q, m);
-      });
-      ep->set_failure_handler([this, r](std::string_view why) {
-        if (failed_) return;
-        failed_ = true;
-        if (on_failure_) on_failure_(r, std::string(why));
-      });
-      endpoints_[r][q] = std::move(ep);
-    }
+    hosts_.push_back(ranks_[r]->host());
+    observer_tokens_.push_back(net.subscribe_host_state(
+        hosts_[r], [this, r](bool up) {
+          for (const auto& ep : endpoints_[r]) {
+            if (ep) ep->on_host_state(up);
+          }
+        }));
+  }
+}
+
+MpiJob::~MpiJob() {
+  for (RankId r = 0; r < size(); ++r) {
+    net_->unsubscribe_host_state(hosts_[r], observer_tokens_[r]);
   }
 }
 
@@ -43,15 +49,33 @@ void MpiJob::set_rank_handler(RankId rank, RankHandler h) {
   handlers_.at(rank) = std::move(h);
 }
 
-net::ReliableEndpoint& MpiJob::endpoint(RankId from, RankId to) {
-  auto& ep = endpoints_.at(from).at(to);
-  if (!ep) throw std::invalid_argument("no self-connection");
-  return *ep;
+std::unique_ptr<net::ReliableEndpoint> MpiJob::make_endpoint(RankId r,
+                                                             RankId q) {
+  const net::Address local{hosts_[r], port_for_peer(q)};
+  const net::Address peer{hosts_[q], port_for_peer(r)};
+  auto ep = std::make_unique<net::ReliableEndpoint>(*sim_, *net_, local, peer,
+                                                    transport_);
+  ep->set_delivery_handler([this, r, q](const net::Message& m) {
+    if (handlers_[r]) handlers_[r](q, m);
+  });
+  ep->set_failure_handler([this, r](std::string_view why) {
+    if (failed_) return;
+    failed_ = true;
+    if (on_failure_) on_failure_(r, std::string(why));
+  });
+  // After a rollback, a never-used endpoint is one restored from the empty
+  // snapshot at the job's epoch.
+  ep->restore(kUnused, epoch_);
+  return ep;
 }
 
-const net::ReliableEndpoint& MpiJob::endpoint(RankId from, RankId to) const {
-  const auto& ep = endpoints_.at(from).at(to);
-  if (!ep) throw std::invalid_argument("no self-connection");
+net::ReliableEndpoint& MpiJob::open(RankId from, RankId to) {
+  auto& ep = endpoints_.at(from).at(to);
+  if (!ep) {
+    if (from == to) throw std::invalid_argument("no self-connection");
+    ep = make_endpoint(from, to);
+    endpoints_[to][from] = make_endpoint(to, from);
+  }
   return *ep;
 }
 
@@ -59,15 +83,16 @@ bool MpiJob::send(RankId from, RankId to, std::uint32_t bytes,
                   std::uint32_t tag) {
   if (failed_) return false;
   bytes_sent_ += bytes;
-  return endpoint(from, to).send(bytes, tag) != 0;
+  return open(from, to).send(bytes, tag) != 0;
 }
 
 RankTransportSnapshot MpiJob::snapshot_transport(RankId rank) const {
   RankTransportSnapshot snap;
+  const auto& row = endpoints_.at(rank);
   for (RankId q = 0; q < size(); ++q) {
-    if (q == rank) continue;
-    net::TransportSnapshot s = endpoint(rank, q).snapshot();
-    if (s != net::TransportSnapshot{}) {
+    if (!row[q]) continue;
+    net::TransportSnapshot s = row[q]->snapshot();
+    if (s != kUnused) {
       snap.to_peer.emplace_hint(snap.to_peer.end(), q, std::move(s));
     }
   }
@@ -77,16 +102,20 @@ RankTransportSnapshot MpiJob::snapshot_transport(RankId rank) const {
 void MpiJob::restore_transport(RankId rank,
                                const RankTransportSnapshot& snap,
                                std::uint32_t epoch) {
-  // Every peer, in id order: one the snapshot omits was never used
+  epoch_ = epoch;
+  // Every open peer, in id order: one the snapshot omits was never used
   // before the cut, and restoring it from the empty snapshot resets any
   // use since (same cancels, no timer armed).
-  static const net::TransportSnapshot kUnused{};
+  auto& row = endpoints_.at(rank);
   auto s = snap.to_peer.begin();
   for (RankId q = 0; q < size(); ++q) {
     if (q == rank) continue;
-    const bool present = s != snap.to_peer.end() && s->first == q;
-    endpoint(rank, q).restore(present ? s->second : kUnused, epoch);
-    if (present) ++s;
+    if (s != snap.to_peer.end() && s->first == q) {
+      open(rank, q).restore(s->second, epoch);
+      ++s;
+    } else if (row[q]) {
+      row[q]->restore(kUnused, epoch);
+    }
   }
 }
 

@@ -25,10 +25,14 @@ struct RankTransportSnapshot {
   std::map<RankId, net::TransportSnapshot> to_peer;
 };
 
-/// The message-passing fabric of one parallel job: a full mesh of reliable
-/// connections between ranks. This plays the role of the MPI library + TCP
-/// stacks inside the guests: co-dependent processes where losing any single
-/// connection kills the whole application (paper §2.1).
+/// The message-passing fabric of one parallel job: reliable connections
+/// between ranks, each rank pair opened (both endpoints at once) on its
+/// first send in either direction, the way MPI stacks open TCP connections
+/// lazily. This plays the role of the MPI library + TCP stacks inside the
+/// guests: co-dependent processes where losing any single connection kills
+/// the whole application (paper §2.1). One host-state observer per rank
+/// passes its host's liveness transitions to the rank's open endpoints in
+/// peer order.
 class MpiJob final {
  public:
   /// (from, message) delivered in order per (from -> to) pair.
@@ -39,6 +43,9 @@ class MpiJob final {
   MpiJob(sim::Simulation& sim, net::Network& net,
          std::vector<vm::ExecutionContext*> ranks,
          net::ReliableConfig transport = {});
+
+  /// Touches only the network: the ranks' contexts may already be gone.
+  ~MpiJob();
 
   MpiJob(const MpiJob&) = delete;
   MpiJob& operator=(const MpiJob&) = delete;
@@ -53,8 +60,9 @@ class MpiJob final {
   void set_rank_handler(RankId rank, RankHandler h);
   void set_failure_handler(FailureHandler h) { on_failure_ = std::move(h); }
 
-  /// Sends `bytes` from rank `from` to rank `to` with an application tag.
-  /// Reliable, in-order per pair. Returns false if the mesh has failed.
+  /// Sends `bytes` from rank `from` to rank `to` with an application tag,
+  /// opening the pair first if it has never carried traffic. Reliable,
+  /// in-order per pair. Returns false if the mesh has failed.
   bool send(RankId from, RankId to, std::uint32_t bytes, std::uint32_t tag);
 
   /// True once any connection in the mesh has aborted.
@@ -63,9 +71,11 @@ class MpiJob final {
   /// Captures one rank's transport state (call while its guest is paused).
   [[nodiscard]] RankTransportSnapshot snapshot_transport(RankId rank) const;
 
-  /// Rolls one rank's transport back (whole-VC restore): every endpoint
-  /// of the rank, the ones the snapshot omits included. All ranks of a job
-  /// must be restored with the same epoch before any of them runs again.
+  /// Rolls one rank's transport back (whole-VC restore): every open
+  /// endpoint of the rank, the ones the snapshot omits included, after
+  /// opening any pair the snapshot names. `epoch` becomes the job's epoch,
+  /// at which pairs opened later start. All ranks of a job must be
+  /// restored with the same epoch before any of them runs again.
   void restore_transport(RankId rank, const RankTransportSnapshot& snap,
                          std::uint32_t epoch);
 
@@ -85,13 +95,23 @@ class MpiJob final {
   }
 
  private:
-  [[nodiscard]] net::ReliableEndpoint& endpoint(RankId from, RankId to);
-  [[nodiscard]] const net::ReliableEndpoint& endpoint(RankId from,
-                                                      RankId to) const;
+  /// rank `from`'s endpoint toward `to`, opening their pair if needed.
+  [[nodiscard]] net::ReliableEndpoint& open(RankId from, RankId to);
+  [[nodiscard]] std::unique_ptr<net::ReliableEndpoint> make_endpoint(
+      RankId r, RankId q);
 
+  sim::Simulation* sim_;
+  net::Network* net_;
+  net::ReliableConfig transport_;
   std::vector<vm::ExecutionContext*> ranks_;
-  /// endpoints_[from][to], nullptr on the diagonal.
+  /// Each rank's host, read once at construction: a job may outlive its
+  /// guests' contexts (fleet tears the VMs down first).
+  std::vector<net::HostId> hosts_;
+  /// Each rank's host-state subscription, unsubscribed on destruction.
+  std::vector<std::uint64_t> observer_tokens_;
+  /// endpoints_[from][to]; nullptr on the diagonal and for unopened pairs.
   std::vector<std::vector<std::unique_ptr<net::ReliableEndpoint>>> endpoints_;
+  std::uint32_t epoch_ = 0;  ///< of the last restore; new pairs start here
   std::vector<RankHandler> handlers_;
   FailureHandler on_failure_;
   bool failed_ = false;

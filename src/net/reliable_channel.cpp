@@ -20,13 +20,10 @@ ReliableEndpoint::ReliableEndpoint(sim::Simulation& sim, Network& net,
       cfg_(cfg),
       rto_(cfg.initial_rto) {
   net_->attach(local_, this);
-  host_state_token_ = net_->subscribe_host_state(
-      local_.host, [this](bool up) { on_host_state(up); });
 }
 
 ReliableEndpoint::~ReliableEndpoint() {
   if (timer_ != sim::kInvalidEvent) sim_->cancel(timer_);
-  net_->unsubscribe_host_state(local_.host, host_state_token_);
   net_->detach(local_);
 }
 
@@ -253,6 +250,22 @@ void ReliableEndpoint::on_packet(const Packet& p) {
     if (on_delivery_) on_delivery_(Message{seq + 1, m.bytes, m.tag});
   }
   send_ack();
+}
+
+ReliableConnection::ReliableConnection(sim::Simulation& sim, Network& net,
+                                       Address a, Address b,
+                                       ReliableConfig cfg)
+    : net_(&net),
+      a_(sim, net, a, b, cfg),
+      b_(sim, net, b, a, cfg),
+      a_token_(net.subscribe_host_state(
+          a.host, [this](bool up) { a_.on_host_state(up); })),
+      b_token_(net.subscribe_host_state(
+          b.host, [this](bool up) { b_.on_host_state(up); })) {}
+
+ReliableConnection::~ReliableConnection() {
+  net_->unsubscribe_host_state(a_.local().host, a_token_);
+  net_->unsubscribe_host_state(b_.local().host, b_token_);
 }
 
 }  // namespace dvc::net

@@ -83,6 +83,11 @@ struct ReliableConfig {
 ///    of the saved guest), so symmetric checkpoints are always safe;
 ///  * a sender left running against a frozen peer aborts once the retry
 ///    budget is exhausted — the failure mode of skewed checkpoints.
+///
+/// The endpoint does not watch its host itself: its owner calls
+/// on_host_state() on every liveness transition of the local host
+/// (ReliableConnection and app::MpiJob each subscribe once per host on
+/// behalf of their endpoints).
 class ReliableEndpoint final : public PacketSink {
  public:
   enum class State : std::uint8_t { kOpen, kFailed };
@@ -111,6 +116,7 @@ class ReliableEndpoint final : public PacketSink {
   /// Returns the message id. No-op (returns 0) after failure.
   std::uint64_t send(std::uint32_t bytes, std::uint32_t tag = 0);
 
+  [[nodiscard]] const Address& local() const noexcept { return local_; }
   [[nodiscard]] State state() const noexcept { return state_; }
   [[nodiscard]] bool failed() const noexcept {
     return state_ == State::kFailed;
@@ -147,6 +153,10 @@ class ReliableEndpoint final : public PacketSink {
 
   void on_packet(const Packet& p) override;
 
+  /// Liveness transition of the local host. On thaw (`up`), a timer parked
+  /// while the host was frozen goes off after cfg.thaw_retransmit_delay.
+  void on_host_state(bool up);
+
   /// Captures transport state (call while the host is paused: that is when
   /// the hypervisor images the guest).
   [[nodiscard]] TransportSnapshot snapshot() const;
@@ -177,7 +187,6 @@ class ReliableEndpoint final : public PacketSink {
   void send_ack();
   void arm_timer();
   void on_timer();
-  void on_host_state(bool up);
   void fail(std::string_view reason);
   void set_stalled(bool stalled);
 
@@ -201,7 +210,6 @@ class ReliableEndpoint final : public PacketSink {
   sim::Duration rto_ = 0;
   sim::EventId timer_ = sim::kInvalidEvent;
   bool parked_ = false;  ///< timer suppressed because our host is frozen
-  std::uint64_t host_state_token_ = 0;
   std::uint32_t epoch_ = 0;
 
   // Receiver state.
@@ -219,13 +227,17 @@ class ReliableEndpoint final : public PacketSink {
   StallHandler on_stall_;
 };
 
-/// A full-duplex reliable connection between two addresses: a convenience
-/// wrapper constructing the two endpoints with symmetric configuration.
+/// A full-duplex reliable connection between two addresses: the two
+/// endpoints with symmetric configuration, each notified of its own host's
+/// liveness transitions.
 class ReliableConnection final {
  public:
   ReliableConnection(sim::Simulation& sim, Network& net, Address a,
-                     Address b, ReliableConfig cfg = {})
-      : a_(sim, net, a, b, cfg), b_(sim, net, b, a, cfg) {}
+                     Address b, ReliableConfig cfg = {});
+  ~ReliableConnection();
+
+  ReliableConnection(const ReliableConnection&) = delete;
+  ReliableConnection& operator=(const ReliableConnection&) = delete;
 
   [[nodiscard]] ReliableEndpoint& end_a() noexcept { return a_; }
   [[nodiscard]] ReliableEndpoint& end_b() noexcept { return b_; }
@@ -235,8 +247,11 @@ class ReliableConnection final {
   }
 
  private:
+  Network* net_;
   ReliableEndpoint a_;
   ReliableEndpoint b_;
+  std::uint64_t a_token_;
+  std::uint64_t b_token_;
 };
 
 }  // namespace dvc::net

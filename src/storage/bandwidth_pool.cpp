@@ -1,5 +1,6 @@
 #include "storage/bandwidth_pool.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -28,9 +29,8 @@ TransferId BandwidthPool::start(std::uint64_t bytes,
                                 std::function<void()> on_complete) {
   settle();
   const TransferId id = next_id_++;
-  transfers_.emplace(id, Transfer{static_cast<double>(bytes),
-                                  std::move(on_complete), bytes,
-                                  sim_->now()});
+  transfers_.push_back(Transfer{id, static_cast<double>(bytes),
+                                std::move(on_complete), bytes, sim_->now()});
   if (bytes_c_ != nullptr) {
     bytes_c_->add(bytes);
     active_g_->set(static_cast<double>(transfers_.size()));
@@ -41,14 +41,16 @@ TransferId BandwidthPool::start(std::uint64_t bytes,
 
 bool BandwidthPool::cancel(TransferId id) {
   settle();
-  const bool erased = transfers_.erase(id) > 0;
-  if (erased) {
-    if (active_g_ != nullptr) {
-      active_g_->set(static_cast<double>(transfers_.size()));
-    }
-    reschedule();
+  const auto it = std::lower_bound(
+      transfers_.begin(), transfers_.end(), id,
+      [](const Transfer& t, TransferId want) { return t.id < want; });
+  if (it == transfers_.end() || it->id != id) return false;
+  transfers_.erase(it);
+  if (active_g_ != nullptr) {
+    active_g_->set(static_cast<double>(transfers_.size()));
   }
-  return erased;
+  reschedule();
+  return true;
 }
 
 void BandwidthPool::set_capacity(double bytes_per_second) {
@@ -63,7 +65,7 @@ void BandwidthPool::settle() {
   if (!transfers_.empty() && now > last_settle_) {
     const double progress = sim::to_seconds(now - last_settle_) * bps_ /
                             static_cast<double>(transfers_.size());
-    for (auto& [id, t] : transfers_) {
+    for (Transfer& t : transfers_) {
       t.remaining_bytes -= progress;
       if (t.remaining_bytes < 0.0) t.remaining_bytes = 0.0;
     }
@@ -79,7 +81,7 @@ void BandwidthPool::reschedule() {
   if (transfers_.empty()) return;
 
   double min_remaining = std::numeric_limits<double>::max();
-  for (const auto& [id, t] : transfers_) {
+  for (const Transfer& t : transfers_) {
     min_remaining = std::min(min_remaining, t.remaining_bytes);
   }
   const double per_transfer_bps =
@@ -90,27 +92,29 @@ void BandwidthPool::reschedule() {
   pending_event_ = sim_->schedule_after(dt, [this] {
     pending_event_ = sim::kInvalidEvent;
     settle();
-    // Collect and fire every transfer that has drained. A completion
-    // callback may start new transfers; firing after mutation keeps the
-    // container stable.
+    // Collect and fire every transfer that has drained, in id order,
+    // compacting the survivors in place. A completion callback may start
+    // or cancel transfers; firing after the sweep keeps it stable.
     std::vector<std::function<void()>> done;
-    for (auto it = transfers_.begin(); it != transfers_.end();) {
-      if (it->second.remaining_bytes <= 0.5) {  // sub-byte fluid residue
+    auto kept = transfers_.begin();
+    for (Transfer& t : transfers_) {
+      if (t.remaining_bytes <= 0.5) {  // sub-byte fluid residue
         if (transfers_c_ != nullptr) {
           transfers_c_->add();
-          const sim::Duration actual = sim_->now() - it->second.started;
+          const sim::Duration actual = sim_->now() - t.started;
           transfer_h_->observe(sim::to_seconds(actual));
-          const sim::Duration alone = uncontended_time(it->second.bytes);
+          const sim::Duration alone = uncontended_time(t.bytes);
           wait_h_->observe(sim::to_seconds(
               actual > alone ? actual - alone : sim::Duration{0}));
         }
-        done.push_back(std::move(it->second.on_complete));
-        it = transfers_.erase(it);
+        done.push_back(std::move(t.on_complete));
         ++completed_;
       } else {
-        ++it;
+        if (&*kept != &t) *kept = std::move(t);
+        ++kept;
       }
     }
+    transfers_.erase(kept, transfers_.end());
     if (active_g_ != nullptr) {
       active_g_->set(static_cast<double>(transfers_.size()));
     }

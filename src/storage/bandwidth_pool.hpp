@@ -2,8 +2,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string_view>
+#include <vector>
 
 #include "sim/simulation.hpp"
 #include "telemetry/telemetry.hpp"
@@ -63,6 +63,7 @@ class BandwidthPool final {
 
  private:
   struct Transfer {
+    TransferId id;
     double remaining_bytes;
     std::function<void()> on_complete;
     std::uint64_t bytes = 0;     ///< original size, for metrics
@@ -78,7 +79,10 @@ class BandwidthPool final {
   double bps_;
   sim::Time last_settle_ = 0;
   TransferId next_id_ = 1;
-  std::map<TransferId, Transfer> transfers_;
+  /// In-flight transfers in id order (ids only grow, so start appends).
+  /// Contiguous: every settle and reschedule walks them all, and there are
+  /// rarely more than a few dozen.
+  std::vector<Transfer> transfers_;
   sim::EventId pending_event_ = sim::kInvalidEvent;
   std::uint64_t completed_ = 0;
 

@@ -65,6 +65,7 @@ std::string json_escape(std::string_view s) {
 
 Histogram::Histogram(Options opt)
     : opt_(opt),
+      log_growth_(std::log(opt.growth)),
       counts_(static_cast<std::size_t>(opt.buckets) + 1, 0),
       summary_(/*keep_samples=*/false) {}
 
@@ -81,7 +82,7 @@ void Histogram::observe(double v) {
   } else {
     // Smallest i with first_bound * growth^i >= v.
     const double steps =
-        std::log(v / opt_.first_bound) / std::log(opt_.growth);
+        std::log(v / opt_.first_bound) / log_growth_;
     idx = static_cast<std::size_t>(std::ceil(steps - 1e-9));
     if (idx >= counts_.size()) idx = counts_.size() - 1;  // overflow bucket
   }

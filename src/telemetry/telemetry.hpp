@@ -80,6 +80,7 @@ class Histogram final {
 
  private:
   Options opt_;
+  double log_growth_;  ///< std::log(opt_.growth), once per instrument
   std::vector<std::uint64_t> counts_;  ///< opt_.buckets finite + 1 overflow
   sim::SummaryStats summary_;
 };

@@ -295,6 +295,35 @@ TEST(ParallelAppTest, MismatchedContextCountThrows) {
                std::invalid_argument);
 }
 
+TEST(ParallelAppTest, OutlivesItsGuestVms) {
+  // Fleet's teardown order: the job's guest VMs are destroyed first, the
+  // app after them, while traffic and retransmission timers are live.
+  AppFixture f(3);
+  WorkloadSpec s;
+  s.ranks = 3;
+  s.iterations = 1000;
+  s.flops_per_rank_iter = 1e8;
+  s.pattern = Pattern::kAllToAll;
+  s.bytes_per_msg = 512;
+  auto app = std::make_unique<ParallelApp>(f.sim, f.fabric.network(),
+                                           f.contexts, s);
+  app->start();
+  f.sim.run_until(sim::kSecond);
+  ASSERT_GT(app->mesh().messages_sent(), 0u);
+  std::vector<net::HostId> hosts;
+  for (const auto& vm : f.vms) hosts.push_back(vm->host());
+  f.vms.clear();
+  f.contexts.clear();
+  app.reset();
+  // No observer of the dead job is left on the guests' hosts, and no
+  // event of it is left in the queue.
+  for (const net::HostId h : hosts) {
+    f.fabric.network().set_host_up(h, false);
+    f.fabric.network().set_host_up(h, true);
+  }
+  f.sim.run();
+}
+
 TEST(MpiJobTest, AggregateCountersTrackTraffic) {
   AppFixture f(3);
   MpiJob job(f.sim, f.fabric.network(), f.contexts);
@@ -371,6 +400,88 @@ TEST(MpiJobTest, RestoreResetsAPeerFirstUsedAfterTheCut) {
   const std::uint64_t retransmitted = job.retransmissions();
   f.sim.run();
   EXPECT_EQ(job.retransmissions(), retransmitted);
+}
+
+TEST(MpiJobTest, PairOpenedAfterRollbackUsesTheJobEpoch) {
+  AppFixture f(3);
+  MpiJob job(f.sim, f.fabric.network(), f.contexts);
+  int at2 = 0;
+  job.set_rank_handler(2, [&](RankId from, const net::Message& m) {
+    ++at2;
+    EXPECT_EQ(from, 0u);
+    EXPECT_EQ(m.tag, 7u);
+  });
+  job.send(0, 1, 64, 0);
+  job.send(1, 0, 64, 0);
+  f.sim.run();
+
+  // The cut: every guest frozen and imaged, then the whole job restored
+  // into a new incarnation.
+  for (const auto& vm : f.vms) vm->pause();
+  std::vector<RankTransportSnapshot> cut;
+  for (RankId r = 0; r < 3; ++r) cut.push_back(job.snapshot_transport(r));
+  ASSERT_TRUE(cut[2].to_peer.empty());
+  constexpr std::uint32_t kEpoch = 3;
+  for (RankId r = 0; r < 3; ++r) job.restore_transport(r, cut[r], kEpoch);
+  for (const auto& vm : f.vms) vm->resume();
+
+  // 0 -> 2 never carried traffic: its pair opens now, in the new epoch.
+  EXPECT_TRUE(job.send(0, 2, 128, 7));
+  f.sim.run();
+  EXPECT_EQ(at2, 1);
+  EXPECT_FALSE(job.failed());
+  EXPECT_EQ(job.retransmissions(), 0u);
+  EXPECT_EQ(job.duplicates_discarded(), 0u);
+  EXPECT_TRUE(job.drained());
+
+  // Rank 0 alone is restored in place at the job's epoch. Its end of the
+  // new pair lands in that epoch, so rank 2's end must already be there.
+  f.vms[0]->pause();
+  const RankTransportSnapshot s0 = job.snapshot_transport(0);
+  ASSERT_TRUE(s0.to_peer.contains(2));
+  job.restore_transport(0, s0, kEpoch);
+  f.vms[0]->resume();
+  EXPECT_TRUE(job.send(0, 2, 128, 7));
+  f.sim.run();
+  EXPECT_EQ(at2, 2);
+  EXPECT_FALSE(job.failed());
+  EXPECT_EQ(job.retransmissions(), 0u);
+  EXPECT_TRUE(job.drained());
+}
+
+TEST(MpiJobTest, ThawReachesPeersInRankOrder) {
+  AppFixture f(4);
+  MpiJob job(f.sim, f.fabric.network(), f.contexts);
+  std::vector<RankId> arrivals;
+  for (RankId q = 1; q < 4; ++q) {
+    job.set_rank_handler(q, [&arrivals, q](RankId, const net::Message&) {
+      arrivals.push_back(q);
+    });
+  }
+  // The peers are dark, so the first transmissions are lost. A 1 MiB
+  // message holds rank 0's egress link for ~8 ms, far longer than the
+  // latency jitter, so arrivals keep the order of departures.
+  for (RankId q = 1; q < 4; ++q) f.vms[q]->pause();
+  constexpr std::uint32_t kBytes = 1u << 20;
+  for (const RankId q : {3u, 1u, 2u}) job.send(0, q, kBytes, 0);
+  f.sim.run_until(50 * sim::kMillisecond);
+
+  // Rank 0 freezes before anything is ACKed; its retransmission timers
+  // come due while it is frozen and park.
+  f.vms[0]->pause();
+  for (RankId q = 1; q < 4; ++q) f.vms[q]->resume();
+  f.sim.run_until(sim::kSecond);
+  ASSERT_TRUE(arrivals.empty());
+  ASSERT_EQ(job.retransmissions(), 0u);
+
+  // On thaw every parked timer restarts at the same instant; they fire in
+  // the order the endpoints were told, which must be peer order (not the
+  // order the pairs were opened in).
+  f.vms[0]->resume();
+  f.sim.run();
+  EXPECT_EQ(arrivals, (std::vector<RankId>{1, 2, 3}));
+  EXPECT_EQ(job.retransmissions(), 3u);
+  EXPECT_FALSE(job.failed());
 }
 
 }  // namespace

@@ -23,16 +23,18 @@ struct ChannelFixture {
         net(sim, link, sim::Rng(seed)),
         a_host(net.new_host()),
         b_host(net.new_host()),
-        a(sim, net, {a_host, 1}, {b_host, 1}, cfg),
-        b(sim, net, {b_host, 1}, {a_host, 1}, cfg) {}
+        conn(sim, net, {a_host, 1}, {b_host, 1}, cfg),
+        a(conn.end_a()),
+        b(conn.end_b()) {}
 
   sim::Simulation sim;
   std::shared_ptr<FlatLinkModel> link;
   Network net;
   HostId a_host;
   HostId b_host;
-  ReliableEndpoint a;
-  ReliableEndpoint b;
+  ReliableConnection conn;
+  ReliableEndpoint& a;
+  ReliableEndpoint& b;
 };
 
 TEST(ReliableConfigTest, RetryBudgetSumsBackedOffSchedule) {
@@ -190,8 +192,9 @@ TEST(ReliableChannelTest, RetransmissionMasksOneWayLossWindow) {
   const HostId a_host = net.new_host();  // cluster 0 (default)
   const HostId b_host = net.new_host();
   link->set_cluster(b_host, 1);
-  ReliableEndpoint a(sim, net, {a_host, 1}, {b_host, 1}, {});
-  ReliableEndpoint b(sim, net, {b_host, 1}, {a_host, 1}, {});
+  ReliableConnection conn(sim, net, {a_host, 1}, {b_host, 1});
+  ReliableEndpoint& a = conn.end_a();
+  ReliableEndpoint& b = conn.end_b();
   std::vector<Message> got;
   b.set_delivery_handler([&](const Message& m) { got.push_back(m); });
 

@@ -93,6 +93,72 @@ TEST(BandwidthPoolTest, NSaversContendLinearly) {
   EXPECT_NEAR(sim::to_seconds(pool.uncontended_time(1000)), 1.0, 1e-9);
 }
 
+TEST(BandwidthPoolTest, SimultaneousFinishersCompleteInStartOrder) {
+  sim::Simulation s;
+  BandwidthPool pool(s, 500.0);
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    pool.start(100, [&order, i] { order.push_back(i); });
+  }
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_NEAR(sim::to_seconds(s.now()), 1.0, 1e-6);
+  EXPECT_EQ(pool.completed(), 5u);
+}
+
+TEST(BandwidthPoolTest, CompletionMayStartOneTransferAndCancelAnother) {
+  sim::Simulation s;
+  BandwidthPool pool(s, 300.0);  // 100 B/s each while three share it
+  std::vector<char> order;
+  TransferId b = kInvalidTransfer;
+  TransferId c = kInvalidTransfer;
+  double d_done = 0.0;
+  pool.start(100, [&] {
+    order.push_back('A');
+    // B finished in this same instant: already gone, its callback pending.
+    EXPECT_FALSE(pool.cancel(b));
+    EXPECT_TRUE(pool.cancel(c));
+    pool.start(300, [&] {
+      order.push_back('D');
+      d_done = sim::to_seconds(s.now());
+    });
+  });
+  b = pool.start(100, [&] { order.push_back('B'); });
+  c = pool.start(1000, [&] { order.push_back('C'); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'D'}));
+  // D runs alone from t = 1 s: 300 bytes at 300 B/s.
+  EXPECT_NEAR(d_done, 2.0, 1e-6);
+  EXPECT_EQ(pool.completed(), 3u);
+  EXPECT_EQ(pool.active(), 0u);
+}
+
+TEST(BandwidthPoolTest, CancellingAMiddleTransferKeepsTheOthersProgress) {
+  sim::Simulation s;
+  BandwidthPool pool(s, 400.0);  // 100 B/s each while four share it
+  std::vector<char> order;
+  double done_at = 0.0;
+  const auto finish = [&](char name) {
+    return [&order, &done_at, &s, name] {
+      order.push_back(name);
+      done_at = sim::to_seconds(s.now());
+    };
+  };
+  pool.start(200, finish('A'));
+  const TransferId b = pool.start(1000, finish('B'));
+  pool.start(200, finish('C'));
+  pool.start(200, finish('D'));
+  s.schedule_after(sim::from_seconds(0.5),
+                   [&] { EXPECT_TRUE(pool.cancel(b)); });
+  s.run();
+  // A, C and D each keep the 50 bytes they had at the cancel; their 150
+  // remaining bytes at 400/3 B/s end together at 0.5 + 1.125 s, in start
+  // order.
+  EXPECT_EQ(order, (std::vector<char>{'A', 'C', 'D'}));
+  EXPECT_NEAR(done_at, 1.625, 1e-6);
+  EXPECT_EQ(pool.completed(), 3u);
+}
+
 class PoolConservation : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PoolConservation, WorkConservingUnderRandomArrivals) {
