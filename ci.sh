@@ -42,8 +42,11 @@
 #                       seed 1001)
 #
 # Test labels: `tier1` is the fast gate (unit tests, the dvcsim/dvcsweep
-# goldens and the 17 quick bench/ paper tables, each gated byte for byte
-# against tests/golden/bench_<name>.out); `paper` holds the four slow paper
+# goldens, the 17 quick bench/ paper tables, each gated byte for byte
+# against tests/golden/bench_<name>.out, and dvc_alloc_tests, the
+# allocation gate: zero heap allocations over 5 000 steady-state events
+# of a running ParallelApp, counted by a replaced global operator new,
+# which also counts under --sanitize); `paper` holds the four slow paper
 # tables (tab2_ntp_lsc, tab9_reliability, abl1_jitter_sweep,
 # abl4_timeout_sweep), ~1 min of CPU in a release build; `soak` is the
 # fault-soak campaign. Plain `ctest` runs all three.

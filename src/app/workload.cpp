@@ -59,19 +59,13 @@ WorkloadSpec make_sequential(double total_flops, std::uint32_t iterations) {
 RankId tree_parent(RankId rank, RankId root, RankId ranks) {
   const RankId v = (rank + ranks - root) % ranks;  // relabel: root -> 0
   if (v == 0) return rank;                         // the root has no parent
-  const RankId lowbit = v & (~v + 1);
-  return ((v - lowbit) + root) % ranks;
+  return ((v - detail::lowbit(v)) + root) % ranks;
 }
 
 std::vector<RankId> tree_children(RankId rank, RankId root, RankId ranks) {
-  const RankId v = (rank + ranks - root) % ranks;
-  // Children of virtual rank v are v + 2^k for 2^k below v's lowest set
-  // bit (the root, v = 0, fans out to every power of two).
-  RankId limit = v == 0 ? ranks : (v & (~v + 1));
   std::vector<RankId> out;
-  for (RankId step = 1; step < limit && v + step < ranks; step <<= 1) {
-    out.push_back((v + step + root) % ranks);
-  }
+  for_each_tree_child(rank, root, ranks,
+                      [&out](RankId child) { out.push_back(child); });
   return out;
 }
 
@@ -175,12 +169,13 @@ std::uint32_t Rank::expected_recvs() const {
 }
 
 void Rank::forward_tree_panel(std::uint32_t tag) {
-  if (!st_.forwarded.insert(tag).second) return;  // already relayed
+  const auto at = std::ranges::lower_bound(st_.forwarded, tag);
+  if (at != st_.forwarded.end() && *at == tag) return;  // already relayed
+  st_.forwarded.insert(at, tag);
   const RankId p = app_->spec_.ranks;
-  const RankId root = tag % p;
-  for (const RankId child : tree_children(id_, root, p)) {
+  for_each_tree_child(id_, tag % p, p, [&](RankId child) {
     app_->job_.send(id_, child, app_->spec_.bytes_per_msg, tag);
-  }
+  });
 }
 
 void Rank::on_message(RankId /*from*/, const net::Message& m) {
@@ -189,7 +184,13 @@ void Rank::on_message(RankId /*from*/, const net::Message& m) {
   if (app_->spec_.pattern == Pattern::kTreeBroadcast) {
     forward_tree_panel(m.tag);
   }
-  ++st_.recv_count[m.tag];
+  auto& counts = st_.recv_count;
+  auto at =
+      std::ranges::lower_bound(counts, m.tag, {}, &RankState::TagCount::tag);
+  if (at == counts.end() || at->tag != m.tag) {
+    at = counts.insert(at, RankState::TagCount{m.tag, 0});
+  }
+  ++at->count;
   if (st_.phase == RankState::Phase::kComm && m.tag == st_.iter) {
     check_comm_done();
   }
@@ -197,18 +198,23 @@ void Rank::on_message(RankId /*from*/, const net::Message& m) {
 
 void Rank::check_comm_done() {
   if (st_.phase != RankState::Phase::kComm) return;
-  const auto it = st_.recv_count.find(st_.iter);
-  const std::uint32_t got = it == st_.recv_count.end() ? 0 : it->second;
+  const auto& counts = st_.recv_count;
+  const auto at =
+      std::ranges::lower_bound(counts, st_.iter, {}, &RankState::TagCount::tag);
+  const std::uint32_t got =
+      at != counts.end() && at->tag == st_.iter ? at->count : 0;
   if (got >= expected_recvs()) advance_iteration();
 }
 
 void Rank::advance_iteration() {
   // Prune arrival counters at and below the completed iteration; later
   // iterations' early arrivals stay buffered.
-  st_.recv_count.erase(st_.recv_count.begin(),
-                       st_.recv_count.upper_bound(st_.iter));
+  st_.recv_count.erase(
+      st_.recv_count.begin(),
+      std::ranges::upper_bound(st_.recv_count, st_.iter, {},
+                               &RankState::TagCount::tag));
   st_.forwarded.erase(st_.forwarded.begin(),
-                      st_.forwarded.upper_bound(st_.iter));
+                      std::ranges::upper_bound(st_.forwarded, st_.iter));
   ++st_.iter;
   if (st_.iter >= app_->spec_.iterations) {
     finish();

@@ -3,9 +3,7 @@
 #include <any>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -24,9 +22,32 @@ enum class Pattern : std::uint8_t {
   kAllToAll,       ///< full transpose exchange (PTRANS-like)
 };
 
+namespace detail {
+/// Lowest set bit of `v` (0 for 0).
+[[nodiscard]] constexpr RankId lowbit(RankId v) noexcept {
+  return v & (~v + 1);
+}
+}  // namespace detail
+
 /// Binomial-tree helpers (relabelled so `root` maps to virtual rank 0).
 /// Exposed for tests and for anyone building their own collectives.
 [[nodiscard]] RankId tree_parent(RankId rank, RankId root, RankId ranks);
+
+/// Calls `visit(child)` for each child of `rank` in the binomial tree
+/// rooted at `root`, nearest first, without allocating. Children of
+/// virtual rank v are v + 2^k for 2^k below v's lowest set bit (the root,
+/// v = 0, fans out to every power of two).
+template <typename Visit>
+void for_each_tree_child(RankId rank, RankId root, RankId ranks,
+                         Visit&& visit) {
+  const RankId v = (rank + ranks - root) % ranks;
+  const RankId limit = v == 0 ? ranks : detail::lowbit(v);
+  for (RankId step = 1; step < limit && v + step < ranks; step <<= 1) {
+    visit(static_cast<RankId>((v + step + root) % ranks));
+  }
+}
+
+/// The children for_each_tree_child visits, in the same order.
 [[nodiscard]] std::vector<RankId> tree_children(RankId rank, RankId root,
                                                 RankId ranks);
 
@@ -63,14 +84,22 @@ struct WorkloadSpec {
                                            std::uint32_t iterations = 10);
 
 /// Where a rank is in its bulk-synchronous loop. Plain data: this, plus the
-/// transport snapshot, is the whole recoverable guest state.
+/// transport snapshot, is the whole recoverable guest state. The per-tag
+/// bookkeeping lives in tag-ordered vectors: each holds an entry or two at
+/// a time and keeps its capacity, so iterations do not allocate.
 struct RankState {
+  struct TagCount {
+    std::uint32_t tag;
+    std::uint32_t count;
+  };
+
   std::uint32_t iter = 0;
   enum class Phase : std::uint8_t { kCompute, kComm, kDone } phase =
       Phase::kCompute;
   sim::Duration compute_remaining = 0;  ///< valid when phase == kCompute
-  std::map<std::uint32_t, std::uint32_t> recv_count;  ///< per-iter arrivals
-  std::set<std::uint32_t> forwarded;  ///< tree-bcast panels already relayed
+  std::vector<TagCount> recv_count;  ///< per-iter arrivals, ascending tag
+  /// Tree-bcast panels already relayed, ascending tag.
+  std::vector<std::uint32_t> forwarded;
 };
 
 /// Everything a whole-guest image captures for one rank.

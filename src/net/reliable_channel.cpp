@@ -36,6 +36,16 @@ std::uint64_t ReliableEndpoint::send(std::uint32_t bytes, std::uint32_t tag) {
   return seq + 1;  // 1-based message id so 0 can mean "not sent"
 }
 
+void ReliableEndpoint::drop_acked(std::size_t n) {
+  unacked_head_ += n;
+  if (unacked_head_ * 2 >= unacked_.size()) {
+    unacked_.erase(unacked_.begin(),
+                   unacked_.begin() +
+                       static_cast<std::ptrdiff_t>(unacked_head_));
+    unacked_head_ = 0;
+  }
+}
+
 void ReliableEndpoint::transmit(std::uint64_t seq, const Pending& m) {
   Packet p;
   p.src = local_;
@@ -71,7 +81,7 @@ void ReliableEndpoint::on_host_state(bool up) {
     // shortly after restore and unACKed data flows again (paper §3:
     // "After a restart, the sender will send any unacked messages").
     parked_ = false;
-    if (!unacked_.empty() && timer_ == sim::kInvalidEvent) {
+    if (unacked() != 0 && timer_ == sim::kInvalidEvent) {
       timer_ = sim_->schedule_after(cfg_.thaw_retransmit_delay,
                                     [this] { on_timer(); });
     }
@@ -80,7 +90,7 @@ void ReliableEndpoint::on_host_state(bool up) {
 
 void ReliableEndpoint::on_timer() {
   timer_ = sim::kInvalidEvent;
-  if (state_ == State::kFailed || unacked_.empty()) return;
+  if (state_ == State::kFailed || unacked() == 0) return;
 
   if (!net_->host_up(local_.host)) {
     // We are frozen inside a saved guest: our timers are part of the saved
@@ -103,7 +113,7 @@ void ReliableEndpoint::on_timer() {
     set_stalled(true);
   }
   // Retransmit the oldest unacknowledged message, back off, re-arm.
-  transmit(first_unacked(), unacked_.front());
+  transmit(first_unacked(), unacked_[unacked_head_]);
   rto_ = std::min(
       static_cast<sim::Duration>(static_cast<double>(rto_) * cfg_.backoff),
       cfg_.max_rto);
@@ -139,7 +149,8 @@ TransportSnapshot ReliableEndpoint::snapshot() const {
   s.next_seq = next_seq_;
   s.acked = acked_;
   std::uint64_t seq = first_unacked();
-  for (const Pending& m : unacked_) {
+  for (std::size_t i = unacked_head_; i < unacked_.size(); ++i) {
+    const Pending& m = unacked_[i];
     s.unacked.emplace_hint(s.unacked.end(), seq++,
                            std::make_pair(m.bytes, m.tag));
   }
@@ -167,6 +178,7 @@ void ReliableEndpoint::restore(const TransportSnapshot& snap,
   next_seq_ = snap.next_seq;
   acked_ = snap.acked;
   unacked_.clear();
+  unacked_head_ = 0;
   for (const auto& [seq, m] : snap.unacked) {
     unacked_.push_back(Pending{m.first, m.second});
   }
@@ -183,7 +195,7 @@ void ReliableEndpoint::restore(const TransportSnapshot& snap,
     sim_->cancel(timer_);
     timer_ = sim::kInvalidEvent;
   }
-  if (!unacked_.empty()) {
+  if (unacked() != 0) {
     // The restored guest's pending retransmission fires shortly after thaw.
     timer_ = sim_->schedule_after(cfg_.thaw_retransmit_delay,
                                   [this] { on_timer(); });
@@ -199,10 +211,8 @@ void ReliableEndpoint::on_packet(const Packet& p) {
       acked_ = p.ack;
       const std::uint64_t first = first_unacked();
       if (acked_ > first) {
-        const std::uint64_t n =
-            std::min<std::uint64_t>(acked_ - first, unacked_.size());
-        unacked_.erase(unacked_.begin(),
-                       unacked_.begin() + static_cast<std::ptrdiff_t>(n));
+        drop_acked(static_cast<std::size_t>(
+            std::min<std::uint64_t>(acked_ - first, unacked())));
       }
       // Forward progress: reset the backoff schedule.
       retries_ = 0;
@@ -212,7 +222,7 @@ void ReliableEndpoint::on_packet(const Packet& p) {
         sim_->cancel(timer_);
         timer_ = sim::kInvalidEvent;
       }
-      if (!unacked_.empty()) arm_timer();
+      if (unacked() != 0) arm_timer();
     }
     return;
   }

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "net/network.hpp"
 #include "sim/simulation.hpp"
@@ -122,7 +122,7 @@ class ReliableEndpoint final : public PacketSink {
     return state_ == State::kFailed;
   }
   [[nodiscard]] std::size_t unacked() const noexcept {
-    return unacked_.size();
+    return unacked_.size() - unacked_head_;
   }
   /// True while retransmissions of the oldest segment have gone unanswered
   /// `stall_threshold` or more times in a row — a visible "link down or
@@ -179,10 +179,12 @@ class ReliableEndpoint final : public PacketSink {
     std::uint32_t tag;
   };
 
-  /// Sequence number of unacked_.front().
+  /// Sequence number of unacked_[unacked_head_].
   [[nodiscard]] std::uint64_t first_unacked() const noexcept {
-    return next_seq_ - unacked_.size();
+    return next_seq_ - unacked();
   }
+  /// Retires the `n` oldest unacknowledged messages.
+  void drop_acked(std::size_t n);
   void transmit(std::uint64_t seq, const Pending& m);
   void send_ack();
   void arm_timer();
@@ -200,12 +202,16 @@ class ReliableEndpoint final : public PacketSink {
   // Sender state.
   std::uint64_t next_seq_ = 0;          ///< next sequence number to assign
   std::uint64_t acked_ = 0;             ///< peer has everything below this
-  /// Unacknowledged messages, oldest first. Sends append and ACKs trim
-  /// the front, so the seqs are always the contiguous run ending at
-  /// next_seq_: [first_unacked(), next_seq_). That run starts at acked_
-  /// except after a rollback past an orphan message, when the restored
-  /// peer may ACK seqs this side has not re-sent yet.
-  std::deque<Pending> unacked_;
+  /// Unacknowledged messages, oldest first, from unacked_head_ on. Sends
+  /// append and ACKs advance the head, so the seqs are always the
+  /// contiguous run ending at next_seq_: [first_unacked(), next_seq_).
+  /// That run starts at acked_ except after a rollback past an orphan
+  /// message, when the restored peer may ACK seqs this side has not
+  /// re-sent yet. The retired prefix is cut off once it is as long as
+  /// the rest, so the vector keeps its capacity and a steady send/ACK
+  /// stream does not allocate.
+  std::vector<Pending> unacked_;
+  std::size_t unacked_head_ = 0;
   int retries_ = 0;
   sim::Duration rto_ = 0;
   sim::EventId timer_ = sim::kInvalidEvent;

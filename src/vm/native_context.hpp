@@ -1,10 +1,11 @@
 #pragma once
 
-#include <map>
+#include <functional>
 
 #include "hw/cluster.hpp"
 #include "sim/simulation.hpp"
 #include "vm/execution_context.hpp"
+#include "vm/guest_timers.hpp"
 
 namespace dvc::vm {
 
@@ -14,7 +15,7 @@ namespace dvc::vm {
 class NativeContext final : public ExecutionContext {
  public:
   NativeContext(sim::Simulation& sim, hw::Fabric& fabric, hw::NodeId node)
-      : sim_(&sim), fabric_(&fabric), node_(node) {}
+      : sim_(&sim), fabric_(&fabric), node_(node), timers_(sim) {}
 
   [[nodiscard]] net::HostId host() const override {
     return fabric_->node(node_).host();
@@ -25,29 +26,13 @@ class NativeContext final : public ExecutionContext {
 
   GuestTimerId schedule(sim::Duration delay,
                         std::function<void()> fn) override {
-    const GuestTimerId id = next_id_++;
-    const sim::EventId ev =
-        sim_->schedule_after(delay, [this, id, fn = std::move(fn)] {
-          pending_.erase(id);
-          fn();
-        });
-    pending_.emplace(id, Pending{ev, sim_->now() + delay});
-    return id;
+    return timers_.add(delay, std::move(fn), /*armed=*/true);
   }
 
-  bool cancel(GuestTimerId id) override {
-    const auto it = pending_.find(id);
-    if (it == pending_.end()) return false;
-    sim_->cancel(it->second.event);
-    pending_.erase(it);
-    return true;
-  }
+  bool cancel(GuestTimerId id) override { return timers_.cancel(id); }
 
   [[nodiscard]] sim::Duration remaining(GuestTimerId id) const override {
-    const auto it = pending_.find(id);
-    if (it == pending_.end()) return 0;
-    const sim::Duration rem = it->second.due_at - sim_->now();
-    return rem < 0 ? 0 : rem;
+    return timers_.remaining(id);
   }
 
   [[nodiscard]] sim::Time wall_now() const override { return sim_->now(); }
@@ -57,16 +42,10 @@ class NativeContext final : public ExecutionContext {
   }
 
  private:
-  struct Pending {
-    sim::EventId event;
-    sim::Time due_at;
-  };
-
   sim::Simulation* sim_;
   hw::Fabric* fabric_;
   hw::NodeId node_;
-  GuestTimerId next_id_ = 1;
-  std::map<GuestTimerId, Pending> pending_;
+  GuestTimerTable timers_;  ///< never frozen: a native node cannot pause
 };
 
 }  // namespace dvc::vm

@@ -11,52 +11,25 @@ VirtualMachine::VirtualMachine(sim::Simulation& sim, net::Network& net,
       id_(id),
       cfg_(std::move(cfg)),
       vnic_(net.new_host()),
+      timers_(sim),
       pause_started_(sim.now()) {
   // Domains are created frozen; boot (Hypervisor::boot_domain) resumes
   // them, so the vNIC starts dark.
   net_->set_host_up(vnic_, false);
 }
 
-VirtualMachine::~VirtualMachine() { drop_timers(); }
-
 GuestTimerId VirtualMachine::schedule(sim::Duration delay,
                                       std::function<void()> fn) {
   if (state_ == DomainState::kDead) return kInvalidGuestTimer;
-  const GuestTimerId id = next_timer_++;
-  GuestTimer t;
-  t.remaining = delay < 0 ? 0 : delay;
-  t.fn = std::move(fn);
-  if (state_ == DomainState::kRunning) {
-    t.due_at = sim_->now() + t.remaining;
-    t.event = sim_->schedule_after(t.remaining, [this, id] {
-      auto it = timers_.find(id);
-      if (it == timers_.end()) return;
-      auto fn = std::move(it->second.fn);
-      timers_.erase(it);
-      fn();
-    });
-  } else {
-    t.due_at = 0;
-    t.event = sim::kInvalidEvent;  // frozen from birth; armed on resume
-  }
-  timers_.emplace(id, std::move(t));
-  return id;
+  // A timer scheduled while frozen waits for resume() to arm it.
+  return timers_.add(delay, std::move(fn),
+                     state_ == DomainState::kRunning);
 }
 
-bool VirtualMachine::cancel(GuestTimerId id) {
-  auto it = timers_.find(id);
-  if (it == timers_.end()) return false;
-  if (it->second.event != sim::kInvalidEvent) sim_->cancel(it->second.event);
-  timers_.erase(it);
-  return true;
-}
+bool VirtualMachine::cancel(GuestTimerId id) { return timers_.cancel(id); }
 
 sim::Duration VirtualMachine::remaining(GuestTimerId id) const {
-  const auto it = timers_.find(id);
-  if (it == timers_.end()) return 0;
-  if (it->second.event == sim::kInvalidEvent) return it->second.remaining;
-  const sim::Duration rem = it->second.due_at - sim_->now();
-  return rem < 0 ? 0 : rem;
+  return timers_.remaining(id);
 }
 
 sim::Time VirtualMachine::wall_now() const {
@@ -89,7 +62,7 @@ void VirtualMachine::pause() {
   pause_started_ = sim_->now();
   ++pauses_;
   net_->set_host_up(vnic_, false);
-  freeze_timers();
+  timers_.freeze();
 }
 
 void VirtualMachine::resume() {
@@ -102,7 +75,7 @@ void VirtualMachine::resume() {
   has_run_ = true;
   state_ = DomainState::kRunning;
   net_->set_host_up(vnic_, true);
-  thaw_timers();
+  timers_.thaw();
   // The watchdog only exists once the guest kernel has run; the initial
   // boot freeze is not a lost timer tick.
   if (was_booted && cfg_.watchdog_enabled && gap > cfg_.watchdog_period) {
@@ -122,12 +95,12 @@ void VirtualMachine::kill() {
   if (state_ == DomainState::kRunning) pause_started_ = sim_->now();
   state_ = DomainState::kDead;
   net_->set_host_up(vnic_, false);
-  drop_timers();
+  timers_.drop();
   if (software_ != nullptr) software_->on_killed();
 }
 
 void VirtualMachine::rollback_and_resume(const std::any& app_state) {
-  drop_timers();
+  timers_.drop();
   has_run_ = true;  // a checkpoint only exists for a guest that has run
   state_ = DomainState::kRunning;
   net_->set_host_up(vnic_, true);
@@ -163,38 +136,6 @@ void VirtualMachine::log_kernel(std::string msg) {
   ++kernel_messages_total_;
   kernel_log_.push_back(std::move(msg));
   if (kernel_log_.size() > kKernelLogCap) kernel_log_.pop_front();
-}
-
-void VirtualMachine::freeze_timers() {
-  for (auto& [id, t] : timers_) {
-    if (t.event == sim::kInvalidEvent) continue;
-    sim_->cancel(t.event);
-    t.event = sim::kInvalidEvent;
-    t.remaining = t.due_at - sim_->now();
-    if (t.remaining < 0) t.remaining = 0;
-  }
-}
-
-void VirtualMachine::thaw_timers() {
-  for (auto& [id, t] : timers_) {
-    if (t.event != sim::kInvalidEvent) continue;
-    t.due_at = sim_->now() + t.remaining;
-    const GuestTimerId tid = id;
-    t.event = sim_->schedule_after(t.remaining, [this, tid] {
-      auto it = timers_.find(tid);
-      if (it == timers_.end()) return;
-      auto fn = std::move(it->second.fn);
-      timers_.erase(it);
-      fn();
-    });
-  }
-}
-
-void VirtualMachine::drop_timers() {
-  for (auto& [id, t] : timers_) {
-    if (t.event != sim::kInvalidEvent) sim_->cancel(t.event);
-  }
-  timers_.clear();
 }
 
 }  // namespace dvc::vm

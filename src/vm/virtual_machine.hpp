@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -13,6 +12,7 @@
 #include "vm/guest_os.hpp"
 #include "sim/simulation.hpp"
 #include "vm/execution_context.hpp"
+#include "vm/guest_timers.hpp"
 
 namespace dvc::vm {
 
@@ -71,7 +71,6 @@ class VirtualMachine final : public ExecutionContext {
  public:
   VirtualMachine(sim::Simulation& sim, net::Network& net, VmId id,
                  GuestConfig cfg);
-  ~VirtualMachine() override;
 
   VirtualMachine(const VirtualMachine&) = delete;
   VirtualMachine& operator=(const VirtualMachine&) = delete;
@@ -162,17 +161,7 @@ class VirtualMachine final : public ExecutionContext {
   void mark_imaged();
 
  private:
-  struct GuestTimer {
-    sim::Duration remaining;        ///< valid while frozen
-    sim::Time due_at;               ///< valid while running
-    sim::EventId event;             ///< armed while running
-    std::function<void()> fn;
-  };
-
   void log_kernel(std::string msg);
-  void freeze_timers();
-  void thaw_timers();
-  void drop_timers();
 
   sim::Simulation* sim_;
   net::Network* net_;
@@ -186,8 +175,7 @@ class VirtualMachine final : public ExecutionContext {
   GuestSoftware* software_ = nullptr;
   GuestOs os_;
 
-  GuestTimerId next_timer_ = 1;
-  std::map<GuestTimerId, GuestTimer> timers_;
+  GuestTimerTable timers_;  ///< armed while running, frozen otherwise
 
   sim::Time pause_started_ = 0;
   sim::Duration frozen_accum_ = 0;

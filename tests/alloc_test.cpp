@@ -1,0 +1,160 @@
+// Allocation gate: a running ParallelApp's steady state (compute steps,
+// messages, iterations) must not touch the heap. This binary replaces the
+// global operator new with a counting one, so it links no other test.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <vector>
+
+#include "app/workload.hpp"
+#include "hw/cluster.hpp"
+#include "sim/simulation.hpp"
+#include "vm/native_context.hpp"
+#include "vm/virtual_machine.hpp"
+
+namespace {
+std::uint64_t g_allocations = 0;
+
+void* counted_alloc(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_aligned_alloc(std::size_t n, std::align_val_t al) {
+  ++g_allocations;
+  const auto a = static_cast<std::size_t>(al);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  const std::size_t rounded = (n + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_aligned_alloc(n, a);
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_aligned_alloc(n, a);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace dvc::app {
+namespace {
+
+constexpr RankId kRanks = 6;
+/// Events run before counting: every rank pair the pattern uses is open
+/// and every container has reached its high-water capacity.
+constexpr std::uint64_t kWarmupEvents = 20'000;
+constexpr std::uint64_t kMeasuredEvents = 5'000;
+
+/// `kRanks` contexts of one kind on a one-cluster fabric, running one
+/// long ParallelApp of the given pattern.
+struct AppRig {
+  AppRig(Pattern pattern, bool native) {
+    fabric.add_cluster("a", kRanks);
+    vm::GuestConfig cfg;
+    cfg.ram_bytes = 1 << 20;
+    for (RankId i = 0; i < kRanks; ++i) {
+      if (native) {
+        natives.push_back(
+            std::make_unique<vm::NativeContext>(sim, fabric, i));
+        contexts.push_back(natives.back().get());
+      } else {
+        vms.push_back(std::make_unique<vm::VirtualMachine>(
+            sim, fabric.network(), i + 1, cfg));
+        vms.back()->place_on(fabric.node(i));
+        vms.back()->resume();
+        contexts.push_back(vms.back().get());
+      }
+    }
+    WorkloadSpec spec;
+    spec.name = "alloc-gate";
+    spec.ranks = kRanks;
+    spec.iterations = 1'000'000;  // never finishes inside the window
+    spec.flops_per_rank_iter = 1e7;
+    spec.pattern = pattern;
+    spec.bytes_per_msg = 64 << 10;
+    app = std::make_unique<ParallelApp>(sim, fabric.network(), contexts,
+                                        spec);
+  }
+
+  sim::Simulation sim;
+  hw::Fabric fabric{sim, {}};
+  std::vector<std::unique_ptr<vm::VirtualMachine>> vms;
+  std::vector<std::unique_ptr<vm::NativeContext>> natives;
+  std::vector<vm::ExecutionContext*> contexts;
+  std::unique_ptr<ParallelApp> app;
+};
+
+struct Window {
+  std::uint64_t events = 0;
+  std::uint64_t allocations = 0;
+};
+
+/// Warms the rig up, then counts heap allocations over the next
+/// kMeasuredEvents events.
+Window measure(Pattern pattern, bool native) {
+  AppRig rig(pattern, native);
+  rig.app->start();
+  rig.sim.run(kWarmupEvents);
+  Window w;
+  const std::uint64_t before = g_allocations;
+  w.events = rig.sim.run(kMeasuredEvents);
+  w.allocations = g_allocations - before;
+  return w;
+}
+
+void expect_allocation_free(Pattern pattern, bool native) {
+  const Window w = measure(pattern, native);
+  ASSERT_EQ(w.events, kMeasuredEvents) << "the app stopped early";
+  EXPECT_EQ(w.allocations, 0u)
+      << static_cast<double>(w.allocations) / static_cast<double>(w.events)
+      << " allocations per event";
+}
+
+TEST(AllocationGate, CounterSeesAllocations) {
+  const std::uint64_t before = g_allocations;
+  void* p = ::operator new(64);
+  const std::uint64_t after = g_allocations;
+  ::operator delete(p);
+  EXPECT_EQ(after - before, 1u);
+}
+
+TEST(AllocationGate, VmNone) { expect_allocation_free(Pattern::kNone, false); }
+TEST(AllocationGate, VmRing) { expect_allocation_free(Pattern::kRing, false); }
+TEST(AllocationGate, VmBroadcast) {
+  expect_allocation_free(Pattern::kBroadcast, false);
+}
+TEST(AllocationGate, VmTreeBroadcast) {
+  expect_allocation_free(Pattern::kTreeBroadcast, false);
+}
+TEST(AllocationGate, VmAllToAll) {
+  expect_allocation_free(Pattern::kAllToAll, false);
+}
+TEST(AllocationGate, NativeRing) {
+  expect_allocation_free(Pattern::kRing, true);
+}
+TEST(AllocationGate, NativeAllToAll) {
+  expect_allocation_free(Pattern::kAllToAll, true);
+}
+
+}  // namespace
+}  // namespace dvc::app

@@ -131,6 +131,68 @@ TEST(VirtualMachineTest, RemainingIsFrozenDuringPause) {
   EXPECT_EQ(vm.remaining(id), 7 * sim::kSecond);
 }
 
+TEST(VirtualMachineTest, ThawedTimersDueOnOneTickFireInIdOrder) {
+  VmFixture f;
+  VirtualMachine vm(f.sim, f.fabric.network(), 1, f.cfg);
+  vm.place_on(f.fabric.node(0));
+  vm.resume();
+  std::vector<GuestTimerId> fired;
+  const auto record = [&](GuestTimerId* id) {
+    return [&fired, id] { fired.push_back(*id); };
+  };
+  GuestTimerId a = kInvalidGuestTimer;
+  GuestTimerId b = kInvalidGuestTimer;
+  GuestTimerId c = kInvalidGuestTimer;
+  // Due at 5 s, 11 s and 5 s; frozen at 3 s with 2 s, 8 s and 2 s to go.
+  a = vm.schedule(5 * sim::kSecond, record(&a));
+  f.sim.run_until(sim::kSecond);
+  b = vm.schedule(10 * sim::kSecond, record(&b));
+  f.sim.run_until(2 * sim::kSecond);
+  c = vm.schedule(3 * sim::kSecond, record(&c));
+  f.sim.run_until(3 * sim::kSecond);
+  vm.pause();
+  f.sim.run_until(10 * sim::kSecond);
+  vm.resume();
+  // a and c both fall due at 12 s: the lower id goes first.
+  f.sim.run_until(12 * sim::kSecond);
+  EXPECT_EQ(fired, (std::vector<GuestTimerId>{a, c}));
+  f.sim.run();
+  EXPECT_EQ(fired, (std::vector<GuestTimerId>{a, c, b}));
+  EXPECT_EQ(f.sim.now(), 18 * sim::kSecond);
+}
+
+/// Timer callbacks that schedule and cancel other timers, and the state a
+/// fired timer leaves behind; the same contract for every context.
+void check_timer_callbacks(sim::Simulation& sim, ExecutionContext& ctx) {
+  std::vector<int> fired;
+  GuestTimerId victim = kInvalidGuestTimer;
+  const GuestTimerId first = ctx.schedule(sim::kSecond, [&] {
+    fired.push_back(1);
+    // Enough new timers to grow the table from inside a callback.
+    for (int i = 0; i < 8; ++i) {
+      ctx.schedule(sim::kSecond, [&fired, i] { fired.push_back(10 + i); });
+    }
+    EXPECT_TRUE(ctx.cancel(victim));
+  });
+  victim = ctx.schedule(2 * sim::kSecond, [&] { fired.push_back(2); });
+  sim.run();
+  EXPECT_EQ(fired,
+            (std::vector<int>{1, 10, 11, 12, 13, 14, 15, 16, 17}));
+  EXPECT_EQ(sim.now(), 2 * sim::kSecond);
+  EXPECT_FALSE(ctx.cancel(first));  // already fired
+  EXPECT_EQ(ctx.remaining(first), 0);
+  EXPECT_FALSE(ctx.cancel(victim));  // already cancelled
+  EXPECT_EQ(ctx.remaining(victim), 0);
+}
+
+TEST(VirtualMachineTest, TimerCallbacksMayScheduleAndCancel) {
+  VmFixture f;
+  VirtualMachine vm(f.sim, f.fabric.network(), 1, f.cfg);
+  vm.place_on(f.fabric.node(0));
+  vm.resume();
+  check_timer_callbacks(f.sim, vm);
+}
+
 TEST(VirtualMachineTest, NonVirtualizedWallClockJumpsAcrossPause) {
   VmFixture f;
   VirtualMachine vm(f.sim, f.fabric.network(), 1, f.cfg);
@@ -416,6 +478,12 @@ TEST(NativeContextTest, CancelWorks) {
   EXPECT_TRUE(ctx.cancel(id));
   f.sim.run();
   EXPECT_FALSE(fired);
+}
+
+TEST(NativeContextTest, TimerCallbacksMayScheduleAndCancel) {
+  VmFixture f;
+  NativeContext ctx(f.sim, f.fabric, 0);
+  check_timer_callbacks(f.sim, ctx);
 }
 
 }  // namespace
