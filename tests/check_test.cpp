@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "app/workload.hpp"
 #include "check/invariants.hpp"
@@ -171,6 +174,142 @@ TEST(InvariantCheckerTest, ViolationsAreCountedInTelemetry) {
   EXPECT_EQ(
       rig.bed.metrics.counter_value("check.violation.image-completeness"),
       2u);
+}
+
+// ---- exact violation text ---------------------------------------------------
+//
+// The checker builds each message only when a violation fires; these pin
+// the bytes it builds. The breakages reach through the const accessors on
+// purpose: the public API cannot produce these states.
+
+/// Every `detail` recorded for one invariant, in order.
+std::vector<std::string> details(const check::Invariants& inv,
+                                 const std::string& invariant) {
+  std::vector<std::string> out;
+  for (const check::Violation& v : inv.violations()) {
+    if (v.invariant == invariant) out.push_back(v.detail);
+  }
+  return out;
+}
+
+std::vector<hw::NodeId>& placements_of(core::VirtualCluster& vc) {
+  return const_cast<std::vector<hw::NodeId>&>(vc.placements());
+}
+
+std::map<hw::NodeId, core::VcId>& claims_of(core::DvcManager& dvc) {
+  return const_cast<std::map<hw::NodeId, core::VcId>&>(dvc.claims());
+}
+
+std::vector<core::VcGeneration>& generations_of(core::VirtualCluster& vc) {
+  return const_cast<std::vector<core::VcGeneration>&>(vc.generations());
+}
+
+storage::CheckpointSet& set_of(storage::ImageManager& images,
+                               storage::CheckpointSetId id) {
+  return const_cast<storage::CheckpointSet&>(*images.find_set(id));
+}
+
+TEST(InvariantMessageTest, MemberWithoutHostNode) {
+  Rig rig;
+  ASSERT_EQ(rig.vc->id(), 1u);
+  placements_of(*rig.vc)[2] = hw::kInvalidNode;
+  rig.inv.end_of_run(/*expect_quiesced=*/false);
+  EXPECT_EQ(details(rig.inv, "member-conservation"),
+            std::vector<std::string>{"vc#1 member 2 has no host node"});
+}
+
+TEST(InvariantMessageTest, MembersSharingANode) {
+  Rig rig;
+  auto& placement = placements_of(*rig.vc);
+  placement[3] = placement[1];
+  rig.inv.end_of_run(/*expect_quiesced=*/false);
+  EXPECT_EQ(details(rig.inv, "member-conservation"),
+            std::vector<std::string>{
+                "vc#1 member 3 shares node " + std::to_string(placement[1]) +
+                " with another member"});
+}
+
+TEST(InvariantMessageTest, ClaimTableMismatch) {
+  Rig rig;
+  const std::vector<hw::NodeId> placement = rig.vc->placements();
+  auto& claims = claims_of(*rig.bed.dvc);
+  claims[placement[0]] = 9;
+  claims.erase(placement[1]);
+  rig.inv.end_of_run(/*expect_quiesced=*/false);
+  const std::string n0 = std::to_string(placement[0]);
+  const std::string n1 = std::to_string(placement[1]);
+  EXPECT_EQ(details(rig.inv, "member-conservation"),
+            (std::vector<std::string>{
+                "vc#1 member 0 runs on node " + n0 +
+                    " which the claim table gives to vc#9",
+                "vc#1 member 1 runs on node " + n1 +
+                    " which the claim table gives to nobody",
+                "node " + n0 + " claimed by dead vc#9"}));
+}
+
+TEST(InvariantMessageTest, GenerationMonotonicity) {
+  Rig rig;
+  rig.checkpoint();
+  rig.checkpoint();
+  rig.checkpoint();
+  ASSERT_TRUE(rig.inv.ok()) << rig.inv.report();
+  auto& gens = generations_of(*rig.vc);
+  ASSERT_EQ(gens.size(), 3u);
+  const storage::CheckpointSetId s0 = gens[0].checkpoint.set;
+  const storage::CheckpointSetId s1 = gens[1].checkpoint.set;
+  gens[0].chain.clear();
+  gens[2].checkpoint.set = s1;
+  gens[2].checkpoint.taken_at = gens[1].checkpoint.taken_at - 1;
+  rig.inv.end_of_run(/*expect_quiesced=*/false);
+  const std::string t2 = std::to_string(gens[2].chain.back());
+  EXPECT_EQ(details(rig.inv, "generation-monotonicity"),
+            (std::vector<std::string>{
+                "vc#1 generation[0] has an empty chain",
+                "vc#1 generation[2] chain tail set#" + t2 +
+                    " != recovery point set#" + std::to_string(s1),
+                "vc#1 generation[2] set#" + std::to_string(s1) +
+                    " does not advance past set#" + std::to_string(s1),
+                "vc#1 generation[2] taken_at moves backwards"}));
+  EXPECT_NE(s0, s1);
+}
+
+TEST(InvariantMessageTest, ImageCompleteness) {
+  Rig rig;
+  rig.checkpoint();
+  rig.checkpoint();
+  rig.checkpoint();
+  ASSERT_TRUE(rig.inv.ok()) << rig.inv.report();
+  const auto& gens = rig.vc->generations();
+  ASSERT_EQ(gens.size(), 3u);
+  const storage::CheckpointSetId s0 = gens[0].checkpoint.set;
+  const storage::CheckpointSetId s1 = gens[1].checkpoint.set;
+  const storage::CheckpointSetId s2 = gens[2].checkpoint.set;
+  set_of(rig.bed.images, s1).members.pop_back();
+  set_of(rig.bed.images, s2).aborted = true;
+  ASSERT_GT(rig.bed.images.discard_set(s0), 0u);
+  rig.inv.end_of_run(/*expect_quiesced=*/false);
+  EXPECT_EQ(details(rig.inv, "image-completeness"),
+            (std::vector<std::string>{
+                "vc#1 chain set#" + std::to_string(s0) +
+                    " missing from the store",
+                "vc#1 chain set#" + std::to_string(s1) +
+                    " sealed with 3/4 members",
+                "vc#1 chain set#" + std::to_string(s2) +
+                    " aborted inside a retained chain"}));
+
+  set_of(rig.bed.images, s2).aborted = false;
+  set_of(rig.bed.images, s2).sealed = false;
+  rig.inv.on_round_complete(/*ok=*/true, s2);
+  rig.inv.on_round_complete(/*ok=*/true, 987654321);
+  rig.inv.end_of_run(/*expect_quiesced=*/false);
+  const std::vector<std::string> all = details(rig.inv, "image-completeness");
+  ASSERT_EQ(all.size(), 8u);
+  EXPECT_EQ(all[3], "LSC round reported ok with set#" + std::to_string(s2) +
+                        " unsealed");
+  EXPECT_EQ(all[4], "LSC round reported ok with set#987654321 missing from "
+                    "the store");
+  EXPECT_EQ(all[7], "vc#1 chain set#" + std::to_string(s2) +
+                        " unsealed inside a retained chain");
 }
 
 // ---- fault-free runs stay clean ---------------------------------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -304,6 +306,92 @@ TEST(SharedStoreTest, WriteTimeReflectsBandwidthAndOverhead) {
   EXPECT_EQ(store.write_time_stats().count(), 1u);
 }
 
+TEST(SharedStoreTest, ThousandWriteRemoveCyclesKeepBookkeeping) {
+  sim::Simulation s;
+  SharedStore store(s, {});
+  std::vector<ObjectId> live;  // oldest first
+  std::vector<std::uint64_t> live_bytes;
+  std::uint64_t expected_bytes = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t bytes = 1000 + static_cast<std::uint64_t>(i);
+    const std::string name = "a-name-too-long-for-the-small-buffer-" +
+                             std::to_string(i);
+    ObjectId id = kInvalidObject;
+    store.write_object(name, bytes, synthetic_checksum(i, 0, 0),
+                       [&](ObjectId oid) { id = oid; });
+    s.run();
+    ASSERT_NE(id, kInvalidObject);
+    ASSERT_TRUE(store.info(id).has_value());
+    EXPECT_EQ(store.info(id)->name, name);
+    EXPECT_EQ(store.info(id)->bytes, bytes);
+    live.push_back(id);
+    live_bytes.push_back(bytes);
+    expected_bytes += bytes;
+    if (live.size() > 3) {
+      const ObjectId gone = live.front();
+      ASSERT_TRUE(store.remove_object(gone));
+      EXPECT_FALSE(store.info(gone).has_value());
+      EXPECT_FALSE(store.remove_object(gone));
+      expected_bytes -= live_bytes.front();
+      live.erase(live.begin());
+      live_bytes.erase(live_bytes.begin());
+    }
+    ASSERT_EQ(store.object_count(), live.size());
+    ASSERT_EQ(store.bytes_stored(), expected_bytes);
+    for (std::size_t k = 0; k < live.size(); ++k) {
+      ASSERT_EQ(store.nth_newest_object(k), live[live.size() - 1 - k]);
+    }
+    ASSERT_EQ(store.nth_newest_object(live.size()), kInvalidObject);
+  }
+  EXPECT_EQ(store.inflight_writes(), 0u);
+}
+
+TEST(SharedStoreTest, TearAfterReuseTearsInStartOrderOnce) {
+  sim::Simulation s;
+  SharedStore::Config cfg;
+  cfg.write_bps = 1e6;
+  cfg.op_overhead = 5 * sim::kMillisecond;
+  SharedStore store(s, cfg);
+  // Warm the store's recycled nodes with completed writes first.
+  for (int i = 0; i < 20; ++i) {
+    store.write_object("warm", 1000, 1, [](ObjectId) {});
+  }
+  s.run();
+  std::vector<ObjectId> started;
+  std::vector<ObjectId> fired;
+  auto write = [&](std::uint64_t bytes) {
+    store.write_object("victim", bytes, 2,
+                       [&](ObjectId oid) { fired.push_back(oid); });
+  };
+  // Two writes streaming when the tear lands, two still in op overhead.
+  const sim::Time t0 = s.now();
+  write(1'000'000);
+  write(2'000'000);
+  s.run_until(t0 + 8 * sim::kMillisecond);
+  write(3'000'000);
+  s.run_until(t0 + 9 * sim::kMillisecond);
+  write(4'000'000);
+  ASSERT_EQ(store.inflight_writes(), 4u);
+  s.run_until(t0 + 10 * sim::kMillisecond);
+  EXPECT_EQ(store.tear_inflight_writes(), 4u);
+  ASSERT_EQ(fired.size(), 4u);
+  for (std::size_t i = 1; i < fired.size(); ++i) {
+    EXPECT_LT(fired[i - 1], fired[i]) << "torn out of start order";
+  }
+  for (const ObjectId id : fired) {
+    ASSERT_TRUE(store.info(id).has_value());
+    EXPECT_TRUE(store.info(id)->torn);
+  }
+  s.run();  // the torn writes' pending events must stay silent
+  EXPECT_EQ(fired.size(), 4u);
+  EXPECT_EQ(store.inflight_writes(), 0u);
+  // The store keeps working after the tear.
+  write(1000);
+  s.run();
+  ASSERT_EQ(fired.size(), 5u);
+  EXPECT_FALSE(store.info(fired.back())->torn);
+}
+
 TEST(SharedStoreTest, ChecksumIsDeterministicAndDiscriminates) {
   EXPECT_EQ(synthetic_checksum(1, 2, 3), synthetic_checksum(1, 2, 3));
   EXPECT_NE(synthetic_checksum(1, 2, 3), synthetic_checksum(1, 2, 4));
@@ -507,6 +595,79 @@ TEST(ImageManagerTest, PruneKeepsNewestSets) {
   EXPECT_EQ(mgr.latest_sealed("vc")->id, sets[4]);
   // Pruning again with everything already within budget is a no-op.
   EXPECT_EQ(mgr.prune("vc", 2), 0u);
+}
+
+TEST(ImageManagerTest, ReplicaLandingAfterPruneIsRemoved) {
+  sim::Simulation s;
+  SharedStore store(s, {});
+  SharedStore::Config slow;
+  slow.write_bps = 1e6;  // the replica copy outlives its set
+  SharedStore replica(s, slow);
+  ImageManager mgr(store);
+  mgr.add_replica(replica);
+  const auto doomed = mgr.open_set("vc", 1);
+  mgr.add_member(doomed, 0, 10'000'000);
+  while (!mgr.find_set(doomed)->sealed) s.step();
+  ASSERT_EQ(replica.inflight_writes(), 1u);
+  // A second set takes the copy slot the doomed set's primary write gave
+  // back; then the doomed set is pruned while its replica still streams.
+  const auto kept = mgr.open_set("vc", 1);
+  mgr.add_member(kept, 0, 1000);
+  while (!mgr.find_set(kept)->sealed) s.step();
+  EXPECT_EQ(mgr.prune("vc", 1), 10'000'000u);
+  s.run();
+  EXPECT_EQ(mgr.find_set(doomed), nullptr);
+  const MemberImage& m = mgr.find_set(kept)->members[0];
+  ASSERT_NE(m.replicas[0], kInvalidObject);
+  ASSERT_TRUE(replica.info(m.replicas[0]).has_value());
+  EXPECT_EQ(replica.info(m.replicas[0])->bytes, 1000u);
+  EXPECT_EQ(replica.object_count(), 1u);
+  EXPECT_EQ(replica.bytes_stored(), 1000u);
+}
+
+TEST(ImageManagerTest, ReusedCopySlotsRouteEveryCopyToItsMember) {
+  sim::Simulation s;
+  SharedStore store(s, {});
+  SharedStore::Config slow;
+  slow.write_bps = 50e6;
+  SharedStore fast_replica(s, {});
+  SharedStore slow_replica(s, slow);
+  ImageManager mgr(store);
+  mgr.add_replica(fast_replica);
+  mgr.add_replica(slow_replica);
+  sim::Rng rng(99);
+  // Overlapping rounds of uneven members, pruned to two generations at
+  // every seal: copies land out of slot order and after their set died.
+  for (int round = 0; round < 40; ++round) {
+    const auto set = mgr.open_set("vc", 3);
+    mgr.on_sealed(set, [&] { mgr.prune("vc", 2); });
+    for (std::uint64_t member = 0; member < 3; ++member) {
+      mgr.add_member(set, member, 1000 + rng.below(4'000'000));
+    }
+    s.run_until(s.now() + sim::from_seconds(0.05));
+  }
+  s.run();
+  const std::vector<const CheckpointSet*> sets = mgr.sets_with_label("vc");
+  ASSERT_EQ(sets.size(), 2u);
+  std::uint64_t members = 0;
+  for (const CheckpointSet* cs : sets) {
+    ASSERT_TRUE(cs->sealed);
+    for (const MemberImage& m : cs->members) {
+      ++members;
+      ASSERT_EQ(m.replicas.size(), 2u);
+      for (std::size_t r = 0; r < 2; ++r) {
+        SharedStore& rs = r == 0 ? fast_replica : slow_replica;
+        ASSERT_TRUE(rs.info(m.replicas[r]).has_value());
+        EXPECT_EQ(rs.info(m.replicas[r])->bytes, m.bytes);
+        EXPECT_EQ(rs.info(m.replicas[r])->checksum,
+                  synthetic_checksum(cs->id, m.member, m.bytes));
+      }
+    }
+  }
+  EXPECT_EQ(members, 6u);
+  EXPECT_EQ(store.object_count(), members);
+  EXPECT_EQ(fast_replica.object_count(), members);
+  EXPECT_EQ(slow_replica.object_count(), members);
 }
 
 }  // namespace
