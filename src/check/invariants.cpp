@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <set>
 #include <utility>
 
 namespace dvc::check {
@@ -64,7 +63,7 @@ void Invariants::on_vc_boundary(Boundary boundary, std::uint64_t vc) {
     for (const core::VirtualCluster* v : w_.dvc->live_vcs()) {
       if (v->id() != vc) continue;
       const storage::CheckpointSetId set = v->last_checkpoint().set;
-      auto [it, fresh] = seal_watermark_.emplace(vc, set);
+      auto [it, fresh] = seal_watermark_.try_emplace(vc, set);
       if (!fresh) {
         if (set <= it->second) {
           violate(Invariant::kGenerationMonotonicity,
@@ -135,12 +134,13 @@ void Invariants::on_round_complete(bool ok, std::uint64_t set) {
 
 void Invariants::sweep(Boundary b) {
   if (w_.dvc == nullptr) return;
-  for (const core::VirtualCluster* vc : w_.dvc->live_vcs()) {
+  const std::vector<const core::VirtualCluster*> vcs = w_.dvc->live_vcs();
+  for (const core::VirtualCluster* vc : vcs) {
     check_generations(*vc, b);
     check_image_sets(*vc, b);
   }
-  check_refcounts(b);
-  check_membership(b);
+  check_refcounts(vcs, b);
+  check_membership(vcs, b);
 }
 
 void Invariants::check_generations(const core::VirtualCluster& vc,
@@ -150,49 +150,58 @@ void Invariants::check_generations(const core::VirtualCluster& vc,
   sim::Time prev_taken = 0;
   for (std::size_t i = 0; i < gens.size(); ++i) {
     const core::VcGeneration& g = gens[i];
-    const std::string who =
-        "vc#" + std::to_string(vc.id()) + " generation[" +
-        std::to_string(i) + "]";
+    // Built only when a violation fires: the clean path makes no string.
+    const auto who = [&] {
+      return "vc#" + std::to_string(vc.id()) + " generation[" +
+             std::to_string(i) + "]";
+    };
     if (g.chain.empty()) {
-      violate(Invariant::kGenerationMonotonicity, who + " has an empty chain",
-              b);
+      violate(Invariant::kGenerationMonotonicity,
+              who() + " has an empty chain", b);
       continue;
     }
     if (g.chain.back() != g.checkpoint.set) {
       violate(Invariant::kGenerationMonotonicity,
-              who + " chain tail set#" + std::to_string(g.chain.back()) +
+              who() + " chain tail set#" + std::to_string(g.chain.back()) +
                   " != recovery point set#" +
                   std::to_string(g.checkpoint.set),
               b);
     }
     if (g.checkpoint.set <= prev_set) {
       violate(Invariant::kGenerationMonotonicity,
-              who + " set#" + std::to_string(g.checkpoint.set) +
+              who() + " set#" + std::to_string(g.checkpoint.set) +
                   " does not advance past set#" + std::to_string(prev_set),
               b);
     }
     if (g.checkpoint.taken_at < prev_taken) {
       violate(Invariant::kGenerationMonotonicity,
-              who + " taken_at moves backwards", b);
+              who() + " taken_at moves backwards", b);
     }
     prev_set = g.checkpoint.set;
     prev_taken = g.checkpoint.taken_at;
   }
 }
 
-void Invariants::check_refcounts(Boundary b) {
+void Invariants::check_refcounts(
+    const std::vector<const core::VirtualCluster*>& vcs, Boundary b) {
   // Re-derive the expected reference count of every retained set from the
   // live VCs' generation chains and compare with the manager's table; any
   // divergence is a leak (sets never reclaimed) or a premature retire
-  // (recovery points yanked from under a VC).
-  std::map<storage::CheckpointSetId, int> expected;
-  for (const core::VirtualCluster* vc : w_.dvc->live_vcs()) {
+  // (recovery points yanked from under a VC). The chains' set ids, sorted,
+  // hold each set once per retaining chain.
+  chain_sets_.clear();
+  for (const core::VirtualCluster* vc : vcs) {
     for (const core::VcGeneration& g : vc->generations()) {
-      for (const storage::CheckpointSetId s : g.chain) ++expected[s];
+      chain_sets_.insert(chain_sets_.end(), g.chain.begin(), g.chain.end());
     }
   }
+  std::sort(chain_sets_.begin(), chain_sets_.end());
   const auto& actual = w_.dvc->set_refs();
-  for (const auto& [s, n] : expected) {
+  for (auto run = chain_sets_.begin(); run != chain_sets_.end();) {
+    const storage::CheckpointSetId s = *run;
+    const auto next = std::upper_bound(run, chain_sets_.end(), s);
+    const auto n = static_cast<int>(next - run);
+    run = next;
     const auto it = actual.find(s);
     if (it == actual.end() || it->second != n) {
       violate(Invariant::kRefcountConsistency,
@@ -203,7 +212,7 @@ void Invariants::check_refcounts(Boundary b) {
     }
   }
   for (const auto& [s, n] : actual) {
-    if (!expected.contains(s)) {
+    if (!std::binary_search(chain_sets_.begin(), chain_sets_.end(), s)) {
       violate(Invariant::kRefcountConsistency,
               "set#" + std::to_string(s) + " refcounted " +
                   std::to_string(n) + " with no retaining chain (leak)",
@@ -233,23 +242,25 @@ void Invariants::check_image_sets(const core::VirtualCluster& vc,
   for (const core::VcGeneration& g : vc.generations()) {
     for (const storage::CheckpointSetId s : g.chain) {
       const storage::CheckpointSet* cs = w_.images->find_set(s);
-      const std::string who = "vc#" + std::to_string(vc.id()) +
-                              " chain set#" + std::to_string(s);
+      const auto who = [&] {
+        return "vc#" + std::to_string(vc.id()) + " chain set#" +
+               std::to_string(s);
+      };
       if (cs == nullptr) {
-        violate(Invariant::kImageCompleteness, who + " missing from the store",
-                b);
+        violate(Invariant::kImageCompleteness,
+                who() + " missing from the store", b);
         continue;
       }
       if (!cs->sealed || cs->aborted) {
         violate(Invariant::kImageCompleteness,
-                who + (cs->aborted ? " aborted" : " unsealed") +
+                who() + (cs->aborted ? " aborted" : " unsealed") +
                     " inside a retained chain",
                 b);
         continue;
       }
       if (cs->members.size() != cs->expected_members) {
         violate(Invariant::kImageCompleteness,
-                who + " sealed with " + std::to_string(cs->members.size()) +
+                who() + " sealed with " + std::to_string(cs->members.size()) +
                     "/" + std::to_string(cs->expected_members) + " members",
                 b);
       }
@@ -257,33 +268,38 @@ void Invariants::check_image_sets(const core::VirtualCluster& vc,
   }
 }
 
-void Invariants::check_membership(Boundary b) {
+void Invariants::check_membership(
+    const std::vector<const core::VirtualCluster*>& vcs, Boundary b) {
   const auto& claims = w_.dvc->claims();
-  std::set<core::VcId> live;
-  for (const core::VirtualCluster* vc : w_.dvc->live_vcs()) {
-    live.insert(vc->id());
+  for (const core::VirtualCluster* vc : vcs) {
     if (vc->state() != core::VcState::kRunning) continue;
     // A running VC must have a complete, duplicate-free placement whose
     // every node the manager's claim table attributes to it.
-    std::set<hw::NodeId> seen;
+    seen_nodes_.clear();
     for (std::uint32_t i = 0; i < vc->size(); ++i) {
       const hw::NodeId n = vc->placement(i);
-      const std::string who = "vc#" + std::to_string(vc->id()) +
-                              " member " + std::to_string(i);
+      const auto who = [&] {
+        return "vc#" + std::to_string(vc->id()) + " member " +
+               std::to_string(i);
+      };
       if (n == hw::kInvalidNode) {
-        violate(Invariant::kMemberConservation, who + " has no host node", b);
+        violate(Invariant::kMemberConservation, who() + " has no host node",
+                b);
         continue;
       }
-      if (!seen.insert(n).second) {
+      if (std::find(seen_nodes_.begin(), seen_nodes_.end(), n) !=
+          seen_nodes_.end()) {
         violate(Invariant::kMemberConservation,
-                who + " shares node " + std::to_string(n) +
+                who() + " shares node " + std::to_string(n) +
                     " with another member",
                 b);
+      } else {
+        seen_nodes_.push_back(n);
       }
       const auto it = claims.find(n);
       if (it == claims.end() || it->second != vc->id()) {
         violate(Invariant::kMemberConservation,
-                who + " runs on node " + std::to_string(n) +
+                who() + " runs on node " + std::to_string(n) +
                     " which the claim table gives to " +
                     (it == claims.end()
                          ? std::string("nobody")
@@ -292,8 +308,13 @@ void Invariants::check_membership(Boundary b) {
       }
     }
   }
+  // `vcs` is id-ordered: a claimant is live if a binary search finds it.
+  const auto by_id = [](const core::VirtualCluster* vc, core::VcId id) {
+    return vc->id() < id;
+  };
   for (const auto& [node, id] : claims) {
-    if (!live.contains(id)) {
+    const auto it = std::lower_bound(vcs.begin(), vcs.end(), id, by_id);
+    if (it == vcs.end() || (*it)->id() != id) {
       violate(Invariant::kMemberConservation,
               "node " + std::to_string(node) + " claimed by dead vc#" +
                   std::to_string(id),

@@ -109,9 +109,11 @@ class Invariants final : public Checker {
   void violate(Invariant invariant, std::string detail, Boundary b);
   void sweep(Boundary b);
   void check_generations(const core::VirtualCluster& vc, Boundary b);
-  void check_refcounts(Boundary b);
+  void check_refcounts(const std::vector<const core::VirtualCluster*>& vcs,
+                       Boundary b);
   void check_image_sets(const core::VirtualCluster& vc, Boundary b);
-  void check_membership(Boundary b);
+  void check_membership(const std::vector<const core::VirtualCluster*>& vcs,
+                        Boundary b);
 
   Wiring w_;
   /// Fence epoch as independently tracked by the checker (not read back
@@ -123,6 +125,10 @@ class Invariants final : public Checker {
   /// the watermark means the control plane resurrected an old one.
   std::map<core::VcId, storage::CheckpointSetId> seal_watermark_;
   std::vector<Violation> violations_;
+  /// Sweep scratch, kept for its capacity: every retaining chain's set ids
+  /// (check_refcounts) and one VC's placed nodes (check_membership).
+  std::vector<storage::CheckpointSetId> chain_sets_;
+  std::vector<hw::NodeId> seen_nodes_;
   /// `check.violation.<name>`, indexed by Invariant.
   std::vector<telemetry::CounterHandle> violation_c_;
 };

@@ -94,8 +94,10 @@ void BandwidthPool::reschedule() {
     settle();
     // Collect and fire every transfer that has drained, in id order,
     // compacting the survivors in place. A completion callback may start
-    // or cancel transfers; firing after the sweep keeps it stable.
-    std::vector<std::function<void()>> done;
+    // or cancel transfers; firing after the sweep keeps it stable. The
+    // list borrows the member scratch's capacity while it fires.
+    std::vector<std::function<void()>> done = std::move(done_);
+    done.clear();
     auto kept = transfers_.begin();
     for (Transfer& t : transfers_) {
       if (t.remaining_bytes <= 0.5) {  // sub-byte fluid residue
@@ -122,6 +124,8 @@ void BandwidthPool::reschedule() {
     for (auto& fn : done) {
       if (fn) fn();
     }
+    done.clear();
+    done_ = std::move(done);
   });
 }
 

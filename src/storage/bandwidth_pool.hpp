@@ -85,6 +85,8 @@ class BandwidthPool final {
   std::vector<Transfer> transfers_;
   sim::EventId pending_event_ = sim::kInvalidEvent;
   std::uint64_t completed_ = 0;
+  /// Completion callbacks of one drain, kept for their capacity.
+  std::vector<std::function<void()>> done_;
 
   telemetry::Counter* bytes_c_ = nullptr;
   telemetry::Counter* transfers_c_ = nullptr;

@@ -42,33 +42,57 @@ CheckpointSetId ImageManager::open_set(std::string label,
   return id;
 }
 
-void ImageManager::add_member(CheckpointSetId set, std::uint64_t member,
+std::uint32_t ImageManager::claim_copy(PendingCopy copy) {
+  if (free_copies_.empty()) {
+    copies_.push_back(std::move(copy));
+    return static_cast<std::uint32_t>(copies_.size() - 1);
+  }
+  const std::uint32_t slot = free_copies_.back();
+  free_copies_.pop_back();
+  copies_[slot] = std::move(copy);
+  return slot;
+}
+
+ImageManager::PendingCopy ImageManager::release_copy(std::uint32_t slot) {
+  PendingCopy copy = std::move(copies_[slot]);
+  free_copies_.push_back(slot);
+  return copy;
+}
+
+bool ImageManager::add_member(CheckpointSetId set, std::uint64_t member,
                               std::uint64_t bytes,
                               std::function<void()> on_member_done,
                               std::uint64_t epoch) {
-  if (fenced(epoch)) return;
+  if (fenced(epoch)) return false;
   admitted("add_member", epoch);
   auto it = sets_.find(set);
-  if (it == sets_.end() || it->second.aborted) return;
+  if (it == sets_.end() || it->second.aborted) return false;
   const std::uint64_t checksum = synthetic_checksum(set, member, bytes);
-  store_->write_object("ckpt", bytes, checksum,
-                       [this, set, member, bytes,
-                        cb = std::move(on_member_done)](ObjectId obj) {
-                         auto sit = sets_.find(set);
-                         if (sit == sets_.end() || sit->second.aborted) {
-                           store_->remove_object(obj);
-                           if (cb) cb();
-                           return;
-                         }
-                         MemberImage img{member, obj, bytes, {}};
-                         img.replicas.assign(replicas_.size(),
-                                             kInvalidObject);
-                         sit->second.members.push_back(std::move(img));
-                         telemetry::count(metrics_, members_added_c_);
-                         replicate_member(set, member, bytes);
-                         maybe_seal(sit->second);
-                         if (cb) cb();
-                       });
+  const std::uint32_t slot =
+      claim_copy({set, member, bytes, 0, std::move(on_member_done)});
+  store_->write_object("ckpt", bytes, checksum, [this, slot](ObjectId obj) {
+    primary_landed(slot, obj);
+  });
+  return true;
+}
+
+void ImageManager::primary_landed(std::uint32_t slot, ObjectId obj) {
+  const PendingCopy copy = release_copy(slot);
+  auto sit = sets_.find(copy.set);
+  if (sit == sets_.end() || sit->second.aborted) {
+    store_->remove_object(obj);
+    if (copy.on_done) copy.on_done();
+    return;
+  }
+  CheckpointSet& s = sit->second;
+  if (s.members.empty()) s.members.reserve(s.expected_members);
+  MemberImage img{copy.member, obj, copy.bytes, {}};
+  img.replicas.assign(replicas_.size(), kInvalidObject);
+  s.members.push_back(std::move(img));
+  telemetry::count(metrics_, members_added_c_);
+  replicate_member(copy.set, copy.member, copy.bytes);
+  maybe_seal(s);
+  if (copy.on_done) copy.on_done();
 }
 
 void ImageManager::replicate_member(CheckpointSetId set, std::uint64_t member,
@@ -78,25 +102,30 @@ void ImageManager::replicate_member(CheckpointSetId set, std::uint64_t member,
   // died is removed again.
   const std::uint64_t checksum = synthetic_checksum(set, member, bytes);
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
+    const std::uint32_t slot = claim_copy({set, member, bytes, i, {}});
     replicas_[i]->write_object(
         "ckpt-replica", bytes, checksum,
-        [this, set, member, bytes, i](ObjectId obj) {
-          auto sit = sets_.find(set);
-          if (sit == sets_.end() || sit->second.aborted) {
-            replicas_[i]->remove_object(obj);
-            return;
-          }
-          for (auto& m : sit->second.members) {
-            if (m.member == member) {
-              m.replicas[i] = obj;
-              telemetry::count(metrics_, replica_copies_c_);
-              telemetry::count(metrics_, replica_copy_bytes_c_, bytes);
-              return;
-            }
-          }
-          replicas_[i]->remove_object(obj);
-        });
+        [this, slot](ObjectId obj) { replica_landed(slot, obj); });
   }
+}
+
+void ImageManager::replica_landed(std::uint32_t slot, ObjectId obj) {
+  const PendingCopy copy = release_copy(slot);
+  SharedStore& store = *replicas_[copy.replica];
+  auto sit = sets_.find(copy.set);
+  if (sit == sets_.end() || sit->second.aborted) {
+    store.remove_object(obj);
+    return;
+  }
+  for (auto& m : sit->second.members) {
+    if (m.member == copy.member) {
+      m.replicas[copy.replica] = obj;
+      telemetry::count(metrics_, replica_copies_c_);
+      telemetry::count(metrics_, replica_copy_bytes_c_, copy.bytes);
+      return;
+    }
+  }
+  store.remove_object(obj);
 }
 
 void ImageManager::drop_member_objects(const MemberImage& m) {

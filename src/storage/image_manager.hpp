@@ -95,8 +95,8 @@ class ImageManager final {
   /// recorded in the set and, if it was the last one, the set seals.
   /// `on_member_done` fires when this member's image is durable. A fenced
   /// write behaves like a write to a missing set: nothing happens and the
-  /// callback never fires.
-  void add_member(CheckpointSetId set, std::uint64_t member,
+  /// callback never fires. Returns whether the write was issued.
+  bool add_member(CheckpointSetId set, std::uint64_t member,
                   std::uint64_t bytes,
                   std::function<void()> on_member_done = {},
                   std::uint64_t epoch = kUnfencedEpoch);
@@ -179,6 +179,21 @@ class ImageManager final {
     if (check_ != nullptr) check_->on_admitted_mutation(op, epoch);
   }
 
+  /// One store write in flight for a member image: its primary copy, or
+  /// its copy on replica store `replica`. The write's completion captures
+  /// only `(this, slot)`; the slot is freed the moment the write lands.
+  struct PendingCopy {
+    CheckpointSetId set = kInvalidCheckpointSet;
+    std::uint64_t member = 0;
+    std::uint64_t bytes = 0;
+    std::size_t replica = 0;        ///< replica copies only
+    std::function<void()> on_done;  ///< primary copies only
+  };
+
+  [[nodiscard]] std::uint32_t claim_copy(PendingCopy copy);
+  [[nodiscard]] PendingCopy release_copy(std::uint32_t slot);
+  void primary_landed(std::uint32_t slot, ObjectId obj);
+  void replica_landed(std::uint32_t slot, ObjectId obj);
   void maybe_seal(CheckpointSet& s);
   void replicate_member(CheckpointSetId set, std::uint64_t member,
                         std::uint64_t bytes);
@@ -213,6 +228,9 @@ class ImageManager final {
   std::map<CheckpointSetId, CheckpointSet> sets_;
   std::unordered_map<CheckpointSetId, std::vector<std::function<void()>>>
       seal_callbacks_;
+  /// Pending-copy slots, reused through `free_copies_`.
+  std::vector<PendingCopy> copies_;
+  std::vector<std::uint32_t> free_copies_;
 };
 
 }  // namespace dvc::storage

@@ -54,8 +54,27 @@ void SharedStore::set_metrics(telemetry::MetricsRegistry* m,
   reads_.set_metrics(m, prefix + ".read_pool");
 }
 
-void SharedStore::install(ObjectId id, InflightWrite&& w, bool torn) {
-  ObjectInfo info;
+SharedStore::InflightWrite& SharedStore::new_inflight(ObjectId id) {
+  if (spare_inflight_.empty()) return inflight_.try_emplace(id).first->second;
+  InflightMap::node_type node = std::move(spare_inflight_.back());
+  spare_inflight_.pop_back();
+  node.key() = id;
+  return inflight_.insert(std::move(node)).position->second;
+}
+
+ObjectInfo& SharedStore::new_object(ObjectId id) {
+  if (spare_objects_.empty()) return objects_.try_emplace(id).first->second;
+  ObjectMap::node_type node = std::move(spare_objects_.back());
+  spare_objects_.pop_back();
+  node.key() = id;
+  return objects_.insert(std::move(node)).position->second;
+}
+
+void SharedStore::complete(InflightMap::node_type node, bool torn) {
+  const ObjectId id = node.key();
+  InflightWrite& w = node.mapped();
+  const std::function<void(ObjectId)> on_complete = std::move(w.on_complete);
+  ObjectInfo& info = new_object(id);
   info.id = id;
   info.name = std::move(w.name);
   info.bytes = w.bytes;
@@ -63,7 +82,6 @@ void SharedStore::install(ObjectId id, InflightWrite&& w, bool torn) {
   info.stored_checksum = w.checksum;
   info.torn = torn;
   info.created_at = sim_->now();
-  objects_.emplace(id, std::move(info));
   bytes_stored_ += w.bytes;
   bytes_written_total_ += w.bytes;
   write_times_.add(sim::to_seconds(sim_->now() - w.started));
@@ -71,8 +89,9 @@ void SharedStore::install(ObjectId id, InflightWrite&& w, bool torn) {
                    torn ? instruments_.torn_writes : instruments_.writes);
   telemetry::observe(metrics_, instruments_.write_s,
                      sim::to_seconds(sim_->now() - w.started));
+  spare_inflight_.push_back(std::move(node));
   // The writer learns nothing about the tear: its fsync "succeeded".
-  if (w.on_complete) w.on_complete(id);
+  if (on_complete) on_complete(id);
 }
 
 void SharedStore::write_object(std::string name, std::uint64_t bytes,
@@ -81,22 +100,20 @@ void SharedStore::write_object(std::string name, std::uint64_t bytes,
   // Reserve the id now so concurrent writers get distinct ids
   // deterministically in call order.
   const ObjectId id = next_id_++;
-  InflightWrite w;
+  InflightWrite& w = new_inflight(id);
   w.name = std::move(name);
   w.bytes = bytes;
   w.checksum = checksum;
   w.started = sim_->now();
+  w.transfer = kInvalidTransfer;
   w.on_complete = std::move(on_complete);
-  inflight_.emplace(id, std::move(w));
   sim_->schedule_after(cfg_.op_overhead, [this, id] {
     const auto it = inflight_.find(id);
     if (it == inflight_.end()) return;  // torn during the op overhead
     it->second.transfer = writes_.start(it->second.bytes, [this, id] {
       const auto wit = inflight_.find(id);
       if (wit == inflight_.end()) return;
-      InflightWrite done = std::move(wit->second);
-      inflight_.erase(wit);
-      install(id, std::move(done), /*torn=*/false);
+      complete(inflight_.extract(wit), /*torn=*/false);
     });
   });
 }
@@ -104,14 +121,14 @@ void SharedStore::write_object(std::string name, std::uint64_t bytes,
 ObjectId SharedStore::put_object(std::string name, std::uint64_t bytes,
                                  std::uint64_t checksum) {
   const ObjectId id = next_id_++;
-  ObjectInfo info;
+  ObjectInfo& info = new_object(id);
   info.id = id;
   info.name = std::move(name);
   info.bytes = bytes;
   info.checksum = checksum;
   info.stored_checksum = checksum;
+  info.torn = false;
   info.created_at = sim_->now();
-  objects_.emplace(id, info);
   bytes_stored_ += bytes;
   return id;
 }
@@ -154,7 +171,7 @@ bool SharedStore::remove_object(ObjectId id) {
   const auto it = objects_.find(id);
   if (it == objects_.end()) return false;
   bytes_stored_ -= it->second.bytes;
-  objects_.erase(it);
+  spare_objects_.push_back(objects_.extract(it));
   return true;
 }
 
@@ -177,14 +194,20 @@ ObjectId SharedStore::nth_newest_object(std::size_t n) const {
 }
 
 std::size_t SharedStore::tear_inflight_writes() {
-  if (inflight_.empty()) return 0;
-  std::map<ObjectId, InflightWrite> dying = std::move(inflight_);
-  inflight_.clear();
-  for (auto& [id, w] : dying) {
-    if (w.transfer != kInvalidTransfer) writes_.cancel(w.transfer);
-    install(id, std::move(w), /*torn=*/true);
+  // A writer's callback may start a new write; it lands in the emptied
+  // table and survives this tear.
+  InflightMap dying;
+  dying.swap(inflight_);
+  std::size_t torn = 0;
+  while (!dying.empty()) {
+    InflightMap::node_type node = dying.extract(dying.begin());
+    if (node.mapped().transfer != kInvalidTransfer) {
+      writes_.cancel(node.mapped().transfer);
+    }
+    complete(std::move(node), /*torn=*/true);
+    ++torn;
   }
-  return dying.size();
+  return torn;
 }
 
 std::optional<ObjectInfo> SharedStore::info(ObjectId id) const {

@@ -175,20 +175,33 @@ class SharedStore final {
     telemetry::HistogramHandle write_s;
   };
 
-  void install(ObjectId id, InflightWrite&& w, bool torn);
+  using InflightMap = std::map<ObjectId, InflightWrite>;
+  using ObjectMap = std::unordered_map<ObjectId, ObjectInfo>;
+
+  /// A fresh entry under `id`, built on a recycled node when there is one.
+  InflightWrite& new_inflight(ObjectId id);
+  ObjectInfo& new_object(ObjectId id);
+  /// Installs a write that left `inflight_` (whole or torn), recycles its
+  /// node, then reports the object id to the writer.
+  void complete(InflightMap::node_type node, bool torn);
 
   sim::Simulation* sim_;
   Config cfg_;
   BandwidthPool writes_;
   BandwidthPool reads_;
   ObjectId next_id_ = 1;
-  std::unordered_map<ObjectId, ObjectInfo> objects_;
+  ObjectMap objects_;
   /// Writes between write_object and durability, id-ordered so a tear
   /// kills them deterministically in start order.
-  std::map<ObjectId, InflightWrite> inflight_;
+  InflightMap inflight_;
+  /// Nodes of removed objects and finished writes, reused by the next
+  /// install or write instead of allocating (extract / node-handle insert
+  /// keep key order and lookups as they were).
+  std::vector<ObjectMap::node_type> spare_objects_;
+  std::vector<InflightMap::node_type> spare_inflight_;
   std::uint64_t bytes_stored_ = 0;
   std::uint64_t bytes_written_total_ = 0;
-  sim::SummaryStats write_times_{/*keep_samples=*/true};
+  sim::SummaryStats write_times_;
   telemetry::MetricsRegistry* metrics_ = nullptr;
   Instruments instruments_{"storage"};
 };
