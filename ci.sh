@@ -45,7 +45,9 @@
 # goldens, the 17 quick bench/ paper tables, each gated byte for byte
 # against tests/golden/bench_<name>.out, and dvc_alloc_tests, the
 # allocation gate: zero heap allocations over 5 000 steady-state events
-# of a running ParallelApp, counted by a replaced global operator new,
+# of a running ParallelApp, and (AllocationGate.CheckpointRoundPerMember)
+# at most 2 more allocations per checkpoint round for each member added
+# to a ckpt16-shaped cell, counted by a replaced global operator new,
 # which also counts under --sanitize); `paper` holds the four slow paper
 # tables (tab2_ntp_lsc, tab9_reliability, abl1_jitter_sweep,
 # abl4_timeout_sweep), ~1 min of CPU in a release build; `soak` is the
