@@ -338,6 +338,25 @@ TEST(NtpLscTest, CheckpointIsTransparentToTheApplication) {
   EXPECT_FALSE(f.application->failed());
 }
 
+TEST(NtpLscTest, CoordinatorOwnsItsLiveRounds) {
+  LscFixture f(4, 64ull << 20);
+  // The round's `done` continuation holds the token while the round lives.
+  const auto token = std::make_shared<int>(0);
+  {
+    NtpLscCoordinator lsc(f.bed.sim, {}, sim::Rng(17));
+    bool reported = false;
+    lsc.checkpoint("owned", f.bed.dvc->save_targets(*f.vc), f.bed.images,
+                   [token, &reported](LscResult) { reported = true; });
+    // Past the common save instant (2 s lead), before any image is durable.
+    f.bed.sim.run_until(f.bed.sim.now() + 2200 * sim::kMillisecond);
+    ASSERT_FALSE(reported);
+    EXPECT_GT(token.use_count(), 1);
+  }
+  // A coordinator torn down mid-round frees the round it owns: neither the
+  // queued events nor the hypervisors' pending saves keep it alive.
+  EXPECT_EQ(token.use_count(), 1);
+}
+
 TEST(NtpLscTest, RepeatedRoundsAllSucceed) {
   LscFixture f(6, 64ull << 20);
   NtpLscCoordinator lsc(f.bed.sim, {}, sim::Rng(11));
