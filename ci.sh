@@ -3,7 +3,10 @@
 #
 #   ./ci.sh             lint instrument names (tools/lint_metric_names.py:
 #                       no telemetry::count/observe/gauge_* call under src/
-#                       may build its name with `+`), then configure
+#                       may build its name with `+`) and VC state writes
+#                       (tools/lint_vc_state.py: nothing under src/ but
+#                       DvcManager::transition assigns a VirtualCluster's
+#                       state_), then configure
 #                       (warnings-as-errors), build, and run the full test
 #                       suite (every label); then configure and build (not
 #                       run) dvcbench from dvcbench/ into
@@ -173,6 +176,7 @@ sys.exit(0 if ok else 1)
     ;;
   "")
     python3 tools/lint_metric_names.py src
+    python3 tools/lint_vc_state.py src
     build_and_test build -DDVC_WERROR=ON
     cmake -B build/dvcbench-pkg -S dvcbench
     cmake --build build/dvcbench-pkg --target dvcbench -j "$JOBS"

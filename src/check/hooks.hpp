@@ -12,10 +12,11 @@ namespace dvc::check {
 
 /// Which cross-subsystem boundary a sweep is running at.
 enum class Boundary : std::uint8_t {
-  kRoundSeal,  ///< a coordinated checkpoint sealed and became a generation
-  kRestore,    ///< a whole-VC restore completed (ok or not)
-  kRecovery,   ///< automatic recovery concluded (recovered or abandoned)
-  kEndOfRun,   ///< the harness is done driving the simulation
+  kRoundSeal,   ///< a coordinated checkpoint sealed and became a generation
+  kRestore,     ///< a whole-VC restore completed (ok or not)
+  kRecovery,    ///< automatic recovery concluded (recovered or abandoned)
+  kEndOfRun,    ///< the harness is done driving the simulation
+  kTransition,  ///< a VC changed lifecycle state (no sweep runs here)
 };
 
 [[nodiscard]] constexpr std::string_view to_string(Boundary b) noexcept {
@@ -24,6 +25,7 @@ enum class Boundary : std::uint8_t {
     case Boundary::kRestore: return "restore";
     case Boundary::kRecovery: return "recovery";
     case Boundary::kEndOfRun: return "end-of-run";
+    case Boundary::kTransition: return "transition";
   }
   return "?";
 }
@@ -38,6 +40,12 @@ class Checker {
 
   /// A VC crossed a lifecycle boundary (DvcManager).
   virtual void on_vc_boundary(Boundary /*boundary*/, std::uint64_t /*vc*/) {}
+
+  /// VC `vc` moved from lifecycle state `from` to `to`
+  /// (DvcManager::transition). The states are raw core::VcState values,
+  /// so this header needs nothing from core.
+  virtual void on_vc_transition(std::uint64_t /*vc*/, std::uint8_t /*from*/,
+                                std::uint8_t /*to*/) {}
 
   /// The image manager admitted a state-changing command stamped with
   /// `epoch` (post-fence: the mutation is about to execute).

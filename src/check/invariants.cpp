@@ -17,7 +17,46 @@ constexpr std::string_view kInvariantNames[] = {
     "member-conservation",
     "queue-hygiene",
     "ledger-consistency",
+    "vc-state-legal",
 };
+
+/// VcState names, indexed by the raw enum value.
+constexpr std::string_view kStateNames[] = {
+    "provisioning", "running", "checkpointing", "recovering", "migrating",
+    "failed",
+};
+
+/// Every legal lifecycle edge (docs/ARCHITECTURE.md, "VC lifecycle"). Any
+/// live state may fail; nothing leaves kFailed.
+struct Edge {
+  core::VcState from;
+  core::VcState to;
+};
+using S = core::VcState;
+constexpr Edge kLegalEdges[] = {
+    {S::kProvisioning, S::kRunning},      // every guest booted
+    {S::kProvisioning, S::kRecovering},   // recovery retries a failed restore
+    {S::kProvisioning, S::kFailed},
+    {S::kRunning, S::kCheckpointing},     // checkpoint_vc
+    {S::kRunning, S::kMigrating},         // migrate_vc, live_migrate_vc
+    {S::kRunning, S::kRecovering},        // restore_vc
+    {S::kRunning, S::kFailed},
+    {S::kCheckpointing, S::kRunning},     // the round concluded, or reconcile
+    {S::kCheckpointing, S::kRecovering},  // restore_vc mid-round
+    {S::kCheckpointing, S::kFailed},
+    {S::kMigrating, S::kRunning},         // moved, or failed in place
+    {S::kMigrating, S::kRecovering},      // migrate_vc's restore
+    {S::kMigrating, S::kProvisioning},    // a live move lost a member
+    {S::kMigrating, S::kFailed},
+    {S::kRecovering, S::kRunning},        // restored, or reconcile
+    {S::kRecovering, S::kProvisioning},   // the restore failed
+    {S::kRecovering, S::kRecovering},     // re-recovery over a deposed restore
+    {S::kRecovering, S::kFailed},
+};
+
+std::string_view state_name(std::uint8_t s) {
+  return s < std::size(kStateNames) ? kStateNames[s] : "?";
+}
 }  // namespace
 
 Invariants::Invariants(Wiring w)
@@ -25,7 +64,9 @@ Invariants::Invariants(Wiring w)
       epoch_seen_(w.fence != nullptr ? w.fence->current()
                                      : storage::kUnfencedEpoch) {
   static_assert(std::size(kInvariantNames) ==
-                static_cast<std::size_t>(Invariant::kLedgerConsistency) + 1);
+                static_cast<std::size_t>(Invariant::kVcStateLegal) + 1);
+  static_assert(std::size(kStateNames) ==
+                static_cast<std::size_t>(core::VcState::kFailed) + 1);
   for (const std::string_view name : kInvariantNames) {
     violation_c_.emplace_back("check.violation." + std::string(name));
   }
@@ -128,6 +169,21 @@ void Invariants::on_round_complete(bool ok, std::uint64_t set) {
                               : (s->aborted ? " aborted" : " unsealed")),
             Boundary::kRoundSeal);
   }
+}
+
+void Invariants::on_vc_transition(std::uint64_t vc, std::uint8_t from,
+                                  std::uint8_t to) {
+  for (const Edge& e : kLegalEdges) {
+    if (static_cast<std::uint8_t>(e.from) == from &&
+        static_cast<std::uint8_t>(e.to) == to) {
+      return;
+    }
+  }
+  violate(Invariant::kVcStateLegal,
+          "vc#" + std::to_string(vc) + " moved " +
+              std::string(state_name(from)) + " -> " +
+              std::string(state_name(to)) + ", not a lifecycle edge",
+          Boundary::kTransition);
 }
 
 // ---- sweeps -----------------------------------------------------------------

@@ -42,6 +42,7 @@ struct Violation {
 ///                            agree with the manager's node-claim table
 ///   queue-hygiene            no foreground event outlives the run
 ///   ledger-consistency       (on demand) message ledger verdict holds
+///   vc-state-legal           every VcState change is a legal lifecycle edge
 ///
 /// Violations are collected, counted into `check.violations` /
 /// `check.violation.<name>`, and exposed for the harness to report with a
@@ -71,6 +72,8 @@ class Invariants final : public Checker {
                             std::uint64_t epoch) override;
   void on_epoch_advance(std::uint64_t new_epoch) override;
   void on_round_complete(bool ok, std::uint64_t set) override;
+  void on_vc_transition(std::uint64_t vc, std::uint8_t from,
+                        std::uint8_t to) override;
 
   // ---- harness-driven checks --------------------------------------------
 
@@ -104,6 +107,7 @@ class Invariants final : public Checker {
     kMemberConservation,
     kQueueHygiene,
     kLedgerConsistency,
+    kVcStateLegal,
   };
 
   void violate(Invariant invariant, std::string detail, Boundary b);

@@ -70,6 +70,20 @@ bool DvcManager::any_member_lost(const VirtualCluster& vc) const {
   return false;
 }
 
+DvcManager::VcRuntime* DvcManager::runtime(VcId id) {
+  const auto it = vcs_.find(id);
+  return it == vcs_.end() ? nullptr : &it->second;
+}
+
+void DvcManager::transition(VcRuntime& rt, VcState to) {
+  const VcState from = rt.vc->state_;
+  rt.vc->state_ = to;
+  if (check_ != nullptr) {
+    check_->on_vc_transition(rt.vc->id(), static_cast<std::uint8_t>(from),
+                             static_cast<std::uint8_t>(to));
+  }
+}
+
 VirtualCluster& DvcManager::create_vc(VcSpec spec,
                                       std::vector<hw::NodeId> placement,
                                       std::function<void()> on_ready) {
@@ -82,14 +96,13 @@ VirtualCluster& DvcManager::create_vc(VcSpec spec,
                  std::to_string(placement.size()) + " guests)");
   telemetry::count(metrics_, "core.dvc.vcs_created");
   telemetry::instant(metrics_, sim_->now(), "dvc", "provision_vc");
-  VcRuntime rt;
+  VcRuntime& rt = vcs_[id];
   rt.vc = std::make_unique<VirtualCluster>(*sim_, fabric_->network(), id,
                                            std::move(spec));
   VirtualCluster& vc = *rt.vc;
   vc.placement_ = std::move(placement);
   vc.instantiations_ = 1;
   claim(vc.placement_, id);
-  vcs_.emplace(id, std::move(rt));
 
   const std::uint64_t lsn =
       journal(IntentKind::kProvision, id, vc.checkpoint_label());
@@ -98,9 +111,9 @@ VirtualCluster& DvcManager::create_vc(VcSpec spec,
   for (std::uint32_t i = 0; i < n; ++i) {
     fleet_->on_node(vc.placement(i))
         .boot_domain(vc.machine(i),
-                     [this, &vc, booted, n, lsn, cb = on_ready] {
+                     [this, &rt, booted, n, lsn, cb = on_ready] {
                        if (++*booted == n) {
-                         vc.state_ = VcState::kRunning;
+                         transition(rt, VcState::kRunning);
                          close_intent(lsn);
                          if (cb) cb();
                        }
@@ -116,7 +129,6 @@ void DvcManager::destroy_vc(VirtualCluster& vc) {
     }
   }
   unclaim(vc.placement_, vc.id());
-  vc.state_ = VcState::kDestroyed;
   // Retire the VC's retained generations: shared sets are reclaimed the
   // moment their last reference drops, and the refcount table never
   // accumulates entries owned by dead VCs.
@@ -169,7 +181,8 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
                                ckpt::LscCoordinator& lsc,
                                std::function<void(ckpt::LscResult)> done,
                                bool incremental) {
-  vc.state_ = VcState::kCheckpointing;
+  VcRuntime& rt = vcs_.at(vc.id());
+  transition(rt, VcState::kCheckpointing);
   std::vector<ckpt::SaveTarget> targets = save_targets(vc, incremental);
   const bool can_increment =
       incremental && std::all_of(targets.begin(), targets.end(),
@@ -195,21 +208,19 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
       // with it (the reboot's reconciliation owns the cluster now).
       return std::nullopt;
     }
-    const auto it = vcs_.find(id);
-    if (it == vcs_.end()) return std::nullopt;
-    VcRuntime& rt = it->second;
-    if (rt.recovery_in_flight || rt.vc->state_ == VcState::kRecovering ||
-        rt.vc->state_ == VcState::kDestroyed) {
+    VcRuntime* live = runtime(id);
+    if (live == nullptr || live->recovery_in_flight ||
+        live->vc->state_ == VcState::kRecovering) {
       return std::nullopt;
     }
-    if (any_member_lost(*rt.vc)) {
+    if (any_member_lost(*live->vc)) {
       return std::nullopt;  // still degraded; recovery owns this now
     }
-    return save_targets(*rt.vc, incremental);
+    return save_targets(*live->vc, incremental);
   };
   lsc.checkpoint(
       vc.checkpoint_label(), std::move(targets), *images_,
-      [this, &vc, can_increment, span, issued, lsn,
+      [this, &rt, can_increment, span, issued, lsn,
        cb = std::move(done)](ckpt::LscResult r) {
         telemetry::end_span(metrics_, span, sim_->now());
         if (stale_completion(issued)) {
@@ -223,14 +234,12 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
         close_intent(lsn);
         telemetry::count(metrics_,
                          r.ok ? checkpoints_c_ : checkpoint_failures_c_);
+        VirtualCluster& vc = *rt.vc;
         if (vc.state_ == VcState::kCheckpointing) {
-          vc.state_ = VcState::kRunning;
+          transition(rt, VcState::kRunning);
         }
         if (r.ok) {
-          const auto rit = vcs_.find(vc.id());
-          app::ParallelApp* app =
-              rit != vcs_.end() ? rit->second.app : nullptr;
-          if (app != nullptr && app->failed()) {
+          if (rt.app != nullptr && rt.app->failed()) {
             // The set sealed around an application that had already
             // reported transport failure: its ranks may be wedged
             // mid-exchange with messages neither delivered nor pending
@@ -259,7 +268,7 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
           } else {
             vc.checkpoint_chain_ = {r.set};
           }
-          push_generation(vc);
+          push_generation(rt);
           if (check_ != nullptr) {
             check_->on_vc_boundary(check::Boundary::kRoundSeal, vc.id());
           }
@@ -280,7 +289,7 @@ void DvcManager::restore_vc(VirtualCluster& vc,
     throw std::invalid_argument("placement size != vc size");
   }
   VcRuntime& rt = vcs_.at(vc.id());
-  vc.state_ = VcState::kRecovering;
+  transition(rt, VcState::kRecovering);
   sim::trace(trace_, sim_->now(), sim::TraceLevel::kWarn, "dvc",
              "vc#" + std::to_string(vc.id()) +
                  " rolling back to checkpoint set " +
@@ -309,10 +318,23 @@ void DvcManager::restore_vc(VirtualCluster& vc,
   const auto span =
       telemetry::begin_span(metrics_, sim_->now(), "dvc", "restore");
   const sim::Time restore_begin = sim_->now();
-  // Captured by copy: the chain-staging failure path below needs `done`
-  // too, and must not find a moved-from shell when staging fails.
-  const auto restore_members = [this, &vc, set, span, restore_begin, lsn,
-                                issued = epoch_, done]() {
+  // The restore's one completion, whichever arm (member restores or chain
+  // staging) ends it.
+  const auto finish = [this, &rt, span, restore_begin, lsn,
+                       done = std::move(done)](bool ok) {
+    transition(rt, ok ? VcState::kRunning : VcState::kProvisioning);
+    close_intent(lsn);
+    telemetry::end_span(metrics_, span, sim_->now());
+    telemetry::count(metrics_,
+                     ok ? "core.dvc.restores" : "core.dvc.restore_failures");
+    telemetry::observe(metrics_, "core.dvc.restore_s",
+                       sim::to_seconds(sim_->now() - restore_begin));
+    if (check_ != nullptr) {
+      check_->on_vc_boundary(check::Boundary::kRestore, rt.vc->id());
+    }
+    if (done) done(ok);
+  };
+  const auto restore_members = [this, &vc, set, issued = epoch_, finish]() {
     auto remaining = std::make_shared<std::uint32_t>(vc.size());
     auto all_ok = std::make_shared<bool>(true);
     // Each member's restore reads its snapshot in place; holding the
@@ -320,31 +342,10 @@ void DvcManager::restore_vc(VirtualCluster& vc,
     const auto snapshots = vc.last_checkpoint_.app_snapshots;
     for (std::uint32_t i = 0; i < vc.size(); ++i) {
       fleet_->on_node(vc.placement(i))
-          .restore_domain(vc.machine(i), *images_, set, i,
-                          snapshots->at(i),
-                          [this, &vc, remaining, all_ok, span, restore_begin,
-                           lsn, snapshots, cb = done](bool ok) {
+          .restore_domain(vc.machine(i), *images_, set, i, snapshots->at(i),
+                          [remaining, all_ok, snapshots, finish](bool ok) {
                             if (!ok) *all_ok = false;
-                            if (--*remaining == 0) {
-                              vc.state_ = *all_ok ? VcState::kRunning
-                                                  : VcState::kProvisioning;
-                              close_intent(lsn);
-                              telemetry::end_span(metrics_, span,
-                                                  sim_->now());
-                              telemetry::count(
-                                  metrics_,
-                                  *all_ok ? "core.dvc.restores"
-                                          : "core.dvc.restore_failures");
-                              telemetry::observe(
-                                  metrics_, "core.dvc.restore_s",
-                                  sim::to_seconds(sim_->now() -
-                                                  restore_begin));
-                              if (check_ != nullptr) {
-                                check_->on_vc_boundary(
-                                    check::Boundary::kRestore, vc.id());
-                              }
-                              if (cb) cb(*all_ok);
-                            }
+                            if (--*remaining == 0) finish(*all_ok);
                           },
                           issued);
     }
@@ -363,18 +364,14 @@ void DvcManager::restore_vc(VirtualCluster& vc,
   auto chain_left = std::make_shared<std::size_t>(prior_sets.size());
   auto chain_ok = std::make_shared<bool>(true);
   for (const storage::CheckpointSetId s : prior_sets) {
-    images_->stage_set(s, [this, &vc, chain_left, chain_ok, restore_members,
-                           span, lsn, done_cb = done](bool ok) {
+    images_->stage_set(s, [chain_left, chain_ok, restore_members,
+                           finish](bool ok) {
       if (!ok) *chain_ok = false;
       if (--*chain_left == 0) {
         if (*chain_ok) {
           restore_members();
         } else {
-          vc.state_ = VcState::kProvisioning;
-          close_intent(lsn);
-          telemetry::end_span(metrics_, span, sim_->now());
-          telemetry::count(metrics_, "core.dvc.restore_failures");
-          if (done_cb) done_cb(false);
+          finish(false);
         }
       }
     });
@@ -384,14 +381,15 @@ void DvcManager::restore_vc(VirtualCluster& vc,
 void DvcManager::migrate_vc(VirtualCluster& vc, ckpt::LscCoordinator& lsc,
                             std::vector<hw::NodeId> new_placement,
                             std::function<void(bool)> done) {
-  vc.state_ = VcState::kMigrating;
+  VcRuntime& rt = vcs_.at(vc.id());
+  transition(rt, VcState::kMigrating);
   const VcId id = vc.id();
   const std::uint64_t issued = epoch_;
   const std::uint64_t lsn =
       journal(IntentKind::kMigrate, id, vc.checkpoint_label());
   lsc.checkpoint(
       vc.checkpoint_label(), save_targets(vc), *images_,
-      [this, &vc, id, issued, lsn, placement = std::move(new_placement),
+      [this, &rt, id, issued, lsn, placement = std::move(new_placement),
        cb = std::move(done)](ckpt::LscResult r) mutable {
         if (stale_completion(issued)) {
           // The coordinator that ordered the move died while the members
@@ -401,14 +399,14 @@ void DvcManager::migrate_vc(VirtualCluster& vc, ckpt::LscCoordinator& lsc,
         }
         if (!r.ok) {
           close_intent(lsn);
-          vc.state_ = VcState::kRunning;
+          transition(rt, VcState::kRunning);
           if (cb) cb(false);
           return;
         }
-        vc.last_checkpoint_ = adopt_checkpoint(r, sim_->now());
+        rt.vc->last_checkpoint_ = adopt_checkpoint(r, sim_->now());
         ++migrations_;
         telemetry::count(metrics_, "core.dvc.migrations");
-        restore_vc(vc, std::move(placement),
+        restore_vc(*rt.vc, std::move(placement),
                    [this, id, lsn, cb = std::move(cb)](bool ok) {
                      close_intent(lsn);
                      if (!ok) {
@@ -417,13 +415,11 @@ void DvcManager::migrate_vc(VirtualCluster& vc, ckpt::LscCoordinator& lsc,
                        // members are frozen with a durable recovery point:
                        // roll the whole VC back from it rather than leave
                        // the cluster wedged between two placements.
-                       const auto rit = vcs_.find(id);
-                       if (rit != vcs_.end() &&
-                           rit->second.vc->has_checkpoint() &&
-                           !rit->second.recovery_in_flight &&
-                           rit->second.vc->state_ != VcState::kFailed) {
-                         rit->second.recovery_in_flight = true;
-                         recover(rit->second);
+                       VcRuntime* live = runtime(id);
+                       if (live != nullptr && live->vc->has_checkpoint() &&
+                           !live->recovery_in_flight &&
+                           live->vc->state_ != VcState::kFailed) {
+                         recover(*live);
                        }
                      }
                      if (cb) cb(ok);
@@ -438,7 +434,8 @@ void DvcManager::live_migrate_vc(
   if (new_placement.size() != vc.size()) {
     throw std::invalid_argument("placement size != vc size");
   }
-  vc.state_ = VcState::kMigrating;
+  VcRuntime& rt = vcs_.at(vc.id());
+  transition(rt, VcState::kMigrating);
   const VcId id = vc.id();
   // Reserve the targets up front so nothing else lands on them mid-move.
   claim(new_placement, id);
@@ -461,7 +458,7 @@ void DvcManager::live_migrate_vc(
 
   const double per_vm_bw = cfg.bandwidth_bps / vc.size();
 
-  auto finish_member = [this, ms, id, &vc](std::uint32_t /*member*/,
+  auto finish_member = [this, ms, id, &rt](std::uint32_t /*member*/,
                                            bool ok) {
     if (!ok) ms->any_failed = true;
     if (--ms->outstanding != 0) return;
@@ -469,11 +466,12 @@ void DvcManager::live_migrate_vc(
     // follow where every member actually ended up.
     unclaim(ms->old_placement, id);
     unclaim(ms->new_placement, id);
-    claim(vc.placement_, id);
+    claim(rt.vc->placement_, id);
     ms->stats.ok = !ms->any_failed;
     ms->stats.total_time = sim_->now() - ms->started;
-    vc.state_ = ms->any_failed && any_member_lost(vc) ? VcState::kProvisioning
-                                                      : VcState::kRunning;
+    transition(rt, ms->any_failed && any_member_lost(*rt.vc)
+                       ? VcState::kProvisioning
+                       : VcState::kRunning);
     if (ms->stats.ok) {
       ++live_migrations_;
       telemetry::count(metrics_, "core.dvc.live_migrations");
@@ -553,9 +551,9 @@ void DvcManager::enable_auto_recovery(VirtualCluster& vc,
   // otherwise find nothing to roll back to and lose the whole run.
   const VcId id = vc.id();
   sim_->schedule_after(0, [this, id] {
-    const auto it = vcs_.find(id);
-    if (it != vcs_.end() && it->second.policy) {
-      start_policy_checkpoint(it->second, /*first=*/true);
+    VcRuntime* rt = runtime(id);
+    if (rt != nullptr && rt->policy) {
+      start_policy_checkpoint(*rt, /*first=*/true);
     }
   });
   schedule_periodic_checkpoint(vc.id());
@@ -563,22 +561,20 @@ void DvcManager::enable_auto_recovery(VirtualCluster& vc,
 }
 
 void DvcManager::disable_auto_recovery(VirtualCluster& vc) {
-  auto it = vcs_.find(vc.id());
-  if (it != vcs_.end()) it->second.policy.reset();
+  if (VcRuntime* rt = runtime(vc.id())) rt->policy.reset();
 }
 
 void DvcManager::schedule_periodic_checkpoint(VcId id) {
-  const auto it = vcs_.find(id);
-  if (it == vcs_.end() || !it->second.policy) return;
-  const sim::Duration interval = it->second.policy->interval;
+  const VcRuntime* rt = runtime(id);
+  if (rt == nullptr || !rt->policy) return;
   // Periodic checkpointing is housekeeping: it protects foreground work
   // but must not keep the simulation alive once that work is done.
-  sim_->schedule_daemon_after(interval, [this, id] {
-    auto rit = vcs_.find(id);
-    if (rit == vcs_.end() || !rit->second.policy) return;
+  sim_->schedule_daemon_after(rt->policy->interval, [this, id] {
+    VcRuntime* live = runtime(id);
+    if (live == nullptr || !live->policy) return;
     // A downed coordinator skips the tick but keeps the loop alive: the
     // cadence resumes by itself once a new incarnation boots.
-    start_policy_checkpoint(rit->second, /*first=*/false);
+    start_policy_checkpoint(*live, /*first=*/false);
     schedule_periodic_checkpoint(id);
   });
 }
@@ -601,39 +597,36 @@ void DvcManager::start_policy_checkpoint(VcRuntime& rt, bool first) {
   checkpoint_vc(
       *rt.vc, *rt.policy->coordinator,
       [this, id](const ckpt::LscResult&) {
-        const auto it = vcs_.find(id);
-        if (it != vcs_.end()) it->second.checkpoint_in_flight = false;
+        if (VcRuntime* live = runtime(id)) live->checkpoint_in_flight = false;
       },
       incremental);
 }
 
 void DvcManager::schedule_member_watchdog(VcId id) {
-  const auto it = vcs_.find(id);
-  if (it == vcs_.end() || !it->second.policy ||
-      it->second.policy->watchdog_interval <= 0) {
+  const VcRuntime* watched = runtime(id);
+  if (watched == nullptr || !watched->policy ||
+      watched->policy->watchdog_interval <= 0) {
     return;
   }
   // A daemon, like the checkpoint loop: supervision must not keep an
   // otherwise-finished run alive.
-  sim_->schedule_daemon_after(it->second.policy->watchdog_interval,
+  sim_->schedule_daemon_after(watched->policy->watchdog_interval,
                               [this, id] {
-    const auto rit = vcs_.find(id);
-    if (rit == vcs_.end() || !rit->second.policy) return;
-    VcRuntime& rt = rit->second;
-    if (coordinator_up_ && !rt.recovery_in_flight &&
-        rt.vc->has_checkpoint() &&
-        rt.vc->state_ != VcState::kDestroyed &&
-        rt.vc->state_ != VcState::kRecovering &&
-        rt.vc->state_ != VcState::kFailed) {
-      const bool member_dead = any_member_lost(*rt.vc);
+    VcRuntime* rt = runtime(id);
+    if (rt == nullptr || !rt->policy) return;
+    if (coordinator_up_ && !rt->recovery_in_flight &&
+        rt->vc->has_checkpoint() &&
+        rt->vc->state_ != VcState::kRecovering &&
+        rt->vc->state_ != VcState::kFailed) {
+      const bool member_dead = any_member_lost(*rt->vc);
       // An application-level abort (a rank's transport gave up) with every
       // member nominally alive: nothing else in the failure feed will ever
       // fire, so the watchdog is the only path back to the checkpoint.
-      const bool app_failed = rt.app != nullptr && rt.app->failed() &&
-                              !rt.app->completed();
+      const bool app_failed = rt->app != nullptr && rt->app->failed() &&
+                              !rt->app->completed();
       // Never roll back a finished job, even with a dead member: the
       // results are in, only idle guests would be resurrected.
-      const bool job_live = rt.app == nullptr || !rt.app->completed();
+      const bool job_live = rt->app == nullptr || !rt->app->completed();
       if ((member_dead && job_live) || app_failed) {
         ++watchdog_detections_;
         telemetry::count(metrics_, "core.dvc.watchdog_detections");
@@ -643,8 +636,7 @@ void DvcManager::schedule_member_watchdog(VcId id) {
                        (member_dead ? " watchdog: dead member,"
                                     : " watchdog: application failure,") +
                        " restoring from last checkpoint");
-        rt.recovery_in_flight = true;
-        recover(rt);
+        recover(*rt);
       }
     }
     schedule_member_watchdog(id);
@@ -670,18 +662,15 @@ void DvcManager::on_node_failure(hw::NodeId node) {
     telemetry::count(metrics_, "core.dvc.failures_while_headless");
     return;
   }
-  const VcId id = cit->second;
-  auto it = vcs_.find(id);
-  if (it == vcs_.end()) return;
-  VcRuntime& rt = it->second;
-  if (!rt.policy || rt.recovery_in_flight || !rt.vc->has_checkpoint()) {
+  VcRuntime* rt = runtime(cit->second);
+  if (rt == nullptr || !rt->policy || rt->recovery_in_flight ||
+      !rt->vc->has_checkpoint()) {
     return;
   }
   // A finished job has nothing left to protect: rolling it back would
   // resurrect ranks just to redo work whose results already exist.
-  if (rt.app != nullptr && rt.app->completed()) return;
-  rt.recovery_in_flight = true;
-  recover_after(id, kFailureDetectionDelay);
+  if (rt->app != nullptr && rt->app->completed()) return;
+  recover_after(*rt, kFailureDetectionDelay);
 }
 
 void DvcManager::on_failure_prediction(hw::NodeId node,
@@ -689,16 +678,15 @@ void DvcManager::on_failure_prediction(hw::NodeId node,
   const auto cit = claimed_.find(node);
   if (cit == claimed_.end()) return;
   const VcId id = cit->second;
-  const auto it = vcs_.find(id);
-  if (it == vcs_.end()) return;
-  VcRuntime& rt = it->second;
-  if (!coordinator_up_ || !rt.policy || !rt.policy->proactive_migration ||
-      rt.recovery_in_flight || rt.vc->state_ != VcState::kRunning) {
+  VcRuntime* rt = runtime(id);
+  if (rt == nullptr || !coordinator_up_ || !rt->policy ||
+      !rt->policy->proactive_migration || rt->recovery_in_flight ||
+      rt->vc->state_ != VcState::kRunning) {
     return;
   }
 
   // Evacuate: the same mapping with the suspect node swapped for a spare.
-  VirtualCluster& vc = *rt.vc;
+  VirtualCluster& vc = *rt->vc;
   // Cluster-ordered node ids are sequential, so this is the lowest-id
   // free node.
   const auto spare = pick_nodes(1);
@@ -708,19 +696,19 @@ void DvcManager::on_failure_prediction(hw::NodeId node,
   if (slot == placement.end()) return;
   *slot = spare->front();
 
-  rt.recovery_in_flight = true;
-  migrate_vc(vc, *rt.policy->coordinator, std::move(placement),
+  rt->recovery_in_flight = true;
+  migrate_vc(vc, *rt->policy->coordinator, std::move(placement),
              [this, id](bool ok) {
-               const auto rit = vcs_.find(id);
-               if (rit == vcs_.end()) return;
+               VcRuntime* live = runtime(id);
+               if (live == nullptr) return;
                if (!ok) {
                  // The fault struck mid-evacuation: fall back to reactive
                  // rollback from the last durable checkpoint (recovery
                  // stays in flight).
-                 recover(rit->second);
+                 recover(*live);
                  return;
                }
-               rit->second.recovery_in_flight = false;
+               live->recovery_in_flight = false;
                ++evacuations_;
                telemetry::count(metrics_, "core.dvc.evacuations");
                sim::trace(trace_, sim_->now(), sim::TraceLevel::kInfo, "dvc",
@@ -730,6 +718,7 @@ void DvcManager::on_failure_prediction(hw::NodeId node,
 }
 
 void DvcManager::recover(VcRuntime& rt) {
+  rt.recovery_in_flight = true;
   if (!coordinator_up_) {
     // A retry landed while the control plane was down. Leave
     // recovery_in_flight set: the reboot's reconciliation pass clears it
@@ -777,7 +766,7 @@ void DvcManager::recover(VcRuntime& rt) {
     if (pool.size() < needs_new.size()) {
       // Not enough spares right now; retry later (a repair or another VC's
       // teardown may free nodes).
-      recover_after(vc.id(), kRecoveryRetryDelay);
+      recover_after(rt, kRecoveryRetryDelay);
       return;
     }
     for (std::size_t k = 0; k < needs_new.size(); ++k) {
@@ -793,9 +782,9 @@ void DvcManager::recover(VcRuntime& rt) {
       // cluster and will re-derive what recovery (if any) is still needed.
       return;
     }
-    const auto rit = vcs_.find(id);
-    if (rit == vcs_.end()) return;
-    VcRuntime& rt = rit->second;
+    VcRuntime* live = runtime(id);
+    if (live == nullptr) return;
+    VcRuntime& rt = *live;
     rt.recovery_in_flight = false;
     if (ok) {
       rt.restore_attempts = 0;
@@ -828,8 +817,7 @@ void DvcManager::recover(VcRuntime& rt) {
                      " checkpoint damaged; falling back to set " +
                      std::to_string(rt.vc->last_checkpoint_.set));
       rt.restore_attempts = 0;
-      rt.recovery_in_flight = true;
-      recover_after(id, kFailureDetectionDelay);
+      recover_after(rt, kFailureDetectionDelay);
       return;
     }
     // A transient restore-path fault (e.g. another node died mid-restore):
@@ -841,28 +829,27 @@ void DvcManager::recover(VcRuntime& rt) {
       abandon_recovery(rt, "restore retry budget exhausted");
       return;
     }
-    rt.recovery_in_flight = true;
-    recover_after(id, kRecoveryRetryDelay);
+    recover_after(rt, kRecoveryRetryDelay);
   });
 }
 
-void DvcManager::recover_after(VcId id, sim::Duration delay) {
-  sim_->schedule_after(delay, [this, id] {
-    const auto it = vcs_.find(id);
-    if (it != vcs_.end()) recover(it->second);
+void DvcManager::recover_after(VcRuntime& rt, sim::Duration delay) {
+  rt.recovery_in_flight = true;
+  sim_->schedule_after(delay, [this, id = rt.vc->id()] {
+    if (VcRuntime* live = runtime(id)) recover(*live);
   });
 }
 
-void DvcManager::push_generation(VirtualCluster& vc) {
+void DvcManager::push_generation(VcRuntime& rt) {
+  VirtualCluster& vc = *rt.vc;
   vc.generations_.push_back(
       VcGeneration{vc.last_checkpoint_, vc.checkpoint_chain_});
   for (const storage::CheckpointSetId s : vc.checkpoint_chain_) {
     ++set_refs_[s];
   }
-  const auto it = vcs_.find(vc.id());
-  if (it == vcs_.end() || !it->second.policy) return;
+  if (!rt.policy) return;
   const std::size_t keep =
-      std::max<std::size_t>(1, it->second.policy->keep_checkpoints);
+      std::max<std::size_t>(1, rt.policy->keep_checkpoints);
   while (vc.generations_.size() > keep) {
     release_generation(vc.generations_.front());
     vc.generations_.erase(vc.generations_.begin());
@@ -925,7 +912,7 @@ bool DvcManager::fall_back_generation(VcRuntime& rt) {
 
 void DvcManager::abandon_recovery(VcRuntime& rt, const std::string& why) {
   VirtualCluster& vc = *rt.vc;
-  vc.state_ = VcState::kFailed;
+  transition(rt, VcState::kFailed);
   vc.last_checkpoint_ = VcCheckpoint{};
   vc.checkpoint_chain_.clear();
   rt.recovery_in_flight = false;
@@ -947,7 +934,6 @@ void DvcManager::recover_now(VirtualCluster& vc) {
   if (!coordinator_up_ || rt.recovery_in_flight || !vc.has_checkpoint()) {
     return;
   }
-  rt.recovery_in_flight = true;
   recover(rt);
 }
 
@@ -1103,9 +1089,7 @@ void DvcManager::recover_control_plane() {
 
 void DvcManager::reconcile_vc(VcRuntime& rt) {
   VirtualCluster& vc = *rt.vc;
-  if (vc.state_ == VcState::kDestroyed || vc.state_ == VcState::kFailed) {
-    return;
-  }
+  if (vc.state_ == VcState::kFailed) return;
   // The dead incarnation's in-flight flags mean nothing now.
   rt.checkpoint_in_flight = false;
   rt.recovery_in_flight = false;
@@ -1165,7 +1149,7 @@ void DvcManager::reconcile_vc(VcRuntime& rt) {
         fleet_->on_node(vc.placement(i)).resume_domain(vc.machine(i));
       }
     }
-    if (transitional) vc.state_ = VcState::kRunning;
+    if (transitional) transition(rt, VcState::kRunning);
     return;
   }
   // A member is gone (or the app aborted): the only consistent path is a
@@ -1175,7 +1159,6 @@ void DvcManager::reconcile_vc(VcRuntime& rt) {
     sim::trace(trace_, sim_->now(), sim::TraceLevel::kWarn, "dvc",
                "vc#" + std::to_string(vc.id()) +
                    " reconciled: recovering from last checkpoint");
-    rt.recovery_in_flight = true;
     recover(rt);
   } else {
     abandon_recovery(rt, "coordinator rebooted over a degraded VC with no "

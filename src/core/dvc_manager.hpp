@@ -275,9 +275,9 @@ class DvcManager final {
   /// track.
   void set_metrics(telemetry::MetricsRegistry* m) noexcept { metrics_ = m; }
 
-  /// Attaches an optional invariant checker (null to detach), notified at
-  /// control-plane boundaries: round seal (a new recovery point), restore
-  /// completion, and recovery resolution (success or abandonment).
+  /// Attaches an optional invariant checker (null to detach), notified of
+  /// every VcState edge, round seal, restore completion and recovery
+  /// resolution (success or abandonment).
   void set_check(check::Checker* c) noexcept { check_ = c; }
 
   /// Reference counts of every retained checkpoint set. Exposed so the
@@ -304,6 +304,11 @@ class DvcManager final {
     int restore_attempts = 0;
   };
 
+  /// The runtime record of VC `id`, or null once it is destroyed.
+  [[nodiscard]] VcRuntime* runtime(VcId id);
+  /// The only writer of VirtualCluster::state_: moves the VC to `to` and
+  /// publishes the edge to the attached checker.
+  void transition(VcRuntime& rt, VcState to);
   /// The one test for a node a guest may be placed on: healthy, not
   /// condemned, and unclaimed (or already claimed by VC `self`; ids start
   /// at 1, so the default matches no VC).
@@ -317,9 +322,11 @@ class DvcManager final {
   void unclaim(const std::vector<hw::NodeId>& nodes, VcId owner);
   void on_node_failure(hw::NodeId node);
   void on_failure_prediction(hw::NodeId node, sim::Duration lead);
+  /// Marks recovery in flight and rolls the VC back to its recovery point.
   void recover(VcRuntime& rt);
-  /// Re-runs recover() for VC `id` after `delay`, if it still exists.
-  void recover_after(VcId id, sim::Duration delay);
+  /// Marks recovery in flight and re-runs recover() after `delay`, if the
+  /// VC still exists then.
+  void recover_after(VcRuntime& rt, sim::Duration delay);
   // ---- coordinator fault domain ------------------------------------------
   /// True (and counted) when a completion stamped with `issued_epoch`
   /// belongs to a dead or deposed incarnation and must be dropped.
@@ -342,7 +349,7 @@ class DvcManager final {
   void start_policy_checkpoint(VcRuntime& rt, bool first);
   void schedule_member_watchdog(VcId id);
   // ---- generation history (refcounted checkpoint-set GC) ----------------
-  void push_generation(VirtualCluster& vc);
+  void push_generation(VcRuntime& rt);
   void release_generation(const VcGeneration& g);
   /// Missing from the store, or torn/corrupted beyond replica repair.
   [[nodiscard]] bool set_damaged(storage::CheckpointSetId s) const;

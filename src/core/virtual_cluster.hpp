@@ -25,13 +25,15 @@ struct VcSpec {
   vm::GuestConfig guest;
 };
 
+/// A VC's lifecycle state. Only DvcManager::transition changes it; the
+/// legal edges are the table in docs/ARCHITECTURE.md ("VC lifecycle"),
+/// which check::Invariants enforces as `vc-state-legal`.
 enum class VcState : std::uint8_t {
   kProvisioning,
   kRunning,
   kCheckpointing,
   kRecovering,
   kMigrating,
-  kDestroyed,
   /// Recovery exhausted every checkpoint generation and retry budget.
   /// Terminal: the job is lost, but *diagnosed* — never a silent wedge.
   kFailed,

@@ -312,6 +312,27 @@ TEST(InvariantMessageTest, ImageCompleteness) {
                         " unsealed inside a retained chain");
 }
 
+TEST(InvariantMessageTest, VcStateLegal) {
+  Rig rig;
+  ASSERT_TRUE(rig.inv.ok()) << rig.inv.report();  // the boot edge is legal
+  const auto raw = [](core::VcState s) {
+    return static_cast<std::uint8_t>(s);
+  };
+  using S = core::VcState;
+  rig.inv.on_vc_transition(1, raw(S::kRunning), raw(S::kCheckpointing));
+  rig.inv.on_vc_transition(1, raw(S::kRecovering), raw(S::kRecovering));
+  EXPECT_TRUE(rig.inv.ok()) << rig.inv.report();
+
+  rig.inv.on_vc_transition(1, raw(S::kFailed), raw(S::kRunning));
+  rig.inv.on_vc_transition(1, raw(S::kRunning), raw(S::kProvisioning));
+  EXPECT_EQ(details(rig.inv, "vc-state-legal"),
+            (std::vector<std::string>{
+                "vc#1 moved failed -> running, not a lifecycle edge",
+                "vc#1 moved running -> provisioning, not a lifecycle edge"}));
+  EXPECT_EQ(rig.inv.violations().back().boundary,
+            check::Boundary::kTransition);
+}
+
 // ---- fault-free runs stay clean ---------------------------------------------
 
 TEST(InvariantCheckerTest, FaultFreeCheckpointLifecycleIsClean) {
@@ -364,6 +385,24 @@ TEST(InvariantCheckerTest, FaultFreeFullJobRunIsClean) {
   rig.bed.sim.run(2'000'000);
   rig.inv.end_of_run(/*expect_quiesced=*/true);
   EXPECT_TRUE(rig.inv.ok()) << rig.inv.report();
+}
+
+TEST(InvariantCheckerTest, CheckpointingAFailedVcFires) {
+  // A reboot over a VC that lost a member before its first checkpoint can
+  // only diagnose it: kFailed, which nothing may leave. Asking for a
+  // checkpoint afterwards takes an illegal edge through the real API.
+  Rig rig;
+  rig.bed.dvc->designate_head_node(7);
+  rig.bed.fabric.fail_node(rig.vc->placement(0));
+  rig.bed.dvc->crash_coordinator(sim::kSecond);
+  rig.bed.sim.run_until(rig.bed.sim.now() + 30 * sim::kSecond);
+  ASSERT_EQ(rig.vc->state(), core::VcState::kFailed);
+  ASSERT_FALSE(rig.saw("vc-state-legal")) << rig.inv.report();
+
+  rig.bed.dvc->checkpoint_vc(*rig.vc, rig.lsc, {});
+  EXPECT_EQ(details(rig.inv, "vc-state-legal"),
+            std::vector<std::string>{
+                "vc#1 moved failed -> checkpointing, not a lifecycle edge"});
 }
 
 TEST(InvariantCheckerTest, DestroyedVcLeavesNoRefcountResidue) {

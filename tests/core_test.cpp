@@ -531,6 +531,98 @@ TEST(DvcManagerTest, ProactiveMigrationEvacuatesBeforeTheFault) {
   EXPECT_FALSE(r.application->failed());
 }
 
+TEST(DvcManagerTest, LifecycleTakesExactlyTheExpectedEdges) {
+  // create -> checkpoint -> node crash -> recover -> live migrate, with a
+  // recording checker attached from the start.
+  TestBed bed(two_cluster_opts());
+  test::RecordingChecker rec(bed.sim);
+  bed.dvc->set_check(&rec);
+  RunningVc r(bed, 3, 600, {0, 1, 2});
+  ckpt::NtpLscCoordinator lsc(bed.sim, {}, sim::Rng(19));
+  std::optional<ckpt::LscResult> sealed;
+  bed.dvc->checkpoint_vc(*r.vc, lsc,
+                         [&](ckpt::LscResult res) { sealed = res; });
+  bed.sim.run_until(60 * sim::kSecond);
+  ASSERT_TRUE(sealed.has_value() && sealed->ok);
+
+  bed.fabric.fail_node(2);
+  bed.dvc->recover_now(*r.vc);
+  bed.sim.run_until(120 * sim::kSecond);
+  ASSERT_EQ(bed.dvc->recoveries_performed(), 1u);
+  EXPECT_EQ(r.vc->placements(), (std::vector<hw::NodeId>{0, 1, 3}));
+
+  std::optional<DvcManager::LiveMigrationStats> moved;
+  bed.dvc->live_migrate_vc(
+      *r.vc, {5, 6, 7}, {},
+      [&](DvcManager::LiveMigrationStats st) { moved = st; });
+  bed.sim.run_until(200 * sim::kSecond);
+  ASSERT_TRUE(moved.has_value() && moved->ok);
+
+  using S = VcState;
+  EXPECT_EQ(rec.edges, (std::vector<test::RecordingChecker::Edge>{
+                           {S::kProvisioning, S::kRunning},
+                           {S::kRunning, S::kCheckpointing},
+                           {S::kCheckpointing, S::kRunning},
+                           {S::kRunning, S::kRecovering},
+                           {S::kRecovering, S::kRunning},
+                           {S::kRunning, S::kMigrating},
+                           {S::kMigrating, S::kRunning}}));
+  EXPECT_EQ(rec.boundaries,
+            (std::vector<check::Boundary>{check::Boundary::kRoundSeal,
+                                          check::Boundary::kRestore,
+                                          check::Boundary::kRecovery}));
+}
+
+TEST(DvcManagerTest, FailedChainStagingEndsTheRestoreLikeAnyOther) {
+  // A restore whose incremental chain cannot be staged ends like one whose
+  // member restores fail: the VC falls back to provisioning, the kRestore
+  // boundary fires and the restore time is recorded.
+  TestBed bed(two_cluster_opts());
+  test::RecordingChecker rec(bed.sim);
+  bed.dvc->set_check(&rec);
+  RunningVc r(bed, 3, 900, {0, 1, 2});
+  ckpt::NtpLscCoordinator lsc(bed.sim, {}, sim::Rng(23));
+  for (const bool incremental : {false, true}) {
+    std::optional<ckpt::LscResult> res;
+    bed.dvc->checkpoint_vc(*r.vc, lsc,
+                           [&](ckpt::LscResult out) { res = out; },
+                           incremental);
+    while (!res.has_value()) {
+      bed.sim.run_until(bed.sim.now() + sim::kSecond);
+    }
+    ASSERT_TRUE(res->ok);
+  }
+  ASSERT_EQ(r.vc->checkpoint_chain().size(), 2u);
+
+  // Rot every image of the chain's full base set; no replica masks it.
+  const storage::CheckpointSet* base =
+      bed.images.find_set(r.vc->checkpoint_chain().front());
+  ASSERT_NE(base, nullptr);
+  for (const auto& m : base->members) {
+    ASSERT_TRUE(bed.store.corrupt_object(m.object));
+  }
+
+  std::optional<bool> restored;
+  bed.dvc->restore_vc(*r.vc, {4, 5, 6}, [&](bool ok) { restored = ok; });
+  bed.sim.run_until(bed.sim.now() + 60 * sim::kSecond);
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_FALSE(*restored);
+  EXPECT_EQ(r.vc->state(), VcState::kProvisioning);
+  ASSERT_FALSE(rec.edges.empty());
+  EXPECT_EQ(rec.edges.back(), test::RecordingChecker::Edge(
+                                  VcState::kRecovering,
+                                  VcState::kProvisioning));
+  EXPECT_EQ(rec.boundaries,
+            (std::vector<check::Boundary>{check::Boundary::kRoundSeal,
+                                          check::Boundary::kRoundSeal,
+                                          check::Boundary::kRestore}));
+  EXPECT_EQ(bed.metrics.counter_value("core.dvc.restore_failures"), 1u);
+  const telemetry::Histogram* restore_s =
+      bed.metrics.find_histogram("core.dvc.restore_s");
+  ASSERT_NE(restore_s, nullptr);
+  EXPECT_EQ(restore_s->count(), 1u);
+}
+
 TEST(DvcManagerTest, RecoverNowHandlesSoftwareFailure) {
   TestBed bed(two_cluster_opts());
   RunningVc r(bed, 3, 400, {0, 1, 2});

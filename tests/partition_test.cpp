@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "app/workload.hpp"
+#include "check/invariants.hpp"
 #include "ckpt/lsc.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
@@ -193,6 +194,61 @@ TEST(CoordinatorRecoveryTest, DeposedEpochIsFencedAtStoreAndHypervisor) {
   EXPECT_FALSE(r->ok);
   EXPECT_TRUE(r->aborted_cleanly);
   EXPECT_FALSE(s.application->failed());
+}
+
+// ---------------------------------------------------------------------------
+// The coordinator dies while a whole-VC restore is in flight. The restore
+// lands while the control plane is headless and moves the VC recovering ->
+// running on its own; the reboot's reconciliation then finds a running VC
+// with every member alive and leaves it be.
+
+TEST(CoordinatorRecoveryTest, RestoreLandingWhileHeadlessLeavesVcRunning) {
+  CoordStack s(/*clusters=*/1, /*nodes=*/12, /*vc=*/4, /*iters=*/3000,
+               manual_rounds_policy(), /*head=*/11);
+  check::Invariants inv(check::Invariants::Wiring{
+      &s.bed.sim, s.bed.dvc.get(), &s.bed.images, &s.bed.fence,
+      &s.bed.metrics});
+  inv.attach();
+  s.lsc.set_check(&inv);
+  test::RecordingChecker rec(s.bed.sim, &inv);
+  s.bed.dvc->set_check(&rec);
+
+  // Checkpoint #0 seals by ~25 s; the restore it feeds starts at 40 s and
+  // reads 4 x 128 MiB for ~1.5 s, so the crash at 40.2 s lands mid-read.
+  // The reboot cannot come before 60.2 s (down_for).
+  const sim::Time crash_at = 40 * sim::kSecond + 200 * sim::kMillisecond;
+  s.bed.sim.schedule_at(40 * sim::kSecond,
+                        [&] { s.bed.dvc->recover_now(*s.vc); });
+  s.bed.sim.schedule_at(
+      crash_at, [&] { s.bed.dvc->crash_coordinator(20 * sim::kSecond); });
+  s.bed.sim.run_until(100 * sim::kSecond);
+
+  using S = core::VcState;
+  ASSERT_EQ(rec.edges, (std::vector<test::RecordingChecker::Edge>{
+                           {S::kRunning, S::kCheckpointing},
+                           {S::kCheckpointing, S::kRunning},
+                           {S::kRunning, S::kRecovering},
+                           {S::kRecovering, S::kRunning}}));
+  // The restore's own edge was taken while the coordinator was down.
+  EXPECT_GT(rec.edge_times.back(), crash_at);
+  EXPECT_LT(rec.edge_times.back(), crash_at + 20 * sim::kSecond);
+  EXPECT_EQ(s.bed.dvc->coordinator_reboots(), 1u);
+  EXPECT_GE(s.bed.dvc->stale_completions(), 1u);
+  EXPECT_EQ(s.bed.dvc->recoveries_performed(), 0u);
+  EXPECT_EQ(s.bed.metrics.counter_value("core.dvc.restores"), 1u);
+  EXPECT_EQ(s.bed.metrics.counter_value("core.dvc.reconcile_resumes"), 0u);
+  EXPECT_EQ(s.bed.metrics.counter_value("core.dvc.reconcile_recoveries"),
+            0u);
+  EXPECT_EQ(s.vc->state(), S::kRunning);
+
+  EXPECT_FALSE(s.application->failed());
+  const auto iter_then = s.application->rank(0).state().iter;
+  s.bed.sim.run_until(130 * sim::kSecond);
+  EXPECT_GT(s.application->rank(0).state().iter, iter_then);
+  inv.end_of_run(/*expect_quiesced=*/false);
+  EXPECT_TRUE(inv.ok()) << inv.report();
+  inv.detach();
+  s.lsc.set_check(nullptr);
 }
 
 // ---------------------------------------------------------------------------

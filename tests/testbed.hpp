@@ -1,5 +1,10 @@
 #pragma once
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "check/hooks.hpp"
 #include "core/machine_room.hpp"
 
 namespace dvc::test {
@@ -8,5 +13,37 @@ namespace dvc::test {
 /// test-local name.
 using TestBed = core::MachineRoom;
 using TestBedOptions = core::MachineRoomOptions;
+
+/// Records every lifecycle edge and boundary a DvcManager publishes, and
+/// hands each on to `next` (say, a check::Invariants) when one is given.
+class RecordingChecker final : public check::Checker {
+ public:
+  using Edge = std::pair<core::VcState, core::VcState>;
+
+  explicit RecordingChecker(const sim::Simulation& sim,
+                            check::Checker* next = nullptr)
+      : sim_(&sim), next_(next) {}
+
+  void on_vc_transition(std::uint64_t vc, std::uint8_t from,
+                        std::uint8_t to) override {
+    edges.emplace_back(static_cast<core::VcState>(from),
+                       static_cast<core::VcState>(to));
+    edge_times.push_back(sim_->now());
+    if (next_ != nullptr) next_->on_vc_transition(vc, from, to);
+  }
+
+  void on_vc_boundary(check::Boundary b, std::uint64_t vc) override {
+    boundaries.push_back(b);
+    if (next_ != nullptr) next_->on_vc_boundary(b, vc);
+  }
+
+  std::vector<Edge> edges;
+  std::vector<sim::Time> edge_times;  ///< when each of `edges` was taken
+  std::vector<check::Boundary> boundaries;
+
+ private:
+  const sim::Simulation* sim_;
+  check::Checker* next_;
+};
 
 }  // namespace dvc::test
