@@ -7,6 +7,8 @@
 // checkpoints. When a node dies mid-job, DVC recovers the virtual cluster
 // onto spare nodes — the scheduler never even marks the job failed
 // (paper §1: the RM keeps scheduling "by using virtualized remote nodes").
+// The invariant checker watches the whole run; on any violation the
+// example prints the checker's report and exits non-zero.
 //
 //   ./examples/batch_scheduler
 
@@ -14,6 +16,7 @@
 #include <string>
 
 #include "app/workload.hpp"
+#include "check/invariants.hpp"
 #include "ckpt/lsc.hpp"
 #include "core/job_runner.hpp"
 #include "core/machine_room.hpp"
@@ -42,6 +45,10 @@ int main() {
   core::VirtualJobRunner runner(room.sim, scheduler, *room.dvc);
 
   ckpt::NtpLscCoordinator lsc(room.sim, {}, sim::Rng(77));
+  check::Invariants inv(check::Invariants::Wiring{
+      &room.sim, room.dvc.get(), &room.images, &room.fence, &room.metrics});
+  inv.attach();
+  lsc.set_check(&inv);
   core::VirtualJobRunner::Reliability rel;
   rel.coordinator = &lsc;
   rel.interval = 60 * sim::kSecond;
@@ -97,5 +104,11 @@ int main() {
               static_cast<unsigned long long>(room.dvc->checkpoints_taken()),
               static_cast<unsigned long long>(
                   room.dvc->recoveries_performed()));
+  inv.end_of_run(/*expect_quiesced=*/false);
+  inv.detach();
+  if (!inv.ok()) {
+    std::printf("\n==== invariant violations ====\n%s", inv.report().c_str());
+    return 1;
+  }
   return scheduler.completed() == 4 ? 0 : 1;
 }

@@ -18,6 +18,7 @@ constexpr std::string_view kInvariantNames[] = {
     "queue-hygiene",
     "ledger-consistency",
     "vc-state-legal",
+    "placement-agreement",
 };
 
 /// VcState names, indexed by the raw enum value.
@@ -64,7 +65,7 @@ Invariants::Invariants(Wiring w)
       epoch_seen_(w.fence != nullptr ? w.fence->current()
                                      : storage::kUnfencedEpoch) {
   static_assert(std::size(kInvariantNames) ==
-                static_cast<std::size_t>(Invariant::kVcStateLegal) + 1);
+                static_cast<std::size_t>(Invariant::kPlacementAgreement) + 1);
   static_assert(std::size(kStateNames) ==
                 static_cast<std::size_t>(core::VcState::kFailed) + 1);
   for (const std::string_view name : kInvariantNames) {
@@ -326,12 +327,15 @@ void Invariants::check_image_sets(const core::VirtualCluster& vc,
 
 void Invariants::check_membership(
     const std::vector<const core::VirtualCluster*>& vcs, Boundary b) {
-  const auto& claims = w_.dvc->claims();
+  const hw::Fabric& fabric = w_.dvc->fabric();
   for (const core::VirtualCluster* vc : vcs) {
     if (vc->state() != core::VcState::kRunning) continue;
     // A running VC must have a complete, duplicate-free placement whose
-    // every node the manager's claim table attributes to it.
+    // every node the ledger gives to it, and the nodes a job holds among
+    // them must all be held by one job: the scheduler's and the manager's
+    // view of the VC agree.
     seen_nodes_.clear();
+    std::uint32_t first_job_member = vc->size();
     for (std::uint32_t i = 0; i < vc->size(); ++i) {
       const hw::NodeId n = vc->placement(i);
       const auto who = [&] {
@@ -352,14 +356,28 @@ void Invariants::check_membership(
       } else {
         seen_nodes_.push_back(n);
       }
-      const auto it = claims.find(n);
-      if (it == claims.end() || it->second != vc->id()) {
+      const hw::PhysicalNode& node = fabric.node(n);
+      if (node.vc() != vc->id()) {
         violate(Invariant::kMemberConservation,
                 who() + " runs on node " + std::to_string(n) +
                     " which the claim table gives to " +
-                    (it == claims.end()
-                         ? std::string("nobody")
-                         : "vc#" + std::to_string(it->second)),
+                    (node.vc() == 0 ? std::string("nobody")
+                                    : "vc#" + std::to_string(node.vc())),
+                b);
+      }
+      if (node.job() == 0) continue;
+      if (first_job_member == vc->size()) {
+        first_job_member = i;
+        continue;
+      }
+      const hw::NodeId first = vc->placement(first_job_member);
+      if (node.job() != fabric.node(first).job()) {
+        violate(Invariant::kPlacementAgreement,
+                who() + " runs on node " + std::to_string(n) + " of job " +
+                    std::to_string(node.job()) + ", member " +
+                    std::to_string(first_job_member) + " on node " +
+                    std::to_string(first) + " of job " +
+                    std::to_string(fabric.node(first).job()),
                 b);
       }
     }
@@ -368,7 +386,9 @@ void Invariants::check_membership(
   const auto by_id = [](const core::VirtualCluster* vc, core::VcId id) {
     return vc->id() < id;
   };
-  for (const auto& [node, id] : claims) {
+  for (hw::NodeId node = 0; node < fabric.node_count(); ++node) {
+    const core::VcId id = fabric.node(node).vc();
+    if (id == 0) continue;
     const auto it = std::lower_bound(vcs.begin(), vcs.end(), id, by_id);
     if (it == vcs.end() || (*it)->id() != id) {
       violate(Invariant::kMemberConservation,

@@ -39,10 +39,11 @@ struct Violation {
 ///   image-completeness       every restorable generation's chain is fully
 ///                            populated (members == expected_members)
 ///   member-conservation      placements are valid, duplicate-free, and
-///                            agree with the manager's node-claim table
+///                            agree with the node ledger's VC holders
 ///   queue-hygiene            no foreground event outlives the run
 ///   ledger-consistency       (on demand) message ledger verdict holds
 ///   vc-state-legal           every VcState change is a legal lifecycle edge
+///   placement-agreement      a running VC's job-held nodes all carry one job
 ///
 /// Violations are collected, counted into `check.violations` /
 /// `check.violation.<name>`, and exposed for the harness to report with a
@@ -108,6 +109,7 @@ class Invariants final : public Checker {
     kQueueHygiene,
     kLedgerConsistency,
     kVcStateLegal,
+    kPlacementAgreement,
   };
 
   void violate(Invariant invariant, std::string detail, Boundary b);

@@ -24,6 +24,14 @@ VcCheckpoint adopt_checkpoint(ckpt::LscResult& r, sim::Time at) {
                           std::move(r.app_snapshots)),
                       at};
 }
+
+/// Nothing leaves kFailed: true, with `done` told of failure, for such a VC.
+template <class Done>
+bool refuse_failed(const VirtualCluster& vc, const Done& done) {
+  if (vc.state() != VcState::kFailed) return false;
+  if (done) done({});
+  return true;
+}
 }  // namespace
 
 DvcManager::DvcManager(sim::Simulation& sim, hw::Fabric& fabric,
@@ -52,9 +60,9 @@ std::optional<std::vector<hw::NodeId>> DvcManager::pick_nodes(
 }
 
 bool DvcManager::node_free(hw::NodeId n, VcId self) const {
-  const auto c = claimed_.find(n);
-  return (c == claimed_.end() || c->second == self) &&
-         !fabric_->condemned(n) && !fabric_->node(n).failed();
+  const hw::PhysicalNode& node = fabric_->node(n);
+  return (node.vc() == 0 ? node.job() == 0 : node.vc() == self) &&
+         !node.condemned() && !node.failed();
 }
 
 bool DvcManager::member_lost(const VirtualCluster& vc, std::uint32_t i) const {
@@ -102,7 +110,7 @@ VirtualCluster& DvcManager::create_vc(VcSpec spec,
   VirtualCluster& vc = *rt.vc;
   vc.placement_ = std::move(placement);
   vc.instantiations_ = 1;
-  claim(vc.placement_, id);
+  fabric_->hold(hw::Holder::kVc, vc.placement_, id);
 
   const std::uint64_t lsn =
       journal(IntentKind::kProvision, id, vc.checkpoint_label());
@@ -128,7 +136,7 @@ void DvcManager::destroy_vc(VirtualCluster& vc) {
       fleet_->on_node(vc.placement(i)).destroy_domain(vc.machine(i));
     }
   }
-  unclaim(vc.placement_, vc.id());
+  fabric_->release(hw::Holder::kVc, vc.placement_, vc.id());
   // Retire the VC's retained generations: shared sets are reclaimed the
   // moment their last reference drops, and the refcount table never
   // accumulates entries owned by dead VCs.
@@ -181,6 +189,7 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
                                ckpt::LscCoordinator& lsc,
                                std::function<void(ckpt::LscResult)> done,
                                bool incremental) {
+  if (refuse_failed(vc, done)) return;
   VcRuntime& rt = vcs_.at(vc.id());
   transition(rt, VcState::kCheckpointing);
   std::vector<ckpt::SaveTarget> targets = save_targets(vc, incremental);
@@ -281,7 +290,7 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
 void DvcManager::restore_vc(VirtualCluster& vc,
                             std::vector<hw::NodeId> new_placement,
                             std::function<void(bool)> done) {
-  if (!vc.has_checkpoint()) {
+  if (vc.state_ == VcState::kFailed || !vc.has_checkpoint()) {
     if (done) done(false);
     return;
   }
@@ -307,9 +316,9 @@ void DvcManager::restore_vc(VirtualCluster& vc,
       fleet_->on_node(old_node).evict(m);
     }
   }
-  unclaim(vc.placement_, vc.id());
+  fabric_->release(hw::Holder::kVc, vc.placement_, vc.id());
   vc.placement_ = std::move(new_placement);
-  claim(vc.placement_, vc.id());
+  fabric_->hold(hw::Holder::kVc, vc.placement_, vc.id());
   ++vc.instantiations_;
 
   const storage::CheckpointSetId set = vc.last_checkpoint_.set;
@@ -381,6 +390,7 @@ void DvcManager::restore_vc(VirtualCluster& vc,
 void DvcManager::migrate_vc(VirtualCluster& vc, ckpt::LscCoordinator& lsc,
                             std::vector<hw::NodeId> new_placement,
                             std::function<void(bool)> done) {
+  if (refuse_failed(vc, done)) return;
   VcRuntime& rt = vcs_.at(vc.id());
   transition(rt, VcState::kMigrating);
   const VcId id = vc.id();
@@ -434,11 +444,12 @@ void DvcManager::live_migrate_vc(
   if (new_placement.size() != vc.size()) {
     throw std::invalid_argument("placement size != vc size");
   }
+  if (refuse_failed(vc, done)) return;
   VcRuntime& rt = vcs_.at(vc.id());
   transition(rt, VcState::kMigrating);
   const VcId id = vc.id();
   // Reserve the targets up front so nothing else lands on them mid-move.
-  claim(new_placement, id);
+  fabric_->hold(hw::Holder::kVc, new_placement, id);
 
   struct MoveState {
     LiveMigrationStats stats;
@@ -462,11 +473,11 @@ void DvcManager::live_migrate_vc(
                                            bool ok) {
     if (!ok) ms->any_failed = true;
     if (--ms->outstanding != 0) return;
-    // A member whose move failed stayed on its source node: the claims
-    // follow where every member actually ended up.
-    unclaim(ms->old_placement, id);
-    unclaim(ms->new_placement, id);
-    claim(rt.vc->placement_, id);
+    // A member whose move failed stayed on its source node: the ledger
+    // follows where every member actually ended up.
+    fabric_->release(hw::Holder::kVc, ms->old_placement, id);
+    fabric_->release(hw::Holder::kVc, ms->new_placement, id);
+    fabric_->hold(hw::Holder::kVc, rt.vc->placement_, id);
     ms->stats.ok = !ms->any_failed;
     ms->stats.total_time = sim_->now() - ms->started;
     transition(rt, ms->any_failed && any_member_lost(*rt.vc)
@@ -653,8 +664,8 @@ void DvcManager::on_node_failure(hw::NodeId node) {
     crash_coordinator(/*down_for=*/0);
     watch_head_repair();
   }
-  const auto cit = claimed_.find(node);
-  if (cit == claimed_.end()) return;
+  VcRuntime* rt = runtime(fabric_->node(node).vc());
+  if (rt == nullptr) return;
   if (!coordinator_up_) {
     // Nobody is home to run the failure feed. The member's death is not
     // lost: the reboot's reconciliation pass re-derives it from ground
@@ -662,9 +673,7 @@ void DvcManager::on_node_failure(hw::NodeId node) {
     telemetry::count(metrics_, "core.dvc.failures_while_headless");
     return;
   }
-  VcRuntime* rt = runtime(cit->second);
-  if (rt == nullptr || !rt->policy || rt->recovery_in_flight ||
-      !rt->vc->has_checkpoint()) {
+  if (!rt->policy || rt->recovery_in_flight || !rt->vc->has_checkpoint()) {
     return;
   }
   // A finished job has nothing left to protect: rolling it back would
@@ -675,9 +684,7 @@ void DvcManager::on_node_failure(hw::NodeId node) {
 
 void DvcManager::on_failure_prediction(hw::NodeId node,
                                        sim::Duration /*lead*/) {
-  const auto cit = claimed_.find(node);
-  if (cit == claimed_.end()) return;
-  const VcId id = cit->second;
+  const VcId id = fabric_->node(node).vc();
   VcRuntime* rt = runtime(id);
   if (rt == nullptr || !coordinator_up_ || !rt->policy ||
       !rt->policy->proactive_migration || rt->recovery_in_flight ||
@@ -741,7 +748,7 @@ void DvcManager::recover(VcRuntime& rt) {
     }
   }
   if (!needs_new.empty()) {
-    // Free pool: healthy, not claimed by another VC, not already reused.
+    // Free pool: free to this VC (node_free), not already reused.
     // When relocating everything, prefer nodes outside the current mapping
     // ("restart ... on a different set of physical nodes"), falling back
     // to reuse only if fresh nodes are scarce.
@@ -1126,9 +1133,8 @@ void DvcManager::reconcile_vc(VcRuntime& rt) {
     member_paused = member_paused || !vc.machine(i).running();
   }
   const bool job_live = rt.app == nullptr || !rt.app->completed();
-  const bool app_failed =
-      rt.app != nullptr && rt.app->failed() && job_live;
   if (!job_live) return;  // results are in; never resurrect idle guests
+  const bool app_failed = rt.app != nullptr && rt.app->failed();
 
   // Only a transitional control-plane state may have frozen members to
   // thaw; a VC still provisioning has legitimately-paused guests whose
@@ -1163,19 +1169,6 @@ void DvcManager::reconcile_vc(VcRuntime& rt) {
   } else {
     abandon_recovery(rt, "coordinator rebooted over a degraded VC with no "
                          "durable checkpoint");
-  }
-}
-
-void DvcManager::claim(const std::vector<hw::NodeId>& nodes, VcId owner) {
-  for (const hw::NodeId n : nodes) {
-    if (n != hw::kInvalidNode) claimed_[n] = owner;
-  }
-}
-
-void DvcManager::unclaim(const std::vector<hw::NodeId>& nodes, VcId owner) {
-  for (const hw::NodeId n : nodes) {
-    const auto it = claimed_.find(n);
-    if (it != claimed_.end() && it->second == owner) claimed_.erase(it);
   }
 }
 

@@ -59,6 +59,7 @@ class DvcManager final {
   void attach_app(VirtualCluster& vc, app::ParallelApp& application);
 
   // ---- checkpoint / restore / migrate -----------------------------------
+  // Each refuses a kFailed VC: `done` reports failure at once.
 
   /// Coordinated whole-VC checkpoint via the given LSC implementation.
   /// On success the set becomes the VC's recovery point. An `incremental`
@@ -196,7 +197,6 @@ class DvcManager final {
   [[nodiscard]] bool coordinator_up() const noexcept {
     return coordinator_up_;
   }
-  [[nodiscard]] hw::NodeId head_node() const noexcept { return head_node_; }
   /// Epoch this incarnation stamps into commands (kUnfencedEpoch until a
   /// fence is attached).
   [[nodiscard]] std::uint64_t coordinator_epoch() const noexcept {
@@ -256,11 +256,6 @@ class DvcManager final {
   [[nodiscard]] storage::ImageManager& images() noexcept { return *images_; }
   [[nodiscard]] hw::Fabric& fabric() noexcept { return *fabric_; }
 
-  /// Nodes currently claimed by any live VC.
-  [[nodiscard]] const std::map<hw::NodeId, VcId>& claims() const noexcept {
-    return claimed_;
-  }
-
   /// The LSC save-target list for a VC (hypervisor, machine, host clock per
   /// member). Exposed so benches/tests can drive coordinators directly.
   /// `incremental` holds only if every member has an image baseline.
@@ -310,16 +305,13 @@ class DvcManager final {
   /// publishes the edge to the attached checker.
   void transition(VcRuntime& rt, VcState to);
   /// The one test for a node a guest may be placed on: healthy, not
-  /// condemned, and unclaimed (or already claimed by VC `self`; ids start
-  /// at 1, so the default matches no VC).
+  /// condemned, and held by VC `self` or, if by no VC, by no job either
+  /// (ids start at 1, so the default matches no VC).
   [[nodiscard]] bool node_free(hw::NodeId n, VcId self = 0) const;
   /// Member `i` has no host node, its host failed, or its domain is dead.
   [[nodiscard]] bool member_lost(const VirtualCluster& vc,
                                  std::uint32_t i) const;
   [[nodiscard]] bool any_member_lost(const VirtualCluster& vc) const;
-  void claim(const std::vector<hw::NodeId>& nodes, VcId owner);
-  /// Releases those of `nodes` that `owner` holds.
-  void unclaim(const std::vector<hw::NodeId>& nodes, VcId owner);
   void on_node_failure(hw::NodeId node);
   void on_failure_prediction(hw::NodeId node, sim::Duration lead);
   /// Marks recovery in flight and rolls the VC back to its recovery point.
@@ -367,7 +359,6 @@ class DvcManager final {
   clocksync::ClusterTimeService* time_;
   VcId next_vc_ = 1;
   std::map<VcId, VcRuntime> vcs_;
-  std::map<hw::NodeId, VcId> claimed_;
   /// How many retained generations reference each checkpoint set
   /// (incremental chains share their base full image across generations).
   /// A set leaves the store when its last reference drops.

@@ -43,7 +43,6 @@ void IntentLog::close(std::uint64_t lsn) {
   if (it == open_.end()) return;
   store_->remove_object(it->second.token);
   open_.erase(it);
-  ++closed_;
   telemetry::count(metrics_, closes_c_);
 }
 

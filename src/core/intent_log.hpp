@@ -70,7 +70,6 @@ class IntentLog final {
   }
 
   [[nodiscard]] std::uint64_t appended() const noexcept { return appended_; }
-  [[nodiscard]] std::uint64_t closed() const noexcept { return closed_; }
 
   void set_metrics(telemetry::MetricsRegistry* m) noexcept { metrics_ = m; }
 
@@ -81,7 +80,6 @@ class IntentLog final {
   telemetry::CounterHandle closes_c_{"core.dvc.wal_closes"};
   std::uint64_t next_lsn_ = 1;
   std::uint64_t appended_ = 0;
-  std::uint64_t closed_ = 0;
   std::map<std::uint64_t, Intent> open_;
 };
 

@@ -4,7 +4,7 @@ namespace dvc::core {
 
 VirtualCluster::VirtualCluster(sim::Simulation& sim, net::Network& net,
                                VcId id, VcSpec spec)
-    : sim_(&sim), id_(id), spec_(std::move(spec)) {
+    : id_(id), spec_(std::move(spec)) {
   vms_.reserve(spec_.size);
   for (std::uint32_t i = 0; i < spec_.size; ++i) {
     const vm::VmId vmid = (id_ << 16) | i;

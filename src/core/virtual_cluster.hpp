@@ -137,7 +137,6 @@ class VirtualCluster final {
  private:
   friend class DvcManager;
 
-  sim::Simulation* sim_;
   VcId id_;
   VcSpec spec_;
   VcState state_ = VcState::kProvisioning;

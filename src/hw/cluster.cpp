@@ -89,11 +89,27 @@ bool Fabric::spans_clusters(const std::vector<NodeId>& nodes) const {
   return false;
 }
 
+void Fabric::hold(Holder holder, const std::vector<NodeId>& nodes,
+                  std::uint64_t id) {
+  for (const NodeId n : nodes) {
+    if (n != kInvalidNode) nodes_.at(n)->holder(holder) = id;
+  }
+}
+
+void Fabric::release(Holder holder, const std::vector<NodeId>& nodes,
+                     std::uint64_t id) {
+  for (const NodeId n : nodes) {
+    if (n == kInvalidNode) continue;
+    std::uint64_t& held_by = nodes_.at(n)->holder(holder);
+    if (held_by == id) held_by = 0;
+  }
+}
+
 void Fabric::fail_node(NodeId n) {
   PhysicalNode& node = *nodes_.at(n);
   if (node.failed_) return;
   node.failed_ = true;
-  condemned_.erase(n);  // the sentence has been carried out
+  node.condemned_ = false;  // the sentence has been carried out
   network_->set_host_up(node.host(), false);
   ++failures_injected_;
   sim::trace(trace_, sim_->now(), sim::TraceLevel::kError, "fabric",
@@ -114,7 +130,7 @@ void Fabric::repair_node(NodeId n) {
 
 void Fabric::predict_failure(NodeId node, sim::Duration lead) {
   ++failures_predicted_;
-  condemned_.insert(node);
+  nodes_.at(node)->condemned_ = true;
   sim::trace(trace_, sim_->now(), sim::TraceLevel::kWarn, "fabric",
              "node" + std::to_string(node) + " predicted to fail in " +
                  std::to_string(lead / sim::kSecond) + "s");

@@ -4,7 +4,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -29,8 +28,12 @@ struct NodeSpec {
   double virt_overhead = 0.03;               ///< para-virt CPU tax (Xen)
 };
 
+/// The layer holding a node: rm::Scheduler's job or a DvcManager VC.
+enum class Holder : std::uint8_t { kJob, kVc };
+
 /// A physical compute node: a capability spec, a network attachment point,
-/// and a liveness bit. Node failure is permanent until repaired.
+/// a liveness bit, and its row of the node ledger (who holds it). Node
+/// failure is permanent until repaired. Only Fabric writes the row.
 class PhysicalNode final {
  public:
   PhysicalNode(NodeId id, ClusterId cluster, NodeSpec spec,
@@ -42,14 +45,28 @@ class PhysicalNode final {
   [[nodiscard]] const NodeSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] net::HostId host() const noexcept { return host_; }
   [[nodiscard]] bool failed() const noexcept { return failed_; }
+  /// A failure prediction is pending: up, but nothing should move here.
+  [[nodiscard]] bool condemned() const noexcept { return condemned_; }
+  /// The job the scheduler allocated this node to (0 = none).
+  [[nodiscard]] std::uint64_t job() const noexcept { return job_; }
+  /// The VC whose member DvcManager placed here (0 = none).
+  [[nodiscard]] std::uint64_t vc() const noexcept { return vc_; }
+  /// Held by either layer: the scheduler allocates only unheld nodes.
+  [[nodiscard]] bool held() const noexcept { return job_ != 0 || vc_ != 0; }
 
  private:
   friend class Fabric;
+  std::uint64_t& holder(Holder h) noexcept {
+    return h == Holder::kJob ? job_ : vc_;
+  }
   NodeId id_;
   ClusterId cluster_;
   NodeSpec spec_;
   net::HostId host_;
   bool failed_ = false;
+  bool condemned_ = false;
+  std::uint64_t job_ = 0;
+  std::uint64_t vc_ = 0;
 };
 
 /// A named group of nodes behind one switch.
@@ -87,7 +104,6 @@ class Fabric final {
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }
-  [[nodiscard]] PhysicalNode& node(NodeId n) { return *nodes_.at(n); }
   [[nodiscard]] const PhysicalNode& node(NodeId n) const {
     return *nodes_.at(n);
   }
@@ -108,6 +124,14 @@ class Fabric final {
   /// True if `nodes` come from more than one physical cluster (unplaced
   /// kInvalidNode slots are ignored after the first).
   [[nodiscard]] bool spans_clusters(const std::vector<NodeId>& nodes) const;
+
+  /// The node ledger's only writer: `holder` `id` (non-zero) takes every
+  /// valid node of `nodes`, displacing any previous holder of that layer.
+  void hold(Holder holder, const std::vector<NodeId>& nodes, std::uint64_t id);
+  /// Gives back those of `nodes` that `holder` `id` holds; a node another
+  /// id holds is left alone.
+  void release(Holder holder, const std::vector<NodeId>& nodes,
+               std::uint64_t id);
 
   /// Marks a node failed: its NIC goes dark and observers are notified
   /// (hypervisor kills resident VMs, scheduler stops placing work on it).
@@ -133,11 +157,6 @@ class Fabric final {
   /// immediately; the failure itself is scheduled). Until it dies, the
   /// node is `condemned()` — still up, but nothing should move onto it.
   void predict_failure(NodeId node, sim::Duration lead);
-
-  /// True if a failure prediction is pending for this node.
-  [[nodiscard]] bool condemned(NodeId node) const {
-    return condemned_.contains(node);
-  }
 
   /// Arms an exponential (memoryless) failure process on every node with
   /// the given mean time between failures. Each firing fails one node; the
@@ -179,7 +198,6 @@ class Fabric final {
       prediction_observers_;
   std::uint64_t failures_injected_ = 0;
   std::uint64_t failures_predicted_ = 0;
-  std::set<NodeId> condemned_;
   sim::TraceLog* trace_ = nullptr;
 };
 

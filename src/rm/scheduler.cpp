@@ -65,8 +65,8 @@ JobId Scheduler::submit(JobRequest req) {
 void Scheduler::accumulate_busy() {
   const sim::Time now = sim_->now();
   busy_node_seconds_ +=
-      sim::to_seconds(now - busy_accum_mark_) * static_cast<double>(
-          node_owner_.size());
+      sim::to_seconds(now - busy_accum_mark_) *
+      static_cast<double>(busy_nodes_);
   busy_accum_mark_ = now;
 }
 
@@ -81,7 +81,7 @@ std::optional<Allocation> Scheduler::find_allocation(
   // every job its own software stack, so a foreign cluster is as good as
   // home — paper goal 2), then spanning if the configuration allows it.
   auto picked = fabric_->place(
-      nodes, [this](hw::NodeId n) { return !node_owner_.contains(n); },
+      nodes, [this](hw::NodeId n) { return !fabric_->node(n).held(); },
       req.home_cluster, cfg_.allow_spanning);
   if (!picked) return std::nullopt;
   const bool spans = fabric_->spans_clusters(*picked);
@@ -116,9 +116,7 @@ void Scheduler::try_schedule() {
     }
 
     queue_.pop_front();
-    telemetry::gauge_set(metrics_, "rm.scheduler.queue_depth",
-                         static_cast<double>(queue_.size()));
-    start_job(job, std::move(*alloc));
+    start_job(job, std::move(*alloc));  // which updates the queue gauge
   }
 }
 
@@ -127,14 +125,12 @@ sim::Time Scheduler::head_shadow_time(std::uint32_t head_need) const {
   // free for the head.
   std::size_t free_now = 0;
   for (const hw::NodeId n : fabric_->healthy_nodes()) {
-    if (!node_owner_.contains(n)) ++free_now;
+    if (!fabric_->node(n).held()) ++free_now;
   }
   std::vector<std::pair<sim::Time, std::size_t>> ends;  // end, nodes freed
-  for (const auto& [id, end] : expected_end_) {
-    const auto it = jobs_.find(id);
-    if (it != jobs_.end() && it->second.state == JobState::kRunning) {
-      ends.emplace_back(end, it->second.allocation.nodes.size());
-    }
+  for (const auto& [id, span] : running_) {
+    const JobRecord& job = jobs_.at(id);
+    ends.emplace_back(job.expected_end, job.allocation.nodes.size());
   }
   std::sort(ends.begin(), ends.end());
   for (const auto& [end, freed] : ends) {
@@ -181,10 +177,16 @@ void Scheduler::start_job(JobRecord& job, Allocation alloc) {
   job.state = JobState::kRunning;
   job.started_at = sim_->now();
   job.allocation = std::move(alloc);
-  for (const hw::NodeId n : job.allocation.nodes) {
-    node_owner_[n] = job.id;
-  }
-  ++running_count_;
+  fabric_->hold(hw::Holder::kJob, job.allocation.nodes, job.id);
+  busy_nodes_ += job.allocation.nodes.size();
+  const sim::Duration run =
+      sim::from_seconds(job.request.node_seconds_work /
+                        static_cast<double>(job.allocation.nodes.size())) +
+      job.request.startup_overhead;
+  job.expected_end = job.started_at + run;
+  running_[job.id] = telemetry::begin_span(
+      metrics_, job.started_at, "rm",
+      job.request.name.empty() ? "job" : job.request.name);
   waits_.add(sim::to_seconds(job.started_at - job.submitted_at));
   telemetry::count(metrics_, "rm.scheduler.jobs_started");
   telemetry::observe(metrics_, "rm.scheduler.placement_wait_s",
@@ -192,17 +194,7 @@ void Scheduler::start_job(JobRecord& job, Allocation alloc) {
   telemetry::gauge_set(metrics_, "rm.scheduler.queue_depth",
                        static_cast<double>(queue_.size()));
   telemetry::gauge_set(metrics_, "rm.scheduler.running",
-                       static_cast<double>(running_count_));
-  if (metrics_ != nullptr) {
-    job_spans_[job.id] = metrics_->begin_span(
-        job.started_at, "rm",
-        job.request.name.empty() ? "job" : job.request.name);
-  }
-  const sim::Duration run =
-      sim::from_seconds(job.request.node_seconds_work /
-                        static_cast<double>(job.allocation.nodes.size())) +
-      job.request.startup_overhead;
-  expected_end_[job.id] = job.started_at + run;
+                       static_cast<double>(running()));
   if (on_start_) on_start_(job);
 
   if (cfg_.auto_run) {
@@ -223,11 +215,10 @@ void Scheduler::finish_job(JobId id, JobState final_state) {
   job.state = final_state;
   job.finished_at = sim_->now();
   last_finish_ = std::max(last_finish_, job.finished_at);
-  for (const hw::NodeId n : job.allocation.nodes) {
-    node_owner_.erase(n);
-  }
-  --running_count_;
-  expected_end_.erase(job.id);
+  fabric_->release(hw::Holder::kJob, job.allocation.nodes, job.id);
+  busy_nodes_ -= job.allocation.nodes.size();
+  telemetry::end_span(metrics_, running_.at(job.id), sim_->now());
+  running_.erase(job.id);
   if (final_state == JobState::kCompleted) {
     ++completed_count_;
     telemetry::count(metrics_, "rm.scheduler.jobs_completed");
@@ -236,12 +227,7 @@ void Scheduler::finish_job(JobId id, JobState final_state) {
     telemetry::count(metrics_, "rm.scheduler.jobs_failed");
   }
   telemetry::gauge_set(metrics_, "rm.scheduler.running",
-                       static_cast<double>(running_count_));
-  const auto span = job_spans_.find(job.id);
-  if (span != job_spans_.end()) {
-    telemetry::end_span(metrics_, span->second, sim_->now());
-    job_spans_.erase(span);
-  }
+                       static_cast<double>(running()));
   if (on_finish_) on_finish_(job);
   try_schedule();
 }
@@ -250,10 +236,10 @@ void Scheduler::on_node_failure(hw::NodeId node) {
   // A failed node takes down whatever ran on it (unless a DVC layer above
   // recovers the job — that layer resubmits). The node also leaves the
   // allocatable pool, which try_schedule respects via healthy_nodes().
-  const auto it = node_owner_.find(node);
-  if (it != node_owner_.end() && cfg_.fail_jobs_on_node_failure &&
-      jobs_.at(it->second).state == JobState::kRunning) {
-    finish_job(it->second, JobState::kFailed);
+  const JobId owner = fabric_->node(node).job();
+  if (owner != kInvalidJob && cfg_.fail_jobs_on_node_failure &&
+      jobs_.at(owner).state == JobState::kRunning) {
+    finish_job(owner, JobState::kFailed);
     return;  // finish_job already re-runs the queue
   }
   try_schedule();

@@ -57,6 +57,8 @@ struct JobRecord {
   Allocation allocation;
   sim::Time submitted_at = 0;
   sim::Time started_at = 0;
+  /// Start plus the runtime estimated from the request (EASY backfill).
+  sim::Time expected_end = 0;
   sim::Time finished_at = 0;
 };
 
@@ -118,7 +120,7 @@ class Scheduler final {
   [[nodiscard]] const JobRecord& job(JobId id) const { return jobs_.at(id); }
   [[nodiscard]] std::size_t queued() const noexcept { return queue_.size(); }
   [[nodiscard]] std::size_t running() const noexcept {
-    return running_count_;
+    return running_.size();
   }
   [[nodiscard]] std::uint64_t completed() const noexcept {
     return completed_count_;
@@ -166,10 +168,9 @@ class Scheduler final {
   JobId next_id_ = 1;
   std::map<JobId, JobRecord> jobs_;
   std::deque<JobId> queue_;
-  /// Busy nodes and the job holding each.
-  std::map<hw::NodeId, JobId> node_owner_;
-  std::map<JobId, sim::Time> expected_end_;
-  std::size_t running_count_ = 0;
+  std::size_t busy_nodes_ = 0;  ///< nodes the running jobs hold
+  /// Every running job and its span on the "rm" timeline track.
+  std::map<JobId, telemetry::MetricsRegistry::SpanId> running_;
   std::uint64_t backfill_count_ = 0;
   std::uint64_t completed_count_ = 0;
   std::uint64_t failed_count_ = 0;
@@ -181,7 +182,6 @@ class Scheduler final {
   std::function<void(const JobRecord&)> on_start_;
   std::function<void(const JobRecord&)> on_finish_;
   telemetry::MetricsRegistry* metrics_ = nullptr;
-  std::map<JobId, telemetry::MetricsRegistry::SpanId> job_spans_;
 };
 
 }  // namespace dvc::rm

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -196,10 +196,6 @@ std::vector<hw::NodeId>& placements_of(core::VirtualCluster& vc) {
   return const_cast<std::vector<hw::NodeId>&>(vc.placements());
 }
 
-std::map<hw::NodeId, core::VcId>& claims_of(core::DvcManager& dvc) {
-  return const_cast<std::map<hw::NodeId, core::VcId>&>(dvc.claims());
-}
-
 std::vector<core::VcGeneration>& generations_of(core::VirtualCluster& vc) {
   return const_cast<std::vector<core::VcGeneration>&>(vc.generations());
 }
@@ -232,9 +228,8 @@ TEST(InvariantMessageTest, MembersSharingANode) {
 TEST(InvariantMessageTest, ClaimTableMismatch) {
   Rig rig;
   const std::vector<hw::NodeId> placement = rig.vc->placements();
-  auto& claims = claims_of(*rig.bed.dvc);
-  claims[placement[0]] = 9;
-  claims.erase(placement[1]);
+  rig.bed.fabric.hold(hw::Holder::kVc, {placement[0]}, 9);
+  rig.bed.fabric.release(hw::Holder::kVc, {placement[1]}, 1);
   rig.inv.end_of_run(/*expect_quiesced=*/false);
   const std::string n0 = std::to_string(placement[0]);
   const std::string n1 = std::to_string(placement[1]);
@@ -245,6 +240,22 @@ TEST(InvariantMessageTest, ClaimTableMismatch) {
                 "vc#1 member 1 runs on node " + n1 +
                     " which the claim table gives to nobody",
                 "node " + n0 + " claimed by dead vc#9"}));
+}
+
+TEST(InvariantMessageTest, PlacementAgreement) {
+  Rig rig;
+  const std::vector<hw::NodeId> placement = rig.vc->placements();
+  // Members 0 and 1 sit on job 1's nodes, member 2 on job 2's, member 3 on
+  // a node no job holds.
+  rig.bed.fabric.hold(hw::Holder::kJob, {placement[0], placement[1]}, 1);
+  rig.bed.fabric.hold(hw::Holder::kJob, {placement[2]}, 2);
+  rig.inv.end_of_run(/*expect_quiesced=*/false);
+  EXPECT_EQ(details(rig.inv, "placement-agreement"),
+            std::vector<std::string>{
+                "vc#1 member 2 runs on node " + std::to_string(placement[2]) +
+                " of job 2, member 0 on node " + std::to_string(placement[0]) +
+                " of job 1"});
+  EXPECT_FALSE(rig.saw("member-conservation")) << rig.inv.report();
 }
 
 TEST(InvariantMessageTest, GenerationMonotonicity) {
@@ -387,22 +398,51 @@ TEST(InvariantCheckerTest, FaultFreeFullJobRunIsClean) {
   EXPECT_TRUE(rig.inv.ok()) << rig.inv.report();
 }
 
-TEST(InvariantCheckerTest, CheckpointingAFailedVcFires) {
+TEST(InvariantCheckerTest, WorkOnAFailedVcIsRefused) {
   // A reboot over a VC that lost a member before its first checkpoint can
-  // only diagnose it: kFailed, which nothing may leave. Asking for a
-  // checkpoint afterwards takes an illegal edge through the real API.
+  // only diagnose it: kFailed, which nothing may leave. Every call that
+  // would move it again reports failure at once and changes nothing: no
+  // edge, no journalled intent, no instrument.
   Rig rig;
   rig.bed.dvc->designate_head_node(7);
   rig.bed.fabric.fail_node(rig.vc->placement(0));
   rig.bed.dvc->crash_coordinator(sim::kSecond);
   rig.bed.sim.run_until(rig.bed.sim.now() + 30 * sim::kSecond);
   ASSERT_EQ(rig.vc->state(), core::VcState::kFailed);
-  ASSERT_FALSE(rig.saw("vc-state-legal")) << rig.inv.report();
+  const auto metrics = [&] {
+    std::ostringstream out;
+    rig.bed.metrics.write_metrics_json(out);
+    return out.str() + "spans " +
+           std::to_string(rig.bed.metrics.spans().size());
+  };
+  const std::string metrics_before = metrics();
+  const std::uint64_t journalled = rig.bed.dvc->intent_log()->appended();
+  const std::vector<hw::NodeId> targets{4, 5, 6, 7};
 
-  rig.bed.dvc->checkpoint_vc(*rig.vc, rig.lsc, {});
-  EXPECT_EQ(details(rig.inv, "vc-state-legal"),
-            std::vector<std::string>{
-                "vc#1 moved failed -> checkpointing, not a lifecycle edge"});
+  std::vector<std::string> refused;
+  rig.bed.dvc->checkpoint_vc(*rig.vc, rig.lsc, [&](ckpt::LscResult r) {
+    if (!r.ok) refused.emplace_back("checkpoint");
+  });
+  rig.bed.dvc->restore_vc(*rig.vc, targets, [&](bool ok) {
+    if (!ok) refused.emplace_back("restore");
+  });
+  rig.bed.dvc->migrate_vc(*rig.vc, rig.lsc, targets, [&](bool ok) {
+    if (!ok) refused.emplace_back("migrate");
+  });
+  rig.bed.dvc->live_migrate_vc(
+      *rig.vc, targets, {}, [&](core::DvcManager::LiveMigrationStats st) {
+        if (!st.ok) refused.emplace_back("live-migrate");
+      });
+  EXPECT_EQ(refused, (std::vector<std::string>{"checkpoint", "restore",
+                                               "migrate", "live-migrate"}));
+  rig.bed.sim.run_until(rig.bed.sim.now() + 60 * sim::kSecond);
+  EXPECT_EQ(refused.size(), 4u);
+  EXPECT_EQ(rig.vc->state(), core::VcState::kFailed);
+  EXPECT_EQ(rig.bed.dvc->intent_log()->appended(), journalled);
+  EXPECT_EQ(metrics(), metrics_before);
+  for (const hw::NodeId n : targets) EXPECT_EQ(rig.bed.fabric.node(n).vc(), 0u);
+  rig.inv.end_of_run(/*expect_quiesced=*/false);
+  EXPECT_TRUE(rig.inv.ok()) << rig.inv.report();
 }
 
 TEST(InvariantCheckerTest, DestroyedVcLeavesNoRefcountResidue) {

@@ -88,7 +88,7 @@ TEST(DvcManagerTest, PickNodesAvoidsCondemnedNodes) {
   bed.sim.run_until(11 * sim::kMinute);
   EXPECT_TRUE(bed.fabric.node(1).failed());
   bed.fabric.repair_node(1);
-  EXPECT_FALSE(bed.fabric.condemned(1));
+  EXPECT_FALSE(bed.fabric.node(1).condemned());
   EXPECT_TRUE(bed.dvc->pick_nodes(8).has_value());
 }
 
@@ -116,7 +116,7 @@ TEST(DvcManagerTest, CreateVcBootsEveryMachine) {
     EXPECT_TRUE(vc.machine(i).running());
     EXPECT_EQ(vc.machine(i).placed_on(), i);
   }
-  EXPECT_EQ(bed.dvc->claims().size(), 3u);
+  EXPECT_EQ(test::vc_held_nodes(bed.fabric).size(), 3u);
   EXPECT_FALSE(vc.spans_clusters(bed.fabric));
   EXPECT_EQ(vc.instantiations(), 1u);
 }
@@ -132,7 +132,7 @@ TEST(DvcManagerTest, DestroyReleasesClaims) {
   VirtualCluster& vc = bed.dvc->create_vc(small_vc(3), {0, 1, 2}, {});
   bed.sim.run_until(20 * sim::kSecond);
   bed.dvc->destroy_vc(vc);  // invalidates vc
-  EXPECT_TRUE(bed.dvc->claims().empty());
+  EXPECT_TRUE(test::vc_held_nodes(bed.fabric).empty());
   EXPECT_TRUE(bed.dvc->pick_nodes(8).has_value());
 }
 
@@ -449,8 +449,8 @@ TEST(DvcManagerTest, LiveMigrationMovesRunningVcWithTinyDowntime) {
   // Dirtied memory was re-sent: more bytes moved than guest RAM.
   EXPECT_GT(stats->bytes_moved, 3.0 * (64 << 20));
   // The old nodes are free again; the new ones are claimed.
-  EXPECT_FALSE(bed.dvc->claims().contains(0));
-  EXPECT_TRUE(bed.dvc->claims().contains(5));
+  EXPECT_EQ(bed.fabric.node(0).vc(), 0u);
+  EXPECT_EQ(bed.fabric.node(5).vc(), r.vc->id());
   bed.sim.run_until(600 * sim::kSecond);
   EXPECT_TRUE(r.application->completed());
   EXPECT_FALSE(r.application->failed());
@@ -472,9 +472,8 @@ TEST(DvcManagerTest, LiveMigrationFailsCleanlyIfTargetDies) {
   // Member 0 never left node 0; members 1 and 2 moved. The claims follow
   // the actual placement and the dead target is released.
   EXPECT_EQ(r.vc->placements(), (std::vector<hw::NodeId>{0, 6, 7}));
-  std::vector<hw::NodeId> claimed;
-  for (const auto& [node, owner] : bed.dvc->claims()) claimed.push_back(node);
-  EXPECT_EQ(claimed, (std::vector<hw::NodeId>{0, 6, 7}));
+  EXPECT_EQ(test::vc_held_nodes(bed.fabric),
+            (std::vector<hw::NodeId>{0, 6, 7}));
   // No member was lost, so the VC keeps running (and checkpointing).
   EXPECT_EQ(r.vc->state(), VcState::kRunning);
 }
@@ -498,9 +497,8 @@ TEST(DvcManagerTest, LiveMigrationTargetDyingInStopAndCopyResumesAtSource) {
   EXPECT_FALSE(stats->ok);
   EXPECT_EQ(r.vc->placements(), (std::vector<hw::NodeId>{0, 6, 7}));
   EXPECT_TRUE(r.vc->machine(0).running());
-  std::vector<hw::NodeId> claimed;
-  for (const auto& [node, owner] : bed.dvc->claims()) claimed.push_back(node);
-  EXPECT_EQ(claimed, (std::vector<hw::NodeId>{0, 6, 7}));
+  EXPECT_EQ(test::vc_held_nodes(bed.fabric),
+            (std::vector<hw::NodeId>{0, 6, 7}));
   EXPECT_EQ(r.vc->state(), VcState::kRunning);
   bed.sim.run_until(bed.sim.now() + 600 * sim::kSecond);
   EXPECT_TRUE(r.application->completed());

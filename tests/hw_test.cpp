@@ -70,6 +70,31 @@ TEST(FabricTest, RepairRestoresNode) {
   EXPECT_EQ(f.healthy_nodes().size(), 2u);
 }
 
+TEST(FabricTest, LedgerReleasesOnlyForTheHolder) {
+  sim::Simulation s;
+  Fabric f(s, {});
+  f.add_cluster("a", 3);
+  f.hold(Holder::kJob, {0, 1, kInvalidNode}, 7);
+  f.hold(Holder::kVc, {1, 2}, 3);
+  EXPECT_EQ(f.node(0).job(), 7u);
+  EXPECT_EQ(f.node(1).vc(), 3u);
+  // A release by a non-holder is a no-op, on either layer.
+  f.release(Holder::kJob, {0, 1}, 8);
+  f.release(Holder::kVc, {0, 1, 2}, 4);
+  EXPECT_EQ(f.node(0).job(), 7u);
+  EXPECT_EQ(f.node(1).job(), 7u);
+  EXPECT_EQ(f.node(1).vc(), 3u);
+  EXPECT_EQ(f.node(2).vc(), 3u);
+  // A node is free to the scheduler only once neither field is set.
+  f.release(Holder::kJob, {0, 1}, 7);
+  EXPECT_FALSE(f.node(0).held());
+  EXPECT_TRUE(f.node(1).held());  // its VC still holds it
+  EXPECT_TRUE(f.node(2).held());  // a VC with no job
+  f.release(Holder::kVc, {1, 2}, 3);
+  EXPECT_FALSE(f.node(1).held());
+  EXPECT_FALSE(f.node(2).held());
+}
+
 TEST(FabricTest, HealthyNodesPerCluster) {
   sim::Simulation s;
   Fabric f(s, {});

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "app/workload.hpp"
+#include "check/invariants.hpp"
 #include "ckpt/lsc.hpp"
 #include "core/job_runner.hpp"
 #include "core/machine_room.hpp"
@@ -37,14 +39,29 @@ MachineRoomOptions runner_opts() {
   return o;
 }
 
+/// A machine room under a scheduler and the job runner, with the
+/// invariant checker attached for the whole run.
 struct RunnerStack {
   explicit RunnerStack(MachineRoomOptions opt, rm::Scheduler::Config cfg)
       : room(opt), scheduler(room.sim, room.fabric, cfg),
-        runner(room.sim, scheduler, *room.dvc) {}
+        runner(room.sim, scheduler, *room.dvc),
+        inv(check::Invariants::Wiring{&room.sim, room.dvc.get(),
+                                      &room.images, &room.fence,
+                                      &room.metrics}) {
+    inv.attach();
+  }
+  ~RunnerStack() { inv.detach(); }
+
+  /// The checker's final sweep: the run must have recorded no violation.
+  void expect_clean() {
+    inv.end_of_run(/*expect_quiesced=*/false);
+    EXPECT_TRUE(inv.ok()) << inv.report();
+  }
 
   MachineRoom room;
   rm::Scheduler scheduler;
   core::VirtualJobRunner runner;
+  check::Invariants inv;
 };
 
 rm::Scheduler::Config runner_sched_cfg() {
@@ -78,8 +95,11 @@ TEST(JobRunnerTest, RunsQueuedWorkloadsThroughVirtualClusters) {
   EXPECT_EQ(s.runner.jobs_completed(), 3u);
   EXPECT_EQ(s.scheduler.completed(), 3u);
   // Everything torn down: nodes free on both layers.
-  EXPECT_TRUE(s.room.dvc->claims().empty());
+  for (hw::NodeId n = 0; n < s.room.fabric.node_count(); ++n) {
+    EXPECT_FALSE(s.room.fabric.node(n).held()) << "node " << n;
+  }
   EXPECT_EQ(s.scheduler.running(), 0u);
+  s.expect_clean();
 }
 
 TEST(JobRunnerTest, SpanningJobRunsAcrossClusters) {
@@ -92,6 +112,7 @@ TEST(JobRunnerTest, SpanningJobRunsAcrossClusters) {
   s.room.sim.run_until(400 * sim::kSecond);
   EXPECT_TRUE(done);
   EXPECT_TRUE(s.scheduler.job(id).allocation.spans_clusters);
+  s.expect_clean();
 }
 
 TEST(JobRunnerTest, InfeasibleJobIsReportedImmediately) {
@@ -106,12 +127,14 @@ TEST(JobRunnerTest, InfeasibleJobIsReportedImmediately) {
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(*outcome);
   EXPECT_EQ(s.runner.jobs_abandoned(), 1u);
-  EXPECT_TRUE(s.room.dvc->claims().empty());
+  EXPECT_TRUE(test::vc_held_nodes(s.room.fabric).empty());
+  s.expect_clean();
 }
 
 TEST(JobRunnerTest, ProtectedJobSurvivesNodeFailure) {
   RunnerStack s(runner_opts(), runner_sched_cfg());
   ckpt::NtpLscCoordinator lsc(s.room.sim, {}, sim::Rng(41));
+  lsc.set_check(&s.inv);
   core::VirtualJobRunner::Reliability rel;
   rel.coordinator = &lsc;
   rel.interval = 30 * sim::kSecond;
@@ -133,6 +156,50 @@ TEST(JobRunnerTest, ProtectedJobSurvivesNodeFailure) {
   EXPECT_EQ(s.scheduler.job(id).state, rm::JobState::kCompleted);
   EXPECT_GE(s.room.dvc->recoveries_performed(), 1u);
   EXPECT_EQ(s.runner.jobs_abandoned(), 0u);
+  s.expect_clean();
+}
+
+TEST(JobRunnerTest, RecoveredMemberKeepsItsSpareNode) {
+  // Job A loses its first node and recovery moves that member onto a spare
+  // the scheduler never allocated. A job B submitted afterwards must not
+  // be handed the spare: the two layers read one node ledger.
+  RunnerStack s(runner_opts(), runner_sched_cfg());
+  ckpt::NtpLscCoordinator lsc(s.room.sim, {}, sim::Rng(41));
+  lsc.set_check(&s.inv);
+  core::VirtualJobRunner::Reliability rel;
+  rel.coordinator = &lsc;
+  rel.interval = 30 * sim::kSecond;
+  s.runner.set_reliability(rel);
+
+  vm::GuestConfig guest;
+  guest.ram_bytes = 64ull << 20;
+  int completed = 0;
+  const auto count = [&](bool ok) { completed += ok ? 1 : 0; };
+  const rm::JobId a = s.runner.submit(quick_job(4, 3000), guest, 0, count);
+  s.room.sim.schedule_after(60 * sim::kSecond, [&] {
+    s.room.fabric.fail_node(s.scheduler.job(a).allocation.nodes.front());
+  });
+  rm::JobId b = rm::kInvalidJob;
+  std::vector<hw::NodeId> a_placement;
+  s.room.sim.schedule_after(200 * sim::kSecond, [&] {
+    a_placement = s.room.dvc->live_vcs().front()->placements();
+    b = s.runner.submit(quick_job(7, 600), guest, 0, count);
+  });
+  s.room.sim.run_until(1500 * sim::kSecond);
+
+  ASSERT_NE(b, rm::kInvalidJob);
+  // Member 0 left the dead node 0 for node 4; B was submitted while A ran.
+  ASSERT_EQ(a_placement, (std::vector<hw::NodeId>{4, 1, 2, 3}));
+  ASSERT_GT(s.scheduler.job(b).started_at, 0);
+  ASSERT_LT(s.scheduler.job(b).started_at, s.scheduler.job(a).finished_at);
+  for (const hw::NodeId n : s.scheduler.job(b).allocation.nodes) {
+    EXPECT_EQ(std::count(a_placement.begin(), a_placement.end(), n), 0)
+        << "job B was allocated node " << n << ", which job A's VC runs on";
+  }
+  EXPECT_EQ(completed, 2);
+  EXPECT_EQ(s.scheduler.job(a).state, rm::JobState::kCompleted);
+  EXPECT_EQ(s.scheduler.job(b).state, rm::JobState::kCompleted);
+  s.expect_clean();
 }
 
 TEST(JobRunnerTest, UnprotectedJobIsAbandonedOnNodeFailure) {
@@ -151,7 +218,8 @@ TEST(JobRunnerTest, UnprotectedJobIsAbandonedOnNodeFailure) {
   EXPECT_EQ(s.scheduler.job(id).state, rm::JobState::kFailed);
   EXPECT_EQ(s.runner.jobs_abandoned(), 1u);
   // The failed job's healthy nodes are reusable immediately.
-  EXPECT_TRUE(s.room.dvc->claims().empty());
+  EXPECT_TRUE(test::vc_held_nodes(s.room.fabric).empty());
+  s.expect_clean();
 }
 
 // ---------------------------------------------------------------------------

@@ -183,6 +183,24 @@ TEST(SchedulerTest, FailedNodesAreNeverAllocated) {
   EXPECT_EQ(f.sched.job(id).state, JobState::kCompleted);
 }
 
+TEST(SchedulerTest, NodesAVcHoldsAreNeverAllocated) {
+  // A VC member relocated onto a node no job was allocated (a recovery's
+  // spare) makes that node busy to the scheduler too.
+  RmFixture f(Scheduler::Config{}, 1, 4);
+  f.fabric.hold(hw::Holder::kVc, {0}, 1);
+  const JobId id = f.sched.submit(job(3, 30.0));
+  EXPECT_EQ(f.sched.job(id).allocation.nodes,
+            (std::vector<hw::NodeId>{1, 2, 3}));
+  EXPECT_EQ(f.fabric.node(1).job(), id);
+  const JobId blocked = f.sched.submit(job(1, 1.0));
+  EXPECT_EQ(f.sched.job(blocked).state, JobState::kQueued);
+  f.sim.run();
+  EXPECT_EQ(f.sched.job(blocked).allocation.nodes,
+            (std::vector<hw::NodeId>{1}));
+  EXPECT_EQ(f.fabric.node(1).job(), 0u);
+  EXPECT_EQ(f.fabric.node(0).vc(), 1u);
+}
+
 TEST(SchedulerTest, NodeFailureKillsRunningJobAndFreesNodes) {
   RmFixture f(Scheduler::Config{}, 1, 4);
   const JobId id = f.sched.submit(job(4, 4000.0));

@@ -14,6 +14,15 @@ namespace dvc::test {
 using TestBed = core::MachineRoom;
 using TestBedOptions = core::MachineRoomOptions;
 
+/// Every node the Fabric's ledger gives to some VC, in id order.
+inline std::vector<hw::NodeId> vc_held_nodes(const hw::Fabric& fabric) {
+  std::vector<hw::NodeId> out;
+  for (hw::NodeId n = 0; n < fabric.node_count(); ++n) {
+    if (fabric.node(n).vc() != 0) out.push_back(n);
+  }
+  return out;
+}
+
 /// Records every lifecycle edge and boundary a DvcManager publishes, and
 /// hands each on to `next` (say, a check::Invariants) when one is given.
 class RecordingChecker final : public check::Checker {
