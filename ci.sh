@@ -37,12 +37,14 @@
 #                       compile_commands.json
 #   ./ci.sh --bench-smoke  builds dvcbench and runs each of its four
 #                       workloads for one second (untraced) at seed 1 and
-#                       at the held-out seed 1001; fails unless every
-#                       result line reports "correct": true and
-#                       "failed": 0 and each modelled_digest equals its
-#                       line in tests/golden/dvcbench_digests.txt
-#                       (`<workload>` for seed 1, `<workload>:1001` for
-#                       seed 1001)
+#                       at the held-out seed 1001, then once through
+#                       (`--seconds 0`) at seeds 2..10 and 1002..1010
+#                       (~4 min in all); fails unless every result line
+#                       reports "correct": true and "failed": 0 and each
+#                       modelled_digest equals its line in
+#                       tests/golden/dvcbench_digests.txt (`<workload>`
+#                       for seed 1, `<workload>:<seed>` for the others).
+#                       The 80 digests pin the kernel's event order
 #
 # Test labels: `tier1` is the fast gate (unit tests, the dvcsim/dvcsweep
 # goldens, the 17 quick bench/ paper tables, each gated byte for byte
@@ -142,12 +144,15 @@ sys.exit(0 if correct is True else 1)
     ;;
   --bench-smoke)
     golden=tests/golden/dvcbench_digests.txt
-    for seed in 1 1001; do
+    for seed in 1 1001 2 3 4 5 6 7 8 9 10 \
+                1002 1003 1004 1005 1006 1007 1008 1009 1010; do
+      seconds=0
+      case "$seed" in 1|1001) seconds=1 ;; esac
       for w in sweep26 steady26 ckpt16 fleet; do
         key="$w"
         [ "$seed" = 1 ] || key="$w:$seed"
         out="$(python3 dvcbench/run.py --workload "$w" --seed "$seed" \
-                 --seconds 1 --trace 0)"
+                 --seconds "$seconds" --trace 0)"
         printf '%s\n' "$out" | python3 -c '
 import json, re, sys
 w, golden_path, text = sys.argv[1], sys.argv[2], sys.stdin.read()

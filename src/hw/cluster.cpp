@@ -129,6 +129,9 @@ void Fabric::repair_node(NodeId n) {
 }
 
 void Fabric::predict_failure(NodeId node, sim::Duration lead) {
+  // A dead node has nothing left to predict; condemning it would outlive
+  // its repair, and the delayed fail_node could kill the repaired node.
+  if (nodes_.at(node)->failed()) return;
   ++failures_predicted_;
   nodes_.at(node)->condemned_ = true;
   sim::trace(trace_, sim_->now(), sim::TraceLevel::kWarn, "fabric",

@@ -156,6 +156,7 @@ class Fabric final {
   /// Announces that `node` will fail in `lead` from now (observers fire
   /// immediately; the failure itself is scheduled). Until it dies, the
   /// node is `condemned()` — still up, but nothing should move onto it.
+  /// A no-op on a node that has already failed.
   void predict_failure(NodeId node, sim::Duration lead);
 
   /// Arms an exponential (memoryless) failure process on every node with

@@ -13,26 +13,23 @@ constexpr std::uint32_t kHeaderBytes = 40;
 ReliableEndpoint::ReliableEndpoint(sim::Simulation& sim, Network& net,
                                    Address local, Address peer,
                                    ReliableConfig cfg)
-    : sim_(&sim),
-      net_(&net),
+    : net_(&net),
       local_(local),
       peer_(peer),
       cfg_(cfg),
-      rto_(cfg.initial_rto) {
+      rto_(cfg.initial_rto),
+      timer_(sim, [this] { on_timer(); }) {
   net_->attach(local_, this);
 }
 
-ReliableEndpoint::~ReliableEndpoint() {
-  if (timer_ != sim::kInvalidEvent) sim_->cancel(timer_);
-  net_->detach(local_);
-}
+ReliableEndpoint::~ReliableEndpoint() { net_->detach(local_); }
 
 std::uint64_t ReliableEndpoint::send(std::uint32_t bytes, std::uint32_t tag) {
   if (state_ == State::kFailed) return 0;
   const std::uint64_t seq = next_seq_++;
   unacked_.push_back(Pending{bytes, tag});
   transmit(seq, unacked_.back());
-  if (timer_ == sim::kInvalidEvent) arm_timer();
+  if (!timer_.armed()) timer_.arm_after(rto_);
   return seq + 1;  // 1-based message id so 0 can mean "not sent"
 }
 
@@ -70,10 +67,6 @@ void ReliableEndpoint::send_ack() {
   net_->send(p);
 }
 
-void ReliableEndpoint::arm_timer() {
-  timer_ = sim_->schedule_after(rto_, [this] { on_timer(); });
-}
-
 void ReliableEndpoint::on_host_state(bool up) {
   if (!up) return;
   if (parked_ && state_ != State::kFailed) {
@@ -81,15 +74,13 @@ void ReliableEndpoint::on_host_state(bool up) {
     // shortly after restore and unACKed data flows again (paper §3:
     // "After a restart, the sender will send any unacked messages").
     parked_ = false;
-    if (unacked() != 0 && timer_ == sim::kInvalidEvent) {
-      timer_ = sim_->schedule_after(cfg_.thaw_retransmit_delay,
-                                    [this] { on_timer(); });
+    if (unacked() != 0 && !timer_.armed()) {
+      timer_.arm_after(cfg_.thaw_retransmit_delay);
     }
   }
 }
 
 void ReliableEndpoint::on_timer() {
-  timer_ = sim::kInvalidEvent;
   if (state_ == State::kFailed || unacked() == 0) return;
 
   if (!net_->host_up(local_.host)) {
@@ -117,7 +108,7 @@ void ReliableEndpoint::on_timer() {
   rto_ = std::min(
       static_cast<sim::Duration>(static_cast<double>(rto_) * cfg_.backoff),
       cfg_.max_rto);
-  arm_timer();
+  timer_.arm_after(rto_);
 }
 
 void ReliableEndpoint::set_stalled(bool stalled) {
@@ -137,10 +128,7 @@ void ReliableEndpoint::fail(std::string_view reason) {
   if (state_ == State::kFailed) return;
   state_ = State::kFailed;
   telemetry::count(net_->metrics(), net_->endpoint_instruments().aborts);
-  if (timer_ != sim::kInvalidEvent) {
-    sim_->cancel(timer_);
-    timer_ = sim::kInvalidEvent;
-  }
+  timer_.disarm();
   if (on_failure_) on_failure_(reason);
 }
 
@@ -191,14 +179,11 @@ void ReliableEndpoint::restore(const TransportSnapshot& snap,
   rto_ = cfg_.initial_rto;
   parked_ = false;
   stalled_ = false;  // the restored guest's TCP stack never saw the stall
-  if (timer_ != sim::kInvalidEvent) {
-    sim_->cancel(timer_);
-    timer_ = sim::kInvalidEvent;
-  }
   if (unacked() != 0) {
     // The restored guest's pending retransmission fires shortly after thaw.
-    timer_ = sim_->schedule_after(cfg_.thaw_retransmit_delay,
-                                  [this] { on_timer(); });
+    timer_.arm_after(cfg_.thaw_retransmit_delay);
+  } else {
+    timer_.disarm();
   }
 }
 
@@ -218,11 +203,11 @@ void ReliableEndpoint::on_packet(const Packet& p) {
       retries_ = 0;
       rto_ = cfg_.initial_rto;
       set_stalled(false);
-      if (timer_ != sim::kInvalidEvent) {
-        sim_->cancel(timer_);
-        timer_ = sim::kInvalidEvent;
+      if (unacked() != 0) {
+        timer_.arm_after(rto_);
+      } else {
+        timer_.disarm();
       }
-      if (unacked() != 0) arm_timer();
     }
     return;
   }

@@ -187,12 +187,10 @@ class ReliableEndpoint final : public PacketSink {
   void drop_acked(std::size_t n);
   void transmit(std::uint64_t seq, const Pending& m);
   void send_ack();
-  void arm_timer();
   void on_timer();
   void fail(std::string_view reason);
   void set_stalled(bool stalled);
 
-  sim::Simulation* sim_;
   Network* net_;
   Address local_;
   Address peer_;
@@ -214,7 +212,7 @@ class ReliableEndpoint final : public PacketSink {
   std::size_t unacked_head_ = 0;
   int retries_ = 0;
   sim::Duration rto_ = 0;
-  sim::EventId timer_ = sim::kInvalidEvent;
+  sim::Timer timer_;  ///< retransmission timer; calls on_timer()
   bool parked_ = false;  ///< timer suppressed because our host is frozen
   std::uint32_t epoch_ = 0;
 

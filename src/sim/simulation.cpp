@@ -114,9 +114,66 @@ void Simulation::fire_top() {
   fn();
 }
 
+void Simulation::arm(Timer& t, Time at) {
+  disarm(t);
+  if (at < now_) at = now_;
+  ++timer_arms_;
+  if (timers_tail_ != nullptr && at < timers_tail_->at_) {
+    // Joining behind an earlier-firing tail would break the list's order.
+    ++timer_fallbacks_;
+    t.event_ = schedule_impl(
+        at,
+        [timer = &t] {
+          timer->event_ = kInvalidEvent;
+          timer->fn_();
+        },
+        /*daemon=*/false);
+    return;
+  }
+  t.at_ = at;
+  t.seq_ = next_seq_++;
+  t.prev_ = timers_tail_;
+  t.next_ = nullptr;
+  (timers_tail_ != nullptr ? timers_tail_->next_ : timers_head_) = &t;
+  timers_tail_ = &t;
+  ++timers_listed_;
+  ++foreground_pending_;
+}
+
+void Simulation::disarm(Timer& t) {
+  if (t.seq_ != 0) {
+    unlink(t);
+  } else if (t.event_ != kInvalidEvent) {
+    const EventId id = t.event_;
+    t.event_ = kInvalidEvent;
+    cancel(id);
+  }
+}
+
+void Simulation::unlink(Timer& t) noexcept {
+  (t.prev_ != nullptr ? t.prev_->next_ : timers_head_) = t.next_;
+  (t.next_ != nullptr ? t.next_->prev_ : timers_tail_) = t.prev_;
+  t.seq_ = 0;
+  --timers_listed_;
+  --foreground_pending_;
+}
+
+void Simulation::fire_timer() {
+  Timer& t = *timers_head_;
+  unlink(t);
+  now_ = t.at_;
+  ++executed_;
+  t.fn_();  // may re-arm or destroy `t`: nothing touches it afterwards
+}
+
 bool Simulation::step() {
-  if (heap_.empty()) return false;
-  fire_top();
+  if (timer_first()) {
+    fire_timer();
+  } else if (!heap_.empty()) {
+    fire_top();
+  } else {
+    return false;
+  }
   return true;
 }
 
@@ -128,9 +185,15 @@ std::uint64_t Simulation::run(std::uint64_t limit) {
 
 std::uint64_t Simulation::run_until(Time until) {
   std::uint64_t n = 0;
-  while (!heap_.empty() && heap_.front().at <= until) {
-    fire_top();
-    ++n;
+  for (;; ++n) {
+    if (timer_first()) {
+      if (timers_head_->at_ > until) break;
+      fire_timer();
+    } else if (!heap_.empty() && heap_.front().at <= until) {
+      fire_top();
+    } else {
+      break;
+    }
   }
   if (now_ < until) now_ = until;
   return n;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -15,6 +16,47 @@ namespace dvc::sim {
 using EventId = std::uint64_t;
 
 inline constexpr EventId kInvalidEvent = 0;
+
+class Simulation;
+
+/// A re-armable one-shot timer owned by its user, its callback bound once
+/// (the retransmission timer of a transport endpoint). Arming an armed
+/// timer moves it, as a cancel plus a fresh foreground schedule_at would;
+/// it fires in the same order such an event would. The destructor
+/// disarms it, and the callback may re-arm or destroy its own timer (the
+/// kernel does not touch a timer once it has invoked it). The Simulation
+/// must outlive its timers.
+class Timer final {
+ public:
+  Timer(Simulation& sim, std::function<void()> fn)
+      : sim_(&sim), fn_(std::move(fn)) {}
+  ~Timer() { disarm(); }
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// (Re-)arms the timer to fire at `at` (clamped to now()).
+  void arm_at(Time at);
+  /// (Re-)arms the timer to fire `delay` ticks from now (negative delays
+  /// clamp to zero).
+  void arm_after(Duration delay);
+  /// Cancels a pending firing; a no-op on a disarmed timer.
+  void disarm();
+  /// True from an arm until the timer fires or is disarmed.
+  [[nodiscard]] bool armed() const noexcept {
+    return seq_ != 0 || event_ != kInvalidEvent;
+  }
+
+ private:
+  friend class Simulation;
+
+  Simulation* sim_;
+  std::function<void()> fn_;
+  Time at_ = 0;            ///< deadline while in the list
+  std::uint64_t seq_ = 0;  ///< nonzero while in the list
+  EventId event_ = kInvalidEvent;  ///< heap event standing in for it
+  Timer* prev_ = nullptr;
+  Timer* next_ = nullptr;
+};
 
 /// Deterministic discrete-event simulation kernel.
 ///
@@ -30,7 +72,15 @@ inline constexpr EventId kInvalidEvent = 0;
 /// records where its key sits in the heap, so cancel() removes the key at
 /// once (the last key fills the hole and sifts up or down) and releases
 /// the slot and its closure before returning: the heap only ever holds
-/// live events, and pending() is its size.
+/// live events.
+///
+/// Armed Timers sit beside the heap in an intrusive FIFO list. An arm
+/// draws its seq as a cancel plus schedule_at would, and joins the list
+/// only if its deadline is no earlier than the tail's, so the list's
+/// `(at, seq)` keys never decrease and its head is its earliest timer;
+/// any other arm becomes an ordinary heap event. Each step fires the
+/// smaller of the heap top and the list head, so events and timers fire
+/// in exactly the order one heap would give them. pending() counts both.
 class Simulation final {
  public:
   Simulation() = default;
@@ -79,9 +129,10 @@ class Simulation final {
   /// (if the simulation did not already pass it). Returns events executed.
   std::uint64_t run_until(Time until);
 
-  /// Number of events currently pending (daemons included).
+  /// Number of events currently pending (daemons and armed timers
+  /// included).
   [[nodiscard]] std::size_t pending() const noexcept {
-    return heap_.size();
+    return heap_.size() + timers_listed_;
   }
 
   /// Number of pending non-daemon events (what keeps run() alive).
@@ -92,7 +143,18 @@ class Simulation final {
   /// Total number of events executed since construction.
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
+  /// Timer arms since construction, and those of them that could not join
+  /// the timer list (deadline earlier than its tail's) and went to the heap.
+  [[nodiscard]] std::uint64_t timer_arms() const noexcept {
+    return timer_arms_;
+  }
+  [[nodiscard]] std::uint64_t timer_fallbacks() const noexcept {
+    return timer_fallbacks_;
+  }
+
  private:
+  friend class Timer;
+
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
   static constexpr std::size_t kArity = 4;
@@ -121,6 +183,20 @@ class Simulation final {
   EventId schedule_impl(Time at, std::function<void()> fn, bool daemon);
   /// Pops the top key and runs its closure.
   void fire_top();
+  /// True if the timer list's head fires before the heap's top.
+  [[nodiscard]] bool timer_first() const noexcept {
+    if (timers_head_ == nullptr) return false;
+    if (heap_.empty()) return true;
+    const Key& top = heap_.front();
+    return timers_head_->at_ != top.at
+               ? timers_head_->at_ < top.at
+               : timers_head_->seq_ < top.order >> kSlotBits;
+  }
+  /// Unlinks the list's head timer and runs its callback.
+  void fire_timer();
+  void arm(Timer& t, Time at);
+  void disarm(Timer& t);
+  void unlink(Timer& t) noexcept;
   /// Writes `k` at heap index `i` and records the index in its slot.
   void place(std::size_t i, const Key& k) noexcept;
   /// Hole-based sifts: move `k` from the hole at `i` towards its place.
@@ -140,6 +216,20 @@ class Simulation final {
   std::vector<Key> heap_;  ///< 4-ary min-heap on (at, order)
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
+  /// Armed timers in (at, seq) order, linked through Timer::prev_/next_.
+  Timer* timers_head_ = nullptr;
+  Timer* timers_tail_ = nullptr;
+  std::size_t timers_listed_ = 0;
+  std::uint64_t timer_arms_ = 0;
+  std::uint64_t timer_fallbacks_ = 0;
 };
+
+inline void Timer::arm_at(Time at) { sim_->arm(*this, at); }
+inline void Timer::arm_after(Duration delay) {
+  sim_->arm(*this, sim_->now() + (delay < 0 ? 0 : delay));
+}
+inline void Timer::disarm() {
+  if (armed()) sim_->disarm(*this);
+}
 
 }  // namespace dvc::sim

@@ -166,6 +166,25 @@ TEST(FabricTest, PredictionsFireBeforeTheFault) {
   EXPECT_EQ(f.failures_predicted(), 1u);
 }
 
+TEST(FabricTest, PredictingADeadNodeIsANoOp) {
+  sim::Simulation s;
+  Fabric f(s, {});
+  f.add_cluster("a", 3);
+  int predictions = 0;
+  f.subscribe_predictions([&](NodeId, sim::Duration) { ++predictions; });
+  f.fail_node(1);
+  f.predict_failure(1, 30 * sim::kSecond);
+  s.run_until(10 * sim::kSecond);
+  f.repair_node(1);
+  EXPECT_FALSE(f.node(1).condemned());
+  s.run_until(60 * sim::kSecond);
+  EXPECT_FALSE(f.node(1).failed());  // no delayed failure was scheduled
+  EXPECT_FALSE(f.node(1).condemned());
+  EXPECT_EQ(predictions, 0);
+  EXPECT_EQ(f.failures_predicted(), 0u);
+  EXPECT_EQ(f.failures_injected(), 1u);
+}
+
 TEST(FabricTest, RandomFailuresCanBePartiallyPredicted) {
   sim::Simulation s;
   Fabric f(s, {});

@@ -404,6 +404,62 @@ TEST(ReliableConnectionTest, WrapsTwoEndpoints) {
   EXPECT_FALSE(conn.failed());
 }
 
+TEST(ReliableConnectionTest, RetransmitTimersFireAtExactInstants) {
+  // Connection x's sender retries against a dead peer, so its backed-off
+  // RTOs (400 ms, then 800 ms) sit at the tail of the kernel's timer list.
+  // Connection y's fresh 200 ms RTO and its 10 ms thaw re-arm fall due
+  // before that tail, so both take the heap fallback; every timer must
+  // still fire at its exact instant.
+  using sim::kMillisecond;
+  sim::Simulation sim;
+  auto link = std::make_shared<FlatLinkModel>(
+      FlatLinkModel::Config{100 * sim::kMicrosecond, 0, 0.0, 1e9});
+  Network net(sim, link, sim::Rng(5));
+  const HostId xa = net.new_host();
+  const HostId xb = net.new_host();
+  const HostId ya = net.new_host();
+  const HostId yb = net.new_host();
+  ReliableConnection x(sim, net, {xa, 1}, {xb, 1});
+  ReliableConnection y(sim, net, {ya, 1}, {yb, 1});
+  std::vector<sim::Time> y_delivered;
+  y.end_b().set_delivery_handler(
+      [&](const Message&) { y_delivered.push_back(sim.now()); });
+  net.set_host_up(xb, false);  // x's peer stays dead
+  net.set_host_up(yb, false);
+  x.end_a().send(100);  // RTOs fire at 200, 600 and 1400 ms
+  sim.schedule_at(700 * kMillisecond, [&] { y.end_a().send(100); });
+  // y's sender freezes before its 900 ms RTO, which parks; the thaw at
+  // 1000 ms re-arms for 1010 ms, by when y's peer is back to ACK it.
+  sim.schedule_at(800 * kMillisecond, [&] { net.set_host_up(ya, false); });
+  sim.schedule_at(1000 * kMillisecond, [&] { net.set_host_up(ya, true); });
+  sim.schedule_at(1005 * kMillisecond, [&] { net.set_host_up(yb, true); });
+
+  // Each retransmission must land exactly at its instant, not a tick early.
+  const auto retransmits_by = [&](sim::Time at, const ReliableEndpoint& e) {
+    sim.run_until(at);
+    return e.retransmissions();
+  };
+  EXPECT_EQ(retransmits_by(200 * kMillisecond - 1, x.end_a()), 0u);
+  EXPECT_EQ(retransmits_by(200 * kMillisecond, x.end_a()), 1u);
+  EXPECT_EQ(retransmits_by(600 * kMillisecond - 1, x.end_a()), 1u);
+  EXPECT_EQ(retransmits_by(600 * kMillisecond, x.end_a()), 2u);
+  EXPECT_EQ(sim.timer_fallbacks(), 0u);
+  EXPECT_EQ(retransmits_by(900 * kMillisecond, y.end_a()), 0u);  // parked
+  EXPECT_EQ(sim.timer_fallbacks(), 1u);  // y's 900 ms RTO
+  EXPECT_EQ(retransmits_by(1010 * kMillisecond - 1, y.end_a()), 0u);
+  EXPECT_EQ(sim.timer_fallbacks(), 2u);  // y's 1010 ms thaw re-arm
+  EXPECT_EQ(retransmits_by(1010 * kMillisecond, y.end_a()), 1u);
+  EXPECT_EQ(retransmits_by(1400 * kMillisecond - 1, x.end_a()), 2u);
+  EXPECT_EQ(retransmits_by(1400 * kMillisecond, x.end_a()), 3u);
+  // Latency plus 140 bytes on the wire at 1 GB/s.
+  EXPECT_EQ(y_delivered,
+            (std::vector<sim::Time>{1010 * kMillisecond +
+                                    100 * sim::kMicrosecond + 140}));
+  EXPECT_EQ(y.end_a().unacked(), 0u);
+  EXPECT_EQ(sim.timer_fallbacks(), 2u);
+  EXPECT_EQ(sim.timer_arms(), 7u);  // x: 4; y: 900, 1010 and 1410 ms
+}
+
 // Property sweep: exactly-once in-order delivery under loss x seed.
 class LossSweep
     : public ::testing::TestWithParam<std::tuple<double, std::uint64_t>> {};

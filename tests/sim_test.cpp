@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <iterator>
 #include <map>
@@ -373,15 +374,24 @@ struct OpMix {
   /// (the retransmit-timer pattern: arm, then cancel on the ACK). Otherwise
   /// cancel any id ever issued, fired and cancelled ones included.
   bool cancel_live;
+  /// Arm, disarm or destroy one of a few Timers (taken from run(limit)'s
+  /// share). A cancel that picks a timer's label disarms the timer.
+  std::uint64_t timer = 0;
 };
 
 // Seeded differential test: random schedule / daemon / cancel / step /
-// run_until / run operations against a std::multimap reference, which
-// keeps equal-time entries in insertion order. Firing order, now(),
-// pending() and pending_foreground() must match after every operation.
+// run_until / run / timer operations against a std::multimap reference,
+// which keeps equal-time entries in insertion order. The reference treats
+// a timer arm as a cancel of the timer's pending firing plus a fresh
+// schedule. Firing order, now(), pending(), pending_foreground() and
+// armed() must match after every operation.
 struct Tally {
   int live_cancels = 0;  ///< cancels that removed a queued event
   std::size_t fired = 0;
+  std::uint64_t timer_arms = 0;       ///< Simulation::timer_arms()
+  std::uint64_t timer_fallbacks = 0;  ///< Simulation::timer_fallbacks()
+  std::uint64_t callback_arms = 0;    ///< re-arms from the timer's callback
+  std::uint64_t self_destroys = 0;    ///< timers their callback destroyed
 };
 Tally check_against_multimap(std::uint64_t seed, const OpMix& mix) {
   struct RefEvent {
@@ -400,13 +410,77 @@ Tally check_against_multimap(std::uint64_t seed, const OpMix& mix) {
   Tally tally;
   Rng rng(seed);
 
+  // Each arm of a timer gets a label of its own, which fixes what the
+  // timer's callback does when that arm fires: nothing, re-arm `delay`
+  // later (as label `next`, which the reference assigns when it pops the
+  // label, ahead of the kernel), or destroy its own timer.
+  enum class OnFire { kNothing, kRearm, kDestroy };
+  struct TimerArm {
+    std::size_t timer;
+    OnFire on_fire;
+    Duration delay;
+    int next = -1;
+  };
+  std::map<int, TimerArm> timer_arms;  // by label; plain events absent
+  struct TimerSlot {
+    std::unique_ptr<Timer> timer;
+    int label = -1;  // label of the latest arm
+  };
+  std::array<TimerSlot, 6> timers;
+
+  auto ref_cancel = [&](int label) {
+    const auto it = ref_pending.find(label);
+    if (it == ref_pending.end()) return false;
+    if (!it->second->second.daemon) --ref_foreground;
+    ref.erase(it->second);
+    ref_pending.erase(it);
+    return true;
+  };
+  auto ref_arm = [&](std::size_t timer, Time at) {
+    const int label = static_cast<int>(ids.size());
+    ids.push_back(kInvalidEvent);  // a timer arm has no EventId
+    const std::uint64_t pick = rng.below(10);
+    const OnFire on_fire = pick < 2   ? OnFire::kRearm
+                           : pick < 3 ? OnFire::kDestroy
+                                      : OnFire::kNothing;
+    timer_arms.emplace(
+        label, TimerArm{timer, on_fire, static_cast<Duration>(rng.below(30))});
+    const auto it =
+        ref.emplace(at < ref_now ? ref_now : at, RefEvent{label, false});
+    ref_pending.emplace(label, it);
+    ++ref_foreground;
+    return label;
+  };
   auto ref_pop = [&] {
     const auto it = ref.begin();
+    const int label = it->second.label;
     ref_now = it->first;
-    ref_fired.push_back(it->second.label);
+    ref_fired.push_back(label);
     if (!it->second.daemon) --ref_foreground;
-    ref_pending.erase(it->second.label);
+    ref_pending.erase(label);
     ref.erase(it);
+    const auto arm = timer_arms.find(label);
+    if (arm == timer_arms.end()) return;
+    if (arm->second.on_fire == OnFire::kRearm) {
+      arm->second.next = ref_arm(arm->second.timer,
+                                 ref_now + arm->second.delay);
+      ++tally.callback_arms;
+    } else if (arm->second.on_fire == OnFire::kDestroy) {
+      ++tally.self_destroys;
+    }
+  };
+  auto timer_callback = [&](std::size_t timer) {
+    return [&timers, &timer_arms, &fired, timer] {
+      TimerSlot& slot = timers[timer];
+      fired.push_back(slot.label);
+      const TimerArm& arm = timer_arms.at(slot.label);
+      if (arm.on_fire == OnFire::kRearm) {
+        slot.label = arm.next;
+        slot.timer->arm_after(arm.delay);
+      } else if (arm.on_fire == OnFire::kDestroy) {
+        slot.timer.reset();  // the callback's last act
+      }
+    };
   };
 
   for (int op = 0; op < 100000; ++op) {
@@ -444,16 +518,18 @@ Tally check_against_multimap(std::uint64_t seed, const OpMix& mix) {
                                rng.below(ref_pending.size())));
         label = pick->first;
       }
-      const auto it = ref_pending.find(label);
-      const bool expect = it != ref_pending.end();
-      if (expect) {
-        if (!it->second->second.daemon) --ref_foreground;
-        ref.erase(it->second);
-        ref_pending.erase(it);
-        ++tally.live_cancels;
+      const bool expect = ref_cancel(label);
+      if (expect) ++tally.live_cancels;
+      const auto arm = timer_arms.find(label);
+      if (arm == timer_arms.end()) {
+        EXPECT_EQ(s.cancel(ids[static_cast<std::size_t>(label)]), expect)
+            << "op " << op;
+      } else if (expect) {
+        // A timer's live label is its latest arm: disarming cancels it.
+        Timer& timer = *timers[arm->second.timer].timer;
+        EXPECT_TRUE(timer.armed()) << "op " << op;
+        timer.disarm();
       }
-      EXPECT_EQ(s.cancel(ids[static_cast<std::size_t>(label)]), expect)
-          << "op " << op;
       if (::testing::Test::HasFailure()) return tally;
     } else if (kind < mix.schedule + mix.cancel + mix.step) {
       const bool expect = !ref.empty();
@@ -468,6 +544,36 @@ Tally check_against_multimap(std::uint64_t seed, const OpMix& mix) {
       }
       if (ref_now < until) ref_now = until;
       EXPECT_EQ(s.run_until(until), expect) << "op " << op;
+    } else if (kind < mix.schedule + mix.cancel + mix.step + mix.run_until +
+                          mix.timer) {
+      const std::size_t t = rng.below(timers.size());
+      TimerSlot& slot = timers[t];
+      const std::uint64_t what = rng.below(10);
+      ref_cancel(slot.label);  // an arm, a disarm and a destroy all cancel
+      if (what < 6) {
+        if (!slot.timer) {
+          slot.timer = std::make_unique<Timer>(s, timer_callback(t));
+        }
+        // Absolute (possibly past) or relative; ties are common, and an
+        // arm earlier than the list's tail must take the heap fallback.
+        const bool absolute = rng.chance(0.3);
+        const Time at = absolute
+                            ? ref_now + static_cast<Time>(rng.below(40)) - 10
+                            : ref_now + static_cast<Time>(rng.below(30));
+        slot.label = ref_arm(t, at);
+        if (absolute) {
+          slot.timer->arm_at(at);
+        } else {
+          slot.timer->arm_after(at - ref_now);
+        }
+      } else if (what < 9) {
+        if (slot.timer) slot.timer->disarm();
+      } else {
+        slot.timer.reset();  // the destructor disarms
+      }
+      EXPECT_EQ(slot.timer != nullptr && slot.timer->armed(),
+                ref_pending.count(slot.label) != 0)
+          << "op " << op;
     } else {
       const std::uint64_t limit = rng.below(8);
       std::uint64_t expect = 0;
@@ -488,6 +594,8 @@ Tally check_against_multimap(std::uint64_t seed, const OpMix& mix) {
   }
   EXPECT_EQ(fired, ref_fired);
   tally.fired = fired.size();
+  tally.timer_arms = s.timer_arms();
+  tally.timer_fallbacks = s.timer_fallbacks();
   return tally;
 }
 
@@ -501,6 +609,18 @@ TEST(SimulationTest, MatchesMultimapReferenceUnderCancelHeavyOperations) {
   const Tally t = check_against_multimap(20072, OpMix{44, 42, 8, 4, true});
   EXPECT_GE(t.live_cancels, 100000 / 3);
   EXPECT_GT(t.fired, 5000u);
+}
+
+TEST(SimulationTest, TimersMatchMultimapReference) {
+  // Timer arms both join the timer list and, when earlier than its tail,
+  // fall back to the heap; callbacks re-arm and destroy their own timers.
+  const Tally t =
+      check_against_multimap(20073, OpMix{30, 10, 20, 10, true, 22});
+  EXPECT_GT(t.fired, 20000u);
+  EXPECT_GT(t.timer_arms - t.timer_fallbacks, 5000u);
+  EXPECT_GT(t.timer_fallbacks, 2000u);
+  EXPECT_GT(t.callback_arms, 1000u);
+  EXPECT_GT(t.self_destroys, 500u);
 }
 
 TEST(RngTest, DeterministicForSameSeed) {
