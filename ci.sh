@@ -44,7 +44,13 @@
 #                       modelled_digest equals its line in
 #                       tests/golden/dvcbench_digests.txt (`<workload>`
 #                       for seed 1, `<workload>:<seed>` for the others).
-#                       The 80 digests pin the kernel's event order
+#                       The 80 digests pin the kernel's event order. Last,
+#                       each workload runs once traced (`--seed 1
+#                       --seconds 0 --trace 1`, under a second each) and
+#                       must report "correct": true and "failed": 0: the
+#                       traced run checks that the traced twin
+#                       (dvcbench/src/traced_cell.cpp) reaches the same
+#                       modelled outcome as the untraced cell
 #
 # Test labels: `tier1` is the fast gate (unit tests, the dvcsim/dvcsweep
 # goldens, the 17 quick bench/ paper tables, each gated byte for byte
@@ -177,6 +183,18 @@ if digest != want:
 sys.exit(0 if ok else 1)
 ' "$key" "$golden"
       done
+    done
+    for w in sweep26 steady26 ckpt16 fleet; do
+      out="$(python3 dvcbench/run.py --workload "$w" --seed 1 --seconds 0 \
+               --trace 1)"
+      printf '%s\n' "$out" | tail -n 1 | python3 -c '
+import json, sys
+w, line = sys.argv[1], sys.stdin.read().strip()
+result = json.loads(line) if line.startswith("{") else {}
+correct, failed = result.get("correct"), result.get("failed")
+print("%s (traced): correct=%s failed=%s" % (w, correct, failed))
+sys.exit(0 if correct is True and failed == 0 else 1)
+' "$w"
     done
     ;;
   "")

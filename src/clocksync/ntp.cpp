@@ -59,17 +59,11 @@ NtpSample NtpSynchronizer::sync_once() {
   return best;
 }
 
-void NtpSynchronizer::start_periodic(sim::Duration interval) {
-  sync_once();
-  // Housekeeping: polling must never keep the simulation alive by itself.
-  sim_->schedule_daemon_after(interval, [this, interval] {
-    start_periodic(interval);
-  });
-}
-
 ClusterTimeService::ClusterTimeService(sim::Simulation& sim, std::size_t hosts,
                                        Config cfg, sim::Rng rng)
-    : sim_(&sim) {
+    : sim_(&sim),
+      poll_interval_(cfg.poll_interval > 0 ? cfg.poll_interval
+                                           : 16 * sim::kSecond) {
   clocks_.reserve(hosts);
   syncs_.reserve(hosts);
   for (std::size_t h = 0; h < hosts; ++h) {
@@ -81,10 +75,6 @@ ClusterTimeService::ClusterTimeService(sim::Simulation& sim, std::size_t hosts,
     syncs_.push_back(std::make_unique<NtpSynchronizer>(
         sim, *clocks_.back(), cfg.path, host_rng.fork(0xC10C),
         cfg.samples_per_poll));
-    if (cfg.poll_interval > 0) {
-      // Periodic polling is armed by start_periodic(); stash the interval.
-      poll_interval_ = cfg.poll_interval;
-    }
   }
 }
 
@@ -93,7 +83,13 @@ void ClusterTimeService::sync_all() {
 }
 
 void ClusterTimeService::start_periodic() {
-  for (auto& s : syncs_) s->start_periodic(poll_interval_);
+  if (!syncs_.empty()) poll_tick();
+}
+
+void ClusterTimeService::poll_tick() {
+  sync_all();
+  // Housekeeping: polling must never keep the simulation alive by itself.
+  sim_->schedule_daemon_after(poll_interval_, [this] { poll_tick(); });
 }
 
 sim::Duration ClusterTimeService::max_pairwise_skew() const {

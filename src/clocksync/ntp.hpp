@@ -63,10 +63,6 @@ class NtpSynchronizer final {
   /// Returns the sample that was applied.
   NtpSample sync_once();
 
-  /// Starts periodic polling every `interval`; the first poll happens
-  /// immediately. Polling continues for the lifetime of the simulation.
-  void start_periodic(sim::Duration interval);
-
   /// Number of corrections applied so far.
   [[nodiscard]] std::uint64_t polls() const noexcept { return polls_; }
 
@@ -93,6 +89,18 @@ class NtpSynchronizer final {
 /// Convenience bundle: one drifting clock plus its synchroniser per host,
 /// all against a common true-time reference. This is the time service the
 /// NTP-based LSC coordinator consumes.
+///
+/// Periodic polling is one daemon event per room, not one per host: each
+/// poll interval the tick runs sync_once() on every host in host order and
+/// re-arms itself. That fires exactly as N per-host chains armed one after
+/// another at one instant would. Such chains fire at the same instants with
+/// consecutive sequence numbers, and sync_once() schedules nothing (the
+/// clock corrections are noexcept re-anchors), so no other event can fall
+/// between two hosts' polls and each re-arm again takes consecutive
+/// numbers. The tick fires where host 0's poll fired and makes the same
+/// per-host RNG draws in the same order. Only the sequence numbers drawn
+/// afterwards shift (N - 1 fewer re-arms per tick), and that shift is a
+/// monotone relabelling: every (time, seq) order between other events holds.
 class ClusterTimeService final {
  public:
   /// Distribution of initial clock states across hosts.
@@ -110,13 +118,18 @@ class ClusterTimeService final {
   /// Runs one sync burst on every host (e.g. before an experiment).
   void sync_all();
 
-  /// Starts periodic polling on every host.
+  /// Polls every host now, then every `Config::poll_interval` for the
+  /// lifetime of the simulation, from one daemon event.
   void start_periodic();
 
   [[nodiscard]] std::size_t size() const noexcept { return clocks_.size(); }
   [[nodiscard]] HostClock& clock(std::size_t host) { return *clocks_[host]; }
   [[nodiscard]] const HostClock& clock(std::size_t host) const {
     return *clocks_[host];
+  }
+  /// The synchroniser that polls `host`'s clock.
+  [[nodiscard]] NtpSynchronizer& synchronizer(std::size_t host) {
+    return *syncs_[host];
   }
 
   /// Largest pairwise clock disagreement right now (true measurement; used
@@ -127,8 +140,10 @@ class ClusterTimeService final {
   [[nodiscard]] sim::SummaryStats offset_error_stats() const;
 
  private:
+  void poll_tick();
+
   sim::Simulation* sim_;
-  sim::Duration poll_interval_ = 16 * sim::kSecond;
+  sim::Duration poll_interval_;
   std::vector<std::unique_ptr<HostClock>> clocks_;
   std::vector<std::unique_ptr<NtpSynchronizer>> syncs_;
 };

@@ -164,12 +164,10 @@ std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
 
 MetricsRegistry::SpanId MetricsRegistry::begin_span(sim::Time at,
                                                     std::string_view track,
-                                                    std::string_view name,
-                                                    std::string args_json) {
+                                                    std::string_view name) {
   Span s;
   s.track = std::string(track);
   s.name = std::string(name);
-  s.args = std::move(args_json);
   s.begin = at;
   spans_.push_back(std::move(s));
   return next_span_++;  // ids are 1-based indices into spans_
@@ -267,7 +265,6 @@ void MetricsRegistry::write_chrome_trace(std::ostream& out) const {
         << fmt_us(s.begin);
     if (!s.open) out << ", \"dur\": " << fmt_us(s.end - s.begin);
     out << ", \"name\": \"" << json_escape(s.name) << "\"";
-    if (!s.args.empty()) out << ", \"args\": " << s.args;
     out << "}";
   }
   for (const Instant& i : instants_) {

@@ -89,7 +89,6 @@ class Histogram final {
 struct Span {
   std::string track;  ///< e.g. "vm/node3", "lsc", "dvc"
   std::string name;   ///< e.g. "save", "round", "recover"
-  std::string args;   ///< optional pre-rendered JSON object ("" = none)
   sim::Time begin = 0;
   sim::Time end = 0;
   bool open = true;
@@ -151,7 +150,7 @@ class MetricsRegistry final {
   /// Opens a span on `track` at sim-time `at`. Tracks are created on first
   /// use and become the rows of the exported Chrome trace.
   SpanId begin_span(sim::Time at, std::string_view track,
-                    std::string_view name, std::string args_json = {});
+                    std::string_view name);
   /// Closes a span. Closing kInvalidSpan or an unknown id is a no-op.
   void end_span(SpanId id, sim::Time at);
   /// Records a zero-duration point event.
@@ -256,10 +255,9 @@ inline void gauge_add(MetricsRegistry* m, std::string_view name, double d) {
 
 inline MetricsRegistry::SpanId begin_span(MetricsRegistry* m, sim::Time at,
                                           std::string_view track,
-                                          std::string_view name,
-                                          std::string args_json = {}) {
+                                          std::string_view name) {
   return m == nullptr ? MetricsRegistry::kInvalidSpan
-                      : m->begin_span(at, track, name, std::move(args_json));
+                      : m->begin_span(at, track, name);
 }
 
 inline void end_span(MetricsRegistry* m, MetricsRegistry::SpanId id,

@@ -10,6 +10,15 @@
 namespace dvc::clocksync {
 namespace {
 
+/// Polls `sync` now and then every `interval` from a daemon event, the
+/// way ntpd runs beside a host's work.
+void poll_every(sim::Simulation& s, NtpSynchronizer& sync,
+                sim::Duration interval) {
+  sync.sync_once();
+  s.schedule_daemon_after(
+      interval, [&s, &sync, interval] { poll_every(s, sync, interval); });
+}
+
 TEST(HostClockTest, PerfectClockTracksTrueTime) {
   sim::Simulation s;
   HostClock c(s, 0, 0.0);
@@ -102,7 +111,7 @@ TEST(NtpTest, PeriodicPollingBoundsDrift) {
   sim::Simulation s;
   HostClock c(s, 200 * sim::kMillisecond, 200.0);  // aggressive drift
   NtpSynchronizer sync(s, c, NtpPathModel{}, sim::Rng(3));
-  sync.start_periodic(16 * sim::kSecond);
+  poll_every(s, sync, 16 * sim::kSecond);
   s.run_until(10 * sim::kMinute);
   // 200 ppm * 16 s = 3.2 ms between polls; residual stays small forever.
   EXPECT_LT(std::abs(c.offset_error()), 10 * sim::kMillisecond);
@@ -122,8 +131,8 @@ TEST(NtpTest, FrequencyDisciplineShrinksSteadyStateError) {
   NtpSynchronizer sync_s(s, stepped, NtpPathModel{}, sim::Rng(5),
                          /*samples_per_poll=*/8,
                          /*discipline_frequency=*/false);
-  sync_d.start_periodic(16 * sim::kSecond);
-  sync_s.start_periodic(16 * sim::kSecond);
+  poll_every(s, sync_d, 16 * sim::kSecond);
+  poll_every(s, sync_s, 16 * sim::kSecond);
   s.run_until(20 * sim::kMinute);
   // The oscillator error itself has been driven toward zero...
   EXPECT_LT(std::abs(disciplined.drift_ppm()), 15.0);
@@ -163,6 +172,69 @@ TEST(ClusterTimeServiceTest, SkewReGrowsWithDriftThenPeriodicHolds) {
   s.run_until(s.now() + 30 * sim::kMinute);
   EXPECT_LT(svc2.max_pairwise_skew(), 10 * sim::kMillisecond);
 }
+
+class PeriodicTickTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PeriodicTickTest, OneEventPerRoom) {
+  sim::Simulation s;
+  ClusterTimeService svc(s, GetParam(), {}, sim::Rng(11));
+  const std::size_t before = s.pending();
+  svc.start_periodic();
+  EXPECT_EQ(s.pending(), before + 1);
+  for (std::size_t h = 0; h < svc.size(); ++h) {
+    EXPECT_EQ(svc.synchronizer(h).polls(), 1u) << "host " << h;
+  }
+}
+
+TEST_P(PeriodicTickTest, MatchesPerHostPollsInHostOrder) {
+  // The tick against a reference that polls each host from its own
+  // foreground event, in host order, at the same instants.
+  const std::size_t hosts = GetParam();
+  ClusterTimeService::Config cfg;
+  cfg.drift_ppm_stddev = 100.0;
+  constexpr int kIntervals = 12;
+  const sim::Time end = kIntervals * cfg.poll_interval;
+
+  sim::Simulation s;
+  ClusterTimeService svc(s, hosts, cfg, sim::Rng(21));
+  svc.start_periodic();
+  s.run_until(end);
+
+  sim::Simulation ref_sim;
+  ClusterTimeService ref(ref_sim, hosts, cfg, sim::Rng(21));
+  for (int k = 0; k <= kIntervals; ++k) {
+    for (std::size_t h = 0; h < hosts; ++h) {
+      ref_sim.schedule_at(k * cfg.poll_interval,
+                          [&ref, h] { ref.synchronizer(h).sync_once(); });
+    }
+  }
+  ref_sim.run_until(end);
+
+  for (std::size_t h = 0; h < hosts; ++h) {
+    EXPECT_EQ(svc.clock(h).offset_error(), ref.clock(h).offset_error())
+        << "host " << h;
+    // Bit-identical, not merely close: the same draws in the same order.
+    EXPECT_EQ(svc.clock(h).drift_ppm(), ref.clock(h).drift_ppm())
+        << "host " << h;
+    EXPECT_EQ(svc.synchronizer(h).polls(), kIntervals + 1u) << "host " << h;
+    EXPECT_EQ(svc.synchronizer(h).polls(), ref.synchronizer(h).polls())
+        << "host " << h;
+  }
+}
+
+TEST_P(PeriodicTickTest, TickNeverHoldsTheSimulationOpen) {
+  sim::Simulation s;
+  ClusterTimeService svc(s, GetParam(), {}, sim::Rng(13));
+  svc.start_periodic();
+  EXPECT_EQ(s.pending_foreground(), 0u);
+  // The limit stops a foreground tick from re-arming forever.
+  EXPECT_EQ(s.run(/*limit=*/100), 0u);
+  EXPECT_EQ(s.now(), 0);
+  EXPECT_EQ(s.pending(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Hosts, PeriodicTickTest,
+                         ::testing::Values(1, 8, 64));
 
 class TimeServiceSweep : public ::testing::TestWithParam<std::size_t> {};
 
