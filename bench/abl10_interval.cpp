@@ -6,7 +6,7 @@
 // the operator guidance a real DVC deployment would ship with.
 
 #include <cstdio>
-#include <optional>
+#include <string>
 
 #include "bench_util.hpp"
 #include "ckpt/interval.hpp"
@@ -24,40 +24,20 @@ constexpr sim::Duration kMtbfPerNode = 9000 * sim::kSecond;
 // System MTBF ~ per-node MTBF / ranks = 750 s for the 12 busy nodes.
 
 double run_once(sim::Duration interval, std::uint64_t seed) {
-  core::MachineRoomOptions opt = paper_substrate(kRanks + 4, seed);
-  opt.store.write_bps = 200e6;
-  opt.store.read_bps = 400e6;
-  core::MachineRoom room(opt);
-  room.fabric.subscribe_failures([&room](hw::NodeId n) {
-    room.sim.schedule_after(1200 * sim::kSecond,
-                            [&room, n] { room.fabric.repair_node(n); });
-  });
-  core::VcSpec spec;
-  spec.size = kRanks;
-  spec.guest.ram_bytes = 128ull << 20;
-  core::VirtualCluster& vc =
-      room.dvc->create_vc(spec, *room.dvc->pick_nodes(kRanks), {});
-  room.sim.run_until(20 * sim::kSecond);
-  app::ParallelApp application(
-      room.sim, room.fabric.network(), vc.contexts(),
-      steady_ptrans(kRanks, kIterations, kIterSeconds));
-  room.dvc->attach_app(vc, application);
-  application.start();
-  ckpt::NtpLscCoordinator lsc(room.sim, {}, sim::Rng(seed ^ 0x10));
-  core::DvcManager::RecoveryPolicy policy;
-  policy.coordinator = &lsc;
-  policy.interval = interval;
-  room.dvc->enable_auto_recovery(vc, policy);
-  room.fabric.arm_random_failures(kMtbfPerNode);
-
-  const sim::Time started = room.sim.now();
-  while (!application.completed() &&
-         room.sim.now() - started < 50000 * sim::kSecond) {
-    room.sim.run_until(room.sim.now() + 5 * sim::kSecond);
-  }
-  return application.completed()
-             ? sim::to_seconds(room.sim.now() - started)
-             : -1.0;
+  tools::CellSpec spec =
+      vc_cell(paper_substrate(kRanks + 4, seed, /*write_bps=*/200e6),
+              /*guest_ram=*/128ull << 20,
+              steady_ptrans(kRanks, kIterations, kIterSeconds));
+  spec.lsc_seed = seed ^ 0x10;
+  spec.recovery.interval = interval;
+  spec.failures = {.mtbf = kMtbfPerNode, .repair = 1200 * sim::kSecond};
+  tools::CellRig rig(spec);
+  rig.start_recovery();
+  const sim::Duration ran = run_job(rig, 50000 * sim::kSecond);
+  tools::check_trial(*rig.inv, "abl10_interval",
+                     "interval " + std::to_string(interval / sim::kSecond) +
+                         " s, seed " + std::to_string(seed));
+  return rig.application->completed() ? sim::to_seconds(ran) : -1.0;
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 // tolerance for a silent peer.
 
 #include <cstdio>
+#include <iterator>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "scenario.hpp"
@@ -16,47 +19,32 @@ namespace {
 using namespace dvc;          // NOLINT
 using namespace dvc::bench;   // NOLINT
 
-struct Outcome {
-  double failure_rate = 0.0;
-  double mean_skew_s = 0.0;
+struct Trial {
+  bool failed = false;
+  std::optional<double> skew_s;
 };
 
-Outcome run(sim::Duration offset_stddev, int trials) {
-  int failures = 0;
-  sim::SummaryStats skew;
-  for (int t = 0; t < trials; ++t) {
-    const std::uint64_t seed = 910000 + 31ull * t +
-                               static_cast<std::uint64_t>(offset_stddev);
-    core::MachineRoomOptions opt = paper_substrate(32, seed);
-    opt.time.initial_offset_stddev = offset_stddev;
-    opt.presync_clocks = false;  // raw clock error, no NTP discipline
-    VcScenario sc(opt, /*guest_ram=*/1ull << 30,
-                  steady_ptrans(26, 100000), calibrated_transport());
-    ckpt::NtpLscCoordinator lsc(sc.room.sim, {}, sim::Rng(seed ^ 0xAB));
-    std::optional<ckpt::LscResult> result;
-    sc.room.sim.schedule_after(2 * sim::kSecond, [&] {
-      sc.room.dvc->checkpoint_vc(*sc.vc, lsc,
-                                 [&](ckpt::LscResult r) { result = r; });
-    });
-    sim::Time decided = 0;
-    while (sc.room.sim.now() < 1500 * sim::kSecond) {
-      sc.room.sim.run_until(sc.room.sim.now() + sim::kSecond);
-      if (result.has_value()) {
-        if (decided == 0) decided = sc.room.sim.now();
-        if (sc.application->failed() ||
-            sc.room.sim.now() - decided > 15 * sim::kSecond) {
-          break;
-        }
-      }
-    }
-    const bool failed = sc.application->failed() || !result.has_value() ||
-                        !result->ok;
-    failures += failed ? 1 : 0;
-    if (result.has_value()) {
-      skew.add(sim::to_seconds(result->pause_skew));
-    }
-  }
-  return {static_cast<double>(failures) / trials, skew.mean()};
+Trial run_trial(sim::Duration offset_stddev, int t) {
+  const std::uint64_t seed = 910000 + 31ull * t +
+                             static_cast<std::uint64_t>(offset_stddev);
+  core::MachineRoomOptions opt = paper_substrate(32, seed);
+  opt.time.initial_offset_stddev = offset_stddev;
+  opt.presync_clocks = false;  // raw clock error, no NTP discipline
+  tools::CellSpec spec = vc_cell(opt, /*guest_ram=*/1ull << 30,
+                                 steady_ptrans(26, 100000),
+                                 calibrated_transport());
+  spec.lsc_seed = seed ^ 0xAB;
+  tools::CellRig rig(spec);
+  const std::optional<ckpt::LscResult> result =
+      checkpoint_and_settle(rig, *rig.lsc, /*grace=*/15 * sim::kSecond);
+  Trial out;
+  out.failed =
+      rig.application->failed() || !result.has_value() || !result->ok;
+  if (result.has_value()) out.skew_s = sim::to_seconds(result->pause_skew);
+  tools::check_trial(*rig.inv, "abl1_jitter_sweep",
+                     fmt(sim::to_milliseconds(offset_stddev), 0) +
+                         " ms clock error #" + std::to_string(t));
+  return out;
 }
 
 }  // namespace
@@ -74,11 +62,21 @@ int main(int argc, char** argv) {
       1 * sim::kSecond,        2 * sim::kSecond,
       4 * sim::kSecond};
   constexpr int kTrials = 50;
-  for (const sim::Duration sd : stddevs) {
-    const Outcome o = run(sd, kTrials);
-    table.add_row({fmt(sim::to_milliseconds(sd), 0) + " ms",
-                   std::to_string(kTrials), fmt(o.mean_skew_s, 3),
-                   fmt_pct(o.failure_rate)});
+  std::vector<Trial> trials(std::size(stddevs) * kTrials);
+  tools::run_indexed(trials.size(), /*jobs=*/0, [&](std::size_t i) {
+    trials[i] = run_trial(stddevs[i / kTrials], static_cast<int>(i % kTrials));
+  });
+  for (std::size_t d = 0; d < std::size(stddevs); ++d) {
+    int failures = 0;
+    sim::SummaryStats skew;
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      const Trial& r = trials[d * kTrials + t];
+      failures += r.failed ? 1 : 0;
+      if (r.skew_s) skew.add(*r.skew_s);
+    }
+    table.add_row({fmt(sim::to_milliseconds(stddevs[d]), 0) + " ms",
+                   std::to_string(kTrials), fmt(skew.mean(), 3),
+                   fmt_pct(static_cast<double>(failures) / kTrials)});
   }
   table.print("A1  failure rate vs. clock synchronisation quality");
   std::printf("paper: millisecond NTP sync leaves orders of magnitude of\n"

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <optional>
+#include <string>
 
 #include "bench_util.hpp"
 #include "scenario.hpp"
@@ -15,12 +16,10 @@ using namespace dvc;          // NOLINT
 using namespace dvc::bench;   // NOLINT
 
 double run(std::uint32_t vms, double write_bps, std::uint64_t guest_ram) {
-  core::MachineRoomOptions opt;
-  opt.nodes_per_cluster = vms;
-  opt.seed = 5150 + vms;
-  opt.store.write_bps = write_bps;
-  opt.store.read_bps = 2 * write_bps;
+  const core::MachineRoomOptions opt =
+      paper_substrate(vms, 5150 + vms, write_bps);
   core::MachineRoom room(opt);
+  const tools::CheckerPtr inv = tools::attach_checker(room);
   core::VcSpec spec;
   spec.size = vms;
   spec.guest.ram_bytes = guest_ram;
@@ -29,11 +28,13 @@ double run(std::uint32_t vms, double write_bps, std::uint64_t guest_ram) {
   room.sim.run_until(20 * sim::kSecond);
 
   ckpt::NtpLscCoordinator lsc(room.sim, {}, sim::Rng(opt.seed));
+  lsc.set_check(inv.get());
   std::optional<ckpt::LscResult> result;
   room.dvc->checkpoint_vc(vc, lsc, [&](ckpt::LscResult r) { result = r; });
-  while (!result.has_value()) {
-    room.sim.run_until(room.sim.now() + sim::kSecond);
-  }
+  while (!result) room.sim.run_until(room.sim.now() + sim::kSecond);
+  tools::check_trial(*inv, "abl2_storage_contention",
+                     std::to_string(vms) + " VMs, " + fmt(write_bps / 1e6, 0) +
+                         " MB/s");
   return sim::to_seconds(result->total_time);
 }
 

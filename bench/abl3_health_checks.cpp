@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <optional>
+#include <string>
 
 #include "bench_util.hpp"
 #include "scenario.hpp"
@@ -34,35 +35,27 @@ Outcome run(double stall_prob, bool health_check, int trials) {
     const std::uint64_t seed =
         820000 + 37ull * t + (health_check ? 7 : 0) +
         static_cast<std::uint64_t>(stall_prob * 1000);
-    VcScenario sc(paper_substrate(12, seed), /*guest_ram=*/1ull << 30,
-                  steady_ptrans(12, 100000), calibrated_transport());
-    ckpt::NtpLscCoordinator::Config cfg;
-    cfg.stall_prob = stall_prob;
-    cfg.stall_mean = 30 * sim::kSecond;
-    cfg.health_check = health_check;
-    cfg.max_attempts = 3;
-    ckpt::NtpLscCoordinator lsc(sc.room.sim, cfg, sim::Rng(seed ^ 0x4C));
-    std::optional<ckpt::LscResult> result;
-    sc.room.sim.schedule_after(2 * sim::kSecond, [&] {
-      sc.room.dvc->checkpoint_vc(*sc.vc, lsc,
-                                 [&](ckpt::LscResult r) { result = r; });
-    });
-    sim::Time decided = 0;
-    while (sc.room.sim.now() < 1500 * sim::kSecond) {
-      sc.room.sim.run_until(sc.room.sim.now() + sim::kSecond);
-      if (result.has_value()) {
-        if (decided == 0) decided = sc.room.sim.now();
-        if (sc.application->failed() ||
-            sc.room.sim.now() - decided > 15 * sim::kSecond) {
-          break;
-        }
-      }
-    }
-    app_failures += sc.application->failed() ? 1 : 0;
+    tools::CellSpec spec = vc_cell(paper_substrate(12, seed),
+                                   /*guest_ram=*/1ull << 30,
+                                   steady_ptrans(12, 100000),
+                                   calibrated_transport());
+    spec.lsc.stall_prob = stall_prob;
+    spec.lsc.stall_mean = 30 * sim::kSecond;
+    spec.lsc.health_check = health_check;
+    spec.lsc.max_attempts = 3;
+    spec.lsc_seed = seed ^ 0x4C;
+    tools::CellRig rig(spec);
+    const std::optional<ckpt::LscResult> result =
+        checkpoint_and_settle(rig, *rig.lsc, /*grace=*/15 * sim::kSecond);
+    app_failures += rig.application->failed() ? 1 : 0;
     if (result.has_value()) {
-      ckpt_ok += (result->ok && !sc.application->failed()) ? 1 : 0;
+      ckpt_ok += (result->ok && !rig.application->failed()) ? 1 : 0;
       clean_aborts += result->aborted_cleanly ? 1 : 0;
     }
+    tools::check_trial(*rig.inv, "abl3_health_checks",
+                       "stall " + fmt_pct(stall_prob, 0) + ", health check " +
+                           (health_check ? "on" : "off") + " #" +
+                           std::to_string(t));
   }
   Outcome o;
   o.app_failure_rate = static_cast<double>(app_failures) / trials;

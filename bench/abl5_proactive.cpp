@@ -6,6 +6,7 @@
 // the last checkpoint (losing up to one interval).
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hpp"
 #include "scenario.hpp"
@@ -28,53 +29,33 @@ struct Outcome {
 };
 
 Outcome run(bool proactive, double predicted_fraction, std::uint64_t seed) {
-  core::MachineRoomOptions opt = paper_substrate(24, seed);
-  opt.store.write_bps = 200e6;
-  opt.store.read_bps = 400e6;
-  core::MachineRoom room(opt);
-  room.fabric.subscribe_failures([&room](hw::NodeId n) {
-    room.sim.schedule_after(1800 * sim::kSecond,
-                            [&room, n] { room.fabric.repair_node(n); });
-  });
-
-  core::VcSpec spec;
-  spec.size = kRanks;
-  spec.guest.ram_bytes = 128ull << 20;
-  core::VirtualCluster& vc =
-      room.dvc->create_vc(spec, *room.dvc->pick_nodes(kRanks), {});
-  room.sim.run_until(20 * sim::kSecond);
-  app::ParallelApp application(
-      room.sim, room.fabric.network(), vc.contexts(),
-      steady_ptrans(kRanks, kIterations, kIterSeconds));
-  room.dvc->attach_app(vc, application);
-  application.start();
-
-  ckpt::NtpLscCoordinator lsc(room.sim, {}, sim::Rng(seed ^ 0xE7));
-  core::DvcManager::RecoveryPolicy policy;
-  policy.coordinator = &lsc;
-  policy.interval = 300 * sim::kSecond;
-  policy.proactive_migration = proactive;
-  room.dvc->enable_auto_recovery(vc, policy);
-
+  tools::CellSpec spec =
+      vc_cell(paper_substrate(24, seed, /*write_bps=*/200e6),
+              /*guest_ram=*/128ull << 20,
+              steady_ptrans(kRanks, kIterations, kIterSeconds));
+  spec.lsc_seed = seed ^ 0xE7;
+  spec.recovery.interval = 300 * sim::kSecond;
+  spec.recovery.proactive_migration = proactive;
   // Half (or all) the faults announce themselves 2 minutes ahead.
-  room.fabric.arm_random_failures(/*mtbf_per_node=*/15000 * sim::kSecond,
-                                  predicted_fraction,
-                                  /*prediction_lead=*/120 * sim::kSecond);
-
-  const sim::Time started = room.sim.now();
-  while (!application.completed() &&
-         room.sim.now() - started < 30000 * sim::kSecond) {
-    room.sim.run_until(room.sim.now() + 5 * sim::kSecond);
-  }
+  spec.failures = {.mtbf = 15000 * sim::kSecond,
+                   .repair = 1800 * sim::kSecond,
+                   .predicted_fraction = predicted_fraction,
+                   .prediction_lead = 120 * sim::kSecond};
+  tools::CellRig rig(spec);
+  rig.start_recovery();
+  const sim::Duration ran = run_job(rig, 30000 * sim::kSecond);
 
   Outcome out;
-  out.completed = application.completed();
-  out.completion_s = sim::to_seconds(room.sim.now() - started);
+  out.completed = rig.application->completed();
+  out.completion_s = sim::to_seconds(ran);
   const double useful_s = kIterations * kIterSeconds / 0.97;
   out.wasted_s =
-      std::max(0.0, application.stats().compute_done_s - useful_s);
-  out.evacuations = room.dvc->evacuations_performed();
-  out.rollbacks = room.dvc->recoveries_performed();
+      std::max(0.0, rig.application->stats().compute_done_s - useful_s);
+  out.evacuations = rig.room.dvc->evacuations_performed();
+  out.rollbacks = rig.room.dvc->recoveries_performed();
+  tools::check_trial(*rig.inv, "abl5_proactive",
+                     fmt_pct(predicted_fraction, 0) +
+                         (proactive ? " predicted, proactive" : " predicted"));
   return out;
 }
 

@@ -10,7 +10,8 @@
 // share, where it degenerates toward stop-and-copy.
 
 #include <cstdio>
-#include <optional>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "scenario.hpp"
@@ -31,30 +32,16 @@ struct Outcome {
   bool app_failed = false;
 };
 
-core::MachineRoomOptions make_opts(std::uint64_t seed) {
-  core::MachineRoomOptions o;
-  o.clusters = 2;
-  o.nodes_per_cluster = kRanks;
-  o.seed = seed;
-  o.store.write_bps = 100e6;
-  o.store.read_bps = 200e6;
-  return o;
-}
-
 Outcome run(bool live, double dirty_rate_bps, std::uint64_t seed) {
-  core::MachineRoom room(make_opts(seed));
-  core::VcSpec spec;
-  spec.size = kRanks;
-  spec.guest.ram_bytes = kRam;
-  spec.guest.dirty_rate_bps = dirty_rate_bps;
-  core::VirtualCluster& vc =
-      room.dvc->create_vc(spec, *room.dvc->pick_nodes(kRanks), {});
-  room.sim.run_until(20 * sim::kSecond);
-  app::ParallelApp application(room.sim, room.fabric.network(),
-                               vc.contexts(),
-                               steady_ptrans(kRanks, 100000, 0.1));
-  room.dvc->attach_app(vc, application);
-  application.start();
+  tools::CellSpec spec = vc_cell(paper_substrate(kRanks, seed), kRam,
+                                 steady_ptrans(kRanks, 100000, 0.1));
+  spec.room.clusters = 2;
+  spec.vc.guest.dirty_rate_bps = dirty_rate_bps;
+  spec.lsc_seed = seed ^ 0x9C;
+  tools::CellRig rig(spec);
+  core::MachineRoom& room = rig.room;
+  core::VirtualCluster& vc = *rig.vc;
+  app::ParallelApp& application = *rig.application;
   room.sim.run_until(room.sim.now() + 5 * sim::kSecond);
 
   const std::uint32_t iter_before = application.rank(0).state().iter;
@@ -67,9 +54,6 @@ Outcome run(bool live, double dirty_rate_bps, std::uint64_t seed) {
 
   Outcome out;
   bool finished = false;
-  // Outlives the run loop: the migration's save round calls back into the
-  // coordinator long after migrate_vc returns.
-  std::optional<ckpt::NtpLscCoordinator> lsc;
   if (live) {
     core::DvcManager::LiveMigrationConfig cfg;
     cfg.bandwidth_bps = 250e6;
@@ -81,9 +65,8 @@ Outcome run(bool live, double dirty_rate_bps, std::uint64_t seed) {
           out.data_gib = s.bytes_moved / (1ull << 30);
         });
   } else {
-    lsc.emplace(room.sim, ckpt::NtpLscCoordinator::Config{},
-                sim::Rng(seed ^ 0x9C));
-    room.dvc->migrate_vc(vc, *lsc, targets, [&](bool) { finished = true; });
+    room.dvc->migrate_vc(vc, *rig.lsc, targets,
+                         [&](bool) { finished = true; });
   }
   while (!finished && room.sim.now() - t0 < sim::kHour) {
     room.sim.run_until(room.sim.now() + sim::kSecond);
@@ -98,6 +81,9 @@ Outcome run(bool live, double dirty_rate_bps, std::uint64_t seed) {
   room.sim.run_until(room.sim.now() + 30 * sim::kSecond);
   out.iters_during = application.rank(0).state().iter - iter_before;
   out.app_failed = application.failed();
+  tools::check_trial(*rig.inv, "abl6_migration_modes",
+                     std::string(live ? "live" : "checkpoint") + ", " +
+                         fmt(dirty_rate_bps / 1e6, 0) + " MB/s dirty");
   return out;
 }
 

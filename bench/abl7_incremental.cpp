@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <optional>
+#include <string>
 
 #include "bench_util.hpp"
 #include "scenario.hpp"
@@ -30,42 +31,28 @@ struct Outcome {
 
 Outcome run(bool incremental, sim::Duration interval, double dirty_bps,
             std::uint64_t seed) {
-  core::MachineRoomOptions opt = paper_substrate(kRanks + 4, seed);
-  core::MachineRoom room(opt);
-  core::VcSpec spec;
-  spec.size = kRanks;
-  spec.guest.ram_bytes = kRam;
-  spec.guest.dirty_rate_bps = dirty_bps;
-  core::VirtualCluster& vc =
-      room.dvc->create_vc(spec, *room.dvc->pick_nodes(kRanks), {});
-  room.sim.run_until(20 * sim::kSecond);
-  app::ParallelApp application(
-      room.sim, room.fabric.network(), vc.contexts(),
-      steady_ptrans(kRanks, 3000, 0.5));  // ~1550 s of useful compute
-  room.dvc->attach_app(vc, application);
-  application.start();
-
-  ckpt::NtpLscCoordinator lsc(room.sim, {}, sim::Rng(seed ^ 0xF0));
-  core::DvcManager::RecoveryPolicy policy;
-  policy.coordinator = &lsc;
-  policy.interval = interval;
-  policy.incremental = incremental;
-  policy.full_every = 6;
-  policy.keep_checkpoints = 1;
-  room.dvc->enable_auto_recovery(vc, policy);
+  tools::CellSpec spec =
+      vc_cell(paper_substrate(kRanks + 4, seed), kRam,
+              steady_ptrans(kRanks, 3000, 0.5));  // ~1550 s useful compute
+  spec.vc.guest.dirty_rate_bps = dirty_bps;
+  spec.lsc_seed = seed ^ 0xF0;
+  spec.recovery.interval = interval;
+  spec.recovery.incremental = incremental;
+  spec.recovery.full_every = 6;
+  spec.recovery.keep_checkpoints = 1;
+  tools::CellRig rig(spec);
+  rig.start_recovery();
+  core::MachineRoom& room = rig.room;
+  core::VirtualCluster& vc = *rig.vc;
 
   const std::uint64_t written_before = room.store.bytes_written_total();
-  const sim::Time started = room.sim.now();
-  while (!application.completed() &&
-         room.sim.now() - started < 3 * sim::kHour) {
-    room.sim.run_until(room.sim.now() + 5 * sim::kSecond);
-  }
+  const sim::Duration ran = run_job(rig, 3 * sim::kHour);
   const double written = static_cast<double>(
       room.store.bytes_written_total() - written_before);
 
   Outcome out;
-  out.completed = application.completed();
-  out.runtime_s = sim::to_seconds(room.sim.now() - started);
+  out.completed = rig.application->completed();
+  out.runtime_s = sim::to_seconds(ran);
   out.checkpoints = static_cast<int>(room.dvc->checkpoints_taken());
 
   // Time one restore from the newest chain.
@@ -74,12 +61,13 @@ Outcome run(bool incremental, sim::Duration interval, double dirty_bps,
     std::optional<bool> ok;
     room.dvc->restore_vc(vc, vc.placements(),
                          [&](bool r) { ok = r; });
-    while (!ok.has_value()) {
-      room.sim.run_until(room.sim.now() + sim::kSecond);
-    }
+    while (!ok) room.sim.run_until(room.sim.now() + sim::kSecond);
     out.restore_s = sim::to_seconds(room.sim.now() - t0);
   }
   out.gib_written = written / static_cast<double>(1ull << 30);
+  tools::check_trial(*rig.inv, "abl7_incremental",
+                     (incremental ? "incremental, " : "full, ") +
+                         std::to_string(interval / sim::kSecond) + " s");
   return out;
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <optional>
+#include <string>
 
 #include "bench_util.hpp"
 #include "ckpt/cocheck.hpp"
@@ -20,6 +21,7 @@ namespace {
 using namespace dvc;          // NOLINT
 using namespace dvc::bench;   // NOLINT
 
+constexpr const char* kProgram = "abl9_cocheck";
 constexpr std::uint32_t kRanks = 16;
 
 struct Outcome {
@@ -29,48 +31,53 @@ struct Outcome {
   bool transparent = false;
 };
 
-VcScenario make_scenario(std::uint64_t guest_ram, double iter_s) {
-  return VcScenario(paper_substrate(kRanks + 2, 4711), guest_ram,
-                    steady_ptrans(kRanks, 100000, iter_s));
+tools::CellSpec make_spec(std::uint64_t guest_ram, double iter_s) {
+  tools::CellSpec spec = vc_cell(paper_substrate(kRanks + 2, 4711), guest_ram,
+                                 steady_ptrans(kRanks, 100000, iter_s));
+  spec.lsc_seed = 4711;
+  return spec;
 }
 
 Outcome run_lsc(std::uint64_t guest_ram, double iter_s) {
-  VcScenario sc = make_scenario(guest_ram, iter_s);
-  ckpt::NtpLscCoordinator lsc(sc.room.sim, {}, sim::Rng(4711));
+  tools::CellRig rig(make_spec(guest_ram, iter_s));
+  core::MachineRoom& room = rig.room;
   std::optional<ckpt::LscResult> result;
-  const sim::Duration frozen0 = sc.vc->machine(0).total_frozen();
-  sc.room.sim.schedule_after(5 * sim::kSecond, [&] {
-    sc.room.dvc->checkpoint_vc(*sc.vc, lsc,
-                               [&](ckpt::LscResult r) { result = r; });
+  const sim::Duration frozen0 = rig.vc->machine(0).total_frozen();
+  room.sim.schedule_after(5 * sim::kSecond, [&] {
+    room.dvc->checkpoint_vc(*rig.vc, *rig.lsc,
+                            [&](ckpt::LscResult r) { result = r; });
   });
-  while (!result.has_value()) {
-    sc.room.sim.run_until(sc.room.sim.now() + sim::kSecond);
-  }
+  while (!result) room.sim.run_until(room.sim.now() + sim::kSecond);
   Outcome o;
   o.coord_s = sim::to_seconds(result->pause_skew);
   o.app_held_s =
-      sim::to_seconds(sc.vc->machine(0).total_frozen() - frozen0);
+      sim::to_seconds(rig.vc->machine(0).total_frozen() - frozen0);
   o.data_gib = static_cast<double>(guest_ram) * kRanks /
                static_cast<double>(1ull << 30);
   o.transparent = true;
+  tools::check_trial(*rig.inv, kProgram,
+                     "LSC, " + fmt_bytes(static_cast<double>(guest_ram)) +
+                         ", " + fmt(iter_s, 1) + " s");
   return o;
 }
 
 Outcome run_cocheck(std::uint64_t guest_ram, double iter_s) {
-  VcScenario sc = make_scenario(guest_ram, iter_s);
-  ckpt::CocheckCoordinator cocheck(sc.room.sim);
+  tools::CellRig rig(make_spec(guest_ram, iter_s));
+  core::MachineRoom& room = rig.room;
+  ckpt::CocheckCoordinator cocheck(room.sim);
   std::optional<ckpt::CocheckCoordinator::Result> result;
   vm::GuestConfig guest;
   guest.ram_bytes = guest_ram;
-  sc.room.sim.schedule_after(5 * sim::kSecond, [&] {
-    cocheck.checkpoint(*sc.application, guest, sc.room.images,
+  room.sim.schedule_after(5 * sim::kSecond, [&] {
+    cocheck.checkpoint(*rig.application, guest, room.images,
                        [&](ckpt::CocheckCoordinator::Result r) {
                          result = r;
                        });
   });
-  while (!result.has_value()) {
-    sc.room.sim.run_until(sc.room.sim.now() + sim::kSecond);
-  }
+  while (!result) room.sim.run_until(room.sim.now() + sim::kSecond);
+  tools::check_trial(*rig.inv, kProgram,
+                     "CoCheck, " + fmt_bytes(static_cast<double>(guest_ram)) +
+                         ", " + fmt(iter_s, 1) + " s");
   Outcome o;
   o.coord_s = sim::to_seconds(result->quiesce_time);
   o.app_held_s = sim::to_seconds(result->total_time);

@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
   opt.nodes_per_cluster = 32;
   opt.seed = 11;
   core::MachineRoom room(opt);
+  const tools::CheckerPtr inv = tools::attach_checker(room);
 
   std::printf("F1: dynamic virtual cluster mappings on 2 physical clusters"
               " of 32 nodes\n");
@@ -115,6 +116,7 @@ int main(int argc, char** argv) {
   std::printf("\nremapped 16-node VC: %zu/%u physical nodes shared between"
               " instantiations (paper: may be completely separate)\n",
               shared, 16u);
+  tools::check_trial(*inv, "fig1_virtual_clusters", "all mappings");
 
   table.print("F1  virtual-to-physical mappings");
 

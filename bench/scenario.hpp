@@ -1,43 +1,66 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <stdexcept>
-#include <vector>
+#include <utility>
 
 #include "app/workload.hpp"
-#include "ckpt/lsc.hpp"
 #include "core/machine_room.hpp"
+#include "tools/sweep.hpp"
 
 namespace dvc::bench {
 
-/// A booted virtual cluster with a running parallel application on top of
-/// a fresh machine room — the standard starting state of the paper's
-/// checkpoint experiments.
-struct VcScenario {
-  VcScenario(core::MachineRoomOptions opt, std::uint64_t guest_ram,
-             app::WorkloadSpec workload, net::ReliableConfig transport = {})
-      : room(opt) {
-    core::VcSpec spec;
-    spec.name = "bench-vc";
-    spec.size = workload.ranks;
-    spec.guest.ram_bytes = guest_ram;
-    const auto placement = room.dvc->pick_nodes(workload.ranks);
-    if (!placement) throw std::runtime_error("not enough nodes");
-    vc = &room.dvc->create_vc(spec, *placement, {});
-    room.sim.run_until(20 * sim::kSecond);  // default boot ends at 15 s
-    application = std::make_unique<app::ParallelApp>(
-        room.sim, room.fabric.network(), vc->contexts(), workload,
-        transport);
-    room.dvc->attach_app(*vc, *application);
-    application->start();
-  }
+/// A virtual cluster of `workload.ranks` guests running `workload` on a
+/// fresh machine room, the invariant checker attached: the standard
+/// starting state of the paper's checkpoint experiments, built by
+/// `tools::CellRig`.
+[[nodiscard]] inline tools::CellSpec vc_cell(core::MachineRoomOptions room,
+                                             std::uint64_t guest_ram,
+                                             app::WorkloadSpec workload,
+                                             net::ReliableConfig transport =
+                                                 {}) {
+  tools::CellSpec spec;
+  spec.room = room;
+  spec.vc.size = workload.ranks;
+  spec.vc.guest.ram_bytes = guest_ram;
+  spec.workload = std::move(workload);
+  spec.transport = transport;
+  return spec;
+}
 
-  core::MachineRoom room;
-  core::VirtualCluster* vc = nullptr;
-  std::unique_ptr<app::ParallelApp> application;
-};
+/// Checkpoints the rig's VC with `lsc` 2 s from now, then runs one second
+/// at a time until the round has reported and either the application has
+/// died or `grace` (longer than the transport's retry budget) has passed
+/// without an abort, or until `horizon`. Returns the round's result.
+inline std::optional<ckpt::LscResult> checkpoint_and_settle(
+    tools::CellRig& rig, ckpt::LscCoordinator& lsc, sim::Duration grace,
+    sim::Time horizon = 1500 * sim::kSecond) {
+  sim::Simulation& sim = rig.room.sim;
+  std::optional<ckpt::LscResult> result;
+  sim.schedule_after(2 * sim::kSecond, [&] {
+    rig.room.dvc->checkpoint_vc(*rig.vc, lsc,
+                                [&](ckpt::LscResult r) { result = r; });
+  });
+  sim::Time decided = 0;
+  while (sim.now() < horizon) {
+    sim.run_until(sim.now() + sim::kSecond);
+    if (!result.has_value()) continue;
+    if (decided == 0) decided = sim.now();
+    if (rig.application->failed() || sim.now() - decided > grace) break;
+  }
+  return result;
+}
+
+/// Runs the rig in 5 s slices until its job completes or `limit` has
+/// passed; returns how long it ran.
+inline sim::Duration run_job(tools::CellRig& rig, sim::Duration limit) {
+  sim::Simulation& sim = rig.room.sim;
+  const sim::Time started = sim.now();
+  while (!rig.application->completed() && sim.now() - started < limit) {
+    sim.run_until(sim.now() + 5 * sim::kSecond);
+  }
+  return sim.now() - started;
+}
 
 /// Communication-steady PTRANS-like load (one all-to-all round every
 /// ~`iter_seconds`), sized so a frozen peer is noticed within one round.
@@ -69,15 +92,15 @@ struct VcScenario {
 }
 
 /// The 2007-era substrate of the paper's testbed: 1 GiB guests imaged to
-/// a ~100 MB/s NFS store, so whole-cluster saves freeze guests for far
-/// longer than any transport retry budget.
+/// a ~100 MB/s NFS store (reads twice as fast), so whole-cluster saves
+/// freeze guests for far longer than any transport retry budget.
 [[nodiscard]] inline core::MachineRoomOptions paper_substrate(
-    std::uint32_t nodes, std::uint64_t seed) {
+    std::uint32_t nodes, std::uint64_t seed, double write_bps = 100e6) {
   core::MachineRoomOptions o;
   o.nodes_per_cluster = nodes;
   o.seed = seed;
-  o.store.write_bps = 100e6;
-  o.store.read_bps = 200e6;
+  o.store.write_bps = write_bps;
+  o.store.read_bps = 2 * write_bps;
   return o;
 }
 

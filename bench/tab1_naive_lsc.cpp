@@ -8,7 +8,7 @@
 // cluster size and report the checkpoint failure rate.
 
 #include <cstdio>
-#include <optional>
+#include <string>
 
 #include "bench_util.hpp"
 #include "scenario.hpp"
@@ -25,36 +25,21 @@ struct TrialOutcome {
 };
 
 TrialOutcome run_trial(std::uint32_t nodes, std::uint64_t seed) {
-  VcScenario sc(paper_substrate(nodes, seed), /*guest_ram=*/1ull << 30,
-                steady_ptrans(nodes, 100000), calibrated_transport());
-  ckpt::NaiveLscCoordinator lsc(sc.room.sim, {}, sim::Rng(seed ^ 0x17A));
-  lsc.set_metrics(&sc.room.metrics);
-  std::optional<ckpt::LscResult> result;
-  sc.room.sim.schedule_after(2 * sim::kSecond, [&] {
-    sc.room.dvc->checkpoint_vc(*sc.vc, lsc,
-                               [&](ckpt::LscResult r) { result = r; });
-  });
-  // Run until the outcome is decided: either the application died, or the
-  // checkpoint sealed and a grace period (longer than the retry budget)
-  // passed without an abort.
-  const sim::Duration grace = 15 * sim::kSecond;
-  sim::Time decided_at = 0;
-  while (sc.room.sim.now() < 1000 * sim::kSecond) {
-    sc.room.sim.run_until(sc.room.sim.now() + sim::kSecond);
-    if (result.has_value()) {
-      if (decided_at == 0) decided_at = sc.room.sim.now();
-      if (sc.application->failed() ||
-          sc.room.sim.now() - decided_at > grace) {
-        break;
-      }
-    }
-  }
+  tools::CellRig rig(vc_cell(paper_substrate(nodes, seed),
+                             /*guest_ram=*/1ull << 30,
+                             steady_ptrans(nodes, 100000),
+                             calibrated_transport()));
+  ckpt::NaiveLscCoordinator lsc(rig.room.sim, {}, sim::Rng(seed ^ 0x17A));
+  lsc.set_metrics(&rig.room.metrics);
+  lsc.set_check(rig.inv.get());
+  checkpoint_and_settle(rig, lsc, /*grace=*/15 * sim::kSecond,
+                        /*horizon=*/1000 * sim::kSecond);
   // The headline numbers come from the room-wide metrics registry: the
   // coordinator observed the round's skew and duration into `ckpt.lsc.*`
   // histograms as it ran (one round per trial, so the mean is the value).
-  const telemetry::MetricsRegistry& m = sc.room.metrics;
+  const telemetry::MetricsRegistry& m = rig.room.metrics;
   TrialOutcome out;
-  out.failed = sc.application->failed() ||
+  out.failed = rig.application->failed() ||
                m.counter_value("ckpt.lsc.rounds_failed") > 0 ||
                m.counter_value("ckpt.lsc.rounds") == 0;
   if (const auto* skew = m.find_histogram("ckpt.lsc.pause_skew_s")) {
@@ -63,6 +48,9 @@ TrialOutcome run_trial(std::uint32_t nodes, std::uint64_t seed) {
   if (const auto* round = m.find_histogram("ckpt.lsc.round_s")) {
     out.save_s = round->summary().mean();
   }
+  tools::check_trial(*rig.inv, "tab1_naive_lsc",
+                     std::to_string(nodes) + " nodes, seed " +
+                         std::to_string(seed));
   return out;
 }
 

@@ -19,11 +19,14 @@ namespace {
 using namespace dvc;          // NOLINT
 using namespace dvc::bench;   // NOLINT
 
+constexpr const char* kProgram = "tab3_virt_overhead";
+
 double run_native(const app::WorkloadSpec& workload, std::uint64_t seed) {
   core::MachineRoomOptions opt;
   opt.nodes_per_cluster = workload.ranks;
   opt.seed = seed;
   core::MachineRoom room(opt);
+  const tools::CheckerPtr inv = tools::attach_checker(room);
   std::vector<std::unique_ptr<vm::NativeContext>> owners;
   std::vector<vm::ExecutionContext*> contexts;
   for (std::uint32_t i = 0; i < workload.ranks; ++i) {
@@ -35,6 +38,7 @@ double run_native(const app::WorkloadSpec& workload, std::uint64_t seed) {
                                workload);
   application.start();
   room.sim.run();
+  tools::check_trial(*inv, kProgram, "native " + workload.name);
   return application.stats().makespan_s;
 }
 
@@ -48,24 +52,15 @@ VirtualRun run_virtual(const app::WorkloadSpec& workload,
   core::MachineRoomOptions opt;
   opt.nodes_per_cluster = workload.ranks;
   opt.seed = seed;
-  core::MachineRoom room(opt);
-  core::VcSpec spec;
-  spec.size = workload.ranks;
-  spec.guest.ram_bytes = 512ull << 20;
-  bool ready = false;
-  core::VirtualCluster& vc =
-      room.dvc->create_vc(spec, *room.dvc->pick_nodes(workload.ranks),
-                          [&] { ready = true; });
-  const sim::Time t0 = room.sim.now();
-  while (!ready) room.sim.run_until(room.sim.now() + sim::kSecond);
+  tools::CellRig rig(vc_cell(opt, /*guest_ram=*/512ull << 20, workload));
+  rig.room.sim.run();
+  tools::check_trial(*rig.inv, kProgram, "virtual " + workload.name);
   VirtualRun out;
-  out.provision_s = sim::to_seconds(room.sim.now() - t0);
-  app::ParallelApp application(room.sim, room.fabric.network(),
-                               vc.contexts(), workload);
-  room.dvc->attach_app(vc, application);
-  application.start();
-  room.sim.run();
-  out.makespan_s = application.stats().makespan_s;
+  // The cluster is provisioned once its slowest guest has booted.
+  out.provision_s = rig.room.metrics.find_histogram("vm.hypervisor.boot_s")
+                        ->summary()
+                        .max();
+  out.makespan_s = rig.application->stats().makespan_s;
   return out;
 }
 

@@ -27,30 +27,24 @@ struct RunResult {
 };
 
 RunResult run(std::uint64_t n, sim::Duration interval, std::uint64_t seed) {
-  VcScenario sc(paper_substrate(32, seed), /*guest_ram=*/512ull << 20,
-                app::make_hpl(n, kRanks, /*iterations=*/64));
-  ckpt::NtpLscCoordinator lsc(sc.room.sim, {}, sim::Rng(seed ^ 0xC4));
-  lsc.set_metrics(&sc.room.metrics);
+  tools::CellSpec spec =
+      vc_cell(paper_substrate(32, seed), /*guest_ram=*/512ull << 20,
+              app::make_hpl(n, kRanks, /*iterations=*/64));
+  spec.lsc_seed = seed ^ 0xC4;
+  spec.recovery.interval = interval;
+  tools::CellRig rig(spec);
+  core::MachineRoom& room = rig.room;
 
   RunResult out;
-  if (interval > 0) {
-    core::DvcManager::RecoveryPolicy policy;
-    policy.coordinator = &lsc;
-    policy.interval = interval;
-    sc.room.dvc->enable_auto_recovery(*sc.vc, policy);
-  }
-  const sim::Time started = sc.room.sim.now();
-  while (!sc.application->completed() &&
-         sc.room.sim.now() - started < 4 * sim::kHour) {
-    sc.room.sim.run_until(sc.room.sim.now() + 5 * sim::kSecond);
-  }
+  if (interval > 0) rig.start_recovery();
+  run_job(rig, 4 * sim::kHour);
   // Headline numbers come from the room-wide metrics registry: the control
   // plane counts every coordinated checkpoint into `core.dvc.checkpoints`,
   // and the store observes each image write into `storage.store.write_s`
   // (the per-checkpoint cost is dominated by streaming kRanks guests
   // through the contended shared store).
-  const telemetry::MetricsRegistry& m = sc.room.metrics;
-  out.makespan_s = sc.application->stats().makespan_s;
+  const telemetry::MetricsRegistry& m = room.metrics;
+  out.makespan_s = rig.application->stats().makespan_s;
   out.checkpoints = static_cast<int>(m.counter_value("core.dvc.checkpoints"));
   if (out.checkpoints > 0) {
     if (const auto* w = m.find_histogram("storage.store.write_s")) {
@@ -60,17 +54,18 @@ RunResult run(std::uint64_t n, sim::Duration interval, std::uint64_t seed) {
 
   // One whole-cluster restore from the last checkpoint; the manager times
   // it into the `core.dvc.restore_s` histogram.
-  if (interval > 0 && sc.vc->has_checkpoint()) {
+  if (interval > 0 && rig.vc->has_checkpoint()) {
     std::optional<bool> restored;
-    sc.room.dvc->restore_vc(*sc.vc, sc.vc->placements(),
-                            [&](bool ok) { restored = ok; });
-    while (!restored.has_value()) {
-      sc.room.sim.run_until(sc.room.sim.now() + sim::kSecond);
-    }
+    room.dvc->restore_vc(*rig.vc, rig.vc->placements(),
+                         [&](bool ok) { restored = ok; });
+    while (!restored) room.sim.run_until(room.sim.now() + sim::kSecond);
     if (const auto* r = m.find_histogram("core.dvc.restore_s")) {
       out.restore_s = r->summary().mean();
     }
   }
+  tools::check_trial(*rig.inv, "tab4_ckpt_overhead",
+                     "hpl n=" + std::to_string(n) + ", interval " +
+                         std::to_string(interval / sim::kSecond) + " s");
   return out;
 }
 

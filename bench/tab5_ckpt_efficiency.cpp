@@ -68,17 +68,17 @@ int main(int argc, char** argv) {
   // 26-VM cluster running HPL, and read the per-method sizes out of the
   // live guest's process table (the §2 accounting, measured).
   {
-    VcScenario sc(paper_substrate(32, 77), guest.ram_bytes,
-                  steady_hpl(26, 100000, 0.5));
-    ckpt::NtpLscCoordinator lsc(sc.room.sim, {}, sim::Rng(77));
+    tools::CellSpec spec = vc_cell(paper_substrate(32, 77), guest.ram_bytes,
+                                   steady_hpl(26, 100000, 0.5));
+    spec.lsc_seed = 77;
+    tools::CellRig rig(spec);
+    core::MachineRoom& room = rig.room;
     std::optional<ckpt::LscResult> result;
-    sc.room.sim.schedule_after(2 * sim::kSecond, [&] {
-      sc.room.dvc->checkpoint_vc(*sc.vc, lsc,
-                                 [&](ckpt::LscResult r) { result = r; });
+    room.sim.schedule_after(2 * sim::kSecond, [&] {
+      room.dvc->checkpoint_vc(*rig.vc, *rig.lsc,
+                              [&](ckpt::LscResult r) { result = r; });
     });
-    while (!result.has_value()) {
-      sc.room.sim.run_until(sc.room.sim.now() + sim::kSecond);
-    }
+    while (!result) room.sim.run_until(room.sim.now() + sim::kSecond);
     const double measured = sim::to_seconds(result->total_time);
     const double modelled =
         26.0 * static_cast<double>(guest.ram_bytes) / kStoreBps;
@@ -86,18 +86,19 @@ int main(int argc, char** argv) {
                 "(model: %.1f s)\n", measured, modelled);
 
     // Per-rank checkpoint content measured from the guest process table.
-    const vm::GuestOs& os = sc.vc->machine(0).os();
-    const vm::Pid pid = sc.application->rank(0).guest_pid();
+    const vm::GuestOs& os = rig.vc->machine(0).os();
+    const vm::Pid pid = rig.application->rank(0).guest_pid();
     std::printf("\nrank 0 checkpoint content, measured in-guest:\n");
     TextTable measured_table({"method", "bytes/rank (measured)"});
     for (const ckpt::MethodKind kind : ckpt::kAllMethods) {
       const ckpt::Footprint fp = ckpt::measured_footprint(
-          kind, sc.application->spec(), sc.vc->spec().guest, os, pid);
+          kind, rig.application->spec(), rig.vc->spec().guest, os, pid);
       measured_table.add_row(
           {std::string(ckpt::profile(kind).name),
            fmt_bytes(static_cast<double>(fp.bytes))});
     }
     measured_table.print("T5b  live guest-OS accounting (rank 0)");
+    tools::check_trial(*rig.inv, "tab5_ckpt_efficiency", "measured save");
   }
 
   return 0;

@@ -6,7 +6,6 @@
 // and compare what the application's own clock reports against the truth.
 
 #include <cstdio>
-#include <optional>
 
 #include "bench_util.hpp"
 #include "scenario.hpp"
@@ -25,30 +24,24 @@ struct Outcome {
 
 Outcome run(bool virtualize_time) {
   const std::uint32_t ranks = 8;
-  core::MachineRoomOptions opt = paper_substrate(ranks, 55);
-  core::MachineRoom room(opt);
-  core::VcSpec spec;
-  spec.size = ranks;
-  spec.guest.ram_bytes = 1ull << 30;
-  spec.guest.virtualize_time = virtualize_time;
-  core::VirtualCluster& vc =
-      room.dvc->create_vc(spec, *room.dvc->pick_nodes(ranks), {});
-  room.sim.run_until(20 * sim::kSecond);
-
   // HPL sized for ~90 s of real compute.
-  app::ParallelApp application(room.sim, room.fabric.network(),
-                               vc.contexts(), app::make_hpl(32768, ranks));
-  room.dvc->attach_app(vc, application);
-  application.start();
-
-  ckpt::NtpLscCoordinator lsc(room.sim, {}, sim::Rng(55));
+  tools::CellSpec spec = vc_cell(paper_substrate(ranks, 55),
+                                 /*guest_ram=*/1ull << 30,
+                                 app::make_hpl(32768, ranks));
+  spec.vc.guest.virtualize_time = virtualize_time;
+  spec.lsc_seed = 55;
+  tools::CellRig rig(spec);
+  core::MachineRoom& room = rig.room;
+  core::VirtualCluster& vc = *rig.vc;
   room.sim.schedule_after(30 * sim::kSecond, [&] {
-    room.dvc->checkpoint_vc(vc, lsc, {});
+    room.dvc->checkpoint_vc(vc, *rig.lsc, {});
   });
   room.sim.run();
+  tools::check_trial(*rig.inv, "tab6_walltime_jump",
+                     virtualize_time ? "virtualised time" : "host time");
 
   Outcome out;
-  const app::JobStats st = application.stats();
+  const app::JobStats st = rig.application->stats();
   out.true_makespan_s = st.makespan_s;
   out.reported_s = st.reported_elapsed_s;
   out.reported_gflops = st.reported_gflops;

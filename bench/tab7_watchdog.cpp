@@ -13,8 +13,6 @@
 #include <string>
 
 #include "bench_util.hpp"
-#include "fault/fault_injector.hpp"
-#include "fault/fault_plan.hpp"
 #include "scenario.hpp"
 
 namespace {
@@ -33,45 +31,29 @@ struct Outcome {
 Outcome run(sim::Duration watchdog_period, int cycles,
             double disk_slow_factor = 0.0) {
   const std::uint32_t ranks = 4;
-  core::MachineRoomOptions opt = paper_substrate(ranks, 66);
-  core::MachineRoom room(opt);
-  // Optional injected disk slowdown: a degraded store stretches each save,
-  // so freezes — and watchdog reports — grow.
-  std::optional<fault::FaultInjector> injector;
+  tools::CellSpec spec = vc_cell(paper_substrate(ranks, 66),
+                                 /*guest_ram=*/1ull << 30,
+                                 steady_ptrans(ranks, 100000));
+  spec.vc.guest.watchdog_period = watchdog_period;
+  spec.lsc_seed = 66;
+  // Optional injected disk slowdown from the job's start: a degraded store
+  // stretches each save, so freezes — and watchdog reports — grow.
   if (disk_slow_factor > 1.0) {
-    fault::FaultPlan plan;
     fault::FaultEvent slow;
     slow.kind = fault::FaultKind::kDiskSlow;
-    slow.at = 0;
     slow.factor = disk_slow_factor;
     slow.down_for = 100000 * sim::kSecond;  // outlasts every cycle
-    plan.add(slow);
-    injector.emplace(room.sim,
-                     fault::FaultInjector::Hooks{&room.fabric, &room.store,
-                                                 room.time.get(), {}, {}},
-                     &room.metrics);
-    injector->arm(plan);
+    spec.faults.emplace().add(slow);
   }
-  core::VcSpec spec;
-  spec.size = ranks;
-  spec.guest.ram_bytes = 1ull << 30;
-  spec.guest.watchdog_period = watchdog_period;
-  core::VirtualCluster& vc =
-      room.dvc->create_vc(spec, *room.dvc->pick_nodes(ranks), {});
-  room.sim.run_until(20 * sim::kSecond);
-  app::ParallelApp application(room.sim, room.fabric.network(),
-                               vc.contexts(), steady_ptrans(ranks, 100000));
-  room.dvc->attach_app(vc, application);
-  application.start();
+  tools::CellRig rig(spec);
+  core::MachineRoom& room = rig.room;
+  core::VirtualCluster& vc = *rig.vc;
 
-  ckpt::NtpLscCoordinator lsc(room.sim, {}, sim::Rng(66));
   for (int cycle = 0; cycle < cycles; ++cycle) {
     std::optional<ckpt::LscResult> result;
-    room.dvc->checkpoint_vc(vc, lsc,
+    room.dvc->checkpoint_vc(vc, *rig.lsc,
                             [&](ckpt::LscResult r) { result = r; });
-    while (!result.has_value()) {
-      room.sim.run_until(room.sim.now() + sim::kSecond);
-    }
+    while (!result) room.sim.run_until(room.sim.now() + sim::kSecond);
     room.sim.run_until(room.sim.now() + 10 * sim::kSecond);
   }
 
@@ -86,7 +68,11 @@ Outcome run(sim::Duration watchdog_period, int cycles,
   out.timeouts_per_vm = timeouts / ranks;
   out.kernel_msgs_per_vm = msgs / ranks;
   out.freeze_s = sim::to_seconds(vc.machine(0).total_frozen()) / cycles;
-  out.app_alive = !application.failed();
+  out.app_alive = !rig.application->failed();
+  tools::check_trial(*rig.inv, "tab7_watchdog",
+                     std::to_string(watchdog_period / sim::kSecond) +
+                         " s watchdog, disk slowdown " +
+                         fmt(disk_slow_factor, 0) + "x");
   return out;
 }
 

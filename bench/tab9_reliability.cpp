@@ -11,13 +11,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <memory>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "fault/fault_injector.hpp"
-#include "fault/fault_plan.hpp"
 #include "scenario.hpp"
 
 namespace {
@@ -25,19 +24,14 @@ namespace {
 using namespace dvc;          // NOLINT
 using namespace dvc::bench;   // NOLINT
 
+constexpr const char* kProgram = "tab9_reliability";
 constexpr std::uint32_t kRanks = 26;
 constexpr std::uint32_t kIterations = 2000;   // x 0.5 s = 1000 s useful
 constexpr double kIterSeconds = 0.5;
 constexpr sim::Duration kMtbfPerNode = 20000 * sim::kSecond;
 constexpr sim::Duration kRepairTime = 1800 * sim::kSecond;
 constexpr sim::Duration kHorizon = 40000 * sim::kSecond;
-
-core::MachineRoomOptions room_options(std::uint64_t seed) {
-  core::MachineRoomOptions o = paper_substrate(32, seed);
-  o.store.write_bps = 200e6;
-  o.store.read_bps = 400e6;
-  return o;
-}
+constexpr double kStoreBps = 200e6;
 
 struct Outcome {
   bool completed = false;
@@ -55,18 +49,15 @@ struct Outcome {
   std::uint64_t partitions = 0;       // network partitions injected
 };
 
-void arm_repairs(core::MachineRoom& room) {
+/// Baseline: no checkpointing. When the application dies, everything is
+/// torn down and the job restarts from iteration zero on healthy nodes.
+Outcome run_restart_from_scratch(std::uint64_t seed) {
+  core::MachineRoom room(paper_substrate(32, seed, kStoreBps));
+  const tools::CheckerPtr inv = tools::attach_checker(room);
   room.fabric.subscribe_failures([&room](hw::NodeId n) {
     room.sim.schedule_after(kRepairTime,
                             [&room, n] { room.fabric.repair_node(n); });
   });
-}
-
-/// Baseline: no checkpointing. When the application dies, everything is
-/// torn down and the job restarts from iteration zero on healthy nodes.
-Outcome run_restart_from_scratch(std::uint64_t seed) {
-  core::MachineRoom room(room_options(seed));
-  arm_repairs(room);
   room.fabric.arm_random_failures(kMtbfPerNode);
 
   Outcome out;
@@ -113,6 +104,7 @@ Outcome run_restart_from_scratch(std::uint64_t seed) {
     room.dvc->destroy_vc(vc);
     application.reset();
   }
+  tools::check_trial(*inv, kProgram, "restart from scratch");
   out.failures = room.fabric.failures_injected();
   // Useful compute per rank at guest speed (the para-virt tax stretches
   // each nominal iteration second by ~3%).
@@ -121,66 +113,55 @@ Outcome run_restart_from_scratch(std::uint64_t seed) {
   return out;
 }
 
-/// DVC: periodic NTP-LSC checkpoints + automatic whole-VC recovery. With
-/// `inject_faults`, a seeded fault schedule layers disk slowdowns, clock
-/// steps and extra reboot-style crashes on top of the baseline failure
-/// process. `storage_faults` swaps in the durability gauntlet (silent
-/// corruption + torn writes against the checkpoint store); `replicas` adds
-/// k-1 asynchronous store replicas.
-Outcome run_dvc(sim::Duration interval, std::uint64_t seed,
-                bool inject_faults = false, bool storage_faults = false,
-                std::uint32_t replicas = 0, bool control_faults = false) {
-  core::MachineRoomOptions opt = room_options(seed);
-  opt.store_replicas = replicas;
-  if (control_faults) {
+/// One row of the table: a recovery policy and the faults it runs under.
+struct Row {
+  std::string policy;
+  /// Checkpoint interval; 0 runs the restart-from-scratch baseline.
+  sim::Duration interval = 0;
+  /// Layers a seeded fault schedule on the baseline failure process: disk
+  /// slowdowns, clock steps and extra reboot-style crashes.
+  bool inject_faults = false;
+  /// Swaps in the durability gauntlet (silent corruption + torn writes
+  /// against the checkpoint store).
+  bool storage_faults = false;
+  std::uint32_t replicas = 0;  ///< k-1 asynchronous store replicas
+  /// Adds inter-cluster partitions and coordinator outages.
+  bool control_faults = false;
+};
+
+/// DVC: periodic NTP-LSC checkpoints + automatic whole-VC recovery.
+Outcome run_dvc(const Row& row, std::uint64_t seed) {
+  core::MachineRoomOptions opt = paper_substrate(32, seed, kStoreBps);
+  opt.store_replicas = row.replicas;
+  if (row.control_faults) {
     // Same 32 nodes, split across two clusters so a partition has a seam
     // to cut; the VC spans the seam.
     opt.clusters = 2;
     opt.nodes_per_cluster = 16;
   }
-  core::MachineRoom room(opt);
-  arm_repairs(room);
-
-  core::VcSpec spec;
-  spec.size = kRanks;
-  spec.guest.ram_bytes = 128ull << 20;
-  core::VirtualCluster& vc =
-      room.dvc->create_vc(spec, *room.dvc->pick_nodes(kRanks), {});
-  room.sim.run_until(20 * sim::kSecond);
-  app::ParallelApp application(room.sim, room.fabric.network(),
-                               vc.contexts(),
-                               steady_ptrans(kRanks, kIterations,
-                                             kIterSeconds));
-  room.dvc->attach_app(vc, application);
-  application.start();
-
-  ckpt::NtpLscCoordinator lsc(room.sim, {}, sim::Rng(seed ^ 0xD5));
-  core::DvcManager::RecoveryPolicy policy;
-  policy.coordinator = &lsc;
-  policy.interval = interval;
-  if (control_faults) {
+  tools::CellSpec spec =
+      vc_cell(opt, /*guest_ram=*/128ull << 20,
+              steady_ptrans(kRanks, kIterations, kIterSeconds));
+  spec.lsc_seed = seed ^ 0xD5;
+  spec.recovery.interval = row.interval;
+  if (row.control_faults) {
     // Partitions outlasting the transport retry budget kill the app
     // without killing hardware; only the watchdog notices that.
-    policy.watchdog_interval = 60 * sim::kSecond;
-  }
-  room.dvc->enable_auto_recovery(vc, policy);
-  if (control_faults) {
+    spec.recovery.watchdog_interval = 60 * sim::kSecond;
     // Node 31 is a spare (the 26 ranks occupy nodes 0..25), so the
     // coordinator's own host survives the job-facing failure process.
-    room.dvc->designate_head_node(31);
+    spec.head_node = 31;
   }
-
-  // Failures start after the policy is armed (same failure process as the
+  // Failures start once the policy is armed (same failure process as the
   // baseline; the baseline just cannot do anything about them).
-  room.fabric.arm_random_failures(kMtbfPerNode);
+  spec.failures = {.mtbf = kMtbfPerNode, .repair = kRepairTime};
 
-  std::optional<fault::FaultInjector> injector;  // outlives the run loop
-  if (inject_faults) {
+  if (row.inject_faults) {
     fault::StochasticFaults st;
     st.horizon = 20000 * sim::kSecond;
     st.node_crash_mtbf = 10000 * sim::kSecond;
     st.node_down_for = 600 * sim::kSecond;
-    if (storage_faults) {
+    if (row.storage_faults) {
       // Durability gauntlet: the checkpoint store rots and tears while
       // the node-failure process keeps forcing restores that read it.
       st.store_corrupt_mtbf = 1500 * sim::kSecond;
@@ -192,7 +173,7 @@ Outcome run_dvc(sim::Duration interval, std::uint64_t seed,
       st.clock_step_mtbf = 3000 * sim::kSecond;
       st.clock_step_max = 400 * sim::kMillisecond;
     }
-    if (control_faults) {
+    if (row.control_faults) {
       // Control-plane gauntlet: inter-cluster partitions long enough to
       // exhaust the transport retry budget, plus coordinator outages.
       // Rates are against the ~1500-3000 s completion time, not the
@@ -202,32 +183,21 @@ Outcome run_dvc(sim::Duration interval, std::uint64_t seed,
       st.coordinator_crash_mtbf = 500 * sim::kSecond;
       st.coordinator_down_for = 60 * sim::kSecond;
     }
-    fault::FaultPlan plan;
-    plan.sample(st, static_cast<std::uint32_t>(room.fabric.node_count()),
-                /*cluster_count=*/control_faults ? 2u : 1u,
-                sim::Rng(seed ^ 0xFA17),
-                static_cast<std::uint32_t>(1 + room.replica_stores.size()));
-    fault::FaultInjector::Hooks hooks{&room.fabric, &room.store,
-                                      room.time.get(), room.replica_ptrs(),
-                                      {}};
-    if (control_faults) {
-      hooks.coordinator_crash = [&room](sim::Duration down_for) {
-        room.dvc->crash_coordinator(down_for);
-      };
-    }
-    injector.emplace(room.sim, hooks, &room.metrics);
-    injector->arm(plan);
+    spec.faults.emplace().sample(st, opt.clusters * opt.nodes_per_cluster,
+                                 opt.clusters, sim::Rng(seed ^ 0xFA17),
+                                 1 + opt.store_replicas);
   }
+  tools::CellRig rig(spec);
+  rig.start_recovery();
+  core::MachineRoom& room = rig.room;
+  const app::ParallelApp& application = *rig.application;
 
-  const sim::Time started = room.sim.now();
-  while (!application.completed() &&
-         room.sim.now() - started < kHorizon) {
-    room.sim.run_until(room.sim.now() + 5 * sim::kSecond);
-  }
+  const sim::Duration ran = run_job(rig, kHorizon);
+  tools::check_trial(*rig.inv, kProgram, row.policy);
 
   Outcome out;
   out.completed = application.completed();
-  out.completion_s = sim::to_seconds(room.sim.now() - started);
+  out.completion_s = sim::to_seconds(ran);
   out.failures = room.fabric.failures_injected();
   out.recoveries = room.dvc->recoveries_performed();
   out.ckpt_overhead = static_cast<double>(room.dvc->checkpoints_taken());
@@ -258,39 +228,41 @@ int main(int argc, char** argv) {
                    "restarts/recoveries", "ckpts", "wasted compute (s)"});
 
   const std::uint64_t kSeed = 4242;
-  const auto add = [&](const std::string& policy, const Outcome& o) {
-    table.add_row({policy, o.completed ? "yes" : "NO", fmt(o.completion_s, 0),
-                   std::to_string(o.failures), std::to_string(o.recoveries),
-                   fmt(o.ckpt_overhead, 0), fmt(o.wasted_compute_s, 0)});
+  const Row rows[] = {
+      {"restart from scratch"},
+      {"DVC ckpt every 600 s", 600 * sim::kSecond},
+      {"DVC ckpt every 300 s", 300 * sim::kSecond},
+      {"DVC ckpt every 120 s", 120 * sim::kSecond},
+      {"DVC ckpt every 120 s + injected faults", 120 * sim::kSecond,
+       /*inject_faults=*/true},
+      // Durability row: storage faults (silent corruption + torn writes)
+      // against a k=2 replicated checkpoint store. Replica failover masks
+      // most damage; generation fallback catches what slips through.
+      {"DVC ckpt 120 s + storage faults (k=2)", 120 * sim::kSecond, true,
+       /*storage_faults=*/true, /*replicas=*/1},
+      // Control-plane row: the coordinator itself crashes and the fabric
+      // partitions across the inter-cluster seam while the node-failure
+      // process keeps running. Epoch fencing keeps deposed writes out of
+      // the store and the recovery pass completes or aborts half-open
+      // rounds, so the job still finishes.
+      {"DVC ckpt 120 s + coordinator/partition faults", 120 * sim::kSecond,
+       true, /*storage_faults=*/false, /*replicas=*/0,
+       /*control_faults=*/true},
   };
-
-  add("restart from scratch", run_restart_from_scratch(kSeed));
-
-  const sim::Duration intervals[] = {600 * sim::kSecond, 300 * sim::kSecond,
-                                     120 * sim::kSecond};
-  for (const sim::Duration interval : intervals) {
-    add("DVC ckpt every " + std::to_string(interval / sim::kSecond) + " s",
-        run_dvc(interval, kSeed));
+  std::vector<Outcome> outcomes(std::size(rows));
+  tools::run_indexed(outcomes.size(), /*jobs=*/0, [&](std::size_t i) {
+    outcomes[i] = rows[i].interval > 0 ? run_dvc(rows[i], kSeed)
+                                       : run_restart_from_scratch(kSeed);
+  });
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const Outcome& o = outcomes[i];
+    table.add_row({rows[i].policy, o.completed ? "yes" : "NO",
+                   fmt(o.completion_s, 0), std::to_string(o.failures),
+                   std::to_string(o.recoveries), fmt(o.ckpt_overhead, 0),
+                   fmt(o.wasted_compute_s, 0)});
   }
-  add("DVC ckpt every 120 s + injected faults",
-      run_dvc(120 * sim::kSecond, kSeed, /*inject_faults=*/true));
-
-  // Durability row: storage faults (silent corruption + torn writes)
-  // against a k=2 replicated checkpoint store. Replica failover masks
-  // most damage; generation fallback catches what slips through.
-  const Outcome d = run_dvc(120 * sim::kSecond, kSeed, true,
-                            /*storage_faults=*/true, /*replicas=*/1);
-  add("DVC ckpt 120 s + storage faults (k=2)", d);
-
-  // Control-plane row: the coordinator itself crashes and the fabric
-  // partitions across the inter-cluster seam while the node-failure
-  // process keeps running. Epoch fencing keeps deposed writes out of
-  // the store and the recovery pass completes or aborts half-open
-  // rounds, so the job still finishes.
-  const Outcome c = run_dvc(120 * sim::kSecond, kSeed, true,
-                            /*storage_faults=*/false, /*replicas=*/0,
-                            /*control_faults=*/true);
-  add("DVC ckpt 120 s + coordinator/partition faults", c);
+  const Outcome& d = outcomes[5];
+  const Outcome& c = outcomes[6];
 
   table.print("T9  job completion under node failures");
   std::printf("    storage-fault run: %llu verify failures, %llu replica"

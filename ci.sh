@@ -61,8 +61,11 @@
 # to a ckpt16-shaped cell, counted by a replaced global operator new,
 # which also counts under --sanitize); `paper` holds the four slow paper
 # tables (tab2_ntp_lsc, tab9_reliability, abl1_jitter_sweep,
-# abl4_timeout_sweep), ~1 min of CPU in a release build; `soak` is the
-# fault-soak campaign. Plain `ctest` runs all three.
+# abl4_timeout_sweep), ~1 min of CPU in a release build, which they spread
+# over every hardware thread; `soak` is the fault-soak campaign. Plain
+# `ctest` runs all three. Every bench/ trial that builds a machine room
+# runs under check::Invariants: a violation exits the program 1, naming
+# the program and the trial, so its golden gate fails.
 #
 # All modes exit non-zero on any build or test failure.
 set -euo pipefail

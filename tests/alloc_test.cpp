@@ -196,7 +196,7 @@ double allocations_per_round(std::uint32_t members) {
       "iter_seconds = 1.0\n"
       "checkpoint_interval_s = 10\n"
       "keep_checkpoints = 3\n");
-  tools::CellRig rig(cfg);
+  tools::CellRig rig(tools::cell_spec(cfg));
   EXPECT_NE(rig.inv, nullptr) << "the checker must ride along";
   rig.start_recovery();
   sim::Simulation& sim = rig.room.sim;

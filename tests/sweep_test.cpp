@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <limits>
+#include <numeric>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -255,6 +258,59 @@ TEST(SweepHarnessTest, ReproCommandLineNamesTheCell) {
     EXPECT_EQ(out.repro,
               "dvcsweep --repro " + c.key + " scenarios/sweep_unit.scn");
   }
+}
+
+TEST(SweepHarnessTest, CheckerNeverChangesAnOutcome) {
+  // The checker only observes: with it off, every cell of sweep26's three
+  // fault mixes reaches the same outcome byte for byte. That is what lets
+  // every bench trial run checked without moving a golden.
+  std::ifstream file(DVC_SOURCE_DIR "/scenarios/sweep26.scn");
+  ASSERT_TRUE(file) << "cannot open scenarios/sweep26.scn";
+  std::ostringstream text;
+  text << file.rdbuf();
+  SweepGrid checked = SweepGrid::load("scenarios/sweep26.scn", text.str());
+  SweepGrid unchecked = SweepGrid::load(
+      "scenarios/sweep26.scn", text.str() + "check.invariants = off\n");
+  std::vector<std::uint64_t> seeds(20);
+  std::iota(seeds.begin(), seeds.end(), 1);
+  checked.set_seeds(seeds);
+  unchecked.set_seeds(seeds);
+
+  const SweepReport on = run_sweep(checked.cells(), 0, checked.name());
+  const SweepReport off = run_sweep(unchecked.cells(), 0, unchecked.name());
+  ASSERT_EQ(on.outcomes.size(), 60u);
+  EXPECT_EQ(on.invariant_violations, 0u);
+  for (std::size_t i = 0; i < on.outcomes.size(); ++i) {
+    EXPECT_EQ(on.outcomes[i].to_json(), off.outcomes[i].to_json());
+  }
+}
+
+TEST(RunIndexedTest, CallsEveryIndexOnce) {
+  for (const unsigned jobs : {0u, 1u, 3u, 16u}) {
+    std::vector<int> calls(37, 0);
+    run_indexed(calls.size(), jobs, [&](std::size_t i) { ++calls[i]; });
+    EXPECT_EQ(calls, std::vector<int>(37, 1)) << jobs << " jobs";
+  }
+  run_indexed(0, 4, [](std::size_t) { FAIL() << "no index to run"; });
+}
+
+TEST(CheckTrialDeathTest, AViolationExitsNamingProgramAndTrial) {
+  // A small booted rig of the kind the bench programs build.
+  CellSpec spec;
+  spec.room.nodes_per_cluster = 4;
+  spec.vc.size = 2;
+  spec.vc.guest.ram_bytes = 64ull << 20;
+  spec.workload = app::make_ptrans(1024, 2, 5);
+  CellRig rig(spec);
+  // Running -> provisioning is no lifecycle edge.
+  rig.inv->on_vc_transition(
+      rig.vc->id(), static_cast<std::uint8_t>(core::VcState::kRunning),
+      static_cast<std::uint8_t>(core::VcState::kProvisioning));
+  EXPECT_EXIT(check_trial(*rig.inv, "tab2_ntp_lsc", "ptrans/fast-iter #17"),
+              ::testing::ExitedWithCode(1),
+              "tab2_ntp_lsc: trial ptrans/fast-iter #17: 1 invariant "
+              "violation\\(s\\):\n.*vc-state-legal: .*running -> "
+              "provisioning");
 }
 
 }  // namespace

@@ -8,10 +8,11 @@
 // are also settable as scenario keys (metrics_json / chrome_trace); the
 // command line wins.
 //
-// A scenario file is `key = value` lines (# comments). tools::CellRig
-// (tools/sweep.cpp) assembles the simulation from it, the same one a
-// dvcsweep cell runs; this file only drives the experiment. Keep the list
-// below in step with scenario_keys() and the rig's defaults. Count keys
+// A scenario file is `key = value` lines (# comments). tools::cell_spec
+// (tools/sweep.cpp) reads it and tools::CellRig assembles the simulation,
+// the same one a dvcsweep cell runs; this file only drives the
+// experiment. Keep the list below in step with scenario_keys() and the
+// reader's defaults. Count keys
 // (sizes, iterations, replicas, retries) reject values their field cannot
 // hold. Keys:
 //
@@ -187,13 +188,14 @@ void print_summary(tools::CellRig& rig) {
   }
 }
 
-int run_reliability(tools::CellRig& rig) {
+int run_reliability(tools::CellRig& rig,
+                    const tools::ScenarioConfig& cfg) {
   rig.start_recovery();
 
   const sim::Time horizon = sim::from_seconds(
-      rig.cfg.get_double("horizon_s", sim::to_seconds(100 * sim::kHour)));
+      cfg.get_double("horizon_s", sim::to_seconds(100 * sim::kHour)));
   const sim::Duration slice =
-      sim::from_seconds(rig.cfg.get_double("slice_s", 10.0));
+      sim::from_seconds(cfg.get_double("slice_s", 10.0));
   while (!rig.application->completed() && rig.room.sim.now() < horizon) {
     if (rig.application->failed() ||
         rig.vc->state() == core::VcState::kFailed) {
@@ -201,7 +203,7 @@ int run_reliability(tools::CellRig& rig) {
     }
     rig.room.sim.run_until(rig.room.sim.now() + slice);
   }
-  const double settle_s = rig.cfg.get_double("settle_s", 0.0);
+  const double settle_s = cfg.get_double("settle_s", 0.0);
   if (settle_s > 0) {
     rig.room.sim.run_until(rig.room.sim.now() +
                           sim::from_seconds(settle_s));
@@ -251,9 +253,9 @@ int run_checkpoint(tools::CellRig& rig) {
   return (result->ok && restored && !rig.application->failed()) ? 0 : 1;
 }
 
-int run_migrate(tools::CellRig& rig) {
-  const double at_s = rig.cfg.get_double("migrate_at_s", 60.0);
-  const bool live = rig.cfg.get_bool("live", true);
+int run_migrate(tools::CellRig& rig, const tools::ScenarioConfig& cfg) {
+  const double at_s = cfg.get_double("migrate_at_s", 60.0);
+  const bool live = cfg.get_bool("live", true);
   const auto size = rig.vc->size();
   bool done = false;
   bool ok = false;
@@ -355,7 +357,7 @@ int main(int argc, char** argv) {
     if (trace_path.empty()) {
       trace_path = cfg.get_string("chrome_trace", "");
     }
-    tools::CellRig rig(cfg);
+    tools::CellRig rig(tools::cell_spec(cfg));
     if (rig.injector != nullptr) {
       std::printf("fault injector:  %zu events armed\n", rig.faults_armed);
     }
@@ -363,11 +365,11 @@ int main(int argc, char** argv) {
         cfg.get_string("experiment", "reliability");
     int status = 2;
     if (experiment == "reliability") {
-      status = run_reliability(rig);
+      status = run_reliability(rig, cfg);
     } else if (experiment == "checkpoint") {
       status = run_checkpoint(rig);
     } else if (experiment == "migrate") {
-      status = run_migrate(rig);
+      status = run_migrate(rig, cfg);
     } else {
       std::fprintf(stderr, "unknown experiment: %s\n", experiment.c_str());
       return 2;

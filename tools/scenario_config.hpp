@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <map>
 #include <optional>
 #include <set>
@@ -111,22 +110,10 @@ class ScenarioConfig final {
                                 "': not a boolean: " + v);
   }
 
-  /// Rejects keys outside the caller's vocabulary, so a typo in a
-  /// scenario file fails loudly instead of silently falling back to a
-  /// default. Throws listing the first offending key.
-  void validate_keys(std::initializer_list<const char*> known) const {
-    const std::set<std::string, std::less<>> allowed(known.begin(),
-                                                     known.end());
-    for (const auto& [key, value] : values_) {
-      if (!allowed.contains(key)) {
-        throw std::invalid_argument("scenario key '" + key +
-                                    "' is not recognised");
-      }
-    }
-  }
-
-  /// Container overload, for vocabularies assembled at runtime (the shared
-  /// list in scenario_keys.hpp).
+  /// Rejects keys outside the caller's vocabulary (the shared list in
+  /// scenario_keys.hpp), so a typo in a scenario file fails loudly instead
+  /// of silently falling back to a default. Throws listing the first
+  /// offending key.
   void validate_keys(const std::vector<const char*>& known) const {
     const std::set<std::string, std::less<>> allowed(known.begin(),
                                                      known.end());

@@ -4,13 +4,13 @@
 #include <atomic>
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "fault/fault_plan.hpp"
 #include "tools/scenario_keys.hpp"
 
 namespace dvc::tools {
@@ -296,8 +296,7 @@ app::WorkloadSpec workload_spec(const ScenarioConfig& cfg,
 /// whole schedule, so a grid can open the fault window after the first
 /// complete checkpoint instead of during boot.
 fault::FaultPlan fault_plan(const ScenarioConfig& cfg,
-                            const core::MachineRoom& room,
-                            std::uint64_t seed) {
+                            const core::MachineRoomOptions& room) {
   fault::FaultPlan plan;
   const std::string script = cfg.get_string("fault.script", "");
   if (!script.empty()) plan = fault::FaultPlan::parse_script(script);
@@ -322,11 +321,9 @@ fault::FaultPlan fault_plan(const ScenarioConfig& cfg,
   fs.coordinator_down_for = seconds(cfg, "fault.coordinator_down_s", 20.0);
   if (fs.horizon > 0) {
     const auto fault_seed = static_cast<std::uint64_t>(
-        cfg.get_int("fault.seed", static_cast<std::int64_t>(seed)));
-    plan.sample(fs, static_cast<std::uint32_t>(room.fabric.node_count()),
-                static_cast<std::uint32_t>(room.fabric.cluster_count()),
-                sim::Rng(fault_seed),
-                static_cast<std::uint32_t>(1 + room.replica_stores.size()));
+        cfg.get_int("fault.seed", static_cast<std::int64_t>(room.seed)));
+    plan.sample(fs, room.clusters * room.nodes_per_cluster, room.clusters,
+                sim::Rng(fault_seed), 1 + room.store_replicas);
   }
   const sim::Duration start = seconds(cfg, "fault.start_s", 0.0);
   if (start > 0) {
@@ -342,63 +339,111 @@ fault::FaultPlan fault_plan(const ScenarioConfig& cfg,
 
 }  // namespace
 
-CellRig::CellRig(const ScenarioConfig& config)
-    : cfg(config), room(room_options(config)) {
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
-  if (cfg.get_bool("trace", true)) {
-    room.trace.set_echo(true);
-    room.trace.set_min_level(sim::TraceLevel::kInfo);
-  }
-
-  const std::uint32_t vc_size = cfg.get_u32("vc_size", 16);
-  core::VcSpec spec;
-  spec.name = kVcName;
-  spec.size = vc_size;
-  spec.guest.ram_bytes = std::uint64_t{cfg.get_u32("guest_ram_mib", 256)}
+CellSpec cell_spec(const ScenarioConfig& cfg) {
+  CellSpec s;
+  s.room = room_options(cfg);
+  s.trace = cfg.get_bool("trace", true);
+  s.vc.name = kVcName;
+  s.vc.size = cfg.get_u32("vc_size", 16);
+  s.vc.guest.ram_bytes = std::uint64_t{cfg.get_u32("guest_ram_mib", 256)}
                          << 20;
-  const auto placement = room.dvc->pick_nodes(vc_size);
-  if (!placement) {
-    throw std::runtime_error("not enough nodes for vc_size=" +
-                             std::to_string(vc_size));
-  }
-  vc = &room.dvc->create_vc(spec, *placement, {});
   // Opt-in coordinator fault domain: the control plane runs on a head
   // node, journals intents, and fences its commands with an epoch.
   const std::int64_t head = cfg.get_int("coordinator.head_node", -1);
   if (head >= 0) {
-    room.dvc->designate_head_node(static_cast<hw::NodeId>(head),
-                                  seconds(cfg, "coordinator.lease_s", 10.0));
+    s.head_node = static_cast<hw::NodeId>(head);
+    s.head_lease = seconds(cfg, "coordinator.lease_s", 10.0);
+  }
+  s.workload = workload_spec(cfg, s.vc.size);
+
+  s.lsc_seed = s.room.seed ^ 0xD5C;
+  s.retry.round_timeout = seconds(cfg, "lsc.round_timeout_s", 0.0);
+  s.retry.max_round_retries = static_cast<int>(
+      cfg.get_u32("lsc.max_round_retries", 0, kMaxRetries));
+  s.retry.backoff = seconds(cfg, "lsc.retry_backoff_s", 2.0);
+
+  s.recovery.interval = seconds(cfg, "checkpoint_interval_s", 300.0);
+  s.recovery.incremental = cfg.get_bool("incremental", false);
+  s.recovery.proactive_migration = cfg.get_bool("proactive", false);
+  s.recovery.watchdog_interval = seconds(cfg, "watchdog_interval_s", 0.0);
+  s.recovery.keep_checkpoints = cfg.get_u32("keep_checkpoints", 2);
+  s.recovery.max_restore_retries = static_cast<int>(
+      cfg.get_u32("max_restore_retries", 4, kMaxRetries));
+  const double mtbf_s = cfg.get_double("mtbf_per_node_s", 0.0);
+  if (mtbf_s > 0.0) {
+    s.failures.mtbf = sim::from_seconds(mtbf_s);
+    s.failures.repair = seconds(cfg, "repair_s", 1800.0);
+    s.failures.predicted_fraction = cfg.get_double("predicted_fraction", 0.0);
+    s.failures.prediction_lead = seconds(cfg, "prediction_lead_s", 120.0);
+  }
+
+  // The invariant checker rides along by default; a scenario opts out
+  // with `check.invariants = off` (e.g. to time checker overhead).
+  s.check = cfg.get_bool("check.invariants", true);
+  if (cfg.get_bool("fault.enabled", false)) s.faults = fault_plan(cfg, s.room);
+  return s;
+}
+
+void DetachChecker::operator()(check::Invariants* inv) const {
+  inv->detach();
+  delete inv;
+}
+
+CheckerPtr attach_checker(core::MachineRoom& room) {
+  CheckerPtr inv(new check::Invariants(check::Invariants::Wiring{
+      &room.sim, room.dvc.get(), &room.images, &room.fence, &room.metrics}));
+  inv->attach();
+  return inv;
+}
+
+void check_trial(check::Invariants& inv, std::string_view program,
+                 std::string_view trial) {
+  inv.end_of_run(/*expect_quiesced=*/false);
+  if (inv.ok()) return;
+  std::fprintf(stderr, "%.*s: trial %.*s: %zu invariant violation(s):\n%s",
+               static_cast<int>(program.size()), program.data(),
+               static_cast<int>(trial.size()), trial.data(),
+               inv.violations().size(), inv.report().c_str());
+  // Other trials may still be running on the pool: leave without running
+  // static destructors under them.
+  std::fflush(stdout);
+  std::_Exit(1);
+}
+
+CellRig::CellRig(const CellSpec& spec)
+    : room(spec.room), recovery_(spec.recovery), failures_(spec.failures) {
+  if (spec.trace) {
+    room.trace.set_echo(true);
+    room.trace.set_min_level(sim::TraceLevel::kInfo);
+  }
+  const auto placement = room.dvc->pick_nodes(spec.vc.size);
+  if (!placement) {
+    throw std::runtime_error("not enough nodes for vc_size=" +
+                             std::to_string(spec.vc.size));
+  }
+  vc = &room.dvc->create_vc(spec.vc, *placement, {});
+  if (spec.head_node) {
+    room.dvc->designate_head_node(*spec.head_node, spec.head_lease);
   }
   room.sim.run_until(20 * sim::kSecond);
 
   application = std::make_unique<app::ParallelApp>(
-      room.sim, room.fabric.network(), vc->contexts(),
-      workload_spec(cfg, vc_size));
+      room.sim, room.fabric.network(), vc->contexts(), spec.workload,
+      spec.transport);
   room.dvc->attach_app(*vc, *application);
   application->start();
 
-  lsc = std::make_unique<ckpt::NtpLscCoordinator>(
-      room.sim, ckpt::NtpLscCoordinator::Config{}, sim::Rng(seed ^ 0xD5C));
+  lsc = std::make_unique<ckpt::NtpLscCoordinator>(room.sim, spec.lsc,
+                                                  sim::Rng(spec.lsc_seed));
   lsc->set_metrics(&room.metrics);
-  ckpt::LscCoordinator::RetryPolicy retry;
-  retry.round_timeout = seconds(cfg, "lsc.round_timeout_s", 0.0);
-  retry.max_round_retries = static_cast<int>(
-      cfg.get_u32("lsc.max_round_retries", 0, kMaxRetries));
-  retry.backoff = seconds(cfg, "lsc.retry_backoff_s", 2.0);
-  lsc->set_retry_policy(retry);
+  lsc->set_retry_policy(spec.retry);
 
-  // The invariant checker rides along by default; a scenario opts out
-  // with `check.invariants = off` (e.g. to time checker overhead).
-  if (cfg.get_bool("check.invariants", true)) {
-    inv = std::make_unique<check::Invariants>(check::Invariants::Wiring{
-        &room.sim, room.dvc.get(), &room.images, &room.fence,
-        &room.metrics});
-    inv->attach();
+  if (spec.check) {
+    inv = attach_checker(room);
     lsc->set_check(inv.get());
   }
 
-  if (cfg.get_bool("fault.enabled", false)) {
-    const fault::FaultPlan plan = fault_plan(cfg, room, seed);
+  if (spec.faults) {
     // A `coordcrash` event takes the DVC coordinator down for its payload
     // duration.
     injector = std::make_unique<fault::FaultInjector>(
@@ -409,36 +454,23 @@ CellRig::CellRig(const ScenarioConfig& config)
               room.dvc->crash_coordinator(down_for);
             }},
         &room.metrics);
-    injector->arm(plan);
-    faults_armed = plan.size();
+    injector->arm(*spec.faults);
+    faults_armed = spec.faults->size();
   }
 }
 
-CellRig::~CellRig() {
-  if (inv != nullptr) inv->detach();
-}
-
 void CellRig::start_recovery() {
-  core::DvcManager::RecoveryPolicy policy;
-  policy.coordinator = lsc.get();
-  policy.interval = seconds(cfg, "checkpoint_interval_s", 300.0);
-  policy.incremental = cfg.get_bool("incremental", false);
-  policy.proactive_migration = cfg.get_bool("proactive", false);
-  policy.watchdog_interval = seconds(cfg, "watchdog_interval_s", 0.0);
-  policy.keep_checkpoints = cfg.get_u32("keep_checkpoints", 2);
-  policy.max_restore_retries = static_cast<int>(
-      cfg.get_u32("max_restore_retries", 4, kMaxRetries));
-  room.dvc->enable_auto_recovery(*vc, policy);
+  recovery_.coordinator = lsc.get();
+  room.dvc->enable_auto_recovery(*vc, recovery_);
 
-  const double mtbf_s = cfg.get_double("mtbf_per_node_s", 0.0);
-  if (mtbf_s <= 0.0) return;
-  const sim::Duration repair = seconds(cfg, "repair_s", 1800.0);
-  room.fabric.subscribe_failures([this, repair](hw::NodeId n) {
+  if (failures_.mtbf <= 0) return;
+  room.fabric.subscribe_failures([this, repair = failures_.repair](
+                                     hw::NodeId n) {
     room.sim.schedule_after(repair, [this, n] { room.fabric.repair_node(n); });
   });
-  room.fabric.arm_random_failures(
-      sim::from_seconds(mtbf_s), cfg.get_double("predicted_fraction", 0.0),
-      seconds(cfg, "prediction_lead_s", 120.0));
+  room.fabric.arm_random_failures(failures_.mtbf,
+                                  failures_.predicted_fraction,
+                                  failures_.prediction_lead);
 }
 
 // ---- one cell ---------------------------------------------------------------
@@ -447,7 +479,7 @@ namespace {
 
 void run_cell_impl(const SweepCell& cell, CellOutcome& out) {
   const ScenarioConfig& cfg = cell.cfg;
-  CellRig rig(cfg);
+  CellRig rig(cell_spec(cfg));
   rig.start_recovery();
   core::MachineRoom& room = rig.room;
   core::VirtualCluster* vc = rig.vc;
@@ -601,37 +633,42 @@ std::string SweepReport::to_json() const {
   return j;
 }
 
-SweepReport run_sweep(const std::vector<SweepCell>& cells, unsigned jobs,
-                      const std::string& grid_name) {
+void run_indexed(std::size_t count, unsigned jobs,
+                 const std::function<void(std::size_t)>& task) {
   if (jobs == 0) {
     jobs = std::thread::hardware_concurrency();
     if (jobs == 0) jobs = 1;
   }
-  SweepReport report;
-  report.grid = grid_name;
-  report.outcomes.resize(cells.size());
-
-  // Work-stealing by atomic index into the pre-sorted cell list; each
-  // outcome lands at its cell's index, so the merged order (and therefore
-  // the aggregate bytes) is independent of scheduling.
   std::atomic<std::size_t> next{0};
   auto worker = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1);
-      if (i >= cells.size()) return;
-      report.outcomes[i] = run_cell(cells[i]);
+      if (i >= count) return;
+      task(i);
     }
   };
-  if (jobs == 1 || cells.size() <= 1) {
+  if (jobs == 1 || count <= 1) {
     worker();
-  } else {
-    std::vector<std::thread> pool;
-    const unsigned n =
-        std::min<unsigned>(jobs, static_cast<unsigned>(cells.size()));
-    pool.reserve(n);
-    for (unsigned i = 0; i < n; ++i) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
+    return;
   }
+  std::vector<std::thread> pool;
+  const unsigned n = static_cast<unsigned>(std::min<std::size_t>(jobs, count));
+  pool.reserve(n);
+  for (unsigned i = 0; i < n; ++i) pool.emplace_back(worker);
+  for (std::thread& t : pool) t.join();
+}
+
+SweepReport run_sweep(const std::vector<SweepCell>& cells, unsigned jobs,
+                      const std::string& grid_name) {
+  SweepReport report;
+  report.grid = grid_name;
+  report.outcomes.resize(cells.size());
+  // Each outcome lands at its cell's index in the pre-sorted cell list, so
+  // the merged order (and therefore the aggregate bytes) is independent of
+  // scheduling.
+  run_indexed(cells.size(), jobs, [&](std::size_t i) {
+    report.outcomes[i] = run_cell(cells[i]);
+  });
 
   for (const CellOutcome& o : report.outcomes) {
     switch (o.status) {

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -14,6 +15,7 @@
 #include "ckpt/lsc.hpp"
 #include "core/machine_room.hpp"
 #include "fault/fault_injector.hpp"
+#include "fault/fault_plan.hpp"
 #include "tools/scenario_config.hpp"
 
 namespace dvc::tools {
@@ -116,39 +118,94 @@ class SweepGrid final {
   std::vector<std::uint64_t> seeds_;
 };
 
-/// A scenario turned into a running cell: the one place that maps scenario
-/// keys to simulator objects, for dvcsim and run_cell alike, so a sweep
-/// cell replays in dvcsim as the same simulation. The constructor builds,
-/// in order: the machine room (echoing its trace when `trace` is true), the
-/// VC and its optional head node, the boot to 20 s, the workload's
-/// ParallelApp, the LSC coordinator with its retry policy, the invariant
-/// checker and the fault injector. Driving the simulation is the caller's
-/// job. Throws std::invalid_argument naming the key on a bad value, and
+/// Deletes a checker after detaching it from the room it watches.
+struct DetachChecker {
+  void operator()(check::Invariants* inv) const;
+};
+/// A check::Invariants attached to a machine room. It detaches itself when
+/// released, so it must go before the room does.
+using CheckerPtr = std::unique_ptr<check::Invariants, DetachChecker>;
+
+/// A checker wired to every subsystem of `room`, attached.
+[[nodiscard]] CheckerPtr attach_checker(core::MachineRoom& room);
+
+/// Closes one trial of a paper-table program: the checker's final sweep
+/// (`end_of_run(false)`: a table stops its room mid-job, so pending events
+/// are no leak), then, if any invariant broke during the trial, prints
+/// every violation naming `program` and `trial` to stderr and exits 1.
+void check_trial(check::Invariants& inv, std::string_view program,
+                 std::string_view trial);
+
+/// Everything a cell is built from, as plain values: the one input of
+/// `CellRig`. `cell_spec` fills it from scenario keys for dvcsim and
+/// run_cell; the paper-table programs in bench/ fill it in code.
+struct CellSpec {
+  core::MachineRoomOptions room;
+  /// The VC the rig provisions; `vc.size` nodes are picked for it.
+  core::VcSpec vc;
+  app::WorkloadSpec workload;
+  net::ReliableConfig transport;  ///< the workload's MPI-over-TCP model
+  /// Echo the machine room's event log at info level.
+  bool trace = false;
+  /// Runs the control plane on this node (journal, lease, epoch fence).
+  std::optional<hw::NodeId> head_node;
+  sim::Duration head_lease = 10 * sim::kSecond;
+  ckpt::NtpLscCoordinator::Config lsc;
+  std::uint64_t lsc_seed = 0;
+  ckpt::LscCoordinator::RetryPolicy retry;
+  /// What start_recovery() enables; `coordinator` is the rig's own.
+  core::DvcManager::RecoveryPolicy recovery;
+  /// Random node failures start_recovery() arms (none when mtbf is 0),
+  /// each node repaired `repair` after it fails.
+  struct NodeFailures {
+    sim::Duration mtbf = 0;
+    sim::Duration repair = 1800 * sim::kSecond;
+    double predicted_fraction = 0.0;
+    sim::Duration prediction_lead = 0;
+  } failures;
+  /// Attach check::Invariants to the room.
+  bool check = true;
+  /// Armed on a fault injector when present.
+  std::optional<fault::FaultPlan> faults;
+};
+
+/// The one reader of the scenario keys that shape a cell (all but those
+/// dvcsim and run_cell read for their own loops: experiment, horizon,
+/// slice, settle, migration, exports).
+/// Throws std::invalid_argument naming the key on a bad value.
+[[nodiscard]] CellSpec cell_spec(const ScenarioConfig& cfg);
+
+/// A spec turned into a running cell, for dvcsim, run_cell and the
+/// bench/ tables alike, so a sweep cell replays in dvcsim as the same
+/// simulation. The constructor builds, in order: the machine room
+/// (echoing its trace when `spec.trace`), the VC and its optional head
+/// node, the boot to 20 s, the workload's ParallelApp, the LSC
+/// coordinator with its retry policy, the invariant checker and the fault
+/// injector. Driving the simulation is the caller's job. Throws
 /// std::runtime_error when the VC does not fit the room.
 class CellRig final {
  public:
-  /// `cfg` must outlive the rig.
-  explicit CellRig(const ScenarioConfig& cfg);
-  ~CellRig();
+  explicit CellRig(const CellSpec& spec);
   CellRig(const CellRig&) = delete;
   CellRig& operator=(const CellRig&) = delete;
 
-  /// Enables auto-recovery from the policy keys (checkpoint_interval_s,
-  /// incremental, proactive, watchdog_interval_s, keep_checkpoints,
-  /// max_restore_retries), then arms random node failures when
-  /// mtbf_per_node_s > 0, each repaired after repair_s.
+  /// Enables the spec's auto-recovery policy, then arms its random node
+  /// failures, if any.
   void start_recovery();
 
-  const ScenarioConfig& cfg;
   core::MachineRoom room;
   core::VirtualCluster* vc = nullptr;
   std::unique_ptr<app::ParallelApp> application;
   std::unique_ptr<ckpt::NtpLscCoordinator> lsc;
-  /// Attached unless `check.invariants = off`; detached by the destructor.
-  std::unique_ptr<check::Invariants> inv;
-  /// Armed only when `fault.enabled`; `faults_armed` counts its events.
+  /// Attached when `spec.check`; detached before the room goes.
+  CheckerPtr inv;
+  /// Armed only when `spec.faults`; `faults_armed` counts its events.
   std::unique_ptr<fault::FaultInjector> injector;
   std::size_t faults_armed = 0;
+
+ private:
+  core::DvcManager::RecoveryPolicy recovery_;
+  CellSpec::NodeFailures failures_;
 };
 
 /// Runs one cell to its outcome: a silent dvcsim-reliability-style run
@@ -171,6 +228,13 @@ struct SweepReport {
   /// and nothing time- or thread-dependent is emitted.
   [[nodiscard]] std::string to_json() const;
 };
+
+/// Calls task(0) .. task(count - 1), each once, on `jobs` worker threads
+/// (0 = hardware concurrency), handing indices out in ascending order
+/// through one atomic counter. Keep results per index and merge them in
+/// index order, so nothing merged depends on the thread count.
+void run_indexed(std::size_t count, unsigned jobs,
+                 const std::function<void(std::size_t)>& task);
 
 /// Expands nothing and merges everything: runs `cells` across `jobs`
 /// worker threads (jobs = 0 → hardware concurrency) and returns the
