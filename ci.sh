@@ -6,7 +6,11 @@
 #                       may build its name with `+`) and VC state writes
 #                       (tools/lint_vc_state.py: nothing under src/ but
 #                       DvcManager::transition assigns a VirtualCluster's
-#                       state_), then configure
+#                       state_) and DvcManager's callbacks
+#                       (tools/lint_dvc_continuations.py: no lambda in
+#                       src/core/dvc_manager.cpp captures by reference;
+#                       a callback carries its VC's id and issuing epoch),
+#                       then configure
 #                       (warnings-as-errors), build, and run the full test
 #                       suite (every label); then configure and build (not
 #                       run) dvcbench from dvcbench/ into
@@ -203,6 +207,7 @@ sys.exit(0 if correct is True and failed == 0 else 1)
   "")
     python3 tools/lint_metric_names.py src
     python3 tools/lint_vc_state.py src
+    python3 tools/lint_dvc_continuations.py
     build_and_test build -DDVC_WERROR=ON
     cmake -B build/dvcbench-pkg -S dvcbench
     cmake --build build/dvcbench-pkg --target dvcbench -j "$JOBS"

@@ -21,7 +21,8 @@ RoundTracker::RoundTracker(sim::Simulation& sim, std::uint32_t id,
       id_(id),
       targets_(std::move(targets)),
       images_(&images),
-      set_(images.open_set(std::move(label), targets_.size(),
+      label_(std::move(label)),
+      set_(images.open_set(label_, targets_.size(),
                            targets_.empty() ? storage::kUnfencedEpoch
                                             : targets_.front().epoch)),
       done_(std::move(done)),
@@ -123,6 +124,11 @@ void RoundTracker::finish() {
   if (done_) done_(std::move(result_));
 }
 
+void RoundTracker::abort() {
+  images_->abort_set(set_);
+  telemetry::end_span(metrics_, round_span_, sim_->now());
+}
+
 // ---------------------------------------------------------------------------
 // LscCoordinator — the live-round table
 
@@ -165,6 +171,15 @@ void LscCoordinator::fire_member(MemberRef ref) {
         member_durable(ref, ok, std::move(state));
       });
   if (!issued) member_durable(ref, false, std::any{});
+}
+
+void LscCoordinator::abort(std::string_view label) {
+  std::erase_if(rounds_, [label](const std::unique_ptr<RoundTracker>& r) {
+    if (r->label() != label) return false;
+    r->abort();
+    return true;
+  });
+  abort_pending(label);
 }
 
 void LscCoordinator::member_durable(MemberRef ref, bool ok, std::any state) {
@@ -362,17 +377,12 @@ void NtpLscCoordinator::attempt(std::string label,
                            });
       return;
     }
-    sim_->schedule_after(
-        cfg_.lead_time - cfg_.health_check_lead,
-        [this, label = std::move(label), targets = std::move(targets),
-         &images, attempt_no, done = std::move(done),
-         resume_after_save]() mutable {
-          telemetry::count(metrics_, instruments_.health_check_retries);
-          telemetry::instant(metrics_, sim_->now(), "lsc",
-                             "health_check_retry");
-          attempt(std::move(label), std::move(targets), images,
-                  attempt_no + 1, std::move(done), resume_after_save);
-        });
+    const std::uint32_t id = next_deferred_++;
+    deferred_.push_back(Deferred{id, std::move(label), std::move(targets),
+                                 &images, attempt_no, std::move(done),
+                                 resume_after_save});
+    sim_->schedule_after(cfg_.lead_time - cfg_.health_check_lead,
+                         [this, id] { retry_deferred(id); });
     return;
   }
 
@@ -385,6 +395,23 @@ void NtpLscCoordinator::attempt(std::string label,
     // The agent's microsecond timer fires when *its* clock reads T.
     schedule_fire(clock.to_sim(t_local) + delay[i], round, i);
   }
+}
+
+void NtpLscCoordinator::retry_deferred(std::uint32_t id) {
+  const auto it = std::find_if(deferred_.begin(), deferred_.end(),
+                               [id](const Deferred& d) { return d.id == id; });
+  if (it == deferred_.end()) return;  // aborted
+  Deferred d = std::move(*it);
+  deferred_.erase(it);
+  telemetry::count(metrics_, instruments_.health_check_retries);
+  telemetry::instant(metrics_, sim_->now(), "lsc", "health_check_retry");
+  attempt(std::move(d.label), std::move(d.targets), *d.images,
+          d.attempt_no + 1, std::move(d.done), d.resume_after_save);
+}
+
+void NtpLscCoordinator::abort_pending(std::string_view label) {
+  std::erase_if(deferred_,
+                [label](const Deferred& d) { return d.label == label; });
 }
 
 }  // namespace dvc::ckpt

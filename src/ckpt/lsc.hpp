@@ -135,6 +135,13 @@ class LscCoordinator {
                   std::function<void(LscResult)> done,
                   bool resume_after_save = true, Retarget retarget = nullptr);
 
+  /// Ends every live round labelled `label` unreported: its set is
+  /// aborted, and its pending fires and save reports find nothing. A
+  /// whole-round retry still pending asks the caller's Retarget hook, which
+  /// must return nullopt once the targets are gone. For an owner tearing
+  /// the round's guests down (core::DvcManager::destroy_vc).
+  void abort(std::string_view label);
+
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// Attaches an optional metrics registry. Rounds appear as spans on the
@@ -170,6 +177,8 @@ class LscCoordinator {
                            int attempt_no, bool resume_after_save);
   /// Fires member `i` of `round` at `at`.
   void schedule_fire(sim::Time at, const RoundTracker& round, std::size_t i);
+  /// abort()'s hook for rounds an implementation holds before opening.
+  virtual void abort_pending(std::string_view /*label*/) {}
 
   telemetry::MetricsRegistry* metrics_ = nullptr;
   LscInstruments instruments_;
@@ -289,9 +298,25 @@ class NtpLscCoordinator final : public LscCoordinator {
   void attempt(std::string label, std::vector<SaveTarget> targets,
                storage::ImageManager& images, int attempt_no,
                std::function<void(LscResult)> done, bool resume_after_save);
+  void abort_pending(std::string_view label) override;
+  void retry_deferred(std::uint32_t id);
+
+  /// An attempt the health check deferred. Its retry event captures only
+  /// `(this, id)`, so abort() can drop it before it re-fires the targets.
+  struct Deferred {
+    std::uint32_t id = 0;
+    std::string label;
+    std::vector<SaveTarget> targets;
+    storage::ImageManager* images = nullptr;
+    int attempt_no = 0;
+    std::function<void(LscResult)> done;
+    bool resume_after_save = true;
+  };
 
   Config cfg_;
   sim::Rng rng_;
+  std::vector<Deferred> deferred_;
+  std::uint32_t next_deferred_ = 1;
 };
 
 /// Shared bookkeeping for one in-flight coordinated round: collects pause
@@ -323,15 +348,21 @@ class RoundTracker final {
   /// Seals the round's outcome and hands it to `done`.
   void finish();
 
+  /// Ends the round without reporting it: aborts its set and closes its
+  /// span (LscCoordinator::abort).
+  void abort();
+
   [[nodiscard]] const std::vector<SaveTarget>& targets() const noexcept {
     return targets_;
   }
+  [[nodiscard]] const std::string& label() const noexcept { return label_; }
 
  private:
   sim::Simulation* sim_;
   std::uint32_t id_;
   std::vector<SaveTarget> targets_;
   storage::ImageManager* images_;
+  std::string label_;
   storage::CheckpointSetId set_;
   std::function<void(LscResult)> done_;
   LscResult result_;

@@ -83,6 +83,16 @@ DvcManager::VcRuntime* DvcManager::runtime(VcId id) {
   return it == vcs_.end() ? nullptr : &it->second;
 }
 
+DvcManager::VcRuntime* DvcManager::resolve(Issued op, bool count) {
+  VcRuntime* rt = runtime(op.id);
+  if (rt != nullptr && coordinator_up_ && op.epoch == epoch_) return rt;
+  if (count) {
+    ++stale_completions_;
+    telemetry::count(metrics_, "core.dvc.stale_completions");
+  }
+  return nullptr;
+}
+
 void DvcManager::transition(VcRuntime& rt, VcState to) {
   const VcState from = rt.vc->state_;
   rt.vc->state_ = to;
@@ -118,32 +128,43 @@ VirtualCluster& DvcManager::create_vc(VcSpec spec,
   const std::uint32_t n = vc.size();
   for (std::uint32_t i = 0; i < n; ++i) {
     fleet_->on_node(vc.placement(i))
-        .boot_domain(vc.machine(i),
-                     [this, &rt, booted, n, lsn, cb = on_ready] {
-                       if (++*booted == n) {
-                         transition(rt, VcState::kRunning);
-                         close_intent(lsn);
-                         if (cb) cb();
-                       }
-                     });
+        .boot_domain(vc.machine(i), [this, id, booted, n, lsn,
+                                     cb = on_ready] {
+          VcRuntime* live = runtime(id);  // by id: see Issued
+          if (live == nullptr || ++*booted != n) return;
+          transition(*live, VcState::kRunning);
+          close_intent(lsn);
+          if (cb) cb();
+        });
   }
   return vc;
 }
 
 void DvcManager::destroy_vc(VirtualCluster& vc) {
-  for (std::uint32_t i = 0; i < vc.size(); ++i) {
-    if (vc.placement(i) != hw::kInvalidNode) {
-      fleet_->on_node(vc.placement(i)).destroy_domain(vc.machine(i));
-    }
+  // Out of the table first: every callback the teardown triggers, and
+  // every one still pending, resolves to nothing.
+  auto entry = vcs_.extract(vc.id());
+  if (entry.empty()) return;
+  if (ckpt::LscCoordinator* lsc = entry.mapped().round_owner) {
+    lsc->abort(vc.checkpoint_label());
   }
-  fabric_->release(hw::Holder::kVc, vc.placement_, vc.id());
+  // Ends each guest's in-flight boot, save and restore, on any node.
+  for (std::uint32_t i = 0; i < vc.size(); ++i) {
+    fleet_->destroy_domain(vc.machine(i));
+  }
+  // A live migration in flight also holds its targets: give back every
+  // node the VC holds.
+  std::vector<hw::NodeId> held;
+  for (hw::NodeId n = 0; n < fabric_->node_count(); ++n) {
+    if (fabric_->node(n).vc() == vc.id()) held.push_back(n);
+  }
+  fabric_->release(hw::Holder::kVc, held, vc.id());
   // Retire the VC's retained generations: shared sets are reclaimed the
   // moment their last reference drops, and the refcount table never
   // accumulates entries owned by dead VCs.
   for (const auto& g : vc.generations_) release_generation(g);
   vc.generations_.clear();
-  vcs_.erase(vc.id());  // destroys the VirtualCluster and its VMs
-}
+}  // `entry` frees the VirtualCluster and its VMs
 
 std::vector<const VirtualCluster*> DvcManager::live_vcs() const {
   std::vector<const VirtualCluster*> out;
@@ -200,39 +221,20 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
                                  });
   const auto span =
       telemetry::begin_span(metrics_, sim_->now(), "dvc", "checkpoint");
-  const VcId id = vc.id();
-  const std::uint64_t issued = epoch_;
+  const Issued op = issue(vc.id());
   const std::uint64_t lsn =
-      journal(IntentKind::kCheckpoint, id, vc.checkpoint_label());
-  // Retried rounds must not re-fire the targets captured above: the
-  // failure that sank the previous round may have relocated members, and
-  // a stale mapping pauses the survivors while the moved member runs on.
-  // Re-resolve from the live placement — or abandon the retry entirely
-  // while a member is dead or a recovery is rewinding the cluster.
-  auto retarget = [this, id, issued,
-                   incremental]() -> std::optional<
-                                      std::vector<ckpt::SaveTarget>> {
-    if (!coordinator_up_ || issued != epoch_) {
-      // The incarnation that started this round is gone; its retries die
-      // with it (the reboot's reconciliation owns the cluster now).
-      return std::nullopt;
-    }
-    VcRuntime* live = runtime(id);
-    if (live == nullptr || live->recovery_in_flight ||
-        live->vc->state_ == VcState::kRecovering) {
-      return std::nullopt;
-    }
-    if (any_member_lost(*live->vc)) {
-      return std::nullopt;  // still degraded; recovery owns this now
-    }
-    return save_targets(*live->vc, incremental);
-  };
+      journal(IntentKind::kCheckpoint, op.id, vc.checkpoint_label());
+  rt.round_owner = &lsc;
   lsc.checkpoint(
       vc.checkpoint_label(), std::move(targets), *images_,
-      [this, &rt, can_increment, span, issued, lsn,
+      [this, op, can_increment, span, lsn,
        cb = std::move(done)](ckpt::LscResult r) {
+        VcRuntime* live = runtime(op.id);
+        if (live == nullptr) return;
+        live->round_owner = nullptr;
         telemetry::end_span(metrics_, span, sim_->now());
-        if (stale_completion(issued)) {
+        live = resolve(op);
+        if (live == nullptr) {
           // The issuing coordinator died mid-round. Nobody may adopt the
           // result: the app snapshots it carries belong to an incarnation
           // whose view of the cluster is gone, and the recovery point must
@@ -243,12 +245,12 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
         close_intent(lsn);
         telemetry::count(metrics_,
                          r.ok ? checkpoints_c_ : checkpoint_failures_c_);
-        VirtualCluster& vc = *rt.vc;
+        VirtualCluster& vc = *live->vc;
         if (vc.state_ == VcState::kCheckpointing) {
-          transition(rt, VcState::kRunning);
+          transition(*live, VcState::kRunning);
         }
         if (r.ok) {
-          if (rt.app != nullptr && rt.app->failed()) {
+          if (live->app != nullptr && live->app->failed()) {
             // The set sealed around an application that had already
             // reported transport failure: its ranks may be wedged
             // mid-exchange with messages neither delivered nor pending
@@ -277,14 +279,32 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
           } else {
             vc.checkpoint_chain_ = {r.set};
           }
-          push_generation(rt);
+          push_generation(*live);
           if (check_ != nullptr) {
             check_->on_vc_boundary(check::Boundary::kRoundSeal, vc.id());
           }
         }
         if (cb) cb(std::move(r));
       },
-      /*resume_after_save=*/true, std::move(retarget));
+      /*resume_after_save=*/true,
+      [this, op, incremental] { return retarget(op, incremental); });
+}
+
+std::optional<std::vector<ckpt::SaveTarget>> DvcManager::retarget(
+    Issued op, bool incremental) {
+  // Retried rounds must not re-fire the targets the round started with:
+  // the failure that sank the previous round may have relocated members,
+  // and a stale mapping pauses the survivors while the moved member runs
+  // on. Re-resolve from the live placement, or abandon the retry: with
+  // the incarnation that started the round (the reboot's reconciliation
+  // owns the cluster now), and while a member is dead or a recovery is
+  // rewinding the cluster.
+  VcRuntime* rt = resolve(op, /*count=*/false);
+  if (rt == nullptr || rt->recovery_in_flight ||
+      rt->vc->state_ == VcState::kRecovering || any_member_lost(*rt->vc)) {
+    return std::nullopt;
+  }
+  return save_targets(*rt->vc, incremental);
 }
 
 void DvcManager::restore_vc(VirtualCluster& vc,
@@ -322,28 +342,44 @@ void DvcManager::restore_vc(VirtualCluster& vc,
   ++vc.instantiations_;
 
   const storage::CheckpointSetId set = vc.last_checkpoint_.set;
+  const Issued op = issue(vc.id());
   const std::uint64_t lsn =
-      journal(IntentKind::kRestore, vc.id(), vc.checkpoint_label());
+      journal(IntentKind::kRestore, op.id, vc.checkpoint_label());
   const auto span =
       telemetry::begin_span(metrics_, sim_->now(), "dvc", "restore");
   const sim::Time restore_begin = sim_->now();
   // The restore's one completion, whichever arm (member restores or chain
   // staging) ends it.
-  const auto finish = [this, &rt, span, restore_begin, lsn,
+  const auto finish = [this, op, span, restore_begin, lsn,
                        done = std::move(done)](bool ok) {
-    transition(rt, ok ? VcState::kRunning : VcState::kProvisioning);
-    close_intent(lsn);
+    VcRuntime* live = runtime(op.id);
+    if (live == nullptr) return;
     telemetry::end_span(metrics_, span, sim_->now());
+    live = resolve(op);
+    if (live == nullptr) {
+      // Issued by a dead or deposed incarnation: the guests are where the
+      // restore put them, but the VC's state is the reboot's
+      // reconciliation to decide.
+      return;
+    }
+    transition(*live, ok ? VcState::kRunning : VcState::kProvisioning);
+    close_intent(lsn);
     telemetry::count(metrics_,
                      ok ? "core.dvc.restores" : "core.dvc.restore_failures");
     telemetry::observe(metrics_, "core.dvc.restore_s",
                        sim::to_seconds(sim_->now() - restore_begin));
     if (check_ != nullptr) {
-      check_->on_vc_boundary(check::Boundary::kRestore, rt.vc->id());
+      check_->on_vc_boundary(check::Boundary::kRestore, op.id);
     }
     if (done) done(ok);
   };
-  const auto restore_members = [this, &vc, set, issued = epoch_, finish]() {
+  // The member restores continue a restore already issued (the ledger
+  // already names their nodes), so they resolve by id; the hypervisors'
+  // epoch fence is what turns away a deposed incarnation's.
+  const auto restore_members = [this, op, set, finish]() {
+    VcRuntime* live = runtime(op.id);
+    if (live == nullptr) return;
+    VirtualCluster& vc = *live->vc;
     auto remaining = std::make_shared<std::uint32_t>(vc.size());
     auto all_ok = std::make_shared<bool>(true);
     // Each member's restore reads its snapshot in place; holding the
@@ -356,7 +392,7 @@ void DvcManager::restore_vc(VirtualCluster& vc,
                             if (!ok) *all_ok = false;
                             if (--*remaining == 0) finish(*all_ok);
                           },
-                          issued);
+                          op.epoch);
     }
   };
 
@@ -393,15 +429,19 @@ void DvcManager::migrate_vc(VirtualCluster& vc, ckpt::LscCoordinator& lsc,
   if (refuse_failed(vc, done)) return;
   VcRuntime& rt = vcs_.at(vc.id());
   transition(rt, VcState::kMigrating);
-  const VcId id = vc.id();
-  const std::uint64_t issued = epoch_;
+  const Issued op = issue(vc.id());
   const std::uint64_t lsn =
-      journal(IntentKind::kMigrate, id, vc.checkpoint_label());
+      journal(IntentKind::kMigrate, op.id, vc.checkpoint_label());
+  rt.round_owner = &lsc;
   lsc.checkpoint(
       vc.checkpoint_label(), save_targets(vc), *images_,
-      [this, &rt, id, issued, lsn, placement = std::move(new_placement),
+      [this, op, lsn, placement = std::move(new_placement),
        cb = std::move(done)](ckpt::LscResult r) mutable {
-        if (stale_completion(issued)) {
+        VcRuntime* live = runtime(op.id);
+        if (live == nullptr) return;
+        live->round_owner = nullptr;
+        live = resolve(op);
+        if (live == nullptr) {
           // The coordinator that ordered the move died while the members
           // were saving. The held domains are reconciled (resumed in place
           // or recovered) by the reboot pass, not here.
@@ -409,33 +449,33 @@ void DvcManager::migrate_vc(VirtualCluster& vc, ckpt::LscCoordinator& lsc,
         }
         if (!r.ok) {
           close_intent(lsn);
-          transition(rt, VcState::kRunning);
+          transition(*live, VcState::kRunning);
           if (cb) cb(false);
           return;
         }
-        rt.vc->last_checkpoint_ = adopt_checkpoint(r, sim_->now());
+        live->vc->last_checkpoint_ = adopt_checkpoint(r, sim_->now());
         ++migrations_;
         telemetry::count(metrics_, "core.dvc.migrations");
-        restore_vc(*rt.vc, std::move(placement),
-                   [this, id, lsn, cb = std::move(cb)](bool ok) {
+        restore_vc(*live->vc, std::move(placement),
+                   [this, op, lsn, cb = std::move(cb)](bool ok) {
+                     VcRuntime* live = resolve(op);
+                     if (live == nullptr) return;
                      close_intent(lsn);
-                     if (!ok) {
+                     if (!ok && live->vc->has_checkpoint() &&
+                         !live->recovery_in_flight &&
+                         live->vc->state_ != VcState::kFailed) {
                        // The hold-save sealed but the restore side died
                        // (target node or store fault mid-stage). The
                        // members are frozen with a durable recovery point:
                        // roll the whole VC back from it rather than leave
                        // the cluster wedged between two placements.
-                       VcRuntime* live = runtime(id);
-                       if (live != nullptr && live->vc->has_checkpoint() &&
-                           !live->recovery_in_flight &&
-                           live->vc->state_ != VcState::kFailed) {
-                         recover(*live);
-                       }
+                       recover(*live);
                      }
                      if (cb) cb(ok);
                    });
       },
-      /*resume_after_save=*/false);
+      /*resume_after_save=*/false,
+      [this, op] { return retarget(op, /*incremental=*/false); });
 }
 
 void DvcManager::live_migrate_vc(
@@ -447,9 +487,9 @@ void DvcManager::live_migrate_vc(
   if (refuse_failed(vc, done)) return;
   VcRuntime& rt = vcs_.at(vc.id());
   transition(rt, VcState::kMigrating);
-  const VcId id = vc.id();
+  const Issued op = issue(vc.id());
   // Reserve the targets up front so nothing else lands on them mid-move.
-  fabric_->hold(hw::Holder::kVc, new_placement, id);
+  fabric_->hold(hw::Holder::kVc, new_placement, op.id);
 
   struct MoveState {
     LiveMigrationStats stats;
@@ -469,20 +509,23 @@ void DvcManager::live_migrate_vc(
 
   const double per_vm_bw = cfg.bandwidth_bps / vc.size();
 
-  auto finish_member = [this, ms, id, &rt](std::uint32_t /*member*/,
-                                           bool ok) {
+  auto finish_member = [this, ms, op](bool ok) {
     if (!ok) ms->any_failed = true;
     if (--ms->outstanding != 0) return;
+    VcRuntime* live = runtime(op.id);
+    if (live == nullptr) return;
     // A member whose move failed stayed on its source node: the ledger
     // follows where every member actually ended up.
-    fabric_->release(hw::Holder::kVc, ms->old_placement, id);
-    fabric_->release(hw::Holder::kVc, ms->new_placement, id);
-    fabric_->hold(hw::Holder::kVc, rt.vc->placement_, id);
+    fabric_->release(hw::Holder::kVc, ms->old_placement, op.id);
+    fabric_->release(hw::Holder::kVc, ms->new_placement, op.id);
+    fabric_->hold(hw::Holder::kVc, live->vc->placement_, op.id);
     ms->stats.ok = !ms->any_failed;
     ms->stats.total_time = sim_->now() - ms->started;
-    transition(rt, ms->any_failed && any_member_lost(*rt.vc)
-                       ? VcState::kProvisioning
-                       : VcState::kRunning);
+    live = resolve(op);
+    if (live == nullptr) return;
+    transition(*live, ms->any_failed && any_member_lost(*live->vc)
+                        ? VcState::kProvisioning
+                        : VcState::kRunning);
     if (ms->stats.ok) {
       ++live_migrations_;
       telemetry::count(metrics_, "core.dvc.live_migrations");
@@ -492,8 +535,10 @@ void DvcManager::live_migrate_vc(
     if (ms->done) ms->done(ms->stats);
   };
 
+  // Each member's moves look the VC up by id (they move guests, which is
+  // ground truth) and stop once it is destroyed.
+  const VcId id = op.id;
   for (std::uint32_t i = 0; i < vc.size(); ++i) {
-    vm::VirtualMachine& m = vc.machine(i);
     const hw::NodeId src = vc.placement(i);
     const hw::NodeId dst = new_placement[i];
     // Iterative pre-copy: stream the whole guest while it runs, then
@@ -502,12 +547,15 @@ void DvcManager::live_migrate_vc(
     // The round refers to itself weakly; its pending event owns it, so
     // it is freed after the last round.
     auto round = std::make_shared<std::function<void(double, int)>>();
-    *round = [this, ms, &vc, &m, i, src, dst, per_vm_bw, cfg, finish_member,
+    *round = [this, ms, id, i, src, dst, per_vm_bw, cfg, finish_member,
               self = std::weak_ptr<std::function<void(double, int)>>(round)](
                  double residual, int round_no) {
+      VcRuntime* live = runtime(id);
+      if (live == nullptr) return;
+      vm::VirtualMachine& m = live->vc->machine(i);
       if (m.state() == vm::DomainState::kDead ||
           fabric_->node(dst).failed()) {
-        finish_member(i, false);
+        finish_member(false);
         return;
       }
       const double dirty = m.config().dirty_rate_bps;
@@ -531,24 +579,27 @@ void DvcManager::live_migrate_vc(
       const sim::Duration downtime =
           sim::from_seconds(residual / per_vm_bw) +
           fleet_->on_node(dst).config().restore_overhead;
-      sim_->schedule_after(downtime, [this, ms, &vc, &m, i, src, dst,
-                                      downtime, finish_member] {
+      sim_->schedule_after(downtime, [this, ms, id, i, src, dst, downtime,
+                                      finish_member] {
+        VcRuntime* live = runtime(id);
+        if (live == nullptr) return;
+        vm::VirtualMachine& m = live->vc->machine(i);
         if (m.state() == vm::DomainState::kDead ||
             fabric_->node(dst).failed()) {
           // The copy never landed: the guest carries on at its source.
           fleet_->on_node(src).resume_domain(m);
-          finish_member(i, false);
+          finish_member(false);
           return;
         }
         fleet_->on_node(src).evict(m);
         fleet_->on_node(dst).adopt(m);
-        vc.placement_[i] = dst;
+        live->vc->placement_[i] = dst;
         m.resume();
         ms->stats.max_downtime = std::max(ms->stats.max_downtime, downtime);
-        finish_member(i, true);
+        finish_member(true);
       });
     };
-    (*round)(static_cast<double>(m.config().ram_bytes), 0);
+    (*round)(static_cast<double>(vc.machine(i).config().ram_bytes), 0);
   }
 }
 
@@ -604,11 +655,10 @@ void DvcManager::start_policy_checkpoint(VcRuntime& rt, bool first) {
   const bool incremental =
       !first && rt.policy->incremental &&
       (++rt.ckpt_round % std::max(rt.policy->full_every, 1)) != 0;
-  const VcId id = rt.vc->id();
   checkpoint_vc(
       *rt.vc, *rt.policy->coordinator,
-      [this, id](const ckpt::LscResult&) {
-        if (VcRuntime* live = runtime(id)) live->checkpoint_in_flight = false;
+      [this, op = issue(rt.vc->id())](const ckpt::LscResult&) {
+        if (VcRuntime* live = resolve(op)) live->checkpoint_in_flight = false;
       },
       incremental);
 }
@@ -705,8 +755,8 @@ void DvcManager::on_failure_prediction(hw::NodeId node,
 
   rt->recovery_in_flight = true;
   migrate_vc(vc, *rt->policy->coordinator, std::move(placement),
-             [this, id](bool ok) {
-               VcRuntime* live = runtime(id);
+             [this, op = issue(id)](bool ok) {
+               VcRuntime* live = resolve(op);
                if (live == nullptr) return;
                if (!ok) {
                  // The fault struck mid-evacuation: fall back to reactive
@@ -719,19 +769,13 @@ void DvcManager::on_failure_prediction(hw::NodeId node,
                ++evacuations_;
                telemetry::count(metrics_, "core.dvc.evacuations");
                sim::trace(trace_, sim_->now(), sim::TraceLevel::kInfo, "dvc",
-                          "vc#" + std::to_string(id) +
+                          "vc#" + std::to_string(op.id) +
                               " evacuated ahead of the fault");
              });
 }
 
 void DvcManager::recover(VcRuntime& rt) {
   rt.recovery_in_flight = true;
-  if (!coordinator_up_) {
-    // A retry landed while the control plane was down. Leave
-    // recovery_in_flight set: the reboot's reconciliation pass clears it
-    // and re-issues the recovery under the new epoch.
-    return;
-  }
   VirtualCluster& vc = *rt.vc;
   const bool relocate_all = rt.policy && rt.policy->relocate_all;
 
@@ -752,23 +796,9 @@ void DvcManager::recover(VcRuntime& rt) {
     // When relocating everything, prefer nodes outside the current mapping
     // ("restart ... on a different set of physical nodes"), falling back
     // to reuse only if fresh nodes are scarce.
-    // The pool stays in flat node-id order rather than packing by cluster.
-    const auto build_pool = [&](bool avoid_current) {
-      const auto in = [](const std::vector<hw::NodeId>& v, hw::NodeId n) {
-        return std::find(v.begin(), v.end(), n) != v.end();
-      };
-      std::vector<hw::NodeId> pool;
-      for (hw::NodeId n = 0; n < fabric_->node_count(); ++n) {
-        if (node_free(n, vc.id()) && !in(placement, n) &&
-            !(avoid_current && in(vc.placement_, n))) {
-          pool.push_back(n);
-        }
-      }
-      return pool;
-    };
-    std::vector<hw::NodeId> pool = build_pool(relocate_all);
+    std::vector<hw::NodeId> pool = free_pool(vc, placement, relocate_all);
     if (relocate_all && pool.size() < needs_new.size()) {
-      pool = build_pool(false);
+      pool = free_pool(vc, placement, false);
     }
     if (pool.size() < needs_new.size()) {
       // Not enough spares right now; retry later (a repair or another VC's
@@ -781,17 +811,11 @@ void DvcManager::recover(VcRuntime& rt) {
     }
   }
 
-  const VcId id = vc.id();
-  restore_vc(vc, std::move(placement), [this, id,
-                                        issued = epoch_](bool ok) {
-    if (stale_completion(issued)) {
-      // The recovering incarnation died mid-restore; the new one owns the
-      // cluster and will re-derive what recovery (if any) is still needed.
-      return;
-    }
-    VcRuntime* live = runtime(id);
+  restore_vc(vc, std::move(placement), [this, op = issue(vc.id())](bool ok) {
+    VcRuntime* live = resolve(op);
     if (live == nullptr) return;
     VcRuntime& rt = *live;
+    const VcId id = op.id;
     rt.recovery_in_flight = false;
     if (ok) {
       rt.restore_attempts = 0;
@@ -842,9 +866,27 @@ void DvcManager::recover(VcRuntime& rt) {
 
 void DvcManager::recover_after(VcRuntime& rt, sim::Duration delay) {
   rt.recovery_in_flight = true;
-  sim_->schedule_after(delay, [this, id = rt.vc->id()] {
-    if (VcRuntime* live = runtime(id)) recover(*live);
+  // A retry from an incarnation that has since died is dropped: the
+  // reboot's reconciliation already re-derived what recovery is needed.
+  sim_->schedule_after(delay, [this, op = issue(rt.vc->id())] {
+    if (VcRuntime* live = resolve(op)) recover(*live);
   });
+}
+
+std::vector<hw::NodeId> DvcManager::free_pool(
+    const VirtualCluster& vc, const std::vector<hw::NodeId>& placement,
+    bool avoid_current) const {
+  const auto in = [](const std::vector<hw::NodeId>& v, hw::NodeId n) {
+    return std::find(v.begin(), v.end(), n) != v.end();
+  };
+  std::vector<hw::NodeId> pool;
+  for (hw::NodeId n = 0; n < fabric_->node_count(); ++n) {
+    if (node_free(n, vc.id()) && !in(placement, n) &&
+        !(avoid_current && in(vc.placement_, n))) {
+      pool.push_back(n);
+    }
+  }
+  return pool;
 }
 
 void DvcManager::push_generation(VcRuntime& rt) {
@@ -1050,13 +1092,6 @@ void DvcManager::reboot_coordinator() {
              "coordinator rebooted, epoch " + std::to_string(epoch_));
   renew_lease();
   recover_control_plane();
-}
-
-bool DvcManager::stale_completion(std::uint64_t issued_epoch) {
-  if (coordinator_up_ && issued_epoch == epoch_) return false;
-  ++stale_completions_;
-  telemetry::count(metrics_, "core.dvc.stale_completions");
-  return true;
 }
 
 std::uint64_t DvcManager::journal(IntentKind kind, VcId vc,

@@ -51,7 +51,10 @@ class DvcManager final {
   VirtualCluster& create_vc(VcSpec spec, std::vector<hw::NodeId> placement,
                             std::function<void()> on_ready);
 
-  /// Tears a VC down and releases its nodes.
+  /// Tears a VC down and releases its nodes. Safe in every state: it
+  /// takes the VC out of the manager's table first (every pending callback
+  /// then resolves to nothing), aborts its in-flight LSC round, and ends
+  /// each guest's in-flight boot, save and restore before freeing them.
   void destroy_vc(VirtualCluster& vc);
 
   /// Binds a parallel application to a VC: rank i becomes the guest
@@ -208,7 +211,8 @@ class DvcManager final {
   [[nodiscard]] std::uint64_t coordinator_reboots() const noexcept {
     return coordinator_reboots_;
   }
-  /// Completions from a dead incarnation's rounds, dropped at the door.
+  /// Continuations dropped at the door because the incarnation that
+  /// issued them is dead or deposed, or their VC is gone (see resolve).
   [[nodiscard]] std::uint64_t stale_completions() const noexcept {
     return stale_completions_;
   }
@@ -297,10 +301,35 @@ class DvcManager final {
     int ckpt_round = 0;
     /// Consecutive failed restores of the *current* recovery point.
     int restore_attempts = 0;
+    /// The coordinator of the VC's in-flight LSC round, which destroy_vc
+    /// aborts (null when no round is in flight).
+    ckpt::LscCoordinator* round_owner = nullptr;
   };
 
+  /// What a callback that outlives its call holds instead of a reference
+  /// to its VC: the VC's id and the coordinator epoch that issued it.
+  ///
+  /// A callback's control-plane effects (state edges, intent closes,
+  /// counters, checker boundaries, the caller's `done`, starting a restore
+  /// or a retry) go through resolve(), which drops them once the VC is
+  /// gone or the issuing incarnation is dead or deposed. Ground-truth
+  /// bookkeeping (the node ledger following a moved guest, ending a span)
+  /// resolves by id only, through runtime(), and so do the self-re-arming
+  /// daemons (periodic checkpoint, watchdog) and the boot completion: a
+  /// guest's boot and those loops must outlive a coordinator incarnation.
+  struct Issued {
+    VcId id = 0;
+    std::uint64_t epoch = storage::kUnfencedEpoch;
+  };
+  [[nodiscard]] Issued issue(VcId id) const noexcept { return {id, epoch_}; }
   /// The runtime record of VC `id`, or null once it is destroyed.
   [[nodiscard]] VcRuntime* runtime(VcId id);
+  /// The one staleness check: the runtime record of `op`'s VC, or null
+  /// when the VC is gone, the coordinator is down or its epoch has moved
+  /// since `op` was issued. A drop is counted as a stale completion unless
+  /// `count` is false, which retarget passes: the round's completion that
+  /// follows an abandoned retry counts it.
+  [[nodiscard]] VcRuntime* resolve(Issued op, bool count = true);
   /// The only writer of VirtualCluster::state_: moves the VC to `to` and
   /// publishes the edge to the attached checker.
   void transition(VcRuntime& rt, VcState to);
@@ -316,13 +345,20 @@ class DvcManager final {
   void on_failure_prediction(hw::NodeId node, sim::Duration lead);
   /// Marks recovery in flight and rolls the VC back to its recovery point.
   void recover(VcRuntime& rt);
-  /// Marks recovery in flight and re-runs recover() after `delay`, if the
-  /// VC still exists then.
+  /// Marks recovery in flight and re-runs recover() after `delay`, if
+  /// `rt`'s VC and the issuing incarnation still exist then.
   void recover_after(VcRuntime& rt, sim::Duration delay);
+  /// Spare nodes for `vc`'s recovery: free to it (node_free) and not in
+  /// `placement`, and, if `avoid_current`, not in its current mapping. The
+  /// pool stays in flat node-id order rather than packing by cluster.
+  [[nodiscard]] std::vector<hw::NodeId> free_pool(
+      const VirtualCluster& vc, const std::vector<hw::NodeId>& placement,
+      bool avoid_current) const;
+  /// The save targets for a retried round of `op`'s VC (see
+  /// ckpt::LscCoordinator::Retarget), or nullopt to abandon the retry.
+  std::optional<std::vector<ckpt::SaveTarget>> retarget(Issued op,
+                                                         bool incremental);
   // ---- coordinator fault domain ------------------------------------------
-  /// True (and counted) when a completion stamped with `issued_epoch`
-  /// belongs to a dead or deposed incarnation and must be dropped.
-  [[nodiscard]] bool stale_completion(std::uint64_t issued_epoch);
   /// Journals an intent (no-op without a WAL); returns 0 when not logged.
   std::uint64_t journal(IntentKind kind, VcId vc, const std::string& label);
   void close_intent(std::uint64_t lsn);

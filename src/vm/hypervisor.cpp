@@ -21,39 +21,57 @@ sim::Duration Hypervisor::cmd_latency() {
   return rng_.exponential_duration(cfg_.cmd_latency_mean);
 }
 
+template <class Op>
+typename std::vector<Op>::iterator Hypervisor::find_op(std::vector<Op>& ops,
+                                                       std::uint64_t id) {
+  const auto it = std::lower_bound(
+      ops.begin(), ops.end(), id,
+      [](const Op& op, std::uint64_t want) { return op.id < want; });
+  return it != ops.end() && it->id == id ? it : ops.end();
+}
+
+template <class Op>
+void Hypervisor::drop_ops(std::vector<Op>& ops, const VirtualMachine& vm) {
+  std::erase_if(ops, [this, &vm](const Op& op) {
+    if (op.vm != &vm) return false;
+    telemetry::end_span(metrics_, op.span, sim_->now());
+    return true;
+  });
+}
+
 void Hypervisor::boot_domain(VirtualMachine& vm,
                              std::function<void()> on_booted) {
   if (node_failed()) return;
   vm.place_on(fabric_->node(node_));
   residents_.insert(&vm);
-  const sim::Time begin = sim_->now();
-  const auto span = telemetry::begin_span(metrics_, begin, track_, "boot");
-  sim_->schedule_after(cfg_.boot_time,
-                       [this, &vm, begin, span, cb = std::move(on_booted)] {
-                         telemetry::end_span(metrics_, span, sim_->now());
-                         if (node_failed() ||
-                             vm.state() == DomainState::kDead) {
-                           return;
-                         }
-                         vm.resume();
-                         telemetry::count(metrics_, boots_c_);
-                         telemetry::observe(
-                             metrics_, boot_s_h_,
-                             sim::to_seconds(sim_->now() - begin));
-                         if (cb) cb();
-                       });
+  const std::uint64_t id = next_op_++;
+  BootOp& op = boots_.emplace_back();
+  op.id = id;
+  op.vm = &vm;
+  op.begin = sim_->now();
+  op.cb = std::move(on_booted);
+  op.span = telemetry::begin_span(metrics_, op.begin, track_, "boot");
+  sim_->schedule_after(cfg_.boot_time, [this, id] { boot_done(id); });
 }
 
-std::vector<Hypervisor::SaveOp>::iterator Hypervisor::find_save(
-    std::uint64_t id) {
-  const auto it = std::lower_bound(
-      saves_.begin(), saves_.end(), id,
-      [](const SaveOp& op, std::uint64_t want) { return op.id < want; });
-  return it != saves_.end() && it->id == id ? it : saves_.end();
+void Hypervisor::boot_done(std::uint64_t id) {
+  const auto op = find_op(boots_, id);
+  if (op == boots_.end()) return;  // destroyed mid-boot
+  telemetry::end_span(metrics_, op->span, sim_->now());
+  VirtualMachine& vm = *op->vm;
+  const sim::Time begin = op->begin;
+  const std::function<void()> cb = std::move(op->cb);
+  boots_.erase(op);
+  if (node_failed() || vm.state() == DomainState::kDead) return;
+  vm.resume();
+  telemetry::count(metrics_, boots_c_);
+  telemetry::observe(metrics_, boot_s_h_,
+                     sim::to_seconds(sim_->now() - begin));
+  if (cb) cb();
 }
 
 void Hypervisor::finish_save(std::uint64_t id, bool ok) {
-  const auto op = find_save(id);
+  const auto op = find_op(saves_, id);
   if (op == saves_.end()) return;
   // Take what the report needs before the entry goes: the callback may
   // start another save on this node.
@@ -71,7 +89,7 @@ void Hypervisor::save_domain(VirtualMachine& vm,
                              std::uint64_t member,
                              std::function<void(bool, std::any)> on_durable,
                              bool incremental, std::uint64_t epoch) {
-  const std::uint64_t id = next_save_op_++;
+  const std::uint64_t id = next_op_++;
   SaveOp& op = saves_.emplace_back();
   op.id = id;
   op.vm = &vm;
@@ -87,7 +105,7 @@ void Hypervisor::save_domain(VirtualMachine& vm,
 }
 
 void Hypervisor::save_freeze(std::uint64_t id) {
-  const auto op = find_save(id);
+  const auto op = find_op(saves_, id);
   if (op == saves_.end()) return;  // aborted by node death
   VirtualMachine& vm = *op->vm;
   if (node_failed() || vm.state() == DomainState::kDead) {
@@ -118,7 +136,7 @@ void Hypervisor::save_freeze(std::uint64_t id) {
 }
 
 void Hypervisor::save_stream(std::uint64_t id) {
-  const auto op = find_save(id);
+  const auto op = find_op(saves_, id);
   if (op == saves_.end()) return;
   if (node_failed() || op->vm->state() == DomainState::kDead) {
     finish_save(id, false);
@@ -136,13 +154,13 @@ void Hypervisor::save_stream(std::uint64_t id) {
   // A write the image manager refused never completes, so nothing would
   // ever report the save: drop it, unless a node failure may abort it.
   if (!streaming && !cfg_.abort_saves_on_failure) {
-    const auto refused = find_save(id);
+    const auto refused = find_op(saves_, id);
     if (refused != saves_.end()) saves_.erase(refused);
   }
 }
 
 void Hypervisor::save_durable(std::uint64_t id) {
-  const auto op = find_save(id);
+  const auto op = find_op(saves_, id);
   if (op == saves_.end()) return;
   VirtualMachine& vm = *op->vm;
   if (vm.state() == DomainState::kDead) {
@@ -193,44 +211,60 @@ void Hypervisor::restore_domain(VirtualMachine& vm,
   }
   vm.place_on(fabric_->node(node_));
   residents_.insert(&vm);
-  const sim::Time begin = sim_->now();
-  const auto span = telemetry::begin_span(metrics_, begin, track_, "restore");
-  const std::uint64_t image_bytes = image->bytes;
+  const std::uint64_t id = next_op_++;
+  RestoreOp& op = restores_.emplace_back();
+  op.id = id;
+  op.vm = &vm;
+  op.begin = sim_->now();
+  op.image_bytes = image->bytes;
+  op.state = &app_state;
+  op.cb = std::move(on_done);
+  op.span = telemetry::begin_span(metrics_, op.begin, track_, "restore");
   // Verified read with replica failover: the image manager tries every
   // copy and reports false only when none verifies (the set is then
   // marked damaged, which recovery uses to fall back a generation).
-  images.read_member(
-      set, member,
-      [this, &vm, begin, span, image_bytes, state = &app_state,
-       cb = std::move(on_done)](bool ok) mutable {
-        if (!ok || node_failed()) {
-          telemetry::count(metrics_, restore_failures_c_);
-          telemetry::end_span(metrics_, span, sim_->now());
-          if (cb) cb(false);
-          return;
-        }
-        sim_->schedule_after(cfg_.restore_overhead,
-                             [this, &vm, begin, span, image_bytes, state,
-                              cb = std::move(cb)] {
-                               telemetry::end_span(metrics_, span,
-                                                   sim_->now());
-                               if (node_failed()) {
-                                 telemetry::count(metrics_,
-                                                  restore_failures_c_);
-                                 if (cb) cb(false);
-                                 return;
-                               }
-                               vm.rollback_and_resume(*state);
-                               ++restores_completed_;
-                               telemetry::count(metrics_, restores_c_);
-                               telemetry::count(metrics_, bytes_restored_c_,
-                                                image_bytes);
-                               telemetry::observe(
-                                   metrics_, restore_s_h_,
-                                   sim::to_seconds(sim_->now() - begin));
-                               if (cb) cb(true);
-                             });
-      });
+  images.read_member(set, member,
+                     [this, id](bool ok) { restore_read(id, ok); });
+}
+
+void Hypervisor::restore_read(std::uint64_t id, bool ok) {
+  if (find_op(restores_, id) == restores_.end()) return;
+  if (!ok || node_failed()) {
+    finish_restore(id, false);
+    return;
+  }
+  sim_->schedule_after(cfg_.restore_overhead,
+                       [this, id] { restore_done(id); });
+}
+
+void Hypervisor::restore_done(std::uint64_t id) {
+  const auto op = find_op(restores_, id);
+  if (op == restores_.end()) return;
+  if (node_failed()) {
+    finish_restore(id, false);
+    return;
+  }
+  const sim::Time begin = op->begin;
+  const std::uint64_t image_bytes = op->image_bytes;
+  op->vm->rollback_and_resume(*op->state);
+  ++restores_completed_;
+  telemetry::count(metrics_, restores_c_);
+  telemetry::count(metrics_, bytes_restored_c_, image_bytes);
+  telemetry::observe(metrics_, restore_s_h_,
+                     sim::to_seconds(sim_->now() - begin));
+  finish_restore(id, true);
+}
+
+void Hypervisor::finish_restore(std::uint64_t id, bool ok) {
+  const auto op = find_op(restores_, id);
+  if (op == restores_.end()) return;
+  // The callback owns the snapshot `state` points at; take it before the
+  // entry goes, since it may start another restore on this node.
+  const std::function<void(bool)> cb = std::move(op->cb);
+  telemetry::end_span(metrics_, op->span, sim_->now());
+  restores_.erase(op);
+  if (!ok) telemetry::count(metrics_, restore_failures_c_);
+  if (cb) cb(ok);
 }
 
 void Hypervisor::evict(VirtualMachine& vm) {
@@ -250,7 +284,14 @@ void Hypervisor::adopt(VirtualMachine& vm) {
 
 void Hypervisor::destroy_domain(VirtualMachine& vm) {
   residents_.erase(&vm);
+  end_ops(vm);
   vm.kill();
+}
+
+void Hypervisor::end_ops(const VirtualMachine& vm) {
+  drop_ops(boots_, vm);
+  drop_ops(saves_, vm);
+  drop_ops(restores_, vm);
 }
 
 void Hypervisor::on_node_failure() {

@@ -53,7 +53,8 @@ class Hypervisor final {
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
   /// Places and boots a domain on this node. `on_booted` fires when the
-  /// guest is running (or never, if the node dies first).
+  /// guest is running (or never, if the node dies or the domain is
+  /// destroyed first).
   void boot_domain(VirtualMachine& vm, std::function<void()> on_booted);
 
   /// Pauses, images, and seals one domain into a checkpoint set. The guest
@@ -97,8 +98,14 @@ class Hypervisor final {
   /// receiving end of a live migration — no image staging involved).
   void adopt(VirtualMachine& vm);
 
-  /// Destroys a domain (graceful teardown at job end).
+  /// Destroys a domain (graceful teardown at job end), ending its
+  /// operations on this node (end_ops).
   void destroy_domain(VirtualMachine& vm);
+
+  /// Ends `vm`'s boot, save or restore still in flight on this node,
+  /// unreported: their pending events find nothing, so once no node holds
+  /// one the domain may be freed.
+  void end_ops(const VirtualMachine& vm);
 
   [[nodiscard]] std::uint64_t saves_completed() const noexcept {
     return saves_completed_;
@@ -134,9 +141,18 @@ class Hypervisor final {
     return true;
   }
 
-  /// One in-flight save. Its stage events capture only `(this, id)` and
-  /// look the save up here; a save that has finished (or was aborted by
-  /// node death) is gone from the table, so a late stage finds nothing.
+  /// One in-flight boot, save or restore. Its events capture only
+  /// `(this, id)` and look the operation up in its table; one that has
+  /// finished or been ended (destroy_domain, or node death for a save
+  /// under abort_saves_on_failure) is gone, so a late event finds nothing.
+  struct BootOp {
+    std::uint64_t id = 0;
+    VirtualMachine* vm = nullptr;
+    sim::Time begin = 0;
+    std::function<void()> cb;
+    telemetry::MetricsRegistry::SpanId span =
+        telemetry::MetricsRegistry::kInvalidSpan;
+  };
   struct SaveOp {
     std::uint64_t id = 0;
     VirtualMachine* vm = nullptr;
@@ -152,10 +168,26 @@ class Hypervisor final {
     telemetry::MetricsRegistry::SpanId span =
         telemetry::MetricsRegistry::kInvalidSpan;
   };
+  struct RestoreOp {
+    std::uint64_t id = 0;
+    VirtualMachine* vm = nullptr;
+    sim::Time begin = 0;
+    std::uint64_t image_bytes = 0;
+    const std::any* state = nullptr;  ///< owned by whoever holds `cb`
+    std::function<void(bool)> cb;
+    telemetry::MetricsRegistry::SpanId span =
+        telemetry::MetricsRegistry::kInvalidSpan;
+  };
 
   [[nodiscard]] sim::Duration cmd_latency();
-  /// The in-flight save `id`, or end() once it has finished.
-  [[nodiscard]] std::vector<SaveOp>::iterator find_save(std::uint64_t id);
+  /// The in-flight operation `id` of `ops`, or end() once it has finished.
+  template <class Op>
+  [[nodiscard]] static typename std::vector<Op>::iterator find_op(
+      std::vector<Op>& ops, std::uint64_t id);
+  /// Ends every operation of `ops` on `vm` without reporting it.
+  template <class Op>
+  void drop_ops(std::vector<Op>& ops, const VirtualMachine& vm);
+  void boot_done(std::uint64_t id);
   /// Save stages, in order: the guest freezes after the command latency,
   /// its image starts streaming after the device quiesce, and the save
   /// ends when the image is durable.
@@ -165,6 +197,11 @@ class Hypervisor final {
   /// Removes the save from the table and reports it (with its snapshot
   /// only on success).
   void finish_save(std::uint64_t id, bool ok);
+  /// Restore stages: the image is read (with replica failover), then the
+  /// guest rolls back after the restore overhead.
+  void restore_read(std::uint64_t id, bool ok);
+  void restore_done(std::uint64_t id);
+  void finish_restore(std::uint64_t id, bool ok);
 
   sim::Simulation* sim_;
   hw::Fabric* fabric_;
@@ -172,9 +209,11 @@ class Hypervisor final {
   Config cfg_;
   sim::Rng rng_;
   std::unordered_set<VirtualMachine*> residents_;
-  /// In-flight saves in id order (ids only grow, so a save appends).
+  /// In-flight operations in id order (ids only grow, so each appends).
+  std::vector<BootOp> boots_;
   std::vector<SaveOp> saves_;
-  std::uint64_t next_save_op_ = 1;
+  std::vector<RestoreOp> restores_;
+  std::uint64_t next_op_ = 1;
   std::uint64_t saves_completed_ = 0;
   std::uint64_t restores_completed_ = 0;
   std::uint64_t saves_aborted_ = 0;
@@ -212,6 +251,18 @@ class HypervisorFleet final {
   /// Forwards the registry to every node's hypervisor.
   void set_metrics(telemetry::MetricsRegistry* m) noexcept {
     for (auto& h : fleet_) h->set_metrics(m);
+  }
+
+  /// Destroys a domain where it was last placed and ends its operations
+  /// on every node: a save or restore issued before it last moved may
+  /// still be in flight on another.
+  void destroy_domain(VirtualMachine& vm) {
+    for (auto& h : fleet_) h->end_ops(vm);
+    if (vm.placed_on() == hw::kInvalidNode) {
+      vm.kill();
+    } else {
+      on_node(vm.placed_on()).destroy_domain(vm);
+    }
   }
 
   /// Forwards the coordinator-epoch fence to every node's hypervisor.

@@ -4,10 +4,13 @@
 #include <any>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "app/workload.hpp"
+#include "check/invariants.hpp"
 #include "ckpt/lsc.hpp"
 #include "core/dvc_manager.hpp"
 #include "testbed.hpp"
@@ -635,6 +638,190 @@ TEST(DvcManagerTest, RecoverNowHandlesSoftwareFailure) {
   EXPECT_TRUE(r.application->completed());
   EXPECT_FALSE(r.application->failed());
 }
+
+// ---------------------------------------------------------------------------
+// destroy_vc is safe in every state: whatever the VC is doing when it is
+// torn down, no pending event touches its freed guests (the sanitizer
+// build checks that), the node ledger and the set refcounts end empty, and
+// the invariant checker stays clean.
+
+enum class DestroyAt {
+  kMidBoot,
+  kRoundArmed,
+  kMidSave,
+  kColdMigrationHold,
+  kLiveMigrationPreCopy,
+  kRestoreStaging,
+  kRestoreRead,
+  kHealthCheckDeferral,
+};
+
+const char* name_of(DestroyAt at) {
+  switch (at) {
+    case DestroyAt::kMidBoot: return "MidBoot";
+    case DestroyAt::kRoundArmed: return "RoundArmed";
+    case DestroyAt::kMidSave: return "MidSave";
+    case DestroyAt::kColdMigrationHold: return "ColdMigrationHold";
+    case DestroyAt::kLiveMigrationPreCopy: return "LiveMigrationPreCopy";
+    case DestroyAt::kRestoreStaging: return "RestoreStaging";
+    case DestroyAt::kRestoreRead: return "RestoreRead";
+    case DestroyAt::kHealthCheckDeferral: return "HealthCheckDeferral";
+  }
+  return "Unknown";
+}
+
+void PrintTo(DestroyAt at, std::ostream* os) { *os << name_of(at); }
+
+class DvcManagerDestroyTest : public ::testing::TestWithParam<DestroyAt> {};
+
+TEST_P(DvcManagerDestroyTest, DestroyInEveryState) {
+  TestBed bed(two_cluster_opts(/*nodes_per=*/6));
+  check::Invariants inv(check::Invariants::Wiring{
+      &bed.sim, bed.dvc.get(), &bed.images, &bed.fence, &bed.metrics});
+  inv.attach();
+  const DestroyAt state = GetParam();
+  // With this seed the health check defers the first round's attempt
+  // (a stalled agent) and the second attempt runs.
+  ckpt::NtpLscCoordinator::Config lsc_cfg;
+  lsc_cfg.health_check = state == DestroyAt::kHealthCheckDeferral;
+  lsc_cfg.stall_prob = lsc_cfg.health_check ? 0.3 : 0.0;
+  ckpt::NtpLscCoordinator lsc(bed.sim, lsc_cfg,
+                              sim::Rng(lsc_cfg.health_check ? 7 : 31));
+  lsc.set_metrics(&bed.metrics);
+  lsc.set_check(&inv);
+  // 3 x 256 MiB: a save drains for ~2 s at 400 MB/s, a full set stages
+  // (or a member image reads) for ~1 s at 800 MB/s.
+  VirtualCluster* vc =
+      &bed.dvc->create_vc(small_vc(3, 256ull << 20), {0, 1, 2}, {});
+  std::unique_ptr<app::ParallelApp> application;
+  const std::vector<hw::NodeId> targets{6, 7, 8};
+  const auto hv = [&](hw::NodeId n) -> vm::Hypervisor& {
+    return bed.fleet->on_node(n);
+  };
+
+  // Drive the VC into the state under test; `at` is when to destroy it.
+  sim::Time at = 5 * sim::kSecond;  // mid-boot: booting takes 15 s
+  if (state != DestroyAt::kMidBoot) {
+    bed.sim.run_until(20 * sim::kSecond);
+    application = std::make_unique<app::ParallelApp>(
+        bed.sim, bed.fabric.network(), vc->contexts(), steady_job(3, 3000));
+    bed.dvc->attach_app(*vc, *application);
+    application->start();
+  }
+  const auto checkpoint = [&](bool incremental) {
+    std::optional<ckpt::LscResult> res;
+    bed.dvc->checkpoint_vc(*vc, lsc,
+                           [&](ckpt::LscResult out) { res = out; },
+                           incremental);
+    while (!res.has_value()) {
+      bed.sim.run_until(bed.sim.now() + sim::kSecond);
+    }
+    ASSERT_TRUE(res->ok);
+  };
+  switch (state) {
+    case DestroyAt::kMidBoot:
+      break;
+    case DestroyAt::kRoundArmed:  // the guests freeze 2 s after the call
+    case DestroyAt::kHealthCheckDeferral:  // the retry comes after 1.5 s
+      bed.dvc->checkpoint_vc(*vc, lsc, {});
+      at = bed.sim.now() + sim::kSecond;
+      break;
+    case DestroyAt::kMidSave:
+      bed.dvc->checkpoint_vc(*vc, lsc, {});
+      at = bed.sim.now() + 3 * sim::kSecond;
+      break;
+    case DestroyAt::kColdMigrationHold:
+      bed.dvc->migrate_vc(*vc, lsc, targets, {});
+      at = bed.sim.now() + 3 * sim::kSecond;
+      break;
+    case DestroyAt::kLiveMigrationPreCopy: {
+      DvcManager::LiveMigrationConfig cfg;
+      cfg.bandwidth_bps = 100e6;  // ~8 s for the first pre-copy pass
+      bed.dvc->live_migrate_vc(*vc, targets, cfg, {});
+      at = bed.sim.now() + 2 * sim::kSecond;
+      break;
+    }
+    case DestroyAt::kRestoreStaging:
+    case DestroyAt::kRestoreRead:
+      checkpoint(/*incremental=*/false);
+      if (state == DestroyAt::kRestoreStaging) {
+        bed.sim.run_until(bed.sim.now() + 5 * sim::kSecond);
+        checkpoint(/*incremental=*/true);
+        ASSERT_EQ(vc->checkpoint_chain().size(), 2u);
+      }
+      bed.dvc->restore_vc(*vc, targets, {});
+      at = bed.sim.now() + 300 * sim::kMillisecond;
+      break;
+  }
+
+  const VcId id = vc->id();
+  bool destroyed = false;
+  bed.sim.schedule_at(at, [&] {
+    // The VC really is in the state under test.
+    switch (state) {
+      case DestroyAt::kMidBoot:
+        EXPECT_EQ(vc->state(), VcState::kProvisioning);
+        break;
+      case DestroyAt::kRoundArmed:
+        EXPECT_EQ(vc->state(), VcState::kCheckpointing);
+        EXPECT_TRUE(vc->machine(0).running());
+        break;
+      case DestroyAt::kMidSave:
+        EXPECT_EQ(vc->state(), VcState::kCheckpointing);
+        EXPECT_FALSE(vc->machine(0).running());
+        break;
+      case DestroyAt::kColdMigrationHold:
+        EXPECT_EQ(vc->state(), VcState::kMigrating);
+        EXPECT_FALSE(vc->machine(0).running());
+        break;
+      case DestroyAt::kLiveMigrationPreCopy:
+        EXPECT_EQ(vc->state(), VcState::kMigrating);
+        EXPECT_TRUE(vc->machine(0).running());
+        EXPECT_EQ(bed.fabric.node(targets[0]).vc(), id);
+        break;
+      case DestroyAt::kRestoreStaging:  // no member restore issued yet
+        EXPECT_EQ(vc->state(), VcState::kRecovering);
+        EXPECT_EQ(hv(targets[0]).resident_count(), 0u);
+        break;
+      case DestroyAt::kRestoreRead:
+        EXPECT_EQ(vc->state(), VcState::kRecovering);
+        EXPECT_EQ(hv(targets[0]).resident_count(), 1u);
+        break;
+      case DestroyAt::kHealthCheckDeferral:
+        EXPECT_EQ(vc->state(), VcState::kCheckpointing);
+        EXPECT_TRUE(vc->machine(0).running());
+        break;
+    }
+    bed.dvc->destroy_vc(*vc);
+    application.reset();
+    vc = nullptr;
+    destroyed = true;
+  });
+  bed.sim.run_until(at + 200 * sim::kSecond);
+
+  ASSERT_TRUE(destroyed);
+  EXPECT_EQ(bed.metrics.counter_value("ckpt.lsc.health_check_retries"), 0u);
+  EXPECT_TRUE(bed.dvc->live_vcs().empty());
+  EXPECT_TRUE(test::vc_held_nodes(bed.fabric).empty());
+  EXPECT_TRUE(bed.dvc->set_refs().empty());
+  for (const hw::NodeId n : {0u, 1u, 2u, 6u, 7u, 8u}) {
+    EXPECT_EQ(hv(n).resident_count(), 0u) << "node " << n;
+  }
+  inv.end_of_run(/*expect_quiesced=*/false);
+  EXPECT_TRUE(inv.ok()) << inv.report();
+  inv.detach();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DvcManagerTest, DvcManagerDestroyTest,
+    ::testing::Values(DestroyAt::kMidBoot, DestroyAt::kRoundArmed,
+                      DestroyAt::kMidSave, DestroyAt::kColdMigrationHold,
+                      DestroyAt::kLiveMigrationPreCopy,
+                      DestroyAt::kRestoreStaging, DestroyAt::kRestoreRead,
+                      DestroyAt::kHealthCheckDeferral),
+    [](const ::testing::TestParamInfo<DestroyAt>& info) {
+      return std::string(name_of(info.param));
+    });
 
 }  // namespace
 }  // namespace dvc::core

@@ -222,6 +222,39 @@ TEST(JobRunnerTest, UnprotectedJobIsAbandonedOnNodeFailure) {
   s.expect_clean();
 }
 
+TEST(JobRunnerTest, JobFinishingMidRoundTearsDownCleanly) {
+  // A protected job takes checkpoint #0 the moment its VC boots (15 s),
+  // and the round's guests freeze ~2 s later. A job this short completes
+  // in between, so the runner destroys its VC while the round is armed:
+  // the round must die with the VC, not fire into its freed guests.
+  RunnerStack s(runner_opts(), runner_sched_cfg());
+  ckpt::NtpLscCoordinator lsc(s.room.sim, {}, sim::Rng(43));
+  lsc.set_check(&s.inv);
+  core::VirtualJobRunner::Reliability rel;
+  rel.coordinator = &lsc;
+  rel.interval = 30 * sim::kSecond;
+  s.runner.set_reliability(rel);
+
+  vm::GuestConfig guest;
+  guest.ram_bytes = 64ull << 20;
+  std::optional<bool> done;
+  const rm::JobId id = s.runner.submit(quick_job(4, 5), guest, 0,
+                                       [&](bool ok) { done = ok; });
+  s.room.sim.run_until(300 * sim::kSecond);
+
+  ASSERT_TRUE(done.has_value());
+  EXPECT_TRUE(*done);
+  EXPECT_EQ(s.scheduler.job(id).state, rm::JobState::kCompleted);
+  EXPECT_LT(s.scheduler.job(id).finished_at, 17 * sim::kSecond);
+  // The round never sealed, and nothing of the VC is left behind.
+  EXPECT_EQ(s.room.dvc->checkpoints_taken(), 0u);
+  EXPECT_EQ(s.room.metrics.counter_value("ckpt.lsc.members_saved"), 0u);
+  EXPECT_TRUE(s.room.dvc->live_vcs().empty());
+  EXPECT_TRUE(test::vc_held_nodes(s.room.fabric).empty());
+  EXPECT_TRUE(s.room.dvc->set_refs().empty());
+  s.expect_clean();
+}
+
 // ---------------------------------------------------------------------------
 // Whole-stack end-to-end: the paper's experiment in one test.
 

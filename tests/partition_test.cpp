@@ -197,12 +197,13 @@ TEST(CoordinatorRecoveryTest, DeposedEpochIsFencedAtStoreAndHypervisor) {
 }
 
 // ---------------------------------------------------------------------------
-// The coordinator dies while a whole-VC restore is in flight. The restore
-// lands while the control plane is headless and moves the VC recovering ->
-// running on its own; the reboot's reconciliation then finds a running VC
-// with every member alive and leaves it be.
+// The coordinator dies while a whole-VC restore is in flight. The guests
+// land where the restore put them, but its completion belongs to a dead
+// incarnation and is dropped: the VC stays recovering until the reboot's
+// reconciliation finds every member alive and running and takes it
+// recovering -> running.
 
-TEST(CoordinatorRecoveryTest, RestoreLandingWhileHeadlessLeavesVcRunning) {
+TEST(CoordinatorRecoveryTest, RestoreLandingWhileHeadlessIsFenced) {
   CoordStack s(/*clusters=*/1, /*nodes=*/12, /*vc=*/4, /*iters=*/3000,
                manual_rounds_policy(), /*head=*/11);
   check::Invariants inv(check::Invariants::Wiring{
@@ -217,10 +218,14 @@ TEST(CoordinatorRecoveryTest, RestoreLandingWhileHeadlessLeavesVcRunning) {
   // reads 4 x 128 MiB for ~1.5 s, so the crash at 40.2 s lands mid-read.
   // The reboot cannot come before 60.2 s (down_for).
   const sim::Time crash_at = 40 * sim::kSecond + 200 * sim::kMillisecond;
+  const sim::Time reboot_at = crash_at + 20 * sim::kSecond;
   s.bed.sim.schedule_at(40 * sim::kSecond,
                         [&] { s.bed.dvc->recover_now(*s.vc); });
   s.bed.sim.schedule_at(
       crash_at, [&] { s.bed.dvc->crash_coordinator(20 * sim::kSecond); });
+  std::optional<core::VcState> while_headless;
+  s.bed.sim.schedule_at(reboot_at - sim::kSecond,
+                        [&] { while_headless = s.vc->state(); });
   s.bed.sim.run_until(100 * sim::kSecond);
 
   using S = core::VcState;
@@ -229,13 +234,13 @@ TEST(CoordinatorRecoveryTest, RestoreLandingWhileHeadlessLeavesVcRunning) {
                            {S::kCheckpointing, S::kRunning},
                            {S::kRunning, S::kRecovering},
                            {S::kRecovering, S::kRunning}}));
-  // The restore's own edge was taken while the coordinator was down.
-  EXPECT_GT(rec.edge_times.back(), crash_at);
-  EXPECT_LT(rec.edge_times.back(), crash_at + 20 * sim::kSecond);
+  EXPECT_EQ(while_headless, S::kRecovering);
+  // The last edge is the reboot's reconciliation, not the restore.
+  EXPECT_GE(rec.edge_times.back(), reboot_at);
   EXPECT_EQ(s.bed.dvc->coordinator_reboots(), 1u);
   EXPECT_GE(s.bed.dvc->stale_completions(), 1u);
   EXPECT_EQ(s.bed.dvc->recoveries_performed(), 0u);
-  EXPECT_EQ(s.bed.metrics.counter_value("core.dvc.restores"), 1u);
+  EXPECT_EQ(s.bed.metrics.counter_value("core.dvc.restores"), 0u);
   EXPECT_EQ(s.bed.metrics.counter_value("core.dvc.reconcile_resumes"), 0u);
   EXPECT_EQ(s.bed.metrics.counter_value("core.dvc.reconcile_recoveries"),
             0u);
@@ -245,6 +250,58 @@ TEST(CoordinatorRecoveryTest, RestoreLandingWhileHeadlessLeavesVcRunning) {
   const auto iter_then = s.application->rank(0).state().iter;
   s.bed.sim.run_until(130 * sim::kSecond);
   EXPECT_GT(s.application->rank(0).state().iter, iter_then);
+  inv.end_of_run(/*expect_quiesced=*/false);
+  EXPECT_TRUE(inv.ok()) << inv.report();
+  inv.detach();
+  s.lsc.set_check(nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// A recovery retry issued by an incarnation that has since died must not
+// run under its successor. Two of the VC's four nodes die with one spare
+// free, so the recovery waits 30 s for spares. The coordinator crashes
+// meanwhile, the nodes are repaired, and the reboot's reconciliation
+// recovers the VC. When the dead incarnation's retry fires, the VC is
+// healthy and running again: the retry is dropped, not a second restore.
+
+TEST(CoordinatorRecoveryTest, RetryFromADeadIncarnationIsDropped) {
+  CoordStack s(/*clusters=*/1, /*nodes=*/5, /*vc=*/4, /*iters=*/3000,
+               manual_rounds_policy(), /*head=*/4);
+  check::Invariants inv(check::Invariants::Wiring{
+      &s.bed.sim, s.bed.dvc.get(), &s.bed.images, &s.bed.fence,
+      &s.bed.metrics});
+  inv.attach();
+  s.lsc.set_check(&inv);
+  ASSERT_EQ(s.vc->placements(), (std::vector<hw::NodeId>{0, 1, 2, 3}));
+
+  // Checkpoint #0 seals by ~25 s. The failures at 40 s are noticed at
+  // 41 s, when only node 4 is spare: the retry is due at 71 s.
+  s.bed.sim.schedule_at(40 * sim::kSecond, [&] {
+    s.bed.fabric.fail_node(0);
+    s.bed.fabric.fail_node(1);
+  });
+  s.bed.sim.schedule_at(46 * sim::kSecond,
+                        [&] { s.bed.dvc->crash_coordinator(sim::kSecond); });
+  s.bed.sim.schedule_at(48 * sim::kSecond, [&] {
+    s.bed.fabric.repair_node(0);
+    s.bed.fabric.repair_node(1);
+  });
+  // The reboot waits out the lease (~55 s) and recovers the VC.
+  std::optional<std::uint64_t> recovered_by_reboot;
+  s.bed.sim.schedule_at(70 * sim::kSecond, [&] {
+    recovered_by_reboot = s.bed.dvc->recoveries_performed();
+  });
+  s.bed.sim.run_until(120 * sim::kSecond);
+
+  EXPECT_EQ(s.bed.dvc->coordinator_reboots(), 1u);
+  EXPECT_EQ(s.bed.metrics.counter_value("core.dvc.reconcile_recoveries"),
+            1u);
+  EXPECT_EQ(recovered_by_reboot, 1u);
+  EXPECT_EQ(s.bed.dvc->recoveries_performed(), 1u);
+  EXPECT_EQ(s.bed.metrics.counter_value("core.dvc.restores"), 1u);
+  EXPECT_GE(s.bed.dvc->stale_completions(), 1u);
+  EXPECT_EQ(s.vc->state(), core::VcState::kRunning);
+  EXPECT_FALSE(s.application->failed());
   inv.end_of_run(/*expect_quiesced=*/false);
   EXPECT_TRUE(inv.ok()) << inv.report();
   inv.detach();
