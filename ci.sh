@@ -54,7 +54,14 @@
 #                       must report "correct": true and "failed": 0: the
 #                       traced run checks that the traced twin
 #                       (dvcbench/src/traced_cell.cpp) reaches the same
-#                       modelled outcome as the untraced cell
+#                       modelled outcome as the untraced cell. It must
+#                       also report telemetry.spans_recorded > 0 on every
+#                       workload, and positive vm.save_sim_s_p50 and
+#                       ckpt.round_sim_s_p50 on ckpt16: the traced twin
+#                       and fleet build their own rooms and read those
+#                       figures off the span timeline, which they get from
+#                       telemetry::MetricsRegistry's recording default
+#                       (on); if that default flips, this check fails
 #
 # Test labels: `tier1` is the fast gate (unit tests, the dvcsim/dvcsweep
 # goldens, the 17 quick bench/ paper tables, each gated byte for byte
@@ -199,8 +206,22 @@ import json, sys
 w, line = sys.argv[1], sys.stdin.read().strip()
 result = json.loads(line) if line.startswith("{") else {}
 correct, failed = result.get("correct"), result.get("failed")
-print("%s (traced): correct=%s failed=%s" % (w, correct, failed))
-sys.exit(0 if correct is True and failed == 0 else 1)
+metrics = result.get("metrics", {})
+def value(name):
+    return metrics.get(name, {}).get("value", 0)
+# The traced twin reads its figures off the span timeline: a room that
+# stopped recording spans would report zeros here, not fail.
+positive = ["telemetry.spans_recorded"]
+if w == "ckpt16":
+    positive += ["vm.save_sim_s_p50", "ckpt.round_sim_s_p50"]
+zero = [name for name in positive if not value(name) > 0]
+print("%s (traced): correct=%s failed=%s %s" % (
+    w, correct, failed,
+    " ".join("%s=%s" % (name, value(name)) for name in positive)))
+if zero:
+    print("%s (traced): not positive: %s" % (w, " ".join(zero)),
+          file=sys.stderr)
+sys.exit(0 if correct is True and failed == 0 and not zero else 1)
 ' "$w"
     done
     ;;

@@ -118,16 +118,11 @@ void Simulation::arm(Timer& t, Time at) {
   disarm(t);
   if (at < now_) at = now_;
   ++timer_arms_;
-  if (timers_tail_ != nullptr && at < timers_tail_->at_) {
+  if (timers_tail_ != nullptr && at < timers_tail_->at_ &&
+      !demote_tail(at)) {
     // Joining behind an earlier-firing tail would break the list's order.
     ++timer_fallbacks_;
-    t.event_ = schedule_impl(
-        at,
-        [timer = &t] {
-          timer->event_ = kInvalidEvent;
-          timer->fn_();
-        },
-        /*daemon=*/false);
+    t.event_ = schedule_impl(at, heap_firing(t), /*daemon=*/false);
     return;
   }
   t.at_ = at;
@@ -138,6 +133,30 @@ void Simulation::arm(Timer& t, Time at) {
   timers_tail_ = &t;
   ++timers_listed_;
   ++foreground_pending_;
+}
+
+std::function<void()> Simulation::heap_firing(Timer& t) {
+  return [timer = &t] {
+    timer->event_ = kInvalidEvent;
+    timer->fn_();
+  };
+}
+
+bool Simulation::demote_tail(Time at) {
+  Timer& tail = *timers_tail_;
+  if (tail.prev_ != nullptr && at < tail.prev_->at_) return false;
+  // The new arm's key, (at, next_seq_), falls between the predecessor's
+  // and the tail's, so it may take the tail's place once the tail moves
+  // to the heap. The tail keeps its own (at, seq) key there: schedule_impl
+  // draws that seq again, and next_seq_ goes back to where it was.
+  ++timer_fallbacks_;
+  ++timer_demotions_;
+  const std::uint64_t next = next_seq_;
+  next_seq_ = tail.seq_;
+  unlink(tail);
+  tail.event_ = schedule_impl(tail.at_, heap_firing(tail), /*daemon=*/false);
+  next_seq_ = next;
+  return true;
 }
 
 void Simulation::disarm(Timer& t) {

@@ -76,11 +76,16 @@ class Timer final {
 ///
 /// Armed Timers sit beside the heap in an intrusive FIFO list. An arm
 /// draws its seq as a cancel plus schedule_at would, and joins the list
-/// only if its deadline is no earlier than the tail's, so the list's
-/// `(at, seq)` keys never decrease and its head is its earliest timer;
-/// any other arm becomes an ordinary heap event. Each step fires the
-/// smaller of the heap top and the list head, so events and timers fire
-/// in exactly the order one heap would give them. pending() counts both.
+/// if its deadline is no earlier than the tail's, so the list's
+/// `(at, seq)` keys never decrease and its head is its earliest timer.
+/// An arm earlier than the tail but no earlier than the tail's
+/// predecessor demotes the tail: the tail becomes a heap event under its
+/// own `(at, seq)` key, and the new arm takes its place at the end of the
+/// list. So one far-off deadline (a storage pool's next completion) does
+/// not send every shorter arm after it to the heap. Any other arm becomes
+/// an ordinary heap event. Each step fires the smaller of the heap top
+/// and the list head, so events and timers fire in exactly the order one
+/// heap would give them. pending() counts both.
 class Simulation final {
  public:
   Simulation() = default;
@@ -143,13 +148,18 @@ class Simulation final {
   /// Total number of events executed since construction.
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
-  /// Timer arms since construction, and those of them that could not join
-  /// the timer list (deadline earlier than its tail's) and went to the heap.
+  /// Timer arms since construction, and those of them that sent a timer
+  /// to the heap: either the arm itself (deadline earlier than the list's
+  /// last two) or, by demotion, the list's tail. timer_demotions() counts
+  /// the latter.
   [[nodiscard]] std::uint64_t timer_arms() const noexcept {
     return timer_arms_;
   }
   [[nodiscard]] std::uint64_t timer_fallbacks() const noexcept {
     return timer_fallbacks_;
+  }
+  [[nodiscard]] std::uint64_t timer_demotions() const noexcept {
+    return timer_demotions_;
   }
 
  private:
@@ -195,6 +205,12 @@ class Simulation final {
   /// Unlinks the list's head timer and runs its callback.
   void fire_timer();
   void arm(Timer& t, Time at);
+  /// The heap closure that fires `t` when it is not in the list.
+  static std::function<void()> heap_firing(Timer& t);
+  /// Moves the list's tail to the heap if an arm at `at` may then join the
+  /// list in its place (no earlier than the tail's predecessor); returns
+  /// whether it did. Out of line and cold: most arms join the list.
+  [[gnu::cold, gnu::noinline]] bool demote_tail(Time at);
   void disarm(Timer& t);
   void unlink(Timer& t) noexcept;
   /// Writes `k` at heap index `i` and records the index in its slot.
@@ -222,6 +238,7 @@ class Simulation final {
   std::size_t timers_listed_ = 0;
   std::uint64_t timer_arms_ = 0;
   std::uint64_t timer_fallbacks_ = 0;
+  std::uint64_t timer_demotions_ = 0;
 };
 
 inline void Timer::arm_at(Time at) { sim_->arm(*this, at); }

@@ -74,59 +74,56 @@ void BandwidthPool::settle() {
 }
 
 void BandwidthPool::reschedule() {
-  if (pending_event_ != sim::kInvalidEvent) {
-    sim_->cancel(pending_event_);
-    pending_event_ = sim::kInvalidEvent;
+  if (transfers_.empty()) {
+    timer_.disarm();
+    return;
   }
-  if (transfers_.empty()) return;
-
   double min_remaining = std::numeric_limits<double>::max();
   for (const Transfer& t : transfers_) {
     min_remaining = std::min(min_remaining, t.remaining_bytes);
   }
   const double per_transfer_bps =
       bps_ / static_cast<double>(transfers_.size());
-  const auto dt = static_cast<sim::Duration>(
-      std::ceil(min_remaining / per_transfer_bps * sim::kSecond));
+  timer_.arm_after(static_cast<sim::Duration>(
+      std::ceil(min_remaining / per_transfer_bps * sim::kSecond)));
+}
 
-  pending_event_ = sim_->schedule_after(dt, [this] {
-    pending_event_ = sim::kInvalidEvent;
-    settle();
-    // Collect and fire every transfer that has drained, in id order,
-    // compacting the survivors in place. A completion callback may start
-    // or cancel transfers; firing after the sweep keeps it stable. The
-    // list borrows the member scratch's capacity while it fires.
-    std::vector<std::function<void()>> done = std::move(done_);
-    done.clear();
-    auto kept = transfers_.begin();
-    for (Transfer& t : transfers_) {
-      if (t.remaining_bytes <= 0.5) {  // sub-byte fluid residue
-        if (transfers_c_ != nullptr) {
-          transfers_c_->add();
-          const sim::Duration actual = sim_->now() - t.started;
-          transfer_h_->observe(sim::to_seconds(actual));
-          const sim::Duration alone = uncontended_time(t.bytes);
-          wait_h_->observe(sim::to_seconds(
-              actual > alone ? actual - alone : sim::Duration{0}));
-        }
-        done.push_back(std::move(t.on_complete));
-        ++completed_;
-      } else {
-        if (&*kept != &t) *kept = std::move(t);
-        ++kept;
+void BandwidthPool::drain() {
+  settle();
+  // Collect and fire every transfer that has drained, in id order,
+  // compacting the survivors in place. A completion callback may start
+  // or cancel transfers; firing after the sweep keeps it stable. The
+  // list borrows the member scratch's capacity while it fires.
+  std::vector<std::function<void()>> done = std::move(done_);
+  done.clear();
+  auto kept = transfers_.begin();
+  for (Transfer& t : transfers_) {
+    if (t.remaining_bytes <= 0.5) {  // sub-byte fluid residue
+      if (transfers_c_ != nullptr) {
+        transfers_c_->add();
+        const sim::Duration actual = sim_->now() - t.started;
+        transfer_h_->observe(sim::to_seconds(actual));
+        const sim::Duration alone = uncontended_time(t.bytes);
+        wait_h_->observe(sim::to_seconds(
+            actual > alone ? actual - alone : sim::Duration{0}));
       }
+      done.push_back(std::move(t.on_complete));
+      ++completed_;
+    } else {
+      if (&*kept != &t) *kept = std::move(t);
+      ++kept;
     }
-    transfers_.erase(kept, transfers_.end());
-    if (active_g_ != nullptr) {
-      active_g_->set(static_cast<double>(transfers_.size()));
-    }
-    reschedule();
-    for (auto& fn : done) {
-      if (fn) fn();
-    }
-    done.clear();
-    done_ = std::move(done);
-  });
+  }
+  transfers_.erase(kept, transfers_.end());
+  if (active_g_ != nullptr) {
+    active_g_->set(static_cast<double>(transfers_.size()));
+  }
+  reschedule();
+  for (auto& fn : done) {
+    if (fn) fn();
+  }
+  done.clear();
+  done_ = std::move(done);
 }
 
 }  // namespace dvc::storage

@@ -20,10 +20,19 @@ inline constexpr TransferId kInvalidTransfer = 0;
 /// server (or any shared pipe) under concurrent streams and is what makes
 /// "26 VMs saving at once" take ~26x longer per VM than a lone save —
 /// the contention effect the paper's save-time measurements include.
+///
+/// The pool keeps one kernel entry while a transfer is in flight: a
+/// sim::Timer for the next finisher, re-armed on every start, cancel,
+/// capacity change and drain, and disarmed when the pool empties or is
+/// destroyed. Its arms fire in the order a cancel plus schedule_after
+/// would, and usually skip the event heap (a pool deadline tends to be
+/// the latest timer armed).
 class BandwidthPool final {
  public:
   BandwidthPool(sim::Simulation& sim, double bytes_per_second)
-      : sim_(&sim), bps_(bytes_per_second) {}
+      : sim_(&sim),
+        bps_(bytes_per_second),
+        timer_(sim, [this] { drain(); }) {}
 
   BandwidthPool(const BandwidthPool&) = delete;
   BandwidthPool& operator=(const BandwidthPool&) = delete;
@@ -70,10 +79,12 @@ class BandwidthPool final {
     sim::Time started = 0;
   };
 
-  /// Advances every transfer by the elapsed fluid progress, then reschedules
-  /// the single completion event for the next finisher.
+  /// Advances every transfer by the elapsed fluid progress.
   void settle();
+  /// Arms the timer for the next finisher (disarms it when idle).
   void reschedule();
+  /// The timer's callback: completes every drained transfer.
+  void drain();
 
   sim::Simulation* sim_;
   double bps_;
@@ -83,7 +94,9 @@ class BandwidthPool final {
   /// Contiguous: every settle and reschedule walks them all, and there are
   /// rarely more than a few dozen.
   std::vector<Transfer> transfers_;
-  sim::EventId pending_event_ = sim::kInvalidEvent;
+  /// Fires at the next finisher's completion; armed while transfers_ is
+  /// non-empty.
+  sim::Timer timer_;
   std::uint64_t completed_ = 0;
   /// Completion callbacks of one drain, kept for their capacity.
   std::vector<std::function<void()>> done_;

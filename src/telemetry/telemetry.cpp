@@ -165,6 +165,7 @@ std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
 MetricsRegistry::SpanId MetricsRegistry::begin_span(sim::Time at,
                                                     std::string_view track,
                                                     std::string_view name) {
+  if (!timeline_) return kInvalidSpan;
   Span s;
   s.track = std::string(track);
   s.name = std::string(name);
@@ -183,6 +184,7 @@ void MetricsRegistry::end_span(SpanId id, sim::Time at) {
 
 void MetricsRegistry::instant(sim::Time at, std::string_view track,
                               std::string_view name) {
+  if (!timeline_) return;
   instants_.push_back(Instant{std::string(track), std::string(name), at});
 }
 

@@ -147,6 +147,12 @@ class MetricsRegistry final {
 
   // ---- timeline ---------------------------------------------------------
 
+  /// Whether begin_span and instant record anything (on by default). A
+  /// registry whose timeline nobody reads turns it off: spans then cost a
+  /// branch, begin_span returns kInvalidSpan and the export reads
+  /// `"spans": 0, "instants": 0`. Instruments are unaffected.
+  void record_timeline(bool on) noexcept { timeline_ = on; }
+
   /// Opens a span on `track` at sim-time `at`. Tracks are created on first
   /// use and become the rows of the exported Chrome trace.
   SpanId begin_span(sim::Time at, std::string_view track,
@@ -185,6 +191,7 @@ class MetricsRegistry final {
   std::vector<Span> spans_;
   std::vector<Instant> instants_;
   SpanId next_span_ = 1;
+  bool timeline_ = true;
 };
 
 /// One named instrument, resolved on first use. Per-event code keeps a

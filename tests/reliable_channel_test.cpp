@@ -407,9 +407,10 @@ TEST(ReliableConnectionTest, WrapsTwoEndpoints) {
 TEST(ReliableConnectionTest, RetransmitTimersFireAtExactInstants) {
   // Connection x's sender retries against a dead peer, so its backed-off
   // RTOs (400 ms, then 800 ms) sit at the tail of the kernel's timer list.
-  // Connection y's fresh 200 ms RTO and its 10 ms thaw re-arm fall due
-  // before that tail, so both take the heap fallback; every timer must
-  // still fire at its exact instant.
+  // Connection y's fresh 200 ms RTO falls due before that tail, which has
+  // no predecessor, so x's 1400 ms RTO is demoted to the heap and y's arm
+  // joins the list; y's 10 ms thaw re-arm then finds the list empty and
+  // joins it too. Every timer must still fire at its exact instant.
   using sim::kMillisecond;
   sim::Simulation sim;
   auto link = std::make_shared<FlatLinkModel>(
@@ -445,9 +446,9 @@ TEST(ReliableConnectionTest, RetransmitTimersFireAtExactInstants) {
   EXPECT_EQ(retransmits_by(600 * kMillisecond, x.end_a()), 2u);
   EXPECT_EQ(sim.timer_fallbacks(), 0u);
   EXPECT_EQ(retransmits_by(900 * kMillisecond, y.end_a()), 0u);  // parked
-  EXPECT_EQ(sim.timer_fallbacks(), 1u);  // y's 900 ms RTO
+  EXPECT_EQ(sim.timer_fallbacks(), 1u);  // x's 1400 ms RTO, demoted
   EXPECT_EQ(retransmits_by(1010 * kMillisecond - 1, y.end_a()), 0u);
-  EXPECT_EQ(sim.timer_fallbacks(), 2u);  // y's 1010 ms thaw re-arm
+  EXPECT_EQ(sim.timer_fallbacks(), 1u);  // y's thaw re-arm joins the list
   EXPECT_EQ(retransmits_by(1010 * kMillisecond, y.end_a()), 1u);
   EXPECT_EQ(retransmits_by(1400 * kMillisecond - 1, x.end_a()), 2u);
   EXPECT_EQ(retransmits_by(1400 * kMillisecond, x.end_a()), 3u);
@@ -456,7 +457,7 @@ TEST(ReliableConnectionTest, RetransmitTimersFireAtExactInstants) {
             (std::vector<sim::Time>{1010 * kMillisecond +
                                     100 * sim::kMicrosecond + 140}));
   EXPECT_EQ(y.end_a().unacked(), 0u);
-  EXPECT_EQ(sim.timer_fallbacks(), 2u);
+  EXPECT_EQ(sim.timer_fallbacks(), 1u);
   EXPECT_EQ(sim.timer_arms(), 7u);  // x: 4; y: 900, 1010 and 1410 ms
 }
 

@@ -377,6 +377,11 @@ struct OpMix {
   /// Arm, disarm or destroy one of a few Timers (taken from run(limit)'s
   /// share). A cancel that picks a timer's label disarms the timer.
   std::uint64_t timer = 0;
+  /// Half the timer operations go to timer 0, whose arms fall due 30
+  /// ticks later than the others' (a storage pool's deadline among
+  /// transport RTOs), so shorter arms keep demoting it from the list's
+  /// tail.
+  bool long_timer = false;
 };
 
 // Seeded differential test: random schedule / daemon / cancel / step /
@@ -390,6 +395,7 @@ struct Tally {
   std::size_t fired = 0;
   std::uint64_t timer_arms = 0;       ///< Simulation::timer_arms()
   std::uint64_t timer_fallbacks = 0;  ///< Simulation::timer_fallbacks()
+  std::uint64_t timer_demotions = 0;  ///< Simulation::timer_demotions()
   std::uint64_t callback_arms = 0;    ///< re-arms from the timer's callback
   std::uint64_t self_destroys = 0;    ///< timers their callback destroyed
 };
@@ -546,7 +552,8 @@ Tally check_against_multimap(std::uint64_t seed, const OpMix& mix) {
       EXPECT_EQ(s.run_until(until), expect) << "op " << op;
     } else if (kind < mix.schedule + mix.cancel + mix.step + mix.run_until +
                           mix.timer) {
-      const std::size_t t = rng.below(timers.size());
+      const std::size_t t =
+          mix.long_timer && rng.chance(0.5) ? 0 : rng.below(timers.size());
       TimerSlot& slot = timers[t];
       const std::uint64_t what = rng.below(10);
       ref_cancel(slot.label);  // an arm, a disarm and a destroy all cancel
@@ -555,11 +562,12 @@ Tally check_against_multimap(std::uint64_t seed, const OpMix& mix) {
           slot.timer = std::make_unique<Timer>(s, timer_callback(t));
         }
         // Absolute (possibly past) or relative; ties are common, and an
-        // arm earlier than the list's tail must take the heap fallback.
+        // arm earlier than the list's tail must demote the tail or take
+        // the heap fallback.
         const bool absolute = rng.chance(0.3);
-        const Time at = absolute
-                            ? ref_now + static_cast<Time>(rng.below(40)) - 10
-                            : ref_now + static_cast<Time>(rng.below(30));
+        Time at = absolute ? ref_now + static_cast<Time>(rng.below(40)) - 10
+                           : ref_now + static_cast<Time>(rng.below(30));
+        if (mix.long_timer && t == 0) at += 30;
         slot.label = ref_arm(t, at);
         if (absolute) {
           slot.timer->arm_at(at);
@@ -596,6 +604,7 @@ Tally check_against_multimap(std::uint64_t seed, const OpMix& mix) {
   tally.fired = fired.size();
   tally.timer_arms = s.timer_arms();
   tally.timer_fallbacks = s.timer_fallbacks();
+  tally.timer_demotions = s.timer_demotions();
   return tally;
 }
 
@@ -621,6 +630,66 @@ TEST(SimulationTest, TimersMatchMultimapReference) {
   EXPECT_GT(t.timer_fallbacks, 2000u);
   EXPECT_GT(t.callback_arms, 1000u);
   EXPECT_GT(t.self_destroys, 500u);
+}
+
+TEST(SimulationTest, DemotionsMatchMultimapReference) {
+  // One long-deadline timer re-armed among short ones: it keeps landing
+  // at the list's tail, and the short arms behind it keep demoting it to
+  // the heap under its own key.
+  OpMix mix{30, 10, 20, 10, true, 22};
+  mix.long_timer = true;
+  const Tally t = check_against_multimap(20074, mix);
+  EXPECT_GT(t.fired, 20000u);
+  EXPECT_GT(t.timer_demotions, 1000u);
+  EXPECT_GT(t.timer_fallbacks - t.timer_demotions, 50u);
+  EXPECT_GT(t.timer_arms - t.timer_fallbacks, 5000u);
+}
+
+TEST(SimulationTest, DemotedTailKeepsItsKey) {
+  // `far` is armed first, then a heap event at the same tick. `near`,
+  // earlier than `far`, demotes it to the heap, where it keeps the seq of
+  // its own arm and so still fires before the event scheduled after it.
+  Simulation s;
+  std::vector<char> fired;
+  Timer far(s, [&] { fired.push_back('F'); });
+  Timer near(s, [&] { fired.push_back('N'); });
+  far.arm_at(100);
+  s.schedule_at(100, [&] { fired.push_back('E'); });
+  near.arm_at(50);
+  EXPECT_EQ(s.timer_demotions(), 1u);
+  EXPECT_EQ(s.timer_fallbacks(), 1u);
+  EXPECT_TRUE(far.armed());
+  EXPECT_EQ(s.pending(), 3u);
+  EXPECT_EQ(s.pending_foreground(), 3u);
+  EXPECT_EQ(s.run(), 3u);
+  EXPECT_EQ(fired, (std::vector<char>{'N', 'F', 'E'}));
+  EXPECT_FALSE(far.armed());
+}
+
+TEST(SimulationTest, ArmEarlierThanTheLastTwoFallsBack) {
+  // An arm earlier than the tail's predecessor cannot take the tail's
+  // place; it becomes a heap event and the list stays as it is. A
+  // demoted timer disarms and re-arms like any other.
+  Simulation s;
+  std::vector<char> fired;
+  Timer a(s, [&] { fired.push_back('A'); });
+  Timer b(s, [&] { fired.push_back('B'); });
+  Timer c(s, [&] { fired.push_back('C'); });
+  a.arm_at(50);
+  b.arm_at(100);
+  c.arm_at(40);  // earlier than a, b's predecessor
+  EXPECT_EQ(s.timer_fallbacks(), 1u);
+  EXPECT_EQ(s.timer_demotions(), 0u);
+  c.arm_at(60);  // between a and b: b moves to the heap
+  EXPECT_EQ(s.timer_demotions(), 1u);
+  b.disarm();
+  EXPECT_FALSE(b.armed());
+  EXPECT_EQ(s.pending(), 2u);
+  b.arm_at(70);  // no earlier than the tail (c at 60): joins the list
+  EXPECT_EQ(s.timer_fallbacks(), 2u);
+  EXPECT_EQ(s.run(), 3u);
+  EXPECT_EQ(fired, (std::vector<char>{'A', 'C', 'B'}));
+  EXPECT_EQ(s.pending(), 0u);
 }
 
 TEST(RngTest, DeterministicForSameSeed) {

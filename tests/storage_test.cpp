@@ -161,6 +161,43 @@ TEST(BandwidthPoolTest, CancellingAMiddleTransferKeepsTheOthersProgress) {
   EXPECT_EQ(pool.completed(), 3u);
 }
 
+TEST(BandwidthPoolTest, ABurstOfStartsHoldsOneKernelEntry) {
+  sim::Simulation s;
+  BandwidthPool pool(s, 1200.0);  // 400 B/s each while three share it
+  std::vector<sim::Time> done(3, 0);
+  const auto finish = [&](int i) {
+    return [&done, &s, i] { done[static_cast<std::size_t>(i)] = s.now(); };
+  };
+  pool.start(400, finish(0));
+  pool.start(1000, finish(1));
+  pool.start(1600, finish(2));
+  // Three starts re-arm one timer: the pool's only entry in the kernel.
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.timer_arms(), 3u);
+  EXPECT_EQ(s.timer_fallbacks(), 0u);
+  s.run();
+  // The fluid formula: 400 B at 400 B/s; then 600 B at 600 B/s; then the
+  // last 600 B alone at 1200 B/s.
+  EXPECT_EQ(done, (std::vector<sim::Time>{sim::kSecond, 2 * sim::kSecond,
+                                          5 * sim::kSecond / 2}));
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(pool.completed(), 3u);
+}
+
+TEST(BandwidthPoolTest, DestroyingABusyPoolLeavesNothingPending) {
+  sim::Simulation s;
+  bool done = false;
+  {
+    BandwidthPool pool(s, 100.0);
+    pool.start(200, [&] { done = true; });
+    EXPECT_EQ(s.pending(), 1u);
+  }
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.pending_foreground(), 0u);
+  EXPECT_EQ(s.run(), 0u);
+  EXPECT_FALSE(done);
+}
+
 class PoolConservation : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PoolConservation, WorkConservingUnderRandomArrivals) {

@@ -285,6 +285,72 @@ TEST(SweepHarnessTest, CheckerNeverChangesAnOutcome) {
   }
 }
 
+// A ckpt16-shaped cell: compute-bound HPL, no communication, 16 guests
+// of 512 MiB checkpointed every 10 s onto a store with two replicas,
+// three generations kept (a shorter job than the benchmark's).
+constexpr const char* kCkpt16Grid = R"(
+clusters = 1
+nodes_per_cluster = 20
+store_write_mbps = 2000
+store_replicas = 2
+vc_size = 16
+guest_ram_mib = 512
+workload = hpl
+pattern = none
+iterations = 60
+iter_seconds = 1.0
+checkpoint_interval_s = 10
+keep_checkpoints = 3
+horizon_s = 7200
+slice_s = 1
+settle_s = 30
+sweep.seeds = 1
+)";
+
+TEST(SweepHarnessTest, TimelineNeverChangesAnOutcome) {
+  // Spans and instants are write-only as far as the model goes: a cell
+  // that records its timeline reaches the same outcome byte for byte as
+  // one that does not. One cell of each sweep26 fault mix, and a
+  // ckpt16-shaped cell.
+  std::ifstream file(DVC_SOURCE_DIR "/scenarios/sweep26.scn");
+  ASSERT_TRUE(file) << "cannot open scenarios/sweep26.scn";
+  std::ostringstream text;
+  text << file.rdbuf();
+  SweepGrid sweep26 = SweepGrid::load("scenarios/sweep26.scn", text.str());
+  sweep26.set_seeds({3});
+  std::vector<SweepCell> cells = sweep26.cells();
+  ASSERT_EQ(cells.size(), 3u);
+  cells.push_back(SweepGrid::load("ckpt16.scn", kCkpt16Grid).cells().at(0));
+  for (const SweepCell& cell : cells) {
+    const CellOutcome off = run_cell(cell, /*timeline=*/false);
+    const CellOutcome on = run_cell(cell, /*timeline=*/true);
+    EXPECT_EQ(on.to_json(), off.to_json()) << cell.key;
+    EXPECT_TRUE(off.error.empty()) << cell.key << ": " << off.error;
+    EXPECT_GT(off.checkpoints, 0u) << cell.key;
+  }
+}
+
+TEST(CellRigTest, RecordsTheTimelineOnlyWhenAsked) {
+  const SweepCell cell = SweepGrid::load("ckpt16.scn", kCkpt16Grid).cells()[0];
+  CellSpec spec = cell_spec(cell.cfg);
+  for (const bool timeline : {false, true}) {
+    spec.timeline = timeline;
+    CellRig rig(spec);
+    rig.start_recovery();
+    rig.room.sim.run_until(60 * sim::kSecond);
+    const telemetry::MetricsRegistry& m = rig.room.metrics;
+    EXPECT_GE(m.counter_value("ckpt.lsc.rounds"), 3u);
+    EXPECT_GT(m.counter_value("vm.hypervisor.saves"), 0u);
+    if (timeline) {
+      EXPECT_GT(m.spans().size(), 0u);
+      EXPECT_GT(m.instants().size(), 0u);
+    } else {
+      EXPECT_EQ(m.spans().size(), 0u);  // a default rig records none
+      EXPECT_EQ(m.instants().size(), 0u);
+    }
+  }
+}
+
 TEST(RunIndexedTest, CallsEveryIndexOnce) {
   for (const unsigned jobs : {0u, 1u, 3u, 16u}) {
     std::vector<int> calls(37, 0);

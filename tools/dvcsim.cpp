@@ -6,7 +6,10 @@
 // deterministic JSON; --chrome-trace writes the sim-time span timeline in
 // Chrome trace_event format (open in chrome://tracing or Perfetto). Both
 // are also settable as scenario keys (metrics_json / chrome_trace); the
-// command line wins.
+// command line wins. The room records its span timeline only when one of
+// the two exports is asked for (tools::CellSpec::timeline): the metrics
+// JSON's `"spans"`/`"instants"` counts and the trace read it, nothing
+// else does.
 //
 // A scenario file is `key = value` lines (# comments). tools::cell_spec
 // (tools/sweep.cpp) reads it and tools::CellRig assembles the simulation,
@@ -357,7 +360,9 @@ int main(int argc, char** argv) {
     if (trace_path.empty()) {
       trace_path = cfg.get_string("chrome_trace", "");
     }
-    tools::CellRig rig(tools::cell_spec(cfg));
+    tools::CellSpec spec = tools::cell_spec(cfg);
+    spec.timeline = !metrics_path.empty() || !trace_path.empty();
+    tools::CellRig rig(spec);
     if (rig.injector != nullptr) {
       std::printf("fault injector:  %zu events armed\n", rig.faults_armed);
     }

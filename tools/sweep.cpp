@@ -412,6 +412,7 @@ void check_trial(check::Invariants& inv, std::string_view program,
 
 CellRig::CellRig(const CellSpec& spec)
     : room(spec.room), recovery_(spec.recovery), failures_(spec.failures) {
+  room.metrics.record_timeline(spec.timeline);
   if (spec.trace) {
     room.trace.set_echo(true);
     room.trace.set_min_level(sim::TraceLevel::kInfo);
@@ -477,9 +478,11 @@ void CellRig::start_recovery() {
 
 namespace {
 
-void run_cell_impl(const SweepCell& cell, CellOutcome& out) {
+void run_cell_impl(const SweepCell& cell, bool timeline, CellOutcome& out) {
   const ScenarioConfig& cfg = cell.cfg;
-  CellRig rig(cell_spec(cfg));
+  CellSpec spec = cell_spec(cfg);
+  spec.timeline = timeline;
+  CellRig rig(spec);
   rig.start_recovery();
   core::MachineRoom& room = rig.room;
   core::VirtualCluster* vc = rig.vc;
@@ -553,14 +556,14 @@ void run_cell_impl(const SweepCell& cell, CellOutcome& out) {
 
 }  // namespace
 
-CellOutcome run_cell(const SweepCell& cell) {
+CellOutcome run_cell(const SweepCell& cell, bool timeline) {
   CellOutcome out;
   out.key = cell.key;
   out.mix = cell.mix;
   out.seed = cell.seed;
   out.repro = "dvcsweep --repro " + cell.key + " " + cell.grid;
   try {
-    run_cell_impl(cell, out);
+    run_cell_impl(cell, timeline, out);
   } catch (const std::exception& e) {
     out.status = CellStatus::kWedged;
     out.error = e.what();

@@ -163,6 +163,9 @@ struct CellSpec {
     double predicted_fraction = 0.0;
     sim::Duration prediction_lead = 0;
   } failures;
+  /// Record the room's span timeline (MetricsRegistry::record_timeline).
+  /// Only an export reads it, so a rig records none unless asked.
+  bool timeline = false;
   /// Attach check::Invariants to the room.
   bool check = true;
   /// Armed on a fault injector when present.
@@ -211,8 +214,11 @@ class CellRig final {
 /// Runs one cell to its outcome: a silent dvcsim-reliability-style run
 /// with the invariant checker attached (unless `check.invariants = off`).
 /// Deterministic per cell and safe to call from multiple threads at once
-/// (each cell owns its entire simulation).
-[[nodiscard]] CellOutcome run_cell(const SweepCell& cell);
+/// (each cell owns its entire simulation). `timeline` sets
+/// CellSpec::timeline; no outcome field reads the timeline, so the
+/// outcome is the same either way.
+[[nodiscard]] CellOutcome run_cell(const SweepCell& cell,
+                                   bool timeline = false);
 
 /// The merged result of a sweep.
 struct SweepReport {
