@@ -150,7 +150,9 @@ RoundTracker& LscCoordinator::open_round(std::string label,
 void LscCoordinator::schedule_fire(sim::Time at, const RoundTracker& round,
                                    std::size_t i) {
   const MemberRef ref{round.id(), static_cast<std::uint32_t>(i)};
-  sim_->schedule_at(at, [this, ref] { fire_member(ref); });
+  const auto fire = [this, ref] { fire_member(ref); };
+  static_assert(sim::Simulation::stores_inline<decltype(fire)>);
+  sim_->schedule_at(at, fire);
 }
 
 LscCoordinator::RoundTable::iterator LscCoordinator::find_round(

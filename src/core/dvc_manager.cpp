@@ -149,9 +149,12 @@ void DvcManager::destroy_vc(VirtualCluster& vc) {
     lsc->abort(vc.checkpoint_label());
   }
   // Ends each guest's in-flight boot, save and restore, on any node.
+  std::vector<vm::VirtualMachine*> guests;
+  guests.reserve(vc.size());
   for (std::uint32_t i = 0; i < vc.size(); ++i) {
-    fleet_->destroy_domain(vc.machine(i));
+    guests.push_back(&vc.machine(i));
   }
+  fleet_->destroy_domains(guests);
   // A live migration in flight also holds its targets: give back every
   // node the VC holds.
   std::vector<hw::NodeId> held;

@@ -118,7 +118,9 @@ bool Network::send(const Packet& p) {
   const std::uint32_t slot = free_in_flight_.back();
   free_in_flight_.pop_back();
   in_flight_[slot] = p;
-  sim_->schedule_at(arrive, [this, slot] { deliver(slot); });
+  const auto delivery = [this, slot] { deliver(slot); };
+  static_assert(sim::Simulation::stores_inline<decltype(delivery)>);
+  sim_->schedule_at(arrive, delivery);
   return true;
 }
 

@@ -315,7 +315,7 @@ class Network final {
   /// Null, or a port past the row's end, is a closed port.
   std::vector<std::vector<PacketSink*>> sinks_;
   // In-flight packets, so the delivery event captures a pool index (and
-  // fits std::function's inline buffer) instead of a whole Packet.
+  // fits the kernel's inline closure store) instead of a whole Packet.
   std::vector<Packet> in_flight_;
   std::vector<std::uint32_t> free_in_flight_;
   std::uint64_t sent_ = 0;

@@ -1,12 +1,12 @@
 #include "sim/simulation.hpp"
 
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
 namespace dvc::sim {
 
-EventId Simulation::schedule_impl(Time at, std::function<void()> fn,
-                                  bool daemon) {
+EventId Simulation::claim(Time at, bool daemon) {
   if (free_slots_.empty()) {
     if (slots_.size() > kSlotMask) {
       throw std::length_error("Simulation: too many pending events");
@@ -18,7 +18,6 @@ EventId Simulation::schedule_impl(Time at, std::function<void()> fn,
   free_slots_.pop_back();
   const std::uint64_t seq = next_seq_++;
   Slot& s = slots_[slot];
-  s.fn = std::move(fn);
   s.seq = seq;
   s.daemon = daemon;
   const EventId order = seq << kSlotBits | slot;
@@ -26,14 +25,6 @@ EventId Simulation::schedule_impl(Time at, std::function<void()> fn,
   sift_up(heap_.size() - 1, Key{at < now_ ? now_ : at, order});
   if (!daemon) ++foreground_pending_;
   return order;
-}
-
-EventId Simulation::schedule_at(Time at, std::function<void()> fn) {
-  return schedule_impl(at, std::move(fn), /*daemon=*/false);
-}
-
-EventId Simulation::schedule_daemon_at(Time at, std::function<void()> fn) {
-  return schedule_impl(at, std::move(fn), /*daemon=*/true);
 }
 
 bool Simulation::cancel(EventId id) {
@@ -44,9 +35,15 @@ bool Simulation::cancel(EventId id) {
   if (seq == 0 || slot >= slots_.size() || slots_[slot].seq != seq) {
     return false;  // never scheduled, fired, cancelled, or stale
   }
-  remove_at(slots_[slot].pos);
-  // The closure dies at the end of this statement, once the heap and the
-  // slot are consistent again: its destructor may schedule or cancel.
+  Slot& s = slots_[slot];
+  remove_at(s.pos);
+  if (s.thunk != nullptr) {
+    vacate(static_cast<std::uint32_t>(slot));  // nothing to destroy
+    return true;
+  }
+  // The closure dies on return, once the heap and the slot are consistent
+  // again: its destructor may schedule or cancel.
+  const std::function<void()> fn = take_fn(s);
   vacate(static_cast<std::uint32_t>(slot));
   return true;
 }
@@ -94,23 +91,38 @@ void Simulation::remove_at(std::size_t i) noexcept {
   }
 }
 
-std::function<void()> Simulation::vacate(std::uint32_t slot) {
-  Slot& s = slots_[slot];
+std::function<void()> Simulation::take_fn(Slot& s) noexcept {
   std::function<void()> fn = std::move(s.fn);
   s.fn = nullptr;
+  return fn;
+}
+
+void Simulation::vacate(std::uint32_t slot) noexcept {
+  Slot& s = slots_[slot];
+  s.thunk = nullptr;
   s.seq = 0;
   if (!s.daemon) --foreground_pending_;
   free_slots_.push_back(slot);
-  return fn;
 }
 
 void Simulation::fire_top() {
   const Key k = heap_.front();
   remove_at(0);
-  const std::function<void()> fn =
-      vacate(static_cast<std::uint32_t>(k.order & kSlotMask));
+  const auto slot = static_cast<std::uint32_t>(k.order & kSlotMask);
+  Slot& s = slots_[slot];
   now_ = k.at;
   ++executed_;
+  if (const Thunk thunk = s.thunk; thunk != nullptr) {
+    // The closure runs from a stack copy of its bytes: the slot is free
+    // once it starts, and the closure may grow (and move) slots_.
+    alignas(std::uint64_t) unsigned char bytes[kInlineBytes];
+    std::memcpy(bytes, s.bytes, kInlineBytes);
+    vacate(slot);
+    thunk(bytes);
+    return;
+  }
+  const std::function<void()> fn = take_fn(s);
+  vacate(slot);
   fn();
 }
 
@@ -122,7 +134,7 @@ void Simulation::arm(Timer& t, Time at) {
       !demote_tail(at)) {
     // Joining behind an earlier-firing tail would break the list's order.
     ++timer_fallbacks_;
-    t.event_ = schedule_impl(at, heap_firing(t), /*daemon=*/false);
+    t.event_ = schedule_firing(t, at);
     return;
   }
   t.at_ = at;
@@ -135,11 +147,13 @@ void Simulation::arm(Timer& t, Time at) {
   ++foreground_pending_;
 }
 
-std::function<void()> Simulation::heap_firing(Timer& t) {
-  return [timer = &t] {
+EventId Simulation::schedule_firing(Timer& t, Time at) {
+  auto firing = [timer = &t] {
     timer->event_ = kInvalidEvent;
     timer->fn_();
   };
+  static_assert(stores_inline<decltype(firing)>);
+  return schedule_as(at, firing, /*daemon=*/false);
 }
 
 bool Simulation::demote_tail(Time at) {
@@ -147,14 +161,14 @@ bool Simulation::demote_tail(Time at) {
   if (tail.prev_ != nullptr && at < tail.prev_->at_) return false;
   // The new arm's key, (at, next_seq_), falls between the predecessor's
   // and the tail's, so it may take the tail's place once the tail moves
-  // to the heap. The tail keeps its own (at, seq) key there: schedule_impl
-  // draws that seq again, and next_seq_ goes back to where it was.
+  // to the heap. The tail keeps its own (at, seq) key there: claim draws
+  // that seq again, and next_seq_ goes back to where it was.
   ++timer_fallbacks_;
   ++timer_demotions_;
   const std::uint64_t next = next_seq_;
   next_seq_ = tail.seq_;
   unlink(tail);
-  tail.event_ = schedule_impl(tail.at_, heap_firing(tail), /*daemon=*/false);
+  tail.event_ = schedule_firing(tail, tail.at_);
   next_seq_ = next;
   return true;
 }

@@ -107,7 +107,7 @@ void SharedStore::write_object(std::string name, std::uint64_t bytes,
   w.started = sim_->now();
   w.transfer = kInvalidTransfer;
   w.on_complete = std::move(on_complete);
-  sim_->schedule_after(cfg_.op_overhead, [this, id] {
+  const auto start = [this, id] {
     const auto it = inflight_.find(id);
     if (it == inflight_.end()) return;  // torn during the op overhead
     it->second.transfer = writes_.start(it->second.bytes, [this, id] {
@@ -115,7 +115,9 @@ void SharedStore::write_object(std::string name, std::uint64_t bytes,
       if (wit == inflight_.end()) return;
       complete(inflight_.extract(wit), /*torn=*/false);
     });
-  });
+  };
+  static_assert(sim::Simulation::stores_inline<decltype(start)>);
+  sim_->schedule_after(cfg_.op_overhead, start);
 }
 
 ObjectId SharedStore::put_object(std::string name, std::uint64_t bytes,

@@ -68,7 +68,9 @@ std::size_t GuestTimerTable::index_of(GuestTimerId id) const {
 void GuestTimerTable::arm(Entry& e) {
   e.due_at = sim_->now() + e.remaining;
   const GuestTimerId id = e.id;
-  e.event = sim_->schedule_after(e.remaining, [this, id] { fire(id); });
+  const auto expiry = [this, id] { fire(id); };
+  static_assert(sim::Simulation::stores_inline<decltype(expiry)>);
+  e.event = sim_->schedule_after(e.remaining, expiry);
 }
 
 void GuestTimerTable::fire(GuestTimerId id) {

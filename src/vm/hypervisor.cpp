@@ -1,6 +1,7 @@
 #include "vm/hypervisor.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -31,9 +32,13 @@ typename std::vector<Op>::iterator Hypervisor::find_op(std::vector<Op>& ops,
 }
 
 template <class Op>
-void Hypervisor::drop_ops(std::vector<Op>& ops, const VirtualMachine& vm) {
-  std::erase_if(ops, [this, &vm](const Op& op) {
-    if (op.vm != &vm) return false;
+void Hypervisor::drop_ops(std::vector<Op>& ops,
+                          std::span<const VirtualMachine* const> vms) {
+  std::erase_if(ops, [this, vms](const Op& op) {
+    if (!std::binary_search(vms.begin(), vms.end(), op.vm,
+                            std::less<const VirtualMachine*>())) {
+      return false;
+    }
     telemetry::end_span(metrics_, op.span, sim_->now());
     return true;
   });
@@ -51,7 +56,7 @@ void Hypervisor::boot_domain(VirtualMachine& vm,
   op.begin = sim_->now();
   op.cb = std::move(on_booted);
   op.span = telemetry::begin_span(metrics_, op.begin, track_, "boot");
-  sim_->schedule_after(cfg_.boot_time, [this, id] { boot_done(id); });
+  after<&Hypervisor::boot_done>(cfg_.boot_time, id);
 }
 
 void Hypervisor::boot_done(std::uint64_t id) {
@@ -101,7 +106,7 @@ void Hypervisor::save_domain(VirtualMachine& vm,
   op.incremental = incremental;
   op.cb = std::move(on_durable);
   op.span = telemetry::begin_span(metrics_, op.begin, track_, "save");
-  sim_->schedule_after(cmd_latency(), [this, id] { save_freeze(id); });
+  after<&Hypervisor::save_freeze>(cmd_latency(), id);
 }
 
 void Hypervisor::save_freeze(std::uint64_t id) {
@@ -132,7 +137,7 @@ void Hypervisor::save_freeze(std::uint64_t id) {
           ? std::min(vm.config().ram_bytes,
                      vm.dirty_bytes_since_last_image() + kDirtyMapOverhead)
           : vm.config().ram_bytes;
-  sim_->schedule_after(cfg_.save_overhead, [this, id] { save_stream(id); });
+  after<&Hypervisor::save_stream>(cfg_.save_overhead, id);
 }
 
 void Hypervisor::save_stream(std::uint64_t id) {
@@ -233,8 +238,7 @@ void Hypervisor::restore_read(std::uint64_t id, bool ok) {
     finish_restore(id, false);
     return;
   }
-  sim_->schedule_after(cfg_.restore_overhead,
-                       [this, id] { restore_done(id); });
+  after<&Hypervisor::restore_done>(cfg_.restore_overhead, id);
 }
 
 void Hypervisor::restore_done(std::uint64_t id) {
@@ -284,14 +288,15 @@ void Hypervisor::adopt(VirtualMachine& vm) {
 
 void Hypervisor::destroy_domain(VirtualMachine& vm) {
   residents_.erase(&vm);
-  end_ops(vm);
+  const VirtualMachine* const one = &vm;
+  end_ops({&one, 1});
   vm.kill();
 }
 
-void Hypervisor::end_ops(const VirtualMachine& vm) {
-  drop_ops(boots_, vm);
-  drop_ops(saves_, vm);
-  drop_ops(restores_, vm);
+void Hypervisor::end_ops(std::span<const VirtualMachine* const> vms) {
+  drop_ops(boots_, vms);
+  drop_ops(saves_, vms);
+  drop_ops(restores_, vms);
 }
 
 void Hypervisor::on_node_failure() {
@@ -317,6 +322,19 @@ void Hypervisor::on_node_failure() {
       telemetry::count(metrics_, save_failures_c_);
       telemetry::end_span(metrics_, op.span, sim_->now());
       if (op.cb) op.cb(false, std::any{});
+    }
+  }
+}
+
+void HypervisorFleet::destroy_domains(std::span<VirtualMachine* const> vms) {
+  std::vector<const VirtualMachine*> sorted(vms.begin(), vms.end());
+  std::sort(sorted.begin(), sorted.end(), std::less<const VirtualMachine*>());
+  for (auto& h : fleet_) h->end_ops(sorted);
+  for (VirtualMachine* vm : vms) {
+    if (vm->placed_on() == hw::kInvalidNode) {
+      vm->kill();
+    } else {
+      on_node(vm->placed_on()).destroy_domain(*vm);
     }
   }
 }

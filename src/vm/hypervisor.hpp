@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -102,10 +103,11 @@ class Hypervisor final {
   /// operations on this node (end_ops).
   void destroy_domain(VirtualMachine& vm);
 
-  /// Ends `vm`'s boot, save or restore still in flight on this node,
-  /// unreported: their pending events find nothing, so once no node holds
-  /// one the domain may be freed.
-  void end_ops(const VirtualMachine& vm);
+  /// Ends every boot, save or restore still in flight on this node for a
+  /// domain in `vms` (sorted by address, std::less), unreported: their
+  /// pending events find nothing, so once no node holds one the domain
+  /// may be freed. O(1) on a node with no operation in flight.
+  void end_ops(std::span<const VirtualMachine* const> vms);
 
   [[nodiscard]] std::uint64_t saves_completed() const noexcept {
     return saves_completed_;
@@ -184,9 +186,19 @@ class Hypervisor final {
   template <class Op>
   [[nodiscard]] static typename std::vector<Op>::iterator find_op(
       std::vector<Op>& ops, std::uint64_t id);
-  /// Ends every operation of `ops` on `vm` without reporting it.
+  /// Ends every operation of `ops` on a domain in `vms` (sorted) without
+  /// reporting it.
   template <class Op>
-  void drop_ops(std::vector<Op>& ops, const VirtualMachine& vm);
+  void drop_ops(std::vector<Op>& ops,
+                std::span<const VirtualMachine* const> vms);
+  /// Runs stage `Stage` of operation `id` after `delay`. The event
+  /// captures `(this, id)` and is pinned to the kernel's inline store.
+  template <void (Hypervisor::*Stage)(std::uint64_t)>
+  void after(sim::Duration delay, std::uint64_t id) {
+    const auto stage = [this, id] { (this->*Stage)(id); };
+    static_assert(sim::Simulation::stores_inline<decltype(stage)>);
+    sim_->schedule_after(delay, stage);
+  }
   void boot_done(std::uint64_t id);
   /// Save stages, in order: the guest freezes after the command latency,
   /// its image starts streaming after the device quiesce, and the save
@@ -253,17 +265,11 @@ class HypervisorFleet final {
     for (auto& h : fleet_) h->set_metrics(m);
   }
 
-  /// Destroys a domain where it was last placed and ends its operations
-  /// on every node: a save or restore issued before it last moved may
-  /// still be in flight on another.
-  void destroy_domain(VirtualMachine& vm) {
-    for (auto& h : fleet_) h->end_ops(vm);
-    if (vm.placed_on() == hw::kInvalidNode) {
-      vm.kill();
-    } else {
-      on_node(vm.placed_on()).destroy_domain(vm);
-    }
-  }
+  /// Destroys the domains `vms` (a VC's guests) where each was last
+  /// placed, in order, and first ends their operations on every node: a
+  /// save or restore issued before a guest last moved may still be in
+  /// flight on another. One pass over the fleet for all of them.
+  void destroy_domains(std::span<VirtualMachine* const> vms);
 
   /// Forwards the coordinator-epoch fence to every node's hypervisor.
   void set_fence(const storage::EpochFence* fence) noexcept {

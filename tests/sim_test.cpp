@@ -2,6 +2,8 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -503,9 +505,25 @@ Tally check_against_multimap(std::uint64_t seed, const OpMix& mix) {
       const Time at = absolute
                           ? ref_now + static_cast<Time>(rng.below(40)) - 10
                           : ref_now + static_cast<Time>(rng.below(30));
+      // Cycle through the closure kinds: inline, a std::function, and a
+      // trivially copyable capture too large for the inline store.
       auto fn = [&fired, label] { fired.push_back(label); };
-      const EventId id =
-          daemon ? s.schedule_daemon_at(at, fn) : s.schedule_at(at, fn);
+      auto schedule = [&](auto&& f) {
+        return daemon ? s.schedule_daemon_at(at, std::forward<decltype(f)>(f))
+                      : s.schedule_at(at, std::forward<decltype(f)>(f));
+      };
+      EventId id = kInvalidEvent;
+      switch (label % 3) {
+        case 0:
+          id = schedule(fn);
+          break;
+        case 1:
+          id = schedule(std::function<void()>(fn));
+          break;
+        default:
+          id = schedule([fn, pad = std::array<char, 16>{}] { fn(); });
+          break;
+      }
       ids.push_back(id);
       const auto it =
           ref.emplace(at < ref_now ? ref_now : at, RefEvent{label, daemon});
@@ -690,6 +708,148 @@ TEST(SimulationTest, ArmEarlierThanTheLastTwoFallsBack) {
   EXPECT_EQ(s.run(), 3u);
   EXPECT_EQ(fired, (std::vector<char>{'A', 'C', 'B'}));
   EXPECT_EQ(s.pending(), 0u);
+}
+
+// A `[this, id]`-shaped closure is stored inline; a std::function, a
+// capture past 16 bytes and a capture that is not trivially copyable are
+// not.
+struct Owner {
+  std::vector<std::uint64_t> fired;
+  void on(std::uint64_t id) { fired.push_back(id); }
+};
+using ThisIdClosure = decltype([](Owner* o, std::uint64_t id) {
+  return [o, id] { o->on(id); };
+}(nullptr, 0));
+static_assert(Simulation::stores_inline<ThisIdClosure>);
+static_assert(Simulation::stores_inline<void (*)()>);
+static_assert(!Simulation::stores_inline<std::function<void()>>);
+static_assert(!Simulation::stores_inline<decltype([a = std::array<char, 17>{}] {
+  (void)a;
+})>);
+static_assert(!Simulation::stores_inline<decltype([p = std::shared_ptr<int>{}] {
+  (void)p;
+})>);
+
+TEST(SimulationTest, InlineAndFunctionClosuresFireInInsertionOrder) {
+  Simulation s;
+  Owner owner;
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    Owner* o = &owner;
+    auto fn = [o, i] { o->on(i); };
+    if (i % 2 == 0) {
+      s.schedule_at(5, fn);
+    } else {
+      s.schedule_at(5, std::function<void()>(fn));
+    }
+  }
+  EXPECT_EQ(s.run(), 12u);
+  for (std::uint64_t i = 0; i < 12; ++i) EXPECT_EQ(owner.fired[i], i);
+}
+
+TEST(SimulationTest, InlineClosureMayGrowTheSlotsWhileFiring) {
+  // The closure schedules enough events to reallocate the kernel's slot
+  // array, then reads its own captures: it must run from a copy, not from
+  // its (freed) slot. ASan reports a use after free otherwise.
+  Simulation s;
+  Owner owner;
+  Owner* o = &owner;
+  Simulation* sim = &s;
+  s.schedule_at(1, [sim, o] {
+    for (std::uint64_t i = 0; i < 4096; ++i) {
+      sim->schedule_after(1, [o, i] { o->on(i + 1); });
+    }
+    o->on(0);
+  });
+  EXPECT_EQ(s.run(), 4097u);
+  ASSERT_EQ(owner.fired.size(), 4097u);
+  for (std::uint64_t i = 0; i < owner.fired.size(); ++i) {
+    EXPECT_EQ(owner.fired[i], i);
+  }
+}
+
+TEST(SimulationTest, CancelsAnInlineEvent) {
+  Simulation s;
+  Owner owner;
+  Owner* o = &owner;
+  const EventId a = s.schedule_at(10, [o] { o->on(1); });
+  const EventId b = s.schedule_daemon_at(20, [o] { o->on(2); });
+  s.schedule_at(30, [o] { o->on(3); });
+  EXPECT_TRUE(s.cancel(a));
+  EXPECT_FALSE(s.cancel(a));
+  EXPECT_TRUE(s.cancel(b));
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.pending_foreground(), 1u);
+  // The freed slot's next occupant is not reachable through the old id.
+  const EventId c = s.schedule_at(15, [o] { o->on(4); });
+  EXPECT_EQ(slot_of(c), slot_of(b));
+  EXPECT_FALSE(s.cancel(b));
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_EQ(owner.fired, (std::vector<std::uint64_t>{4, 3}));
+}
+
+// A closure that counts its constructions and destructions.
+struct Counted {
+  int* made;
+  int* destroyed;
+  int* calls;
+  Counted(int* m, int* d, int* c) : made(m), destroyed(d), calls(c) {
+    ++*made;
+  }
+  Counted(const Counted& o) : made(o.made), destroyed(o.destroyed),
+                              calls(o.calls) {
+    ++*made;
+  }
+  Counted(Counted&& o) noexcept : Counted(o) {}
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() { ++*destroyed; }
+  void operator()() const { ++*calls; }
+};
+
+TEST(SimulationTest, NonTrivialClosureIsDestroyedExactlyOnce) {
+  Simulation s;
+  int made = 0;
+  int destroyed = 0;
+  int calls = 0;
+  const EventId fires = s.schedule_at(10, Counted(&made, &destroyed, &calls));
+  const EventId cancelled =
+      s.schedule_at(20, Counted(&made, &destroyed, &calls));
+  EXPECT_NE(fires, kInvalidEvent);
+  EXPECT_EQ(made - destroyed, 2);  // one live copy per pending event
+  EXPECT_TRUE(s.cancel(cancelled));
+  EXPECT_EQ(made - destroyed, 1);
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(made, destroyed);
+}
+
+// A callable that counts its copies (moves are not counted).
+struct CopyCounter {
+  int* copies;
+  int* calls;
+  CopyCounter(int* c, int* n) : copies(c), calls(n) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies), calls(o.calls) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  ~CopyCounter() = default;
+  void operator()() const { ++*calls; }
+};
+
+TEST(SimulationTest, FunctionLvalueIsCopiedAndRvalueMoved) {
+  Simulation s;
+  int copies = 0;
+  int calls = 0;
+  std::function<void()> fn = CopyCounter(&copies, &calls);
+  ASSERT_EQ(copies, 0);
+  s.schedule_at(1, fn);
+  EXPECT_EQ(copies, 1);
+  ASSERT_TRUE(fn);  // the caller's copy is untouched
+  s.schedule_daemon_after(2, std::move(fn));
+  EXPECT_EQ(copies, 1);
+  s.run_until(5);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(copies, 1);
 }
 
 TEST(RngTest, DeterministicForSameSeed) {
