@@ -8,8 +8,10 @@
 #                       DvcManager::transition assigns a VirtualCluster's
 #                       state_) and DvcManager's callbacks
 #                       (tools/lint_dvc_continuations.py: no lambda in
-#                       src/core/dvc_manager.cpp captures by reference;
-#                       a callback carries its VC's id and issuing epoch),
+#                       src/core/dvc_manager.cpp or src/ckpt/lsc.cpp
+#                       captures by reference; a DvcManager callback
+#                       carries its VC's id and issuing epoch, an LSC
+#                       event its operation's id and round),
 #                       then configure
 #                       (warnings-as-errors), build, and run the full test
 #                       suite (every label); then configure and build (not
@@ -228,7 +230,8 @@ sys.exit(0 if correct is True and failed == 0 and not zero else 1)
   "")
     python3 tools/lint_metric_names.py src
     python3 tools/lint_vc_state.py src
-    python3 tools/lint_dvc_continuations.py
+    python3 tools/lint_dvc_continuations.py src/core/dvc_manager.cpp \
+      src/ckpt/lsc.cpp
     build_and_test build -DDVC_WERROR=ON
     cmake -B build/dvcbench-pkg -S dvcbench
     cmake --build build/dvcbench-pkg --target dvcbench -j "$JOBS"

@@ -11,21 +11,21 @@ namespace dvc::ckpt {
 // RoundTracker
 
 RoundTracker::RoundTracker(sim::Simulation& sim, std::uint32_t id,
+                           LscCoordinator::OpRef op,
                            std::vector<SaveTarget> targets,
                            storage::ImageManager& images, std::string label,
-                           std::function<void(LscResult)> done,
                            int attempt_no, bool resume_after_save,
                            telemetry::MetricsRegistry* metrics,
                            LscInstruments& instruments)
     : sim_(&sim),
       id_(id),
+      op_(op),
       targets_(std::move(targets)),
       images_(&images),
       label_(std::move(label)),
       set_(images.open_set(label_, targets_.size(),
                            targets_.empty() ? storage::kUnfencedEpoch
                                             : targets_.front().epoch)),
-      done_(std::move(done)),
       outstanding_(targets_.size()),
       resume_after_save_(resume_after_save),
       metrics_(metrics),
@@ -89,7 +89,7 @@ bool RoundTracker::on_member_durable(std::size_t i, bool ok,
   return --outstanding_ == 0;
 }
 
-void RoundTracker::finish() {
+LscResult RoundTracker::finish() {
   result_.ok = members_failed_ == 0 && members_aborted_ == 0;
   result_.members_failed = members_failed_;
   result_.members_aborted = members_aborted_;
@@ -121,7 +121,7 @@ void RoundTracker::finish() {
   }
   telemetry::end_span(metrics_, round_span_, sim_->now());
   // The snapshots move on to the caller: nothing reads result_ again.
-  if (done_) done_(std::move(result_));
+  return std::move(result_);
 }
 
 void RoundTracker::abort() {
@@ -130,20 +130,40 @@ void RoundTracker::abort() {
 }
 
 // ---------------------------------------------------------------------------
-// LscCoordinator — the live-round table
+// LscCoordinator — the operation and live-round tables
 
 LscCoordinator::~LscCoordinator() = default;
 
-RoundTracker& LscCoordinator::open_round(std::string label,
-                                         std::vector<SaveTarget> targets,
-                                         storage::ImageManager& images,
-                                         std::function<void(LscResult)> done,
-                                         int attempt_no,
-                                         bool resume_after_save) {
+void LscCoordinator::checkpoint(std::string label,
+                                std::vector<SaveTarget> targets,
+                                storage::ImageManager& images,
+                                std::function<void(LscResult)> done,
+                                bool resume_after_save, Retarget retarget) {
+  check_targets(targets);
+  ops_.push_back(Op{next_op_++, std::move(label), std::move(targets), &images,
+                    std::move(done), std::move(retarget), resume_after_save,
+                    /*round_no=*/0, retry_.backoff});
+  run_round(ops_.back());
+}
+
+void LscCoordinator::check_targets(
+    const std::vector<SaveTarget>& targets) const {
+  if (targets.empty()) throw std::invalid_argument("no targets");
+}
+
+LscCoordinator::Op* LscCoordinator::find_op(OpRef ref) {
+  const auto it = std::lower_bound(
+      ops_.begin(), ops_.end(), ref.op,
+      [](const Op& op, std::uint32_t want) { return op.id < want; });
+  return it != ops_.end() && it->id == ref.op && it->round_no == ref.round_no
+             ? &*it
+             : nullptr;
+}
+
+RoundTracker& LscCoordinator::open_round(const Op& op) {
   rounds_.push_back(std::make_unique<RoundTracker>(
-      *sim_, next_round_++, std::move(targets), images, std::move(label),
-      std::move(done), attempt_no, resume_after_save, metrics_,
-      instruments_));
+      *sim_, next_round_++, ref_of(op), op.targets, *op.images, op.label,
+      op.attempt_no, op.resume_after_save, metrics_, instruments_));
   return *rounds_.back();
 }
 
@@ -181,7 +201,11 @@ void LscCoordinator::abort(std::string_view label) {
     r->abort();
     return true;
   });
-  abort_pending(label);
+  std::erase_if(ops_, [this, label](const Op& op) {
+    if (op.label != label) return false;
+    sim_->cancel(op.watchdog);
+    return true;
+  });
 }
 
 void LscCoordinator::member_durable(MemberRef ref, bool ok, std::any state) {
@@ -189,124 +213,94 @@ void LscCoordinator::member_durable(MemberRef ref, bool ok, std::any state) {
   if (it == rounds_.end()) return;
   if (!(*it)->on_member_durable(ref.member, ok, std::move(state))) return;
   // The last member reported. The round leaves the table before it
-  // reports, so its continuation may open the next one.
+  // reports, so its op's continuation may open the next one.
   const std::unique_ptr<RoundTracker> round = std::move(*it);
   rounds_.erase(it);
-  round->finish();
+  concluded(round->op(), round->finish());
 }
 
 // ---------------------------------------------------------------------------
 // LscCoordinator — retry/timeout orchestration shared by every trigger
 
-namespace {
-/// One-shot latch for a round: whichever of {completion, watchdog} wins
-/// settles the round; the loser is swallowed.
-struct RoundGate {
-  bool settled = false;
-  sim::EventId watchdog = sim::kInvalidEvent;
-};
-}  // namespace
-
-void LscCoordinator::checkpoint(std::string label,
-                                std::vector<SaveTarget> targets,
-                                storage::ImageManager& images,
-                                std::function<void(LscResult)> done,
-                                bool resume_after_save, Retarget retarget) {
-  run_round(std::move(label), std::move(targets), images, std::move(done),
-            resume_after_save, std::move(retarget), /*round_no=*/0,
-            retry_.backoff);
+void LscCoordinator::run_round(Op& op) {
+  op.attempt_no = 1;
+  if (retry_.round_timeout > 0) {
+    const auto expire = [this, r = ref_of(op)] { watchdog_expired(r); };
+    static_assert(sim::Simulation::stores_inline<decltype(expire)>);
+    op.watchdog = sim_->schedule_after(retry_.round_timeout, expire);
+  }
+  start_round(op);
 }
 
-void LscCoordinator::run_round(std::string label,
-                               std::vector<SaveTarget> targets,
-                               storage::ImageManager& images,
-                               std::function<void(LscResult)> done,
-                               bool resume_after_save, Retarget retarget,
-                               int round_no, sim::Duration backoff) {
-  auto gate = std::make_shared<RoundGate>();
-  // Copies of label/targets/done survive in this closure so a failed round
-  // can be re-fired; with the default policy it reduces to done(result).
-  auto conclude = [this, gate, label, targets, &images, done,
-                   resume_after_save, retarget, round_no,
-                   backoff](LscResult r) {
-    if (gate->settled) {
-      // The watchdog already abandoned this round; the stragglers' real
-      // completion arrives here and must not reach the caller twice.
-      telemetry::count(metrics_, instruments_.late_completions);
-      return;
-    }
-    gate->settled = true;
-    if (gate->watchdog != sim::kInvalidEvent) {
-      sim_->cancel(gate->watchdog);
-      gate->watchdog = sim::kInvalidEvent;
-    }
-    r.retries = round_no;
-    if (!r.ok && round_no < retry_.max_round_retries) {
-      telemetry::count(metrics_, instruments_.round_retries);
-      telemetry::instant(metrics_, sim_->now(), "lsc", "round_retry");
-      const auto next = static_cast<sim::Duration>(
-          static_cast<double>(backoff) * retry_.backoff_factor);
-      sim_->schedule_after(backoff, [this, label, targets, &images, done,
-                                     resume_after_save, retarget, round_no,
-                                     next]() mutable {
-        // Re-resolve targets at fire time: the failure that sank the last
-        // round may have triggered a recovery that moved members to new
-        // nodes, and pausing a stale mapping freezes the survivors while
-        // the relocated member runs on — an asymmetry the app's transport
-        // retry budget cannot absorb.
-        std::vector<SaveTarget> fresh = std::move(targets);
-        if (retarget) {
-          std::optional<std::vector<SaveTarget>> r2 = retarget();
-          if (!r2.has_value()) {
-            telemetry::count(metrics_, instruments_.retries_abandoned);
-            LscResult abandoned;
-            abandoned.aborted_cleanly = true;
-            abandoned.retries = round_no;
-            if (check_ != nullptr) {
-              check_->on_round_complete(false, abandoned.set);
-            }
-            if (done) done(std::move(abandoned));
-            return;
-          }
-          fresh = std::move(*r2);
-        }
-        run_round(std::move(label), std::move(fresh), images,
-                  std::move(done), resume_after_save, std::move(retarget),
-                  round_no + 1, next);
-      });
-      return;
-    }
-    if (check_ != nullptr) check_->on_round_complete(r.ok, r.set);
-    if (done) done(std::move(r));
-  };
-  if (retry_.round_timeout > 0) {
-    gate->watchdog =
-        sim_->schedule_after(retry_.round_timeout, [this, gate, conclude] {
-          if (gate->settled) return;
-          gate->watchdog = sim::kInvalidEvent;
-          telemetry::count(metrics_, instruments_.round_timeouts);
-          telemetry::instant(metrics_, sim_->now(), "lsc", "round_timeout");
-          LscResult r;
-          r.timed_out = true;
-          conclude(std::move(r));
-        });
+void LscCoordinator::watchdog_expired(OpRef ref) {
+  if (find_op(ref) == nullptr) return;
+  telemetry::count(metrics_, instruments_.round_timeouts);
+  telemetry::instant(metrics_, sim_->now(), "lsc", "round_timeout");
+  LscResult r;
+  r.timed_out = true;
+  concluded(ref, std::move(r));
+}
+
+void LscCoordinator::concluded(OpRef ref, LscResult r) {
+  Op* op = find_op(ref);
+  if (op == nullptr) {
+    // The watchdog already abandoned this round; the stragglers' real
+    // completion arrives here and must not reach the caller twice.
+    telemetry::count(metrics_, instruments_.late_completions);
+    return;
   }
-  start_round(std::move(label), std::move(targets), images,
-              std::move(conclude), resume_after_save);
+  sim_->cancel(op->watchdog);  // a no-op once it has fired
+  r.retries = ref.round_no;
+  if (!r.ok && op->round_no < retry_.max_round_retries) {
+    telemetry::count(metrics_, instruments_.round_retries);
+    telemetry::instant(metrics_, sim_->now(), "lsc", "round_retry");
+    ++op->round_no;
+    const auto retry = [this, next = ref_of(*op)] { retry_round(next); };
+    static_assert(sim::Simulation::stores_inline<decltype(retry)>);
+    sim_->schedule_after(op->backoff, retry);
+    op->backoff = static_cast<sim::Duration>(
+        static_cast<double>(op->backoff) * retry_.backoff_factor);
+    return;
+  }
+  report(*op, std::move(r));
+}
+
+void LscCoordinator::retry_round(OpRef ref) {
+  Op* op = find_op(ref);
+  if (op == nullptr) return;  // abort() ended it during the backoff
+  // Re-resolve targets at fire time: the failure that sank the last round
+  // may have triggered a recovery that moved members to new nodes, and
+  // pausing a stale mapping freezes the survivors while the relocated
+  // member runs on — an asymmetry the app's transport retry budget cannot
+  // absorb.
+  if (op->retarget) {
+    std::optional<std::vector<SaveTarget>> fresh = op->retarget();
+    if (!fresh.has_value()) {
+      telemetry::count(metrics_, instruments_.retries_abandoned);
+      LscResult abandoned;
+      abandoned.aborted_cleanly = true;
+      abandoned.retries = op->round_no;
+      report(*op, std::move(abandoned));
+      return;
+    }
+    check_targets(*fresh);
+    op->targets = std::move(*fresh);
+  }
+  run_round(*op);
+}
+
+void LscCoordinator::report(Op& op, LscResult r) {
+  if (check_ != nullptr) check_->on_round_complete(r.ok, r.set);
+  const std::function<void(LscResult)> done = std::move(op.done);
+  ops_.erase(ops_.begin() + (&op - ops_.data()));
+  if (done) done(std::move(r));
 }
 
 // ---------------------------------------------------------------------------
 // NaiveLscCoordinator
 
-void NaiveLscCoordinator::start_round(std::string label,
-                                      std::vector<SaveTarget> targets,
-                                      storage::ImageManager& images,
-                                      std::function<void(LscResult)> done,
-                                      bool resume_after_save) {
-  if (targets.empty()) throw std::invalid_argument("no targets");
-  const RoundTracker& round =
-      open_round(std::move(label), std::move(targets), images,
-                 std::move(done), /*attempt_no=*/1, resume_after_save);
+void NaiveLscCoordinator::start_round(Op& op) {
+  const RoundTracker& round = open_round(op);
   // The controlling program writes `vm save` down one terminal after
   // another; each write costs a dispatch delay, so the k-th guest's save
   // command lands ~k dispatch-delays after the first. That cumulative skew
@@ -322,38 +316,28 @@ void NaiveLscCoordinator::start_round(std::string label,
 // ---------------------------------------------------------------------------
 // NtpLscCoordinator
 
-void NtpLscCoordinator::start_round(std::string label,
-                                    std::vector<SaveTarget> targets,
-                                    storage::ImageManager& images,
-                                    std::function<void(LscResult)> done,
-                                    bool resume_after_save) {
-  if (targets.empty()) throw std::invalid_argument("no targets");
+void NtpLscCoordinator::check_targets(
+    const std::vector<SaveTarget>& targets) const {
+  LscCoordinator::check_targets(targets);
   for (const SaveTarget& t : targets) {
     if (t.clock == nullptr) {
       throw std::invalid_argument("ntp lsc requires a host clock per target");
     }
   }
-  attempt(std::move(label), std::move(targets), images, 1, std::move(done),
-          resume_after_save);
 }
 
-void NtpLscCoordinator::attempt(std::string label,
-                                std::vector<SaveTarget> targets,
-                                storage::ImageManager& images,
-                                int attempt_no,
-                                std::function<void(LscResult)> done,
-                                bool resume_after_save) {
+void NtpLscCoordinator::start_round(Op& op) {
   // The coordinator publishes one *local wall-clock* instant T; each agent
   // converts T to its own timeline. Host-clock error and timer jitter are
   // the only skew sources left.
   const sim::Time t_local =
-      targets.front().clock->local_now() + cfg_.lead_time;
+      op.targets.front().clock->local_now() + cfg_.lead_time;
 
   // Sample each agent's scheduling fate for this round up front (whether
   // the host is too loaded to service the timer promptly).
-  std::vector<sim::Duration> delay(targets.size());
+  std::vector<sim::Duration> delay(op.targets.size());
   bool any_stalled = false;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
+  for (std::size_t i = 0; i < op.targets.size(); ++i) {
     delay[i] = rng_.exponential_duration(cfg_.sched_jitter);
     if (cfg_.stall_prob > 0.0 && rng_.chance(cfg_.stall_prob)) {
       delay[i] += rng_.exponential_duration(cfg_.stall_mean);
@@ -363,34 +347,14 @@ void NtpLscCoordinator::attempt(std::string label,
 
   if (cfg_.health_check && any_stalled) {
     // Future-work robustness (§4): the pre-deadline health check notices
-    // the starved agent and abandons the round before any guest freezes.
-    if (attempt_no >= cfg_.max_attempts) {
-      LscResult r;
-      r.ok = false;
-      r.aborted_cleanly = true;
-      r.attempts = attempt_no;
-      sim_->schedule_after(cfg_.lead_time - cfg_.health_check_lead,
-                           [this, done = std::move(done), r] {
-                             telemetry::count(metrics_,
-                                              instruments_.rounds_aborted);
-                             telemetry::instant(metrics_, sim_->now(),
-                                                "lsc", "round_abandoned");
-                             if (done) done(r);
-                           });
-      return;
-    }
-    const std::uint32_t id = next_deferred_++;
-    deferred_.push_back(Deferred{id, std::move(label), std::move(targets),
-                                 &images, attempt_no, std::move(done),
-                                 resume_after_save});
-    sim_->schedule_after(cfg_.lead_time - cfg_.health_check_lead,
-                         [this, id] { retry_deferred(id); });
+    // the starved agent and abandons the attempt before any guest freezes.
+    const auto poll = [this, r = ref_of(op)] { health_checked(r); };
+    static_assert(sim::Simulation::stores_inline<decltype(poll)>);
+    sim_->schedule_after(cfg_.lead_time - cfg_.health_check_lead, poll);
     return;
   }
 
-  const RoundTracker& round =
-      open_round(std::move(label), std::move(targets), images,
-                 std::move(done), attempt_no, resume_after_save);
+  const RoundTracker& round = open_round(op);
   const std::size_t n = round.targets().size();
   for (std::size_t i = 0; i < n; ++i) {
     const clocksync::HostClock& clock = *round.targets()[i].clock;
@@ -399,21 +363,23 @@ void NtpLscCoordinator::attempt(std::string label,
   }
 }
 
-void NtpLscCoordinator::retry_deferred(std::uint32_t id) {
-  const auto it = std::find_if(deferred_.begin(), deferred_.end(),
-                               [id](const Deferred& d) { return d.id == id; });
-  if (it == deferred_.end()) return;  // aborted
-  Deferred d = std::move(*it);
-  deferred_.erase(it);
+void NtpLscCoordinator::health_checked(OpRef ref) {
+  Op* op = find_op(ref);
+  // Dropped once abort() ended the op or its watchdog settled the round.
+  if (op == nullptr) return;
+  if (op->attempt_no >= cfg_.max_attempts) {
+    telemetry::count(metrics_, instruments_.rounds_aborted);
+    telemetry::instant(metrics_, sim_->now(), "lsc", "round_abandoned");
+    LscResult r;
+    r.aborted_cleanly = true;
+    r.attempts = op->attempt_no;
+    concluded(ref, std::move(r));
+    return;
+  }
+  ++op->attempt_no;
   telemetry::count(metrics_, instruments_.health_check_retries);
   telemetry::instant(metrics_, sim_->now(), "lsc", "health_check_retry");
-  attempt(std::move(d.label), std::move(d.targets), *d.images,
-          d.attempt_no + 1, std::move(d.done), d.resume_after_save);
-}
-
-void NtpLscCoordinator::abort_pending(std::string_view label) {
-  std::erase_if(deferred_,
-                [label](const Deferred& d) { return d.label == label; });
+  start_round(*op);
 }
 
 }  // namespace dvc::ckpt

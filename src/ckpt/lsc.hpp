@@ -58,7 +58,9 @@ struct LscResult {
   /// into the VC's recovery point, so its own continuation gets none.
   std::vector<std::any> app_snapshots;
   int attempts = 1;  ///< rounds used (health-checked retries)
-  int retries = 0;   ///< whole-round retries consumed (RetryPolicy)
+  /// Whole-round retries started (RetryPolicy), one that Retarget then
+  /// abandoned included: each counts once in ckpt.lsc.round_retries.
+  int retries = 0;
   /// Members whose guest froze but whose image never became durable (work
   /// was disturbed) vs. members whose save aborted before the freeze.
   int members_failed = 0;
@@ -90,16 +92,20 @@ class RoundTracker;
 /// Checkpointing", paper §3): save every VM "simultaneously enough" that
 /// the guests' reliable transport masks the cut. Implementations differ
 /// only in how the simultaneous trigger is achieved.
+///
+/// Each checkpoint() call is one operation (Op) in an id-ordered table the
+/// coordinator owns, from the call until its `done` runs or abort() ends
+/// it. Its rounds, round watchdog, backoff retry and health-check deferral
+/// all resolve through that one entry.
 class LscCoordinator {
  public:
   /// Whole-round failure handling, shared by every implementation. All
-  /// defaults are off, so a coordinator without an explicit policy behaves
-  /// exactly as before: one round, no watchdog, failures reported bare.
+  /// defaults are off: one round, no watchdog, failures reported bare.
   struct RetryPolicy {
     /// Extra rounds attempted after a failed one (0 = report the bare
     /// failure). Each retry asks the caller's `Retarget` hook for a fresh
     /// target list (members may have been relocated by a recovery since
-    /// the round started); without a hook the original targets are
+    /// the round started); without a hook the last round's targets are
     /// re-fired as-is.
     int max_round_retries = 0;
     /// Exponential backoff before each retry: first wait `backoff`, then
@@ -112,14 +118,26 @@ class LscCoordinator {
     sim::Duration round_timeout = 0;
   };
 
-  /// Re-resolves the save targets for a retried round. A recovery may have
-  /// relocated members between attempts, leaving the original targets
-  /// pointing at dead hypervisors — retrying those pauses the survivors
-  /// while the relocated member runs free, the exact asymmetry LSC exists
-  /// to avoid. Returning nullopt abandons the remaining retries (e.g. a
-  /// recovery is mid-flight and will re-checkpoint on its own schedule).
+  /// Re-resolves the save targets for a retried round, when its backoff
+  /// ends. A recovery may have relocated members between attempts, leaving
+  /// the original targets pointing at dead hypervisors — retrying those
+  /// pauses the survivors while the relocated member runs free, the exact
+  /// asymmetry LSC exists to avoid. Returning nullopt abandons the
+  /// remaining retries (e.g. a recovery is mid-flight and will
+  /// re-checkpoint on its own schedule): `done` then gets a clean abort.
+  /// It runs inside the coordinator and must not call back into it. Once
+  /// abort() has ended the checkpoint it is never asked.
   using Retarget =
       std::function<std::optional<std::vector<SaveTarget>>()>;
+
+  /// What an operation's events and its rounds' reports carry besides the
+  /// coordinator: the op and the round (retry number) they belong to. A
+  /// settled round moves its op on to the next round or ends it, so a ref
+  /// to it resolves to nothing.
+  struct OpRef {
+    std::uint32_t op;
+    int round_no;
+  };
 
   virtual ~LscCoordinator();
 
@@ -135,11 +153,11 @@ class LscCoordinator {
                   std::function<void(LscResult)> done,
                   bool resume_after_save = true, Retarget retarget = nullptr);
 
-  /// Ends every live round labelled `label` unreported: its set is
-  /// aborted, and its pending fires and save reports find nothing. A
-  /// whole-round retry still pending asks the caller's Retarget hook, which
-  /// must return nullopt once the targets are gone. For an owner tearing
-  /// the round's guests down (core::DvcManager::destroy_vc).
+  /// Ends every checkpoint labelled `label` unreported: its live rounds'
+  /// sets are aborted, and its pending fires and save reports, its round
+  /// watchdog, a backoff retry and a health-check deferral all find
+  /// nothing. Neither `done` nor `Retarget` is called again. For an owner
+  /// tearing the round's guests down (core::DvcManager::destroy_vc).
   void abort(std::string_view label);
 
   [[nodiscard]] virtual std::string_view name() const = 0;
@@ -161,24 +179,44 @@ class LscCoordinator {
  protected:
   explicit LscCoordinator(sim::Simulation& sim) noexcept : sim_(&sim) {}
 
-  /// One coordinated round (implementation-specific trigger). `done` must
-  /// be invoked exactly once with the round's outcome.
-  virtual void start_round(std::string label,
-                           std::vector<SaveTarget> targets,
-                           storage::ImageManager& images,
-                           std::function<void(LscResult)> done,
-                           bool resume_after_save) = 0;
+  /// One checkpoint() call.
+  struct Op {
+    std::uint32_t id = 0;
+    std::string label;
+    std::vector<SaveTarget> targets;  ///< the current round's
+    storage::ImageManager* images = nullptr;
+    std::function<void(LscResult)> done;
+    Retarget retarget;
+    bool resume_after_save = true;
+    int round_no = 0;           ///< whole-round retries started so far
+    sim::Duration backoff = 0;  ///< wait before the next retry
+    int attempt_no = 1;         ///< health-checked attempt of this round
+    sim::EventId watchdog = sim::kInvalidEvent;  ///< this round's
+  };
 
-  /// Opens a round this coordinator owns until its last member reports.
-  /// Its members are fired with schedule_fire, each at its own instant.
-  RoundTracker& open_round(std::string label, std::vector<SaveTarget> targets,
-                           storage::ImageManager& images,
-                           std::function<void(LscResult)> done,
-                           int attempt_no, bool resume_after_save);
+  /// Throws std::invalid_argument unless this trigger can fire `targets`.
+  virtual void check_targets(const std::vector<SaveTarget>& targets) const;
+  /// Starts attempt `op.attempt_no` of the op's current round
+  /// (implementation-specific trigger): it opens the round (open_round),
+  /// or defers or abandons the attempt through an event carrying ref_of(op).
+  virtual void start_round(Op& op) = 0;
+
+  [[nodiscard]] static OpRef ref_of(const Op& op) noexcept {
+    return {op.id, op.round_no};
+  }
+  /// The op `ref` names, or null once its round has settled or abort()
+  /// ended it.
+  [[nodiscard]] Op* find_op(OpRef ref);
+  /// Settles the round `ref` names with `r`: a retry, or the op's end.
+  /// A round already settled counts `r` as a late completion.
+  void concluded(OpRef ref, LscResult r);
+
+  /// Opens the op's current round, owned by this coordinator until its
+  /// last member reports. Its members are fired with schedule_fire, each
+  /// at its own instant.
+  RoundTracker& open_round(const Op& op);
   /// Fires member `i` of `round` at `at`.
   void schedule_fire(sim::Time at, const RoundTracker& round, std::size_t i);
-  /// abort()'s hook for rounds an implementation holds before opening.
-  virtual void abort_pending(std::string_view /*label*/) {}
 
   telemetry::MetricsRegistry* metrics_ = nullptr;
   LscInstruments instruments_;
@@ -201,14 +239,21 @@ class LscCoordinator {
   void fire_member(MemberRef ref);
   void member_durable(MemberRef ref, bool ok, std::any state);
 
-  void run_round(std::string label, std::vector<SaveTarget> targets,
-                 storage::ImageManager& images,
-                 std::function<void(LscResult)> done, bool resume_after_save,
-                 Retarget retarget, int round_no, sim::Duration backoff);
+  /// Arms the op's round watchdog (if the policy sets one) and starts the
+  /// round's first attempt.
+  void run_round(Op& op);
+  void watchdog_expired(OpRef ref);
+  void retry_round(OpRef ref);
+  /// Ends `op`: the checker hears `r`'s outcome, the op leaves the table,
+  /// and its `done` gets `r`.
+  void report(Op& op, LscResult r);
 
   RetryPolicy retry_{};
-  /// Live rounds in id order (ids only grow, so a new round appends).
+  /// Live operations and rounds, each in id order (ids only grow, so a
+  /// new entry appends).
+  std::vector<Op> ops_;
   RoundTable rounds_;
+  std::uint32_t next_op_ = 1;
   std::uint32_t next_round_ = 1;
 };
 
@@ -242,10 +287,7 @@ class NaiveLscCoordinator final : public LscCoordinator {
   [[nodiscard]] std::string_view name() const override { return "naive"; }
 
  protected:
-  void start_round(std::string label, std::vector<SaveTarget> targets,
-                   storage::ImageManager& images,
-                   std::function<void(LscResult)> done,
-                   bool resume_after_save) override;
+  void start_round(Op& op) override;
 
  private:
   Config cfg_;
@@ -289,34 +331,17 @@ class NtpLscCoordinator final : public LscCoordinator {
   [[nodiscard]] std::string_view name() const override { return "ntp"; }
 
  protected:
-  void start_round(std::string label, std::vector<SaveTarget> targets,
-                   storage::ImageManager& images,
-                   std::function<void(LscResult)> done,
-                   bool resume_after_save) override;
+  void check_targets(const std::vector<SaveTarget>& targets) const override;
+  void start_round(Op& op) override;
 
  private:
-  void attempt(std::string label, std::vector<SaveTarget> targets,
-               storage::ImageManager& images, int attempt_no,
-               std::function<void(LscResult)> done, bool resume_after_save);
-  void abort_pending(std::string_view label) override;
-  void retry_deferred(std::uint32_t id);
-
-  /// An attempt the health check deferred. Its retry event captures only
-  /// `(this, id)`, so abort() can drop it before it re-fires the targets.
-  struct Deferred {
-    std::uint32_t id = 0;
-    std::string label;
-    std::vector<SaveTarget> targets;
-    storage::ImageManager* images = nullptr;
-    int attempt_no = 0;
-    std::function<void(LscResult)> done;
-    bool resume_after_save = true;
-  };
+  /// The health check of a deferred or abandoned attempt, at the instant
+  /// its poll ran: the op's next attempt, or a clean abort once
+  /// max_attempts are spent.
+  void health_checked(OpRef ref);
 
   Config cfg_;
   sim::Rng rng_;
-  std::vector<Deferred> deferred_;
-  std::uint32_t next_deferred_ = 1;
 };
 
 /// Shared bookkeeping for one in-flight coordinated round: collects pause
@@ -326,15 +351,16 @@ class NtpLscCoordinator final : public LscCoordinator {
 class RoundTracker final {
  public:
   /// `instruments` belongs to the issuing coordinator, which outlives
-  /// the round (its `done` continuation calls back into it).
+  /// the round. `op` is the operation and round this one reports to.
   RoundTracker(sim::Simulation& sim, std::uint32_t id,
-               std::vector<SaveTarget> targets,
+               LscCoordinator::OpRef op, std::vector<SaveTarget> targets,
                storage::ImageManager& images, std::string label,
-               std::function<void(LscResult)> done, int attempt_no,
-               bool resume_after_save, telemetry::MetricsRegistry* metrics,
+               int attempt_no, bool resume_after_save,
+               telemetry::MetricsRegistry* metrics,
                LscInstruments& instruments);
 
   [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
+  [[nodiscard]] LscCoordinator::OpRef op() const noexcept { return op_; }
 
   /// Issues the save for target `i` now (hypervisor adds local latency);
   /// `on_durable` reports it. Returns false, issuing nothing, when the
@@ -345,8 +371,8 @@ class RoundTracker final {
   /// reported; the owner then calls finish().
   bool on_member_durable(std::size_t i, bool ok, std::any state);
 
-  /// Seals the round's outcome and hands it to `done`.
-  void finish();
+  /// Seals the round's outcome and returns it.
+  LscResult finish();
 
   /// Ends the round without reporting it: aborts its set and closes its
   /// span (LscCoordinator::abort).
@@ -360,11 +386,11 @@ class RoundTracker final {
  private:
   sim::Simulation* sim_;
   std::uint32_t id_;
+  LscCoordinator::OpRef op_;
   std::vector<SaveTarget> targets_;
   storage::ImageManager* images_;
   std::string label_;
   storage::CheckpointSetId set_;
-  std::function<void(LscResult)> done_;
   LscResult result_;
   std::size_t outstanding_;
   bool resume_after_save_;

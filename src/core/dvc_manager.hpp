@@ -53,8 +53,10 @@ class DvcManager final {
 
   /// Tears a VC down and releases its nodes. Safe in every state: it
   /// takes the VC out of the manager's table first (every pending callback
-  /// then resolves to nothing), aborts its in-flight LSC round, and ends
-  /// each guest's in-flight boot, save and restore before freeing them.
+  /// then resolves to nothing), aborts its in-flight LSC checkpoint (its
+  /// rounds, round watchdog, pending retry and health-check deferral), and
+  /// ends each guest's in-flight boot, save and restore before freeing
+  /// them.
   void destroy_vc(VirtualCluster& vc);
 
   /// Binds a parallel application to a VC: rank i becomes the guest
@@ -301,8 +303,8 @@ class DvcManager final {
     int ckpt_round = 0;
     /// Consecutive failed restores of the *current* recovery point.
     int restore_attempts = 0;
-    /// The coordinator of the VC's in-flight LSC round, which destroy_vc
-    /// aborts (null when no round is in flight).
+    /// The coordinator of the VC's in-flight LSC checkpoint, which
+    /// destroy_vc aborts (null when no checkpoint is in flight).
     ckpt::LscCoordinator* round_owner = nullptr;
   };
 
@@ -356,6 +358,7 @@ class DvcManager final {
       bool avoid_current) const;
   /// The save targets for a retried round of `op`'s VC (see
   /// ckpt::LscCoordinator::Retarget), or nullopt to abandon the retry.
+  /// Never asked for a destroyed VC: destroy_vc's abort ends the retry.
   std::optional<std::vector<ckpt::SaveTarget>> retarget(Issued op,
                                                          bool incremental);
   // ---- coordinator fault domain ------------------------------------------

@@ -30,9 +30,19 @@ FaultInjector::FaultInjector(sim::Simulation& sim, Hooks hooks,
 
 void FaultInjector::arm(const FaultPlan& plan) {
   for (const FaultEvent& e : plan.schedule()) {
+    const std::size_t i = events_.size();
+    events_.push_back(e);
     // Daemon events: a fault schedule must not keep a finished job alive.
-    sim_->schedule_daemon_at(e.at, [this, e] { apply(e); });
+    const auto fire = [this, i] { apply(i); };
+    static_assert(sim::Simulation::stores_inline<decltype(fire)>);
+    sim_->schedule_daemon_at(e.at, fire);
   }
+}
+
+void FaultInjector::lift_after(std::size_t i) {
+  const auto fire = [this, i] { lift(events_[i]); };
+  static_assert(sim::Simulation::stores_inline<decltype(fire)>);
+  sim_->schedule_daemon_after(events_[i].down_for, fire);
 }
 
 std::uint64_t FaultInjector::directed_key(std::uint32_t from,
@@ -46,7 +56,8 @@ void FaultInjector::skip(const FaultEvent& e) {
   telemetry::count(metrics_, skipped_c_[e.kind]);
 }
 
-void FaultInjector::apply(const FaultEvent& e) {
+void FaultInjector::apply(std::size_t i) {
+  const FaultEvent& e = events_[i];
   switch (e.kind) {
     case FaultKind::kNodeCrash: {
       if (hooks_.fabric == nullptr ||
@@ -57,7 +68,7 @@ void FaultInjector::apply(const FaultEvent& e) {
       }
       hooks_.fabric->fail_node(e.node);
       if (e.down_for > 0) {
-        sim_->schedule_daemon_after(e.down_for, [this, e] { lift(e); });
+        lift_after(i);
       }
       break;
     }
@@ -70,7 +81,7 @@ void FaultInjector::apply(const FaultEvent& e) {
         ++pairs_[key].down_depth;
         refresh_pair(key);
       });
-      sim_->schedule_daemon_after(e.down_for, [this, e] { lift(e); });
+      lift_after(i);
       break;
     }
     case FaultKind::kLinkDegrade: {
@@ -82,7 +93,7 @@ void FaultInjector::apply(const FaultEvent& e) {
         pairs_[key].degrades.emplace_back(e.loss, e.latency_factor);
         refresh_pair(key);
       });
-      sim_->schedule_daemon_after(e.down_for, [this, e] { lift(e); });
+      lift_after(i);
       break;
     }
     case FaultKind::kPartition: {
@@ -102,7 +113,7 @@ void FaultInjector::apply(const FaultEvent& e) {
           }
         }
       }
-      sim_->schedule_daemon_after(e.down_for, [this, e] { lift(e); });
+      lift_after(i);
       break;
     }
     case FaultKind::kCoordinatorCrash: {
@@ -120,7 +131,7 @@ void FaultInjector::apply(const FaultEvent& e) {
       }
       ++disk_factors_[e.factor];
       refresh_disk();
-      sim_->schedule_daemon_after(e.down_for, [this, e] { lift(e); });
+      lift_after(i);
       break;
     }
     case FaultKind::kClockStep: {

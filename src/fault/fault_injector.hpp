@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <string_view>
@@ -88,7 +89,10 @@ class FaultInjector final {
     std::vector<std::pair<double, double>> degrades;  ///< (loss, lat_factor)
   };
 
-  void apply(const FaultEvent& e);
+  /// Applies events_[i] and, for a temporary fault, schedules its lift
+  /// (lift_after). Both events carry only `(this, i)`.
+  void apply(std::size_t i);
+  void lift_after(std::size_t i);
   void lift(const FaultEvent& e);
   void skip(const FaultEvent& e);
   void refresh_pair(std::uint64_t key);
@@ -108,6 +112,9 @@ class FaultInjector final {
   sim::Simulation* sim_;
   Hooks hooks_;
   telemetry::MetricsRegistry* metrics_;
+  /// Every armed event, in arm order; a deque, so a reference to one
+  /// survives a later arm().
+  std::deque<FaultEvent> events_;
   std::map<std::uint64_t, PairState> pairs_;
   std::map<double, int> disk_factors_;  ///< active slowdown factor -> depth
   double disk_write_base_ = 0.0;

@@ -174,12 +174,12 @@ constexpr double kAllocationsPerMember = 2.0;
 
 /// Heap allocations of a steady checkpoint round of a ckpt16-shaped cell
 /// (HPL, no communication, two replica stores, three generations kept,
-/// checker attached) with `members` guests. After 200 s of warm-up it
-/// counts each of the next kMeasuredRounds rounds from the event that
-/// ends one round to the event that ends the next, and returns the
-/// median: a log that doubles its capacity in one round is not a cost of
-/// every round.
-double allocations_per_round(std::uint32_t members) {
+/// checker attached) with `members` guests, and, with `watchdog`, sweep26's
+/// round watchdog and retry policy. After 200 s of warm-up it counts each
+/// of the next kMeasuredRounds rounds from the event that ends one round
+/// to the event that ends the next, and returns the median: a log that
+/// doubles its capacity in one round is not a cost of every round.
+double allocations_per_round(std::uint32_t members, bool watchdog = false) {
   const std::string n = std::to_string(members);
   const tools::ScenarioConfig cfg = tools::ScenarioConfig::parse(
       "trace = false\n"
@@ -195,7 +195,10 @@ double allocations_per_round(std::uint32_t members) {
       "iterations = 100000\n"
       "iter_seconds = 1.0\n"
       "checkpoint_interval_s = 10\n"
-      "keep_checkpoints = 3\n");
+      "keep_checkpoints = 3\n" +
+      (watchdog ? "lsc.round_timeout_s = 30\n"
+                  "lsc.max_round_retries = 2\n"
+                : ""));
   tools::CellRig rig(tools::cell_spec(cfg));
   EXPECT_NE(rig.inv, nullptr) << "the checker must ride along";
   rig.start_recovery();
@@ -235,6 +238,14 @@ TEST(AllocationGate, CheckpointRoundPerMember) {
               "%.2f per added member\n",
               at4, at8, per_member);
   EXPECT_LE(per_member, kAllocationsPerMember);
+  // The round watchdog is an event of the round's own operation: arming
+  // and cancelling it allocates nothing.
+  const double watched4 = allocations_per_round(4, /*watchdog=*/true);
+  const double watched8 = allocations_per_round(8, /*watchdog=*/true);
+  std::printf("with the round watchdog: %.0f at 4 members, %.0f at 8\n",
+              watched4, watched8);
+  EXPECT_EQ(watched4, at4);
+  EXPECT_EQ(watched8, at8);
 }
 
 }  // namespace

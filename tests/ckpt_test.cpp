@@ -634,5 +634,82 @@ TEST(NtpLscTest, RoundTimeoutReportsStragglersAsLateCompletions) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// One checkpoint() call, start to end: its retry asks Retarget, and an
+// event of a round its watchdog settled finds nothing.
+
+TEST(NtpLscTest, RetargetReturningNulloptAbandonsTheRetryCleanly) {
+  LscFixture f(4, 64ull << 20);
+  NtpLscCoordinator lsc(f.bed.sim, {}, sim::Rng(3));
+  lsc.set_metrics(&f.bed.metrics);
+  LscCoordinator::RetryPolicy retry;
+  retry.max_round_retries = 2;
+  lsc.set_retry_policy(retry);
+  // Member 2's node dies before the round fires, so the round fails.
+  f.bed.sim.schedule_after(4 * sim::kSecond, [&] {
+    f.bed.fabric.fail_node(f.vc->placement(2));
+  });
+  int reports = 0;
+  int asked = 0;
+  std::optional<LscResult> result;
+  f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
+    lsc.checkpoint(
+        "abandoned", f.bed.dvc->save_targets(*f.vc), f.bed.images,
+        [&](LscResult r) {
+          ++reports;
+          result = std::move(r);
+        },
+        /*resume_after_save=*/true,
+        [&]() -> std::optional<std::vector<SaveTarget>> {
+          ++asked;
+          return std::nullopt;
+        });
+  });
+  f.bed.sim.run_until(60 * sim::kSecond);
+  EXPECT_EQ(asked, 1);
+  EXPECT_EQ(reports, 1);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->ok);
+  EXPECT_TRUE(result->aborted_cleanly);
+  EXPECT_EQ(result->retries, 1);
+  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.round_retries"), 1u);
+  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.retries_abandoned"), 1u);
+}
+
+TEST(NtpLscTest, DeferralOfARoundTheWatchdogSettledIsDropped) {
+  LscFixture f(4, 64ull << 20);
+  NtpLscCoordinator::Config cfg;
+  cfg.stall_prob = 1.0;  // every attempt is deferred
+  cfg.health_check = true;
+  NtpLscCoordinator lsc(f.bed.sim, cfg, sim::Rng(5));
+  lsc.set_metrics(&f.bed.metrics);
+  // The watchdog expires before the health check's 1.5 s poll.
+  LscCoordinator::RetryPolicy retry;
+  retry.round_timeout = 1 * sim::kSecond;
+  lsc.set_retry_policy(retry);
+  int reports = 0;
+  std::optional<LscResult> result;
+  f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
+    lsc.checkpoint("settled", f.bed.dvc->save_targets(*f.vc), f.bed.images,
+                   [&](LscResult r) {
+                     ++reports;
+                     result = std::move(r);
+                   });
+  });
+  f.bed.sim.run_until(60 * sim::kSecond);
+  EXPECT_EQ(reports, 1);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->timed_out);
+  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.round_timeouts"), 1u);
+  // The deferred attempt never re-ran: no further health check, no
+  // abandoned report, no round, and no guest froze.
+  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.health_check_retries"), 0u);
+  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.rounds_aborted"), 0u);
+  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.late_completions"), 0u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(f.vc->machine(i).pauses(), 0u) << "member " << i;
+  }
+}
+
 }  // namespace
 }  // namespace dvc::ckpt

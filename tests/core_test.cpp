@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <any>
+#include <array>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -654,6 +655,8 @@ enum class DestroyAt {
   kRestoreStaging,
   kRestoreRead,
   kHealthCheckDeferral,
+  kRoundArmedWithWatchdog,
+  kRetryBackoff,
 };
 
 const char* name_of(DestroyAt at) {
@@ -666,6 +669,8 @@ const char* name_of(DestroyAt at) {
     case DestroyAt::kRestoreStaging: return "RestoreStaging";
     case DestroyAt::kRestoreRead: return "RestoreRead";
     case DestroyAt::kHealthCheckDeferral: return "HealthCheckDeferral";
+    case DestroyAt::kRoundArmedWithWatchdog: return "RoundArmedWithWatchdog";
+    case DestroyAt::kRetryBackoff: return "RetryBackoff";
   }
   return "Unknown";
 }
@@ -689,6 +694,16 @@ TEST_P(DvcManagerDestroyTest, DestroyInEveryState) {
                               sim::Rng(lsc_cfg.health_check ? 7 : 31));
   lsc.set_metrics(&bed.metrics);
   lsc.set_check(&inv);
+  // sweep26's retry policy: the destroy must end the round's watchdog and
+  // its pending retry too.
+  if (state == DestroyAt::kRoundArmedWithWatchdog ||
+      state == DestroyAt::kRetryBackoff) {
+    ckpt::LscCoordinator::RetryPolicy policy;
+    policy.round_timeout = 30 * sim::kSecond;
+    policy.max_round_retries = 2;
+    policy.backoff = 2 * sim::kSecond;
+    lsc.set_retry_policy(policy);
+  }
   // 3 x 256 MiB: a save drains for ~2 s at 400 MB/s, a full set stages
   // (or a member image reads) for ~1 s at 800 MB/s.
   VirtualCluster* vc =
@@ -723,7 +738,20 @@ TEST_P(DvcManagerDestroyTest, DestroyInEveryState) {
       break;
     case DestroyAt::kRoundArmed:  // the guests freeze 2 s after the call
     case DestroyAt::kHealthCheckDeferral:  // the retry comes after 1.5 s
+    case DestroyAt::kRoundArmedWithWatchdog:  // it would expire at 30 s
       bed.dvc->checkpoint_vc(*vc, lsc, {});
+      at = bed.sim.now() + sim::kSecond;
+      break;
+    case DestroyAt::kRetryBackoff:
+      // Member 2's node is dead (the VC has no recovery policy, so nothing
+      // reacts): its save is refused, the round fails once the others are
+      // durable, and the retry waits out its 2 s backoff.
+      bed.fabric.fail_node(vc->placement(2));
+      bed.dvc->checkpoint_vc(*vc, lsc, {});
+      while (bed.metrics.counter_value("ckpt.lsc.round_retries") == 0 &&
+             bed.sim.now() < 120 * sim::kSecond) {
+        bed.sim.run_until(bed.sim.now() + 100 * sim::kMillisecond);
+      }
       at = bed.sim.now() + sim::kSecond;
       break;
     case DestroyAt::kMidSave:
@@ -756,6 +784,14 @@ TEST_P(DvcManagerDestroyTest, DestroyInEveryState) {
 
   const VcId id = vc->id();
   bool destroyed = false;
+  // The round-policy counters at the destroy: nothing may move them after.
+  // A watchdog that still expired would count a timeout and a retry, and a
+  // retry that still ran would ask the Retarget hook, which finds the VC
+  // gone and counts an abandoned retry.
+  const std::array<std::string, 3> policy_counters{
+      "ckpt.lsc.round_timeouts", "ckpt.lsc.round_retries",
+      "ckpt.lsc.retries_abandoned"};
+  std::array<std::uint64_t, 3> at_destroy{};
   bed.sim.schedule_at(at, [&] {
     // The VC really is in the state under test.
     switch (state) {
@@ -788,9 +824,18 @@ TEST_P(DvcManagerDestroyTest, DestroyInEveryState) {
         EXPECT_EQ(hv(targets[0]).resident_count(), 1u);
         break;
       case DestroyAt::kHealthCheckDeferral:
+      case DestroyAt::kRoundArmedWithWatchdog:
         EXPECT_EQ(vc->state(), VcState::kCheckpointing);
         EXPECT_TRUE(vc->machine(0).running());
         break;
+      case DestroyAt::kRetryBackoff:  // the failed round thawed member 0
+        EXPECT_EQ(vc->state(), VcState::kCheckpointing);
+        EXPECT_TRUE(vc->machine(0).running());
+        EXPECT_EQ(bed.metrics.counter_value("ckpt.lsc.round_retries"), 1u);
+        break;
+    }
+    for (std::size_t c = 0; c < policy_counters.size(); ++c) {
+      at_destroy[c] = bed.metrics.counter_value(policy_counters[c]);
     }
     bed.dvc->destroy_vc(*vc);
     application.reset();
@@ -801,6 +846,10 @@ TEST_P(DvcManagerDestroyTest, DestroyInEveryState) {
 
   ASSERT_TRUE(destroyed);
   EXPECT_EQ(bed.metrics.counter_value("ckpt.lsc.health_check_retries"), 0u);
+  for (std::size_t c = 0; c < policy_counters.size(); ++c) {
+    EXPECT_EQ(bed.metrics.counter_value(policy_counters[c]), at_destroy[c])
+        << policy_counters[c];
+  }
   EXPECT_TRUE(bed.dvc->live_vcs().empty());
   EXPECT_TRUE(test::vc_held_nodes(bed.fabric).empty());
   EXPECT_TRUE(bed.dvc->set_refs().empty());
@@ -818,7 +867,9 @@ INSTANTIATE_TEST_SUITE_P(
                       DestroyAt::kMidSave, DestroyAt::kColdMigrationHold,
                       DestroyAt::kLiveMigrationPreCopy,
                       DestroyAt::kRestoreStaging, DestroyAt::kRestoreRead,
-                      DestroyAt::kHealthCheckDeferral),
+                      DestroyAt::kHealthCheckDeferral,
+                      DestroyAt::kRoundArmedWithWatchdog,
+                      DestroyAt::kRetryBackoff),
     [](const ::testing::TestParamInfo<DestroyAt>& info) {
       return std::string(name_of(info.param));
     });

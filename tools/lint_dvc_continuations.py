@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail if a lambda in DvcManager captures anything by reference.
+"""Fail if a lambda in DvcManager or the LSC coordinator captures by reference.
 
     python3 tools/lint_dvc_continuations.py [FILE...]
                                     (default: src/core/dvc_manager.cpp)
@@ -7,9 +7,12 @@
 A DvcManager callback that outlives its call carries its VC's id and the
 issuing coordinator epoch (DvcManager::Issued) and resolves them when it
 runs; it never holds a reference to a VcRuntime, a VirtualCluster or a
-guest, which destroy_vc may have freed by then. This lint reads every
-lambda capture list in the given files and flags each capture that is by
-reference: a bare `&` default or an `&name` (or `&name = expr`) item.
+guest, which destroy_vc may have freed by then. An LscCoordinator event
+likewise carries its operation's id and round (LscCoordinator::OpRef) and
+resolves them in the coordinator's table, which abort() empties. ci.sh
+runs it on src/core/dvc_manager.cpp and src/ckpt/lsc.cpp. This lint reads
+every lambda capture list in the given files and flags each capture that
+is by reference: a bare `&` default or an `&name` (or `&name = expr`) item.
 Capturing a pointer by value (`p = &x`) is not a by-reference capture.
 It prints each one as file:line and exits 1 if there is one.
 """
@@ -83,8 +86,8 @@ def by_reference(path, code):
             if item.startswith("&"):
                 line = code.count("\n", 0, at) + 1
                 found.append(f"{path}:{line}: lambda captures `{item}` by "
-                             "reference; capture DvcManager::Issued (or an "
-                             "id) and resolve it instead")
+                             "reference; capture an id (DvcManager::Issued, "
+                             "LscCoordinator::OpRef) and resolve it instead")
     return found
 
 
