@@ -11,8 +11,13 @@
 #                       src/core/dvc_manager.cpp or src/ckpt/lsc.cpp
 #                       captures by reference; a DvcManager callback
 #                       carries its VC's id and issuing epoch, an LSC
-#                       event its operation's id and round),
-#                       then configure
+#                       event its operation's id and round), and checks
+#                       that no `std::function` appears in src/sim/,
+#                       src/storage/bandwidth_pool.* or
+#                       src/vm/guest_timers.*: below the application a
+#                       closure is one form, sim::Callback (inline when
+#                       it is a small trivially copyable capture, else
+#                       one owning pointer), then configure
 #                       (warnings-as-errors), build, and run the full test
 #                       suite (every label); then configure and build (not
 #                       run) dvcbench from dvcbench/ into
@@ -232,6 +237,12 @@ sys.exit(0 if correct is True and failed == 0 and not zero else 1)
     python3 tools/lint_vc_state.py src
     python3 tools/lint_dvc_continuations.py src/core/dvc_manager.cpp \
       src/ckpt/lsc.cpp
+    if grep -rn 'std::function' src/sim src/storage/bandwidth_pool.* \
+         src/vm/guest_timers.*; then
+      echo "ci.sh: std::function below the application; hold a" \
+           "sim::Callback instead" >&2
+      exit 1
+    fi
     build_and_test build -DDVC_WERROR=ON
     cmake -B build/dvcbench-pkg -S dvcbench
     cmake --build build/dvcbench-pkg --target dvcbench -j "$JOBS"

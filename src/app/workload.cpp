@@ -101,8 +101,9 @@ void Rank::register_guest_process() {
 void Rank::begin_compute(sim::Duration d) {
   st_.phase = RankState::Phase::kCompute;
   st_.compute_remaining = d;
-  compute_timer_ = app_->contexts_[id_]->schedule(
-      d, [this, d] { on_compute_done(d); });
+  const auto done = [this, d] { on_compute_done(d); };
+  static_assert(sim::Callback::stores_inline<decltype(done)>);
+  compute_timer_ = app_->contexts_[id_]->schedule(d, done);
 }
 
 void Rank::on_compute_done(sim::Duration d) {

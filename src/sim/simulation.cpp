@@ -1,12 +1,11 @@
 #include "sim/simulation.hpp"
 
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
 namespace dvc::sim {
 
-EventId Simulation::claim(Time at, bool daemon) {
+EventId Simulation::claim(Time at, Callback&& fn, bool daemon) {
   if (free_slots_.empty()) {
     if (slots_.size() > kSlotMask) {
       throw std::length_error("Simulation: too many pending events");
@@ -18,6 +17,7 @@ EventId Simulation::claim(Time at, bool daemon) {
   free_slots_.pop_back();
   const std::uint64_t seq = next_seq_++;
   Slot& s = slots_[slot];
+  s.fn = std::move(fn);
   s.seq = seq;
   s.daemon = daemon;
   const EventId order = seq << kSlotBits | slot;
@@ -35,16 +35,10 @@ bool Simulation::cancel(EventId id) {
   if (seq == 0 || slot >= slots_.size() || slots_[slot].seq != seq) {
     return false;  // never scheduled, fired, cancelled, or stale
   }
-  Slot& s = slots_[slot];
-  remove_at(s.pos);
-  if (s.thunk != nullptr) {
-    vacate(static_cast<std::uint32_t>(slot));  // nothing to destroy
-    return true;
-  }
+  remove_at(slots_[slot].pos);
   // The closure dies on return, once the heap and the slot are consistent
   // again: its destructor may schedule or cancel.
-  const std::function<void()> fn = take_fn(s);
-  vacate(static_cast<std::uint32_t>(slot));
+  const Callback fn = vacate(static_cast<std::uint32_t>(slot));
   return true;
 }
 
@@ -91,38 +85,22 @@ void Simulation::remove_at(std::size_t i) noexcept {
   }
 }
 
-std::function<void()> Simulation::take_fn(Slot& s) noexcept {
-  std::function<void()> fn = std::move(s.fn);
-  s.fn = nullptr;
-  return fn;
-}
-
-void Simulation::vacate(std::uint32_t slot) noexcept {
+Callback Simulation::vacate(std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
-  s.thunk = nullptr;
   s.seq = 0;
   if (!s.daemon) --foreground_pending_;
   free_slots_.push_back(slot);
+  return std::move(s.fn);
 }
 
 void Simulation::fire_top() {
   const Key k = heap_.front();
   remove_at(0);
-  const auto slot = static_cast<std::uint32_t>(k.order & kSlotMask);
-  Slot& s = slots_[slot];
   now_ = k.at;
   ++executed_;
-  if (const Thunk thunk = s.thunk; thunk != nullptr) {
-    // The closure runs from a stack copy of its bytes: the slot is free
-    // once it starts, and the closure may grow (and move) slots_.
-    alignas(std::uint64_t) unsigned char bytes[kInlineBytes];
-    std::memcpy(bytes, s.bytes, kInlineBytes);
-    vacate(slot);
-    thunk(bytes);
-    return;
-  }
-  const std::function<void()> fn = take_fn(s);
-  vacate(slot);
+  // The closure runs moved out of its slot: the slot is free once it
+  // starts, and the closure may grow (and move) slots_.
+  Callback fn = vacate(static_cast<std::uint32_t>(k.order & kSlotMask));
   fn();
 }
 
@@ -153,7 +131,7 @@ EventId Simulation::schedule_firing(Timer& t, Time at) {
     timer->fn_();
   };
   static_assert(stores_inline<decltype(firing)>);
-  return schedule_as(at, firing, /*daemon=*/false);
+  return claim(at, firing, /*daemon=*/false);
 }
 
 bool Simulation::demote_tail(Time at) {

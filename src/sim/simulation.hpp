@@ -2,13 +2,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "sim/time.hpp"
 
 namespace dvc::sim {
@@ -31,8 +29,7 @@ class Simulation;
 /// must outlive its timers.
 class Timer final {
  public:
-  Timer(Simulation& sim, std::function<void()> fn)
-      : sim_(&sim), fn_(std::move(fn)) {}
+  Timer(Simulation& sim, Callback fn) : sim_(&sim), fn_(std::move(fn)) {}
   ~Timer() { disarm(); }
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
@@ -53,7 +50,7 @@ class Timer final {
   friend class Simulation;
 
   Simulation* sim_;
-  std::function<void()> fn_;
+  Callback fn_;
   Time at_ = 0;            ///< deadline while in the list
   std::uint64_t seq_ = 0;  ///< nonzero while in the list
   EventId event_ = kInvalidEvent;  ///< heap event standing in for it
@@ -68,14 +65,12 @@ class Timer final {
 /// same tick run in the order they were scheduled. This total order plus
 /// per-component `Rng` streams makes every run bit-for-bit reproducible.
 ///
-/// Layout: closures live in a slot array (recycled through a free list).
-/// A slot holds its closure in one of two forms. A trivially copyable
-/// closure of at most 16 bytes (every `[this, id]` capture) is built in
-/// the slot's inline store beside a thunk that calls it: it fires through
-/// one indirect call, and no `std::function` is built for it
-/// (stores_inline). Any other closure goes into the slot's
-/// `std::function`. A 4-ary min-heap orders only 16-byte `(at, order)`
-/// keys, where `order = seq << 24 | slot`. The EventId is that `order`, so cancel()
+/// Layout: closures live in a slot array (recycled through a free list),
+/// each as one Callback: a trivially copyable closure of at most 16 bytes
+/// (every `[this, id]` capture; stores_inline) inline, any other behind
+/// one owning pointer, both fired through the same thunk. A 4-ary min-heap
+/// orders only 16-byte `(at, order)` keys, where
+/// `order = seq << 24 | slot`. The EventId is that `order`, so cancel()
 /// finds its slot by index and checks the sequence number. Each slot
 /// records where its key sits in the heap, so cancel() removes the key at
 /// once (the last key fills the hole and sifts up or down) and releases
@@ -103,47 +98,32 @@ class Simulation final {
   /// Current simulated time.
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Size of a slot's inline closure store.
-  static constexpr std::size_t kInlineBytes = 16;
-
-  /// True if a closure of type `F` is stored inline in its slot: it is
-  /// trivially copyable and fits kInlineBytes. A hot call site pins its
-  /// closure with `static_assert(Simulation::stores_inline<decltype(f)>)`,
-  /// so a capture that grows fails the build instead of falling back to
-  /// `std::function`.
+  /// True if a closure of type `F` fires from its slot without
+  /// allocating (Callback::stores_inline); hot call sites pin it.
   template <class F>
-  static constexpr bool stores_inline =
-      std::is_trivially_copyable_v<std::decay_t<F>> &&
-      sizeof(std::decay_t<F>) <= kInlineBytes &&
-      alignof(std::decay_t<F>) <= alignof(std::uint64_t);
+  static constexpr bool stores_inline = Callback::stores_inline<F>;
 
   /// Schedules `fn` (any `void()` callable) to run at absolute time `at`
   /// (clamped to `now()`).
-  template <class F>
-  EventId schedule_at(Time at, F&& fn) {
-    return schedule_as(at, std::forward<F>(fn), /*daemon=*/false);
+  EventId schedule_at(Time at, Callback fn) {
+    return claim(at, std::move(fn), /*daemon=*/false);
   }
 
   /// Schedules `fn` to run `delay` ticks from now (negative delays clamp
   /// to zero, i.e. "as soon as possible, after already-queued work").
-  template <class F>
-  EventId schedule_after(Duration delay, F&& fn) {
-    return schedule_as(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn),
-                       /*daemon=*/false);
+  EventId schedule_after(Duration delay, Callback fn) {
+    return claim(now_ + (delay < 0 ? 0 : delay), std::move(fn), false);
   }
 
   /// Daemon variants: background housekeeping that perpetually reschedules
   /// itself (NTP polling, failure processes, periodic checkpoints). Daemon
   /// events fire normally while foreground work exists, but they do not
   /// keep run() alive on their own — exactly like daemon threads.
-  template <class F>
-  EventId schedule_daemon_at(Time at, F&& fn) {
-    return schedule_as(at, std::forward<F>(fn), /*daemon=*/true);
+  EventId schedule_daemon_at(Time at, Callback fn) {
+    return claim(at, std::move(fn), /*daemon=*/true);
   }
-  template <class F>
-  EventId schedule_daemon_after(Duration delay, F&& fn) {
-    return schedule_as(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn),
-                       /*daemon=*/true);
+  EventId schedule_daemon_after(Duration delay, Callback fn) {
+    return claim(now_ + (delay < 0 ? 0 : delay), std::move(fn), true);
   }
 
   /// Cancels a pending event. Returns true if it had not yet fired; its
@@ -212,49 +192,19 @@ class Simulation final {
   [[nodiscard]] static bool before(const Key& a, const Key& b) noexcept {
     return a.at != b.at ? a.at < b.at : a.order < b.order;
   }
-  /// Calls the closure whose bytes start at its argument.
-  using Thunk = void (*)(void*);
-  template <class F>
-  static void call_inline(void* bytes) {
-    (*std::launder(static_cast<F*>(bytes)))();
-  }
-
   /// Owner of one pending event's closure. A slot belongs to exactly one
   /// heap key from schedule until that key fires or is cancelled, then
-  /// returns to the free list. While it is live, exactly one form holds
-  /// the closure: `thunk` is set for an inline closure (in `bytes`, never
-  /// destroyed: it is trivially copyable), otherwise `fn` holds it.
+  /// returns to the free list with its closure moved out.
   struct Slot {
-    alignas(std::uint64_t) unsigned char bytes[kInlineBytes] = {};
-    Thunk thunk = nullptr;
-    std::function<void()> fn;
+    Callback fn;
     std::uint64_t seq = 0;  ///< live event's seq; 0 once fired/cancelled
     std::uint32_t pos = 0;  ///< index of the event's key in heap_
     bool daemon = false;
   };
 
-  /// Builds `fn` in the slot claim() hands out, inline where it can.
-  template <class F>
-  EventId schedule_as(Time at, F&& fn, bool daemon) {
-    using Fn = std::decay_t<F>;
-    static_assert(std::is_invocable_v<Fn&>, "an event takes no arguments");
-    if constexpr (stores_inline<Fn>) {
-      const EventId id = claim(at, daemon);
-      Slot& s = slots_[id & kSlotMask];
-      ::new (static_cast<void*>(s.bytes)) Fn(std::forward<F>(fn));
-      s.thunk = &call_inline<Fn>;
-      return id;
-    } else {
-      // Built before the slot is claimed: this may throw (or allocate).
-      std::function<void()> boxed(std::forward<F>(fn));
-      const EventId id = claim(at, daemon);
-      slots_[id & kSlotMask].fn = std::move(boxed);
-      return id;
-    }
-  }
-  /// Takes a free slot, draws the event's seq and pushes its key: the
-  /// event is pending once its closure is stored in the slot.
-  EventId claim(Time at, bool daemon);
+  /// Takes a free slot, stores `fn` there, draws the event's seq and
+  /// pushes its key.
+  EventId claim(Time at, Callback&& fn, bool daemon);
   /// Pops the top key and runs its closure.
   void fire_top();
   /// True if the timer list's head fires before the heap's top.
@@ -285,13 +235,10 @@ class Simulation final {
   void sift_down(std::size_t i, Key k) noexcept;
   /// Removes the key at heap index `i`, keeping the heap ordered.
   void remove_at(std::size_t i) noexcept;
-  /// Frees a slot whose key has left the heap; an inline closure's thunk
-  /// is cleared. A `std::function` closure must have been moved out first
-  /// (take_fn): the caller destroys it once the kernel is consistent,
-  /// since its destructor may re-enter the kernel (and grow slots_).
-  void vacate(std::uint32_t slot) noexcept;
-  /// Moves a `std::function` closure out of its slot, leaving it empty.
-  std::function<void()> take_fn(Slot& s) noexcept;
+  /// Frees a slot whose key has left the heap and returns its closure:
+  /// the caller destroys it once the kernel is consistent, since a boxed
+  /// closure's destructor may re-enter the kernel (and grow slots_).
+  [[gnu::always_inline]] inline Callback vacate(std::uint32_t slot) noexcept;
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;

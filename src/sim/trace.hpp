@@ -3,11 +3,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "sim/time.hpp"
 
 namespace dvc::sim {
@@ -53,6 +53,7 @@ class TraceLog final {
  public:
   explicit TraceLog(std::size_t capacity = 16384, bool echo = false)
       : capacity_(capacity), echo_(echo) {}
+  TraceLog(const TraceLog&) = delete;  // subscribers hold `this`
 
   void set_echo(bool echo) noexcept { echo_ = echo; }
   void set_min_level(TraceLevel level) noexcept { min_level_ = level; }
@@ -67,14 +68,19 @@ class TraceLog final {
                   to_string(e.level).data(), e.component.c_str(),
                   e.message.c_str());
     }
-    for (const auto& fn : subscribers_) fn(e);
+    const TraceEvent* const outer = std::exchange(current_, &e);
+    for (Callback& fn : subscribers_) fn();
+    current_ = outer;
     ring_.push_back(std::move(e));
     if (ring_.size() > capacity_) ring_.pop_front();
   }
 
-  /// Registers a live subscriber (e.g. a test asserting on sequences).
-  void subscribe(std::function<void(const TraceEvent&)> fn) {
-    subscribers_.push_back(std::move(fn));
+  /// Registers a live subscriber, called with each event (e.g. a test
+  /// asserting on sequences).
+  template <class F>
+  void subscribe(F fn) {
+    subscribers_.emplace_back(
+        [this, fn = std::move(fn)]() mutable { fn(*current_); });
   }
 
   [[nodiscard]] const std::deque<TraceEvent>& events() const noexcept {
@@ -116,7 +122,8 @@ class TraceLog final {
   bool echo_;
   TraceLevel min_level_ = TraceLevel::kDebug;
   std::deque<TraceEvent> ring_;
-  std::vector<std::function<void(const TraceEvent&)>> subscribers_;
+  std::vector<Callback> subscribers_;
+  const TraceEvent* current_ = nullptr;  ///< the event being emitted
   std::uint64_t total_ = 0;
 };
 

@@ -26,7 +26,7 @@ void BandwidthPool::set_metrics(telemetry::MetricsRegistry* m,
 }
 
 TransferId BandwidthPool::start(std::uint64_t bytes,
-                                std::function<void()> on_complete) {
+                                sim::Callback on_complete) {
   settle();
   const TransferId id = next_id_++;
   transfers_.push_back(Transfer{id, static_cast<double>(bytes),
@@ -45,6 +45,8 @@ bool BandwidthPool::cancel(TransferId id) {
       transfers_.begin(), transfers_.end(), id,
       [](const Transfer& t, TransferId want) { return t.id < want; });
   if (it == transfers_.end() || it->id != id) return false;
+  // Destroyed on return, once the pool is consistent again.
+  const sim::Callback dropped = std::move(it->on_complete);
   transfers_.erase(it);
   if (active_g_ != nullptr) {
     active_g_->set(static_cast<double>(transfers_.size()));
@@ -94,7 +96,7 @@ void BandwidthPool::drain() {
   // compacting the survivors in place. A completion callback may start
   // or cancel transfers; firing after the sweep keeps it stable. The
   // list borrows the member scratch's capacity while it fires.
-  std::vector<std::function<void()>> done = std::move(done_);
+  std::vector<sim::Callback> done = std::move(done_);
   done.clear();
   auto kept = transfers_.begin();
   for (Transfer& t : transfers_) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string_view>
 #include <vector>
 
@@ -38,7 +37,7 @@ class BandwidthPool final {
   BandwidthPool& operator=(const BandwidthPool&) = delete;
 
   /// Starts a transfer of `bytes`; `on_complete` fires when it finishes.
-  TransferId start(std::uint64_t bytes, std::function<void()> on_complete);
+  TransferId start(std::uint64_t bytes, sim::Callback on_complete);
 
   /// Cancels an in-flight transfer (no callback). Returns true if found.
   bool cancel(TransferId id);
@@ -74,7 +73,7 @@ class BandwidthPool final {
   struct Transfer {
     TransferId id;
     double remaining_bytes;
-    std::function<void()> on_complete;
+    sim::Callback on_complete;
     std::uint64_t bytes = 0;     ///< original size, for metrics
     sim::Time started = 0;
   };
@@ -99,7 +98,7 @@ class BandwidthPool final {
   sim::Timer timer_;
   std::uint64_t completed_ = 0;
   /// Completion callbacks of one drain, kept for their capacity.
-  std::vector<std::function<void()>> done_;
+  std::vector<sim::Callback> done_;
 
   telemetry::Counter* bytes_c_ = nullptr;
   telemetry::Counter* transfers_c_ = nullptr;

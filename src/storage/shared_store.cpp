@@ -110,11 +110,13 @@ void SharedStore::write_object(std::string name, std::uint64_t bytes,
   const auto start = [this, id] {
     const auto it = inflight_.find(id);
     if (it == inflight_.end()) return;  // torn during the op overhead
-    it->second.transfer = writes_.start(it->second.bytes, [this, id] {
+    const auto done = [this, id] {
       const auto wit = inflight_.find(id);
       if (wit == inflight_.end()) return;
       complete(inflight_.extract(wit), /*torn=*/false);
-    });
+    };
+    static_assert(sim::Callback::stores_inline<decltype(done)>);
+    it->second.transfer = writes_.start(it->second.bytes, done);
   };
   static_assert(sim::Simulation::stores_inline<decltype(start)>);
   sim_->schedule_after(cfg_.op_overhead, start);
@@ -137,36 +139,57 @@ ObjectId SharedStore::put_object(std::string name, std::uint64_t bytes,
 
 void SharedStore::read_object(ObjectId id,
                               std::function<void(ReadError)> on_complete) {
-  sim_->schedule_after(cfg_.op_overhead, [this, id,
-                                          cb = std::move(on_complete)] {
-    const auto it = objects_.find(id);
-    if (it == objects_.end()) {
-      telemetry::count(metrics_, instruments_.read_failures);
-      if (cb) cb(ReadError::kNotFound);
-      return;
-    }
-    const std::uint64_t bytes = it->second.bytes;
-    reads_.start(bytes, [this, id, cb = std::move(cb)] {
-      // Re-verify after the transfer: the object may have been removed,
-      // corrupted, or identified as torn while the read streamed.
-      const auto again = objects_.find(id);
-      ReadError err = ReadError::kOk;
-      if (again == objects_.end()) {
-        err = ReadError::kNotFound;
-      } else if (again->second.torn) {
-        err = ReadError::kTorn;
-      } else if (again->second.stored_checksum != again->second.checksum) {
-        err = ReadError::kChecksumMismatch;
-      }
-      telemetry::count(metrics_, err == ReadError::kOk
-                                     ? instruments_.reads
-                                     : instruments_.read_failures);
-      if (err == ReadError::kTorn || err == ReadError::kChecksumMismatch) {
-        telemetry::count(metrics_, instruments_.verify_failures);
-      }
-      if (cb) cb(err);
-    });
-  });
+  const std::uint64_t read = next_read_++;
+  reads_pending_.push_back(PendingRead{read, id, std::move(on_complete)});
+  const auto start = [this, read] { start_read(read); };
+  static_assert(sim::Simulation::stores_inline<decltype(start)>);
+  sim_->schedule_after(cfg_.op_overhead, start);
+}
+
+void SharedStore::start_read(std::uint64_t read) {
+  const auto it = objects_.find(pending_read(read).object);
+  if (it == objects_.end()) {
+    telemetry::count(metrics_, instruments_.read_failures);
+    finish_read(read, ReadError::kNotFound);
+    return;
+  }
+  const auto done = [this, read] { verify_read(read); };
+  static_assert(sim::Callback::stores_inline<decltype(done)>);
+  reads_.start(it->second.bytes, done);
+}
+
+void SharedStore::verify_read(std::uint64_t read) {
+  // Re-verify after the transfer: the object may have been removed,
+  // corrupted, or identified as torn while the read streamed.
+  const auto again = objects_.find(pending_read(read).object);
+  ReadError err = ReadError::kOk;
+  if (again == objects_.end()) {
+    err = ReadError::kNotFound;
+  } else if (again->second.torn) {
+    err = ReadError::kTorn;
+  } else if (again->second.stored_checksum != again->second.checksum) {
+    err = ReadError::kChecksumMismatch;
+  }
+  telemetry::count(metrics_, err == ReadError::kOk
+                                 ? instruments_.reads
+                                 : instruments_.read_failures);
+  if (err == ReadError::kTorn || err == ReadError::kChecksumMismatch) {
+    telemetry::count(metrics_, instruments_.verify_failures);
+  }
+  finish_read(read, err);
+}
+
+SharedStore::PendingRead& SharedStore::pending_read(std::uint64_t read) {
+  return *std::lower_bound(
+      reads_pending_.begin(), reads_pending_.end(), read,
+      [](const PendingRead& r, std::uint64_t want) { return r.id < want; });
+}
+
+void SharedStore::finish_read(std::uint64_t read, ReadError err) {
+  PendingRead& r = pending_read(read);
+  const std::function<void(ReadError)> cb = std::move(r.on_complete);
+  reads_pending_.erase(reads_pending_.begin() + (&r - reads_pending_.data()));
+  if (cb) cb(err);
 }
 
 bool SharedStore::remove_object(ObjectId id) {

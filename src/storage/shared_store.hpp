@@ -163,6 +163,13 @@ class SharedStore final {
     std::function<void(ObjectId)> on_complete;
   };
 
+  /// A verified read between read_object and its report.
+  struct PendingRead {
+    std::uint64_t id = 0;
+    ObjectId object = kInvalidObject;
+    std::function<void(ReadError)> on_complete;
+  };
+
   /// `<prefix>.store.*` instruments (resolved on first use).
   struct Instruments {
     explicit Instruments(const std::string& prefix);
@@ -184,6 +191,14 @@ class SharedStore final {
   /// Installs a write that left `inflight_` (whole or torn), recycles its
   /// node, then reports the object id to the writer.
   void complete(InflightMap::node_type node, bool torn);
+  /// The read's op overhead has passed: streams its object, or fails it.
+  void start_read(std::uint64_t read);
+  /// The read's transfer finished: verifies the object and reports.
+  void verify_read(std::uint64_t read);
+  /// Removes the read from `reads_pending_`, then reports `err` to it.
+  void finish_read(std::uint64_t read, ReadError err);
+  /// The pending read with this id (it must be pending).
+  PendingRead& pending_read(std::uint64_t read);
 
   sim::Simulation* sim_;
   Config cfg_;
@@ -199,6 +214,10 @@ class SharedStore final {
   /// keep key order and lookups as they were).
   std::vector<ObjectMap::node_type> spare_objects_;
   std::vector<InflightMap::node_type> spare_inflight_;
+  /// Reads in flight, in id order (ids only grow, so read_object appends).
+  /// Their op event and pool transfer carry `(this, read id)`.
+  std::vector<PendingRead> reads_pending_;
+  std::uint64_t next_read_ = 1;
   std::uint64_t bytes_stored_ = 0;
   std::uint64_t bytes_written_total_ = 0;
   sim::SummaryStats write_times_;

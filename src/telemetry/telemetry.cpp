@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <numbers>
 #include <ostream>
 
 namespace dvc::telemetry {
@@ -63,30 +66,73 @@ std::string json_escape(std::string_view s) {
 // ---------------------------------------------------------------------------
 // Histogram
 
-Histogram::Histogram(Options opt)
-    : opt_(opt),
-      log_growth_(std::log(opt.growth)),
-      counts_(static_cast<std::size_t>(opt.buckets) + 1, 0),
-      summary_(/*keep_samples=*/false) {}
+namespace {
 
-double Histogram::bucket_bound(std::size_t i) const {
-  return opt_.first_bound *
-         std::pow(opt_.growth, static_cast<double>(i));
+// Bucket placement. The rule every bucket count (and so every percentile
+// and golden) rests on is `by_formula`: bucket ceil(steps - 1e-9), where
+// steps = ln(v / kFirstBound) / ln(kGrowth). observe() reaches the same
+// bucket without std::log for all but a sliver of values.
+//
+// The window. Write v = bound(k) * t with t near 1. Then steps = k +
+// ln(t) / ln(g), so the 1e-9 slack moves the edge between buckets k and
+// k + 1 from t = 1 up to t = g^1e-9 = 1 + 1e-9 ln(g) (to 1e-18). Rounding
+// moves it further by the error of the computed steps: a few ulps of a
+// value of at most kBuckets = 64, under 3e-14 in all, which is 3e-14 ln(g)
+// in t. So outside t in (1, 1 + 2e-9 ln(g)], twice the slack, the formula
+// places v in the first bucket whose bound is at least v, and that is
+// found from the table alone. Inside it, observe() asks the formula.
+constexpr double kNear = 1.0 + 2e-9 * std::numbers::ln2;
+
+// The bucket guess reads v's binary exponent, which needs growth 2: then
+// bound(k) = m0 * 2^(e0 + k) for the mantissa m0 and exponent e0 of
+// kFirstBound.
+static_assert(Histogram::kGrowth == 2.0);
+
+/// Bucket bounds, kFirstBound * 2^i (each doubling is exact).
+constexpr std::array<double, Histogram::kBuckets> kBounds = [] {
+  std::array<double, Histogram::kBuckets> b{};
+  double bound = Histogram::kFirstBound;
+  for (double& x : b) {
+    x = bound;
+    bound *= Histogram::kGrowth;
+  }
+  return b;
+}();
+/// Past this, every value (and NaN) is the overflow bucket's.
+constexpr double kTop = kBounds.back() * kNear;
+
+/// Unbiased binary exponent of a positive normal double.
+constexpr int exponent_of(double v) {
+  return static_cast<int>(std::bit_cast<std::uint64_t>(v) >> 52) - 1023;
+}
+
+std::size_t by_formula(double v) {
+  const double steps = std::log(v / Histogram::kFirstBound) /
+                       std::log(Histogram::kGrowth);
+  return std::min(static_cast<std::size_t>(std::ceil(steps - 1e-9)),
+                  Histogram::kBuckets);
+}
+
+std::size_t bucket_of(double v) {
+  if (v <= Histogram::kFirstBound) return 0;
+  if (!(v <= kTop)) return Histogram::kBuckets;
+  // v = m * 2^e with m in [1, 2) lies in (bound(k0 - 1), bound(k0 + 1)),
+  // where k0 = e - e0; one compare picks the side of bound(k0).
+  const auto k0 = static_cast<std::size_t>(
+      exponent_of(v) - exponent_of(Histogram::kFirstBound));
+  const std::size_t k = v > kBounds[k0] ? k0 + 1 : k0;
+  return v > kBounds[k - 1] * kNear ? k : by_formula(v);
+}
+
+}  // namespace
+
+double Histogram::bucket_bound(std::size_t i) noexcept {
+  return i < kBuckets ? kBounds[i] : std::numeric_limits<double>::infinity();
 }
 
 void Histogram::observe(double v) {
   summary_.add(v);
-  std::size_t idx;
-  if (v <= opt_.first_bound) {
-    idx = 0;
-  } else {
-    // Smallest i with first_bound * growth^i >= v.
-    const double steps =
-        std::log(v / opt_.first_bound) / log_growth_;
-    idx = static_cast<std::size_t>(std::ceil(steps - 1e-9));
-    if (idx >= counts_.size()) idx = counts_.size() - 1;  // overflow bucket
-  }
-  ++counts_[idx];
+  ++counts_[bucket_of(v)];
 }
 
 double Histogram::percentile(double p) const {
@@ -130,12 +176,10 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   return gauges_.emplace(std::string(name), Gauge{}).first->second;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      Histogram::Options opt) {
+Histogram& MetricsRegistry::histogram(std::string_view name) {
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) return it->second;
-  return histograms_.emplace(std::string(name), Histogram(opt))
-      .first->second;
+  return histograms_.emplace(std::string(name), Histogram{}).first->second;
 }
 
 const Counter* MetricsRegistry::find_counter(std::string_view name) const {
@@ -226,8 +270,9 @@ void MetricsRegistry::write_metrics_json(std::ostream& out) const {
     for (std::size_t i = 0; i < counts.size(); ++i) {
       if (counts[i] == 0) continue;
       out << (bfirst ? "" : ", ") << "{\"le\": "
-          << (i + 1 == counts.size() ? "\"inf\""
-                                     : fmt_double(h.bucket_bound(i)))
+          << (i + 1 == counts.size()
+                  ? "\"inf\""
+                  : fmt_double(Histogram::bucket_bound(i)))
           << ", \"count\": " << counts[i] << "}";
       bfirst = false;
     }

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -49,15 +51,14 @@ class Gauge final {
 /// per instrument regardless of observation count.
 class Histogram final {
  public:
-  struct Options {
-    double first_bound = 1e-6;  ///< upper bound of the first finite bucket
-    double growth = 2.0;        ///< geometric bound ratio
-    int buckets = 64;           ///< finite buckets (+1 implicit overflow)
-  };
+  static constexpr double kFirstBound = 1e-6;  ///< bound of bucket 0
+  static constexpr double kGrowth = 2.0;       ///< geometric bound ratio
+  static constexpr std::size_t kBuckets = 64;  ///< finite; +1 overflow
 
-  Histogram() : Histogram(Options{}) {}
-  explicit Histogram(Options opt);
-
+  /// Counts `v` in the first bucket whose bound is at least `v`, give or
+  /// take a relative 1e-9 ln(kGrowth) above each bound (see
+  /// telemetry.cpp). Values past the last bound, and NaN, go to the
+  /// overflow bucket.
   void observe(double v);
 
   [[nodiscard]] const sim::SummaryStats& summary() const noexcept {
@@ -70,18 +71,16 @@ class Histogram final {
   /// (exact min/max from the summary clamp the tails).
   [[nodiscard]] double percentile(double p) const;
 
-  [[nodiscard]] const Options& options() const noexcept { return opt_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& bucket_counts()
-      const noexcept {
+  [[nodiscard]] const std::array<std::uint64_t, kBuckets + 1>&
+  bucket_counts() const noexcept {
     return counts_;
   }
-  /// Upper bound of bucket `i` (the last bucket is unbounded).
-  [[nodiscard]] double bucket_bound(std::size_t i) const;
+  /// Upper bound of bucket `i`: kFirstBound * kGrowth^i, and infinity for
+  /// the overflow bucket.
+  [[nodiscard]] static double bucket_bound(std::size_t i) noexcept;
 
  private:
-  Options opt_;
-  double log_growth_;  ///< std::log(opt_.growth), once per instrument
-  std::vector<std::uint64_t> counts_;  ///< opt_.buckets finite + 1 overflow
+  std::array<std::uint64_t, kBuckets + 1> counts_{};  ///< last: overflow
   sim::SummaryStats summary_;
 };
 
@@ -134,8 +133,7 @@ class MetricsRegistry final {
 
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
-  [[nodiscard]] Histogram& histogram(std::string_view name,
-                                     Histogram::Options opt = Histogram::Options{});
+  [[nodiscard]] Histogram& histogram(std::string_view name);
 
   /// Read-only lookups: null if the instrument was never touched.
   [[nodiscard]] const Counter* find_counter(std::string_view name) const;

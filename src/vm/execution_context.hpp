@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "net/network.hpp"
+#include "sim/callback.hpp"
 #include "sim/time.hpp"
 
 namespace dvc::vm {
@@ -30,8 +30,7 @@ class ExecutionContext {
 
   /// Schedules `fn` after `delay` of *guest progress* — time only advances
   /// while the context is actually running; a hypervisor pause freezes it.
-  virtual GuestTimerId schedule(sim::Duration delay,
-                                std::function<void()> fn) = 0;
+  virtual GuestTimerId schedule(sim::Duration delay, sim::Callback fn) = 0;
 
   /// Cancels a pending guest timer; returns true if it had not fired.
   virtual bool cancel(GuestTimerId id) = 0;

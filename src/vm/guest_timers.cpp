@@ -5,8 +5,8 @@
 
 namespace dvc::vm {
 
-GuestTimerId GuestTimerTable::add(sim::Duration delay,
-                                  std::function<void()> fn, bool armed) {
+GuestTimerId GuestTimerTable::add(sim::Duration delay, sim::Callback fn,
+                                  bool armed) {
   Entry& e = entries_.emplace_back(Entry{next_id_++, delay < 0 ? 0 : delay,
                                          0, sim::kInvalidEvent,
                                          std::move(fn)});
@@ -76,7 +76,7 @@ void GuestTimerTable::arm(Entry& e) {
 void GuestTimerTable::fire(GuestTimerId id) {
   const std::size_t i = index_of(id);
   if (i == entries_.size()) return;
-  std::function<void()> fn = std::move(entries_[i].fn);
+  sim::Callback fn = std::move(entries_[i].fn);
   entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
   fn();
 }

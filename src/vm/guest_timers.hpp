@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -27,8 +26,7 @@ class GuestTimerTable final {
   /// Adds a timer `delay` of guest progress from now (negative delays
   /// clamp to zero). An armed timer runs in the kernel at once; an unarmed
   /// one stays frozen until thaw().
-  GuestTimerId add(sim::Duration delay, std::function<void()> fn,
-                   bool armed);
+  GuestTimerId add(sim::Duration delay, sim::Callback fn, bool armed);
 
   /// Removes a pending timer; returns true if it had not fired.
   bool cancel(GuestTimerId id);
@@ -52,7 +50,7 @@ class GuestTimerTable final {
     sim::Duration remaining;  ///< valid while frozen
     sim::Time due_at;         ///< valid while armed
     sim::EventId event;       ///< kInvalidEvent while frozen
-    std::function<void()> fn;
+    sim::Callback fn;
   };
 
   /// Index of the entry with this id, or entries_.size() if none.

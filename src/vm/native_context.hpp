@@ -1,6 +1,6 @@
 #pragma once
 
-#include <functional>
+#include <utility>
 
 #include "hw/cluster.hpp"
 #include "sim/simulation.hpp"
@@ -24,8 +24,7 @@ class NativeContext final : public ExecutionContext {
     return fabric_->node(node_).spec().flops;
   }
 
-  GuestTimerId schedule(sim::Duration delay,
-                        std::function<void()> fn) override {
+  GuestTimerId schedule(sim::Duration delay, sim::Callback fn) override {
     return timers_.add(delay, std::move(fn), /*armed=*/true);
   }
 

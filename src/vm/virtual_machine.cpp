@@ -19,7 +19,7 @@ VirtualMachine::VirtualMachine(sim::Simulation& sim, net::Network& net,
 }
 
 GuestTimerId VirtualMachine::schedule(sim::Duration delay,
-                                      std::function<void()> fn) {
+                                      sim::Callback fn) {
   if (state_ == DomainState::kDead) return kInvalidGuestTimer;
   // A timer scheduled while frozen waits for resume() to arm it.
   return timers_.add(delay, std::move(fn),

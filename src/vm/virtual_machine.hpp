@@ -3,7 +3,6 @@
 #include <any>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -83,8 +82,7 @@ class VirtualMachine final : public ExecutionContext {
   // --- ExecutionContext ----------------------------------------------
   [[nodiscard]] net::HostId host() const noexcept override { return vnic_; }
   [[nodiscard]] double flops() const noexcept override { return flops_; }
-  GuestTimerId schedule(sim::Duration delay,
-                        std::function<void()> fn) override;
+  GuestTimerId schedule(sim::Duration delay, sim::Callback fn) override;
   bool cancel(GuestTimerId id) override;
   [[nodiscard]] sim::Duration remaining(GuestTimerId id) const override;
   [[nodiscard]] sim::Time wall_now() const override;

@@ -19,6 +19,7 @@
 #include "app/workload.hpp"
 #include "hw/cluster.hpp"
 #include "sim/simulation.hpp"
+#include "storage/shared_store.hpp"
 #include "tools/sweep.hpp"
 #include "vm/native_context.hpp"
 #include "vm/virtual_machine.hpp"
@@ -161,6 +162,66 @@ TEST(AllocationGate, NativeRing) {
 }
 TEST(AllocationGate, NativeAllToAll) {
   expect_allocation_free(Pattern::kAllToAll, true);
+}
+
+// ---- shared-store streams ---------------------------------------------------
+
+/// Operations run before counting, and counted.
+constexpr std::uint64_t kWarmupOps = 200;
+constexpr std::uint64_t kMeasuredOps = 1'000;
+/// Operations a stream keeps in flight at once.
+constexpr int kStreams = 4;
+
+/// A store under a steady stream of verified reads of one object (`read`)
+/// or of writes whose completion removes the object it wrote: each
+/// completion issues the next operation. Returns the allocations of
+/// kMeasuredOps operations after kWarmupOps.
+std::uint64_t store_stream_allocations(bool read) {
+  struct Stream {
+    sim::Simulation sim;
+    storage::SharedStore store{sim, storage::SharedStore::Config{}};
+    storage::ObjectId object = storage::kInvalidObject;
+    std::uint64_t done = 0;
+    bool ok = true;
+
+    void next() {
+      if (object != storage::kInvalidObject) {
+        store.read_object(object, [this](storage::ReadError err) {
+          ok = ok && err == storage::ReadError::kOk;
+          ++done;
+          next();
+        });
+      } else {
+        store.write_object("ckpt", 1 << 20, 7, [this](storage::ObjectId id) {
+          ok = ok && store.remove_object(id);
+          ++done;
+          next();
+        });
+      }
+    }
+    void run_to(std::uint64_t ops) {
+      while (done < ops && sim.step()) {
+      }
+    }
+  };
+  Stream s;
+  if (read) s.object = s.store.put_object("image", 1 << 20, 7);
+  for (int i = 0; i < kStreams; ++i) s.next();
+  s.run_to(kWarmupOps);
+  const std::uint64_t before = g_allocations;
+  s.run_to(kWarmupOps + kMeasuredOps);
+  const std::uint64_t allocations = g_allocations - before;
+  EXPECT_TRUE(s.ok);
+  EXPECT_GE(s.done, kWarmupOps + kMeasuredOps) << "the stream stopped";
+  return allocations;
+}
+
+TEST(AllocationGate, SharedStoreReadStream) {
+  EXPECT_EQ(store_stream_allocations(/*read=*/true), 0u);
+}
+
+TEST(AllocationGate, SharedStoreWriteRemoveStream) {
+  EXPECT_EQ(store_stream_allocations(/*read=*/false), 0u);
 }
 
 // ---- a checkpoint round ----------------------------------------------------

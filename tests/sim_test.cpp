@@ -852,6 +852,78 @@ TEST(SimulationTest, FunctionLvalueIsCopiedAndRvalueMoved) {
   EXPECT_EQ(copies, 1);
 }
 
+// ---- Callback lifetimes -----------------------------------------------------
+
+static_assert(!Callback::stores_inline<Counted>);
+static_assert(Callback::stores_inline<ThisIdClosure>);
+
+TEST(CallbackTest, BoxedClosureIsDestroyedExactlyOnce) {
+  int made = 0;
+  int destroyed = 0;
+  int calls = 0;
+  {
+    Callback a(Counted(&made, &destroyed, &calls));
+    EXPECT_EQ(made - destroyed, 1);
+    Callback b(std::move(a));  // moves the owning pointer, not the closure
+    EXPECT_FALSE(a);
+    EXPECT_EQ(made - destroyed, 1);
+    b();
+    Callback c;
+    c = std::move(b);
+    c();
+    c = Callback([] {});  // the replaced closure dies here
+    EXPECT_EQ(made, destroyed);
+  }
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(made, destroyed);
+}
+
+TEST(CallbackTest, PendingBoxedEventDiesWithItsSimulation) {
+  int made = 0;
+  int destroyed = 0;
+  int calls = 0;
+  {
+    Simulation s;
+    s.schedule_at(10, Counted(&made, &destroyed, &calls));
+    s.schedule_daemon_at(20, Counted(&made, &destroyed, &calls));
+    EXPECT_EQ(made - destroyed, 2);
+  }
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(made, destroyed);
+}
+
+TEST(CallbackTest, TimerClosureIsDestroyedExactlyOnce) {
+  int made = 0;
+  int destroyed = 0;
+  int calls = 0;
+  Simulation s;
+  {
+    Timer listed(s, Counted(&made, &destroyed, &calls));
+    Timer heaped(s, Counted(&made, &destroyed, &calls));
+    Timer idle(s, Counted(&made, &destroyed, &calls));
+    listed.arm_at(50);
+    heaped.arm_at(10);  // earlier than the list's only timer, which demotes
+    EXPECT_EQ(s.timer_fallbacks(), 1u);
+    EXPECT_EQ(s.run_until(20), 1u);
+    heaped.arm_at(30);
+    EXPECT_EQ(made - destroyed, 3);
+  }
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(made, destroyed);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(CallbackTest, MoveOnlyClosuresSchedule) {
+  Simulation s;
+  int seen = 0;
+  auto owned = std::make_unique<int>(41);
+  s.schedule_at(5, [&seen, p = std::move(owned)] { seen = *p + 1; });
+  Timer t(s, [&seen, p = std::make_unique<int>(100)] { seen += *p; });
+  t.arm_at(6);
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_EQ(seen, 142);
+}
+
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -196,6 +197,49 @@ TEST(BandwidthPoolTest, DestroyingABusyPoolLeavesNothingPending) {
   EXPECT_EQ(s.pending_foreground(), 0u);
   EXPECT_EQ(s.run(), 0u);
   EXPECT_FALSE(done);
+}
+
+/// A completion that counts its lives and calls; not trivially copyable,
+/// so a pool holds it behind an owning pointer.
+struct Counted {
+  int* live;
+  int* calls;
+  Counted(int* l, int* c) : live(l), calls(c) { ++*live; }
+  Counted(const Counted& o) : Counted(o.live, o.calls) {}
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() { --*live; }
+  void operator()() const { ++*calls; }
+};
+static_assert(!sim::Callback::stores_inline<Counted>);
+
+TEST(BandwidthPoolTest, BoxedCompletionDiesExactlyOnce) {
+  sim::Simulation s;
+  int live = 0;
+  int calls = 0;
+  {
+    BandwidthPool pool(s, 100.0);
+    pool.start(100, Counted(&live, &calls));
+    const TransferId cancelled = pool.start(300, Counted(&live, &calls));
+    pool.start(500, Counted(&live, &calls));
+    EXPECT_EQ(live, 3);
+    EXPECT_TRUE(pool.cancel(cancelled));
+    EXPECT_EQ(live, 2);  // a cancelled transfer's completion dies at once
+    s.run_until(3 * sim::kSecond);
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(live, 1);  // a fired one after it runs
+  }
+  EXPECT_EQ(live, 0);  // a pending one with its pool
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(BandwidthPoolTest, MoveOnlyCompletionRuns) {
+  sim::Simulation s;
+  BandwidthPool pool(s, 100.0);
+  int seen = 0;
+  pool.start(100, [&seen, p = std::make_unique<int>(7)] { seen = *p; });
+  s.run();
+  EXPECT_EQ(seen, 7);
 }
 
 class PoolConservation : public ::testing::TestWithParam<std::uint64_t> {};

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -75,6 +81,99 @@ TEST(TelemetryTest, HistogramBucketsCoverWideRange) {
   EXPECT_EQ(total, 3u);
   EXPECT_EQ(h.bucket_counts().front(), 1u);
   EXPECT_EQ(h.bucket_counts().back(), 1u);
+}
+
+// The placement rule as a formula, one std::log per value: the reference
+// that Histogram::observe must match bucket for bucket. The clamp runs
+// before the integer cast, so +inf and NaN land in the overflow bucket.
+std::size_t formula_bucket(double v) {
+  if (v <= Histogram::kFirstBound) return 0;
+  const double steps = std::log(v / Histogram::kFirstBound) /
+                       std::log(Histogram::kGrowth);
+  const double idx = std::ceil(steps - 1e-9);
+  return idx < static_cast<double>(Histogram::kBuckets)
+             ? static_cast<std::size_t>(idx)
+             : Histogram::kBuckets;
+}
+
+/// The bucket one observation of `v` lands in.
+std::size_t observed_bucket(double v) {
+  Histogram h;
+  h.observe(v);
+  const auto& counts = h.bucket_counts();
+  const auto it = std::find(counts.begin(), counts.end(), 1u);
+  return static_cast<std::size_t>(it - counts.begin());
+}
+
+TEST(TelemetryTest, HistogramBoundsAreFirstBoundTimesGrowthPowers) {
+  for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
+    EXPECT_EQ(Histogram::bucket_bound(i),
+              Histogram::kFirstBound *
+                  std::pow(Histogram::kGrowth, static_cast<double>(i)))
+        << "bound " << i;
+  }
+  EXPECT_TRUE(std::isinf(Histogram::bucket_bound(Histogram::kBuckets)));
+}
+
+TEST(TelemetryTest, HistogramPlacesEveryBoundAndItsNeighboursLikeTheFormula) {
+  const double inf = std::numeric_limits<double>::infinity();
+  // The formula's slack: a value up to a relative 1e-9 ln(growth) above a
+  // bound still counts in that bound's bucket.
+  const double slack = 1e-9 * std::log(Histogram::kGrowth);
+  std::vector<double> values = {0.0, -0.0, -1.0, -inf, inf,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min()};
+  for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
+    const double b = Histogram::bucket_bound(i);
+    for (const double v :
+         {b, std::nextafter(b, 0.0), std::nextafter(b, inf), b * (1 + slack),
+          b * (1 + 2 * slack), b * (1 - slack), b * (1 - 2 * slack)}) {
+      // Each of these and its two neighbours: both edges of the slack
+      // window, and the formula's own edge between them.
+      values.insert(values.end(),
+                    {v, std::nextafter(v, 0.0), std::nextafter(v, inf)});
+    }
+    // Walk the formula's edge one ulp at a time.
+    double v = b * (1 + slack * (1 - 1e-4));
+    for (int step = 0; step < 64; ++step) {
+      values.push_back(v);
+      v = std::nextafter(v, inf);
+    }
+  }
+  for (const double v : values) {
+    EXPECT_EQ(observed_bucket(v), formula_bucket(v)) << "value " << v;
+  }
+  // The slack keeps a value just past a bound in that bound's bucket.
+  EXPECT_EQ(observed_bucket(std::nextafter(Histogram::bucket_bound(10), inf)),
+            10u);
+  EXPECT_EQ(observed_bucket(Histogram::bucket_bound(10) * (1 + 3 * slack)),
+            11u);
+}
+
+TEST(TelemetryTest, HistogramPlacesLogUniformValuesLikeTheFormula) {
+  sim::Rng rng(20261019);
+  Histogram h;
+  std::array<std::uint64_t, Histogram::kBuckets + 1> want{};
+  // Twelve decades past both ends of the bucket range.
+  const double lo = std::log(1e-12);
+  const double hi = std::log(1e20);
+  for (int i = 0; i < 100'000; ++i) {
+    const double v = std::exp(lo + (hi - lo) * rng.uniform());
+    h.observe(v);
+    ++want[formula_bucket(v)];
+  }
+  EXPECT_EQ(h.bucket_counts(), want);
+}
+
+TEST(TelemetryTest, HistogramCountsNanInTheOverflowBucket) {
+  Histogram h;
+  h.observe(std::numeric_limits<double>::quiet_NaN());
+  h.observe(-std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.bucket_counts().back(), 2u);
+  EXPECT_EQ(observed_bucket(std::numeric_limits<double>::quiet_NaN()),
+            Histogram::kBuckets);
 }
 
 // ---- registry -------------------------------------------------------------

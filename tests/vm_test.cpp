@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <any>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -159,6 +160,63 @@ TEST(VirtualMachineTest, ThawedTimersDueOnOneTickFireInIdOrder) {
   f.sim.run();
   EXPECT_EQ(fired, (std::vector<GuestTimerId>{a, c, b}));
   EXPECT_EQ(f.sim.now(), 18 * sim::kSecond);
+}
+
+/// A guest-timer closure that counts its lives and calls; not trivially
+/// copyable, so the table holds it behind an owning pointer.
+struct Counted {
+  int* live;
+  int* calls;
+  Counted(int* l, int* c) : live(l), calls(c) { ++*live; }
+  Counted(const Counted& o) : Counted(o.live, o.calls) {}
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() { --*live; }
+  void operator()() const { ++*calls; }
+};
+static_assert(!sim::Callback::stores_inline<Counted>);
+
+TEST(GuestTimerTableTest, BoxedClosureDiesExactlyOnce) {
+  sim::Simulation s;
+  int live = 0;
+  int calls = 0;
+  {
+    GuestTimerTable timers(s);
+    timers.add(sim::kSecond, Counted(&live, &calls), /*armed=*/true);
+    const GuestTimerId cancelled =
+        timers.add(2 * sim::kSecond, Counted(&live, &calls), true);
+    timers.add(3 * sim::kSecond, Counted(&live, &calls), /*armed=*/false);
+    EXPECT_EQ(live, 3);
+    EXPECT_TRUE(timers.cancel(cancelled));
+    EXPECT_EQ(live, 2);
+    s.run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(live, 1);  // the fired one is gone, the frozen one waits
+    timers.thaw();
+    timers.freeze();
+    timers.thaw();
+    EXPECT_EQ(live, 1);
+    timers.drop();
+    EXPECT_EQ(live, 0);
+    timers.add(sim::kSecond, Counted(&live, &calls), true);
+    timers.add(sim::kSecond, Counted(&live, &calls), false);
+    EXPECT_EQ(live, 2);
+  }
+  EXPECT_EQ(live, 0);  // pending ones die with their table
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(GuestTimerTableTest, MoveOnlyClosureRunsAcrossFreezeAndThaw) {
+  sim::Simulation s;
+  GuestTimerTable timers(s);
+  int seen = 0;
+  timers.add(sim::kSecond, [&seen, p = std::make_unique<int>(9)] {
+    seen = *p;
+  }, true);
+  timers.freeze();
+  timers.thaw();
+  s.run();
+  EXPECT_EQ(seen, 9);
 }
 
 /// Timer callbacks that schedule and cancel other timers, and the state a
