@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "bench_util.hpp"
 #include "ckpt/ledger.hpp"
@@ -59,6 +60,19 @@ class Datagrams final : public net::PacketSink {
   net::Address peer_;
 };
 
+/// The receiving side of a reliable connection: books every message its
+/// endpoint delivers as 0 -> 1 in a ledger the sender's sends also go to.
+struct LedgerSink final : net::MessageSink {
+  void on_message(const net::ReliableEndpoint& /*ep*/,
+                  const net::Message& m) override {
+    ledger.record_delivery(0, 1, m.id);
+  }
+  void on_abort(const net::ReliableEndpoint& /*ep*/,
+                std::string_view /*why*/) override {}
+
+  ckpt::MessageLedger ledger;
+};
+
 /// Runs one cut scenario. `cut_after_delivery` false = scenario 1 (data in
 /// flight across the cut), true = scenario 2 (delivered; ACK in flight).
 CutOutcome run_reliable(bool cut_after_delivery) {
@@ -71,10 +85,9 @@ CutOutcome run_reliable(bool cut_after_delivery) {
   net::ReliableConnection conn(sim, net, {ha, 1}, {hb, 1});
   net::ReliableEndpoint& a = conn.end_a();
   net::ReliableEndpoint& b = conn.end_b();
-  ckpt::MessageLedger ledger;
-  b.set_delivery_handler([&](const net::Message& m) {
-    ledger.record_delivery(0, 1, m.id);
-  });
+  LedgerSink rx;
+  b.set_sink(&rx);
+  ckpt::MessageLedger& ledger = rx.ledger;
 
   const std::uint64_t id = a.send(1024);
   ledger.record_send(0, 1, id);
@@ -161,10 +174,9 @@ CutOutcome run_partition(bool reliable_transport) {
     net::ReliableConnection conn(sim, net, {ha, 1}, {hb, 1});
     net::ReliableEndpoint& a = conn.end_a();
     net::ReliableEndpoint& b = conn.end_b();
-    ckpt::MessageLedger ledger;
-    b.set_delivery_handler([&](const net::Message& m) {
-      ledger.record_delivery(0, 1, m.id);
-    });
+    LedgerSink rx;
+    b.set_sink(&rx);
+    ckpt::MessageLedger& ledger = rx.ledger;
     const std::uint64_t id = a.send(1024);
     ledger.record_send(0, 1, id);
     sim.run();

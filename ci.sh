@@ -13,11 +13,14 @@
 #                       carries its VC's id and issuing epoch, an LSC
 #                       event its operation's id and round), and checks
 #                       that no `std::function` appears in src/sim/,
-#                       src/storage/bandwidth_pool.* or
-#                       src/vm/guest_timers.*: below the application a
+#                       src/storage/bandwidth_pool.*,
+#                       src/vm/guest_timers.*, src/net/ or
+#                       src/app/mpi_job.*: below the application a
 #                       closure is one form, sim::Callback (inline when
 #                       it is a small trivially copyable capture, else
-#                       one owning pointer), then configure
+#                       one owning pointer), and the transport calls its
+#                       owner through an interface (PacketSink,
+#                       net::MessageSink, MpiJob::Receiver), then configure
 #                       (warnings-as-errors), build, and run the full test
 #                       suite (every label); then configure and build (not
 #                       run) dvcbench from dvcbench/ into
@@ -238,9 +241,9 @@ sys.exit(0 if correct is True and failed == 0 and not zero else 1)
     python3 tools/lint_dvc_continuations.py src/core/dvc_manager.cpp \
       src/ckpt/lsc.cpp
     if grep -rn 'std::function' src/sim src/storage/bandwidth_pool.* \
-         src/vm/guest_timers.*; then
+         src/vm/guest_timers.* src/net src/app/mpi_job.*; then
       echo "ci.sh: std::function below the application; hold a" \
-           "sim::Callback instead" >&2
+           "sim::Callback, or call the owner through its interface" >&2
       exit 1
     fi
     build_and_test build -DDVC_WERROR=ON

@@ -10,43 +10,38 @@ namespace {
 constexpr std::uint16_t port_for_peer(RankId peer) {
   return static_cast<std::uint16_t>(peer);
 }
+/// The inverse: the rank an endpoint's port names. An endpoint's own port
+/// is its peer's rank, its peer's port its own rank.
+constexpr RankId rank_at(const net::Address& a) { return a.port; }
 
 /// The transport state of an endpoint that has never carried traffic.
 const net::TransportSnapshot kUnused{};
 }  // namespace
 
 MpiJob::MpiJob(sim::Simulation& sim, net::Network& net,
-               std::vector<vm::ExecutionContext*> ranks,
-               net::ReliableConfig transport)
+               const std::vector<vm::ExecutionContext*>& ranks,
+               Receiver& receiver, net::ReliableConfig transport)
     : sim_(&sim),
       net_(&net),
       transport_(transport),
-      ranks_(std::move(ranks)),
-      endpoints_(ranks_.size()),
-      handlers_(ranks_.size()) {
-  const RankId p = size();
-  hosts_.reserve(p);
-  observer_tokens_.reserve(p);
-  for (RankId r = 0; r < p; ++r) {
-    endpoints_[r].resize(p);
-    hosts_.push_back(ranks_[r]->host());
-    observer_tokens_.push_back(net.subscribe_host_state(
-        hosts_[r], [this, r](bool up) {
-          for (const auto& ep : endpoints_[r]) {
-            if (ep) ep->on_host_state(up);
-          }
-        }));
+      endpoints_(ranks.size()),
+      receiver_(&receiver) {
+  hosts_.reserve(ranks.size());
+  for (std::size_t r = 0; r < ranks.size(); ++r) {
+    endpoints_[r].resize(ranks.size());
+    hosts_.push_back(ranks[r]->host());
   }
 }
 
-MpiJob::~MpiJob() {
-  for (RankId r = 0; r < size(); ++r) {
-    net_->unsubscribe_host_state(hosts_[r], observer_tokens_[r]);
-  }
+void MpiJob::on_message(const net::ReliableEndpoint& ep,
+                        const net::Message& m) {
+  receiver_->on_message(rank_at(ep.peer()), rank_at(ep.local()), m);
 }
 
-void MpiJob::set_rank_handler(RankId rank, RankHandler h) {
-  handlers_.at(rank) = std::move(h);
+void MpiJob::on_abort(const net::ReliableEndpoint& ep, std::string_view why) {
+  if (failed_) return;
+  failed_ = true;
+  receiver_->on_abort(rank_at(ep.peer()), why);
 }
 
 std::unique_ptr<net::ReliableEndpoint> MpiJob::make_endpoint(RankId r,
@@ -55,14 +50,7 @@ std::unique_ptr<net::ReliableEndpoint> MpiJob::make_endpoint(RankId r,
   const net::Address peer{hosts_[q], port_for_peer(r)};
   auto ep = std::make_unique<net::ReliableEndpoint>(*sim_, *net_, local, peer,
                                                     transport_);
-  ep->set_delivery_handler([this, r, q](const net::Message& m) {
-    if (handlers_[r]) handlers_[r](q, m);
-  });
-  ep->set_failure_handler([this, r](std::string_view why) {
-    if (failed_) return;
-    failed_ = true;
-    if (on_failure_) on_failure_(r, std::string(why));
-  });
+  ep->set_sink(this);
   // After a rollback, a never-used endpoint is one restored from the empty
   // snapshot at the job's epoch.
   ep->restore(kUnused, epoch_);

@@ -1,10 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/reliable_channel.hpp"
@@ -30,35 +29,36 @@ struct RankTransportSnapshot {
 /// first send in either direction, the way MPI stacks open TCP connections
 /// lazily. This plays the role of the MPI library + TCP stacks inside the
 /// guests: co-dependent processes where losing any single connection kills
-/// the whole application (paper §2.1). One host-state observer per rank
-/// passes its host's liveness transitions to the rank's open endpoints in
-/// peer order.
-class MpiJob final {
+/// the whole application (paper §2.1). Rank r's endpoint toward q binds
+/// port q on r's host, so a thaw reaches a rank's endpoints in peer order
+/// (Network::set_host_up walks a host's sinks by port).
+class MpiJob final : private net::MessageSink {
  public:
-  /// (from, message) delivered in order per (from -> to) pair.
-  using RankHandler = std::function<void(RankId from, const net::Message&)>;
-  /// Fired once, on the first transport abort anywhere in the job.
-  using FailureHandler = std::function<void(RankId rank, std::string why)>;
+  /// The application above the mesh.
+  class Receiver {
+   public:
+    virtual ~Receiver() = default;
+    /// A message from `from`, delivered in order per (from -> to) pair.
+    virtual void on_message(RankId to, RankId from,
+                            const net::Message& m) = 0;
+    /// The first transport abort anywhere in the job; later ones are
+    /// swallowed until mark_recovered().
+    virtual void on_abort(RankId rank, std::string_view why) = 0;
+  };
 
+  /// `receiver` must outlive the job. Endpoints detach on destruction, so
+  /// the job touches only the network then: the ranks' contexts may
+  /// already be gone.
   MpiJob(sim::Simulation& sim, net::Network& net,
-         std::vector<vm::ExecutionContext*> ranks,
-         net::ReliableConfig transport = {});
-
-  /// Touches only the network: the ranks' contexts may already be gone.
-  ~MpiJob();
+         const std::vector<vm::ExecutionContext*>& ranks,
+         Receiver& receiver, net::ReliableConfig transport = {});
 
   MpiJob(const MpiJob&) = delete;
   MpiJob& operator=(const MpiJob&) = delete;
 
   [[nodiscard]] RankId size() const noexcept {
-    return static_cast<RankId>(ranks_.size());
+    return static_cast<RankId>(hosts_.size());
   }
-  [[nodiscard]] vm::ExecutionContext& context(RankId r) {
-    return *ranks_.at(r);
-  }
-
-  void set_rank_handler(RankId rank, RankHandler h);
-  void set_failure_handler(FailureHandler h) { on_failure_ = std::move(h); }
 
   /// Sends `bytes` from rank `from` to rank `to` with an application tag,
   /// opening the pair first if it has never carried traffic. Reliable,
@@ -95,6 +95,12 @@ class MpiJob final {
   }
 
  private:
+  // MessageSink: recovers the endpoint's (rank, peer) from its ports.
+  void on_message(const net::ReliableEndpoint& ep,
+                  const net::Message& m) override;
+  void on_abort(const net::ReliableEndpoint& ep,
+                std::string_view why) override;
+
   /// rank `from`'s endpoint toward `to`, opening their pair if needed.
   [[nodiscard]] net::ReliableEndpoint& open(RankId from, RankId to);
   [[nodiscard]] std::unique_ptr<net::ReliableEndpoint> make_endpoint(
@@ -103,17 +109,13 @@ class MpiJob final {
   sim::Simulation* sim_;
   net::Network* net_;
   net::ReliableConfig transport_;
-  std::vector<vm::ExecutionContext*> ranks_;
   /// Each rank's host, read once at construction: a job may outlive its
   /// guests' contexts (fleet tears the VMs down first).
   std::vector<net::HostId> hosts_;
-  /// Each rank's host-state subscription, unsubscribed on destruction.
-  std::vector<std::uint64_t> observer_tokens_;
   /// endpoints_[from][to]; nullptr on the diagonal and for unopened pairs.
   std::vector<std::vector<std::unique_ptr<net::ReliableEndpoint>>> endpoints_;
   std::uint32_t epoch_ = 0;  ///< of the last restore; new pairs start here
-  std::vector<RankHandler> handlers_;
-  FailureHandler on_failure_;
+  Receiver* receiver_;
   bool failed_ = false;
   std::uint64_t bytes_sent_ = 0;
 };

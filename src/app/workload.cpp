@@ -179,7 +179,7 @@ void Rank::forward_tree_panel(std::uint32_t tag) {
   });
 }
 
-void Rank::on_message(RankId /*from*/, const net::Message& m) {
+void Rank::on_message(const net::Message& m) {
   // A tree-broadcast panel is relayed onward the moment it arrives, even
   // if this rank is still busy with an earlier iteration.
   if (app_->spec_.pattern == Pattern::kTreeBroadcast) {
@@ -294,20 +294,19 @@ ParallelApp::ParallelApp(sim::Simulation& sim, net::Network& net,
     : sim_(&sim),
       spec_(std::move(spec)),
       contexts_(std::move(contexts)),
-      job_(sim, net, contexts_, transport) {
+      job_(sim, net, contexts_, *this, transport) {
   if (contexts_.size() != spec_.ranks) {
     throw std::invalid_argument("context count != rank count");
   }
   ranks_.reserve(spec_.ranks);
   for (RankId r = 0; r < spec_.ranks; ++r) {
     ranks_.push_back(std::make_unique<Rank>(*this, r));
-    job_.set_rank_handler(r, [this, r](RankId from, const net::Message& m) {
-      ranks_[r]->on_message(from, m);
-    });
   }
-  job_.set_failure_handler([this](RankId rank, std::string why) {
-    on_transport_failure(rank, std::move(why));
-  });
+}
+
+void ParallelApp::on_message(RankId to, RankId /*from*/,
+                             const net::Message& m) {
+  ranks_[to]->on_message(m);
 }
 
 void ParallelApp::start() {
@@ -357,11 +356,11 @@ void ParallelApp::notify_rank_done() {
   if (on_complete_) on_complete_();
 }
 
-void ParallelApp::on_transport_failure(RankId rank, std::string why) {
+void ParallelApp::on_abort(RankId rank, std::string_view why) {
   if (completed_) return;
   failed_ = true;
   if (on_failure_) {
-    on_failure_("rank " + std::to_string(rank) + ": " + why);
+    on_failure_("rank " + std::to_string(rank) + ": " + std::string(why));
   }
 }
 

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app/mpi_job.hpp"
@@ -151,7 +152,7 @@ class Rank final : public vm::GuestSoftware {
   void restore_state(const std::any& state) override;
   void on_killed() override;
 
-  void on_message(RankId from, const net::Message& m);
+  void on_message(const net::Message& m);
 
  private:
   void begin_compute(sim::Duration d);
@@ -190,7 +191,7 @@ struct JobStats {
 /// A parallel application instance: the MPI mesh plus one Rank per context.
 /// The launcher binds each Rank to its VM (vm.set_guest_software) so that
 /// whole-guest checkpoints capture application and transport state.
-class ParallelApp final {
+class ParallelApp final : private MpiJob::Receiver {
  public:
   ParallelApp(sim::Simulation& sim, net::Network& net,
               std::vector<vm::ExecutionContext*> contexts, WorkloadSpec spec,
@@ -240,8 +241,6 @@ class ParallelApp final {
   /// Resumes every held rank.
   void release_quiesce();
 
-  [[nodiscard]] bool quiescing() const noexcept { return quiescing_; }
-
   /// True once every rank's outgoing channels have fully drained
   /// (no unacknowledged messages anywhere in the mesh).
   [[nodiscard]] bool mesh_drained() const { return job_.drained(); }
@@ -252,17 +251,14 @@ class ParallelApp final {
 
   [[nodiscard]] JobStats stats() const;
 
-  /// Bytes an application-level checkpoint of one rank would write (the
-  /// app knows its minimal restart state — paper §2).
-  [[nodiscard]] std::uint64_t app_checkpoint_bytes() const noexcept {
-    return spec_.working_set_bytes_per_rank;
-  }
-
  private:
   friend class Rank;
+  // MpiJob::Receiver:
+  void on_message(RankId to, RankId from, const net::Message& m) override;
+  void on_abort(RankId rank, std::string_view why) override;
+
   void notify_rank_done();
   void note_rank_held();
-  void on_transport_failure(RankId rank, std::string why);
 
   sim::Simulation* sim_;
   WorkloadSpec spec_;

@@ -18,45 +18,11 @@ void Network::set_host_up(HostId host, bool up) {
   if (host >= up_.size()) throw std::out_of_range("unknown host");
   if (up_[host] == up) return;
   up_[host] = up;
-  const auto it = state_observers_.find(host);
-  if (it == state_observers_.end()) return;
-  // Walk by token instead of over a copy: a callback may subscribe or
-  // unsubscribe (see subscribe_host_state), which invalidates iterators
-  // but never this host's map itself. Tokens only grow, so `bound` keeps
-  // observers added during the walk out of it.
-  auto& observers = it->second;
-  const std::uint64_t bound = next_observer_token_;
-  auto o = observers.begin();
-  while (o != observers.end() && o->first < bound) {
-    const std::uint64_t token = o->first;
-    if (!o->second) {  // running further up the stack (a nested notify)
-      ++o;
-      continue;
-    }
-    // Held out of the map while it runs, so an observer that
-    // unsubscribes itself does not destroy the function it is executing.
-    std::function<void(bool)> fn = std::move(o->second);
-    o->second = nullptr;
-    fn(up);
-    o = observers.lower_bound(token);
-    if (o != observers.end() && o->first == token) {
-      o->second = std::move(fn);
-      ++o;
-    }
+  if (!up) return;
+  // By index, re-reading the row: a sink may attach or detach meanwhile.
+  for (std::size_t port = 0; port < sinks_[host].size(); ++port) {
+    if (PacketSink* const sink = sinks_[host][port]) sink->on_host_up();
   }
-}
-
-std::uint64_t Network::subscribe_host_state(HostId host,
-                                            std::function<void(bool)> fn) {
-  if (host >= up_.size()) throw std::out_of_range("unknown host");
-  const std::uint64_t token = next_observer_token_++;
-  state_observers_[host].emplace(token, std::move(fn));
-  return token;
-}
-
-void Network::unsubscribe_host_state(HostId host, std::uint64_t token) {
-  const auto it = state_observers_.find(host);
-  if (it != state_observers_.end()) it->second.erase(token);
 }
 
 bool Network::host_up(HostId host) const {

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -209,11 +207,16 @@ class ClusterLinkModel final : public LinkModel {
   std::unordered_map<std::uint64_t, PairOverride> overrides_;
 };
 
-/// Receives packets addressed to an attached endpoint.
+/// Receives packets addressed to an attached endpoint, and hears its host
+/// come back up: Network::set_host_up calls on_host_up() on every sink
+/// bound to the host, in port order, when the host goes from down to up.
+/// That is how a thawed guest's transport resumes retransmission the moment
+/// the guest runs again, without polling.
 class PacketSink {
  public:
   virtual ~PacketSink() = default;
   virtual void on_packet(const Packet& p) = 0;
+  virtual void on_host_up() {}
 };
 
 /// The simulated fabric: attaches endpoints, applies the link model, and
@@ -231,23 +234,11 @@ class Network final {
   /// Allocates a new attachment point, initially up.
   [[nodiscard]] HostId new_host();
 
-  /// Marks a host up (running) or down (paused / saved / failed).
+  /// Marks a host up (running) or down (paused / saved / failed). A
+  /// down -> up transition calls on_host_up() on each sink bound to the
+  /// host, in port order; a sink may attach or detach while it runs.
   void set_host_up(HostId host, bool up);
   [[nodiscard]] bool host_up(HostId host) const;
-
-  /// Registers a persistent observer of one host's liveness transitions.
-  /// Used by transports to resume retransmission the moment a frozen guest
-  /// is thawed, instead of polling. Returns a token for unsubscribe.
-  ///
-  /// Observers run in subscription order and may subscribe or unsubscribe
-  /// observers of any host, themselves included, while they run. One
-  /// notification reaches the observers subscribed when it began that are
-  /// still subscribed when their turn comes: an observer added during the
-  /// notification is not called, and one removed before its turn is
-  /// skipped.
-  std::uint64_t subscribe_host_state(HostId host,
-                                     std::function<void(bool)> fn);
-  void unsubscribe_host_state(HostId host, std::uint64_t token);
 
   /// Binds a sink to an address. The address's host must exist.
   void attach(const Address& addr, PacketSink* sink);
@@ -287,9 +278,6 @@ class Network final {
   struct EndpointInstruments {
     telemetry::CounterHandle stalls{"net.endpoint.stalls"};
     telemetry::CounterHandle retransmissions{"net.endpoint.retransmissions"};
-    telemetry::CounterHandle stalled{"net.endpoint.stalled"};
-    telemetry::CounterHandle stall_recoveries{
-        "net.endpoint.stall_recoveries"};
     telemetry::CounterHandle aborts{"net.endpoint.aborts"};
     telemetry::CounterHandle duplicates{"net.endpoint.duplicates"};
   };
@@ -306,10 +294,6 @@ class Network final {
   sim::Rng rng_;
   std::vector<bool> up_;
   std::vector<sim::Time> egress_free_;  ///< per-host link-idle instant
-  std::uint64_t next_observer_token_ = 1;
-  std::unordered_map<HostId, std::map<std::uint64_t,
-                                      std::function<void(bool)>>>
-      state_observers_;
   /// Bound sinks, indexed [host][port]; a row grows to its highest bound
   /// port (MpiJob binds port = peer rank, so rows stay short and dense).
   /// Null, or a port past the row's end, is a closed port.

@@ -67,8 +67,7 @@ void ReliableEndpoint::send_ack() {
   net_->send(p);
 }
 
-void ReliableEndpoint::on_host_state(bool up) {
-  if (!up) return;
+void ReliableEndpoint::on_host_up() {
   if (parked_ && state_ != State::kFailed) {
     // Thawed: the guest's nearly-expired retransmission timer goes off
     // shortly after restore and unACKed data flows again (paper §3:
@@ -100,9 +99,6 @@ void ReliableEndpoint::on_timer() {
   ++retransmissions_;
   telemetry::count(net_->metrics(),
                    net_->endpoint_instruments().retransmissions);
-  if (cfg_.stall_threshold > 0 && retries_ >= cfg_.stall_threshold) {
-    set_stalled(true);
-  }
   // Retransmit the oldest unacknowledged message, back off, re-arm.
   transmit(first_unacked(), unacked_[unacked_head_]);
   rto_ = std::min(
@@ -111,25 +107,12 @@ void ReliableEndpoint::on_timer() {
   timer_.arm_after(rto_);
 }
 
-void ReliableEndpoint::set_stalled(bool stalled) {
-  if (stalled_ == stalled) return;
-  stalled_ = stalled;
-  if (stalled) {
-    ++stalls_reported_;
-    telemetry::count(net_->metrics(), net_->endpoint_instruments().stalled);
-  } else {
-    telemetry::count(net_->metrics(),
-                     net_->endpoint_instruments().stall_recoveries);
-  }
-  if (on_stall_) on_stall_(stalled);
-}
-
 void ReliableEndpoint::fail(std::string_view reason) {
   if (state_ == State::kFailed) return;
   state_ = State::kFailed;
   telemetry::count(net_->metrics(), net_->endpoint_instruments().aborts);
   timer_.disarm();
-  if (on_failure_) on_failure_(reason);
+  if (sink_ != nullptr) sink_->on_abort(*this, reason);
 }
 
 TransportSnapshot ReliableEndpoint::snapshot() const {
@@ -178,7 +161,6 @@ void ReliableEndpoint::restore(const TransportSnapshot& snap,
   retries_ = 0;
   rto_ = cfg_.initial_rto;
   parked_ = false;
-  stalled_ = false;  // the restored guest's TCP stack never saw the stall
   if (unacked() != 0) {
     // The restored guest's pending retransmission fires shortly after thaw.
     timer_.arm_after(cfg_.thaw_retransmit_delay);
@@ -202,7 +184,6 @@ void ReliableEndpoint::on_packet(const Packet& p) {
       // Forward progress: reset the backoff schedule.
       retries_ = 0;
       rto_ = cfg_.initial_rto;
-      set_stalled(false);
       if (unacked() != 0) {
         timer_.arm_after(rto_);
       } else {
@@ -230,8 +211,8 @@ void ReliableEndpoint::on_packet(const Packet& p) {
     // In order with nothing buffered: deliver without touching reorder_.
     ++expected_;
     ++delivered_count_;
-    if (on_delivery_) {
-      on_delivery_(Message{p.seq + 1, arrived.bytes, arrived.tag});
+    if (sink_ != nullptr) {
+      sink_->on_message(*this, Message{p.seq + 1, arrived.bytes, arrived.tag});
     }
   } else if (reorder_.emplace(p.seq, arrived).second) {
     ++buffered_;
@@ -242,7 +223,7 @@ void ReliableEndpoint::on_packet(const Packet& p) {
     reorder_.erase(reorder_.begin());
     ++expected_;
     ++delivered_count_;
-    if (on_delivery_) on_delivery_(Message{seq + 1, m.bytes, m.tag});
+    if (sink_ != nullptr) sink_->on_message(*this, {seq + 1, m.bytes, m.tag});
   }
   send_ack();
 }
@@ -250,17 +231,6 @@ void ReliableEndpoint::on_packet(const Packet& p) {
 ReliableConnection::ReliableConnection(sim::Simulation& sim, Network& net,
                                        Address a, Address b,
                                        ReliableConfig cfg)
-    : net_(&net),
-      a_(sim, net, a, b, cfg),
-      b_(sim, net, b, a, cfg),
-      a_token_(net.subscribe_host_state(
-          a.host, [this](bool up) { a_.on_host_state(up); })),
-      b_token_(net.subscribe_host_state(
-          b.host, [this](bool up) { b_.on_host_state(up); })) {}
-
-ReliableConnection::~ReliableConnection() {
-  net_->unsubscribe_host_state(a_.local().host, a_token_);
-  net_->unsubscribe_host_state(b_.local().host, b_token_);
-}
+    : a_(sim, net, a, b, cfg), b_(sim, net, b, a, cfg) {}
 
 }  // namespace dvc::net

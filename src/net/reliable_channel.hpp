@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -50,12 +48,6 @@ struct ReliableConfig {
   /// retransmission timer firing — models the saved guest's nearly-expired
   /// TCP timers going off shortly after restore.
   sim::Duration thaw_retransmit_delay = 10 * sim::kMillisecond;
-  /// Consecutive retransmissions of the same segment after which the
-  /// endpoint *reports* a stall (link down / peer unreachable) through the
-  /// stall handler, long before the retry budget aborts the connection.
-  /// 0 disables the report; the retransmission behaviour itself never
-  /// changes.
-  int stall_threshold = 0;
 
   /// Total time a sender will keep retrying before aborting, assuming the
   /// peer never answers: sum of the backed-off RTO schedule.
@@ -68,6 +60,18 @@ struct ReliableConfig {
     }
     return total + static_cast<sim::Duration>(rto);
   }
+};
+
+class ReliableEndpoint;
+
+/// The owner of reliable endpoints: hears each message an endpoint
+/// delivers, in order and exactly once, and the endpoint's abort, once,
+/// when its retry budget runs out. Installed with set_sink(), not owned.
+class MessageSink {
+ public:
+  virtual ~MessageSink() = default;
+  virtual void on_message(const ReliableEndpoint& ep, const Message& m) = 0;
+  virtual void on_abort(const ReliableEndpoint& ep, std::string_view why) = 0;
 };
 
 /// One side of a full-duplex reliable connection (sequence numbers,
@@ -84,19 +88,14 @@ struct ReliableConfig {
 ///  * a sender left running against a frozen peer aborts once the retry
 ///    budget is exhausted — the failure mode of skewed checkpoints.
 ///
-/// The endpoint does not watch its host itself: its owner calls
-/// on_host_state() on every liveness transition of the local host
-/// (ReliableConnection and app::MpiJob each subscribe once per host on
-/// behalf of their endpoints).
+/// The endpoint is the sink bound at its local address, so the network
+/// calls it for its packets and for its host's thaw (on_host_up). It hands
+/// what it delivers, and its abort, to one MessageSink (set_sink), with
+/// itself as the first argument: an owner of many endpoints tells them
+/// apart by their addresses.
 class ReliableEndpoint final : public PacketSink {
  public:
   enum class State : std::uint8_t { kOpen, kFailed };
-
-  using DeliveryHandler = std::function<void(const Message&)>;
-  using FailureHandler = std::function<void(std::string_view reason)>;
-  /// Stall notifications: `stalled=true` when stall_threshold consecutive
-  /// retransmissions go unanswered, `false` when the peer answers again.
-  using StallHandler = std::function<void(bool stalled)>;
 
   ReliableEndpoint(sim::Simulation& sim, Network& net, Address local,
                    Address peer, ReliableConfig cfg = {});
@@ -105,18 +104,15 @@ class ReliableEndpoint final : public PacketSink {
   ReliableEndpoint(const ReliableEndpoint&) = delete;
   ReliableEndpoint& operator=(const ReliableEndpoint&) = delete;
 
-  /// Called for each message delivered in order, exactly once.
-  void set_delivery_handler(DeliveryHandler h) { on_delivery_ = std::move(h); }
-  /// Called once if the connection aborts (retry budget exhausted).
-  void set_failure_handler(FailureHandler h) { on_failure_ = std::move(h); }
-  /// Called on stall onset and recovery (needs cfg.stall_threshold > 0).
-  void set_stall_handler(StallHandler h) { on_stall_ = std::move(h); }
+  /// Where delivered messages and the abort go (null: nowhere).
+  void set_sink(MessageSink* sink) noexcept { sink_ = sink; }
 
   /// Queues a message for reliable in-order delivery to the peer.
   /// Returns the message id. No-op (returns 0) after failure.
   std::uint64_t send(std::uint32_t bytes, std::uint32_t tag = 0);
 
   [[nodiscard]] const Address& local() const noexcept { return local_; }
+  [[nodiscard]] const Address& peer() const noexcept { return peer_; }
   [[nodiscard]] State state() const noexcept { return state_; }
   [[nodiscard]] bool failed() const noexcept {
     return state_ == State::kFailed;
@@ -124,14 +120,6 @@ class ReliableEndpoint final : public PacketSink {
   [[nodiscard]] std::size_t unacked() const noexcept {
     return unacked_.size() - unacked_head_;
   }
-  /// True while retransmissions of the oldest segment have gone unanswered
-  /// `stall_threshold` or more times in a row — a visible "link down or
-  /// peer frozen" signal instead of silent loss.
-  [[nodiscard]] bool stalled() const noexcept { return stalled_; }
-  [[nodiscard]] std::uint64_t stalls_reported() const noexcept {
-    return stalls_reported_;
-  }
-
   [[nodiscard]] std::uint64_t messages_sent() const noexcept {
     return next_seq_;
   }
@@ -146,16 +134,16 @@ class ReliableEndpoint final : public PacketSink {
   }
   /// Data segments that went through the reorder buffer: they arrived out
   /// of order, or while out-of-order ones were waiting. Every other new
-  /// segment was handed straight to the delivery handler.
+  /// segment was handed straight to the sink.
   [[nodiscard]] std::uint64_t buffered() const noexcept {
     return buffered_;
   }
 
   void on_packet(const Packet& p) override;
 
-  /// Liveness transition of the local host. On thaw (`up`), a timer parked
-  /// while the host was frozen goes off after cfg.thaw_retransmit_delay.
-  void on_host_state(bool up);
+  /// The local host thawed: a timer parked while it was frozen goes off
+  /// after cfg.thaw_retransmit_delay.
+  void on_host_up() override;
 
   /// Captures transport state (call while the host is paused: that is when
   /// the hypervisor images the guest).
@@ -189,7 +177,6 @@ class ReliableEndpoint final : public PacketSink {
   void send_ack();
   void on_timer();
   void fail(std::string_view reason);
-  void set_stalled(bool stalled);
 
   Network* net_;
   Address local_;
@@ -223,22 +210,16 @@ class ReliableEndpoint final : public PacketSink {
   std::uint64_t duplicates_ = 0;
   std::uint64_t buffered_ = 0;
   std::uint64_t retransmissions_ = 0;
-  bool stalled_ = false;
-  std::uint64_t stalls_reported_ = 0;
 
-  DeliveryHandler on_delivery_;
-  FailureHandler on_failure_;
-  StallHandler on_stall_;
+  MessageSink* sink_ = nullptr;
 };
 
 /// A full-duplex reliable connection between two addresses: the two
-/// endpoints with symmetric configuration, each notified of its own host's
-/// liveness transitions.
+/// endpoints with symmetric configuration.
 class ReliableConnection final {
  public:
   ReliableConnection(sim::Simulation& sim, Network& net, Address a,
                      Address b, ReliableConfig cfg = {});
-  ~ReliableConnection();
 
   ReliableConnection(const ReliableConnection&) = delete;
   ReliableConnection& operator=(const ReliableConnection&) = delete;
@@ -251,11 +232,8 @@ class ReliableConnection final {
   }
 
  private:
-  Network* net_;
   ReliableEndpoint a_;
   ReliableEndpoint b_;
-  std::uint64_t a_token_;
-  std::uint64_t b_token_;
 };
 
 }  // namespace dvc::net

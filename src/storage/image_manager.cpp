@@ -68,8 +68,8 @@ bool ImageManager::add_member(CheckpointSetId set, std::uint64_t member,
   auto it = sets_.find(set);
   if (it == sets_.end() || it->second.aborted) return false;
   const std::uint64_t checksum = synthetic_checksum(set, member, bytes);
-  const std::uint32_t slot =
-      claim_copy({set, member, bytes, 0, std::move(on_member_done)});
+  const std::uint32_t slot = claim_copy(
+      {set, member, bytes, checksum, 0, std::move(on_member_done)});
   store_->write_object("ckpt", bytes, checksum, [this, slot](ObjectId obj) {
     primary_landed(slot, obj);
   });
@@ -90,21 +90,20 @@ void ImageManager::primary_landed(std::uint32_t slot, ObjectId obj) {
   img.replicas.assign(replicas_.size(), kInvalidObject);
   s.members.push_back(std::move(img));
   telemetry::count(metrics_, members_added_c_);
-  replicate_member(copy.set, copy.member, copy.bytes);
+  replicate_member(copy);
   maybe_seal(s);
   if (copy.on_done) copy.on_done();
 }
 
-void ImageManager::replicate_member(CheckpointSetId set, std::uint64_t member,
-                                    std::uint64_t bytes) {
+void ImageManager::replicate_member(const PendingCopy& primary) {
   // Replication is asynchronous: it consumes each replica store's write
   // bandwidth but never gates sealing. A copy that lands after its set
   // died is removed again.
-  const std::uint64_t checksum = synthetic_checksum(set, member, bytes);
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    const std::uint32_t slot = claim_copy({set, member, bytes, i, {}});
+    const std::uint32_t slot = claim_copy(
+        {primary.set, primary.member, primary.bytes, primary.checksum, i, {}});
     replicas_[i]->write_object(
-        "ckpt-replica", bytes, checksum,
+        "ckpt-replica", primary.bytes, primary.checksum,
         [this, slot](ObjectId obj) { replica_landed(slot, obj); });
   }
 }

@@ -186,6 +186,7 @@ class ImageManager final {
     CheckpointSetId set = kInvalidCheckpointSet;
     std::uint64_t member = 0;
     std::uint64_t bytes = 0;
+    std::uint64_t checksum = 0;     ///< every copy's, computed once
     std::size_t replica = 0;        ///< replica copies only
     std::function<void()> on_done;  ///< primary copies only
   };
@@ -195,8 +196,7 @@ class ImageManager final {
   void primary_landed(std::uint32_t slot, ObjectId obj);
   void replica_landed(std::uint32_t slot, ObjectId obj);
   void maybe_seal(CheckpointSet& s);
-  void replicate_member(CheckpointSetId set, std::uint64_t member,
-                        std::uint64_t bytes);
+  void replicate_member(const PendingCopy& primary);
   void drop_member_objects(const MemberImage& m);
   void mark_damaged(CheckpointSet& s);
   void read_member_from(CheckpointSetId set, std::uint64_t member,

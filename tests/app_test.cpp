@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "app/mpi_job.hpp"
 #include "app/workload.hpp"
 #include "hw/cluster.hpp"
 #include "sim/simulation.hpp"
+#include "telemetry/telemetry.hpp"
 #include "vm/virtual_machine.hpp"
 
 namespace dvc::app {
@@ -31,6 +35,24 @@ struct AppFixture {
   hw::Fabric fabric{sim, {}};
   std::vector<std::unique_ptr<vm::VirtualMachine>> vms;
   std::vector<vm::ExecutionContext*> contexts;
+};
+
+/// Records what an MpiJob hands its application.
+struct Recorder final : MpiJob::Receiver {
+  struct Delivery {
+    RankId to;
+    RankId from;
+    net::Message m;
+  };
+  void on_message(RankId to, RankId from, const net::Message& m) override {
+    delivered.push_back({to, from, m});
+  }
+  void on_abort(RankId rank, std::string_view why) override {
+    aborts.emplace_back(rank, why);
+  }
+
+  std::vector<Delivery> delivered;
+  std::vector<std::pair<RankId, std::string>> aborts;
 };
 
 TEST(WorkloadSpecTest, HplIsComputeDominatedAndCheckpointable) {
@@ -315,7 +337,7 @@ TEST(ParallelAppTest, OutlivesItsGuestVms) {
   f.vms.clear();
   f.contexts.clear();
   app.reset();
-  // No observer of the dead job is left on the guests' hosts, and no
+  // No sink of the dead job is left bound on the guests' hosts, and no
   // event of it is left in the queue.
   for (const net::HostId h : hosts) {
     f.fabric.network().set_host_up(h, false);
@@ -326,16 +348,14 @@ TEST(ParallelAppTest, OutlivesItsGuestVms) {
 
 TEST(MpiJobTest, AggregateCountersTrackTraffic) {
   AppFixture f(3);
-  MpiJob job(f.sim, f.fabric.network(), f.contexts);
-  int at2 = 0;
-  job.set_rank_handler(2, [&](RankId from, const net::Message& m) {
-    ++at2;
-    EXPECT_EQ(from, 0u);
-    EXPECT_EQ(m.bytes, 64u);
-  });
+  Recorder rx;
+  MpiJob job(f.sim, f.fabric.network(), f.contexts, rx);
   EXPECT_TRUE(job.send(0, 2, 64, 0));
   f.sim.run();
-  EXPECT_EQ(at2, 1);
+  ASSERT_EQ(rx.delivered.size(), 1u);
+  EXPECT_EQ(rx.delivered[0].to, 2u);
+  EXPECT_EQ(rx.delivered[0].from, 0u);
+  EXPECT_EQ(rx.delivered[0].m.bytes, 64u);
   EXPECT_EQ(job.messages_sent(), 1u);
   EXPECT_EQ(job.messages_delivered(), 1u);
   EXPECT_EQ(job.bytes_sent(), 64u);
@@ -343,7 +363,8 @@ TEST(MpiJobTest, AggregateCountersTrackTraffic) {
 
 TEST(MpiJobTest, TransportSnapshotRoundTrip) {
   AppFixture f(2);
-  MpiJob job(f.sim, f.fabric.network(), f.contexts);
+  Recorder rx;
+  MpiJob job(f.sim, f.fabric.network(), f.contexts, rx);
   f.vms[1]->pause();  // peer frozen: message stays unacked
   job.send(0, 1, 128, 3);
   f.sim.run_until(sim::kSecond);
@@ -352,19 +373,20 @@ TEST(MpiJobTest, TransportSnapshotRoundTrip) {
   ASSERT_TRUE(snap.to_peer.contains(1));
   EXPECT_EQ(snap.to_peer.at(1).unacked.size(), 1u);
 
-  int delivered = 0;
-  job.set_rank_handler(1, [&](RankId, const net::Message&) { ++delivered; });
+  ASSERT_TRUE(rx.delivered.empty());
   f.vms[0]->resume();
   f.vms[1]->resume();
   job.restore_transport(0, snap, 1);
   job.restore_transport(1, job.snapshot_transport(1), 1);
   f.sim.run();
-  EXPECT_EQ(delivered, 1);
+  ASSERT_EQ(rx.delivered.size(), 1u);
+  EXPECT_EQ(rx.delivered[0].to, 1u);
 }
 
 TEST(MpiJobTest, SnapshotOmitsNeverUsedPeers) {
   AppFixture f(3);
-  MpiJob job(f.sim, f.fabric.network(), f.contexts);
+  Recorder rx;
+  MpiJob job(f.sim, f.fabric.network(), f.contexts, rx);
   for (RankId r = 0; r < 3; ++r) {
     EXPECT_TRUE(job.snapshot_transport(r).to_peer.empty()) << "rank " << r;
   }
@@ -382,7 +404,8 @@ TEST(MpiJobTest, SnapshotOmitsNeverUsedPeers) {
 
 TEST(MpiJobTest, RestoreResetsAPeerFirstUsedAfterTheCut) {
   AppFixture f(3);
-  MpiJob job(f.sim, f.fabric.network(), f.contexts);
+  Recorder rx;
+  MpiJob job(f.sim, f.fabric.network(), f.contexts, rx);
   const RankTransportSnapshot cut = job.snapshot_transport(0);
   ASSERT_TRUE(cut.to_peer.empty());
 
@@ -404,13 +427,18 @@ TEST(MpiJobTest, RestoreResetsAPeerFirstUsedAfterTheCut) {
 
 TEST(MpiJobTest, PairOpenedAfterRollbackUsesTheJobEpoch) {
   AppFixture f(3);
-  MpiJob job(f.sim, f.fabric.network(), f.contexts);
-  int at2 = 0;
-  job.set_rank_handler(2, [&](RankId from, const net::Message& m) {
-    ++at2;
-    EXPECT_EQ(from, 0u);
-    EXPECT_EQ(m.tag, 7u);
-  });
+  Recorder rx;
+  MpiJob job(f.sim, f.fabric.network(), f.contexts, rx);
+  const auto check_at2 = [&rx](std::size_t n) {
+    std::size_t at2 = 0;
+    for (const Recorder::Delivery& d : rx.delivered) {
+      if (d.to != 2) continue;
+      ++at2;
+      EXPECT_EQ(d.from, 0u);
+      EXPECT_EQ(d.m.tag, 7u);
+    }
+    EXPECT_EQ(at2, n);
+  };
   job.send(0, 1, 64, 0);
   job.send(1, 0, 64, 0);
   f.sim.run();
@@ -428,7 +456,7 @@ TEST(MpiJobTest, PairOpenedAfterRollbackUsesTheJobEpoch) {
   // 0 -> 2 never carried traffic: its pair opens now, in the new epoch.
   EXPECT_TRUE(job.send(0, 2, 128, 7));
   f.sim.run();
-  EXPECT_EQ(at2, 1);
+  check_at2(1);
   EXPECT_FALSE(job.failed());
   EXPECT_EQ(job.retransmissions(), 0u);
   EXPECT_EQ(job.duplicates_discarded(), 0u);
@@ -443,7 +471,7 @@ TEST(MpiJobTest, PairOpenedAfterRollbackUsesTheJobEpoch) {
   f.vms[0]->resume();
   EXPECT_TRUE(job.send(0, 2, 128, 7));
   f.sim.run();
-  EXPECT_EQ(at2, 2);
+  check_at2(2);
   EXPECT_FALSE(job.failed());
   EXPECT_EQ(job.retransmissions(), 0u);
   EXPECT_TRUE(job.drained());
@@ -451,13 +479,13 @@ TEST(MpiJobTest, PairOpenedAfterRollbackUsesTheJobEpoch) {
 
 TEST(MpiJobTest, ThawReachesPeersInRankOrder) {
   AppFixture f(4);
-  MpiJob job(f.sim, f.fabric.network(), f.contexts);
-  std::vector<RankId> arrivals;
-  for (RankId q = 1; q < 4; ++q) {
-    job.set_rank_handler(q, [&arrivals, q](RankId, const net::Message&) {
-      arrivals.push_back(q);
-    });
-  }
+  Recorder rx;
+  MpiJob job(f.sim, f.fabric.network(), f.contexts, rx);
+  const auto arrivals = [&rx] {
+    std::vector<RankId> to;
+    for (const Recorder::Delivery& d : rx.delivered) to.push_back(d.to);
+    return to;
+  };
   // The peers are dark, so the first transmissions are lost. A 1 MiB
   // message holds rank 0's egress link for ~8 ms, far longer than the
   // latency jitter, so arrivals keep the order of departures.
@@ -471,7 +499,7 @@ TEST(MpiJobTest, ThawReachesPeersInRankOrder) {
   f.vms[0]->pause();
   for (RankId q = 1; q < 4; ++q) f.vms[q]->resume();
   f.sim.run_until(sim::kSecond);
-  ASSERT_TRUE(arrivals.empty());
+  ASSERT_TRUE(arrivals().empty());
   ASSERT_EQ(job.retransmissions(), 0u);
 
   // On thaw every parked timer restarts at the same instant; they fire in
@@ -479,9 +507,31 @@ TEST(MpiJobTest, ThawReachesPeersInRankOrder) {
   // order the pairs were opened in).
   f.vms[0]->resume();
   f.sim.run();
-  EXPECT_EQ(arrivals, (std::vector<RankId>{1, 2, 3}));
+  EXPECT_EQ(arrivals(), (std::vector<RankId>{1, 2, 3}));
   EXPECT_EQ(job.retransmissions(), 3u);
   EXPECT_FALSE(job.failed());
+}
+
+TEST(MpiJobTest, AbortReachesTheReceiverOnce) {
+  telemetry::MetricsRegistry metrics;
+  AppFixture f(3);
+  f.fabric.network().set_metrics(&metrics);
+  Recorder rx;
+  MpiJob job(f.sim, f.fabric.network(), f.contexts, rx);
+  // Both of rank 0's peers stay frozen, so both of its endpoints run out
+  // of retries.
+  f.vms[1]->pause();
+  f.vms[2]->pause();
+  EXPECT_TRUE(job.send(0, 1, 64, 0));
+  EXPECT_TRUE(job.send(0, 2, 64, 0));
+  f.sim.run();
+  EXPECT_EQ(metrics.counter_value("net.endpoint.aborts"), 2u);
+  ASSERT_EQ(rx.aborts.size(), 1u);
+  EXPECT_EQ(rx.aborts[0].first, 0u);
+  EXPECT_FALSE(rx.aborts[0].second.empty());
+  EXPECT_TRUE(job.failed());
+  EXPECT_FALSE(job.send(0, 1, 64, 0));
+  EXPECT_TRUE(rx.delivered.empty());
 }
 
 }  // namespace

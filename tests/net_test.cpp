@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -130,73 +131,102 @@ TEST(NetworkTest, LossDropsFraction) {
   EXPECT_NEAR(static_cast<double>(sink.packets.size()), 1000.0, 80.0);
 }
 
+/// Logs its name when its host comes up, then runs `also` if set.
+class ThawLog final : public PacketSink {
+ public:
+  ThawLog(std::vector<int>& log, int name) : log_(&log), name_(name) {}
+  void on_packet(const Packet& /*p*/) override {}
+  void on_host_up() override {
+    log_->push_back(name_);
+    if (also) also();
+  }
+
+  std::function<void()> also;
+
+ private:
+  std::vector<int>* log_;
+  int name_;
+};
+
 TEST(NetworkTest, HostStateObserversFireOnTransitionOnly) {
+  // A bound sink hears its host come up on a real down -> up transition
+  // only: not when already up, not when going down.
   NetFixture f;
-  std::vector<bool> seen;
-  f.net.subscribe_host_state(f.a, [&](bool up) { seen.push_back(up); });
-  f.net.set_host_up(f.a, true);  // already up: no event
-  EXPECT_TRUE(seen.empty());
+  std::vector<int> heard;
+  ThawLog sink(heard, 1);
+  f.net.attach({f.a, 0}, &sink);
+  f.net.set_host_up(f.a, true);  // already up: no transition
+  EXPECT_TRUE(heard.empty());
   f.net.set_host_up(f.a, false);
-  f.net.set_host_up(f.a, false);  // no transition
+  f.net.set_host_up(f.a, false);  // going down tells no sink
+  EXPECT_TRUE(heard.empty());
   f.net.set_host_up(f.a, true);
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_FALSE(seen[0]);
-  EXPECT_TRUE(seen[1]);
+  EXPECT_EQ(heard, (std::vector<int>{1}));
+  f.net.set_host_up(f.a, true);  // no transition
+  EXPECT_EQ(heard, (std::vector<int>{1}));
 }
 
 TEST(NetworkTest, UnsubscribeStopsNotifications) {
+  // A detached sink no longer hears its host come up.
   NetFixture f;
-  int events = 0;
-  const auto token =
-      f.net.subscribe_host_state(f.a, [&](bool) { ++events; });
+  std::vector<int> heard;
+  ThawLog kept(heard, 1);
+  ThawLog gone(heard, 2);
+  f.net.attach({f.a, 1}, &kept);
+  f.net.attach({f.a, 2}, &gone);
   f.net.set_host_up(f.a, false);
-  f.net.unsubscribe_host_state(f.a, token);
   f.net.set_host_up(f.a, true);
-  EXPECT_EQ(events, 1);
+  EXPECT_EQ(heard, (std::vector<int>{1, 2}));
+  heard.clear();
+  f.net.detach({f.a, 2});
+  f.net.set_host_up(f.a, false);
+  f.net.set_host_up(f.a, true);
+  EXPECT_EQ(heard, (std::vector<int>{1}));
 }
 
 TEST(NetworkTest, ObserversChangedDuringANotification) {
-  // Observer A (second of four) unsubscribes B, a later observer, and
-  // subscribes C. That notification skips B and does not reach C; every
-  // other observer runs once. The next one reaches C but not B.
+  // A sink may bind another while it hears: the row grows under the walk,
+  // and a sink bound at a later port hears the same transition.
   NetFixture f;
-  std::map<char, int> calls;
-  const auto record = [&](char who) {
-    return [&calls, who](bool) { ++calls[who]; };
-  };
-  f.net.subscribe_host_state(f.a, record('0'));
-  std::uint64_t b_token = 0;
-  f.net.subscribe_host_state(f.a, [&](bool up) {
-    ++calls['A'];
-    if (up) return;
-    f.net.unsubscribe_host_state(f.a, b_token);
-    f.net.subscribe_host_state(f.a, record('C'));
-  });
-  b_token = f.net.subscribe_host_state(f.a, record('B'));
-  f.net.subscribe_host_state(f.a, record('D'));
-
+  std::vector<int> heard;
+  ThawLog p2(heard, 2);
+  ThawLog p9(heard, 9);
+  ThawLog p40(heard, 40);
+  f.net.attach({f.a, 2}, &p2);
+  f.net.attach({f.a, 9}, &p9);
+  p2.also = [&] { f.net.attach({f.a, 40}, &p40); };
   f.net.set_host_up(f.a, false);
-  EXPECT_EQ(calls, (std::map<char, int>{{'0', 1}, {'A', 1}, {'D', 1}}));
-
   f.net.set_host_up(f.a, true);
-  EXPECT_EQ(calls,
-            (std::map<char, int>{{'0', 2}, {'A', 2}, {'C', 1}, {'D', 2}}));
+  EXPECT_EQ(heard, (std::vector<int>{2, 9, 40}));
+  heard.clear();
+  p2.also = nullptr;
+  f.net.set_host_up(f.a, false);
+  f.net.set_host_up(f.a, true);
+  EXPECT_EQ(heard, (std::vector<int>{2, 9, 40}));
 }
 
-TEST(NetworkTest, ObserverMayUnsubscribeItself) {
+TEST(NetworkTest, SinksHearTheirHostComingUpInPortOrder) {
   NetFixture f;
-  int once = 0;
-  int always = 0;
-  std::uint64_t token = 0;
-  token = f.net.subscribe_host_state(f.a, [&](bool) {
-    ++once;
-    f.net.unsubscribe_host_state(f.a, token);
-  });
-  f.net.subscribe_host_state(f.a, [&](bool) { ++always; });
+  std::vector<int> heard;
+  // Named by port, bound out of port order with unbound ports between.
+  ThawLog p5(heard, 5);
+  ThawLog p2(heard, 2);
+  ThawLog p9(heard, 9);
+  ThawLog on_b(heard, 100);
+  f.net.attach({f.a, 5}, &p5);
+  f.net.attach({f.a, 2}, &p2);
+  f.net.attach({f.a, 9}, &p9);
+  f.net.attach({f.b, 0}, &on_b);
+
   f.net.set_host_up(f.a, false);
   f.net.set_host_up(f.a, true);
-  EXPECT_EQ(once, 1);
-  EXPECT_EQ(always, 2);
+  EXPECT_EQ(heard, (std::vector<int>{2, 5, 9}));
+
+  // b's thaw reaches only b's sink.
+  heard.clear();
+  f.net.set_host_up(f.b, false);
+  f.net.set_host_up(f.b, true);
+  EXPECT_EQ(heard, (std::vector<int>{100}));
 }
 
 TEST(NetworkTest, UnknownHostThrows) {

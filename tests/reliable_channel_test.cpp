@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -14,6 +15,26 @@
 
 namespace dvc::net {
 namespace {
+
+/// Records what one endpoint hands up: each message with its arrival
+/// instant, and the abort reason.
+struct Inbox final : MessageSink {
+  Inbox(ReliableEndpoint& ep, const sim::Simulation& clock) : sim(&clock) {
+    ep.set_sink(this);
+  }
+  void on_message(const ReliableEndpoint& /*ep*/, const Message& m) override {
+    got.push_back(m);
+    at.push_back(sim->now());
+  }
+  void on_abort(const ReliableEndpoint& /*ep*/, std::string_view why) override {
+    reason = why;
+  }
+
+  const sim::Simulation* sim;
+  std::vector<Message> got;
+  std::vector<sim::Time> at;
+  std::string reason;
+};
 
 struct ChannelFixture {
   explicit ChannelFixture(double loss = 0.0, ReliableConfig cfg = {},
@@ -49,8 +70,8 @@ TEST(ReliableConfigTest, RetryBudgetSumsBackedOffSchedule) {
 
 TEST(ReliableChannelTest, DeliversInOrderWithIds) {
   ChannelFixture f;
-  std::vector<Message> got;
-  f.b.set_delivery_handler([&](const Message& m) { got.push_back(m); });
+  Inbox inbox(f.b, f.sim);
+  const std::vector<Message>& got = inbox.got;
   for (std::uint32_t i = 0; i < 10; ++i) {
     EXPECT_NE(f.a.send(100 + i, /*tag=*/i), 0u);
   }
@@ -68,10 +89,10 @@ TEST(ReliableChannelTest, DeliversInOrderWithIds) {
 
 TEST(ReliableChannelTest, BidirectionalTrafficIsIndependent) {
   ChannelFixture f;
-  std::vector<Message> at_a;
-  std::vector<Message> at_b;
-  f.a.set_delivery_handler([&](const Message& m) { at_a.push_back(m); });
-  f.b.set_delivery_handler([&](const Message& m) { at_b.push_back(m); });
+  Inbox in_a(f.a, f.sim);
+  Inbox in_b(f.b, f.sim);
+  const std::vector<Message>& at_a = in_a.got;
+  const std::vector<Message>& at_b = in_b.got;
   f.a.send(1);
   f.b.send(2);
   f.a.send(3);
@@ -85,8 +106,8 @@ TEST(ReliableChannelTest, RetransmitsThroughLossExactlyOnce) {
   ReliableConfig cfg;
   cfg.max_retries = 12;
   ChannelFixture f(/*loss=*/0.3, cfg, /*seed=*/7);
-  std::vector<Message> got;
-  f.b.set_delivery_handler([&](const Message& m) { got.push_back(m); });
+  Inbox inbox(f.b, f.sim);
+  const std::vector<Message>& got = inbox.got;
   for (int i = 0; i < 50; ++i) f.a.send(64, i);
   f.sim.run();
   ASSERT_EQ(got.size(), 50u);
@@ -98,8 +119,8 @@ TEST(ReliableChannelTest, RetransmitsThroughLossExactlyOnce) {
 
 TEST(ReliableChannelTest, AbortsAfterRetryBudgetAgainstDeadPeer) {
   ChannelFixture f;
-  std::string reason;
-  f.a.set_failure_handler([&](std::string_view r) { reason = r; });
+  Inbox inbox(f.a, f.sim);
+  const std::string& reason = inbox.reason;
   f.net.set_host_up(f.b_host, false);  // peer frozen forever
   f.a.send(100);
   f.sim.run();
@@ -125,8 +146,8 @@ TEST(ReliableChannelTest, FrozenSenderConsumesNoRetries) {
     f.net.set_host_up(f.a_host, true);
     f.net.set_host_up(f.b_host, true);
   });
-  std::vector<Message> got;
-  f.b.set_delivery_handler([&](const Message& m) { got.push_back(m); });
+  Inbox inbox(f.b, f.sim);
+  const std::vector<Message>& got = inbox.got;
   f.sim.run();
   EXPECT_FALSE(f.a.failed());
   EXPECT_EQ(got.size(), 1u);
@@ -136,8 +157,8 @@ TEST(ReliableChannelTest, PaperScenario1_DataLostAcrossCut) {
   // A message is in flight when the receiver freezes; it is dropped, never
   // ACKed, and retransmitted after both guests thaw (paper §3 scenario 1).
   ChannelFixture f;
-  std::vector<Message> got;
-  f.b.set_delivery_handler([&](const Message& m) { got.push_back(m); });
+  Inbox inbox(f.b, f.sim);
+  const std::vector<Message>& got = inbox.got;
   f.a.send(100);
   // Freeze the receiver before the packet lands (latency ~100 us).
   f.net.set_host_up(f.b_host, false);
@@ -161,8 +182,8 @@ TEST(ReliableChannelTest, PaperScenario2_AckLostAcrossCut) {
   // the cut. After restore the sender retransmits; the receiver re-ACKs
   // the duplicate without redelivering (paper §3 scenario 2).
   ChannelFixture f;
-  std::vector<Message> got;
-  f.b.set_delivery_handler([&](const Message& m) { got.push_back(m); });
+  Inbox inbox(f.b, f.sim);
+  const std::vector<Message>& got = inbox.got;
   f.a.send(100);
   // The data packet is already on the wire; freezing the sender now means
   // the receiver's ACK will find the sender's NIC dark and be lost.
@@ -195,8 +216,8 @@ TEST(ReliableChannelTest, RetransmissionMasksOneWayLossWindow) {
   ReliableConnection conn(sim, net, {a_host, 1}, {b_host, 1});
   ReliableEndpoint& a = conn.end_a();
   ReliableEndpoint& b = conn.end_b();
-  std::vector<Message> got;
-  b.set_delivery_handler([&](const Message& m) { got.push_back(m); });
+  Inbox inbox(b, sim);
+  const std::vector<Message>& got = inbox.got;
 
   ClusterLinkModel::PairOverride cut;
   cut.cut = true;
@@ -230,8 +251,8 @@ TEST(ReliableChannelTest, SnapshotRestoreRoundTripsState) {
 
 TEST(ReliableChannelTest, RollbackRestoreRedeliversUnacked) {
   ChannelFixture f;
-  std::vector<Message> got;
-  f.b.set_delivery_handler([&](const Message& m) { got.push_back(m); });
+  Inbox inbox(f.b, f.sim);
+  const std::vector<Message>& got = inbox.got;
 
   // Freeze both sides with a message unACKed; snapshot; then simulate a
   // crash-and-rollback: both endpoints restore with a bumped epoch.
@@ -256,8 +277,8 @@ TEST(ReliableChannelTest, RollbackRestoreRedeliversUnacked) {
 
 TEST(ReliableChannelTest, StaleEpochPacketsAreIgnored) {
   ChannelFixture f;
-  std::vector<Message> got;
-  f.b.set_delivery_handler([&](const Message& m) { got.push_back(m); });
+  Inbox inbox(f.b, f.sim);
+  const std::vector<Message>& got = inbox.got;
   // b rolls forward to epoch 1; a (still epoch 0) sends — ignored.
   f.b.restore(TransportSnapshot{}, /*epoch=*/1);
   f.a.send(55);
@@ -282,8 +303,8 @@ TEST(ReliableChannelTest, RestoreReopensFailedEndpoint) {
   f.net.set_host_up(f.b_host, true);
   f.a.restore(sa, 1);
   f.b.restore(TransportSnapshot{}, 1);
-  std::vector<Message> got;
-  f.b.set_delivery_handler([&](const Message& m) { got.push_back(m); });
+  Inbox inbox(f.b, f.sim);
+  const std::vector<Message>& got = inbox.got;
   f.sim.run();
   EXPECT_FALSE(f.a.failed());
   EXPECT_EQ(got.size(), 1u);
@@ -304,13 +325,19 @@ TEST(ReliableConnectionTest, JitterAndLossDeliverExactlyOnceOnBothPaths) {
   cfg.max_retries = 14;
   ReliableConnection conn(sim, net, {h1, 3}, {h2, 4}, cfg);
   ReliableEndpoint& rx = conn.end_b();
-  std::vector<Message> got;
-  rx.set_delivery_handler([&](const Message& m) {
-    // Counters already include this message when the handler runs.
-    EXPECT_EQ(rx.messages_delivered(), m.id);
-    EXPECT_EQ(rx.snapshot().expected, m.id);
-    got.push_back(m);
-  });
+  // Counters already include a message when the sink hears of it.
+  struct Checked final : MessageSink {
+    void on_message(const ReliableEndpoint& ep, const Message& m) override {
+      EXPECT_EQ(ep.messages_delivered(), m.id);
+      EXPECT_EQ(ep.snapshot().expected, m.id);
+      got.push_back(m);
+    }
+    void on_abort(const ReliableEndpoint& /*ep*/,
+                  std::string_view /*why*/) override {}
+    std::vector<Message> got;
+  } checked;
+  rx.set_sink(&checked);
+  const std::vector<Message>& got = checked.got;
   constexpr std::uint32_t kBursts = 100;
   constexpr std::uint32_t kPerBurst = 4;
   for (std::uint32_t b = 0; b < kBursts; ++b) {
@@ -349,8 +376,8 @@ void open_gap(ChannelFixture& f) {
 
 TEST(ReliableChannelTest, SnapshotRestoreSnapshotRoundTrips) {
   ChannelFixture f;
-  std::vector<Message> got;
-  f.b.set_delivery_handler([&](const Message& m) { got.push_back(m); });
+  Inbox inbox(f.b, f.sim);
+  const std::vector<Message>& got = inbox.got;
   open_gap(f);
   const TransportSnapshot sa = f.a.snapshot();
   const TransportSnapshot sb = f.b.snapshot();
@@ -396,11 +423,10 @@ TEST(ReliableConnectionTest, WrapsTwoEndpoints) {
   const HostId h1 = net.new_host();
   const HostId h2 = net.new_host();
   ReliableConnection conn(sim, net, {h1, 9}, {h2, 9});
-  int delivered = 0;
-  conn.end_b().set_delivery_handler([&](const Message&) { ++delivered; });
+  Inbox inbox(conn.end_b(), sim);
   conn.end_a().send(10);
   sim.run();
-  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(inbox.got.size(), 1u);
   EXPECT_FALSE(conn.failed());
 }
 
@@ -422,9 +448,8 @@ TEST(ReliableConnectionTest, RetransmitTimersFireAtExactInstants) {
   const HostId yb = net.new_host();
   ReliableConnection x(sim, net, {xa, 1}, {xb, 1});
   ReliableConnection y(sim, net, {ya, 1}, {yb, 1});
-  std::vector<sim::Time> y_delivered;
-  y.end_b().set_delivery_handler(
-      [&](const Message&) { y_delivered.push_back(sim.now()); });
+  Inbox y_inbox(y.end_b(), sim);
+  const std::vector<sim::Time>& y_delivered = y_inbox.at;
   net.set_host_up(xb, false);  // x's peer stays dead
   net.set_host_up(yb, false);
   x.end_a().send(100);  // RTOs fire at 200, 600 and 1400 ms
@@ -470,8 +495,8 @@ TEST_P(LossSweep, ExactlyOnceInOrderUnderLoss) {
   ReliableConfig cfg;
   cfg.max_retries = 14;
   ChannelFixture f(loss, cfg, seed);
-  std::vector<Message> got;
-  f.b.set_delivery_handler([&](const Message& m) { got.push_back(m); });
+  Inbox inbox(f.b, f.sim);
+  const std::vector<Message>& got = inbox.got;
   constexpr int kMessages = 120;
   // Spread sends over time so reordering between retransmits can happen.
   for (int i = 0; i < kMessages; ++i) {
@@ -502,8 +527,8 @@ TEST_P(FreezeChaos, ExactlyOnceThroughRandomCuts) {
   cfg.max_retries = 30;  // patience >> any freeze in this test
   ChannelFixture f(/*loss=*/0.05, cfg, GetParam());
   sim::Rng rng(GetParam() ^ 0xF5EE);
-  std::vector<Message> got;
-  f.b.set_delivery_handler([&](const Message& m) { got.push_back(m); });
+  Inbox inbox(f.b, f.sim);
+  const std::vector<Message>& got = inbox.got;
 
   constexpr int kMessages = 80;
   for (int i = 0; i < kMessages; ++i) {
