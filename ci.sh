@@ -9,9 +9,12 @@
 #                       state_) and DvcManager's callbacks
 #                       (tools/lint_dvc_continuations.py: no lambda in
 #                       src/core/dvc_manager.cpp or src/ckpt/lsc.cpp
-#                       captures by reference; a DvcManager callback
-#                       carries its VC's id and issuing epoch, an LSC
-#                       event its operation's id and round), and checks
+#                       captures by reference, and neither file uses a
+#                       std::weak_ptr or any std::make_shared but
+#                       adopt_checkpoint's snapshot vector; a DvcManager
+#                       callback carries its VC's id and issuing epoch or
+#                       its operation's id, an LSC event its operation's
+#                       id and round), and checks
 #                       that no `std::function` appears in src/sim/,
 #                       src/storage/bandwidth_pool.*,
 #                       src/vm/guest_timers.*, src/net/ or

@@ -403,11 +403,17 @@ void Invariants::check_membership(
 
 void Invariants::end_of_run(bool expect_quiesced) {
   sweep(Boundary::kEndOfRun);
-  if (expect_quiesced && w_.sim != nullptr &&
-      w_.sim->pending_foreground() != 0) {
+  if (!expect_quiesced) return;
+  if (w_.sim != nullptr && w_.sim->pending_foreground() != 0) {
     violate(Invariant::kQueueHygiene,
             std::to_string(w_.sim->pending_foreground()) +
                 " foreground event(s) leaked past job completion",
+            Boundary::kEndOfRun);
+  }
+  if (w_.dvc != nullptr && w_.dvc->operations_in_flight() != 0) {
+    violate(Invariant::kQueueHygiene,
+            std::to_string(w_.dvc->operations_in_flight()) +
+                " control-plane operation(s) still open past job completion",
             Boundary::kEndOfRun);
   }
 }

@@ -40,7 +40,8 @@ struct Violation {
 ///                            populated (members == expected_members)
 ///   member-conservation      placements are valid, duplicate-free, and
 ///                            agree with the node ledger's VC holders
-///   queue-hygiene            no foreground event outlives the run
+///   queue-hygiene            no foreground event or DvcManager operation
+///                            outlives the run
 ///   ledger-consistency       (on demand) message ledger verdict holds
 ///   vc-state-legal           every VcState change is a legal lifecycle edge
 ///   placement-agreement      a running VC's job-held nodes all carry one job
@@ -81,7 +82,8 @@ class Invariants final : public Checker {
   /// Final sweep once the harness stops driving the simulation. With
   /// `expect_quiesced` (the default for completed jobs) a non-empty
   /// foreground queue is a leak: some subsystem scheduled work that
-  /// nothing will ever consume.
+  /// nothing will ever consume. So is an operation DvcManager still
+  /// holds open (a boot, round, restore or live move nothing will end).
   void end_of_run(bool expect_quiesced = true);
 
   /// Checks a message ledger's verdict at a cut the caller believes

@@ -32,17 +32,25 @@ bool refuse_failed(const VirtualCluster& vc, const Done& done) {
   if (done) done({});
   return true;
 }
+
+void require_size(std::size_t vc_size, std::size_t placement_size) {
+  if (placement_size != vc_size) {
+    throw std::invalid_argument("placement size != vc size");
+  }
+}
 }  // namespace
 
 DvcManager::DvcManager(sim::Simulation& sim, hw::Fabric& fabric,
                        vm::HypervisorFleet& fleet,
                        storage::ImageManager& images,
-                       clocksync::ClusterTimeService& time)
+                       clocksync::ClusterTimeService& time,
+                       telemetry::MetricsRegistry& metrics)
     : sim_(&sim),
       fabric_(&fabric),
       fleet_(&fleet),
       images_(&images),
-      time_(&time) {
+      time_(&time),
+      metrics_(&metrics) {
   if (time.size() < fabric.node_count()) {
     throw std::invalid_argument(
         "time service must cover every fabric node (clock per NodeId)");
@@ -86,11 +94,28 @@ DvcManager::VcRuntime* DvcManager::runtime(VcId id) {
 DvcManager::VcRuntime* DvcManager::resolve(Issued op, bool count) {
   VcRuntime* rt = runtime(op.id);
   if (rt != nullptr && coordinator_up_ && op.epoch == epoch_) return rt;
-  if (count) {
-    ++stale_completions_;
-    telemetry::count(metrics_, "core.dvc.stale_completions");
-  }
+  if (count) telemetry::count(metrics_, kStaleCompletions);
   return nullptr;
+}
+
+std::uint32_t DvcManager::open_op(Op op) {
+  op.id = next_op_++;
+  return ops_.emplace_back(std::move(op)).id;
+}
+
+DvcManager::Op* DvcManager::find_op(std::uint32_t id) {
+  const auto it = std::ranges::lower_bound(ops_, id, {}, &Op::id);
+  return it != ops_.end() && it->id == id ? &*it : nullptr;
+}
+
+std::optional<DvcManager::Op> DvcManager::report(std::uint32_t id, bool ok) {
+  Op* op = find_op(id);
+  if (op == nullptr) return std::nullopt;
+  op->all_ok = op->all_ok && ok;
+  if (--op->pending != 0) return std::nullopt;
+  Op ended = std::move(*op);
+  ops_.erase(ops_.begin() + (op - ops_.data()));
+  return ended;
 }
 
 void DvcManager::transition(VcRuntime& rt, VcState to) {
@@ -105,9 +130,7 @@ void DvcManager::transition(VcRuntime& rt, VcState to) {
 VirtualCluster& DvcManager::create_vc(VcSpec spec,
                                       std::vector<hw::NodeId> placement,
                                       std::function<void()> on_ready) {
-  if (placement.size() != spec.size) {
-    throw std::invalid_argument("placement size != vc size");
-  }
+  require_size(spec.size, placement.size());
   const VcId id = next_vc_++;
   sim::trace(trace_, sim_->now(), sim::TraceLevel::kInfo, "dvc",
              "provisioning vc#" + std::to_string(id) + " (" +
@@ -122,20 +145,19 @@ VirtualCluster& DvcManager::create_vc(VcSpec spec,
   vc.instantiations_ = 1;
   fabric_->hold(hw::Holder::kVc, vc.placement_, id);
 
-  const std::uint64_t lsn =
-      journal(IntentKind::kProvision, id, vc.checkpoint_label());
-  auto booted = std::make_shared<std::uint32_t>(0);
-  const std::uint32_t n = vc.size();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    fleet_->on_node(vc.placement(i))
-        .boot_domain(vc.machine(i), [this, id, booted, n, lsn,
-                                     cb = on_ready] {
-          VcRuntime* live = runtime(id);  // by id: see Issued
-          if (live == nullptr || ++*booted != n) return;
-          transition(*live, VcState::kRunning);
-          close_intent(lsn);
-          if (cb) cb();
-        });
+  const std::uint32_t boot = open_op(
+      {.issued = issue(id),
+       .lsn = journal(IntentKind::kProvision, id, vc.checkpoint_label()),
+       .pending = vc.size(), .ready = std::move(on_ready)});
+  for (std::uint32_t i = 0; i < vc.size(); ++i) {
+    fleet_->on_node(vc.placement(i)).boot_domain(vc.machine(i), [this, boot] {
+      if (std::optional<Op> booted = report(boot, true)) {
+        // By id, not resolve(): see Issued.
+        transition(*runtime(booted->issued.id), VcState::kRunning);
+        close_intent(booted->lsn);
+        if (booted->ready) booted->ready();
+      }
+    });
   }
   return vc;
 }
@@ -145,8 +167,9 @@ void DvcManager::destroy_vc(VirtualCluster& vc) {
   // every one still pending, resolves to nothing.
   auto entry = vcs_.extract(vc.id());
   if (entry.empty()) return;
-  if (ckpt::LscCoordinator* lsc = entry.mapped().round_owner) {
-    lsc->abort(vc.checkpoint_label());
+  const auto of_vc = [id = vc.id()](const Op& o) { return o.issued.id == id; };
+  for (const Op& op : ops_) {
+    if (of_vc(op) && op.lsc != nullptr) op.lsc->abort(vc.checkpoint_label());
   }
   // Ends each guest's in-flight boot, save and restore, on any node.
   std::vector<vm::VirtualMachine*> guests;
@@ -155,6 +178,8 @@ void DvcManager::destroy_vc(VirtualCluster& vc) {
     guests.push_back(&vc.machine(i));
   }
   fleet_->destroy_domains(guests);
+  // Nothing reports to the VC's operations any more.
+  std::erase_if(ops_, of_vc);
   // A live migration in flight also holds its targets: give back every
   // node the VC holds.
   std::vector<hw::NodeId> held;
@@ -214,70 +239,62 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
                                std::function<void(ckpt::LscResult)> done,
                                bool incremental) {
   if (refuse_failed(vc, done)) return;
-  VcRuntime& rt = vcs_.at(vc.id());
-  transition(rt, VcState::kCheckpointing);
+  transition(vcs_.at(vc.id()), VcState::kCheckpointing);
   std::vector<ckpt::SaveTarget> targets = save_targets(vc, incremental);
   const bool can_increment =
-      incremental && std::all_of(targets.begin(), targets.end(),
-                                 [](const ckpt::SaveTarget& t) {
-                                   return t.incremental;
-                                 });
+      incremental &&
+      std::ranges::all_of(targets, &ckpt::SaveTarget::incremental);
   const auto span =
       telemetry::begin_span(metrics_, sim_->now(), "dvc", "checkpoint");
-  const Issued op = issue(vc.id());
-  const std::uint64_t lsn =
-      journal(IntentKind::kCheckpoint, op.id, vc.checkpoint_label());
-  rt.round_owner = &lsc;
+  const std::uint32_t id = open_op(
+      {.issued = issue(vc.id()), .lsc = &lsc,
+       .lsn = journal(IntentKind::kCheckpoint, vc.id(), vc.checkpoint_label()),
+       .span = span, .pending = 1, .can_increment = can_increment,
+       .sealed = std::move(done)});
   lsc.checkpoint(
       vc.checkpoint_label(), std::move(targets), *images_,
-      [this, op, can_increment, span, lsn,
-       cb = std::move(done)](ckpt::LscResult r) {
-        VcRuntime* live = runtime(op.id);
-        if (live == nullptr) return;
-        live->round_owner = nullptr;
-        telemetry::end_span(metrics_, span, sim_->now());
-        live = resolve(op);
+      [this, id](ckpt::LscResult r) {
+        const std::optional<Op> round = report(id, r.ok);
+        if (round) telemetry::end_span(metrics_, round->span, sim_->now());
+        VcRuntime* live = round ? resolve(round->issued) : nullptr;
         if (live == nullptr) {
-          // The issuing coordinator died mid-round. Nobody may adopt the
-          // result: the app snapshots it carries belong to an incarnation
-          // whose view of the cluster is gone, and the recovery point must
-          // come from reconciliation, not a ghost. The set (if any) is
-          // swept as an orphan by recover_control_plane.
+          // Without `round` the VC is gone. Without `live` the issuing
+          // coordinator died mid-round. Nobody may adopt the result: the
+          // app snapshots it carries belong to an incarnation whose view
+          // of the cluster is gone, and the recovery point must come from
+          // reconciliation, not a ghost. The set (if any) is swept as an
+          // orphan by recover_control_plane.
           return;
         }
-        close_intent(lsn);
+        close_intent(round->lsn);
         telemetry::count(metrics_,
                          r.ok ? checkpoints_c_ : checkpoint_failures_c_);
         VirtualCluster& vc = *live->vc;
         if (vc.state_ == VcState::kCheckpointing) {
           transition(*live, VcState::kRunning);
         }
-        if (r.ok) {
-          if (live->app != nullptr && live->app->failed()) {
-            // The set sealed around an application that had already
-            // reported transport failure: its ranks may be wedged
-            // mid-exchange with messages neither delivered nor pending
-            // retransmission. Restoring such an image resurrects the
-            // wedge, so quarantine the set and keep the previous
-            // recovery point.
-            images_->discard_set(r.set, epoch_);
-            telemetry::count(metrics_, "core.dvc.checkpoints_quarantined");
-            sim::trace(trace_, sim_->now(), sim::TraceLevel::kWarn, "dvc",
-                       "vc#" + std::to_string(vc.id()) +
-                           " checkpoint quarantined (app failed)");
-            r.ok = false;
-            if (cb) cb(std::move(r));
-            return;
-          }
-          ++checkpoints_;
+        if (r.ok && live->app != nullptr && live->app->failed()) {
+          // The set sealed around an application that had already
+          // reported transport failure: its ranks may be wedged
+          // mid-exchange with messages neither delivered nor pending
+          // retransmission. Restoring such an image resurrects the
+          // wedge, so quarantine the set and keep the previous
+          // recovery point.
+          images_->discard_set(r.set, epoch_);
+          telemetry::count(metrics_, kQuarantined);
+          sim::trace(trace_, sim_->now(), sim::TraceLevel::kWarn, "dvc",
+                     "vc#" + std::to_string(vc.id()) +
+                         " checkpoint quarantined (app failed)");
+          r.ok = false;
+        } else if (r.ok) {
           sim::trace(trace_, sim_->now(), sim::TraceLevel::kInfo, "dvc",
                      "vc#" + std::to_string(vc.id()) + " checkpoint " +
-                         (can_increment ? "(incremental) " : "") +
+                         (round->can_increment ? "(incremental) " : "") +
                          "sealed, skew " +
                          std::to_string(sim::to_milliseconds(r.pause_skew)) +
                          " ms");
           vc.last_checkpoint_ = adopt_checkpoint(r, sim_->now());
-          if (can_increment) {
+          if (round->can_increment) {
             vc.checkpoint_chain_.push_back(r.set);
           } else {
             vc.checkpoint_chain_ = {r.set};
@@ -287,14 +304,14 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
             check_->on_vc_boundary(check::Boundary::kRoundSeal, vc.id());
           }
         }
-        if (cb) cb(std::move(r));
+        if (round->sealed) round->sealed(std::move(r));
       },
       /*resume_after_save=*/true,
-      [this, op, incremental] { return retarget(op, incremental); });
+      [this, id, incremental] { return retarget(id, incremental); });
 }
 
 std::optional<std::vector<ckpt::SaveTarget>> DvcManager::retarget(
-    Issued op, bool incremental) {
+    std::uint32_t id, bool incremental) {
   // Retried rounds must not re-fire the targets the round started with:
   // the failure that sank the previous round may have relocated members,
   // and a stale mapping pauses the survivors while the moved member runs
@@ -302,7 +319,8 @@ std::optional<std::vector<ckpt::SaveTarget>> DvcManager::retarget(
   // the incarnation that started the round (the reboot's reconciliation
   // owns the cluster now), and while a member is dead or a recovery is
   // rewinding the cluster.
-  VcRuntime* rt = resolve(op, /*count=*/false);
+  const Op* op = find_op(id);
+  VcRuntime* rt = op == nullptr ? nullptr : resolve(op->issued, false);
   if (rt == nullptr || rt->recovery_in_flight ||
       rt->vc->state_ == VcState::kRecovering || any_member_lost(*rt->vc)) {
     return std::nullopt;
@@ -317,10 +335,14 @@ void DvcManager::restore_vc(VirtualCluster& vc,
     if (done) done(false);
     return;
   }
-  if (new_placement.size() != vc.size()) {
-    throw std::invalid_argument("placement size != vc size");
-  }
-  VcRuntime& rt = vcs_.at(vc.id());
+  restore(vcs_.at(vc.id()), {.issued = issue(vc.id()),
+                             .to = std::move(new_placement),
+                             .done = std::move(done)});
+}
+
+void DvcManager::restore(VcRuntime& rt, Op op) {
+  VirtualCluster& vc = *rt.vc;
+  require_size(vc.size(), op.to.size());
   transition(rt, VcState::kRecovering);
   sim::trace(trace_, sim_->now(), sim::TraceLevel::kWarn, "dvc",
              "vc#" + std::to_string(vc.id()) +
@@ -335,275 +357,220 @@ void DvcManager::restore_vc(VirtualCluster& vc,
     vm::VirtualMachine& m = vc.machine(i);
     if (m.state() == vm::DomainState::kRunning) m.pause();
     const hw::NodeId old_node = vc.placement(i);
-    if (old_node != hw::kInvalidNode) {
-      fleet_->on_node(old_node).evict(m);
-    }
+    if (old_node != hw::kInvalidNode) fleet_->on_node(old_node).evict(m);
   }
   fabric_->release(hw::Holder::kVc, vc.placement_, vc.id());
-  vc.placement_ = std::move(new_placement);
+  vc.placement_ = std::move(op.to);
   fabric_->hold(hw::Holder::kVc, vc.placement_, vc.id());
   ++vc.instantiations_;
 
-  const storage::CheckpointSetId set = vc.last_checkpoint_.set;
-  const Issued op = issue(vc.id());
-  const std::uint64_t lsn =
-      journal(IntentKind::kRestore, op.id, vc.checkpoint_label());
-  const auto span =
-      telemetry::begin_span(metrics_, sim_->now(), "dvc", "restore");
-  const sim::Time restore_begin = sim_->now();
-  // The restore's one completion, whichever arm (member restores or chain
-  // staging) ends it.
-  const auto finish = [this, op, span, restore_begin, lsn,
-                       done = std::move(done)](bool ok) {
-    VcRuntime* live = runtime(op.id);
-    if (live == nullptr) return;
-    telemetry::end_span(metrics_, span, sim_->now());
-    live = resolve(op);
-    if (live == nullptr) {
-      // Issued by a dead or deposed incarnation: the guests are where the
-      // restore put them, but the VC's state is the reboot's
-      // reconciliation to decide.
-      return;
-    }
-    transition(*live, ok ? VcState::kRunning : VcState::kProvisioning);
-    close_intent(lsn);
-    telemetry::count(metrics_,
-                     ok ? "core.dvc.restores" : "core.dvc.restore_failures");
-    telemetry::observe(metrics_, "core.dvc.restore_s",
-                       sim::to_seconds(sim_->now() - restore_begin));
-    if (check_ != nullptr) {
-      check_->on_vc_boundary(check::Boundary::kRestore, op.id);
-    }
-    if (done) done(ok);
-  };
-  // The member restores continue a restore already issued (the ledger
-  // already names their nodes), so they resolve by id; the hypervisors'
-  // epoch fence is what turns away a deposed incarnation's.
-  const auto restore_members = [this, op, set, finish]() {
-    VcRuntime* live = runtime(op.id);
-    if (live == nullptr) return;
-    VirtualCluster& vc = *live->vc;
-    auto remaining = std::make_shared<std::uint32_t>(vc.size());
-    auto all_ok = std::make_shared<bool>(true);
-    // Each member's restore reads its snapshot in place; holding the
-    // shared vector keeps it alive even if last_checkpoint_ moves on.
-    const auto snapshots = vc.last_checkpoint_.app_snapshots;
-    for (std::uint32_t i = 0; i < vc.size(); ++i) {
-      fleet_->on_node(vc.placement(i))
-          .restore_domain(vc.machine(i), *images_, set, i, snapshots->at(i),
-                          [remaining, all_ok, snapshots, finish](bool ok) {
-                            if (!ok) *all_ok = false;
-                            if (--*remaining == 0) finish(*all_ok);
-                          },
-                          op.epoch);
-    }
-  };
-
+  op.set = vc.last_checkpoint_.set;
+  op.restore_lsn =
+      journal(IntentKind::kRestore, vc.id(), vc.checkpoint_label());
+  op.span = telemetry::begin_span(metrics_, sim_->now(), "dvc", "restore");
+  op.started = sim_->now();
   // Incremental chains first stage every earlier set back to the last
   // full image; the newest set is staged by restore_domain itself.
   std::vector<storage::CheckpointSetId> prior_sets = vc.checkpoint_chain_;
-  if (!prior_sets.empty() && prior_sets.back() == set) {
+  if (!prior_sets.empty() && prior_sets.back() == op.set) {
     prior_sets.pop_back();
   }
   if (prior_sets.empty()) {
-    restore_members();
+    restore_members(std::move(op));
     return;
   }
-  auto chain_left = std::make_shared<std::size_t>(prior_sets.size());
-  auto chain_ok = std::make_shared<bool>(true);
+  op.pending = static_cast<std::uint32_t>(prior_sets.size());
+  const std::uint32_t id = open_op(std::move(op));
   for (const storage::CheckpointSetId s : prior_sets) {
-    images_->stage_set(s, [chain_left, chain_ok, restore_members,
-                           finish](bool ok) {
-      if (!ok) *chain_ok = false;
-      if (--*chain_left == 0) {
-        if (*chain_ok) {
-          restore_members();
-        } else {
-          finish(false);
-        }
+    images_->stage_set(s, [this, id](bool ok) {
+      if (std::optional<Op> staged = report(id, ok)) {
+        staged->all_ok ? restore_members(std::move(*staged))
+                       : restore_ended(std::move(*staged));
       }
     });
   }
+}
+
+// The member restores continue a restore already issued (the ledger
+// already names their nodes), so they resolve by id; the hypervisors'
+// epoch fence is what turns away a deposed incarnation's.
+void DvcManager::restore_members(Op op) {
+  VirtualCluster& vc = *runtime(op.issued.id)->vc;
+  const std::uint32_t n = vc.size();
+  op.pending = n;
+  // The record holds the snapshots until its last member reports, even if
+  // last_checkpoint_ moves on.
+  op.snapshots = vc.last_checkpoint_.app_snapshots;
+  const std::uint32_t id = open_op(std::move(op));
+  // A member restore may report at once, but only the last report ends
+  // (and so moves) the record: `filed` holds for every call below.
+  const Op& filed = ops_.back();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    fleet_->on_node(vc.placement(i))
+        .restore_domain(vc.machine(i), *images_, filed.set, i,
+                        filed.snapshots->at(i),
+                        [this, id](bool ok) {
+                          if (std::optional<Op> restored = report(id, ok)) {
+                            restore_ended(std::move(*restored));
+                          }
+                        },
+                        filed.issued.epoch);
+  }
+}
+
+void DvcManager::restore_ended(Op op) {
+  const bool ok = op.all_ok;
+  telemetry::end_span(metrics_, op.span, sim_->now());
+  VcRuntime* live = resolve(op.issued);
+  if (live == nullptr) {
+    // Issued by a dead or deposed incarnation: the guests are where the
+    // restore put them, but the VC's state is the reboot's
+    // reconciliation to decide.
+    return;
+  }
+  transition(*live, ok ? VcState::kRunning : VcState::kProvisioning);
+  close_intent(op.restore_lsn);
+  telemetry::count(metrics_,
+                   ok ? "core.dvc.restores" : "core.dvc.restore_failures");
+  telemetry::observe(metrics_, "core.dvc.restore_s",
+                     sim::to_seconds(sim_->now() - op.started));
+  if (check_ != nullptr) {
+    check_->on_vc_boundary(check::Boundary::kRestore, op.issued.id);
+  }
+  close_intent(op.lsn);  // a cold migration's (a restore has none)
+  if (op.migration && !ok && live->vc->has_checkpoint() &&
+      !live->recovery_in_flight && live->vc->state_ != VcState::kFailed) {
+    // The hold-save sealed but the restore side died (target node or
+    // store fault mid-stage). The members are frozen with a durable
+    // recovery point: roll the whole VC back from it rather than leave
+    // the cluster wedged between two placements.
+    recover(*live);
+  }
+  if (op.done) op.done(ok);
 }
 
 void DvcManager::migrate_vc(VirtualCluster& vc, ckpt::LscCoordinator& lsc,
                             std::vector<hw::NodeId> new_placement,
                             std::function<void(bool)> done) {
   if (refuse_failed(vc, done)) return;
-  VcRuntime& rt = vcs_.at(vc.id());
-  transition(rt, VcState::kMigrating);
-  const Issued op = issue(vc.id());
-  const std::uint64_t lsn =
-      journal(IntentKind::kMigrate, op.id, vc.checkpoint_label());
-  rt.round_owner = &lsc;
+  transition(vcs_.at(vc.id()), VcState::kMigrating);
+  const std::uint32_t id = open_op(
+      {.migration = true, .issued = issue(vc.id()), .lsc = &lsc,
+       .lsn = journal(IntentKind::kMigrate, vc.id(), vc.checkpoint_label()),
+       .pending = 1, .to = std::move(new_placement), .done = std::move(done)});
   lsc.checkpoint(
       vc.checkpoint_label(), save_targets(vc), *images_,
-      [this, op, lsn, placement = std::move(new_placement),
-       cb = std::move(done)](ckpt::LscResult r) mutable {
-        VcRuntime* live = runtime(op.id);
-        if (live == nullptr) return;
-        live->round_owner = nullptr;
-        live = resolve(op);
+      [this, id](ckpt::LscResult r) {
+        std::optional<Op> move = report(id, r.ok);
+        VcRuntime* live = move ? resolve(move->issued) : nullptr;
         if (live == nullptr) {
           // The coordinator that ordered the move died while the members
-          // were saving. The held domains are reconciled (resumed in place
-          // or recovered) by the reboot pass, not here.
+          // were saving. The held domains are reconciled (resumed in
+          // place or recovered) by the reboot pass, not here.
           return;
         }
         if (!r.ok) {
-          close_intent(lsn);
+          close_intent(move->lsn);
           transition(*live, VcState::kRunning);
-          if (cb) cb(false);
+          if (move->done) move->done(false);
           return;
         }
         live->vc->last_checkpoint_ = adopt_checkpoint(r, sim_->now());
-        ++migrations_;
-        telemetry::count(metrics_, "core.dvc.migrations");
-        restore_vc(*live->vc, std::move(placement),
-                   [this, op, lsn, cb = std::move(cb)](bool ok) {
-                     VcRuntime* live = resolve(op);
-                     if (live == nullptr) return;
-                     close_intent(lsn);
-                     if (!ok && live->vc->has_checkpoint() &&
-                         !live->recovery_in_flight &&
-                         live->vc->state_ != VcState::kFailed) {
-                       // The hold-save sealed but the restore side died
-                       // (target node or store fault mid-stage). The
-                       // members are frozen with a durable recovery point:
-                       // roll the whole VC back from it rather than leave
-                       // the cluster wedged between two placements.
-                       recover(*live);
-                     }
-                     if (cb) cb(ok);
-                   });
+        telemetry::count(metrics_, kMigrations);
+        move->lsc = nullptr;  // the round is over
+        restore(*live, std::move(*move));
       },
       /*resume_after_save=*/false,
-      [this, op] { return retarget(op, /*incremental=*/false); });
+      [this, id] { return retarget(id, /*incremental=*/false); });
 }
 
 void DvcManager::live_migrate_vc(
     VirtualCluster& vc, std::vector<hw::NodeId> new_placement,
     LiveMigrationConfig cfg, std::function<void(LiveMigrationStats)> done) {
-  if (new_placement.size() != vc.size()) {
-    throw std::invalid_argument("placement size != vc size");
-  }
+  require_size(vc.size(), new_placement.size());
   if (refuse_failed(vc, done)) return;
-  VcRuntime& rt = vcs_.at(vc.id());
-  transition(rt, VcState::kMigrating);
-  const Issued op = issue(vc.id());
+  transition(vcs_.at(vc.id()), VcState::kMigrating);
   // Reserve the targets up front so nothing else lands on them mid-move.
-  fabric_->hold(hw::Holder::kVc, new_placement, op.id);
+  fabric_->hold(hw::Holder::kVc, new_placement, vc.id());
+  const std::uint32_t n = vc.size();
+  const std::uint32_t id = open_op(
+      {.issued = issue(vc.id()), .started = sim_->now(), .pending = n,
+       .from = vc.placements(), .to = std::move(new_placement), .cfg = cfg,
+       .members = std::vector<Op::Precopy>(n), .moved = std::move(done)});
+  for (std::uint32_t i = 0; i < n; ++i) move_member(id, i);
+}
 
-  struct MoveState {
-    LiveMigrationStats stats;
-    std::uint32_t outstanding;
-    sim::Time started;
-    std::vector<hw::NodeId> old_placement;
-    std::vector<hw::NodeId> new_placement;
-    std::function<void(LiveMigrationStats)> done;
-    bool any_failed = false;
-  };
-  auto ms = std::make_shared<MoveState>();
-  ms->outstanding = vc.size();
-  ms->started = sim_->now();
-  ms->old_placement = vc.placements();
-  ms->new_placement = new_placement;
-  ms->done = std::move(done);
+// Iterative pre-copy: stream the whole guest while it runs, then stream
+// what it dirtied meanwhile, and so on until the residual is small (or we
+// give up and eat a longer stop-and-copy); then freeze the guest, send the
+// residual and resume it on its target. A member's steps look its VC up by
+// id: they move guests, which is ground truth.
+void DvcManager::move_member(std::uint32_t id, std::uint32_t i) {
+  Op* op = find_op(id);
+  if (op == nullptr) return;
+  VirtualCluster& vc = *runtime(op->issued.id)->vc;
+  vm::VirtualMachine& m = vc.machine(i);
+  const hw::NodeId dst = op->to[i];
+  Op::Precopy& p = op->members[i];
+  if (m.state() == vm::DomainState::kDead || fabric_->node(dst).failed()) {
+    // A copy that never landed leaves the guest carrying on at its source.
+    if (p.downtime) fleet_->on_node(op->from[i]).resume_domain(m);
+    member_moved(id, false);
+    return;
+  }
+  if (p.downtime) {
+    op->stats.max_downtime = std::max(op->stats.max_downtime, *p.downtime);
+    fleet_->on_node(op->from[i]).evict(m);
+    fleet_->on_node(dst).adopt(m);
+    vc.placement_[i] = dst;
+    m.resume();
+    member_moved(id, true);
+    return;
+  }
+  const double per_vm_bw = op->cfg.bandwidth_bps / op->members.size();
+  // Round 0 streams the whole guest.
+  const double residual =
+      p.round == 0 ? static_cast<double>(m.config().ram_bytes) : p.residual;
+  if (residual > static_cast<double>(op->cfg.stop_copy_threshold) &&
+      p.round < op->cfg.max_precopy_rounds) {
+    const double t = residual / per_vm_bw;
+    op->stats.bytes_moved += residual;
+    p.residual = std::min(residual, m.config().dirty_rate_bps * t);
+    ++p.round;
+    sim_->schedule_after(sim::from_seconds(t),
+                         [this, id, i] { move_member(id, i); });
+    return;
+  }
+  // Final stop-and-copy of the residual: the only downtime the guest sees.
+  m.pause();
+  op->stats.bytes_moved += residual;
+  p.downtime = sim::from_seconds(residual / per_vm_bw) +
+               fleet_->on_node(dst).config().restore_overhead;
+  sim_->schedule_after(*p.downtime, [this, id, i] { move_member(id, i); });
+}
 
-  const double per_vm_bw = cfg.bandwidth_bps / vc.size();
-
-  auto finish_member = [this, ms, op](bool ok) {
-    if (!ok) ms->any_failed = true;
-    if (--ms->outstanding != 0) return;
-    VcRuntime* live = runtime(op.id);
-    if (live == nullptr) return;
-    // A member whose move failed stayed on its source node: the ledger
-    // follows where every member actually ended up.
-    fabric_->release(hw::Holder::kVc, ms->old_placement, op.id);
-    fabric_->release(hw::Holder::kVc, ms->new_placement, op.id);
-    fabric_->hold(hw::Holder::kVc, live->vc->placement_, op.id);
-    ms->stats.ok = !ms->any_failed;
-    ms->stats.total_time = sim_->now() - ms->started;
-    live = resolve(op);
-    if (live == nullptr) return;
-    transition(*live, ms->any_failed && any_member_lost(*live->vc)
+void DvcManager::member_moved(std::uint32_t id, bool ok) {
+  std::optional<Op> move = report(id, ok);
+  if (!move) return;
+  const VcId vc = move->issued.id;
+  // A member whose move failed stayed on its source node: the ledger
+  // follows where every member actually ended up.
+  fabric_->release(hw::Holder::kVc, move->from, vc);
+  fabric_->release(hw::Holder::kVc, move->to, vc);
+  fabric_->hold(hw::Holder::kVc, runtime(vc)->vc->placement_, vc);
+  move->stats.ok = move->all_ok;
+  move->stats.total_time = sim_->now() - move->started;
+  VcRuntime* live = resolve(move->issued);
+  if (live == nullptr) return;
+  transition(*live, !move->all_ok && any_member_lost(*live->vc)
                         ? VcState::kProvisioning
                         : VcState::kRunning);
-    if (ms->stats.ok) {
-      ++live_migrations_;
-      telemetry::count(metrics_, "core.dvc.live_migrations");
-      telemetry::observe(metrics_, "core.dvc.live_migrate_downtime_s",
-                         sim::to_seconds(ms->stats.max_downtime));
-    }
-    if (ms->done) ms->done(ms->stats);
-  };
-
-  // Each member's moves look the VC up by id (they move guests, which is
-  // ground truth) and stop once it is destroyed.
-  const VcId id = op.id;
-  for (std::uint32_t i = 0; i < vc.size(); ++i) {
-    const hw::NodeId src = vc.placement(i);
-    const hw::NodeId dst = new_placement[i];
-    // Iterative pre-copy: stream the whole guest while it runs, then
-    // stream what it dirtied meanwhile, and so on until the residual is
-    // small (or we give up and eat a longer stop-and-copy).
-    // The round refers to itself weakly; its pending event owns it, so
-    // it is freed after the last round.
-    auto round = std::make_shared<std::function<void(double, int)>>();
-    *round = [this, ms, id, i, src, dst, per_vm_bw, cfg, finish_member,
-              self = std::weak_ptr<std::function<void(double, int)>>(round)](
-                 double residual, int round_no) {
-      VcRuntime* live = runtime(id);
-      if (live == nullptr) return;
-      vm::VirtualMachine& m = live->vc->machine(i);
-      if (m.state() == vm::DomainState::kDead ||
-          fabric_->node(dst).failed()) {
-        finish_member(false);
-        return;
-      }
-      const double dirty = m.config().dirty_rate_bps;
-      if (residual > static_cast<double>(cfg.stop_copy_threshold) &&
-          round_no < cfg.max_precopy_rounds) {
-        const double t = residual / per_vm_bw;
-        ms->stats.bytes_moved += residual;
-        sim_->schedule_after(sim::from_seconds(t),
-                             [round = self.lock(), residual, t, dirty,
-                              round_no] {
-                               const double next = std::min(
-                                   residual, dirty * t);
-                               (*round)(next, round_no + 1);
-                             });
-        return;
-      }
-      // Final stop-and-copy of the residual: the only downtime the guest
-      // sees.
-      m.pause();
-      ms->stats.bytes_moved += residual;
-      const sim::Duration downtime =
-          sim::from_seconds(residual / per_vm_bw) +
-          fleet_->on_node(dst).config().restore_overhead;
-      sim_->schedule_after(downtime, [this, ms, id, i, src, dst, downtime,
-                                      finish_member] {
-        VcRuntime* live = runtime(id);
-        if (live == nullptr) return;
-        vm::VirtualMachine& m = live->vc->machine(i);
-        if (m.state() == vm::DomainState::kDead ||
-            fabric_->node(dst).failed()) {
-          // The copy never landed: the guest carries on at its source.
-          fleet_->on_node(src).resume_domain(m);
-          finish_member(false);
-          return;
-        }
-        fleet_->on_node(src).evict(m);
-        fleet_->on_node(dst).adopt(m);
-        live->vc->placement_[i] = dst;
-        m.resume();
-        ms->stats.max_downtime = std::max(ms->stats.max_downtime, downtime);
-        finish_member(true);
-      });
-    };
-    (*round)(static_cast<double>(vc.machine(i).config().ram_bytes), 0);
+  if (move->stats.ok) {
+    telemetry::count(metrics_, kLiveMigrations);
+    telemetry::observe(metrics_, "core.dvc.live_migrate_downtime_s",
+                       sim::to_seconds(move->stats.max_downtime));
   }
+  if (move->moved) move->moved(move->stats);
 }
 
 void DvcManager::enable_auto_recovery(VirtualCluster& vc,
@@ -692,8 +659,7 @@ void DvcManager::schedule_member_watchdog(VcId id) {
       // results are in, only idle guests would be resurrected.
       const bool job_live = rt->app == nullptr || !rt->app->completed();
       if ((member_dead && job_live) || app_failed) {
-        ++watchdog_detections_;
-        telemetry::count(metrics_, "core.dvc.watchdog_detections");
+        telemetry::count(metrics_, kWatchdogDetections);
         telemetry::instant(metrics_, sim_->now(), "dvc", "watchdog_detect");
         sim::trace(trace_, sim_->now(), sim::TraceLevel::kWarn, "dvc",
                    "vc#" + std::to_string(id) +
@@ -769,8 +735,7 @@ void DvcManager::on_failure_prediction(hw::NodeId node,
                  return;
                }
                live->recovery_in_flight = false;
-               ++evacuations_;
-               telemetry::count(metrics_, "core.dvc.evacuations");
+               telemetry::count(metrics_, kEvacuations);
                sim::trace(trace_, sim_->now(), sim::TraceLevel::kInfo, "dvc",
                           "vc#" + std::to_string(op.id) +
                               " evacuated ahead of the fault");
@@ -822,9 +787,8 @@ void DvcManager::recover(VcRuntime& rt) {
     rt.recovery_in_flight = false;
     if (ok) {
       rt.restore_attempts = 0;
-      ++recoveries_;
       ++rt.vc->recoveries_;
-      telemetry::count(metrics_, "core.dvc.recoveries");
+      telemetry::count(metrics_, kRecoveries);
       telemetry::instant(metrics_, sim_->now(), "dvc", "recovered");
       sim::trace(trace_, sim_->now(), sim::TraceLevel::kInfo, "dvc",
                  "vc#" + std::to_string(id) + " recovered");
@@ -839,8 +803,7 @@ void DvcManager::recover(VcRuntime& rt) {
       // The recovery point itself is bad (torn or corrupted images that
       // no replica could mask). Retrying it would wedge forever; walk
       // back a generation and re-run the lost work instead.
-      ++restore_fallbacks_;
-      telemetry::count(metrics_, "core.dvc.restore_fallbacks");
+      telemetry::count(metrics_, kRestoreFallbacks);
       telemetry::instant(metrics_, sim_->now(), "dvc", "restore_fallback");
       if (!fall_back_generation(rt)) {
         abandon_recovery(rt, "every checkpoint generation is damaged");
@@ -968,8 +931,7 @@ void DvcManager::abandon_recovery(VcRuntime& rt, const std::string& why) {
   vc.last_checkpoint_ = VcCheckpoint{};
   vc.checkpoint_chain_.clear();
   rt.recovery_in_flight = false;
-  ++recoveries_abandoned_;
-  telemetry::count(metrics_, "core.dvc.recoveries_abandoned");
+  telemetry::count(metrics_, kRecoveriesAbandoned);
   telemetry::instant(metrics_, sim_->now(), "dvc", "recovery_abandoned");
   sim::trace(trace_, sim_->now(), sim::TraceLevel::kError, "dvc",
              "vc#" + std::to_string(vc.id()) + " recovery abandoned: " + why);
@@ -1036,8 +998,7 @@ void DvcManager::lease_renewal_tick() {
 void DvcManager::crash_coordinator(sim::Duration down_for) {
   if (!coordinator_up_) return;
   coordinator_up_ = false;
-  ++coordinator_crashes_;
-  telemetry::count(metrics_, "core.dvc.coordinator_crashes");
+  telemetry::count(metrics_, kCoordinatorCrashes);
   telemetry::instant(metrics_, sim_->now(), "dvc", "coordinator_crash");
   sim::trace(trace_, sim_->now(), sim::TraceLevel::kError, "dvc",
              "coordinator crashed (epoch " + std::to_string(epoch_) + ")");
@@ -1088,8 +1049,7 @@ void DvcManager::reboot_coordinator() {
   }
   if (fence_ != nullptr) epoch_ = fence_->advance();
   coordinator_up_ = true;
-  ++coordinator_reboots_;
-  telemetry::count(metrics_, "core.dvc.coordinator_reboots");
+  telemetry::count(metrics_, kCoordinatorReboots);
   telemetry::instant(metrics_, sim_->now(), "dvc", "coordinator_reboot");
   sim::trace(trace_, sim_->now(), sim::TraceLevel::kWarn, "dvc",
              "coordinator rebooted, epoch " + std::to_string(epoch_));
@@ -1153,12 +1113,10 @@ void DvcManager::reconcile_vc(VcRuntime& rt) {
       continue;
     }
     if (s->sealed) {
-      ++orphan_sets_discarded_;
-      telemetry::count(metrics_, "core.dvc.orphan_sets_discarded");
+      telemetry::count(metrics_, kOrphanSetsDiscarded);
       images_->discard_set(s->id, epoch_);
     } else {
-      ++orphan_rounds_aborted_;
-      telemetry::count(metrics_, "core.dvc.orphan_rounds_aborted");
+      telemetry::count(metrics_, kOrphanRoundsAborted);
       images_->abort_set(s->id, epoch_);
     }
   }

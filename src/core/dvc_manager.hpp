@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app/workload.hpp"
@@ -29,11 +30,20 @@ namespace dvc::core {
 /// (within or across physical clusters), checkpoints them with LSC,
 /// restores or migrates them onto *different* node sets, and recovers them
 /// automatically when a hosting node dies.
+///
+/// Each boot, LSC round, restore and live move is one operation (Op) in an
+/// id-ordered table the manager owns, from the call until its last member
+/// reports or destroy_vc ends it. Every event count lands in the registry
+/// the manager is built with (`core.dvc.*` counters, the "dvc" timeline
+/// track), and the introspection accessors read it back from there.
 class DvcManager final {
  public:
+  /// `metrics` (the room's registry) receives every count the manager
+  /// makes and must outlive it.
   DvcManager(sim::Simulation& sim, hw::Fabric& fabric,
              vm::HypervisorFleet& fleet, storage::ImageManager& images,
-             clocksync::ClusterTimeService& time);
+             clocksync::ClusterTimeService& time,
+             telemetry::MetricsRegistry& metrics);
 
   DvcManager(const DvcManager&) = delete;
   DvcManager& operator=(const DvcManager&) = delete;
@@ -54,9 +64,9 @@ class DvcManager final {
   /// Tears a VC down and releases its nodes. Safe in every state: it
   /// takes the VC out of the manager's table first (every pending callback
   /// then resolves to nothing), aborts its in-flight LSC checkpoint (its
-  /// rounds, round watchdog, pending retry and health-check deferral), and
+  /// rounds, round watchdog, pending retry and health-check deferral),
   /// ends each guest's in-flight boot, save and restore before freeing
-  /// them.
+  /// them, and erases every operation record of the VC.
   void destroy_vc(VirtualCluster& vc);
 
   /// Binds a parallel application to a VC: rank i becomes the guest
@@ -118,8 +128,8 @@ class DvcManager final {
                        LiveMigrationConfig cfg,
                        std::function<void(LiveMigrationStats)> done);
 
-  [[nodiscard]] std::uint64_t live_migrations_performed() const noexcept {
-    return live_migrations_;
+  [[nodiscard]] std::uint64_t live_migrations_performed() const {
+    return metrics_->counter_value(kLiveMigrations);
   }
 
   // ---- reliability policy ----------------------------------------------
@@ -207,24 +217,24 @@ class DvcManager final {
   [[nodiscard]] std::uint64_t coordinator_epoch() const noexcept {
     return epoch_;
   }
-  [[nodiscard]] std::uint64_t coordinator_crashes() const noexcept {
-    return coordinator_crashes_;
+  [[nodiscard]] std::uint64_t coordinator_crashes() const {
+    return metrics_->counter_value(kCoordinatorCrashes);
   }
-  [[nodiscard]] std::uint64_t coordinator_reboots() const noexcept {
-    return coordinator_reboots_;
+  [[nodiscard]] std::uint64_t coordinator_reboots() const {
+    return metrics_->counter_value(kCoordinatorReboots);
   }
   /// Continuations dropped at the door because the incarnation that
   /// issued them is dead or deposed, or their VC is gone (see resolve).
-  [[nodiscard]] std::uint64_t stale_completions() const noexcept {
-    return stale_completions_;
+  [[nodiscard]] std::uint64_t stale_completions() const {
+    return metrics_->counter_value(kStaleCompletions);
   }
   /// Checkpoint sets found ownerless by a reboot's reconciliation pass:
   /// sealed orphans discarded, half-open rounds aborted.
-  [[nodiscard]] std::uint64_t orphan_sets_discarded() const noexcept {
-    return orphan_sets_discarded_;
+  [[nodiscard]] std::uint64_t orphan_sets_discarded() const {
+    return metrics_->counter_value(kOrphanSetsDiscarded);
   }
-  [[nodiscard]] std::uint64_t orphan_rounds_aborted() const noexcept {
-    return orphan_rounds_aborted_;
+  [[nodiscard]] std::uint64_t orphan_rounds_aborted() const {
+    return metrics_->counter_value(kOrphanRoundsAborted);
   }
   /// The write-ahead intent log (null until a head node is designated).
   [[nodiscard]] const IntentLog* intent_log() const noexcept {
@@ -233,33 +243,40 @@ class DvcManager final {
 
   // ---- introspection -----------------------------------------------------
 
-  [[nodiscard]] std::uint64_t recoveries_performed() const noexcept {
-    return recoveries_;
+  [[nodiscard]] std::uint64_t recoveries_performed() const {
+    return metrics_->counter_value(kRecoveries);
   }
-  [[nodiscard]] std::uint64_t checkpoints_taken() const noexcept {
-    return checkpoints_;
+  /// Sealed rounds that became recovery points: every sealed checkpoint
+  /// round but the ones quarantined around a failed application.
+  [[nodiscard]] std::uint64_t checkpoints_taken() const {
+    return metrics_->counter_value(kCheckpoints) -
+           metrics_->counter_value(kQuarantined);
   }
-  [[nodiscard]] std::uint64_t migrations_performed() const noexcept {
-    return migrations_;
+  [[nodiscard]] std::uint64_t migrations_performed() const {
+    return metrics_->counter_value(kMigrations);
   }
-  [[nodiscard]] std::uint64_t evacuations_performed() const noexcept {
-    return evacuations_;
+  [[nodiscard]] std::uint64_t evacuations_performed() const {
+    return metrics_->counter_value(kEvacuations);
   }
   /// Dead members first noticed by the watchdog sweep (not the feed).
-  [[nodiscard]] std::uint64_t watchdog_detections() const noexcept {
-    return watchdog_detections_;
+  [[nodiscard]] std::uint64_t watchdog_detections() const {
+    return metrics_->counter_value(kWatchdogDetections);
   }
   /// Recoveries that had to walk back to an older checkpoint generation
   /// because the newer one was damaged (torn / corrupted / unreadable).
-  [[nodiscard]] std::uint64_t restore_fallbacks() const noexcept {
-    return restore_fallbacks_;
+  [[nodiscard]] std::uint64_t restore_fallbacks() const {
+    return metrics_->counter_value(kRestoreFallbacks);
   }
   /// Recoveries abandoned after exhausting every generation and the retry
   /// budget; the VC ends in VcState::kFailed with its app marked failed.
-  [[nodiscard]] std::uint64_t recoveries_abandoned() const noexcept {
-    return recoveries_abandoned_;
+  [[nodiscard]] std::uint64_t recoveries_abandoned() const {
+    return metrics_->counter_value(kRecoveriesAbandoned);
   }
-  [[nodiscard]] storage::ImageManager& images() noexcept { return *images_; }
+  /// Boots, LSC rounds, restores and live moves still in flight (each one
+  /// record until its last member reports). A quiesced run has none.
+  [[nodiscard]] std::size_t operations_in_flight() const noexcept {
+    return ops_.size();
+  }
   [[nodiscard]] hw::Fabric& fabric() noexcept { return *fabric_; }
 
   /// The LSC save-target list for a VC (hypervisor, machine, host clock per
@@ -270,11 +287,6 @@ class DvcManager final {
 
   /// Attaches an optional structured trace sink (null to detach).
   void set_trace(sim::TraceLog* log) noexcept { trace_ = log; }
-
-  /// Attaches an optional metrics registry (null to detach). Control-plane
-  /// operations land in `core.dvc.*` counters and on the "dvc" timeline
-  /// track.
-  void set_metrics(telemetry::MetricsRegistry* m) noexcept { metrics_ = m; }
 
   /// Attaches an optional invariant checker (null to detach), notified of
   /// every VcState edge, round seal, restore completion and recovery
@@ -303,9 +315,6 @@ class DvcManager final {
     int ckpt_round = 0;
     /// Consecutive failed restores of the *current* recovery point.
     int restore_attempts = 0;
-    /// The coordinator of the VC's in-flight LSC checkpoint, which
-    /// destroy_vc aborts (null when no checkpoint is in flight).
-    ckpt::LscCoordinator* round_owner = nullptr;
   };
 
   /// What a callback that outlives its call holds instead of a reference
@@ -319,11 +328,67 @@ class DvcManager final {
   /// resolves by id only, through runtime(), and so do the self-re-arming
   /// daemons (periodic checkpoint, watchdog) and the boot completion: a
   /// guest's boot and those loops must outlive a coordinator incarnation.
+  /// An operation's record (Op) holds its Issued.
   struct Issued {
     VcId id = 0;
     std::uint64_t epoch = storage::kUnfencedEpoch;
   };
   [[nodiscard]] Issued issue(VcId id) const noexcept { return {id, epoch_}; }
+
+  /// One in-flight operation: a boot (create_vc), an LSC round
+  /// (checkpoint_vc, migrate_vc), a restore (restore_vc, or the one that
+  /// ends a cold migration) or a live move (live_migrate_vc). Records are
+  /// keyed by operation, not by VC: a rebooted coordinator may restore a VC
+  /// while the deposed incarnation's member restores still land. A record
+  /// ends when its last member reports, even when resolve() then drops the
+  /// outcome as stale, or when destroy_vc erases it. Completions and
+  /// pre-copy events carry `(this, id[, member])` and look it up.
+  struct Op {
+    /// One live-moving member's pre-copy state.
+    struct Precopy {
+      double residual = 0.0;  ///< the next round's bytes, once round > 0
+      int round = 0;          ///< pre-copy rounds sent so far
+      /// Its stop-and-copy freeze, set once it is copying to its target.
+      std::optional<sim::Duration> downtime;
+    };
+
+    std::uint32_t id = 0;
+    bool migration = false;  ///< a cold migration (its round or restore)
+    Issued issued{};
+    /// The coordinator of its LSC round while the round runs; destroy_vc
+    /// aborts it.
+    ckpt::LscCoordinator* lsc = nullptr;
+    std::uint64_t lsn = 0;          ///< the operation's intent
+    std::uint64_t restore_lsn = 0;  ///< its restore's intent
+    telemetry::MetricsRegistry::SpanId span{};  ///< 0: kInvalidSpan
+    sim::Time started = 0;  ///< when a restore or live move began
+    /// Members (or chain sets being staged) still to report, and whether
+    /// every report so far succeeded.
+    std::uint32_t pending = 0;
+    bool all_ok = true;
+    bool can_increment = false;  ///< a checkpoint's members all could
+    storage::CheckpointSetId set = 0;  ///< the recovery point restored
+    /// What the member restores read in place (see restore_domain).
+    std::shared_ptr<const std::vector<std::any>> snapshots{};
+    std::vector<hw::NodeId> from{};  ///< a live move's sources
+    std::vector<hw::NodeId> to{};    ///< the new placement
+    LiveMigrationConfig cfg{};       ///< a live move's, as are the next two
+    LiveMigrationStats stats{};
+    std::vector<Precopy> members{};
+    // The caller's `done`, by operation.
+    std::function<void()> ready{};                    ///< boot
+    std::function<void(ckpt::LscResult)> sealed{};    ///< checkpoint
+    std::function<void(bool)> done{};                 ///< restore, migration
+    std::function<void(LiveMigrationStats)> moved{};  ///< live move
+  };
+  /// Files `op` under a new id, which it returns.
+  std::uint32_t open_op(Op op);
+  /// The record of operation `id`, or null once it has ended.
+  [[nodiscard]] Op* find_op(std::uint32_t id);
+  /// Counts one report into operation `id` (a member's, or an LSC
+  /// round's): the record, taken out of the table, once the last one is
+  /// in; else, or once the record is gone, nullopt.
+  std::optional<Op> report(std::uint32_t id, bool ok);
   /// The runtime record of VC `id`, or null once it is destroyed.
   [[nodiscard]] VcRuntime* runtime(VcId id);
   /// The one staleness check: the runtime record of `op`'s VC, or null
@@ -356,11 +421,21 @@ class DvcManager final {
   [[nodiscard]] std::vector<hw::NodeId> free_pool(
       const VirtualCluster& vc, const std::vector<hw::NodeId>& placement,
       bool avoid_current) const;
-  /// The save targets for a retried round of `op`'s VC (see
+  /// The save targets for a retried round of operation `id` (see
   /// ckpt::LscCoordinator::Retarget), or nullopt to abandon the retry.
   /// Never asked for a destroyed VC: destroy_vc's abort ends the retry.
-  std::optional<std::vector<ckpt::SaveTarget>> retarget(Issued op,
+  std::optional<std::vector<ckpt::SaveTarget>> retarget(std::uint32_t id,
                                                          bool incremental);
+  // ---- restore and live-move steps (see Op) -------------------------------
+  /// Rolls `rt`'s VC back onto `op.to`, then files `op`.
+  void restore(VcRuntime& rt, Op op);
+  void restore_members(Op op);
+  /// Ends a restore (and the cold migration it completes, if any).
+  void restore_ended(Op op);
+  /// Member `i`'s next step in live move `id`: a pre-copy round, its
+  /// stop-and-copy, or its landing on the target.
+  void move_member(std::uint32_t id, std::uint32_t i);
+  void member_moved(std::uint32_t id, bool ok);
   // ---- coordinator fault domain ------------------------------------------
   /// Journals an intent (no-op without a WAL); returns 0 when not logged.
   std::uint64_t journal(IntentKind kind, VcId vc, const std::string& label);
@@ -402,14 +477,10 @@ class DvcManager final {
   /// (incremental chains share their base full image across generations).
   /// A set leaves the store when its last reference drops.
   std::map<storage::CheckpointSetId, int> set_refs_;
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t checkpoints_ = 0;
-  std::uint64_t migrations_ = 0;
-  std::uint64_t evacuations_ = 0;
-  std::uint64_t live_migrations_ = 0;
-  std::uint64_t watchdog_detections_ = 0;
-  std::uint64_t restore_fallbacks_ = 0;
-  std::uint64_t recoveries_abandoned_ = 0;
+  /// In-flight operations in id order (ids only grow, so a new one
+  /// appends).
+  std::vector<Op> ops_;
+  std::uint32_t next_op_ = 1;
   // ---- coordinator fault domain ------------------------------------------
   storage::EpochFence* fence_ = nullptr;
   /// Epoch stamped into every command this incarnation issues. Stays
@@ -424,14 +495,25 @@ class DvcManager final {
   bool lease_daemon_armed_ = false;
   bool repair_watch_armed_ = false;
   std::unique_ptr<IntentLog> wal_;
-  std::uint64_t coordinator_crashes_ = 0;
-  std::uint64_t coordinator_reboots_ = 0;
-  std::uint64_t stale_completions_ = 0;
-  std::uint64_t orphan_sets_discarded_ = 0;
-  std::uint64_t orphan_rounds_aborted_ = 0;
   sim::TraceLog* trace_ = nullptr;
-  telemetry::MetricsRegistry* metrics_ = nullptr;
-  telemetry::CounterHandle checkpoints_c_{"core.dvc.checkpoints"};
+  telemetry::MetricsRegistry* metrics_;
+  // One counter name per event, shared by its count site and accessor.
+  using Name = std::string_view;
+  static constexpr Name kRecoveries = "core.dvc.recoveries";
+  static constexpr Name kCheckpoints = "core.dvc.checkpoints";
+  static constexpr Name kQuarantined = "core.dvc.checkpoints_quarantined";
+  static constexpr Name kMigrations = "core.dvc.migrations";
+  static constexpr Name kEvacuations = "core.dvc.evacuations";
+  static constexpr Name kLiveMigrations = "core.dvc.live_migrations";
+  static constexpr Name kWatchdogDetections = "core.dvc.watchdog_detections";
+  static constexpr Name kRestoreFallbacks = "core.dvc.restore_fallbacks";
+  static constexpr Name kRecoveriesAbandoned = "core.dvc.recoveries_abandoned";
+  static constexpr Name kCoordinatorCrashes = "core.dvc.coordinator_crashes";
+  static constexpr Name kCoordinatorReboots = "core.dvc.coordinator_reboots";
+  static constexpr Name kStaleCompletions = "core.dvc.stale_completions";
+  static constexpr Name kOrphanSetsDiscarded = "core.dvc.orphan_sets_discarded";
+  static constexpr Name kOrphanRoundsAborted = "core.dvc.orphan_rounds_aborted";
+  telemetry::CounterHandle checkpoints_c_{std::string(kCheckpoints)};
   telemetry::CounterHandle checkpoint_failures_c_{
       "core.dvc.checkpoint_failures"};
   check::Checker* check_ = nullptr;

@@ -68,7 +68,8 @@ struct MachineRoom {
           std::make_unique<storage::SharedStore>(sim, opt.store));
       images.add_replica(*replica_stores.back());
     }
-    dvc = std::make_unique<DvcManager>(sim, fabric, *fleet, images, *time);
+    dvc = std::make_unique<DvcManager>(sim, fabric, *fleet, images, *time,
+                                       metrics);
     // One cluster-wide coordinator-epoch fence, checked at every storage
     // and hypervisor mutation point. It bites only after a head node is
     // designated (DvcManager::designate_head_node) and a coordinator
@@ -78,8 +79,9 @@ struct MachineRoom {
     dvc->set_fence(&fence);
     fabric.set_trace(&trace);
     dvc->set_trace(&trace);
-    // Wire every subsystem into the room-wide metrics registry (each holds
-    // a nullable pointer, so standalone construction stays metrics-free).
+    // Wire every other subsystem into the room-wide metrics registry (each
+    // holds a nullable pointer, so standalone construction stays
+    // metrics-free; the DVC manager took it at construction).
     fabric.network().set_metrics(&metrics);
     store.set_metrics(&metrics);
     for (std::size_t r = 0; r < replica_stores.size(); ++r) {
@@ -88,7 +90,6 @@ struct MachineRoom {
     }
     images.set_metrics(&metrics);
     fleet->set_metrics(&metrics);
-    dvc->set_metrics(&metrics);
     telemetry::bridge_trace_errors(trace, metrics);
   }
 

@@ -294,28 +294,4 @@ void ImageManager::stage_set(CheckpointSetId set,
   }
 }
 
-std::uint64_t ImageManager::prune(const std::string& label, std::size_t keep,
-                                  std::uint64_t epoch) {
-  if (fenced(epoch)) return 0;
-  admitted("prune", epoch);
-  std::vector<CheckpointSetId> sealed;
-  for (const auto& [id, s] : sets_) {
-    if (s.sealed && s.label == label) sealed.push_back(id);
-  }
-  if (sealed.size() <= keep) return 0;
-  std::uint64_t reclaimed = 0;
-  const std::size_t drop = sealed.size() - keep;
-  for (std::size_t i = 0; i < drop; ++i) {
-    auto it = sets_.find(sealed[i]);
-    for (const auto& m : it->second.members) {
-      reclaimed += m.bytes;
-      drop_member_objects(m);
-    }
-    sets_.erase(it);
-  }
-  telemetry::count(metrics_, sets_pruned_c_, drop);
-  telemetry::count(metrics_, pruned_bytes_c_, reclaimed);
-  return reclaimed;
-}
-
 }  // namespace dvc::storage

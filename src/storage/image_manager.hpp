@@ -107,8 +107,9 @@ class ImageManager final {
 
   /// Permanently removes a set, sealed or not, reclaiming its bytes.
   /// Unlike abort_set this also takes sealed sets — used to quarantine a
-  /// checkpoint whose application image is known-bad (keeping it would let
-  /// prune() push the last good recovery point out of the keep window).
+  /// checkpoint whose application image is known-bad, and to retire a
+  /// set once no retained generation references it (the one retention
+  /// path: core::DvcManager's refcounted generations).
   std::uint64_t discard_set(CheckpointSetId set,
                             std::uint64_t epoch = kUnfencedEpoch);
 
@@ -139,11 +140,6 @@ class ImageManager final {
   /// at least one verifiable copy.
   void stage_set(CheckpointSetId set, std::function<void(bool)> on_staged);
 
-  /// Deletes all sealed sets with this label except the most recent
-  /// `keep`. Returns bytes reclaimed.
-  std::uint64_t prune(const std::string& label, std::size_t keep,
-                      std::uint64_t epoch = kUnfencedEpoch);
-
   /// Attaches the coordinator-epoch fence (null = unfenced). Mutations
   /// stamped with a stale epoch are rejected and counted in
   /// `storage.images.fenced_writes`.
@@ -162,7 +158,7 @@ class ImageManager final {
 
   /// Attaches an optional metrics registry for set lifecycle counters
   /// (`storage.images.*`: sets opened/sealed/aborted/damaged, members
-  /// added, base-image lookup hits/misses, staging reads, pruned bytes)
+  /// added, base-image lookup hits/misses, staging reads, sets discarded)
   /// and replication counters (`storage.replica.*`).
   void set_metrics(telemetry::MetricsRegistry* m) noexcept { metrics_ = m; }
 
@@ -217,8 +213,6 @@ class ImageManager final {
   telemetry::CounterHandle replica_failovers_c_{
       "storage.replica.failovers"};
   telemetry::CounterHandle stage_reads_c_{"storage.images.stage_reads"};
-  telemetry::CounterHandle sets_pruned_c_{"storage.images.sets_pruned"};
-  telemetry::CounterHandle pruned_bytes_c_{"storage.images.pruned_bytes"};
   const EpochFence* fence_ = nullptr;
   check::Checker* check_ = nullptr;
   SharedStore* store_;

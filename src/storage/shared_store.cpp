@@ -84,7 +84,6 @@ void SharedStore::complete(InflightMap::node_type node, bool torn) {
   info.created_at = sim_->now();
   bytes_stored_ += w.bytes;
   bytes_written_total_ += w.bytes;
-  write_times_.add(sim::to_seconds(sim_->now() - w.started));
   telemetry::count(metrics_,
                    torn ? instruments_.torn_writes : instruments_.writes);
   telemetry::observe(metrics_, instruments_.write_s,

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "sim/simulation.hpp"
-#include "sim/stats.hpp"
 #include "storage/bandwidth_pool.hpp"
 
 namespace dvc::storage {
@@ -148,11 +147,6 @@ class SharedStore final {
   void set_metrics(telemetry::MetricsRegistry* m,
                    const std::string& prefix = "storage");
 
-  /// Observed write completion times (seconds), for bench reporting.
-  [[nodiscard]] const sim::SummaryStats& write_time_stats() const noexcept {
-    return write_times_;
-  }
-
  private:
   struct InflightWrite {
     std::string name;
@@ -220,7 +214,6 @@ class SharedStore final {
   std::uint64_t next_read_ = 1;
   std::uint64_t bytes_stored_ = 0;
   std::uint64_t bytes_written_total_ = 0;
-  sim::SummaryStats write_times_;
   telemetry::MetricsRegistry* metrics_ = nullptr;
   Instruments instruments_{"storage"};
 };

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/simulation.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
@@ -254,10 +253,6 @@ inline void gauge_set(MetricsRegistry* m, std::string_view name, double v) {
   if (m != nullptr) m->gauge(name).set(v);
 }
 
-inline void gauge_add(MetricsRegistry* m, std::string_view name, double d) {
-  if (m != nullptr) m->gauge(name).add(d);
-}
-
 inline MetricsRegistry::SpanId begin_span(MetricsRegistry* m, sim::Time at,
                                           std::string_view track,
                                           std::string_view name) {
@@ -274,43 +269,5 @@ inline void instant(MetricsRegistry* m, sim::Time at, std::string_view track,
                     std::string_view name) {
   if (m != nullptr) m->instant(at, track, name);
 }
-
-/// Sim-time stopwatch over an operation that may span many simulation
-/// events: opens at construction, closes at destruction or an explicit
-/// end(). The elapsed *simulated* time lands in `histogram_name`
-/// (seconds) and, when `track` is non-empty, as a timeline span. Keep the
-/// timer alive across the async callback chain (e.g. in a shared_ptr
-/// capture) and the freeze-to-durable duration falls out for free.
-class ScopedTimer final {
- public:
-  ScopedTimer(MetricsRegistry* m, const sim::Simulation& sim,
-              std::string_view histogram_name, std::string_view track = {},
-              std::string_view span_name = {})
-      : m_(m), sim_(&sim), begin_(sim.now()), name_(histogram_name) {
-    if (m_ != nullptr && !track.empty()) {
-      span_ = m_->begin_span(begin_, track, span_name);
-    }
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() { end(); }
-
-  /// Ends the span now (idempotent; the destructor then does nothing).
-  void end() {
-    if (done_) return;
-    done_ = true;
-    if (m_ == nullptr) return;
-    m_->histogram(name_).observe(sim::to_seconds(sim_->now() - begin_));
-    m_->end_span(span_, sim_->now());
-  }
-
- private:
-  MetricsRegistry* m_;
-  const sim::Simulation* sim_;
-  sim::Time begin_;
-  std::string name_;
-  MetricsRegistry::SpanId span_ = MetricsRegistry::kInvalidSpan;
-  bool done_ = false;
-};
 
 }  // namespace dvc::telemetry

@@ -84,7 +84,7 @@ class Hypervisor final {
   /// from the store, rolls the guest back to `app_state`, and resumes it on
   /// this node. `on_done(ok)` reports staging integrity. The snapshot is
   /// read in place, never copied: `app_state` must stay alive until
-  /// `on_done` has run (capture its owner in `on_done`).
+  /// `on_done` has run (core::DvcManager's restore record holds it).
   void restore_domain(VirtualMachine& vm, storage::ImageManager& images,
                       storage::CheckpointSetId set, std::uint64_t member,
                       const std::any& app_state,

@@ -151,6 +151,30 @@ TEST(InvariantCheckerTest, LeakedForegroundEventFires) {
   EXPECT_TRUE(rig.saw("queue-hygiene")) << rig.inv.report();
 }
 
+TEST(InvariantCheckerTest, OpenControlPlaneOperationFires) {
+  Rig rig;
+  ASSERT_TRUE(rig.inv.ok()) << rig.inv.report();
+
+  // A second VC whose boot never ends: one of its nodes dies mid-boot,
+  // so that guest never reports and the boot's record stays open with
+  // nothing left on the queue to end it.
+  core::VcSpec spec;
+  spec.name = "stuck";
+  spec.size = 2;
+  spec.guest.ram_bytes = 64ull << 20;
+  const std::vector<hw::NodeId> nodes = *rig.bed.dvc->pick_nodes(2);
+  rig.bed.dvc->create_vc(spec, nodes, {});
+  rig.bed.fabric.fail_node(nodes[1]);
+  rig.bed.sim.run();
+  ASSERT_EQ(rig.bed.sim.pending_foreground(), 0u);
+  ASSERT_EQ(rig.bed.dvc->operations_in_flight(), 1u);
+  rig.inv.end_of_run(/*expect_quiesced=*/true);
+  ASSERT_FALSE(rig.inv.violations().empty());
+  EXPECT_EQ(rig.inv.violations().back().invariant, "queue-hygiene");
+  EXPECT_EQ(rig.inv.violations().back().detail,
+            "1 control-plane operation(s) still open past job completion");
+}
+
 TEST(InvariantCheckerTest, InconsistentLedgerFires) {
   Rig rig;
   ckpt::MessageLedger ledger;

@@ -625,6 +625,41 @@ TEST(DvcManagerTest, FailedChainStagingEndsTheRestoreLikeAnyOther) {
   EXPECT_EQ(restore_s->count(), 1u);
 }
 
+TEST(DvcManagerTest, RoundSealedAroundAFailedAppIsQuarantined) {
+  // The application fails while a round is in flight. The round still
+  // seals, so it counts in core.dvc.checkpoints, but its set is
+  // quarantined: it leaves the store, the previous recovery point stays
+  // and the caller hears failure. checkpoints_taken() counts recovery
+  // points only, so it does not count that round.
+  TestBed bed(two_cluster_opts());
+  RunningVc r(bed, 3, 600, {0, 1, 2});
+  ckpt::NtpLscCoordinator lsc(bed.sim, {}, sim::Rng(3));
+  const auto checkpoint = [&](bool fail_app) {
+    std::optional<ckpt::LscResult> res;
+    bed.dvc->checkpoint_vc(*r.vc, lsc,
+                           [&](ckpt::LscResult out) { res = out; });
+    if (fail_app) r.application->mark_failed("injected mid-round");
+    while (!res.has_value()) {
+      bed.sim.run_until(bed.sim.now() + sim::kSecond);
+    }
+    return *res;
+  };
+  ASSERT_TRUE(checkpoint(/*fail_app=*/false).ok);
+  const storage::CheckpointSetId kept = r.vc->last_checkpoint().set;
+
+  const ckpt::LscResult quarantined = checkpoint(/*fail_app=*/true);
+  EXPECT_FALSE(quarantined.ok);
+  EXPECT_EQ(bed.images.find_set(quarantined.set), nullptr);
+  EXPECT_EQ(r.vc->last_checkpoint().set, kept);
+  EXPECT_EQ(r.vc->state(), VcState::kRunning);
+  EXPECT_EQ(bed.metrics.counter_value("core.dvc.checkpoints"), 2u);
+  EXPECT_EQ(bed.metrics.counter_value("core.dvc.checkpoints_quarantined"),
+            1u);
+  EXPECT_EQ(bed.metrics.counter_value("core.dvc.checkpoint_failures"), 0u);
+  EXPECT_EQ(bed.dvc->checkpoints_taken(), 1u);
+  EXPECT_EQ(bed.dvc->operations_in_flight(), 0u);
+}
+
 TEST(DvcManagerTest, RecoverNowHandlesSoftwareFailure) {
   TestBed bed(two_cluster_opts());
   RunningVc r(bed, 3, 400, {0, 1, 2});
@@ -837,7 +872,11 @@ TEST_P(DvcManagerDestroyTest, DestroyInEveryState) {
     for (std::size_t c = 0; c < policy_counters.size(); ++c) {
       at_destroy[c] = bed.metrics.counter_value(policy_counters[c]);
     }
+    // The one operation in flight is the state under test.
+    EXPECT_EQ(bed.dvc->operations_in_flight(), 1u);
     bed.dvc->destroy_vc(*vc);
+    // destroy_vc ended it: the VC leaves no operation record behind.
+    EXPECT_EQ(bed.dvc->operations_in_flight(), 0u);
     application.reset();
     vc = nullptr;
     destroyed = true;
@@ -851,6 +890,7 @@ TEST_P(DvcManagerDestroyTest, DestroyInEveryState) {
         << policy_counters[c];
   }
   EXPECT_TRUE(bed.dvc->live_vcs().empty());
+  EXPECT_EQ(bed.dvc->operations_in_flight(), 0u);
   EXPECT_TRUE(test::vc_held_nodes(bed.fabric).empty());
   EXPECT_TRUE(bed.dvc->set_refs().empty());
   for (const hw::NodeId n : {0u, 1u, 2u, 6u, 7u, 8u}) {

@@ -257,6 +257,82 @@ TEST(CoordinatorRecoveryTest, RestoreLandingWhileHeadlessIsFenced) {
 }
 
 // ---------------------------------------------------------------------------
+// A rebooted coordinator restores a VC while the deposed incarnation's
+// member restores are still landing. The manager keeps one record per
+// restore, not per VC: the deposed restore's record ends when its last
+// member reports (dropped at the door as stale), the new one's when its
+// own members do, and neither disturbs the other.
+
+TEST(CoordinatorRecoveryTest, RebootRestoresWhileDeposedRestoreLands) {
+  TestBedOptions o = CoordStack::make_options(1, 12, 26);
+  o.store.read_bps = 40e6;  // 4 x 128 MiB of member reads take ~13 s
+  TestBed bed(o);
+  ckpt::NtpLscCoordinator lsc(bed.sim, {}, sim::Rng(26 ^ 0x15C));
+  check::Invariants inv(check::Invariants::Wiring{
+      &bed.sim, bed.dvc.get(), &bed.images, &bed.fence, &bed.metrics});
+  inv.attach();
+  lsc.set_check(&inv);
+  core::VcSpec spec;
+  spec.name = "coord-vc";
+  spec.size = 4;
+  spec.guest.ram_bytes = 128ull << 20;
+  core::VirtualCluster* vc =
+      &bed.dvc->create_vc(spec, *bed.dvc->pick_nodes(4), {});
+  bed.dvc->designate_head_node(11, /*lease=*/2 * sim::kSecond);
+  bed.sim.run_until(20 * sim::kSecond);
+  app::ParallelApp application(bed.sim, bed.fabric.network(),
+                               vc->contexts(), chatty_job(4, 3000));
+  bed.dvc->attach_app(*vc, application);
+  application.start();
+  core::DvcManager::RecoveryPolicy policy = manual_rounds_policy();
+  policy.coordinator = &lsc;
+  bed.dvc->enable_auto_recovery(*vc, policy);
+
+  // Checkpoint #0 seals by ~25 s. The first incarnation's restore starts
+  // at 40 s; its coordinator dies at 41 s, and member 0's node with it
+  // while headless. The reboot (lease out by ~43 s) finds a dead member
+  // and restores the whole VC again, onto a spare for member 0.
+  const hw::NodeId doomed = vc->placement(0);
+  bed.sim.schedule_at(40 * sim::kSecond, [&] { bed.dvc->recover_now(*vc); });
+  bed.sim.schedule_at(41 * sim::kSecond,
+                      [&] { bed.dvc->crash_coordinator(sim::kSecond); });
+  bed.sim.schedule_at(41 * sim::kSecond + 500 * sim::kMillisecond,
+                      [&] { bed.fabric.fail_node(doomed); });
+  std::size_t both_open = 0;
+  std::uint64_t stale_before = 0;
+  for (int t = 41; t < 60; ++t) {
+    bed.sim.schedule_at(t * sim::kSecond + 900 * sim::kMillisecond, [&] {
+      if (bed.dvc->coordinator_reboots() == 1 && both_open == 0) {
+        both_open = bed.dvc->operations_in_flight();
+        stale_before = bed.dvc->stale_completions();
+      }
+    });
+  }
+  bed.sim.run_until(100 * sim::kSecond);
+
+  // Both restores were in flight under the new incarnation at once.
+  EXPECT_EQ(both_open, 2u);
+  EXPECT_EQ(stale_before, 0u);
+  EXPECT_EQ(bed.dvc->coordinator_reboots(), 1u);
+  // The deposed restore ended as stale; the new one ended the recovery.
+  EXPECT_GE(bed.dvc->stale_completions(), 1u);
+  EXPECT_EQ(bed.metrics.counter_value("core.dvc.reconcile_recoveries"), 1u);
+  EXPECT_EQ(bed.metrics.counter_value("core.dvc.restores"), 1u);
+  EXPECT_EQ(bed.dvc->recoveries_performed(), 1u);
+  EXPECT_EQ(bed.dvc->operations_in_flight(), 0u);
+  EXPECT_EQ(vc->state(), core::VcState::kRunning);
+  EXPECT_NE(vc->placement(0), doomed);
+  EXPECT_FALSE(application.failed());
+  const auto iter_then = application.rank(0).state().iter;
+  bed.sim.run_until(130 * sim::kSecond);
+  EXPECT_GT(application.rank(0).state().iter, iter_then);
+  inv.end_of_run(/*expect_quiesced=*/false);
+  EXPECT_TRUE(inv.ok()) << inv.report();
+  inv.detach();
+  lsc.set_check(nullptr);
+}
+
+// ---------------------------------------------------------------------------
 // A recovery retry issued by an incarnation that has since died must not
 // run under its successor. Two of the VC's four nodes die with one spare
 // free, so the recovery waits 30 s for spares. The coordinator crashes

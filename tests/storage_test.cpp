@@ -10,6 +10,7 @@
 #include "storage/bandwidth_pool.hpp"
 #include "storage/image_manager.hpp"
 #include "storage/shared_store.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace dvc::storage {
 namespace {
@@ -381,10 +382,16 @@ TEST(SharedStoreTest, WriteTimeReflectsBandwidthAndOverhead) {
   cfg.write_bps = 1e6;
   cfg.op_overhead = 10 * sim::kMillisecond;
   SharedStore store(s, cfg);
+  telemetry::MetricsRegistry metrics;
+  store.set_metrics(&metrics);
   store.write_object("x", 1'000'000, 0, [](ObjectId) {});
   s.run();
   EXPECT_NEAR(sim::to_seconds(s.now()), 1.01, 0.02);
-  EXPECT_EQ(store.write_time_stats().count(), 1u);
+  const telemetry::Histogram* write_s =
+      metrics.find_histogram("storage.store.write_s");
+  ASSERT_NE(write_s, nullptr);
+  EXPECT_EQ(write_s->count(), 1u);
+  EXPECT_NEAR(write_s->summary().mean(), 1.01, 0.02);
 }
 
 TEST(SharedStoreTest, ThousandWriteRemoveCyclesKeepBookkeeping) {
@@ -656,29 +663,7 @@ TEST(ImageManagerTest, DiscardReclaimsReplicaObjectsToo) {
   EXPECT_EQ(replica.bytes_stored(), 0u);
 }
 
-TEST(ImageManagerTest, PruneKeepsNewestSets) {
-  sim::Simulation s;
-  SharedStore store(s, {});
-  ImageManager mgr(store);
-  std::vector<CheckpointSetId> sets;
-  for (int i = 0; i < 5; ++i) {
-    const auto set = mgr.open_set("vc", 1);
-    mgr.add_member(set, 0, 100);
-    sets.push_back(set);
-  }
-  s.run();
-  const std::uint64_t reclaimed = mgr.prune("vc", 2);
-  EXPECT_EQ(reclaimed, 300u);
-  EXPECT_EQ(mgr.find_set(sets[0]), nullptr);
-  EXPECT_EQ(mgr.find_set(sets[2]), nullptr);
-  ASSERT_NE(mgr.find_set(sets[3]), nullptr);
-  ASSERT_NE(mgr.find_set(sets[4]), nullptr);
-  EXPECT_EQ(mgr.latest_sealed("vc")->id, sets[4]);
-  // Pruning again with everything already within budget is a no-op.
-  EXPECT_EQ(mgr.prune("vc", 2), 0u);
-}
-
-TEST(ImageManagerTest, ReplicaLandingAfterPruneIsRemoved) {
+TEST(ImageManagerTest, ReplicaLandingAfterDiscardIsRemoved) {
   sim::Simulation s;
   SharedStore store(s, {});
   SharedStore::Config slow;
@@ -691,11 +676,11 @@ TEST(ImageManagerTest, ReplicaLandingAfterPruneIsRemoved) {
   while (!mgr.find_set(doomed)->sealed) s.step();
   ASSERT_EQ(replica.inflight_writes(), 1u);
   // A second set takes the copy slot the doomed set's primary write gave
-  // back; then the doomed set is pruned while its replica still streams.
+  // back; then the doomed set is discarded while its replica still streams.
   const auto kept = mgr.open_set("vc", 1);
   mgr.add_member(kept, 0, 1000);
   while (!mgr.find_set(kept)->sealed) s.step();
-  EXPECT_EQ(mgr.prune("vc", 1), 10'000'000u);
+  EXPECT_EQ(mgr.discard_set(doomed), 10'000'000u);
   s.run();
   EXPECT_EQ(mgr.find_set(doomed), nullptr);
   const MemberImage& m = mgr.find_set(kept)->members[0];
@@ -717,11 +702,21 @@ TEST(ImageManagerTest, ReusedCopySlotsRouteEveryCopyToItsMember) {
   mgr.add_replica(fast_replica);
   mgr.add_replica(slow_replica);
   sim::Rng rng(99);
-  // Overlapping rounds of uneven members, pruned to two generations at
-  // every seal: copies land out of slot order and after their set died.
+  // Overlapping rounds of uneven members, cut back to the two newest
+  // sealed sets at every seal: copies land out of slot order and after
+  // their set died.
+  const auto keep_two = [&] {
+    std::vector<CheckpointSetId> sealed;
+    for (const CheckpointSet* cs : mgr.sets_with_label("vc")) {
+      if (cs->sealed) sealed.push_back(cs->id);
+    }
+    for (std::size_t i = 0; i + 2 < sealed.size(); ++i) {
+      mgr.discard_set(sealed[i]);
+    }
+  };
   for (int round = 0; round < 40; ++round) {
     const auto set = mgr.open_set("vc", 3);
-    mgr.on_sealed(set, [&] { mgr.prune("vc", 2); });
+    mgr.on_sealed(set, keep_two);
     for (std::uint64_t member = 0; member < 3; ++member) {
       mgr.add_member(set, member, 1000 + rng.below(4'000'000));
     }

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Fail if a lambda in DvcManager or the LSC coordinator captures by reference.
+"""Fail if a lambda in DvcManager or the LSC coordinator captures by reference,
+or if either shares state through a weak_ptr or a make_shared.
 
     python3 tools/lint_dvc_continuations.py [FILE...]
                                     (default: src/core/dvc_manager.cpp)
@@ -14,7 +15,16 @@ runs it on src/core/dvc_manager.cpp and src/ckpt/lsc.cpp. This lint reads
 every lambda capture list in the given files and flags each capture that
 is by reference: a bare `&` default or an `&name` (or `&name = expr`) item.
 Capturing a pointer by value (`p = &x`) is not a by-reference capture.
-It prints each one as file:line and exits 1 if there is one.
+
+Nor does an operation keep its state alive through shared ownership: a
+member join's counter or flag, or a continuation that holds itself, lives
+in the owner's id-keyed operation table (DvcManager::Op,
+LscCoordinator::Op), and the events carry the id. So the lint also flags
+every `std::weak_ptr` and every `std::make_shared` in the given files,
+except the one in `adopt_checkpoint`: a recovery point's snapshot vector,
+which restores read in place and a retained generation shares.
+
+It prints each finding as file:line and exits 1 if there is one.
 """
 
 import re
@@ -29,6 +39,9 @@ KEYWORDS = {"return", "co_return", "co_yield", "throw", "case", "else",
 # What may follow a lambda's capture list.
 AFTER = re.compile(r"\s*(?:[({<]|->|mutable\b|constexpr\b|noexcept\b)")
 WORD_BEFORE = re.compile(r"(\w+)\s*$")
+SHARED = re.compile(r"\bstd::(weak_ptr|make_shared)\b")
+# The function whose body may call std::make_shared.
+SNAPSHOT_OWNER = re.compile(r"\badopt_checkpoint\s*\(")
 
 
 def matching(code, open_at, opener, closer):
@@ -91,11 +104,40 @@ def by_reference(path, code):
     return found
 
 
+def body_of(code, name_re):
+    """(begin, end) offsets of the body of the function `name_re` names,
+    or None if the code defines no such function."""
+    for m in name_re.finditer(code):
+        close = matching(code, m.end() - 1, "(", ")")
+        if close < 0:
+            continue
+        rest = code[close + 1:]
+        brace = close + 1 + len(rest) - len(rest.lstrip())
+        if code.startswith("{", brace):
+            return brace, matching(code, brace, "{", "}")
+    return None
+
+
+def shared_state(path, code):
+    found = []
+    allowed = body_of(code, SNAPSHOT_OWNER)
+    for m in SHARED.finditer(code):
+        if (m.group(1) == "make_shared" and allowed is not None
+                and allowed[0] < m.start() < allowed[1]):
+            continue
+        line = code.count("\n", 0, m.start()) + 1
+        found.append(f"{path}:{line}: `std::{m.group(1)}` shares an "
+                     "operation's state; keep it in the id-keyed operation "
+                     "table and carry the id instead")
+    return found
+
+
 def main(argv):
     bad = []
     for path in argv[1:] or DEFAULT:
         with open(path, encoding="utf-8") as f:
-            bad += by_reference(path, code_only(f.read()))
+            code = code_only(f.read())
+        bad += by_reference(path, code) + shared_state(path, code)
     for line in bad:
         print(line, file=sys.stderr)
     return 1 if bad else 0
