@@ -40,9 +40,7 @@ Outcome run(double stall_prob, bool health_check, int trials) {
                                    steady_ptrans(12, 100000),
                                    calibrated_transport());
     spec.lsc.stall_prob = stall_prob;
-    spec.lsc.stall_mean = 30 * sim::kSecond;
     spec.lsc.health_check = health_check;
-    spec.lsc.max_attempts = 3;
     spec.lsc_seed = seed ^ 0x4C;
     tools::CellRig rig(spec);
     const std::optional<ckpt::LscResult> result =

@@ -27,7 +27,7 @@ bool run_trial(int max_retries, int t) {
   tools::CellRig rig(vc_cell(paper_substrate(10, seed),
                              /*guest_ram=*/1ull << 30,
                              steady_ptrans(10, 100000), transport));
-  ckpt::NaiveLscCoordinator lsc(rig.room.sim, {}, sim::Rng(seed ^ 0x7E));
+  ckpt::NaiveLscCoordinator lsc(rig.room.sim, sim::Rng(seed ^ 0x7E));
   lsc.set_check(rig.inv.get());
   // Grace must exceed the largest swept retry budget.
   const std::optional<ckpt::LscResult> result =

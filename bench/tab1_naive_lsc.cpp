@@ -29,7 +29,7 @@ TrialOutcome run_trial(std::uint32_t nodes, std::uint64_t seed) {
                              /*guest_ram=*/1ull << 30,
                              steady_ptrans(nodes, 100000),
                              calibrated_transport()));
-  ckpt::NaiveLscCoordinator lsc(rig.room.sim, {}, sim::Rng(seed ^ 0x17A));
+  ckpt::NaiveLscCoordinator lsc(rig.room.sim, sim::Rng(seed ^ 0x17A));
   lsc.set_metrics(&rig.room.metrics);
   lsc.set_check(rig.inv.get());
   checkpoint_and_settle(rig, lsc, /*grace=*/15 * sim::kSecond,

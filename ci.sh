@@ -8,13 +8,22 @@
 #                       DvcManager::transition assigns a VirtualCluster's
 #                       state_) and DvcManager's callbacks
 #                       (tools/lint_dvc_continuations.py: no lambda in
-#                       src/core/dvc_manager.cpp or src/ckpt/lsc.cpp
-#                       captures by reference, and neither file uses a
-#                       std::weak_ptr or any std::make_shared but
-#                       adopt_checkpoint's snapshot vector; a DvcManager
-#                       callback carries its VC's id and issuing epoch or
-#                       its operation's id, an LSC event its operation's
-#                       id and round), and checks
+#                       src/core/dvc_manager.cpp, src/ckpt/lsc.cpp or
+#                       src/storage/image_manager.cpp captures by
+#                       reference, and none of them uses a std::weak_ptr
+#                       or any std::make_shared but adopt_checkpoint's
+#                       snapshot vector; a DvcManager callback carries its
+#                       VC's id and issuing epoch or its operation's id,
+#                       an LSC event its operation's id and round, an
+#                       image-manager read its staging id) and config
+#                       fields (tools/lint_config_fields.py: every
+#                       defaulted field of a *Config, *Options or *Policy
+#                       struct under src/ is assigned by some file outside
+#                       its header, so each is an option a caller uses;
+#                       a value no caller sets is a named constant beside
+#                       its use instead. Fields of a struct some caller
+#                       brace-initialises by position, and struct-typed
+#                       members, are exempt), and checks
 #                       that no `std::function` appears in src/sim/,
 #                       src/storage/bandwidth_pool.*,
 #                       src/vm/guest_timers.*, src/net/ or
@@ -242,7 +251,8 @@ sys.exit(0 if correct is True and failed == 0 and not zero else 1)
     python3 tools/lint_metric_names.py src
     python3 tools/lint_vc_state.py src
     python3 tools/lint_dvc_continuations.py src/core/dvc_manager.cpp \
-      src/ckpt/lsc.cpp
+      src/ckpt/lsc.cpp src/storage/image_manager.cpp
+    python3 tools/lint_config_fields.py
     if grep -rn 'std::function' src/sim src/storage/bandwidth_pool.* \
          src/vm/guest_timers.* src/net src/app/mpi_job.*; then
       echo "ci.sh: std::function below the application; hold a" \

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "app/workload.hpp"
@@ -23,15 +24,6 @@ namespace dvc::ckpt {
 /// (up to a full iteration) instead of clock-skew time.
 class CocheckCoordinator final {
  public:
-  struct Config {
-    /// Library handshake latency per rank (signal + safe-point check).
-    sim::Duration agent_latency = 5 * sim::kMillisecond;
-    /// Drain poll period while waiting for in-flight traffic to land.
-    sim::Duration drain_poll = 20 * sim::kMillisecond;
-    /// Give up if the job has not parked and drained by then.
-    sim::Duration quiesce_timeout = 10 * sim::kMinute;
-  };
-
   struct Result {
     bool ok = false;
     sim::Duration quiesce_time = 0;  ///< request -> parked + drained
@@ -42,8 +34,6 @@ class CocheckCoordinator final {
   };
 
   explicit CocheckCoordinator(sim::Simulation& sim) : sim_(&sim) {}
-  CocheckCoordinator(sim::Simulation& sim, Config cfg)
-      : sim_(&sim), cfg_(cfg) {}
 
   /// Checkpoints a running application: park, drain, write, resume.
   /// The guest VMs never pause — the *application* does.
@@ -53,8 +43,18 @@ class CocheckCoordinator final {
                   std::function<void(Result)> done);
 
  private:
+  /// One checkpoint() call, from the request until `done` runs. Each
+  /// step's event carries it.
+  struct Round;
+
+  /// Ranks are parked: write the images once the mesh has drained,
+  /// polling until it has, or give up at the quiesce timeout.
+  void drain(const std::shared_ptr<Round>& round);
+  /// One member image is durable; the last one, whose landing sealed the
+  /// set, resumes the application.
+  void member_durable(const std::shared_ptr<Round>& round);
+
   sim::Simulation* sim_;
-  Config cfg_{};
 };
 
 }  // namespace dvc::ckpt

@@ -258,8 +258,9 @@ void LscCoordinator::concluded(OpRef ref, LscResult r) {
     const auto retry = [this, next = ref_of(*op)] { retry_round(next); };
     static_assert(sim::Simulation::stores_inline<decltype(retry)>);
     sim_->schedule_after(op->backoff, retry);
+    constexpr double kBackoffFactor = 2.0;
     op->backoff = static_cast<sim::Duration>(
-        static_cast<double>(op->backoff) * retry_.backoff_factor);
+        static_cast<double>(op->backoff) * kBackoffFactor);
     return;
   }
   report(*op, std::move(r));
@@ -299,6 +300,23 @@ void LscCoordinator::report(Op& op, LscResult r) {
 // ---------------------------------------------------------------------------
 // NaiveLscCoordinator
 
+namespace {
+
+/// Per-terminal command dispatch: a fixed cost plus an exponential jitter
+/// of this mean (interactive shell round-trip against a timesharing dom0).
+///
+/// Calibrated against the paper's observed failure knee (fine at 8 nodes,
+/// ~50% at 10, ~90% at 12) for the calibrated MPI-over-TCP transport. The
+/// binding exposure is on the *resume* side: staggered saves finish
+/// staggered (amplified ~1.75x by storage contention), and a resumed
+/// guest's backed-off retransmission schedule tolerates only ~6 s of
+/// continued peer silence before the retry counter runs out. Knee:
+/// 1.75 x (n-1) x E[dispatch] ~ 6 s at n = 10.
+constexpr sim::Duration kDispatchBase = 175 * sim::kMillisecond;
+constexpr sim::Duration kDispatchJitter = 175 * sim::kMillisecond;
+
+}  // namespace
+
 void NaiveLscCoordinator::start_round(Op& op) {
   const RoundTracker& round = open_round(op);
   // The controlling program writes `vm save` down one terminal after
@@ -308,13 +326,29 @@ void NaiveLscCoordinator::start_round(Op& op) {
   sim::Duration t = 0;
   const std::size_t n = round.targets().size();
   for (std::size_t i = 0; i < n; ++i) {
-    t += cfg_.dispatch_base + rng_.exponential_duration(cfg_.dispatch_jitter);
+    t += kDispatchBase + rng_.exponential_duration(kDispatchJitter);
     schedule_fire(sim_->now() + t, round, i);
   }
 }
 
 // ---------------------------------------------------------------------------
 // NtpLscCoordinator
+
+namespace {
+
+/// How far in the future the common save instant is set.
+constexpr sim::Duration kLeadTime = 2 * sim::kSecond;
+/// Local timer wake-up jitter (exponential mean): the "sleep timer capable
+/// of microsecond precision" still contends with the OS.
+constexpr sim::Duration kSchedJitter = 1 * sim::kMillisecond;
+/// Mean extra delay of a starved agent (Config::stall_prob).
+constexpr sim::Duration kStallMean = 30 * sim::kSecond;
+/// How long before the save instant the health check polls the agents.
+constexpr sim::Duration kHealthCheckLead = 500 * sim::kMillisecond;
+/// Attempts a health-checked round makes before it aborts cleanly.
+constexpr int kMaxAttempts = 3;
+
+}  // namespace
 
 void NtpLscCoordinator::check_targets(
     const std::vector<SaveTarget>& targets) const {
@@ -331,16 +365,16 @@ void NtpLscCoordinator::start_round(Op& op) {
   // converts T to its own timeline. Host-clock error and timer jitter are
   // the only skew sources left.
   const sim::Time t_local =
-      op.targets.front().clock->local_now() + cfg_.lead_time;
+      op.targets.front().clock->local_now() + kLeadTime;
 
   // Sample each agent's scheduling fate for this round up front (whether
   // the host is too loaded to service the timer promptly).
   std::vector<sim::Duration> delay(op.targets.size());
   bool any_stalled = false;
   for (std::size_t i = 0; i < op.targets.size(); ++i) {
-    delay[i] = rng_.exponential_duration(cfg_.sched_jitter);
+    delay[i] = rng_.exponential_duration(kSchedJitter);
     if (cfg_.stall_prob > 0.0 && rng_.chance(cfg_.stall_prob)) {
-      delay[i] += rng_.exponential_duration(cfg_.stall_mean);
+      delay[i] += rng_.exponential_duration(kStallMean);
       any_stalled = true;
     }
   }
@@ -350,7 +384,7 @@ void NtpLscCoordinator::start_round(Op& op) {
     // the starved agent and abandons the attempt before any guest freezes.
     const auto poll = [this, r = ref_of(op)] { health_checked(r); };
     static_assert(sim::Simulation::stores_inline<decltype(poll)>);
-    sim_->schedule_after(cfg_.lead_time - cfg_.health_check_lead, poll);
+    sim_->schedule_after(kLeadTime - kHealthCheckLead, poll);
     return;
   }
 
@@ -367,7 +401,7 @@ void NtpLscCoordinator::health_checked(OpRef ref) {
   Op* op = find_op(ref);
   // Dropped once abort() ended the op or its watchdog settled the round.
   if (op == nullptr) return;
-  if (op->attempt_no >= cfg_.max_attempts) {
+  if (op->attempt_no >= kMaxAttempts) {
     telemetry::count(metrics_, instruments_.rounds_aborted);
     telemetry::instant(metrics_, sim_->now(), "lsc", "round_abandoned");
     LscResult r;

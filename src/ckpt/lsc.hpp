@@ -109,9 +109,8 @@ class LscCoordinator {
     /// re-fired as-is.
     int max_round_retries = 0;
     /// Exponential backoff before each retry: first wait `backoff`, then
-    /// `backoff * backoff_factor`, and so on.
+    /// twice as long before each further one.
     sim::Duration backoff = 2 * sim::kSecond;
-    double backoff_factor = 2.0;
     /// Abandon a round whose members have not all reported within this
     /// budget (0 = wait forever). A timed-out round reports (or retries
     /// as) a failure; late straggler completions are counted and dropped.
@@ -266,23 +265,8 @@ class LscCoordinator {
 /// "did not scale beyond 8 nodes" (T1).
 class NaiveLscCoordinator final : public LscCoordinator {
  public:
-  struct Config {
-    /// Per-terminal command dispatch: fixed cost plus exponential jitter
-    /// (interactive shell round-trip against a timesharing dom0).
-    ///
-    /// Calibrated against the paper's observed failure knee (fine at 8
-    /// nodes, ~50% at 10, ~90% at 12) for the calibrated MPI-over-TCP
-    /// transport. The binding exposure is on the *resume* side: staggered
-    /// saves finish staggered (amplified ~1.75x by storage contention),
-    /// and a resumed guest's backed-off retransmission schedule tolerates
-    /// only ~6 s of continued peer silence before the retry counter runs
-    /// out. Knee: 1.75 x (n-1) x E[dispatch] ~ 6 s at n = 10.
-    sim::Duration dispatch_base = 175 * sim::kMillisecond;
-    sim::Duration dispatch_jitter = 175 * sim::kMillisecond;
-  };
-
-  NaiveLscCoordinator(sim::Simulation& sim, Config cfg, sim::Rng rng)
-      : LscCoordinator(sim), cfg_(cfg), rng_(rng) {}
+  NaiveLscCoordinator(sim::Simulation& sim, sim::Rng rng)
+      : LscCoordinator(sim), rng_(rng) {}
 
   [[nodiscard]] std::string_view name() const override { return "naive"; }
 
@@ -290,7 +274,6 @@ class NaiveLscCoordinator final : public LscCoordinator {
   void start_round(Op& op) override;
 
  private:
-  Config cfg_;
   sim::Rng rng_;
 };
 
@@ -306,23 +289,16 @@ class NaiveLscCoordinator final : public LscCoordinator {
 class NtpLscCoordinator final : public LscCoordinator {
  public:
   struct Config {
-    /// How far in the future the common save instant is set.
-    sim::Duration lead_time = 2 * sim::kSecond;
-    /// Local timer wake-up jitter (exponential mean): the "sleep timer
-    /// capable of microsecond precision" still contends with the OS.
-    sim::Duration sched_jitter = 1 * sim::kMillisecond;
     /// Loaded-host model: probability that an agent is starved and fires
-    /// late by an extra exponential(stall_mean) — the unaddressed drawback
-    /// the paper names ("a heavily loaded server which may not be able to
+    /// late by an extra 30 s on average — the unaddressed drawback the
+    /// paper names ("a heavily loaded server which may not be able to
     /// service a checkpoint request immediately").
     double stall_prob = 0.0;
-    sim::Duration stall_mean = 30 * sim::kSecond;
     /// Future-work feature: shortly before the deadline the coordinator
     /// polls every agent; if one is starved, the round is abandoned before
-    /// any guest freezes and retried at a later instant.
+    /// any guest freezes and retried at a later instant, up to three
+    /// attempts in all.
     bool health_check = false;
-    sim::Duration health_check_lead = 500 * sim::kMillisecond;
-    int max_attempts = 3;
   };
 
   NtpLscCoordinator(sim::Simulation& sim, Config cfg, sim::Rng rng)
@@ -336,8 +312,8 @@ class NtpLscCoordinator final : public LscCoordinator {
 
  private:
   /// The health check of a deferred or abandoned attempt, at the instant
-  /// its poll ran: the op's next attempt, or a clean abort once
-  /// max_attempts are spent.
+  /// its poll ran: the op's next attempt, or a clean abort once every
+  /// attempt is spent.
   void health_checked(OpRef ref);
 
   Config cfg_;

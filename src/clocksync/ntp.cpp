@@ -33,7 +33,9 @@ NtpSample NtpSynchronizer::measure_once() {
 NtpSample NtpSynchronizer::sync_once() {
   NtpSample best;
   best.round_trip = std::numeric_limits<sim::Duration>::max();
-  for (int i = 0; i < samples_per_poll_; ++i) {
+  // Exchanges per poll burst (ntpd's clock filter keeps the last 8).
+  constexpr int kSamplesPerPoll = 8;
+  for (int i = 0; i < kSamplesPerPoll; ++i) {
     const NtpSample s = measure_once();
     if (s.round_trip < best.round_trip) best = s;
   }
@@ -61,9 +63,7 @@ NtpSample NtpSynchronizer::sync_once() {
 
 ClusterTimeService::ClusterTimeService(sim::Simulation& sim, std::size_t hosts,
                                        Config cfg, sim::Rng rng)
-    : sim_(&sim),
-      poll_interval_(cfg.poll_interval > 0 ? cfg.poll_interval
-                                           : 16 * sim::kSecond) {
+    : sim_(&sim) {
   clocks_.reserve(hosts);
   syncs_.reserve(hosts);
   for (std::size_t h = 0; h < hosts; ++h) {
@@ -73,8 +73,7 @@ ClusterTimeService::ClusterTimeService(sim::Simulation& sim, std::size_t hosts,
     const double drift = host_rng.normal(0.0, cfg.drift_ppm_stddev);
     clocks_.push_back(std::make_unique<HostClock>(sim, offset, drift));
     syncs_.push_back(std::make_unique<NtpSynchronizer>(
-        sim, *clocks_.back(), cfg.path, host_rng.fork(0xC10C),
-        cfg.samples_per_poll));
+        sim, *clocks_.back(), NtpPathModel{}, host_rng.fork(0xC10C)));
   }
 }
 
@@ -89,7 +88,7 @@ void ClusterTimeService::start_periodic() {
 void ClusterTimeService::poll_tick() {
   sync_all();
   // Housekeeping: polling must never keep the simulation alive by itself.
-  sim_->schedule_daemon_after(poll_interval_, [this] { poll_tick(); });
+  sim_->schedule_daemon_after(kPollInterval, [this] { poll_tick(); });
 }
 
 sim::Duration ClusterTimeService::max_pairwise_skew() const {

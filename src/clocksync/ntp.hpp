@@ -33,7 +33,7 @@ struct NtpSample {
 /// and clock filter, reduced to the parts that matter for LSC):
 ///
 ///   * four-timestamp exchange  ->  offset = ((t1-t0) + (t2-t3)) / 2
-///   * burst of `samples_per_poll` exchanges, keep the minimum-RTT sample
+///   * burst of 8 exchanges, keep the minimum-RTT sample
 ///     (Mills' clock filter: low RTT correlates with low asymmetry error)
 ///   * step the clock by the filtered offset
 ///
@@ -50,13 +50,11 @@ struct NtpSample {
 class NtpSynchronizer final {
  public:
   NtpSynchronizer(sim::Simulation& sim, HostClock& clock, NtpPathModel path,
-                  sim::Rng rng, int samples_per_poll = 8,
-                  bool discipline_frequency = true)
+                  sim::Rng rng, bool discipline_frequency = true)
       : sim_(&sim),
         clock_(&clock),
         path_(path),
         rng_(rng),
-        samples_per_poll_(samples_per_poll),
         discipline_frequency_(discipline_frequency) {}
 
   /// Performs one synchronous poll burst and applies the correction.
@@ -78,7 +76,6 @@ class NtpSynchronizer final {
   HostClock* clock_;
   NtpPathModel path_;
   sim::Rng rng_;
-  int samples_per_poll_;
   bool discipline_frequency_;
   sim::Time last_poll_at_ = 0;
   bool have_prior_poll_ = false;
@@ -107,10 +104,10 @@ class ClusterTimeService final {
   struct Config {
     sim::Duration initial_offset_stddev = 50 * sim::kMillisecond;
     double drift_ppm_stddev = 30.0;  ///< typical undisciplined quartz
-    NtpPathModel path;
-    int samples_per_poll = 8;
-    sim::Duration poll_interval = 16 * sim::kSecond;
   };
+
+  /// ntpd's minimum poll interval (2^4 s).
+  static constexpr sim::Duration kPollInterval = 16 * sim::kSecond;
 
   ClusterTimeService(sim::Simulation& sim, std::size_t hosts, Config cfg,
                      sim::Rng rng);
@@ -118,7 +115,7 @@ class ClusterTimeService final {
   /// Runs one sync burst on every host (e.g. before an experiment).
   void sync_all();
 
-  /// Polls every host now, then every `Config::poll_interval` for the
+  /// Polls every host now, then every kPollInterval for the
   /// lifetime of the simulation, from one daemon event.
   void start_periodic();
 
@@ -143,7 +140,6 @@ class ClusterTimeService final {
   void poll_tick();
 
   sim::Simulation* sim_;
-  sim::Duration poll_interval_;
   std::vector<std::unique_ptr<HostClock>> clocks_;
   std::vector<std::unique_ptr<NtpSynchronizer>> syncs_;
 };

@@ -527,11 +527,13 @@ void DvcManager::move_member(std::uint32_t id, std::uint32_t i) {
     member_moved(id, true);
     return;
   }
+  // Residual below which the final stop-and-copy round is taken.
+  constexpr double kStopCopyThreshold = 16 << 20;
   const double per_vm_bw = op->cfg.bandwidth_bps / op->members.size();
   // Round 0 streams the whole guest.
   const double residual =
       p.round == 0 ? static_cast<double>(m.config().ram_bytes) : p.residual;
-  if (residual > static_cast<double>(op->cfg.stop_copy_threshold) &&
+  if (residual > kStopCopyThreshold &&
       p.round < op->cfg.max_precopy_rounds) {
     const double t = residual / per_vm_bw;
     op->stats.bytes_moved += residual;
@@ -545,7 +547,7 @@ void DvcManager::move_member(std::uint32_t id, std::uint32_t i) {
   m.pause();
   op->stats.bytes_moved += residual;
   p.downtime = sim::from_seconds(residual / per_vm_bw) +
-               fleet_->on_node(dst).config().restore_overhead;
+               vm::Hypervisor::kRestoreOverhead;
   sim_->schedule_after(*p.downtime, [this, id, i] { move_member(id, i); });
 }
 

@@ -105,10 +105,9 @@ class DvcManager final {
     double bandwidth_bps = 250e6;
     /// Give up pre-copying after this many rounds and stop-and-copy the
     /// residual (guests that dirty faster than their bandwidth share
-    /// never converge).
+    /// never converge). Pre-copy also ends once a member's residual is
+    /// under 16 MiB.
     int max_precopy_rounds = 5;
-    /// Residual below which the final stop-and-copy round is taken.
-    std::uint64_t stop_copy_threshold = 16ull << 20;
   };
 
   struct LiveMigrationStats {

@@ -23,7 +23,6 @@ namespace dvc::core {
 struct MachineRoomOptions {
   std::uint32_t clusters = 1;
   std::uint32_t nodes_per_cluster = 4;
-  hw::NodeSpec node_spec{};
   net::ClusterLinkModel::Config links{};
   vm::Hypervisor::Config hv{};
   storage::SharedStore::Config store{};
@@ -51,7 +50,7 @@ struct MachineRoom {
         images(store) {
     for (std::uint32_t c = 0; c < opt.clusters; ++c) {
       fabric.add_cluster("cluster" + std::to_string(c),
-                         opt.nodes_per_cluster, opt.node_spec);
+                         opt.nodes_per_cluster);
     }
     fleet = std::make_unique<vm::HypervisorFleet>(
         sim, fabric, opt.hv, sim::Rng(opt.seed ^ 0xF1EE7));

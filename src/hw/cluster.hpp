@@ -25,7 +25,6 @@ inline constexpr NodeId kInvalidNode = 0xffffffffu;
 struct NodeSpec {
   double flops = 10e9;                       ///< sustained FLOP/s per node
   std::uint64_t ram_bytes = 4ull << 30;      ///< 4 GiB
-  double virt_overhead = 0.03;               ///< para-virt CPU tax (Xen)
 };
 
 /// The layer holding a node: rm::Scheduler's job or a DvcManager VC.

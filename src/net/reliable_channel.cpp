@@ -8,6 +8,10 @@ namespace dvc::net {
 namespace {
 constexpr std::uint32_t kAckBytes = 40;  // header-only wire size
 constexpr std::uint32_t kHeaderBytes = 40;
+/// Delay between thaw (our host coming back up) and the resumed
+/// retransmission timer firing — models the saved guest's nearly-expired
+/// TCP timers going off shortly after restore.
+constexpr sim::Duration kThawRetransmitDelay = 10 * sim::kMillisecond;
 }  // namespace
 
 ReliableEndpoint::ReliableEndpoint(sim::Simulation& sim, Network& net,
@@ -74,7 +78,7 @@ void ReliableEndpoint::on_host_up() {
     // "After a restart, the sender will send any unacked messages").
     parked_ = false;
     if (unacked() != 0 && !timer_.armed()) {
-      timer_.arm_after(cfg_.thaw_retransmit_delay);
+      timer_.arm_after(kThawRetransmitDelay);
     }
   }
 }
@@ -103,7 +107,7 @@ void ReliableEndpoint::on_timer() {
   transmit(first_unacked(), unacked_[unacked_head_]);
   rto_ = std::min(
       static_cast<sim::Duration>(static_cast<double>(rto_) * cfg_.backoff),
-      cfg_.max_rto);
+      ReliableConfig::kMaxRto);
   timer_.arm_after(rto_);
 }
 
@@ -163,7 +167,7 @@ void ReliableEndpoint::restore(const TransportSnapshot& snap,
   parked_ = false;
   if (unacked() != 0) {
     // The restored guest's pending retransmission fires shortly after thaw.
-    timer_.arm_after(cfg_.thaw_retransmit_delay);
+    timer_.arm_after(kThawRetransmitDelay);
   } else {
     timer_.disarm();
   }

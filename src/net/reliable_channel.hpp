@@ -40,14 +40,12 @@ struct TransportSnapshot {
 /// stays frozen longer than the budget causes a connection abort, i.e. an
 /// application crash.
 struct ReliableConfig {
+  /// Ceiling of the backed-off retransmission timeout.
+  static constexpr sim::Duration kMaxRto = 60 * sim::kSecond;
+
   sim::Duration initial_rto = 200 * sim::kMillisecond;
   double backoff = 2.0;
-  sim::Duration max_rto = 60 * sim::kSecond;
   int max_retries = 6;
-  /// Delay between thaw (our host coming back up) and the resumed
-  /// retransmission timer firing — models the saved guest's nearly-expired
-  /// TCP timers going off shortly after restore.
-  sim::Duration thaw_retransmit_delay = 10 * sim::kMillisecond;
 
   /// Total time a sender will keep retrying before aborting, assuming the
   /// peer never answers: sum of the backed-off RTO schedule.
@@ -56,7 +54,7 @@ struct ReliableConfig {
     double rto = static_cast<double>(initial_rto);
     for (int i = 0; i < max_retries; ++i) {
       total += static_cast<sim::Duration>(rto);
-      rto = std::min(rto * backoff, static_cast<double>(max_rto));
+      rto = std::min(rto * backoff, static_cast<double>(kMaxRto));
     }
     return total + static_cast<sim::Duration>(rto);
   }
@@ -142,7 +140,7 @@ class ReliableEndpoint final : public PacketSink {
   void on_packet(const Packet& p) override;
 
   /// The local host thawed: a timer parked while it was frozen goes off
-  /// after cfg.thaw_retransmit_delay.
+  /// shortly after.
   void on_host_up() override;
 
   /// Captures transport state (call while the host is paused: that is when

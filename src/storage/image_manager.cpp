@@ -1,7 +1,6 @@
 #include "storage/image_manager.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 namespace dvc::storage {
@@ -145,7 +144,6 @@ void ImageManager::abort_set(CheckpointSetId set, std::uint64_t epoch) {
   it->second.aborted = true;
   for (const auto& m : it->second.members) drop_member_objects(m);
   it->second.members.clear();
-  seal_callbacks_.erase(set);
   telemetry::count(metrics_, sets_aborted_c_);
 }
 
@@ -160,31 +158,15 @@ std::uint64_t ImageManager::discard_set(CheckpointSetId set,
     reclaimed += m.bytes;
     drop_member_objects(m);
   }
-  seal_callbacks_.erase(set);
   sets_.erase(it);
   telemetry::count(metrics_, sets_discarded_c_);
   return reclaimed;
-}
-
-void ImageManager::on_sealed(CheckpointSetId set, std::function<void()> fn) {
-  const auto it = sets_.find(set);
-  if (it != sets_.end() && it->second.sealed) {
-    fn();
-    return;
-  }
-  seal_callbacks_[set].push_back(std::move(fn));
 }
 
 void ImageManager::maybe_seal(CheckpointSet& s) {
   if (s.sealed || s.aborted || s.members.size() < s.expected_members) return;
   s.sealed = true;
   telemetry::count(metrics_, sets_sealed_c_);
-  const auto cbs = seal_callbacks_.find(s.id);
-  if (cbs != seal_callbacks_.end()) {
-    const auto fns = std::move(cbs->second);
-    seal_callbacks_.erase(cbs);
-    for (const auto& fn : fns) fn();
-  }
 }
 
 const CheckpointSet* ImageManager::find_set(CheckpointSetId set) const {
@@ -273,25 +255,30 @@ void ImageManager::stage_set(CheckpointSetId set,
     if (on_staged) on_staged(false);
     return;
   }
-  auto remaining = std::make_shared<std::size_t>(s->members.size());
-  auto all_ok = std::make_shared<bool>(true);
-  if (*remaining == 0) {
+  if (s->members.empty()) {
     if (on_staged) on_staged(true);
     return;
   }
+  const std::uint32_t id = next_staging_++;
+  stagings_.push_back({id, s->members.size(), true, std::move(on_staged)});
   // Copy the member list: read_member failure paths may mutate the set.
   std::vector<std::uint64_t> members;
   members.reserve(s->members.size());
   for (const auto& m : s->members) members.push_back(m.member);
   for (const std::uint64_t m : members) {
     telemetry::count(metrics_, stage_reads_c_);
-    read_member(set, m, [remaining, all_ok, on_staged](bool ok) {
-      if (!ok) *all_ok = false;
-      if (--*remaining == 0 && on_staged) {
-        on_staged(*all_ok);
-      }
-    });
+    read_member(set, m, [this, id](bool ok) { member_staged(id, ok); });
   }
+}
+
+void ImageManager::member_staged(std::uint32_t id, bool ok) {
+  const auto it = std::ranges::lower_bound(stagings_, id, {}, &Staging::id);
+  if (!ok) it->all_ok = false;
+  if (--it->remaining > 0) return;
+  const bool all_ok = it->all_ok;
+  const std::function<void(bool)> on_staged = std::move(it->on_staged);
+  stagings_.erase(it);
+  if (on_staged) on_staged(all_ok);
 }
 
 }  // namespace dvc::storage

@@ -93,9 +93,11 @@ class ImageManager final {
 
   /// Streams one member's image into the store; on durability the image is
   /// recorded in the set and, if it was the last one, the set seals.
-  /// `on_member_done` fires when this member's image is durable. A fenced
-  /// write behaves like a write to a missing set: nothing happens and the
-  /// callback never fires. Returns whether the write was issued.
+  /// `on_member_done` fires when this member's write lands: after the seal
+  /// it completed, if any, or once the image is dropped because its set
+  /// was aborted or discarded while it streamed. A fenced write behaves
+  /// like a write to a missing set: nothing happens and the callback never
+  /// fires. Returns whether the write was issued.
   bool add_member(CheckpointSetId set, std::uint64_t member,
                   std::uint64_t bytes,
                   std::function<void()> on_member_done = {},
@@ -112,9 +114,6 @@ class ImageManager final {
   /// path: core::DvcManager's refcounted generations).
   std::uint64_t discard_set(CheckpointSetId set,
                             std::uint64_t epoch = kUnfencedEpoch);
-
-  /// Registers a callback fired when the set seals (all members durable).
-  void on_sealed(CheckpointSetId set, std::function<void()> fn);
 
   [[nodiscard]] const CheckpointSet* find_set(CheckpointSetId set) const;
 
@@ -198,6 +197,16 @@ class ImageManager final {
   void read_member_from(CheckpointSetId set, std::uint64_t member,
                         std::size_t copy, std::function<void(bool)> on_done);
 
+  /// One stage_set call in flight. Its reads capture only `(this, id)`
+  /// and look it up here; the last one to land removes it and reports.
+  struct Staging {
+    std::uint32_t id = 0;
+    std::size_t remaining = 0;  ///< member reads still in flight
+    bool all_ok = true;
+    std::function<void(bool)> on_staged;
+  };
+  void member_staged(std::uint32_t id, bool ok);
+
   telemetry::MetricsRegistry* metrics_ = nullptr;
   telemetry::CounterHandle fenced_writes_c_{"storage.images.fenced_writes"};
   telemetry::CounterHandle sets_opened_c_{"storage.images.sets_opened"};
@@ -220,8 +229,9 @@ class ImageManager final {
   std::unordered_map<std::string, ObjectId> base_images_;
   CheckpointSetId next_set_ = 1;
   std::map<CheckpointSetId, CheckpointSet> sets_;
-  std::unordered_map<CheckpointSetId, std::vector<std::function<void()>>>
-      seal_callbacks_;
+  /// In-flight stage_set calls in id order (ids only grow).
+  std::vector<Staging> stagings_;
+  std::uint32_t next_staging_ = 1;
   /// Pending-copy slots, reused through `free_copies_`.
   std::vector<PendingCopy> copies_;
   std::vector<std::uint32_t> free_copies_;

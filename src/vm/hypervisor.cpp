@@ -6,6 +6,15 @@
 #include <utility>
 
 namespace dvc::vm {
+namespace {
+
+/// Local `xm save` command processing before the guest freezes
+/// (exponential mean).
+constexpr sim::Duration kCmdLatencyMean = 2 * sim::kMillisecond;
+/// Fixed device-quiesce cost paid before guest memory starts streaming.
+constexpr sim::Duration kSaveOverhead = 200 * sim::kMillisecond;
+
+}  // namespace
 
 Hypervisor::Hypervisor(sim::Simulation& sim, hw::Fabric& fabric,
                        hw::NodeId node, Config cfg, sim::Rng rng)
@@ -19,7 +28,7 @@ Hypervisor::Hypervisor(sim::Simulation& sim, hw::Fabric& fabric,
 bool Hypervisor::node_failed() const { return fabric_->node(node_).failed(); }
 
 sim::Duration Hypervisor::cmd_latency() {
-  return rng_.exponential_duration(cfg_.cmd_latency_mean);
+  return rng_.exponential_duration(kCmdLatencyMean);
 }
 
 template <class Op>
@@ -56,7 +65,7 @@ void Hypervisor::boot_domain(VirtualMachine& vm,
   op.begin = sim_->now();
   op.cb = std::move(on_booted);
   op.span = telemetry::begin_span(metrics_, op.begin, track_, "boot");
-  after<&Hypervisor::boot_done>(cfg_.boot_time, id);
+  after<&Hypervisor::boot_done>(kBootTime, id);
 }
 
 void Hypervisor::boot_done(std::uint64_t id) {
@@ -137,7 +146,7 @@ void Hypervisor::save_freeze(std::uint64_t id) {
           ? std::min(vm.config().ram_bytes,
                      vm.dirty_bytes_since_last_image() + kDirtyMapOverhead)
           : vm.config().ram_bytes;
-  after<&Hypervisor::save_stream>(cfg_.save_overhead, id);
+  after<&Hypervisor::save_stream>(kSaveOverhead, id);
 }
 
 void Hypervisor::save_stream(std::uint64_t id) {
@@ -174,7 +183,6 @@ void Hypervisor::save_durable(std::uint64_t id) {
   }
   vm.mark_saved();
   vm.mark_imaged();
-  ++saves_completed_;
   telemetry::count(metrics_, saves_c_);
   telemetry::count(metrics_, bytes_saved_c_, op->image_bytes);
   telemetry::observe(metrics_, save_s_h_,
@@ -238,7 +246,7 @@ void Hypervisor::restore_read(std::uint64_t id, bool ok) {
     finish_restore(id, false);
     return;
   }
-  after<&Hypervisor::restore_done>(cfg_.restore_overhead, id);
+  after<&Hypervisor::restore_done>(kRestoreOverhead, id);
 }
 
 void Hypervisor::restore_done(std::uint64_t id) {
@@ -251,7 +259,6 @@ void Hypervisor::restore_done(std::uint64_t id) {
   const sim::Time begin = op->begin;
   const std::uint64_t image_bytes = op->image_bytes;
   op->vm->rollback_and_resume(*op->state);
-  ++restores_completed_;
   telemetry::count(metrics_, restores_c_);
   telemetry::count(metrics_, bytes_restored_c_, image_bytes);
   telemetry::observe(metrics_, restore_s_h_,
@@ -317,7 +324,6 @@ void Hypervisor::on_node_failure() {
     std::vector<SaveOp> dying;
     dying.swap(saves_);
     for (SaveOp& op : dying) {
-      ++saves_aborted_;
       telemetry::count(metrics_, saves_aborted_c_);
       telemetry::count(metrics_, save_failures_c_);
       telemetry::end_span(metrics_, op.span, sim_->now());

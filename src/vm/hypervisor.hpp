@@ -25,13 +25,6 @@ namespace dvc::vm {
 class Hypervisor final {
  public:
   struct Config {
-    sim::Duration boot_time = 15 * sim::kSecond;
-    sim::Duration shutdown_time = 2 * sim::kSecond;
-    /// Fixed device-quiesce cost paid before guest memory starts streaming.
-    sim::Duration save_overhead = 200 * sim::kMillisecond;
-    sim::Duration restore_overhead = 200 * sim::kMillisecond;
-    /// Local `xm save` command-processing latency (exponential mean).
-    sim::Duration cmd_latency_mean = 2 * sim::kMillisecond;
     /// Fail in-flight save operations the instant this node dies, instead
     /// of letting each discover the failure at its next stage boundary
     /// (or, worst case, hang inside a store transfer that no longer has a
@@ -39,6 +32,12 @@ class Hypervisor final {
     /// coordinators relying on prompt failure reports opt in.
     bool abort_saves_on_failure = false;
   };
+
+  /// Domain creation to a running guest.
+  static constexpr sim::Duration kBootTime = 15 * sim::kSecond;
+  /// Fixed cost between a staged image and the resumed guest; a live
+  /// move's final stop-and-copy pays it too.
+  static constexpr sim::Duration kRestoreOverhead = 200 * sim::kMillisecond;
 
   Hypervisor(sim::Simulation& sim, hw::Fabric& fabric, hw::NodeId node,
              Config cfg, sim::Rng rng);
@@ -51,7 +50,6 @@ class Hypervisor final {
   [[nodiscard]] std::size_t resident_count() const noexcept {
     return residents_.size();
   }
-  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
   /// Places and boots a domain on this node. `on_booted` fires when the
   /// guest is running (or never, if the node dies or the domain is
@@ -108,18 +106,6 @@ class Hypervisor final {
   /// pending events find nothing, so once no node holds one the domain
   /// may be freed. O(1) on a node with no operation in flight.
   void end_ops(std::span<const VirtualMachine* const> vms);
-
-  [[nodiscard]] std::uint64_t saves_completed() const noexcept {
-    return saves_completed_;
-  }
-  [[nodiscard]] std::uint64_t restores_completed() const noexcept {
-    return restores_completed_;
-  }
-  /// In-flight saves cut short by node death (only ever non-zero with
-  /// Config::abort_saves_on_failure).
-  [[nodiscard]] std::uint64_t saves_aborted() const noexcept {
-    return saves_aborted_;
-  }
 
   /// Kills every resident domain; wired to the fabric's failure feed.
   void on_node_failure();
@@ -226,9 +212,6 @@ class Hypervisor final {
   std::vector<SaveOp> saves_;
   std::vector<RestoreOp> restores_;
   std::uint64_t next_op_ = 1;
-  std::uint64_t saves_completed_ = 0;
-  std::uint64_t restores_completed_ = 0;
-  std::uint64_t saves_aborted_ = 0;
   telemetry::MetricsRegistry* metrics_ = nullptr;
   telemetry::CounterHandle boots_c_{"vm.hypervisor.boots"};
   telemetry::HistogramHandle boot_s_h_{"vm.hypervisor.boot_s"};

@@ -50,7 +50,9 @@ sim::Duration VirtualMachine::total_frozen() const noexcept {
 
 void VirtualMachine::place_on(const hw::PhysicalNode& node) {
   node_ = node.id();
-  flops_ = node.spec().flops * (1.0 - node.spec().virt_overhead);
+  // Para-virtualised CPU tax of a Xen guest.
+  constexpr double kVirtOverhead = 0.03;
+  flops_ = node.spec().flops * (1.0 - kVirtOverhead);
   // The vNIC rides along: guest traffic must see the tier (and any active
   // link faults) of the cluster the VM currently runs in, not a default.
   net_->link_model().set_cluster(vnic_, node.cluster());

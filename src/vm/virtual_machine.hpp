@@ -32,7 +32,6 @@ struct GuestConfig {
   /// Rate at which the running guest dirties its memory — the quantity
   /// iterative pre-copy migration races against.
   double dirty_rate_bps = 10e6;
-  std::string os_image = "default-stack";
 };
 
 /// Lifecycle of a guest domain.

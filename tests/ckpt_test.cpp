@@ -394,7 +394,7 @@ TEST(NtpLscTest, SaveAndHoldLeavesDomainsFrozen) {
 
 TEST(LscValidationTest, EmptyTargetListsAreRejected) {
   LscFixture f(2, 64ull << 20);
-  NaiveLscCoordinator naive(f.bed.sim, {}, sim::Rng(1));
+  NaiveLscCoordinator naive(f.bed.sim, sim::Rng(1));
   NtpLscCoordinator ntp(f.bed.sim, {}, sim::Rng(1));
   EXPECT_THROW(naive.checkpoint("x", {}, f.bed.images, {}),
                std::invalid_argument);
@@ -409,7 +409,7 @@ TEST(LscValidationTest, EmptyTargetListsAreRejected) {
 
 TEST(NaiveLscTest, SaveAndHoldAlsoWorksNaively) {
   LscFixture f(3, 64ull << 20);
-  NaiveLscCoordinator lsc(f.bed.sim, {}, sim::Rng(9));
+  NaiveLscCoordinator lsc(f.bed.sim, sim::Rng(9));
   std::optional<LscResult> result;
   f.bed.sim.schedule_after(2 * sim::kSecond, [&] {
     lsc.checkpoint("hold", f.bed.dvc->save_targets(*f.vc), f.bed.images,
@@ -431,7 +431,7 @@ TEST(NaiveLscTest, SkewGrowsLinearlyWithNodeCount) {
     double total = 0.0;
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
       LscFixture f(nodes, 64ull << 20, {}, seed);
-      NaiveLscCoordinator lsc(f.bed.sim, {}, sim::Rng(seed));
+      NaiveLscCoordinator lsc(f.bed.sim, sim::Rng(seed));
       sim::Duration skew = 0;
       f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
         f.bed.dvc->checkpoint_vc(
@@ -462,7 +462,7 @@ TEST(NaiveLscTest, SkewedSavesKillTheApplicationAtScale) {
   net::ReliableConfig tight;
   tight.max_retries = 5;
   LscFixture f(12, 1ull << 30, tight, /*seed=*/1, /*store_bps=*/100e6);
-  NaiveLscCoordinator lsc(f.bed.sim, {}, sim::Rng(1));
+  NaiveLscCoordinator lsc(f.bed.sim, sim::Rng(1));
   std::optional<LscResult> result;
   f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
     f.bed.dvc->checkpoint_vc(*f.vc, lsc,
@@ -482,7 +482,6 @@ TEST(NtpLscTest, LoadedHostsWithoutHealthCheckKillTheApplication) {
   LscFixture f(8, 1ull << 30, tight, /*seed=*/5, /*store_bps=*/100e6);
   NtpLscCoordinator::Config cfg;
   cfg.stall_prob = 1.0;  // every agent starved (worst-case loaded hosts)
-  cfg.stall_mean = 30 * sim::kSecond;
   NtpLscCoordinator lsc(f.bed.sim, cfg, sim::Rng(5));
   std::optional<LscResult> result;
   f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
@@ -498,9 +497,7 @@ TEST(NtpLscTest, HealthCheckAbortsCleanlyInsteadOfCrashing) {
   LscFixture f(8, 64ull << 20, {}, /*seed=*/5);
   NtpLscCoordinator::Config cfg;
   cfg.stall_prob = 1.0;
-  cfg.stall_mean = 30 * sim::kSecond;
   cfg.health_check = true;
-  cfg.max_attempts = 3;
   NtpLscCoordinator lsc(f.bed.sim, cfg, sim::Rng(5));
   std::optional<LscResult> result;
   f.bed.sim.schedule_after(5 * sim::kSecond, [&] {

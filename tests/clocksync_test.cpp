@@ -126,10 +126,8 @@ TEST(NtpTest, FrequencyDisciplineShrinksSteadyStateError) {
   HostClock disciplined(s, 100 * sim::kMillisecond, 150.0);
   HostClock stepped(s, 100 * sim::kMillisecond, 150.0);
   NtpSynchronizer sync_d(s, disciplined, NtpPathModel{}, sim::Rng(5),
-                         /*samples_per_poll=*/8,
                          /*discipline_frequency=*/true);
   NtpSynchronizer sync_s(s, stepped, NtpPathModel{}, sim::Rng(5),
-                         /*samples_per_poll=*/8,
                          /*discipline_frequency=*/false);
   poll_every(s, sync_d, 16 * sim::kSecond);
   poll_every(s, sync_s, 16 * sim::kSecond);
@@ -193,7 +191,7 @@ TEST_P(PeriodicTickTest, MatchesPerHostPollsInHostOrder) {
   ClusterTimeService::Config cfg;
   cfg.drift_ppm_stddev = 100.0;
   constexpr int kIntervals = 12;
-  const sim::Time end = kIntervals * cfg.poll_interval;
+  const sim::Time end = kIntervals * ClusterTimeService::kPollInterval;
 
   sim::Simulation s;
   ClusterTimeService svc(s, hosts, cfg, sim::Rng(21));
@@ -204,7 +202,7 @@ TEST_P(PeriodicTickTest, MatchesPerHostPollsInHostOrder) {
   ClusterTimeService ref(ref_sim, hosts, cfg, sim::Rng(21));
   for (int k = 0; k <= kIntervals; ++k) {
     for (std::size_t h = 0; h < hosts; ++h) {
-      ref_sim.schedule_at(k * cfg.poll_interval,
+      ref_sim.schedule_at(k * ClusterTimeService::kPollInterval,
                           [&ref, h] { ref.synchronizer(h).sync_once(); });
     }
   }

@@ -500,9 +500,12 @@ TEST(ImageManagerTest, SetSealsWhenAllMembersDurable) {
   SharedStore store(s, {});
   ImageManager mgr(store);
   const CheckpointSetId set = mgr.open_set("vc1", 3);
+  // The last member's completion finds the set sealed.
   bool sealed = false;
-  mgr.on_sealed(set, [&] { sealed = true; });
-  for (std::uint64_t m = 0; m < 3; ++m) mgr.add_member(set, m, 1000);
+  const auto member_done = [&] { sealed = mgr.find_set(set)->sealed; };
+  for (std::uint64_t m = 0; m < 3; ++m) {
+    mgr.add_member(set, m, 1000, member_done);
+  }
   s.run();
   EXPECT_TRUE(sealed);
   const CheckpointSet* cs = mgr.find_set(set);
@@ -596,10 +599,11 @@ TEST(ImageManagerTest, ReplicationCopiesMembersWithoutGatingSeal) {
   mgr.add_replica(replica);
   ASSERT_EQ(mgr.replica_count(), 1u);
   const auto set = mgr.open_set("vc", 2);
+  // The set seals when the primary copies land, replicas still streaming.
   bool sealed = false;
-  mgr.on_sealed(set, [&] { sealed = true; });
-  mgr.add_member(set, 0, 1 << 20);
-  mgr.add_member(set, 1, 1 << 20);
+  const auto member_done = [&] { sealed = mgr.find_set(set)->sealed; };
+  mgr.add_member(set, 0, 1 << 20, member_done);
+  mgr.add_member(set, 1, 1 << 20, member_done);
   s.run();
   EXPECT_TRUE(sealed);
   // Both the primary and the replica hold every member's bytes.
@@ -703,8 +707,8 @@ TEST(ImageManagerTest, ReusedCopySlotsRouteEveryCopyToItsMember) {
   mgr.add_replica(slow_replica);
   sim::Rng rng(99);
   // Overlapping rounds of uneven members, cut back to the two newest
-  // sealed sets at every seal: copies land out of slot order and after
-  // their set died.
+  // sealed sets as each member lands (so at every seal): copies land out
+  // of slot order and after their set died.
   const auto keep_two = [&] {
     std::vector<CheckpointSetId> sealed;
     for (const CheckpointSet* cs : mgr.sets_with_label("vc")) {
@@ -716,9 +720,8 @@ TEST(ImageManagerTest, ReusedCopySlotsRouteEveryCopyToItsMember) {
   };
   for (int round = 0; round < 40; ++round) {
     const auto set = mgr.open_set("vc", 3);
-    mgr.on_sealed(set, keep_two);
     for (std::uint64_t member = 0; member < 3; ++member) {
-      mgr.add_member(set, member, 1000 + rng.below(4'000'000));
+      mgr.add_member(set, member, 1000 + rng.below(4'000'000), keep_two);
     }
     s.run_until(s.now() + sim::from_seconds(0.05));
   }

@@ -9,6 +9,7 @@
 #include "sim/simulation.hpp"
 #include "storage/image_manager.hpp"
 #include "storage/shared_store.hpp"
+#include "telemetry/telemetry.hpp"
 #include "vm/hypervisor.hpp"
 #include "vm/native_context.hpp"
 #include "vm/virtual_machine.hpp"
@@ -382,8 +383,11 @@ struct HvFixture : VmFixture {
   HvFixture()
       : store(sim, {}),
         images(store),
-        fleet(sim, fabric, {}, sim::Rng(5)) {}
+        fleet(sim, fabric, {}, sim::Rng(5)) {
+    fleet.set_metrics(&metrics);
+  }
 
+  telemetry::MetricsRegistry metrics;
   storage::SharedStore store;
   storage::ImageManager images;
   HypervisorFleet fleet;
@@ -398,7 +402,7 @@ TEST(HypervisorTest, BootTakesConfiguredTime) {
   EXPECT_TRUE(booted);
   EXPECT_TRUE(vm.running());
   EXPECT_EQ(vm.placed_on(), 0u);
-  EXPECT_EQ(f.sim.now(), Hypervisor::Config{}.boot_time);
+  EXPECT_EQ(f.sim.now(), Hypervisor::kBootTime);
 }
 
 TEST(HypervisorTest, SaveCapturesSnapshotAndSealsImage) {
@@ -425,7 +429,7 @@ TEST(HypervisorTest, SaveCapturesSnapshotAndSealsImage) {
   ASSERT_NE(f.images.find_set(set), nullptr);
   EXPECT_TRUE(f.images.find_set(set)->sealed);
   EXPECT_EQ(f.images.find_set(set)->total_bytes(), f.cfg.ram_bytes);
-  EXPECT_EQ(f.fleet.on_node(0).saves_completed(), 1u);
+  EXPECT_EQ(f.metrics.counter_value("vm.hypervisor.saves"), 1u);
 
   f.fleet.on_node(0).resume_domain(vm);
   EXPECT_TRUE(vm.running());
@@ -485,7 +489,7 @@ TEST(HypervisorTest, RestoreMovesDomainToNewNode) {
   EXPECT_TRUE(vm.running());
   EXPECT_EQ(vm.placed_on(), 1u);
   EXPECT_EQ(guest.restores, 1);
-  EXPECT_EQ(f.fleet.on_node(1).restores_completed(), 1u);
+  EXPECT_EQ(f.metrics.counter_value("vm.hypervisor.restores"), 1u);
   // The VM keeps its fabric identity across the move.
   EXPECT_TRUE(f.fabric.network().host_up(vm.host()));
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Fail if a lambda in DvcManager or the LSC coordinator captures by reference,
-or if either shares state through a weak_ptr or a make_shared.
+"""Fail if a lambda in DvcManager, the LSC coordinator or the image manager
+captures by reference, or if one shares state through a weak_ptr or a
+make_shared.
 
     python3 tools/lint_dvc_continuations.py [FILE...]
                                     (default: src/core/dvc_manager.cpp)
@@ -10,8 +11,10 @@ issuing coordinator epoch (DvcManager::Issued) and resolves them when it
 runs; it never holds a reference to a VcRuntime, a VirtualCluster or a
 guest, which destroy_vc may have freed by then. An LscCoordinator event
 likewise carries its operation's id and round (LscCoordinator::OpRef) and
-resolves them in the coordinator's table, which abort() empties. ci.sh
-runs it on src/core/dvc_manager.cpp and src/ckpt/lsc.cpp. This lint reads
+resolves them in the coordinator's table, which abort() empties, and a
+storage::ImageManager copy or staging read carries its slot or id. ci.sh
+runs it on src/core/dvc_manager.cpp, src/ckpt/lsc.cpp and
+src/storage/image_manager.cpp. This lint reads
 every lambda capture list in the given files and flags each capture that
 is by reference: a bare `&` default or an `&name` (or `&name = expr`) item.
 Capturing a pointer by value (`p = &x`) is not a by-reference capture.
@@ -19,7 +22,7 @@ Capturing a pointer by value (`p = &x`) is not a by-reference capture.
 Nor does an operation keep its state alive through shared ownership: a
 member join's counter or flag, or a continuation that holds itself, lives
 in the owner's id-keyed operation table (DvcManager::Op,
-LscCoordinator::Op), and the events carry the id. So the lint also flags
+LscCoordinator::Op, ImageManager::Staging), and the events carry the id. So the lint also flags
 every `std::weak_ptr` and every `std::make_shared` in the given files,
 except the one in `adopt_checkpoint`: a recovery point's snapshot vector,
 which restores read in place and a retained generation shares.
