@@ -32,7 +32,13 @@
 #                       it is a small trivially copyable capture, else
 #                       one owning pointer), and the transport calls its
 #                       owner through an interface (PacketSink,
-#                       net::MessageSink, MpiJob::Receiver), then configure
+#                       net::MessageSink, MpiJob::Receiver), and that
+#                       neither `std::log1p` nor an `.exponential(` or
+#                       `->exponential(` call appears under src/ outside
+#                       src/sim/rng.hpp: every simulated delay is drawn by
+#                       Rng::exponential_duration, whose guarded
+#                       log(1 - u) returns log1p's truncated integer at
+#                       about half the cost, then configure
 #                       (warnings-as-errors), build, and run the full test
 #                       suite (every label); then configure and build (not
 #                       run) dvcbench from dvcbench/ into
@@ -257,6 +263,12 @@ sys.exit(0 if correct is True and failed == 0 and not zero else 1)
          src/vm/guest_timers.* src/net src/app/mpi_job.*; then
       echo "ci.sh: std::function below the application; hold a" \
            "sim::Callback, or call the owner through its interface" >&2
+      exit 1
+    fi
+    if grep -rnE 'std::log1p|(\.|->)exponential\(' src | grep -v '^src/sim/rng\.hpp:'
+    then
+      echo "ci.sh: exponential draw outside sim::Rng; draw a delay with" \
+           "Rng::exponential_duration" >&2
       exit 1
     fi
     build_and_test build -DDVC_WERROR=ON

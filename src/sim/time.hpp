@@ -27,6 +27,17 @@ inline constexpr Duration kHour = 60 * kMinute;
   return static_cast<Duration>(s * static_cast<double>(kSecond));
 }
 
+/// The least whole number of ticks that is at least `ns`, for
+/// 0 <= ns < 2^63: the integer std::ceil gives, without a libm call.
+/// Truncation drops only the fraction, and t converts back exactly (it is
+/// below 2^52, or ns was an integer already), so the compare sees whether
+/// there was one.
+[[nodiscard]] constexpr Duration ceil_ticks(double ns) noexcept {
+  auto t = static_cast<Duration>(ns);
+  if (static_cast<double>(t) < ns) ++t;
+  return t;
+}
+
 /// Converts ticks to fractional seconds (for reporting only; never use the
 /// result for scheduling, to avoid accumulating rounding error).
 [[nodiscard]] constexpr double to_seconds(Duration d) noexcept {

@@ -1,7 +1,6 @@
 #include "storage/bandwidth_pool.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <string>
 #include <utility>
@@ -86,8 +85,8 @@ void BandwidthPool::reschedule() {
   }
   const double per_transfer_bps =
       bps_ / static_cast<double>(transfers_.size());
-  timer_.arm_after(static_cast<sim::Duration>(
-      std::ceil(min_remaining / per_transfer_bps * sim::kSecond)));
+  timer_.arm_after(
+      sim::ceil_ticks(min_remaining / per_transfer_bps * sim::kSecond));
 }
 
 void BandwidthPool::drain() {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -26,6 +28,23 @@ TEST(TimeTest, ConversionsRoundTrip) {
   EXPECT_EQ(kSecond, 1000 * kMillisecond);
   EXPECT_EQ(kMinute, 60 * kSecond);
   EXPECT_EQ(kHour, 60 * kMinute);
+}
+
+TEST(TimeTest, CeilTicksMatchesCeil) {
+  // 2^52 + 0.5 is not a double: it rounds to 2^52. 2^51 + 0.5 is one.
+  const double two52 = 0x1.0p52;
+  for (const double x :
+       {0.0, 0.25, 1.0, 2.0, 1e9, 123456789.0, std::nextafter(0.0, 1.0),
+        std::nextafter(1.0, 2.0), std::nextafter(1e9, 2e9),
+        std::nextafter(123456789.0, 2e9), 0x1.0p51 + 0.5, two52 + 0.5,
+        std::nextafter(two52, 2 * two52), 0x1.0p53,
+        std::nextafter(0x1.0p63, 0.0)}) {
+    EXPECT_EQ(ceil_ticks(x), static_cast<Duration>(std::ceil(x))) << x;
+  }
+  EXPECT_EQ(ceil_ticks(0.0), 0);
+  EXPECT_EQ(ceil_ticks(std::nextafter(1.0, 2.0)), 2);
+  EXPECT_EQ(ceil_ticks(0x1.0p51 + 0.5), (Duration{1} << 51) + 1);
+  EXPECT_EQ(ceil_ticks(0x1.0p53), Duration{1} << 53);
 }
 
 TEST(SimulationTest, FiresInTimeOrder) {
@@ -971,6 +990,85 @@ TEST(RngTest, ExponentialMeanApproximatelyCorrect) {
   const int n = 200000;
   for (int i = 0; i < n; ++i) sum += r.exponential(2.5);
   EXPECT_NEAR(sum / n, 2.5, 0.05);
+}
+
+// exponential_duration's contract: the truncation of -mean * log1p(-u).
+Duration log1p_reference(double u, Duration mean) {
+  return static_cast<Duration>(-static_cast<double>(mean) * std::log1p(-u));
+}
+
+TEST(RngTest, ExponentialDurationTruncatesLikeLog1p) {
+  // The means the simulator draws with: link jitter (the flat fabric's,
+  // and the inter-room tier's, which is NTP's path jitter too),
+  // kSchedJitter, kCmdLatencyMean, kDispatchJitter, kStallMean and one
+  // node MTBF of hours (proactive.scn's).
+  const std::array<Duration, 7> production = {
+      20 * kMicrosecond, 300 * kMicrosecond, 1 * kMillisecond,
+      2 * kMillisecond,  175 * kMillisecond, 30 * kSecond,
+      15000 * kSecond};
+  for (const Duration m : production) {
+    Rng draws(31), uniforms(31);
+    int mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) {
+      const Duration want = log1p_reference(uniforms.uniform(), m);
+      if (draws.exponential_duration(m) != want) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0) << "mean " << m;
+  }
+
+  // Near every integer N the draw can land on, the multiples of 2^-53
+  // within 64 steps of u = 1 - exp(-N / m), where -m * log(1 - u) crosses
+  // N. Small N lands inside the guard's slack; large N / m, where a step
+  // of u moves the value by more than the slack, exercises the fast path
+  // right beside an integer.
+  std::array<Duration, 10> means = {1, 7, 1000};
+  std::copy(production.begin(), production.end(), means.begin() + 3);
+  constexpr std::int64_t kTop = std::int64_t{1} << 53;
+  int fallbacks = 0;
+  int fast = 0;
+  const auto check = [&](double u, Duration m) {
+    const Duration want = log1p_reference(u, m);
+    EXPECT_EQ(Rng::exponential_duration_at(u, m), want)
+        << "u " << u << " mean " << m;
+    if (const auto d = Rng::exponential_by_log(u, static_cast<double>(m))) {
+      EXPECT_EQ(*d, want) << "u " << u << " mean " << m;
+      ++fast;
+    } else {
+      ++fallbacks;
+    }
+  };
+  for (const Duration m : means) {
+    std::vector<std::int64_t> targets;
+    for (std::int64_t n = 1; n <= 2000; ++n) targets.push_back(n);
+    for (const std::int64_t x : {1, 2, 4, 6, 8, 10, 12, 16, 20, 24, 30, 36}) {
+      targets.push_back(x * m);
+    }
+    for (const std::int64_t n : targets) {
+      const double u0 =
+          -std::expm1(-static_cast<double>(n) / static_cast<double>(m));
+      const auto k0 = static_cast<std::int64_t>(std::ldexp(u0, 53));
+      for (std::int64_t k = std::max<std::int64_t>(k0 - 64, 0);
+           k <= std::min(k0 + 64, kTop - 1); ++k) {
+        check(std::ldexp(static_cast<double>(k), -53), m);
+      }
+    }
+    check(0.0, m);
+    check(1.0 - 0x1.0p-53, m);
+  }
+  EXPECT_GT(fallbacks, 0);
+  EXPECT_GT(fast, 0);
+
+  // Pinned: at this u and a 20 us mean, -m * log(1 - u) computes
+  // 1317.0000000000002 with glibc 2.36 while -m * log1p(-u) computes
+  // 1316.9999999999998, so an unguarded log draw would return 1317, not
+  // 1316. The scan above meets it too (N = 1317). Read through a volatile:
+  // GCC folds a constant log1p with a correctly rounded library, which
+  // here gives 1317.0000000000002, and the draw's contract is libm's
+  // run-time value.
+  const volatile double opaque = 0x1.050864223c08p-4;
+  const double pinned = opaque;
+  EXPECT_EQ(Rng::exponential_duration_at(pinned, 20 * kMicrosecond),
+            log1p_reference(pinned, 20 * kMicrosecond));
 }
 
 TEST(RngTest, NormalMomentsApproximatelyCorrect) {
