@@ -51,15 +51,12 @@ inline std::optional<ckpt::LscResult> checkpoint_and_settle(
   return result;
 }
 
-/// Runs the rig in 5 s slices until its job completes or `limit` has
-/// passed; returns how long it ran.
+/// Drives the rig in 5 s slices until its job completes, its recovery is
+/// abandoned or `limit` has passed; returns how long it ran.
 inline sim::Duration run_job(tools::CellRig& rig, sim::Duration limit) {
-  sim::Simulation& sim = rig.room.sim;
-  const sim::Time started = sim.now();
-  while (!rig.application->completed() && sim.now() - started < limit) {
-    sim.run_until(sim.now() + 5 * sim::kSecond);
-  }
-  return sim.now() - started;
+  const sim::Time started = rig.room.sim.now();
+  rig.drive(started + limit, 5 * sim::kSecond, 0);
+  return rig.room.sim.now() - started;
 }
 
 /// Communication-steady PTRANS-like load (one all-to-all round every

@@ -1,5 +1,6 @@
 #include "fault/fault_injector.hpp"
 
+#include <stdexcept>
 #include <string>
 
 namespace dvc::fault {
@@ -22,6 +23,9 @@ telemetry::CounterHandle& FaultInjector::PerKind::operator[](FaultKind k) {
 FaultInjector::FaultInjector(sim::Simulation& sim, Hooks hooks,
                              telemetry::MetricsRegistry* metrics)
     : sim_(&sim), hooks_(hooks), metrics_(metrics) {
+  if (metrics_ == nullptr) {
+    throw std::invalid_argument("FaultInjector: null metrics registry");
+  }
   if (hooks_.store != nullptr) {
     disk_write_base_ = hooks_.store->write_pool().capacity_bps();
     disk_read_base_ = hooks_.store->read_pool().capacity_bps();
@@ -51,7 +55,6 @@ std::uint64_t FaultInjector::directed_key(std::uint32_t from,
 }
 
 void FaultInjector::skip(const FaultEvent& e) {
-  ++skipped_total_;
   telemetry::count(metrics_, "fault.skipped");
   telemetry::count(metrics_, skipped_c_[e.kind]);
 }
@@ -165,8 +168,6 @@ void FaultInjector::apply(std::size_t i) {
       break;  // permanent: the partial objects stay until GC'd
     }
   }
-  ++injected_total_;
-  ++injected_[static_cast<std::size_t>(e.kind)];
   telemetry::count(metrics_, "fault.injected");
   telemetry::count(metrics_, injected_c_[e.kind]);
   telemetry::instant(metrics_, sim_->now(), kTrack, to_string(e.kind));
@@ -235,7 +236,6 @@ void FaultInjector::lift(const FaultEvent& e) {
     case FaultKind::kCoordinatorCrash:
       return;  // instantaneous, permanent, or self-lifting: nothing here
   }
-  ++lifted_total_;
   telemetry::count(metrics_, "fault.lifted");
   telemetry::count(metrics_, lifted_c_[e.kind]);
   telemetry::instant(metrics_, sim_->now(), kTrack,

@@ -1,10 +1,10 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -44,8 +44,9 @@ class FaultInjector final {
     std::function<void(sim::Duration)> coordinator_crash;
   };
 
+  /// `metrics` holds the injector's counts; null throws invalid_argument.
   FaultInjector(sim::Simulation& sim, Hooks hooks,
-                telemetry::MetricsRegistry* metrics = nullptr);
+                telemetry::MetricsRegistry* metrics);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -54,19 +55,20 @@ class FaultInjector final {
   /// accumulate.
   void arm(const FaultPlan& plan);
 
-  [[nodiscard]] std::uint64_t injected_total() const noexcept {
-    return injected_total_;
+  [[nodiscard]] std::uint64_t injected_total() const {
+    return metrics_->counter_value("fault.injected");
   }
-  [[nodiscard]] std::uint64_t injected(FaultKind k) const noexcept {
-    return injected_[static_cast<std::size_t>(k)];
+  [[nodiscard]] std::uint64_t injected(FaultKind k) const {
+    return metrics_->counter_value("fault.injected." +
+                                   std::string(to_string(k)));
   }
-  [[nodiscard]] std::uint64_t lifted_total() const noexcept {
-    return lifted_total_;
+  [[nodiscard]] std::uint64_t lifted_total() const {
+    return metrics_->counter_value("fault.lifted");
   }
   /// Events that could not be applied (missing hook, bad target id,
   /// crash of an already-dead node).
-  [[nodiscard]] std::uint64_t skipped_total() const noexcept {
-    return skipped_total_;
+  [[nodiscard]] std::uint64_t skipped_total() const {
+    return metrics_->counter_value("fault.skipped");
   }
 
  private:
@@ -119,10 +121,6 @@ class FaultInjector final {
   std::map<double, int> disk_factors_;  ///< active slowdown factor -> depth
   double disk_write_base_ = 0.0;
   double disk_read_base_ = 0.0;
-  std::uint64_t injected_total_ = 0;
-  std::uint64_t lifted_total_ = 0;
-  std::uint64_t skipped_total_ = 0;
-  std::array<std::uint64_t, kKinds> injected_{};
   PerKind injected_c_{"fault.injected"};
   PerKind skipped_c_{"fault.skipped"};
   PerKind lifted_c_{"fault.lifted"};

@@ -16,8 +16,6 @@
 namespace dvc::ckpt {
 namespace {
 
-using test::TestBed;
-
 // ---------------------------------------------------------------------------
 // Method models (paper §2 taxonomy)
 
@@ -204,91 +202,60 @@ TEST(LedgerTest, DuplicateWithinAnEpochStillFails) {
 // ---------------------------------------------------------------------------
 // Coordinated checkpointing end-to-end
 
-/// A communication-steady PTRANS-like load: ~10 iterations per second so
-/// every rank always has traffic in flight against every peer.
-app::WorkloadSpec steady_ptrans(app::RankId ranks, std::uint32_t iters) {
-  app::WorkloadSpec s;
-  s.name = "steady-ptrans";
-  s.ranks = ranks;
-  s.iterations = iters;
-  s.flops_per_rank_iter = 1e9;  // ~0.1 s of compute per iteration
-  s.pattern = app::Pattern::kAllToAll;
-  s.bytes_per_msg = 4096;
-  s.working_set_bytes_per_rank = 64ull << 20;
-  return s;
+/// A VC of `nodes` guests running bench::steady_ptrans (~10 all-to-all
+/// iterations per second, so every rank always has traffic in flight
+/// against every peer). No recovery policy: each test drives its own
+/// coordinator.
+tools::CellSpec lsc_cell(std::uint32_t nodes, std::uint64_t guest_ram,
+                         net::ReliableConfig transport = {},
+                         std::uint64_t seed = 42, double store_bps = 400e6,
+                         bool abort_saves_on_failure = false) {
+  test::TestBedOptions room;
+  room.nodes_per_cluster = nodes;
+  room.seed = seed;
+  room.store.write_bps = store_bps;
+  room.store.read_bps = 2 * store_bps;
+  room.hv.abort_saves_on_failure = abort_saves_on_failure;
+  return test::test_cell(room, "test-vc", guest_ram,
+                         bench::steady_ptrans(nodes, 3000), transport);
 }
 
-struct LscFixture {
-  explicit LscFixture(std::uint32_t nodes, std::uint64_t guest_ram,
-                      net::ReliableConfig transport = {},
-                      std::uint64_t seed = 42, double store_bps = 400e6,
-                      bool abort_saves_on_failure = false)
-      : bed(make_options(nodes, seed, store_bps, abort_saves_on_failure)) {
-    core::VcSpec spec;
-    spec.name = "test-vc";
-    spec.size = nodes;
-    spec.guest.ram_bytes = guest_ram;
-    auto placement = bed.dvc->pick_nodes(nodes);
-    vc = &bed.dvc->create_vc(spec, *placement, {});
-    bed.sim.run_until(20 * sim::kSecond);  // boot completes at 15 s
-    application = std::make_unique<app::ParallelApp>(
-        bed.sim, bed.fabric.network(), vc->contexts(),
-        steady_ptrans(nodes, 3000), transport);
-    bed.dvc->attach_app(*vc, *application);
-    application->start();
-  }
-
-  static TestBed::Options make_options(std::uint32_t nodes,
-                                       std::uint64_t seed, double store_bps,
-                                       bool abort_saves_on_failure = false) {
-    TestBed::Options o;
-    o.nodes_per_cluster = nodes;
-    o.seed = seed;
-    o.store.write_bps = store_bps;
-    o.store.read_bps = 2 * store_bps;
-    o.hv.abort_saves_on_failure = abort_saves_on_failure;
-    return o;
-  }
-
-  TestBed bed;
-  core::VirtualCluster* vc = nullptr;
-  std::unique_ptr<app::ParallelApp> application;
-};
-
 TEST(QuiesceTest, RanksParkAtBoundariesAndResume) {
-  LscFixture f(4, 64ull << 20);
+  tools::CellRig f(lsc_cell(4, 64ull << 20));
   bool all_held = false;
-  f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
+  f.room.sim.schedule_after(5 * sim::kSecond, [&] {
     f.application->request_quiesce([&] { all_held = true; });
   });
-  f.bed.sim.run_until(30 * sim::kSecond);
+  f.room.sim.run_until(30 * sim::kSecond);
   ASSERT_TRUE(all_held);
   for (std::uint32_t r = 0; r < 4; ++r) {
     EXPECT_TRUE(f.application->rank(r).held());
   }
   // Parked ranks make no progress...
   const auto iter_held = f.application->rank(0).state().iter;
-  f.bed.sim.run_until(60 * sim::kSecond);
+  f.room.sim.run_until(60 * sim::kSecond);
   EXPECT_EQ(f.application->rank(0).state().iter, iter_held);
   EXPECT_TRUE(f.application->mesh_drained());
   // ...until released.
   f.application->release_quiesce();
-  f.bed.sim.run_until(90 * sim::kSecond);
+  f.room.sim.run_until(90 * sim::kSecond);
   EXPECT_GT(f.application->rank(0).state().iter, iter_held);
   EXPECT_FALSE(f.application->failed());
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 TEST(CocheckTest, UserLevelCheckpointWithoutFreezingGuests) {
-  LscFixture f(6, 1ull << 30);  // big guests: the VM path would be slow
-  CocheckCoordinator cocheck(f.bed.sim);
+  // Big guests: the VM path would be slow.
+  tools::CellRig f(lsc_cell(6, 1ull << 30));
+  CocheckCoordinator cocheck(f.room.sim);
   std::optional<CocheckCoordinator::Result> result;
   vm::GuestConfig guest;
   guest.ram_bytes = 1ull << 30;
-  f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
-    cocheck.checkpoint(*f.application, guest, f.bed.images,
+  f.room.sim.schedule_after(5 * sim::kSecond, [&] {
+    cocheck.checkpoint(*f.application, guest, f.room.images,
                        [&](CocheckCoordinator::Result r) { result = r; });
   });
-  f.bed.sim.run_until(120 * sim::kSecond);
+  f.room.sim.run_until(120 * sim::kSecond);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->ok);
   // The quiesce costs about one application iteration (~0.1 s) + drain.
@@ -302,21 +269,22 @@ TEST(CocheckTest, UserLevelCheckpointWithoutFreezingGuests) {
   }
   // And the application keeps running afterwards.
   const auto iter_then = f.application->rank(0).state().iter;
-  f.bed.sim.run_until(180 * sim::kSecond);
+  f.room.sim.run_until(180 * sim::kSecond);
   EXPECT_GT(f.application->rank(0).state().iter, iter_then);
   EXPECT_FALSE(f.application->failed());
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 TEST(NtpLscTest, CheckpointIsTransparentToTheApplication) {
-  LscFixture f(8, 512ull << 20);
-  NtpLscCoordinator lsc(f.bed.sim, {}, sim::Rng(7));
+  tools::CellRig f(lsc_cell(8, 512ull << 20));
+  NtpLscCoordinator lsc(f.room.sim, {}, sim::Rng(7));
   std::optional<LscResult> result;
-  f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
-    f.bed.dvc->checkpoint_vc(*f.vc, lsc,
-                             [&](LscResult r) { result = std::move(r); });
+  f.room.sim.schedule_after(5 * sim::kSecond, [&] {
+    f.room.dvc->checkpoint_vc(*f.vc, lsc,
+                              [&](LscResult r) { result = std::move(r); });
   });
   // 8 x 512 MiB over 400 MB/s shared ~ 10.7 s of frozen time.
-  f.bed.sim.run_until(60 * sim::kSecond);
+  f.room.sim.run_until(60 * sim::kSecond);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->ok);
   // Skew bounded by clock error + timer jitter + local `xm save` latency:
@@ -333,95 +301,101 @@ TEST(NtpLscTest, CheckpointIsTransparentToTheApplication) {
   }
   // The application keeps making progress afterwards.
   const auto iter_then = f.application->rank(0).state().iter;
-  f.bed.sim.run_until(90 * sim::kSecond);
+  f.room.sim.run_until(90 * sim::kSecond);
   EXPECT_GT(f.application->rank(0).state().iter, iter_then);
   EXPECT_FALSE(f.application->failed());
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 TEST(NtpLscTest, CoordinatorOwnsItsLiveRounds) {
-  LscFixture f(4, 64ull << 20);
+  tools::CellRig f(lsc_cell(4, 64ull << 20));
   // The round's `done` continuation holds the token while the round lives.
   const auto token = std::make_shared<int>(0);
   {
-    NtpLscCoordinator lsc(f.bed.sim, {}, sim::Rng(17));
+    NtpLscCoordinator lsc(f.room.sim, {}, sim::Rng(17));
     bool reported = false;
-    lsc.checkpoint("owned", f.bed.dvc->save_targets(*f.vc), f.bed.images,
+    lsc.checkpoint("owned", f.room.dvc->save_targets(*f.vc), f.room.images,
                    [token, &reported](LscResult) { reported = true; });
     // Past the common save instant (2 s lead), before any image is durable.
-    f.bed.sim.run_until(f.bed.sim.now() + 2200 * sim::kMillisecond);
+    f.room.sim.run_until(f.room.sim.now() + 2200 * sim::kMillisecond);
     ASSERT_FALSE(reported);
     EXPECT_GT(token.use_count(), 1);
   }
   // A coordinator torn down mid-round frees the round it owns: neither the
   // queued events nor the hypervisors' pending saves keep it alive.
   EXPECT_EQ(token.use_count(), 1);
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 TEST(NtpLscTest, RepeatedRoundsAllSucceed) {
-  LscFixture f(6, 64ull << 20);
-  NtpLscCoordinator lsc(f.bed.sim, {}, sim::Rng(11));
+  tools::CellRig f(lsc_cell(6, 64ull << 20));
+  NtpLscCoordinator lsc(f.room.sim, {}, sim::Rng(11));
   int ok_rounds = 0;
   // Five back-to-back checkpoint rounds, 20 s apart.
   for (int round = 0; round < 5; ++round) {
-    f.bed.sim.schedule_after((5 + 20 * round) * sim::kSecond, [&] {
-      f.bed.dvc->checkpoint_vc(*f.vc, lsc, [&](LscResult r) {
+    f.room.sim.schedule_after((5 + 20 * round) * sim::kSecond, [&] {
+      f.room.dvc->checkpoint_vc(*f.vc, lsc, [&](LscResult r) {
         if (r.ok) ++ok_rounds;
       });
     });
   }
-  f.bed.sim.run_until(150 * sim::kSecond);
+  f.room.sim.run_until(150 * sim::kSecond);
   EXPECT_EQ(ok_rounds, 5);
   EXPECT_FALSE(f.application->failed());
-  EXPECT_EQ(f.bed.dvc->checkpoints_taken(), 5u);
+  EXPECT_EQ(f.room.dvc->checkpoints_taken(), 5u);
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 TEST(NtpLscTest, SaveAndHoldLeavesDomainsFrozen) {
-  LscFixture f(4, 64ull << 20);
-  NtpLscCoordinator lsc(f.bed.sim, {}, sim::Rng(13));
+  tools::CellRig f(lsc_cell(4, 64ull << 20));
+  NtpLscCoordinator lsc(f.room.sim, {}, sim::Rng(13));
   std::optional<LscResult> result;
-  f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
-    lsc.checkpoint("hold", f.bed.dvc->save_targets(*f.vc),
-                   f.bed.images, [&](LscResult r) { result = std::move(r); },
+  f.room.sim.schedule_after(5 * sim::kSecond, [&] {
+    lsc.checkpoint("hold", f.room.dvc->save_targets(*f.vc),
+                   f.room.images, [&](LscResult r) { result = std::move(r); },
                    /*resume_after_save=*/false);
   });
-  f.bed.sim.run_until(40 * sim::kSecond);
+  f.room.sim.run_until(40 * sim::kSecond);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->ok);
   for (std::uint32_t i = 0; i < 4; ++i) {
     EXPECT_EQ(f.vc->machine(i).state(), vm::DomainState::kSaved);
   }
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 TEST(LscValidationTest, EmptyTargetListsAreRejected) {
-  LscFixture f(2, 64ull << 20);
-  NaiveLscCoordinator naive(f.bed.sim, sim::Rng(1));
-  NtpLscCoordinator ntp(f.bed.sim, {}, sim::Rng(1));
-  EXPECT_THROW(naive.checkpoint("x", {}, f.bed.images, {}),
+  tools::CellRig f(lsc_cell(2, 64ull << 20));
+  NaiveLscCoordinator naive(f.room.sim, sim::Rng(1));
+  NtpLscCoordinator ntp(f.room.sim, {}, sim::Rng(1));
+  EXPECT_THROW(naive.checkpoint("x", {}, f.room.images, {}),
                std::invalid_argument);
-  EXPECT_THROW(ntp.checkpoint("x", {}, f.bed.images, {}),
+  EXPECT_THROW(ntp.checkpoint("x", {}, f.room.images, {}),
                std::invalid_argument);
   // The NTP coordinator also insists on a clock per target.
-  std::vector<SaveTarget> no_clock = f.bed.dvc->save_targets(*f.vc);
+  std::vector<SaveTarget> no_clock = f.room.dvc->save_targets(*f.vc);
   no_clock[0].clock = nullptr;
-  EXPECT_THROW(ntp.checkpoint("x", std::move(no_clock), f.bed.images, {}),
+  EXPECT_THROW(ntp.checkpoint("x", std::move(no_clock), f.room.images, {}),
                std::invalid_argument);
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 TEST(NaiveLscTest, SaveAndHoldAlsoWorksNaively) {
-  LscFixture f(3, 64ull << 20);
-  NaiveLscCoordinator lsc(f.bed.sim, sim::Rng(9));
+  tools::CellRig f(lsc_cell(3, 64ull << 20));
+  NaiveLscCoordinator lsc(f.room.sim, sim::Rng(9));
   std::optional<LscResult> result;
-  f.bed.sim.schedule_after(2 * sim::kSecond, [&] {
-    lsc.checkpoint("hold", f.bed.dvc->save_targets(*f.vc), f.bed.images,
+  f.room.sim.schedule_after(2 * sim::kSecond, [&] {
+    lsc.checkpoint("hold", f.room.dvc->save_targets(*f.vc), f.room.images,
                    [&](LscResult r) { result = std::move(r); },
                    /*resume_after_save=*/false);
   });
-  f.bed.sim.run_until(60 * sim::kSecond);
+  f.room.sim.run_until(60 * sim::kSecond);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->ok);
   for (std::uint32_t i = 0; i < 3; ++i) {
     EXPECT_EQ(f.vc->machine(i).state(), vm::DomainState::kSaved);
   }
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 TEST(NaiveLscTest, SkewGrowsLinearlyWithNodeCount) {
@@ -430,16 +404,17 @@ TEST(NaiveLscTest, SkewGrowsLinearlyWithNodeCount) {
   const auto mean_skew = [](std::uint32_t nodes) {
     double total = 0.0;
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      LscFixture f(nodes, 64ull << 20, {}, seed);
-      NaiveLscCoordinator lsc(f.bed.sim, sim::Rng(seed));
+      tools::CellRig f(lsc_cell(nodes, 64ull << 20, {}, seed));
+      NaiveLscCoordinator lsc(f.room.sim, sim::Rng(seed));
       sim::Duration skew = 0;
-      f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
-        f.bed.dvc->checkpoint_vc(
+      f.room.sim.schedule_after(5 * sim::kSecond, [&] {
+        f.room.dvc->checkpoint_vc(
             *f.vc, lsc, [&](LscResult r) { skew = r.pause_skew; });
       });
-      f.bed.sim.run_until(90 * sim::kSecond);
+      f.room.sim.run_until(90 * sim::kSecond);
       EXPECT_GT(skew, 0);
       total += sim::to_seconds(skew);
+      EXPECT_TRUE(test::clean_end_of_run(f));
     }
     return total / 5.0;
   };
@@ -461,50 +436,54 @@ TEST(NaiveLscTest, SkewedSavesKillTheApplicationAtScale) {
   // guests exhaust their retry budget against still-frozen peers.
   net::ReliableConfig tight;
   tight.max_retries = 5;
-  LscFixture f(12, 1ull << 30, tight, /*seed=*/1, /*store_bps=*/100e6);
-  NaiveLscCoordinator lsc(f.bed.sim, sim::Rng(1));
+  tools::CellRig f(
+      lsc_cell(12, 1ull << 30, tight, /*seed=*/1, /*store_bps=*/100e6));
+  NaiveLscCoordinator lsc(f.room.sim, sim::Rng(1));
   std::optional<LscResult> result;
-  f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
-    f.bed.dvc->checkpoint_vc(*f.vc, lsc,
-                             [&](LscResult r) { result = std::move(r); });
+  f.room.sim.schedule_after(5 * sim::kSecond, [&] {
+    f.room.dvc->checkpoint_vc(*f.vc, lsc,
+                              [&](LscResult r) { result = std::move(r); });
   });
-  f.bed.sim.run_until(400 * sim::kSecond);
+  f.room.sim.run_until(400 * sim::kSecond);
   ASSERT_TRUE(result.has_value());
   // Eleven serial dispatch gaps of ~0.35 s each: seconds of pause skew,
   // amplified further on the staggered resumes.
   EXPECT_GT(result->pause_skew, sim::from_seconds(2.0));
   EXPECT_TRUE(f.application->failed());
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 TEST(NtpLscTest, LoadedHostsWithoutHealthCheckKillTheApplication) {
   net::ReliableConfig tight;
   tight.max_retries = 5;
-  LscFixture f(8, 1ull << 30, tight, /*seed=*/5, /*store_bps=*/100e6);
+  tools::CellRig f(
+      lsc_cell(8, 1ull << 30, tight, /*seed=*/5, /*store_bps=*/100e6));
   NtpLscCoordinator::Config cfg;
   cfg.stall_prob = 1.0;  // every agent starved (worst-case loaded hosts)
-  NtpLscCoordinator lsc(f.bed.sim, cfg, sim::Rng(5));
+  NtpLscCoordinator lsc(f.room.sim, cfg, sim::Rng(5));
   std::optional<LscResult> result;
-  f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
-    f.bed.dvc->checkpoint_vc(*f.vc, lsc,
-                             [&](LscResult r) { result = std::move(r); });
+  f.room.sim.schedule_after(5 * sim::kSecond, [&] {
+    f.room.dvc->checkpoint_vc(*f.vc, lsc,
+                              [&](LscResult r) { result = std::move(r); });
   });
-  f.bed.sim.run_until(600 * sim::kSecond);
+  f.room.sim.run_until(600 * sim::kSecond);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(f.application->failed());
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 TEST(NtpLscTest, HealthCheckAbortsCleanlyInsteadOfCrashing) {
-  LscFixture f(8, 64ull << 20, {}, /*seed=*/5);
+  tools::CellRig f(lsc_cell(8, 64ull << 20, {}, /*seed=*/5));
   NtpLscCoordinator::Config cfg;
   cfg.stall_prob = 1.0;
   cfg.health_check = true;
-  NtpLscCoordinator lsc(f.bed.sim, cfg, sim::Rng(5));
+  NtpLscCoordinator lsc(f.room.sim, cfg, sim::Rng(5));
   std::optional<LscResult> result;
-  f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
-    f.bed.dvc->checkpoint_vc(*f.vc, lsc,
-                             [&](LscResult r) { result = std::move(r); });
+  f.room.sim.schedule_after(5 * sim::kSecond, [&] {
+    f.room.dvc->checkpoint_vc(*f.vc, lsc,
+                              [&](LscResult r) { result = std::move(r); });
   });
-  f.bed.sim.run_until(300 * sim::kSecond);
+  f.room.sim.run_until(300 * sim::kSecond);
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->ok);
   EXPECT_TRUE(result->aborted_cleanly);
@@ -514,6 +493,7 @@ TEST(NtpLscTest, HealthCheckAbortsCleanlyInsteadOfCrashing) {
   for (std::uint32_t i = 0; i < 8; ++i) {
     EXPECT_TRUE(f.vc->machine(i).running());
   }
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 // ---------------------------------------------------------------------------
@@ -523,112 +503,118 @@ TEST(NtpLscTest, HealthCheckAbortsCleanlyInsteadOfCrashing) {
 // conflated — recovery treats them differently.
 
 TEST(NtpLscTest, PreFreezeRejectionsAreAbortedMembersNotFailures) {
-  LscFixture f(4, 64ull << 20);
-  NtpLscCoordinator lsc(f.bed.sim, {}, sim::Rng(3));
-  lsc.set_metrics(&f.bed.metrics);
+  tools::CellRig f(lsc_cell(4, 64ull << 20));
+  NtpLscCoordinator lsc(f.room.sim, {}, sim::Rng(3));
+  lsc.set_metrics(&f.room.metrics);
   // Member 2's node dies before the round fires: its hypervisor rejects
   // the save outright, before any pause command reaches the guest.
-  f.bed.sim.schedule_after(4 * sim::kSecond, [&] {
-    f.bed.fabric.fail_node(f.vc->placement(2));
+  f.room.sim.schedule_after(4 * sim::kSecond, [&] {
+    f.room.fabric.fail_node(f.vc->placement(2));
   });
   std::optional<LscResult> result;
-  f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
-    lsc.checkpoint("split", f.bed.dvc->save_targets(*f.vc), f.bed.images,
+  f.room.sim.schedule_after(5 * sim::kSecond, [&] {
+    lsc.checkpoint("split", f.room.dvc->save_targets(*f.vc), f.room.images,
                    [&](LscResult r) { result = std::move(r); });
   });
-  f.bed.sim.run_until(60 * sim::kSecond);
+  f.room.sim.run_until(60 * sim::kSecond);
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->ok);
   EXPECT_EQ(result->members_aborted, 1);
   EXPECT_EQ(result->members_failed, 0);
   // The healthy members did freeze, so the round is not a clean abort.
   EXPECT_FALSE(result->aborted_cleanly);
-  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.members_aborted"), 1u);
-  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.members_failed"), 0u);
+  EXPECT_EQ(f.room.metrics.counter_value("ckpt.lsc.members_aborted"), 1u);
+  EXPECT_EQ(f.room.metrics.counter_value("ckpt.lsc.members_failed"), 0u);
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 TEST(NtpLscTest, WholeRoundRejectedPreFreezeIsACleanAbort) {
-  LscFixture f(4, 64ull << 20);
-  NtpLscCoordinator lsc(f.bed.sim, {}, sim::Rng(3));
-  lsc.set_metrics(&f.bed.metrics);
-  f.bed.sim.schedule_after(4 * sim::kSecond, [&] {
+  tools::CellRig f(lsc_cell(4, 64ull << 20));
+  NtpLscCoordinator lsc(f.room.sim, {}, sim::Rng(3));
+  lsc.set_metrics(&f.room.metrics);
+  f.room.sim.schedule_after(4 * sim::kSecond, [&] {
     for (std::uint32_t i = 0; i < 4; ++i) {
-      f.bed.fabric.fail_node(f.vc->placement(i));
+      f.room.fabric.fail_node(f.vc->placement(i));
     }
   });
   std::optional<LscResult> result;
-  f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
-    lsc.checkpoint("all-gone", f.bed.dvc->save_targets(*f.vc), f.bed.images,
+  f.room.sim.schedule_after(5 * sim::kSecond, [&] {
+    lsc.checkpoint("all-gone", f.room.dvc->save_targets(*f.vc), f.room.images,
                    [&](LscResult r) { result = std::move(r); });
   });
-  f.bed.sim.run_until(60 * sim::kSecond);
+  f.room.sim.run_until(60 * sim::kSecond);
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->ok);
   EXPECT_EQ(result->members_aborted, 4);
   EXPECT_EQ(result->members_failed, 0);
   // No guest froze at all: clean abort, no work disturbed by the round.
   EXPECT_TRUE(result->aborted_cleanly);
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 TEST(NtpLscTest, MidSaveCrashIsAFailedMemberAndSurvivorsThaw) {
   // Slow store (4 x 128 MiB at 100 MB/s ~ 5.4 s of writes) so the crash
   // lands while images are streaming; in-flight saves abort on node death.
-  LscFixture f(4, 128ull << 20, {}, /*seed=*/42, /*store_bps=*/100e6,
-               /*abort_saves_on_failure=*/true);
-  NtpLscCoordinator lsc(f.bed.sim, {}, sim::Rng(3));
-  lsc.set_metrics(&f.bed.metrics);
+  tools::CellRig f(lsc_cell(4, 128ull << 20, {}, /*seed=*/42,
+                            /*store_bps=*/100e6,
+                            /*abort_saves_on_failure=*/true));
+  NtpLscCoordinator lsc(f.room.sim, {}, sim::Rng(3));
+  lsc.set_metrics(&f.room.metrics);
   std::optional<LscResult> result;
-  f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
-    lsc.checkpoint("mid-save", f.bed.dvc->save_targets(*f.vc), f.bed.images,
+  f.room.sim.schedule_after(5 * sim::kSecond, [&] {
+    lsc.checkpoint("mid-save", f.room.dvc->save_targets(*f.vc), f.room.images,
                    [&](LscResult r) { result = std::move(r); });
   });
   // The NTP lead is ~2 s, so guests freeze around t=7 s; kill member 1's
   // node two seconds into the write phase.
-  f.bed.sim.schedule_after(9 * sim::kSecond, [&] {
-    f.bed.fabric.fail_node(f.vc->placement(1));
+  f.room.sim.schedule_after(9 * sim::kSecond, [&] {
+    f.room.fabric.fail_node(f.vc->placement(1));
   });
-  f.bed.sim.run_until(60 * sim::kSecond);
+  f.room.sim.run_until(60 * sim::kSecond);
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->ok);
   EXPECT_EQ(result->members_failed, 1);
   EXPECT_EQ(result->members_aborted, 0);
   EXPECT_FALSE(result->aborted_cleanly);
-  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.members_failed"), 1u);
+  EXPECT_EQ(f.room.metrics.counter_value("ckpt.lsc.members_failed"), 1u);
   // The survivors' guests were resumed after their own saves completed —
   // a failed round must not leave live guests frozen forever.
   for (std::uint32_t i : {0u, 2u, 3u}) {
     EXPECT_TRUE(f.vc->machine(i).running()) << "member " << i;
   }
   EXPECT_EQ(f.vc->machine(1).state(), vm::DomainState::kDead);
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 TEST(NtpLscTest, RoundTimeoutReportsStragglersAsLateCompletions) {
   // 4 x 128 MiB at 50 MB/s ~ 10.7 s of writes against a 6 s round budget.
-  LscFixture f(4, 128ull << 20, {}, /*seed=*/42, /*store_bps=*/50e6);
-  NtpLscCoordinator lsc(f.bed.sim, {}, sim::Rng(3));
-  lsc.set_metrics(&f.bed.metrics);
+  tools::CellRig f(
+      lsc_cell(4, 128ull << 20, {}, /*seed=*/42, /*store_bps=*/50e6));
+  NtpLscCoordinator lsc(f.room.sim, {}, sim::Rng(3));
+  lsc.set_metrics(&f.room.metrics);
   LscCoordinator::RetryPolicy retry;
   retry.round_timeout = 6 * sim::kSecond;
   lsc.set_retry_policy(retry);
   std::optional<LscResult> result;
-  f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
-    lsc.checkpoint("slow", f.bed.dvc->save_targets(*f.vc), f.bed.images,
+  f.room.sim.schedule_after(5 * sim::kSecond, [&] {
+    lsc.checkpoint("slow", f.room.dvc->save_targets(*f.vc), f.room.images,
                    [&](LscResult r) { result = std::move(r); });
   });
   // The fixture has already run to 20 s; the round fires at 25 s and its
   // watchdog at 31 s, well before the ~35 s the writes need.
-  f.bed.sim.run_until(32 * sim::kSecond);
+  f.room.sim.run_until(32 * sim::kSecond);
   ASSERT_TRUE(result.has_value());  // the watchdog fired, not the saves
   EXPECT_FALSE(result->ok);
   EXPECT_TRUE(result->timed_out);
-  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.round_timeouts"), 1u);
+  EXPECT_EQ(f.room.metrics.counter_value("ckpt.lsc.round_timeouts"), 1u);
   // The stragglers eventually finish; their completions are counted but
   // swallowed, and their guests are thawed.
-  f.bed.sim.run_until(60 * sim::kSecond);
-  EXPECT_GE(f.bed.metrics.counter_value("ckpt.lsc.late_completions"), 1u);
+  f.room.sim.run_until(60 * sim::kSecond);
+  EXPECT_GE(f.room.metrics.counter_value("ckpt.lsc.late_completions"), 1u);
   for (std::uint32_t i = 0; i < 4; ++i) {
     EXPECT_TRUE(f.vc->machine(i).running()) << "member " << i;
   }
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 // ---------------------------------------------------------------------------
@@ -636,22 +622,22 @@ TEST(NtpLscTest, RoundTimeoutReportsStragglersAsLateCompletions) {
 // event of a round its watchdog settled finds nothing.
 
 TEST(NtpLscTest, RetargetReturningNulloptAbandonsTheRetryCleanly) {
-  LscFixture f(4, 64ull << 20);
-  NtpLscCoordinator lsc(f.bed.sim, {}, sim::Rng(3));
-  lsc.set_metrics(&f.bed.metrics);
+  tools::CellRig f(lsc_cell(4, 64ull << 20));
+  NtpLscCoordinator lsc(f.room.sim, {}, sim::Rng(3));
+  lsc.set_metrics(&f.room.metrics);
   LscCoordinator::RetryPolicy retry;
   retry.max_round_retries = 2;
   lsc.set_retry_policy(retry);
   // Member 2's node dies before the round fires, so the round fails.
-  f.bed.sim.schedule_after(4 * sim::kSecond, [&] {
-    f.bed.fabric.fail_node(f.vc->placement(2));
+  f.room.sim.schedule_after(4 * sim::kSecond, [&] {
+    f.room.fabric.fail_node(f.vc->placement(2));
   });
   int reports = 0;
   int asked = 0;
   std::optional<LscResult> result;
-  f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
+  f.room.sim.schedule_after(5 * sim::kSecond, [&] {
     lsc.checkpoint(
-        "abandoned", f.bed.dvc->save_targets(*f.vc), f.bed.images,
+        "abandoned", f.room.dvc->save_targets(*f.vc), f.room.images,
         [&](LscResult r) {
           ++reports;
           result = std::move(r);
@@ -662,50 +648,52 @@ TEST(NtpLscTest, RetargetReturningNulloptAbandonsTheRetryCleanly) {
           return std::nullopt;
         });
   });
-  f.bed.sim.run_until(60 * sim::kSecond);
+  f.room.sim.run_until(60 * sim::kSecond);
   EXPECT_EQ(asked, 1);
   EXPECT_EQ(reports, 1);
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->ok);
   EXPECT_TRUE(result->aborted_cleanly);
   EXPECT_EQ(result->retries, 1);
-  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.round_retries"), 1u);
-  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.retries_abandoned"), 1u);
+  EXPECT_EQ(f.room.metrics.counter_value("ckpt.lsc.round_retries"), 1u);
+  EXPECT_EQ(f.room.metrics.counter_value("ckpt.lsc.retries_abandoned"), 1u);
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 TEST(NtpLscTest, DeferralOfARoundTheWatchdogSettledIsDropped) {
-  LscFixture f(4, 64ull << 20);
+  tools::CellRig f(lsc_cell(4, 64ull << 20));
   NtpLscCoordinator::Config cfg;
   cfg.stall_prob = 1.0;  // every attempt is deferred
   cfg.health_check = true;
-  NtpLscCoordinator lsc(f.bed.sim, cfg, sim::Rng(5));
-  lsc.set_metrics(&f.bed.metrics);
+  NtpLscCoordinator lsc(f.room.sim, cfg, sim::Rng(5));
+  lsc.set_metrics(&f.room.metrics);
   // The watchdog expires before the health check's 1.5 s poll.
   LscCoordinator::RetryPolicy retry;
   retry.round_timeout = 1 * sim::kSecond;
   lsc.set_retry_policy(retry);
   int reports = 0;
   std::optional<LscResult> result;
-  f.bed.sim.schedule_after(5 * sim::kSecond, [&] {
-    lsc.checkpoint("settled", f.bed.dvc->save_targets(*f.vc), f.bed.images,
+  f.room.sim.schedule_after(5 * sim::kSecond, [&] {
+    lsc.checkpoint("settled", f.room.dvc->save_targets(*f.vc), f.room.images,
                    [&](LscResult r) {
                      ++reports;
                      result = std::move(r);
                    });
   });
-  f.bed.sim.run_until(60 * sim::kSecond);
+  f.room.sim.run_until(60 * sim::kSecond);
   EXPECT_EQ(reports, 1);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->timed_out);
-  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.round_timeouts"), 1u);
+  EXPECT_EQ(f.room.metrics.counter_value("ckpt.lsc.round_timeouts"), 1u);
   // The deferred attempt never re-ran: no further health check, no
   // abandoned report, no round, and no guest froze.
-  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.health_check_retries"), 0u);
-  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.rounds_aborted"), 0u);
-  EXPECT_EQ(f.bed.metrics.counter_value("ckpt.lsc.late_completions"), 0u);
+  EXPECT_EQ(f.room.metrics.counter_value("ckpt.lsc.health_check_retries"), 0u);
+  EXPECT_EQ(f.room.metrics.counter_value("ckpt.lsc.rounds_aborted"), 0u);
+  EXPECT_EQ(f.room.metrics.counter_value("ckpt.lsc.late_completions"), 0u);
   for (std::uint32_t i = 0; i < 4; ++i) {
     EXPECT_EQ(f.vc->machine(i).pauses(), 0u) << "member " << i;
   }
+  EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
 }  // namespace

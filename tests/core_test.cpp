@@ -21,17 +21,6 @@ namespace {
 
 using test::TestBed;
 
-app::WorkloadSpec steady_job(app::RankId ranks, std::uint32_t iters) {
-  app::WorkloadSpec s;
-  s.name = "steady";
-  s.ranks = ranks;
-  s.iterations = iters;
-  s.flops_per_rank_iter = 1e9;  // ~0.1 s per iteration
-  s.pattern = app::Pattern::kAllToAll;
-  s.bytes_per_msg = 2048;
-  return s;
-}
-
 TestBed::Options two_cluster_opts(std::uint32_t nodes_per = 4) {
   TestBed::Options o;
   o.clusters = 2;
@@ -147,7 +136,7 @@ TEST(DvcManagerTest, AttachAppSizeMismatchThrows) {
   auto contexts = vc.contexts();
   contexts.pop_back();
   app::ParallelApp two(bed.sim, bed.fabric.network(), contexts,
-                       steady_job(2, 10));
+                       test::alltoall_job(2, 10, 2048));
   EXPECT_THROW(bed.dvc->attach_app(vc, two), std::invalid_argument);
 }
 
@@ -158,7 +147,7 @@ struct RunningVc {
     bed.sim.run_until(20 * sim::kSecond);
     application = std::make_unique<app::ParallelApp>(
         bed.sim, bed.fabric.network(), vc->contexts(),
-        steady_job(size, iters));
+        test::alltoall_job(size, iters, 2048));
     bed.dvc->attach_app(*vc, *application);
     application->start();
   }
@@ -754,7 +743,8 @@ TEST_P(DvcManagerDestroyTest, DestroyInEveryState) {
   if (state != DestroyAt::kMidBoot) {
     bed.sim.run_until(20 * sim::kSecond);
     application = std::make_unique<app::ParallelApp>(
-        bed.sim, bed.fabric.network(), vc->contexts(), steady_job(3, 3000));
+        bed.sim, bed.fabric.network(), vc->contexts(),
+        test::alltoall_job(3, 3000, 2048));
     bed.dvc->attach_app(*vc, *application);
     application->start();
   }

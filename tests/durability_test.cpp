@@ -3,87 +3,41 @@
 #include <functional>
 #include <memory>
 
-#include "app/workload.hpp"
-#include "ckpt/lsc.hpp"
-#include "core/dvc_manager.hpp"
 #include "testbed.hpp"
 
 namespace dvc {
 namespace {
 
-using test::TestBed;
-using test::TestBedOptions;
-
-app::WorkloadSpec steady_job(app::RankId ranks, std::uint32_t iters) {
-  app::WorkloadSpec s;
-  s.name = "durability-test";
-  s.ranks = ranks;
-  s.iterations = iters;
-  s.flops_per_rank_iter = 1e9;  // ~0.1 s of compute per iteration
-  s.pattern = app::Pattern::kAllToAll;
-  s.bytes_per_msg = 4096;
-  return s;
-}
-
-/// A VC + application + auto-recovery stack, optionally with checkpoint
+/// A VC + application + auto-recovery cell, optionally with checkpoint
 /// replication, for exercising the durability layer end to end: damage is
 /// planted in the image store and recovery must either mask it (replicas),
 /// walk back a generation (fallback), or diagnose the loss (kFailed).
-struct DurabilityStack {
-  DurabilityStack(std::uint32_t nodes, std::uint32_t vc_size,
-                  std::uint32_t iters,
-                  core::DvcManager::RecoveryPolicy base_policy,
-                  std::uint32_t store_replicas = 0, std::uint64_t seed = 26)
-      : bed(make_options(nodes, seed, store_replicas)),
-        lsc(bed.sim, {}, sim::Rng(seed ^ 0x15C)) {
-    lsc.set_metrics(&bed.metrics);
-    core::VcSpec spec;
-    spec.name = "dur-vc";
-    spec.size = vc_size;
-    spec.guest.ram_bytes = 128ull << 20;
-    vc = &bed.dvc->create_vc(spec, *bed.dvc->pick_nodes(vc_size), {});
-    bed.sim.run_until(20 * sim::kSecond);  // boot completes at 15 s
-    application = std::make_unique<app::ParallelApp>(
-        bed.sim, bed.fabric.network(), vc->contexts(),
-        steady_job(vc_size, iters));
-    bed.dvc->attach_app(*vc, *application);
-    application->start();
-    base_policy.coordinator = &lsc;
-    bed.dvc->enable_auto_recovery(*vc, base_policy);
-  }
+tools::CellSpec durability_cell(std::uint32_t nodes, std::uint32_t vc_size,
+                                std::uint32_t iters,
+                                core::DvcManager::RecoveryPolicy policy,
+                                std::uint32_t store_replicas = 0) {
+  test::TestBedOptions room = test::failure_room(/*clusters=*/1, nodes);
+  room.store_replicas = store_replicas;
+  tools::CellSpec spec = test::test_cell(room, "dur-vc", 128ull << 20,
+                                         test::alltoall_job(vc_size, iters));
+  spec.recovery = policy;
+  return spec;
+}
 
-  static TestBedOptions make_options(std::uint32_t nodes, std::uint64_t seed,
-                                     std::uint32_t store_replicas) {
-    TestBedOptions o;
-    o.clusters = 1;
-    o.nodes_per_cluster = nodes;
-    o.seed = seed;
-    o.store.write_bps = 200e6;
-    o.store.read_bps = 400e6;
-    o.store_replicas = store_replicas;
-    o.hv.abort_saves_on_failure = true;
-    return o;
-  }
-
-  /// Flips the stored digest of every *primary* object a generation's
-  /// restore chain would read. Replica copies are left intact.
-  std::size_t corrupt_generation(const core::VcGeneration& gen) {
-    std::size_t corrupted = 0;
-    for (const storage::CheckpointSetId sid : gen.chain) {
-      const storage::CheckpointSet* s = bed.images.find_set(sid);
-      if (s == nullptr) continue;
-      for (const auto& m : s->members) {
-        if (bed.store.corrupt_object(m.object)) ++corrupted;
-      }
+/// Flips the stored digest of every *primary* object a generation's
+/// restore chain would read. Replica copies are left intact.
+std::size_t corrupt_generation(core::MachineRoom& room,
+                               const core::VcGeneration& gen) {
+  std::size_t corrupted = 0;
+  for (const storage::CheckpointSetId sid : gen.chain) {
+    const storage::CheckpointSet* s = room.images.find_set(sid);
+    if (s == nullptr) continue;
+    for (const auto& m : s->members) {
+      if (room.store.corrupt_object(m.object)) ++corrupted;
     }
-    return corrupted;
   }
-
-  TestBed bed;
-  ckpt::NtpLscCoordinator lsc;
-  core::VirtualCluster* vc = nullptr;
-  std::unique_ptr<app::ParallelApp> application;
-};
+  return corrupted;
+}
 
 // ---------------------------------------------------------------------------
 // Bit rot hits every image of the newest checkpoint generation. The restore
@@ -96,30 +50,33 @@ TEST(DurabilityTest, CorruptNewestGenerationFallsBackAndCompletes) {
   policy.interval = 20 * sim::kSecond;
   policy.watchdog_interval = 7 * sim::kSecond;
   policy.keep_checkpoints = 2;
-  DurabilityStack s(/*nodes=*/8, /*vc=*/6, /*iters=*/600, policy);
+  tools::CellRig s(
+      durability_cell(/*nodes=*/8, /*vc=*/6, /*iters=*/600, policy));
+  s.start_recovery();
 
   bool armed = false;
-  s.bed.sim.schedule_after(72 * sim::kSecond, [&] {
+  s.room.sim.schedule_after(72 * sim::kSecond, [&] {
     // Two periodic rounds (at ~40 s and ~60 s) have sealed by now.
     ASSERT_GE(s.vc->generations().size(), 2u);
-    EXPECT_GT(s.corrupt_generation(s.vc->generations().back()), 0u);
+    EXPECT_GT(corrupt_generation(s.room, s.vc->generations().back()), 0u);
     armed = true;
     s.vc->machine(3).kill();  // watchdog-visible failure forces a restore
   });
 
-  s.bed.sim.run_until(500 * sim::kSecond);
+  s.room.sim.run_until(500 * sim::kSecond);
   ASSERT_TRUE(armed);
-  EXPECT_GE(s.bed.dvc->restore_fallbacks(), 1u);
-  EXPECT_GE(s.bed.metrics.counter_value("core.dvc.restore_fallbacks"), 1u);
-  EXPECT_GT(s.bed.metrics.counter_value("storage.store.verify_failures"),
+  EXPECT_GE(s.room.dvc->restore_fallbacks(), 1u);
+  EXPECT_GE(s.room.metrics.counter_value("core.dvc.restore_fallbacks"), 1u);
+  EXPECT_GT(s.room.metrics.counter_value("storage.store.verify_failures"),
             0u);
-  EXPECT_GT(s.bed.metrics.counter_value("storage.images.sets_damaged"), 0u);
+  EXPECT_GT(s.room.metrics.counter_value("storage.images.sets_damaged"), 0u);
   // The older generation carried the job home.
   EXPECT_TRUE(s.application->completed());
   EXPECT_FALSE(s.application->failed());
   for (std::uint32_t i = 0; i < 6; ++i) {
     EXPECT_EQ(s.application->rank(i).state().iter, 600u);
   }
+  EXPECT_TRUE(test::clean_end_of_run(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -133,11 +90,13 @@ TEST(DurabilityTest, TornNewestGenerationIsCaughtAtRestoreAndFallsBack) {
   policy.interval = 300 * sim::kSecond;  // manual rounds only
   policy.watchdog_interval = 7 * sim::kSecond;
   policy.keep_checkpoints = 2;
-  DurabilityStack s(/*nodes=*/8, /*vc=*/6, /*iters=*/600, policy);
+  tools::CellRig s(
+      durability_cell(/*nodes=*/8, /*vc=*/6, /*iters=*/600, policy));
+  s.start_recovery();
 
   // Generation 1: a clean manual round at 30 s.
-  s.bed.sim.schedule_at(30 * sim::kSecond, [&] {
-    s.bed.dvc->checkpoint_vc(*s.vc, s.lsc, {});
+  s.room.sim.schedule_at(30 * sim::kSecond, [&] {
+    s.room.dvc->checkpoint_vc(*s.vc, *s.lsc, {});
   });
   // Generation 2 at 50 s, torn while its images drain: poll from 52 s until
   // the store actually has writes in flight (deterministic — the sim replays
@@ -147,31 +106,32 @@ TEST(DurabilityTest, TornNewestGenerationIsCaughtAtRestoreAndFallsBack) {
   // when the loop stops (a strong self-capture would leak a cycle).
   auto tear = std::make_shared<std::function<void()>>();
   *tear = [&s, &torn, self = std::weak_ptr<std::function<void()>>(tear)] {
-    torn += static_cast<int>(s.bed.store.tear_inflight_writes());
-    if (torn == 0 && s.bed.sim.now() < 65 * sim::kSecond) {
-      s.bed.sim.schedule_after(sim::kSecond / 5,
-                               [tear = self.lock()] { (*tear)(); });
+    torn += static_cast<int>(s.room.store.tear_inflight_writes());
+    if (torn == 0 && s.room.sim.now() < 65 * sim::kSecond) {
+      s.room.sim.schedule_after(sim::kSecond / 5,
+                                [tear = self.lock()] { (*tear)(); });
     }
   };
-  s.bed.sim.schedule_at(50 * sim::kSecond, [&] {
-    s.bed.dvc->checkpoint_vc(*s.vc, s.lsc, {});
+  s.room.sim.schedule_at(50 * sim::kSecond, [&] {
+    s.room.dvc->checkpoint_vc(*s.vc, *s.lsc, {});
   });
-  s.bed.sim.schedule_at(52 * sim::kSecond, [tear] { (*tear)(); });
+  s.room.sim.schedule_at(52 * sim::kSecond, [tear] { (*tear)(); });
 
   bool armed = false;
-  s.bed.sim.schedule_at(72 * sim::kSecond, [&] {
+  s.room.sim.schedule_at(72 * sim::kSecond, [&] {
     ASSERT_EQ(s.vc->generations().size(), 2u);
     armed = true;
     s.vc->machine(1).kill();
   });
 
-  s.bed.sim.run_until(500 * sim::kSecond);
+  s.room.sim.run_until(500 * sim::kSecond);
   ASSERT_TRUE(armed);
   EXPECT_GT(torn, 0);  // the tear really hit in-flight checkpoint writes
-  EXPECT_GT(s.bed.metrics.counter_value("storage.store.torn_writes"), 0u);
-  EXPECT_GE(s.bed.dvc->restore_fallbacks(), 1u);
+  EXPECT_GT(s.room.metrics.counter_value("storage.store.torn_writes"), 0u);
+  EXPECT_GE(s.room.dvc->restore_fallbacks(), 1u);
   EXPECT_TRUE(s.application->completed());
   EXPECT_FALSE(s.application->failed());
+  EXPECT_TRUE(test::clean_end_of_run(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -184,27 +144,29 @@ TEST(DurabilityTest, ReplicationMasksPrimaryCorruptionWithZeroFallbacks) {
   policy.interval = 20 * sim::kSecond;
   policy.watchdog_interval = 7 * sim::kSecond;
   policy.keep_checkpoints = 2;
-  DurabilityStack s(/*nodes=*/8, /*vc=*/6, /*iters=*/600, policy,
-                    /*store_replicas=*/1);
+  tools::CellRig s(durability_cell(/*nodes=*/8, /*vc=*/6, /*iters=*/600,
+                                   policy, /*store_replicas=*/1));
+  s.start_recovery();
 
   bool armed = false;
-  s.bed.sim.schedule_after(72 * sim::kSecond, [&] {
+  s.room.sim.schedule_after(72 * sim::kSecond, [&] {
     ASSERT_GE(s.vc->generations().size(), 2u);
-    EXPECT_GT(s.corrupt_generation(s.vc->generations().back()), 0u);
+    EXPECT_GT(corrupt_generation(s.room, s.vc->generations().back()), 0u);
     armed = true;
     s.vc->machine(3).kill();
   });
 
-  s.bed.sim.run_until(500 * sim::kSecond);
+  s.room.sim.run_until(500 * sim::kSecond);
   ASSERT_TRUE(armed);
-  EXPECT_GT(s.bed.metrics.counter_value("storage.replica.failovers"), 0u);
-  EXPECT_EQ(s.bed.dvc->restore_fallbacks(), 0u);  // damage fully masked
-  EXPECT_EQ(s.bed.metrics.counter_value("storage.images.sets_damaged"), 0u);
+  EXPECT_GT(s.room.metrics.counter_value("storage.replica.failovers"), 0u);
+  EXPECT_EQ(s.room.dvc->restore_fallbacks(), 0u);  // damage fully masked
+  EXPECT_EQ(s.room.metrics.counter_value("storage.images.sets_damaged"), 0u);
   EXPECT_TRUE(s.application->completed());
   EXPECT_FALSE(s.application->failed());
   for (std::uint32_t i = 0; i < 6; ++i) {
     EXPECT_EQ(s.application->rank(i).state().iter, 600u);
   }
+  EXPECT_TRUE(test::clean_end_of_run(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -219,26 +181,29 @@ TEST(DurabilityTest, AbandonsWithDiagnosisWhenEveryGenerationIsDamaged) {
   policy.keep_checkpoints = 2;
   // Far more iterations than the run window: the job cannot complete, so
   // the only acceptable outcome is an explicit failure diagnosis.
-  DurabilityStack s(/*nodes=*/8, /*vc=*/4, /*iters=*/50000, policy);
+  tools::CellRig s(
+      durability_cell(/*nodes=*/8, /*vc=*/4, /*iters=*/50000, policy));
+  s.start_recovery();
 
   bool armed = false;
-  s.bed.sim.schedule_after(72 * sim::kSecond, [&] {
+  s.room.sim.schedule_after(72 * sim::kSecond, [&] {
     ASSERT_GE(s.vc->generations().size(), 2u);
     for (const auto& gen : s.vc->generations()) {
-      EXPECT_GT(s.corrupt_generation(gen), 0u);
+      EXPECT_GT(corrupt_generation(s.room, gen), 0u);
     }
     armed = true;
     s.vc->machine(1).kill();
   });
 
-  s.bed.sim.run_until(400 * sim::kSecond);
+  s.room.sim.run_until(400 * sim::kSecond);
   ASSERT_TRUE(armed);
-  EXPECT_GE(s.bed.dvc->recoveries_abandoned(), 1u);
-  EXPECT_GE(s.bed.metrics.counter_value("core.dvc.recoveries_abandoned"),
+  EXPECT_GE(s.room.dvc->recoveries_abandoned(), 1u);
+  EXPECT_GE(s.room.metrics.counter_value("core.dvc.recoveries_abandoned"),
             1u);
   EXPECT_EQ(s.vc->state(), core::VcState::kFailed);
   EXPECT_TRUE(s.application->failed());
   EXPECT_FALSE(s.application->completed());
+  EXPECT_TRUE(test::clean_end_of_run(s));
 }
 
 }  // namespace

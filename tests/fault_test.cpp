@@ -222,6 +222,12 @@ FaultInjector::Hooks hooks_for(TestBed& bed) {
                               {}};
 }
 
+TEST(FaultInjectorTest, NullRegistryIsRejected) {
+  TestBed bed(two_cluster_opts());
+  EXPECT_THROW(FaultInjector(bed.sim, hooks_for(bed), nullptr),
+               std::invalid_argument);
+}
+
 TEST(FaultInjectorTest, NodeCrashFailsAndRebootsTheNode) {
   TestBed bed(two_cluster_opts());
   FaultInjector inj(bed.sim, hooks_for(bed), &bed.metrics);

@@ -1,78 +1,29 @@
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "app/workload.hpp"
-#include "check/invariants.hpp"
-#include "ckpt/lsc.hpp"
-#include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "testbed.hpp"
 
 namespace dvc {
 namespace {
 
-using test::TestBed;
-using test::TestBedOptions;
-
-app::WorkloadSpec chatty_job(app::RankId ranks, std::uint32_t iters) {
-  app::WorkloadSpec s;
-  s.name = "partition-test";
-  s.ranks = ranks;
-  s.iterations = iters;
-  s.flops_per_rank_iter = 1e9;  // ~0.1 s of compute per iteration
-  s.pattern = app::Pattern::kAllToAll;
-  s.bytes_per_msg = 4096;
-  return s;
-}
-
-/// A VC + application + auto-recovery stack whose control plane is itself
+/// A VC + application + auto-recovery cell whose control plane is itself
 /// a fault domain: the DVC coordinator runs on a designated head node,
 /// journals intents, and fences its commands with the coordinator epoch.
-struct CoordStack {
-  CoordStack(std::uint32_t clusters, std::uint32_t nodes_per_cluster,
-             std::uint32_t vc_size, std::uint32_t iters,
-             core::DvcManager::RecoveryPolicy base_policy,
-             hw::NodeId head, std::uint64_t seed = 26)
-      : bed(make_options(clusters, nodes_per_cluster, seed)),
-        lsc(bed.sim, {}, sim::Rng(seed ^ 0x15C)) {
-    lsc.set_metrics(&bed.metrics);
-    core::VcSpec spec;
-    spec.name = "coord-vc";
-    spec.size = vc_size;
-    spec.guest.ram_bytes = 128ull << 20;
-    vc = &bed.dvc->create_vc(spec, *bed.dvc->pick_nodes(vc_size), {});
-    bed.dvc->designate_head_node(head);
-    bed.sim.run_until(20 * sim::kSecond);  // boot completes at 15 s
-    application = std::make_unique<app::ParallelApp>(
-        bed.sim, bed.fabric.network(), vc->contexts(),
-        chatty_job(vc_size, iters));
-    bed.dvc->attach_app(*vc, *application);
-    application->start();
-    base_policy.coordinator = &lsc;
-    bed.dvc->enable_auto_recovery(*vc, base_policy);
-  }
-
-  static TestBedOptions make_options(std::uint32_t clusters,
-                                     std::uint32_t nodes_per_cluster,
-                                     std::uint64_t seed) {
-    TestBedOptions o;
-    o.clusters = clusters;
-    o.nodes_per_cluster = nodes_per_cluster;
-    o.seed = seed;
-    o.store.write_bps = 200e6;
-    o.store.read_bps = 400e6;
-    o.hv.abort_saves_on_failure = true;
-    return o;
-  }
-
-  TestBed bed;
-  ckpt::NtpLscCoordinator lsc;
-  core::VirtualCluster* vc = nullptr;
-  std::unique_ptr<app::ParallelApp> application;
-};
+tools::CellSpec coord_cell(std::uint32_t clusters,
+                           std::uint32_t nodes_per_cluster,
+                           std::uint32_t vc_size, std::uint32_t iters,
+                           core::DvcManager::RecoveryPolicy policy,
+                           hw::NodeId head) {
+  tools::CellSpec spec = test::test_cell(
+      test::failure_room(clusters, nodes_per_cluster), "coord-vc",
+      128ull << 20, test::alltoall_job(vc_size, iters));
+  spec.head_node = head;
+  spec.recovery = policy;
+  return spec;
+}
 
 core::DvcManager::RecoveryPolicy manual_rounds_policy() {
   core::DvcManager::RecoveryPolicy p;
@@ -93,52 +44,55 @@ TEST(CoordinatorRecoveryTest, CrashAtEveryRoundPhaseEndsConsistent) {
   const double phases[] = {30.5, 33.0, 36.0, 40.0};
   for (const double crash_s : phases) {
     SCOPED_TRACE("coordinator crash at " + std::to_string(crash_s) + " s");
-    CoordStack s(/*clusters=*/1, /*nodes=*/12, /*vc=*/8, /*iters=*/3000,
-                 manual_rounds_policy(), /*head=*/11);
+    tools::CellRig s(coord_cell(/*clusters=*/1, /*nodes=*/12, /*vc=*/8,
+                                /*iters=*/3000, manual_rounds_policy(),
+                                /*head=*/11));
+    s.start_recovery();
 
     std::optional<ckpt::LscResult> first;
-    s.bed.sim.schedule_at(30 * sim::kSecond, [&] {
-      s.bed.dvc->checkpoint_vc(*s.vc, s.lsc,
-                               [&](ckpt::LscResult r) { first = r; });
+    s.room.sim.schedule_at(30 * sim::kSecond, [&] {
+      s.room.dvc->checkpoint_vc(*s.vc, *s.lsc,
+                                [&](ckpt::LscResult r) { first = r; });
     });
-    s.bed.sim.schedule_at(
+    s.room.sim.schedule_at(
         static_cast<sim::Time>(crash_s * sim::kSecond),
-        [&] { s.bed.dvc->crash_coordinator(10 * sim::kSecond); });
+        [&] { s.room.dvc->crash_coordinator(10 * sim::kSecond); });
 
-    s.bed.sim.run_until(100 * sim::kSecond);
-    EXPECT_TRUE(s.bed.dvc->coordinator_up());
-    EXPECT_EQ(s.bed.dvc->coordinator_crashes(), 1u);
-    EXPECT_EQ(s.bed.dvc->coordinator_reboots(), 1u);
+    s.room.sim.run_until(100 * sim::kSecond);
+    EXPECT_TRUE(s.room.dvc->coordinator_up());
+    EXPECT_EQ(s.room.dvc->coordinator_crashes(), 1u);
+    EXPECT_EQ(s.room.dvc->coordinator_reboots(), 1u);
     // The round's completion either reached the issuing incarnation
     // (post-seal crash) or was dropped at the door as stale.
     EXPECT_TRUE(first.has_value() ||
-                s.bed.dvc->stale_completions() >= 1u);
+                s.room.dvc->stale_completions() >= 1u);
 
     // The rebooted incarnation is fully operational: a fresh round seals
     // and becomes *the* recovery point — the deposed round's set (whose
     // app snapshots died with the old coordinator) cannot shadow it.
     std::optional<ckpt::LscResult> second;
-    s.bed.dvc->checkpoint_vc(*s.vc, s.lsc,
-                             [&](ckpt::LscResult r) { second = r; });
-    s.bed.sim.run_until(160 * sim::kSecond);
+    s.room.dvc->checkpoint_vc(*s.vc, *s.lsc,
+                              [&](ckpt::LscResult r) { second = r; });
+    s.room.sim.run_until(160 * sim::kSecond);
     ASSERT_TRUE(second.has_value());
     EXPECT_TRUE(second->ok);
     const storage::CheckpointSet* latest =
-        s.bed.images.latest_sealed(s.vc->checkpoint_label());
+        s.room.images.latest_sealed(s.vc->checkpoint_label());
     ASSERT_NE(latest, nullptr);
     EXPECT_EQ(latest->id, second->set);
 
     // Every journalled intent was either completed or resolved by the
     // reboot's reconciliation pass — nothing half-open remains.
-    EXPECT_GT(s.bed.metrics.counter_value("core.dvc.wal_appends"), 0u);
-    ASSERT_NE(s.bed.dvc->intent_log(), nullptr);
-    EXPECT_TRUE(s.bed.dvc->intent_log()->open_intents().empty());
+    EXPECT_GT(s.room.metrics.counter_value("core.dvc.wal_appends"), 0u);
+    ASSERT_NE(s.room.dvc->intent_log(), nullptr);
+    EXPECT_TRUE(s.room.dvc->intent_log()->open_intents().empty());
 
     // The application survived the whole episode and makes progress.
     EXPECT_FALSE(s.application->failed());
     const auto iter_then = s.application->rank(0).state().iter;
-    s.bed.sim.run_until(190 * sim::kSecond);
+    s.room.sim.run_until(190 * sim::kSecond);
     EXPECT_GT(s.application->rank(0).state().iter, iter_then);
+    EXPECT_TRUE(test::clean_end_of_run(s));
   }
 }
 
@@ -148,52 +102,55 @@ TEST(CoordinatorRecoveryTest, CrashAtEveryRoundPhaseEndsConsistent) {
 // hypervisors — and counted in telemetry.
 
 TEST(CoordinatorRecoveryTest, DeposedEpochIsFencedAtStoreAndHypervisor) {
-  CoordStack s(/*clusters=*/1, /*nodes=*/12, /*vc=*/4, /*iters=*/3000,
-               manual_rounds_policy(), /*head=*/11);
-  const std::uint64_t deposed = s.bed.dvc->coordinator_epoch();
-  EXPECT_EQ(deposed, s.bed.fence.current());
+  tools::CellRig s(coord_cell(/*clusters=*/1, /*nodes=*/12, /*vc=*/4,
+                              /*iters=*/3000, manual_rounds_policy(),
+                              /*head=*/11));
+  s.start_recovery();
+  const std::uint64_t deposed = s.room.dvc->coordinator_epoch();
+  EXPECT_EQ(deposed, s.room.fence.current());
 
   // Capture save targets stamped with the current epoch, then depose that
   // incarnation: crash + reboot advances the fence.
-  std::vector<ckpt::SaveTarget> stale = s.bed.dvc->save_targets(*s.vc);
+  std::vector<ckpt::SaveTarget> stale = s.room.dvc->save_targets(*s.vc);
   ASSERT_FALSE(stale.empty());
   EXPECT_EQ(stale.front().epoch, deposed);
-  s.bed.dvc->crash_coordinator(sim::kSecond);
-  s.bed.sim.run_until(60 * sim::kSecond);  // reboot waits the lease out
-  ASSERT_TRUE(s.bed.dvc->coordinator_up());
-  EXPECT_GT(s.bed.dvc->coordinator_epoch(), deposed);
+  s.room.dvc->crash_coordinator(sim::kSecond);
+  s.room.sim.run_until(60 * sim::kSecond);  // reboot waits the lease out
+  ASSERT_TRUE(s.room.dvc->coordinator_up());
+  EXPECT_GT(s.room.dvc->coordinator_epoch(), deposed);
 
   // Store fencing: a stale-epoch open yields no set.
-  EXPECT_EQ(s.bed.images.open_set("stale-round", 4, deposed),
+  EXPECT_EQ(s.room.images.open_set("stale-round", 4, deposed),
             storage::kInvalidCheckpointSet);
-  EXPECT_GE(s.bed.metrics.counter_value("storage.images.fenced_writes"), 1u);
+  EXPECT_GE(s.room.metrics.counter_value("storage.images.fenced_writes"), 1u);
 
   // Hypervisor fencing: a stale-epoch save is rejected before the guest
   // is even paused.
-  const storage::CheckpointSetId live = s.bed.images.open_set(
-      "fence-probe", 1, s.bed.fence.current());
+  const storage::CheckpointSetId live = s.room.images.open_set(
+      "fence-probe", 1, s.room.fence.current());
   ASSERT_NE(live, storage::kInvalidCheckpointSet);
   std::optional<bool> saved;
   stale.front().hypervisor->save_domain(
-      *stale.front().machine, s.bed.images, live, 0,
+      *stale.front().machine, s.room.images, live, 0,
       [&](bool ok, std::any) { saved = ok; }, false, deposed);
-  s.bed.sim.run_until(70 * sim::kSecond);
+  s.room.sim.run_until(70 * sim::kSecond);
   ASSERT_TRUE(saved.has_value());
   EXPECT_FALSE(*saved);
-  EXPECT_GE(s.bed.metrics.counter_value("vm.hypervisor.fenced_commands"),
+  EXPECT_GE(s.room.metrics.counter_value("vm.hypervisor.fenced_commands"),
             1u);
   EXPECT_EQ(stale.front().machine->state(), vm::DomainState::kRunning);
 
   // A whole LSC round driven with the deposed targets aborts cleanly at
   // the store fence without freezing a single guest.
   std::optional<ckpt::LscResult> r;
-  s.lsc.checkpoint(s.vc->checkpoint_label(), stale, s.bed.images,
-                   [&](ckpt::LscResult res) { r = res; });
-  s.bed.sim.run_until(90 * sim::kSecond);
+  s.lsc->checkpoint(s.vc->checkpoint_label(), stale, s.room.images,
+                    [&](ckpt::LscResult res) { r = res; });
+  s.room.sim.run_until(90 * sim::kSecond);
   ASSERT_TRUE(r.has_value());
   EXPECT_FALSE(r->ok);
   EXPECT_TRUE(r->aborted_cleanly);
   EXPECT_FALSE(s.application->failed());
+  EXPECT_TRUE(test::clean_end_of_run(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -204,29 +161,26 @@ TEST(CoordinatorRecoveryTest, DeposedEpochIsFencedAtStoreAndHypervisor) {
 // recovering -> running.
 
 TEST(CoordinatorRecoveryTest, RestoreLandingWhileHeadlessIsFenced) {
-  CoordStack s(/*clusters=*/1, /*nodes=*/12, /*vc=*/4, /*iters=*/3000,
-               manual_rounds_policy(), /*head=*/11);
-  check::Invariants inv(check::Invariants::Wiring{
-      &s.bed.sim, s.bed.dvc.get(), &s.bed.images, &s.bed.fence,
-      &s.bed.metrics});
-  inv.attach();
-  s.lsc.set_check(&inv);
-  test::RecordingChecker rec(s.bed.sim, &inv);
-  s.bed.dvc->set_check(&rec);
+  tools::CellRig s(coord_cell(/*clusters=*/1, /*nodes=*/12, /*vc=*/4,
+                              /*iters=*/3000, manual_rounds_policy(),
+                              /*head=*/11));
+  s.start_recovery();
+  test::RecordingChecker rec(s.room.sim, s.inv.get());
+  s.room.dvc->set_check(&rec);
 
   // Checkpoint #0 seals by ~25 s; the restore it feeds starts at 40 s and
   // reads 4 x 128 MiB for ~1.5 s, so the crash at 40.2 s lands mid-read.
   // The reboot cannot come before 60.2 s (down_for).
   const sim::Time crash_at = 40 * sim::kSecond + 200 * sim::kMillisecond;
   const sim::Time reboot_at = crash_at + 20 * sim::kSecond;
-  s.bed.sim.schedule_at(40 * sim::kSecond,
-                        [&] { s.bed.dvc->recover_now(*s.vc); });
-  s.bed.sim.schedule_at(
-      crash_at, [&] { s.bed.dvc->crash_coordinator(20 * sim::kSecond); });
+  s.room.sim.schedule_at(40 * sim::kSecond,
+                         [&] { s.room.dvc->recover_now(*s.vc); });
+  s.room.sim.schedule_at(
+      crash_at, [&] { s.room.dvc->crash_coordinator(20 * sim::kSecond); });
   std::optional<core::VcState> while_headless;
-  s.bed.sim.schedule_at(reboot_at - sim::kSecond,
-                        [&] { while_headless = s.vc->state(); });
-  s.bed.sim.run_until(100 * sim::kSecond);
+  s.room.sim.schedule_at(reboot_at - sim::kSecond,
+                         [&] { while_headless = s.vc->state(); });
+  s.room.sim.run_until(100 * sim::kSecond);
 
   using S = core::VcState;
   ASSERT_EQ(rec.edges, (std::vector<test::RecordingChecker::Edge>{
@@ -237,23 +191,20 @@ TEST(CoordinatorRecoveryTest, RestoreLandingWhileHeadlessIsFenced) {
   EXPECT_EQ(while_headless, S::kRecovering);
   // The last edge is the reboot's reconciliation, not the restore.
   EXPECT_GE(rec.edge_times.back(), reboot_at);
-  EXPECT_EQ(s.bed.dvc->coordinator_reboots(), 1u);
-  EXPECT_GE(s.bed.dvc->stale_completions(), 1u);
-  EXPECT_EQ(s.bed.dvc->recoveries_performed(), 0u);
-  EXPECT_EQ(s.bed.metrics.counter_value("core.dvc.restores"), 0u);
-  EXPECT_EQ(s.bed.metrics.counter_value("core.dvc.reconcile_resumes"), 0u);
-  EXPECT_EQ(s.bed.metrics.counter_value("core.dvc.reconcile_recoveries"),
+  EXPECT_EQ(s.room.dvc->coordinator_reboots(), 1u);
+  EXPECT_GE(s.room.dvc->stale_completions(), 1u);
+  EXPECT_EQ(s.room.dvc->recoveries_performed(), 0u);
+  EXPECT_EQ(s.room.metrics.counter_value("core.dvc.restores"), 0u);
+  EXPECT_EQ(s.room.metrics.counter_value("core.dvc.reconcile_resumes"), 0u);
+  EXPECT_EQ(s.room.metrics.counter_value("core.dvc.reconcile_recoveries"),
             0u);
   EXPECT_EQ(s.vc->state(), S::kRunning);
 
   EXPECT_FALSE(s.application->failed());
   const auto iter_then = s.application->rank(0).state().iter;
-  s.bed.sim.run_until(130 * sim::kSecond);
+  s.room.sim.run_until(130 * sim::kSecond);
   EXPECT_GT(s.application->rank(0).state().iter, iter_then);
-  inv.end_of_run(/*expect_quiesced=*/false);
-  EXPECT_TRUE(inv.ok()) << inv.report();
-  inv.detach();
-  s.lsc.set_check(nullptr);
+  EXPECT_TRUE(test::clean_end_of_run(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -264,72 +215,55 @@ TEST(CoordinatorRecoveryTest, RestoreLandingWhileHeadlessIsFenced) {
 // own members do, and neither disturbs the other.
 
 TEST(CoordinatorRecoveryTest, RebootRestoresWhileDeposedRestoreLands) {
-  TestBedOptions o = CoordStack::make_options(1, 12, 26);
-  o.store.read_bps = 40e6;  // 4 x 128 MiB of member reads take ~13 s
-  TestBed bed(o);
-  ckpt::NtpLscCoordinator lsc(bed.sim, {}, sim::Rng(26 ^ 0x15C));
-  check::Invariants inv(check::Invariants::Wiring{
-      &bed.sim, bed.dvc.get(), &bed.images, &bed.fence, &bed.metrics});
-  inv.attach();
-  lsc.set_check(&inv);
-  core::VcSpec spec;
-  spec.name = "coord-vc";
-  spec.size = 4;
-  spec.guest.ram_bytes = 128ull << 20;
-  core::VirtualCluster* vc =
-      &bed.dvc->create_vc(spec, *bed.dvc->pick_nodes(4), {});
-  bed.dvc->designate_head_node(11, /*lease=*/2 * sim::kSecond);
-  bed.sim.run_until(20 * sim::kSecond);
-  app::ParallelApp application(bed.sim, bed.fabric.network(),
-                               vc->contexts(), chatty_job(4, 3000));
-  bed.dvc->attach_app(*vc, application);
-  application.start();
-  core::DvcManager::RecoveryPolicy policy = manual_rounds_policy();
-  policy.coordinator = &lsc;
-  bed.dvc->enable_auto_recovery(*vc, policy);
+  tools::CellSpec spec = coord_cell(/*clusters=*/1, /*nodes=*/12, /*vc=*/4,
+                                    /*iters=*/3000, manual_rounds_policy(),
+                                    /*head=*/11);
+  spec.room.store.read_bps = 40e6;  // 4 x 128 MiB of member reads take ~13 s
+  spec.head_lease = 2 * sim::kSecond;
+  tools::CellRig s(spec);
+  s.start_recovery();
 
   // Checkpoint #0 seals by ~25 s. The first incarnation's restore starts
   // at 40 s; its coordinator dies at 41 s, and member 0's node with it
   // while headless. The reboot (lease out by ~43 s) finds a dead member
   // and restores the whole VC again, onto a spare for member 0.
-  const hw::NodeId doomed = vc->placement(0);
-  bed.sim.schedule_at(40 * sim::kSecond, [&] { bed.dvc->recover_now(*vc); });
-  bed.sim.schedule_at(41 * sim::kSecond,
-                      [&] { bed.dvc->crash_coordinator(sim::kSecond); });
-  bed.sim.schedule_at(41 * sim::kSecond + 500 * sim::kMillisecond,
-                      [&] { bed.fabric.fail_node(doomed); });
+  const hw::NodeId doomed = s.vc->placement(0);
+  s.room.sim.schedule_at(40 * sim::kSecond,
+                         [&] { s.room.dvc->recover_now(*s.vc); });
+  s.room.sim.schedule_at(41 * sim::kSecond,
+                         [&] { s.room.dvc->crash_coordinator(sim::kSecond); });
+  s.room.sim.schedule_at(41 * sim::kSecond + 500 * sim::kMillisecond,
+                         [&] { s.room.fabric.fail_node(doomed); });
   std::size_t both_open = 0;
   std::uint64_t stale_before = 0;
   for (int t = 41; t < 60; ++t) {
-    bed.sim.schedule_at(t * sim::kSecond + 900 * sim::kMillisecond, [&] {
-      if (bed.dvc->coordinator_reboots() == 1 && both_open == 0) {
-        both_open = bed.dvc->operations_in_flight();
-        stale_before = bed.dvc->stale_completions();
+    s.room.sim.schedule_at(t * sim::kSecond + 900 * sim::kMillisecond, [&] {
+      if (s.room.dvc->coordinator_reboots() == 1 && both_open == 0) {
+        both_open = s.room.dvc->operations_in_flight();
+        stale_before = s.room.dvc->stale_completions();
       }
     });
   }
-  bed.sim.run_until(100 * sim::kSecond);
+  s.room.sim.run_until(100 * sim::kSecond);
 
   // Both restores were in flight under the new incarnation at once.
   EXPECT_EQ(both_open, 2u);
   EXPECT_EQ(stale_before, 0u);
-  EXPECT_EQ(bed.dvc->coordinator_reboots(), 1u);
+  EXPECT_EQ(s.room.dvc->coordinator_reboots(), 1u);
   // The deposed restore ended as stale; the new one ended the recovery.
-  EXPECT_GE(bed.dvc->stale_completions(), 1u);
-  EXPECT_EQ(bed.metrics.counter_value("core.dvc.reconcile_recoveries"), 1u);
-  EXPECT_EQ(bed.metrics.counter_value("core.dvc.restores"), 1u);
-  EXPECT_EQ(bed.dvc->recoveries_performed(), 1u);
-  EXPECT_EQ(bed.dvc->operations_in_flight(), 0u);
-  EXPECT_EQ(vc->state(), core::VcState::kRunning);
-  EXPECT_NE(vc->placement(0), doomed);
-  EXPECT_FALSE(application.failed());
-  const auto iter_then = application.rank(0).state().iter;
-  bed.sim.run_until(130 * sim::kSecond);
-  EXPECT_GT(application.rank(0).state().iter, iter_then);
-  inv.end_of_run(/*expect_quiesced=*/false);
-  EXPECT_TRUE(inv.ok()) << inv.report();
-  inv.detach();
-  lsc.set_check(nullptr);
+  EXPECT_GE(s.room.dvc->stale_completions(), 1u);
+  EXPECT_EQ(s.room.metrics.counter_value("core.dvc.reconcile_recoveries"),
+            1u);
+  EXPECT_EQ(s.room.metrics.counter_value("core.dvc.restores"), 1u);
+  EXPECT_EQ(s.room.dvc->recoveries_performed(), 1u);
+  EXPECT_EQ(s.room.dvc->operations_in_flight(), 0u);
+  EXPECT_EQ(s.vc->state(), core::VcState::kRunning);
+  EXPECT_NE(s.vc->placement(0), doomed);
+  EXPECT_FALSE(s.application->failed());
+  const auto iter_then = s.application->rank(0).state().iter;
+  s.room.sim.run_until(130 * sim::kSecond);
+  EXPECT_GT(s.application->rank(0).state().iter, iter_then);
+  EXPECT_TRUE(test::clean_end_of_run(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -341,47 +275,41 @@ TEST(CoordinatorRecoveryTest, RebootRestoresWhileDeposedRestoreLands) {
 // healthy and running again: the retry is dropped, not a second restore.
 
 TEST(CoordinatorRecoveryTest, RetryFromADeadIncarnationIsDropped) {
-  CoordStack s(/*clusters=*/1, /*nodes=*/5, /*vc=*/4, /*iters=*/3000,
-               manual_rounds_policy(), /*head=*/4);
-  check::Invariants inv(check::Invariants::Wiring{
-      &s.bed.sim, s.bed.dvc.get(), &s.bed.images, &s.bed.fence,
-      &s.bed.metrics});
-  inv.attach();
-  s.lsc.set_check(&inv);
+  tools::CellRig s(coord_cell(/*clusters=*/1, /*nodes=*/5, /*vc=*/4,
+                              /*iters=*/3000, manual_rounds_policy(),
+                              /*head=*/4));
+  s.start_recovery();
   ASSERT_EQ(s.vc->placements(), (std::vector<hw::NodeId>{0, 1, 2, 3}));
 
   // Checkpoint #0 seals by ~25 s. The failures at 40 s are noticed at
   // 41 s, when only node 4 is spare: the retry is due at 71 s.
-  s.bed.sim.schedule_at(40 * sim::kSecond, [&] {
-    s.bed.fabric.fail_node(0);
-    s.bed.fabric.fail_node(1);
+  s.room.sim.schedule_at(40 * sim::kSecond, [&] {
+    s.room.fabric.fail_node(0);
+    s.room.fabric.fail_node(1);
   });
-  s.bed.sim.schedule_at(46 * sim::kSecond,
-                        [&] { s.bed.dvc->crash_coordinator(sim::kSecond); });
-  s.bed.sim.schedule_at(48 * sim::kSecond, [&] {
-    s.bed.fabric.repair_node(0);
-    s.bed.fabric.repair_node(1);
+  s.room.sim.schedule_at(46 * sim::kSecond,
+                         [&] { s.room.dvc->crash_coordinator(sim::kSecond); });
+  s.room.sim.schedule_at(48 * sim::kSecond, [&] {
+    s.room.fabric.repair_node(0);
+    s.room.fabric.repair_node(1);
   });
   // The reboot waits out the lease (~55 s) and recovers the VC.
   std::optional<std::uint64_t> recovered_by_reboot;
-  s.bed.sim.schedule_at(70 * sim::kSecond, [&] {
-    recovered_by_reboot = s.bed.dvc->recoveries_performed();
+  s.room.sim.schedule_at(70 * sim::kSecond, [&] {
+    recovered_by_reboot = s.room.dvc->recoveries_performed();
   });
-  s.bed.sim.run_until(120 * sim::kSecond);
+  s.room.sim.run_until(120 * sim::kSecond);
 
-  EXPECT_EQ(s.bed.dvc->coordinator_reboots(), 1u);
-  EXPECT_EQ(s.bed.metrics.counter_value("core.dvc.reconcile_recoveries"),
+  EXPECT_EQ(s.room.dvc->coordinator_reboots(), 1u);
+  EXPECT_EQ(s.room.metrics.counter_value("core.dvc.reconcile_recoveries"),
             1u);
   EXPECT_EQ(recovered_by_reboot, 1u);
-  EXPECT_EQ(s.bed.dvc->recoveries_performed(), 1u);
-  EXPECT_EQ(s.bed.metrics.counter_value("core.dvc.restores"), 1u);
-  EXPECT_GE(s.bed.dvc->stale_completions(), 1u);
+  EXPECT_EQ(s.room.dvc->recoveries_performed(), 1u);
+  EXPECT_EQ(s.room.metrics.counter_value("core.dvc.restores"), 1u);
+  EXPECT_GE(s.room.dvc->stale_completions(), 1u);
   EXPECT_EQ(s.vc->state(), core::VcState::kRunning);
   EXPECT_FALSE(s.application->failed());
-  inv.end_of_run(/*expect_quiesced=*/false);
-  EXPECT_TRUE(inv.ok()) << inv.report();
-  inv.detach();
-  s.lsc.set_check(nullptr);
+  EXPECT_TRUE(test::clean_end_of_run(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -392,35 +320,34 @@ TEST(CoordinatorRecoveryTest, RetryFromADeadIncarnationIsDropped) {
 
 TEST(PartitionTest, ShortPartitionIsMaskedByRetransmission) {
   // 8 ranks over 6-node clusters: the VC necessarily spans both.
-  CoordStack s(/*clusters=*/2, /*nodes=*/6, /*vc=*/8, /*iters=*/3000,
-               manual_rounds_policy(), /*head=*/0);
-  fault::FaultInjector injector(
-      s.bed.sim,
-      fault::FaultInjector::Hooks{&s.bed.fabric, &s.bed.store,
-                                  s.bed.time.get(), {}, {}},
-      &s.bed.metrics);
-  injector.arm(fault::FaultPlan::parse_script("40 partition 0|1 8"));
+  tools::CellSpec spec = coord_cell(/*clusters=*/2, /*nodes=*/6, /*vc=*/8,
+                                    /*iters=*/3000, manual_rounds_policy(),
+                                    /*head=*/0);
+  spec.faults = fault::FaultPlan::parse_script("40 partition 0|1 8");
+  tools::CellRig s(spec);
+  s.start_recovery();
 
   // Mid-window: cross-cut traffic drops both ways, intra-side flows.
-  s.bed.sim.schedule_at(44 * sim::kSecond, [&] {
-    net::ClusterLinkModel& links = s.bed.fabric.links();
+  s.room.sim.schedule_at(44 * sim::kSecond, [&] {
+    net::ClusterLinkModel& links = s.room.fabric.links();
     EXPECT_DOUBLE_EQ(links.loss_probability(0, 6), 1.0);
     EXPECT_DOUBLE_EQ(links.loss_probability(6, 0), 1.0);
     EXPECT_DOUBLE_EQ(links.loss_probability(0, 1), 0.0);
     EXPECT_DOUBLE_EQ(links.loss_probability(6, 7), 0.0);
   });
 
-  s.bed.sim.run_until(120 * sim::kSecond);
-  EXPECT_EQ(injector.injected(fault::FaultKind::kPartition), 1u);
-  EXPECT_EQ(injector.lifted_total(), 1u);
+  s.room.sim.run_until(120 * sim::kSecond);
+  EXPECT_EQ(s.injector->injected(fault::FaultKind::kPartition), 1u);
+  EXPECT_EQ(s.injector->lifted_total(), 1u);
   // 8 s < the ~12.6 s retry budget: no endpoint aborted, no recovery ran,
   // the job just stalled across the cut and caught up.
-  EXPECT_EQ(s.bed.metrics.counter_value("net.endpoint.aborts"), 0u);
-  EXPECT_EQ(s.bed.dvc->recoveries_performed(), 0u);
+  EXPECT_EQ(s.room.metrics.counter_value("net.endpoint.aborts"), 0u);
+  EXPECT_EQ(s.room.dvc->recoveries_performed(), 0u);
   EXPECT_FALSE(s.application->failed());
   const auto iter_then = s.application->rank(0).state().iter;
-  s.bed.sim.run_until(150 * sim::kSecond);
+  s.room.sim.run_until(150 * sim::kSecond);
   EXPECT_GT(s.application->rank(0).state().iter, iter_then);
+  EXPECT_TRUE(test::clean_end_of_run(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -431,64 +358,68 @@ TEST(PartitionTest, ShortPartitionIsMaskedByRetransmission) {
 TEST(MigrateFailureTest, TargetNodeDeathMidMigrationNeverWedges) {
   core::DvcManager::RecoveryPolicy policy = manual_rounds_policy();
   policy.watchdog_interval = 10 * sim::kSecond;
-  CoordStack s(/*clusters=*/1, /*nodes=*/12, /*vc=*/4, /*iters=*/3000,
-               policy, /*head=*/11);
+  tools::CellRig s(coord_cell(/*clusters=*/1, /*nodes=*/12, /*vc=*/4,
+                              /*iters=*/3000, policy, /*head=*/11));
+  s.start_recovery();
 
   // Migrate onto 6..9; node 7 dies while the held images are moving
   // (saves drain ~32–34.7 s, staging follows).
   std::optional<bool> migrated;
-  s.bed.sim.schedule_at(30 * sim::kSecond, [&] {
-    s.bed.dvc->migrate_vc(*s.vc, s.lsc, {6, 7, 8, 9},
-                          [&](bool ok) { migrated = ok; });
+  s.room.sim.schedule_at(30 * sim::kSecond, [&] {
+    s.room.dvc->migrate_vc(*s.vc, *s.lsc, {6, 7, 8, 9},
+                           [&](bool ok) { migrated = ok; });
   });
-  s.bed.sim.schedule_at(
+  s.room.sim.schedule_at(
       static_cast<sim::Time>(34.5 * sim::kSecond),
-      [&] { s.bed.fabric.fail_node(7); });
+      [&] { s.room.fabric.fail_node(7); });
 
-  s.bed.sim.run_until(200 * sim::kSecond);
+  s.room.sim.run_until(200 * sim::kSecond);
   // The caller always hears the verdict.
   ASSERT_TRUE(migrated.has_value());
   // And the VC is either running again (in place or re-recovered from the
   // held checkpoint) or its failure was diagnosed — not wedged.
-  if (s.bed.dvc->recoveries_abandoned() == 0) {
+  if (s.room.dvc->recoveries_abandoned() == 0) {
     EXPECT_FALSE(s.application->failed());
     const auto iter_then = s.application->rank(0).state().iter;
-    s.bed.sim.run_until(240 * sim::kSecond);
+    s.room.sim.run_until(240 * sim::kSecond);
     EXPECT_GT(s.application->rank(0).state().iter, iter_then);
   }
+  EXPECT_TRUE(test::clean_end_of_run(s));
 }
 
 TEST(MigrateFailureTest, CoordinatorCrashMidMigrationResumesOrRecovers) {
   core::DvcManager::RecoveryPolicy policy = manual_rounds_policy();
   policy.watchdog_interval = 10 * sim::kSecond;
-  CoordStack s(/*clusters=*/1, /*nodes=*/12, /*vc=*/4, /*iters=*/3000,
-               policy, /*head=*/11);
+  tools::CellRig s(coord_cell(/*clusters=*/1, /*nodes=*/12, /*vc=*/4,
+                              /*iters=*/3000, policy, /*head=*/11));
+  s.start_recovery();
 
   // The coordinator dies during the save-and-hold: the members sit frozen
   // with nobody to move them until the reboot's reconciliation pass.
   std::optional<bool> migrated;
-  s.bed.sim.schedule_at(30 * sim::kSecond, [&] {
-    s.bed.dvc->migrate_vc(*s.vc, s.lsc, {6, 7, 8, 9},
-                          [&](bool ok) { migrated = ok; });
+  s.room.sim.schedule_at(30 * sim::kSecond, [&] {
+    s.room.dvc->migrate_vc(*s.vc, *s.lsc, {6, 7, 8, 9},
+                           [&](bool ok) { migrated = ok; });
   });
-  s.bed.sim.schedule_at(
+  s.room.sim.schedule_at(
       34 * sim::kSecond,
-      [&] { s.bed.dvc->crash_coordinator(10 * sim::kSecond); });
+      [&] { s.room.dvc->crash_coordinator(10 * sim::kSecond); });
 
-  s.bed.sim.run_until(200 * sim::kSecond);
-  ASSERT_TRUE(s.bed.dvc->coordinator_up());
+  s.room.sim.run_until(200 * sim::kSecond);
+  ASSERT_TRUE(s.room.dvc->coordinator_up());
   // Reconciliation either thawed the held members in place or re-drove a
   // whole-VC recovery from the durable checkpoint.
-  EXPECT_GE(s.bed.metrics.counter_value("core.dvc.reconcile_resumes") +
-                s.bed.metrics.counter_value("core.dvc.reconcile_recoveries"),
+  EXPECT_GE(s.room.metrics.counter_value("core.dvc.reconcile_resumes") +
+                s.room.metrics.counter_value("core.dvc.reconcile_recoveries"),
             1u);
   EXPECT_FALSE(s.application->failed());
   const auto iter_then = s.application->rank(0).state().iter;
-  s.bed.sim.run_until(240 * sim::kSecond);
+  s.room.sim.run_until(240 * sim::kSecond);
   EXPECT_GT(s.application->rank(0).state().iter, iter_then);
   // No half-open intent survives the reboot.
-  ASSERT_NE(s.bed.dvc->intent_log(), nullptr);
-  EXPECT_TRUE(s.bed.dvc->intent_log()->open_intents().empty());
+  ASSERT_NE(s.room.dvc->intent_log(), nullptr);
+  EXPECT_TRUE(s.room.dvc->intent_log()->open_intents().empty());
+  EXPECT_TRUE(test::clean_end_of_run(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -497,23 +428,26 @@ TEST(MigrateFailureTest, CoordinatorCrashMidMigrationResumesOrRecovers) {
 // epoch) once the node is repaired.
 
 TEST(CoordinatorRecoveryTest, HeadNodeDeathTakesCoordinatorDownUntilRepair) {
-  CoordStack s(/*clusters=*/1, /*nodes=*/12, /*vc=*/4, /*iters=*/3000,
-               manual_rounds_policy(), /*head=*/11);
-  const std::uint64_t before = s.bed.dvc->coordinator_epoch();
+  tools::CellRig s(coord_cell(/*clusters=*/1, /*nodes=*/12, /*vc=*/4,
+                              /*iters=*/3000, manual_rounds_policy(),
+                              /*head=*/11));
+  s.start_recovery();
+  const std::uint64_t before = s.room.dvc->coordinator_epoch();
 
-  s.bed.sim.schedule_at(30 * sim::kSecond,
-                        [&] { s.bed.fabric.fail_node(11); });
-  s.bed.sim.schedule_at(80 * sim::kSecond,
-                        [&] { s.bed.fabric.repair_node(11); });
+  s.room.sim.schedule_at(30 * sim::kSecond,
+                         [&] { s.room.fabric.fail_node(11); });
+  s.room.sim.schedule_at(80 * sim::kSecond,
+                         [&] { s.room.fabric.repair_node(11); });
 
-  s.bed.sim.run_until(40 * sim::kSecond);
-  EXPECT_FALSE(s.bed.dvc->coordinator_up());
-  EXPECT_EQ(s.bed.dvc->coordinator_crashes(), 1u);
+  s.room.sim.run_until(40 * sim::kSecond);
+  EXPECT_FALSE(s.room.dvc->coordinator_up());
+  EXPECT_EQ(s.room.dvc->coordinator_crashes(), 1u);
 
-  s.bed.sim.run_until(150 * sim::kSecond);
-  EXPECT_TRUE(s.bed.dvc->coordinator_up());
-  EXPECT_GT(s.bed.dvc->coordinator_epoch(), before);
+  s.room.sim.run_until(150 * sim::kSecond);
+  EXPECT_TRUE(s.room.dvc->coordinator_up());
+  EXPECT_GT(s.room.dvc->coordinator_epoch(), before);
   EXPECT_FALSE(s.application->failed());
+  EXPECT_TRUE(test::clean_end_of_run(s));
 }
 
 }  // namespace

@@ -1,78 +1,27 @@
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <optional>
 
-#include "app/workload.hpp"
-#include "ckpt/lsc.hpp"
-#include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "testbed.hpp"
 
 namespace dvc {
 namespace {
 
-using test::TestBed;
-using test::TestBedOptions;
-
-app::WorkloadSpec chatty_job(app::RankId ranks, std::uint32_t iters) {
-  app::WorkloadSpec s;
-  s.name = "recovery-test";
-  s.ranks = ranks;
-  s.iterations = iters;
-  s.flops_per_rank_iter = 1e9;  // ~0.1 s of compute per iteration
-  s.pattern = app::Pattern::kAllToAll;
-  s.bytes_per_msg = 4096;
-  return s;
+/// A VC + application + auto-recovery cell on a fabric with spare nodes,
+/// with in-flight saves aborting on node death.
+tools::CellSpec recovery_cell(std::uint32_t clusters,
+                              std::uint32_t nodes_per_cluster,
+                              std::uint32_t vc_size, std::uint32_t iters,
+                              core::DvcManager::RecoveryPolicy policy,
+                              ckpt::LscCoordinator::RetryPolicy retry) {
+  tools::CellSpec spec = test::test_cell(
+      test::failure_room(clusters, nodes_per_cluster), "rec-vc",
+      128ull << 20, test::alltoall_job(vc_size, iters));
+  spec.recovery = policy;
+  spec.retry = retry;
+  return spec;
 }
-
-/// A VC + application + auto-recovery stack on a fabric with spare nodes,
-/// with in-flight saves aborting on node death (the realistic hypervisor
-/// behaviour the failure-path tests need).
-struct RecoveryStack {
-  RecoveryStack(std::uint32_t clusters, std::uint32_t nodes_per_cluster,
-                std::uint32_t vc_size, std::uint32_t iters,
-                core::DvcManager::RecoveryPolicy base_policy,
-                ckpt::LscCoordinator::RetryPolicy retry,
-                std::uint64_t seed = 26, double store_write_bps = 200e6)
-      : bed(make_options(clusters, nodes_per_cluster, seed,
-                         store_write_bps)),
-        lsc(bed.sim, {}, sim::Rng(seed ^ 0x15C)) {
-    lsc.set_metrics(&bed.metrics);
-    lsc.set_retry_policy(retry);
-    core::VcSpec spec;
-    spec.name = "rec-vc";
-    spec.size = vc_size;
-    spec.guest.ram_bytes = 128ull << 20;
-    vc = &bed.dvc->create_vc(spec, *bed.dvc->pick_nodes(vc_size), {});
-    bed.sim.run_until(20 * sim::kSecond);  // boot completes at 15 s
-    application = std::make_unique<app::ParallelApp>(
-        bed.sim, bed.fabric.network(), vc->contexts(),
-        chatty_job(vc_size, iters));
-    bed.dvc->attach_app(*vc, *application);
-    application->start();
-    base_policy.coordinator = &lsc;
-    bed.dvc->enable_auto_recovery(*vc, base_policy);
-  }
-
-  static TestBedOptions make_options(std::uint32_t clusters,
-                                     std::uint32_t nodes_per_cluster,
-                                     std::uint64_t seed, double write_bps) {
-    TestBedOptions o;
-    o.clusters = clusters;
-    o.nodes_per_cluster = nodes_per_cluster;
-    o.seed = seed;
-    o.store.write_bps = write_bps;
-    o.store.read_bps = 2 * write_bps;
-    o.hv.abort_saves_on_failure = true;
-    return o;
-  }
-
-  TestBed bed;
-  ckpt::NtpLscCoordinator lsc;
-  core::VirtualCluster* vc = nullptr;
-  std::unique_ptr<app::ParallelApp> application;
-};
 
 // ---------------------------------------------------------------------------
 // Crash a node mid-LSC-round: the round fails, recovery relocates the
@@ -84,38 +33,40 @@ TEST(RecoveryTest, CrashMidRoundIsRetriedAgainstFreshTargetsAndSucceeds) {
   ckpt::LscCoordinator::RetryPolicy retry;
   retry.max_round_retries = 2;
   retry.backoff = 5 * sim::kSecond;
-  RecoveryStack s(/*clusters=*/1, /*nodes=*/12, /*vc=*/8, /*iters=*/3000,
-                  policy, retry);
+  tools::CellRig s(recovery_cell(/*clusters=*/1, /*nodes=*/12, /*vc=*/8,
+                                 /*iters=*/3000, policy, retry));
+  s.start_recovery();
 
   const hw::NodeId doomed = s.vc->placement(2);
   std::optional<ckpt::LscResult> result;
   // A manual round at 30 s: guests freeze at ~32 s (2 s NTP lead), the
   // 8 x 128 MiB set drains for ~5 s after that.
-  s.bed.sim.schedule_after(30 * sim::kSecond, [&] {
-    s.bed.dvc->checkpoint_vc(*s.vc, s.lsc,
-                             [&](ckpt::LscResult r) { result = r; });
+  s.room.sim.schedule_after(30 * sim::kSecond, [&] {
+    s.room.dvc->checkpoint_vc(*s.vc, *s.lsc,
+                              [&](ckpt::LscResult r) { result = r; });
   });
   // Kill member 2's node while its image is streaming: the in-flight save
   // aborts, the round fails, and the failure feed starts a recovery.
-  s.bed.sim.schedule_after(33 * sim::kSecond,
-                           [&] { s.bed.fabric.fail_node(doomed); });
+  s.room.sim.schedule_after(33 * sim::kSecond,
+                            [&] { s.room.fabric.fail_node(doomed); });
 
-  s.bed.sim.run_until(120 * sim::kSecond);
+  s.room.sim.run_until(120 * sim::kSecond);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->ok);
   EXPECT_GE(result->retries, 1);
-  EXPECT_GE(s.bed.metrics.counter_value("ckpt.lsc.round_retries"), 1u);
+  EXPECT_GE(s.room.metrics.counter_value("ckpt.lsc.round_retries"), 1u);
   // The retry fired at the member's *new* home, not the dead node: with
   // the stale mapping the round could never have succeeded (the dead
   // node's hypervisor rejects every save until the repair).
   EXPECT_NE(s.vc->placement(2), doomed);
-  EXPECT_GE(s.bed.dvc->recoveries_performed(), 1u);
+  EXPECT_GE(s.room.dvc->recoveries_performed(), 1u);
 
   // The application survived the whole episode and keeps making progress.
   EXPECT_FALSE(s.application->failed());
   const auto iter_then = s.application->rank(0).state().iter;
-  s.bed.sim.run_until(150 * sim::kSecond);
+  s.room.sim.run_until(150 * sim::kSecond);
   EXPECT_GT(s.application->rank(0).state().iter, iter_then);
+  EXPECT_TRUE(test::clean_end_of_run(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -127,17 +78,18 @@ TEST(RecoveryTest, WatchdogRestoresVcAfterMemberVmDies) {
   core::DvcManager::RecoveryPolicy policy;
   policy.interval = 20 * sim::kSecond;
   policy.watchdog_interval = 7 * sim::kSecond;
-  RecoveryStack s(/*clusters=*/1, /*nodes=*/8, /*vc=*/6, /*iters=*/600,
-                  policy, {});
+  tools::CellRig s(recovery_cell(/*clusters=*/1, /*nodes=*/8, /*vc=*/6,
+                                 /*iters=*/600, policy, {}));
+  s.start_recovery();
 
   // By 30 s at least one periodic checkpoint has sealed. The guest dies
   // without its node failing — invisible to the hardware failure feed.
-  s.bed.sim.schedule_after(30 * sim::kSecond,
-                           [&] { s.vc->machine(4).kill(); });
+  s.room.sim.schedule_after(30 * sim::kSecond,
+                            [&] { s.vc->machine(4).kill(); });
 
-  s.bed.sim.run_until(400 * sim::kSecond);
-  EXPECT_GE(s.bed.dvc->watchdog_detections(), 1u);
-  EXPECT_GE(s.bed.dvc->recoveries_performed(), 1u);
+  s.room.sim.run_until(400 * sim::kSecond);
+  EXPECT_GE(s.room.dvc->watchdog_detections(), 1u);
+  EXPECT_GE(s.room.dvc->recoveries_performed(), 1u);
   EXPECT_TRUE(s.application->completed());
   EXPECT_FALSE(s.application->failed());
   // No lost completed work and nothing double-counted: every rank ran its
@@ -145,6 +97,7 @@ TEST(RecoveryTest, WatchdogRestoresVcAfterMemberVmDies) {
   for (std::uint32_t i = 0; i < 6; ++i) {
     EXPECT_EQ(s.application->rank(i).state().iter, 600u);
   }
+  EXPECT_TRUE(test::clean_end_of_run(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -157,27 +110,24 @@ TEST(RecoveryTest, WatchdogRecoversFromApplicationLevelTransportFailure) {
   policy.interval = 25 * sim::kSecond;
   policy.watchdog_interval = 9 * sim::kSecond;
   // 8 ranks over 6-node clusters: the VC necessarily spans both.
-  RecoveryStack s(/*clusters=*/2, /*nodes=*/6, /*vc=*/8, /*iters=*/600,
-                  policy, {});
-
-  fault::FaultInjector injector(
-      s.bed.sim,
-      fault::FaultInjector::Hooks{&s.bed.fabric, &s.bed.store,
-                                  s.bed.time.get(), {}, {}},
-      &s.bed.metrics);
+  tools::CellSpec spec = recovery_cell(/*clusters=*/2, /*nodes=*/6, /*vc=*/8,
+                                       /*iters=*/600, policy, {});
   // Cut the inter-cluster link for 40 s starting at 40 s — longer than
   // the ~25 s retransmission budget, so endpoints abort and the app
   // reports failure while every node and VM stays healthy.
-  injector.arm(fault::FaultPlan::parse_script("40 linkdown 0 1 40"));
+  spec.faults = fault::FaultPlan::parse_script("40 linkdown 0 1 40");
+  tools::CellRig s(spec);
+  s.start_recovery();
 
-  s.bed.sim.run_until(600 * sim::kSecond);
-  EXPECT_GT(s.bed.metrics.counter_value("net.endpoint.aborts"), 0u);
-  EXPECT_GE(s.bed.dvc->watchdog_detections(), 1u);
-  EXPECT_GE(s.bed.dvc->recoveries_performed(), 1u);
+  s.room.sim.run_until(600 * sim::kSecond);
+  EXPECT_GT(s.room.metrics.counter_value("net.endpoint.aborts"), 0u);
+  EXPECT_GE(s.room.dvc->watchdog_detections(), 1u);
+  EXPECT_GE(s.room.dvc->recoveries_performed(), 1u);
   EXPECT_TRUE(s.application->completed());
   for (std::uint32_t i = 0; i < 8; ++i) {
     EXPECT_EQ(s.application->rank(i).state().iter, 600u);
   }
+  EXPECT_TRUE(test::clean_end_of_run(s));
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault_plan.hpp"
+#include "testbed.hpp"
 #include "tools/sweep.hpp"
 
 // The sweep harness contract: grids expand deterministically, the
@@ -260,17 +262,23 @@ TEST(SweepHarnessTest, ReproCommandLineNamesTheCell) {
   }
 }
 
+/// scenarios/sweep26.scn, read from the source tree.
+std::string sweep26_text() {
+  std::ifstream file(DVC_SOURCE_DIR "/scenarios/sweep26.scn");
+  EXPECT_TRUE(file) << "cannot open scenarios/sweep26.scn";
+  std::ostringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
+
 TEST(SweepHarnessTest, CheckerNeverChangesAnOutcome) {
   // The checker only observes: with it off, every cell of sweep26's three
   // fault mixes reaches the same outcome byte for byte. That is what lets
   // every bench trial run checked without moving a golden.
-  std::ifstream file(DVC_SOURCE_DIR "/scenarios/sweep26.scn");
-  ASSERT_TRUE(file) << "cannot open scenarios/sweep26.scn";
-  std::ostringstream text;
-  text << file.rdbuf();
-  SweepGrid checked = SweepGrid::load("scenarios/sweep26.scn", text.str());
+  const std::string text = sweep26_text();
+  SweepGrid checked = SweepGrid::load("scenarios/sweep26.scn", text);
   SweepGrid unchecked = SweepGrid::load(
-      "scenarios/sweep26.scn", text.str() + "check.invariants = off\n");
+      "scenarios/sweep26.scn", text + "check.invariants = off\n");
   std::vector<std::uint64_t> seeds(20);
   std::iota(seeds.begin(), seeds.end(), 1);
   checked.set_seeds(seeds);
@@ -312,11 +320,7 @@ TEST(SweepHarnessTest, TimelineNeverChangesAnOutcome) {
   // that records its timeline reaches the same outcome byte for byte as
   // one that does not. One cell of each sweep26 fault mix, and a
   // ckpt16-shaped cell.
-  std::ifstream file(DVC_SOURCE_DIR "/scenarios/sweep26.scn");
-  ASSERT_TRUE(file) << "cannot open scenarios/sweep26.scn";
-  std::ostringstream text;
-  text << file.rdbuf();
-  SweepGrid sweep26 = SweepGrid::load("scenarios/sweep26.scn", text.str());
+  SweepGrid sweep26 = SweepGrid::load("scenarios/sweep26.scn", sweep26_text());
   sweep26.set_seeds({3});
   std::vector<SweepCell> cells = sweep26.cells();
   ASSERT_EQ(cells.size(), 3u);
@@ -349,6 +353,100 @@ TEST(CellRigTest, RecordsTheTimelineOnlyWhenAsked) {
       EXPECT_EQ(m.instants().size(), 0u);
     }
   }
+}
+
+// ---- CellRig::drive -------------------------------------------------------
+
+/// A 4-guest all-to-all cell (~0.1 s per iteration) on the failure suites'
+/// room; its job starts at 20 s.
+CellSpec small_cell(std::uint32_t iters) {
+  return test::test_cell(test::failure_room(/*clusters=*/1, /*nodes=*/8),
+                         "drive-vc", 64ull << 20,
+                         test::alltoall_job(4, iters));
+}
+
+TEST(CellRigTest, DriveStopsAtTheFirstSliceBoundaryAfterCompletion) {
+  CellRig rig(small_cell(100));
+  rig.start_recovery();
+  const sim::Time start = rig.room.sim.now();
+  const sim::Duration slice = 3 * sim::kSecond;
+  rig.drive(start + 600 * sim::kSecond, slice, 2 * sim::kSecond);
+  ASSERT_TRUE(rig.application->completed());
+  const sim::Time done =
+      start + sim::from_seconds(rig.application->stats().makespan_s);
+  // The settle ran after the boundary that saw the job done.
+  const sim::Time boundary = rig.room.sim.now() - 2 * sim::kSecond;
+  EXPECT_EQ((boundary - start) % slice, 0);
+  EXPECT_GE(boundary, done);
+  EXPECT_LT(boundary - slice, done);
+  EXPECT_TRUE(test::clean_end_of_run(rig));
+}
+
+TEST(CellRigTest, DriveStopsOnceRecoveryIsAbandoned) {
+  // sweep26's durable:41 loses every generation and abandons recovery
+  // within its first minute.
+  SweepGrid grid = SweepGrid::load("scenarios/sweep26.scn", sweep26_text());
+  grid.set_seeds({41});
+  const std::vector<SweepCell> cells = grid.cells();
+  const auto durable =
+      std::find_if(cells.begin(), cells.end(),
+                   [](const SweepCell& c) { return c.mix == "durable"; });
+  ASSERT_NE(durable, cells.end());
+  CellRig rig(cell_spec(durable->cfg));
+  test::RecordingChecker rec(rig.room.sim, rig.inv.get());
+  rig.room.dvc->set_check(&rec);
+  rig.start_recovery();
+  const sim::Duration slice = 10 * sim::kSecond;
+  rig.drive(3600 * sim::kSecond, slice, 0);
+
+  ASSERT_EQ(rig.vc->state(), core::VcState::kFailed);
+  ASSERT_FALSE(rec.edges.empty());
+  EXPECT_EQ(rec.edges.back().second, core::VcState::kFailed);
+  const sim::Time abandoned = rec.edge_times.back();
+  const sim::Time now = rig.room.sim.now();
+  EXPECT_EQ((now - 20 * sim::kSecond) % slice, 0);
+  EXPECT_GE(now, abandoned);
+  EXPECT_LT(now - slice, abandoned);
+  EXPECT_TRUE(test::clean_end_of_run(rig));
+}
+
+TEST(CellRigTest, DriveStopsAtTheHorizonWhenTheJobIsNotDone) {
+  // The job needs over 200 s; the horizon falls mid-slice, so the loop
+  // stops at the boundary after it, then settles.
+  CellRig rig(small_cell(2000));
+  rig.start_recovery();
+  rig.drive(95 * sim::kSecond, 10 * sim::kSecond, 5 * sim::kSecond);
+  EXPECT_EQ(rig.room.sim.now(), 105 * sim::kSecond);
+  EXPECT_FALSE(rig.application->completed());
+  EXPECT_FALSE(rig.application->failed());
+  EXPECT_EQ(rig.vc->state(), core::VcState::kRunning);
+  EXPECT_TRUE(test::clean_end_of_run(rig));
+}
+
+TEST(CellRigTest, DriveCarriesOnThroughAnApplicationFailure) {
+  // RecoveryTest.WatchdogRecoversFromApplicationLevelTransportFailure's
+  // cell: a 40 s inter-cluster cut outlasts the transport retry budget,
+  // the application fails with every member alive, and only the
+  // watchdog's rollback brings the job home. Driven in 1 s slices, some
+  // boundary sees the failed application; the loop must not stop there.
+  CellSpec spec = test::test_cell(
+      test::failure_room(/*clusters=*/2, /*nodes=*/6), "rec-vc",
+      128ull << 20, test::alltoall_job(8, 600));
+  spec.recovery.interval = 25 * sim::kSecond;
+  spec.recovery.watchdog_interval = 9 * sim::kSecond;
+  spec.faults = fault::FaultPlan::parse_script("40 linkdown 0 1 40");
+  CellRig rig(spec);
+  rig.start_recovery();
+  rig.drive(600 * sim::kSecond, sim::kSecond, 0);
+
+  EXPECT_GT(rig.room.metrics.counter_value("net.endpoint.aborts"), 0u);
+  EXPECT_GE(rig.room.dvc->watchdog_detections(), 1u);
+  ASSERT_TRUE(rig.application->completed());
+  EXPECT_LT(rig.room.sim.now(), 600 * sim::kSecond);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(rig.application->rank(i).state().iter, 600u);
+  }
+  EXPECT_TRUE(test::clean_end_of_run(rig));
 }
 
 TEST(RunIndexedTest, CallsEveryIndexOnce) {

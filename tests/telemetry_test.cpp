@@ -319,17 +319,6 @@ TEST(TelemetryTest, TraceBridgeCountsWarningsAndErrorsPerComponent) {
 
 // ---- end-to-end across subsystems -----------------------------------------
 
-app::WorkloadSpec steady_job(app::RankId ranks, std::uint32_t iters) {
-  app::WorkloadSpec s;
-  s.name = "steady";
-  s.ranks = ranks;
-  s.iterations = iters;
-  s.flops_per_rank_iter = 1e9;
-  s.pattern = app::Pattern::kAllToAll;
-  s.bytes_per_msg = 2048;
-  return s;
-}
-
 TEST(TelemetryIntegrationTest, CheckpointRestoreTouchesEverySubsystem) {
   TestBed::Options opt;
   opt.clusters = 2;
@@ -345,7 +334,7 @@ TEST(TelemetryIntegrationTest, CheckpointRestoreTouchesEverySubsystem) {
   core::VirtualCluster& vc = bed.dvc->create_vc(spec, {0, 1, 2}, {});
   bed.sim.run_until(20 * sim::kSecond);
   app::ParallelApp application(bed.sim, bed.fabric.network(), vc.contexts(),
-                               steady_job(3, 600));
+                               test::alltoall_job(3, 600, 2048));
   bed.dvc->attach_app(vc, application);
   application.start();
 
@@ -441,7 +430,8 @@ TEST(TelemetryIntegrationTest, SameSeedRunsExportIdenticalJson) {
     core::VirtualCluster& vc = bed.dvc->create_vc(spec, {0, 1, 2}, {});
     bed.sim.run_until(20 * sim::kSecond);
     app::ParallelApp application(bed.sim, bed.fabric.network(),
-                                 vc.contexts(), steady_job(3, 50));
+                                 vc.contexts(),
+                                 test::alltoall_job(3, 50, 2048));
     bed.dvc->attach_app(vc, application);
     application.start();
     ckpt::NtpLscCoordinator lsc(bed.sim, {}, sim::Rng(9));

@@ -13,9 +13,11 @@
 //
 // A scenario file is `key = value` lines (# comments). tools::cell_spec
 // (tools/sweep.cpp) reads it and tools::CellRig assembles the simulation,
-// the same one a dvcsweep cell runs; this file only drives the
-// experiment. Keep the list below in step with scenario_keys() and the
-// reader's defaults. Count keys
+// the same one a dvcsweep cell runs. The reliability experiment drives it
+// with the rig's own loop (CellRig::drive) and the summary prints the
+// rig's outcome counters (CellRig::outcome), as dvcsweep does; this file
+// picks the experiment and reports. Keep the list below in step with
+// scenario_keys() and the reader's defaults. Count keys
 // (sizes, iterations, replicas, retries) reject values their field cannot
 // hold. Keys:
 //
@@ -47,6 +49,8 @@
 //   horizon_s             [reliability] simulation horizon (default 100 h)
 //   slice_s               [reliability] drive-loop granularity (default 10)
 //   settle_s              [reliability] extra settle after the loop (0)
+//                         (the three feed CellRig::drive, the loop of a
+//                         dvcsweep cell, whose defaults are 3600/10/30)
 //   check.invariants      attach the invariant checker (default true);
 //                         violations are printed and force exit 1
 //   trace                 echo the machine room's event log (default true)
@@ -93,6 +97,7 @@
 //
 // Sample scenarios live in scenarios/.
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -108,6 +113,10 @@ namespace {
 
 void print_summary(tools::CellRig& rig) {
   const app::JobStats st = rig.application->stats();
+  const tools::CellOutcome o = rig.outcome();
+  const auto u = [](std::uint64_t v) {
+    return static_cast<unsigned long long>(v);
+  };
   std::printf("\n==== dvcsim summary ====\n");
   std::printf("completed:       %s\n",
               rig.application->completed()
@@ -117,100 +126,50 @@ void print_summary(tools::CellRig& rig) {
   if (rig.application->completed()) {
     std::printf("wall time:       %.0f s\n", st.makespan_s);
   } else {
-    std::printf("simulated time:  %.0f s\n",
-                sim::to_seconds(rig.room.sim.now()));
+    std::printf("simulated time:  %.0f s\n", o.sim_time_s);
   }
   std::printf("compute done:    %.0f s/rank (incl. redone)\n",
               st.compute_done_s);
   std::printf("messages:        %llu (%llu retransmitted, %llu dups)\n",
-              static_cast<unsigned long long>(st.messages),
-              static_cast<unsigned long long>(st.retransmissions),
-              static_cast<unsigned long long>(st.duplicates));
+              u(st.messages), u(st.retransmissions), u(st.duplicates));
   std::printf("node failures:   %llu (%llu predicted)\n",
-              static_cast<unsigned long long>(
-                  rig.room.fabric.failures_injected()),
-              static_cast<unsigned long long>(
-                  rig.room.fabric.failures_predicted()));
-  std::printf("checkpoints:     %llu\n",
-              static_cast<unsigned long long>(
-                  rig.room.dvc->checkpoints_taken()));
+              u(rig.room.fabric.failures_injected()),
+              u(rig.room.fabric.failures_predicted()));
+  std::printf("checkpoints:     %llu\n", u(o.checkpoints));
   std::printf("recoveries:      %llu   evacuations: %llu   migrations:"
               " %llu (+%llu live)\n",
-              static_cast<unsigned long long>(
-                  rig.room.dvc->recoveries_performed()),
-              static_cast<unsigned long long>(
-                  rig.room.dvc->evacuations_performed()),
-              static_cast<unsigned long long>(
-                  rig.room.dvc->migrations_performed()),
-              static_cast<unsigned long long>(
-                  rig.room.dvc->live_migrations_performed()));
+              u(o.recoveries), u(rig.room.dvc->evacuations_performed()),
+              u(rig.room.dvc->migrations_performed()),
+              u(rig.room.dvc->live_migrations_performed()));
   if (rig.injector != nullptr) {
     std::printf("faults injected: %llu (%llu lifted, %llu skipped)\n",
-                static_cast<unsigned long long>(
-                    rig.injector->injected_total()),
-                static_cast<unsigned long long>(rig.injector->lifted_total()),
-                static_cast<unsigned long long>(
-                    rig.injector->skipped_total()));
+                u(o.faults_injected), u(o.faults_lifted),
+                u(rig.injector->skipped_total()));
     std::printf("lsc retries:     %llu (%llu timeouts)   watchdog hits:"
                 " %llu\n",
-                static_cast<unsigned long long>(
-                    rig.room.metrics.counter_value("ckpt.lsc.round_retries")),
-                static_cast<unsigned long long>(
-                    rig.room.metrics.counter_value(
-                        "ckpt.lsc.round_timeouts")),
-                static_cast<unsigned long long>(
-                    rig.room.dvc->watchdog_detections()));
+                u(o.lsc_retries),
+                u(rig.room.metrics.counter_value("ckpt.lsc.round_timeouts")),
+                u(o.watchdog));
     std::printf("durability:      %llu verify failures, %llu replica"
                 " failovers, %llu generation fallbacks, %llu abandoned\n",
-                static_cast<unsigned long long>(
-                    rig.room.metrics.counter_value(
-                        "storage.store.verify_failures")),
-                static_cast<unsigned long long>(
-                    rig.room.metrics.counter_value(
-                        "storage.replica.failovers")),
-                static_cast<unsigned long long>(
-                    rig.room.dvc->restore_fallbacks()),
-                static_cast<unsigned long long>(
-                    rig.room.dvc->recoveries_abandoned()));
+                u(o.verify_failures), u(o.failovers), u(o.fallbacks),
+                u(o.abandoned));
   }
-  if (rig.room.dvc->coordinator_crashes() > 0) {
+  if (o.coordinator_crashes > 0) {
     std::printf("coordinator:     %llu crashes, %llu reboots, %llu fenced"
                 " writes, %llu orphan sets swept\n",
-                static_cast<unsigned long long>(
-                    rig.room.dvc->coordinator_crashes()),
-                static_cast<unsigned long long>(
-                    rig.room.dvc->coordinator_reboots()),
-                static_cast<unsigned long long>(
-                    rig.room.metrics.counter_value(
-                        "storage.images.fenced_writes") +
-                    rig.room.metrics.counter_value(
-                        "vm.hypervisor.fenced_commands")),
-                static_cast<unsigned long long>(
-                    rig.room.dvc->orphan_sets_discarded() +
-                    rig.room.dvc->orphan_rounds_aborted()));
+                u(o.coordinator_crashes), u(o.coordinator_reboots),
+                u(o.fenced_writes), u(o.orphans_swept));
   }
 }
 
 int run_reliability(tools::CellRig& rig,
                     const tools::ScenarioConfig& cfg) {
   rig.start_recovery();
-
-  const sim::Time horizon = sim::from_seconds(
-      cfg.get_double("horizon_s", sim::to_seconds(100 * sim::kHour)));
-  const sim::Duration slice =
-      sim::from_seconds(cfg.get_double("slice_s", 10.0));
-  while (!rig.application->completed() && rig.room.sim.now() < horizon) {
-    if (rig.application->failed() ||
-        rig.vc->state() == core::VcState::kFailed) {
-      break;  // recovery abandoned — no point simulating the wreck further
-    }
-    rig.room.sim.run_until(rig.room.sim.now() + slice);
-  }
-  const double settle_s = cfg.get_double("settle_s", 0.0);
-  if (settle_s > 0) {
-    rig.room.sim.run_until(rig.room.sim.now() +
-                          sim::from_seconds(settle_s));
-  }
+  rig.drive(sim::from_seconds(cfg.get_double(
+                "horizon_s", sim::to_seconds(100 * sim::kHour))),
+            sim::from_seconds(cfg.get_double("slice_s", 10.0)),
+            sim::from_seconds(cfg.get_double("settle_s", 0.0)));
   print_summary(rig);
   if (!rig.application->completed()) {
     // A reliability run that ends without finishing the job is a failure:

@@ -474,100 +474,101 @@ void CellRig::start_recovery() {
                                   failures_.prediction_lead);
 }
 
+void CellRig::drive(sim::Time horizon, sim::Duration slice,
+                    sim::Duration settle) {
+  while (!application->completed() && room.sim.now() < horizon) {
+    if (vc->state() == core::VcState::kFailed) break;
+    room.sim.run_until(room.sim.now() + slice);
+  }
+  room.sim.run_until(room.sim.now() + settle);
+}
+
+CellOutcome CellRig::outcome() const {
+  const core::DvcManager& dvc = *room.dvc;
+  const telemetry::MetricsRegistry& m = room.metrics;
+  CellOutcome out;
+  out.iterations = application->rank(0).state().iter;
+  out.sim_time_s = sim::to_seconds(room.sim.now());
+  out.checkpoints = m.counter_value("core.dvc.checkpoints");
+  out.recoveries = dvc.recoveries_performed();
+  out.watchdog = dvc.watchdog_detections();
+  out.lsc_retries = m.counter_value("ckpt.lsc.round_retries");
+  out.faults_injected = m.counter_value("fault.injected");
+  out.faults_lifted = m.counter_value("fault.lifted");
+  out.verify_failures = m.counter_value("storage.store.verify_failures");
+  out.failovers = m.counter_value("storage.replica.failovers");
+  out.fallbacks = dvc.restore_fallbacks();
+  out.abandoned = dvc.recoveries_abandoned();
+  out.damage_planted = m.counter_value("storage.store.corruptions") +
+                       m.counter_value("storage.store.torn_writes");
+  for (std::size_t r = 0; r < room.replica_stores.size(); ++r) {
+    const std::string prefix = "storage.replica" + std::to_string(r);
+    out.damage_planted += m.counter_value(prefix + ".store.corruptions") +
+                          m.counter_value(prefix + ".store.torn_writes");
+  }
+  out.coordinator_crashes = dvc.coordinator_crashes();
+  out.coordinator_reboots = dvc.coordinator_reboots();
+  out.stale_completions = dvc.stale_completions();
+  out.orphans_swept =
+      dvc.orphan_sets_discarded() + dvc.orphan_rounds_aborted();
+  out.fenced_writes = m.counter_value("storage.images.fenced_writes") +
+                      m.counter_value("vm.hypervisor.fenced_commands");
+  return out;
+}
+
 // ---- one cell ---------------------------------------------------------------
 
 namespace {
 
-void run_cell_impl(const SweepCell& cell, bool timeline, CellOutcome& out) {
+CellOutcome run_cell_impl(const SweepCell& cell, bool timeline) {
   const ScenarioConfig& cfg = cell.cfg;
   CellSpec spec = cell_spec(cfg);
   spec.timeline = timeline;
   CellRig rig(spec);
   rig.start_recovery();
-  core::MachineRoom& room = rig.room;
-  core::VirtualCluster* vc = rig.vc;
-  app::ParallelApp* application = rig.application.get();
-  check::Invariants* inv = rig.inv.get();
-
-  // Sliced driving, soak-style: keep going on transient application
-  // failure (the watchdog may still roll the job back); stop only on
-  // completion, a terminal diagnosis, or the horizon.
-  const sim::Time horizon = seconds(cfg, "horizon_s", 3600.0);
-  const sim::Duration slice = seconds(cfg, "slice_s", 10.0);
-  while (!application->completed() && room.sim.now() < horizon) {
-    if (vc->state() == core::VcState::kFailed) break;
-    room.sim.run_until(room.sim.now() + slice);
-  }
-  // Let in-flight churn (a recovery racing job completion) settle before
-  // sampling the outcome.
-  room.sim.run_until(room.sim.now() + seconds(cfg, "settle_s", 30.0));
-  const bool completed = application->completed();
+  // Sliced driving, soak-style, then a settle window that lets in-flight
+  // churn (a recovery racing job completion) finish before sampling.
+  rig.drive(seconds(cfg, "horizon_s", 3600.0), seconds(cfg, "slice_s", 10.0),
+            seconds(cfg, "settle_s", 30.0));
+  const bool completed = rig.application->completed();
   if (completed) {
     // Stop the periodic machinery and drain every remaining foreground
     // event; whatever survives the budget is a leak the checker reports.
-    room.dvc->disable_auto_recovery(*vc);
-    room.sim.run(kDrainLimit);
+    rig.room.dvc->disable_auto_recovery(*rig.vc);
+    rig.room.sim.run(kDrainLimit);
   }
+  check::Invariants* inv = rig.inv.get();
   if (inv != nullptr) inv->end_of_run(/*expect_quiesced=*/completed);
 
-  out.iterations = application->rank(0).state().iter;
-  out.sim_time_s = sim::to_seconds(room.sim.now());
-  out.checkpoints = room.metrics.counter_value("core.dvc.checkpoints");
-  out.recoveries = room.dvc->recoveries_performed();
-  out.watchdog = room.dvc->watchdog_detections();
-  out.lsc_retries = room.metrics.counter_value("ckpt.lsc.round_retries");
-  out.faults_injected = room.metrics.counter_value("fault.injected");
-  out.faults_lifted = room.metrics.counter_value("fault.lifted");
-  out.verify_failures =
-      room.metrics.counter_value("storage.store.verify_failures");
-  out.failovers = room.metrics.counter_value("storage.replica.failovers");
-  out.fallbacks = room.dvc->restore_fallbacks();
-  out.abandoned = room.dvc->recoveries_abandoned();
-  out.damage_planted =
-      room.metrics.counter_value("storage.store.corruptions") +
-      room.metrics.counter_value("storage.store.torn_writes");
-  for (std::size_t r = 0; r < room.replica_stores.size(); ++r) {
-    const std::string prefix = "storage.replica" + std::to_string(r);
-    out.damage_planted +=
-        room.metrics.counter_value(prefix + ".store.corruptions") +
-        room.metrics.counter_value(prefix + ".store.torn_writes");
-  }
-  out.coordinator_crashes = room.dvc->coordinator_crashes();
-  out.coordinator_reboots = room.dvc->coordinator_reboots();
-  out.stale_completions = room.dvc->stale_completions();
-  out.orphans_swept =
-      room.dvc->orphan_sets_discarded() + room.dvc->orphan_rounds_aborted();
-  out.fenced_writes =
-      room.metrics.counter_value("storage.images.fenced_writes") +
-      room.metrics.counter_value("vm.hypervisor.fenced_commands");
+  CellOutcome out = rig.outcome();
   if (inv != nullptr) out.violations = inv->violations();
-
   if (!out.violations.empty()) {
     out.status = CellStatus::kInvariantViolation;
   } else if (completed) {
     out.status = CellStatus::kCompleted;
-  } else if (application->failed() ||
-             vc->state() == core::VcState::kFailed) {
+  } else if (rig.application->failed() ||
+             rig.vc->state() == core::VcState::kFailed) {
     out.status = CellStatus::kDiagnosed;
   } else {
     out.status = CellStatus::kWedged;
   }
+  return out;
 }
 
 }  // namespace
 
 CellOutcome run_cell(const SweepCell& cell, bool timeline) {
   CellOutcome out;
-  out.key = cell.key;
-  out.mix = cell.mix;
-  out.seed = cell.seed;
-  out.repro = "dvcsweep --repro " + cell.key + " " + cell.grid;
   try {
-    run_cell_impl(cell, timeline, out);
+    out = run_cell_impl(cell, timeline);
   } catch (const std::exception& e) {
     out.status = CellStatus::kWedged;
     out.error = e.what();
   }
+  out.key = cell.key;
+  out.mix = cell.mix;
+  out.seed = cell.seed;
+  out.repro = "dvcsweep --repro " + cell.key + " " + cell.grid;
   return out;
 }
 

@@ -184,7 +184,10 @@ struct CellSpec {
 /// (echoing its trace when `spec.trace`), the VC and its optional head
 /// node, the boot to 20 s, the workload's ParallelApp, the LSC
 /// coordinator with its retry policy, the invariant checker and the fault
-/// injector. Driving the simulation is the caller's job. Throws
+/// injector. `drive` is the one slice loop and `outcome` the one reader of
+/// the outcome's counters that dvcsim's reliability experiment, run_cell
+/// and bench::run_job share; the end-to-end tests (ckpt, durability,
+/// recovery, partition) build their cells on the rig too. Throws
 /// std::runtime_error when the VC does not fit the room.
 class CellRig final {
  public:
@@ -195,6 +198,16 @@ class CellRig final {
   /// Enables the spec's auto-recovery policy, then arms its random node
   /// failures, if any.
   void start_recovery();
+
+  /// Runs the simulation `slice` at a time until the job completes, the
+  /// VC's recovery is abandoned (kFailed) or `horizon` is reached, then
+  /// `settle` more. An application failure alone does not stop it: the
+  /// watchdog may still roll the job back.
+  void drive(sim::Time horizon, sim::Duration slice, sim::Duration settle);
+
+  /// The outcome's counters as they stand (`iterations` through
+  /// `fenced_writes`); identity, status and violations are left empty.
+  [[nodiscard]] CellOutcome outcome() const;
 
   core::MachineRoom room;
   core::VirtualCluster* vc = nullptr;
