@@ -6,16 +6,22 @@
 #                       may build its name with `+`) and VC state writes
 #                       (tools/lint_vc_state.py: nothing under src/ but
 #                       DvcManager::transition assigns a VirtualCluster's
-#                       state_) and DvcManager's callbacks
+#                       state_) and the continuations of every layer that
+#                       owns a sim::IdTable
 #                       (tools/lint_dvc_continuations.py: no lambda in
-#                       src/core/dvc_manager.cpp, src/ckpt/lsc.cpp or
-#                       src/storage/image_manager.cpp captures by
-#                       reference, and none of them uses a std::weak_ptr
-#                       or any std::make_shared but adopt_checkpoint's
-#                       snapshot vector; a DvcManager callback carries its
-#                       VC's id and issuing epoch or its operation's id,
-#                       an LSC event its operation's id and round, an
-#                       image-manager read its staging id) and config
+#                       src/core/dvc_manager.cpp, src/ckpt/lsc.cpp,
+#                       src/storage/image_manager.cpp,
+#                       src/storage/shared_store.cpp,
+#                       src/storage/bandwidth_pool.cpp,
+#                       src/vm/hypervisor.cpp or src/vm/guest_timers.cpp
+#                       captures by reference, and none of them uses a
+#                       std::weak_ptr or any std::make_shared but
+#                       adopt_checkpoint's snapshot vector; a DvcManager
+#                       callback carries its VC's id and issuing epoch or
+#                       its operation's id, an LSC event its operation's
+#                       id and round, an image-manager read its staging
+#                       id, and a store read, pool transfer, hypervisor
+#                       stage or guest timer `(this, id)`) and config
 #                       fields (tools/lint_config_fields.py: every
 #                       defaulted field of a *Config, *Options or *Policy
 #                       struct under src/ is assigned by some file outside
@@ -257,7 +263,9 @@ sys.exit(0 if correct is True and failed == 0 and not zero else 1)
     python3 tools/lint_metric_names.py src
     python3 tools/lint_vc_state.py src
     python3 tools/lint_dvc_continuations.py src/core/dvc_manager.cpp \
-      src/ckpt/lsc.cpp src/storage/image_manager.cpp
+      src/ckpt/lsc.cpp src/storage/image_manager.cpp \
+      src/storage/shared_store.cpp src/storage/bandwidth_pool.cpp \
+      src/vm/hypervisor.cpp src/vm/guest_timers.cpp
     python3 tools/lint_config_fields.py
     if grep -rn 'std::function' src/sim src/storage/bandwidth_pool.* \
          src/vm/guest_timers.* src/net src/app/mpi_job.*; then

@@ -1,7 +1,6 @@
 #include "ckpt/lsc.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -10,15 +9,13 @@ namespace dvc::ckpt {
 // ---------------------------------------------------------------------------
 // RoundTracker
 
-RoundTracker::RoundTracker(sim::Simulation& sim, std::uint32_t id,
-                           LscCoordinator::OpRef op,
+RoundTracker::RoundTracker(sim::Simulation& sim, LscCoordinator::OpRef op,
                            std::vector<SaveTarget> targets,
                            storage::ImageManager& images, std::string label,
                            int attempt_no, bool resume_after_save,
                            telemetry::MetricsRegistry* metrics,
                            LscInstruments& instruments)
     : sim_(&sim),
-      id_(id),
       op_(op),
       targets_(std::move(targets)),
       images_(&images),
@@ -140,10 +137,11 @@ void LscCoordinator::checkpoint(std::string label,
                                 std::function<void(LscResult)> done,
                                 bool resume_after_save, Retarget retarget) {
   check_targets(targets);
-  ops_.push_back(Op{next_op_++, std::move(label), std::move(targets), &images,
-                    std::move(done), std::move(retarget), resume_after_save,
-                    /*round_no=*/0, retry_.backoff});
-  run_round(ops_.back());
+  run_round(ops_.open(
+      {.label = std::move(label), .targets = std::move(targets),
+       .images = &images, .done = std::move(done),
+       .retarget = std::move(retarget),
+       .resume_after_save = resume_after_save, .backoff = retry_.backoff}));
 }
 
 void LscCoordinator::check_targets(
@@ -151,44 +149,30 @@ void LscCoordinator::check_targets(
   if (targets.empty()) throw std::invalid_argument("no targets");
 }
 
-LscCoordinator::Op* LscCoordinator::find_op(OpRef ref) {
-  const auto it = std::lower_bound(
-      ops_.begin(), ops_.end(), ref.op,
-      [](const Op& op, std::uint32_t want) { return op.id < want; });
-  return it != ops_.end() && it->id == ref.op && it->round_no == ref.round_no
-             ? &*it
-             : nullptr;
+LscCoordinator::Op* LscCoordinator::live_op(OpRef ref) {
+  Op* op = ops_.find(ref.op);
+  return op != nullptr && op->round_no == ref.round_no ? op : nullptr;
 }
 
 RoundTracker& LscCoordinator::open_round(const Op& op) {
-  rounds_.push_back(std::make_unique<RoundTracker>(
-      *sim_, next_round_++, ref_of(op), op.targets, *op.images, op.label,
-      op.attempt_no, op.resume_after_save, metrics_, instruments_));
-  return *rounds_.back();
+  return rounds_.open(RoundTracker(*sim_, ref_of(op), op.targets, *op.images,
+                                   op.label, op.attempt_no,
+                                   op.resume_after_save, metrics_,
+                                   instruments_));
 }
 
 void LscCoordinator::schedule_fire(sim::Time at, const RoundTracker& round,
                                    std::size_t i) {
-  const MemberRef ref{round.id(), static_cast<std::uint32_t>(i)};
+  const MemberRef ref{round.id, static_cast<std::uint32_t>(i)};
   const auto fire = [this, ref] { fire_member(ref); };
   static_assert(sim::Simulation::stores_inline<decltype(fire)>);
   sim_->schedule_at(at, fire);
 }
 
-LscCoordinator::RoundTable::iterator LscCoordinator::find_round(
-    std::uint32_t id) {
-  const auto it = std::lower_bound(
-      rounds_.begin(), rounds_.end(), id,
-      [](const std::unique_ptr<RoundTracker>& r, std::uint32_t want) {
-        return r->id() < want;
-      });
-  return it != rounds_.end() && (*it)->id() == id ? it : rounds_.end();
-}
-
 void LscCoordinator::fire_member(MemberRef ref) {
-  const auto it = find_round(ref.round);
-  if (it == rounds_.end()) return;
-  const bool issued = (*it)->fire(
+  RoundTracker* round = rounds_.find(ref.round);
+  if (round == nullptr) return;
+  const bool issued = round->fire(
       ref.member, [this, ref](bool ok, std::any state) {
         member_durable(ref, ok, std::move(state));
       });
@@ -196,12 +180,12 @@ void LscCoordinator::fire_member(MemberRef ref) {
 }
 
 void LscCoordinator::abort(std::string_view label) {
-  std::erase_if(rounds_, [label](const std::unique_ptr<RoundTracker>& r) {
-    if (r->label() != label) return false;
-    r->abort();
+  rounds_.erase_if([label](RoundTracker& r) {
+    if (r.label() != label) return false;
+    r.abort();
     return true;
   });
-  std::erase_if(ops_, [this, label](const Op& op) {
+  ops_.erase_if([this, label](const Op& op) {
     if (op.label != label) return false;
     sim_->cancel(op.watchdog);
     return true;
@@ -209,13 +193,12 @@ void LscCoordinator::abort(std::string_view label) {
 }
 
 void LscCoordinator::member_durable(MemberRef ref, bool ok, std::any state) {
-  const auto it = find_round(ref.round);
-  if (it == rounds_.end()) return;
-  if (!(*it)->on_member_durable(ref.member, ok, std::move(state))) return;
+  RoundTracker* live = rounds_.find(ref.round);
+  if (live == nullptr) return;
+  if (!live->on_member_durable(ref.member, ok, std::move(state))) return;
   // The last member reported. The round leaves the table before it
   // reports, so its op's continuation may open the next one.
-  const std::unique_ptr<RoundTracker> round = std::move(*it);
-  rounds_.erase(it);
+  std::optional<RoundTracker> round = rounds_.take(ref.round);
   concluded(round->op(), round->finish());
 }
 
@@ -233,7 +216,7 @@ void LscCoordinator::run_round(Op& op) {
 }
 
 void LscCoordinator::watchdog_expired(OpRef ref) {
-  if (find_op(ref) == nullptr) return;
+  if (live_op(ref) == nullptr) return;
   telemetry::count(metrics_, instruments_.round_timeouts);
   telemetry::instant(metrics_, sim_->now(), "lsc", "round_timeout");
   LscResult r;
@@ -242,7 +225,7 @@ void LscCoordinator::watchdog_expired(OpRef ref) {
 }
 
 void LscCoordinator::concluded(OpRef ref, LscResult r) {
-  Op* op = find_op(ref);
+  Op* op = live_op(ref);
   if (op == nullptr) {
     // The watchdog already abandoned this round; the stragglers' real
     // completion arrives here and must not reach the caller twice.
@@ -267,7 +250,7 @@ void LscCoordinator::concluded(OpRef ref, LscResult r) {
 }
 
 void LscCoordinator::retry_round(OpRef ref) {
-  Op* op = find_op(ref);
+  Op* op = live_op(ref);
   if (op == nullptr) return;  // abort() ended it during the backoff
   // Re-resolve targets at fire time: the failure that sank the last round
   // may have triggered a recovery that moved members to new nodes, and
@@ -292,9 +275,8 @@ void LscCoordinator::retry_round(OpRef ref) {
 
 void LscCoordinator::report(Op& op, LscResult r) {
   if (check_ != nullptr) check_->on_round_complete(r.ok, r.set);
-  const std::function<void(LscResult)> done = std::move(op.done);
-  ops_.erase(ops_.begin() + (&op - ops_.data()));
-  if (done) done(std::move(r));
+  const std::optional<Op> ended = ops_.take(op.id);
+  if (ended->done) ended->done(std::move(r));
 }
 
 // ---------------------------------------------------------------------------
@@ -398,7 +380,7 @@ void NtpLscCoordinator::start_round(Op& op) {
 }
 
 void NtpLscCoordinator::health_checked(OpRef ref) {
-  Op* op = find_op(ref);
+  Op* op = live_op(ref);
   // Dropped once abort() ended the op or its watchdog settled the round.
   if (op == nullptr) return;
   if (op->attempt_no >= kMaxAttempts) {

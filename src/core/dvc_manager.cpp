@@ -98,26 +98,6 @@ DvcManager::VcRuntime* DvcManager::resolve(Issued op, bool count) {
   return nullptr;
 }
 
-std::uint32_t DvcManager::open_op(Op op) {
-  op.id = next_op_++;
-  return ops_.emplace_back(std::move(op)).id;
-}
-
-DvcManager::Op* DvcManager::find_op(std::uint32_t id) {
-  const auto it = std::ranges::lower_bound(ops_, id, {}, &Op::id);
-  return it != ops_.end() && it->id == id ? &*it : nullptr;
-}
-
-std::optional<DvcManager::Op> DvcManager::report(std::uint32_t id, bool ok) {
-  Op* op = find_op(id);
-  if (op == nullptr) return std::nullopt;
-  op->all_ok = op->all_ok && ok;
-  if (--op->pending != 0) return std::nullopt;
-  Op ended = std::move(*op);
-  ops_.erase(ops_.begin() + (op - ops_.data()));
-  return ended;
-}
-
 void DvcManager::transition(VcRuntime& rt, VcState to) {
   const VcState from = rt.vc->state_;
   rt.vc->state_ = to;
@@ -145,13 +125,13 @@ VirtualCluster& DvcManager::create_vc(VcSpec spec,
   vc.instantiations_ = 1;
   fabric_->hold(hw::Holder::kVc, vc.placement_, id);
 
-  const std::uint32_t boot = open_op(
+  const std::uint32_t boot = ops_.open(
       {.issued = issue(id),
        .lsn = journal(IntentKind::kProvision, id, vc.checkpoint_label()),
-       .pending = vc.size(), .ready = std::move(on_ready)});
+       .pending = vc.size(), .ready = std::move(on_ready)}).id;
   for (std::uint32_t i = 0; i < vc.size(); ++i) {
     fleet_->on_node(vc.placement(i)).boot_domain(vc.machine(i), [this, boot] {
-      if (std::optional<Op> booted = report(boot, true)) {
+      if (std::optional<Op> booted = ops_.join(boot, true)) {
         // By id, not resolve(): see Issued.
         transition(*runtime(booted->issued.id), VcState::kRunning);
         close_intent(booted->lsn);
@@ -179,7 +159,7 @@ void DvcManager::destroy_vc(VirtualCluster& vc) {
   }
   fleet_->destroy_domains(guests);
   // Nothing reports to the VC's operations any more.
-  std::erase_if(ops_, of_vc);
+  ops_.erase_if(of_vc);
   // A live migration in flight also holds its targets: give back every
   // node the VC holds.
   std::vector<hw::NodeId> held;
@@ -246,15 +226,15 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
       std::ranges::all_of(targets, &ckpt::SaveTarget::incremental);
   const auto span =
       telemetry::begin_span(metrics_, sim_->now(), "dvc", "checkpoint");
-  const std::uint32_t id = open_op(
+  const std::uint32_t id = ops_.open(
       {.issued = issue(vc.id()), .lsc = &lsc,
        .lsn = journal(IntentKind::kCheckpoint, vc.id(), vc.checkpoint_label()),
        .span = span, .pending = 1, .can_increment = can_increment,
-       .sealed = std::move(done)});
+       .sealed = std::move(done)}).id;
   lsc.checkpoint(
       vc.checkpoint_label(), std::move(targets), *images_,
       [this, id](ckpt::LscResult r) {
-        const std::optional<Op> round = report(id, r.ok);
+        const std::optional<Op> round = ops_.join(id, r.ok);
         if (round) telemetry::end_span(metrics_, round->span, sim_->now());
         VcRuntime* live = round ? resolve(round->issued) : nullptr;
         if (live == nullptr) {
@@ -319,7 +299,7 @@ std::optional<std::vector<ckpt::SaveTarget>> DvcManager::retarget(
   // the incarnation that started the round (the reboot's reconciliation
   // owns the cluster now), and while a member is dead or a recovery is
   // rewinding the cluster.
-  const Op* op = find_op(id);
+  const Op* op = ops_.find(id);
   VcRuntime* rt = op == nullptr ? nullptr : resolve(op->issued, false);
   if (rt == nullptr || rt->recovery_in_flight ||
       rt->vc->state_ == VcState::kRecovering || any_member_lost(*rt->vc)) {
@@ -380,10 +360,10 @@ void DvcManager::restore(VcRuntime& rt, Op op) {
     return;
   }
   op.pending = static_cast<std::uint32_t>(prior_sets.size());
-  const std::uint32_t id = open_op(std::move(op));
+  const std::uint32_t id = ops_.open(std::move(op)).id;
   for (const storage::CheckpointSetId s : prior_sets) {
     images_->stage_set(s, [this, id](bool ok) {
-      if (std::optional<Op> staged = report(id, ok)) {
+      if (std::optional<Op> staged = ops_.join(id, ok)) {
         staged->all_ok ? restore_members(std::move(*staged))
                        : restore_ended(std::move(*staged));
       }
@@ -401,16 +381,16 @@ void DvcManager::restore_members(Op op) {
   // The record holds the snapshots until its last member reports, even if
   // last_checkpoint_ moves on.
   op.snapshots = vc.last_checkpoint_.app_snapshots;
-  const std::uint32_t id = open_op(std::move(op));
   // A member restore may report at once, but only the last report ends
   // (and so moves) the record: `filed` holds for every call below.
-  const Op& filed = ops_.back();
+  const Op& filed = ops_.open(std::move(op));
+  const std::uint32_t id = filed.id;
   for (std::uint32_t i = 0; i < n; ++i) {
     fleet_->on_node(vc.placement(i))
         .restore_domain(vc.machine(i), *images_, filed.set, i,
                         filed.snapshots->at(i),
                         [this, id](bool ok) {
-                          if (std::optional<Op> restored = report(id, ok)) {
+                          if (std::optional<Op> restored = ops_.join(id, ok)) {
                             restore_ended(std::move(*restored));
                           }
                         },
@@ -454,14 +434,15 @@ void DvcManager::migrate_vc(VirtualCluster& vc, ckpt::LscCoordinator& lsc,
                             std::function<void(bool)> done) {
   if (refuse_failed(vc, done)) return;
   transition(vcs_.at(vc.id()), VcState::kMigrating);
-  const std::uint32_t id = open_op(
+  const std::uint32_t id = ops_.open(
       {.migration = true, .issued = issue(vc.id()), .lsc = &lsc,
        .lsn = journal(IntentKind::kMigrate, vc.id(), vc.checkpoint_label()),
-       .pending = 1, .to = std::move(new_placement), .done = std::move(done)});
+       .pending = 1, .to = std::move(new_placement), .done = std::move(done)})
+          .id;
   lsc.checkpoint(
       vc.checkpoint_label(), save_targets(vc), *images_,
       [this, id](ckpt::LscResult r) {
-        std::optional<Op> move = report(id, r.ok);
+        std::optional<Op> move = ops_.join(id, r.ok);
         VcRuntime* live = move ? resolve(move->issued) : nullptr;
         if (live == nullptr) {
           // The coordinator that ordered the move died while the members
@@ -493,10 +474,11 @@ void DvcManager::live_migrate_vc(
   // Reserve the targets up front so nothing else lands on them mid-move.
   fabric_->hold(hw::Holder::kVc, new_placement, vc.id());
   const std::uint32_t n = vc.size();
-  const std::uint32_t id = open_op(
+  const std::uint32_t id = ops_.open(
       {.issued = issue(vc.id()), .started = sim_->now(), .pending = n,
        .from = vc.placements(), .to = std::move(new_placement), .cfg = cfg,
-       .members = std::vector<Op::Precopy>(n), .moved = std::move(done)});
+       .members = std::vector<Op::Precopy>(n), .moved = std::move(done)})
+          .id;
   for (std::uint32_t i = 0; i < n; ++i) move_member(id, i);
 }
 
@@ -506,7 +488,7 @@ void DvcManager::live_migrate_vc(
 // residual and resume it on its target. A member's steps look its VC up by
 // id: they move guests, which is ground truth.
 void DvcManager::move_member(std::uint32_t id, std::uint32_t i) {
-  Op* op = find_op(id);
+  Op* op = ops_.find(id);
   if (op == nullptr) return;
   VirtualCluster& vc = *runtime(op->issued.id)->vc;
   vm::VirtualMachine& m = vc.machine(i);
@@ -552,7 +534,7 @@ void DvcManager::move_member(std::uint32_t id, std::uint32_t i) {
 }
 
 void DvcManager::member_moved(std::uint32_t id, bool ok) {
-  std::optional<Op> move = report(id, ok);
+  std::optional<Op> move = ops_.join(id, ok);
   if (!move) return;
   const VcId vc = move->issued.id;
   // A member whose move failed stayed on its source node: the ledger

@@ -16,6 +16,7 @@
 #include "core/intent_log.hpp"
 #include "core/virtual_cluster.hpp"
 #include "hw/cluster.hpp"
+#include "sim/id_table.hpp"
 #include "sim/simulation.hpp"
 #include "sim/trace.hpp"
 #include "storage/epoch_fence.hpp"
@@ -31,8 +32,8 @@ namespace dvc::core {
 /// restores or migrates them onto *different* node sets, and recovers them
 /// automatically when a hosting node dies.
 ///
-/// Each boot, LSC round, restore and live move is one operation (Op) in an
-/// id-ordered table the manager owns, from the call until its last member
+/// Each boot, LSC round, restore and live move is one operation (Op) in a
+/// sim::IdTable the manager owns, from the call until its last member
 /// reports or destroy_vc ends it. Every event count lands in the registry
 /// the manager is built with (`core.dvc.*` counters, the "dvc" timeline
 /// track), and the introspection accessors read it back from there.
@@ -380,14 +381,6 @@ class DvcManager final {
     std::function<void(bool)> done{};                 ///< restore, migration
     std::function<void(LiveMigrationStats)> moved{};  ///< live move
   };
-  /// Files `op` under a new id, which it returns.
-  std::uint32_t open_op(Op op);
-  /// The record of operation `id`, or null once it has ended.
-  [[nodiscard]] Op* find_op(std::uint32_t id);
-  /// Counts one report into operation `id` (a member's, or an LSC
-  /// round's): the record, taken out of the table, once the last one is
-  /// in; else, or once the record is gone, nullopt.
-  std::optional<Op> report(std::uint32_t id, bool ok);
   /// The runtime record of VC `id`, or null once it is destroyed.
   [[nodiscard]] VcRuntime* runtime(VcId id);
   /// The one staleness check: the runtime record of `op`'s VC, or null
@@ -476,10 +469,9 @@ class DvcManager final {
   /// (incremental chains share their base full image across generations).
   /// A set leaves the store when its last reference drops.
   std::map<storage::CheckpointSetId, int> set_refs_;
-  /// In-flight operations in id order (ids only grow, so a new one
-  /// appends).
-  std::vector<Op> ops_;
-  std::uint32_t next_op_ = 1;
+  /// In-flight operations. A member's or an LSC round's report joins its
+  /// record (sim::IdTable::join), which the last one takes out.
+  sim::IdTable<Op, std::uint32_t> ops_;
   // ---- coordinator fault domain ------------------------------------------
   storage::EpochFence* fence_ = nullptr;
   /// Epoch stamped into every command this incarnation issues. Stays

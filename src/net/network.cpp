@@ -59,7 +59,6 @@ void Network::set_metrics(telemetry::MetricsRegistry* m) {
 
 bool Network::send(const Packet& p) {
   if (!host_up(p.src.host)) return false;
-  ++sent_;
   if (packets_sent_c_ != nullptr) {
     packets_sent_c_->add();
     bytes_sent_c_->add(p.size_bytes);
@@ -105,7 +104,6 @@ void Network::deliver(std::uint32_t slot) {
   const std::vector<PacketSink*>& row = sinks_[p.dst.host];
   PacketSink* const sink = p.dst.port < row.size() ? row[p.dst.port] : nullptr;
   if (sink == nullptr) return;  // no listener: dropped like a closed port
-  ++delivered_;
   if (packets_delivered_c_ != nullptr) packets_delivered_c_->add();
   sink->on_packet(p);
 }

@@ -253,16 +253,6 @@ class Network final {
   /// and a binomial tree O(log P x bytes/bw).
   bool send(const Packet& p);
 
-  [[nodiscard]] std::uint64_t packets_sent() const noexcept {
-    return sent_;
-  }
-  [[nodiscard]] std::uint64_t packets_delivered() const noexcept {
-    return delivered_;
-  }
-  [[nodiscard]] std::uint64_t packets_dropped() const noexcept {
-    return sent_ - delivered_;
-  }
-
   [[nodiscard]] LinkModel& link_model() noexcept { return *link_; }
 
   /// Attaches an optional metrics registry (null to detach). The fabric-
@@ -302,8 +292,6 @@ class Network final {
   // fits the kernel's inline closure store) instead of a whole Packet.
   std::vector<Packet> in_flight_;
   std::vector<std::uint32_t> free_in_flight_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
   telemetry::MetricsRegistry* metrics_ = nullptr;
   telemetry::Counter* packets_sent_c_ = nullptr;
   telemetry::Counter* bytes_sent_c_ = nullptr;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,9 +28,10 @@ void BandwidthPool::set_metrics(telemetry::MetricsRegistry* m,
 TransferId BandwidthPool::start(std::uint64_t bytes,
                                 sim::Callback on_complete) {
   settle();
-  const TransferId id = next_id_++;
-  transfers_.push_back(Transfer{id, static_cast<double>(bytes),
-                                std::move(on_complete), bytes, sim_->now()});
+  const TransferId id = transfers_.open(
+      {.remaining_bytes = static_cast<double>(bytes),
+       .on_complete = std::move(on_complete), .bytes = bytes,
+       .started = sim_->now()}).id;
   if (bytes_c_ != nullptr) {
     bytes_c_->add(bytes);
     active_g_->set(static_cast<double>(transfers_.size()));
@@ -40,13 +42,9 @@ TransferId BandwidthPool::start(std::uint64_t bytes,
 
 bool BandwidthPool::cancel(TransferId id) {
   settle();
-  const auto it = std::lower_bound(
-      transfers_.begin(), transfers_.end(), id,
-      [](const Transfer& t, TransferId want) { return t.id < want; });
-  if (it == transfers_.end() || it->id != id) return false;
   // Destroyed on return, once the pool is consistent again.
-  const sim::Callback dropped = std::move(it->on_complete);
-  transfers_.erase(it);
+  const std::optional<Transfer> dropped = transfers_.take(id);
+  if (!dropped) return false;
   if (active_g_ != nullptr) {
     active_g_->set(static_cast<double>(transfers_.size()));
   }
@@ -91,35 +89,29 @@ void BandwidthPool::reschedule() {
 
 void BandwidthPool::drain() {
   settle();
-  // Collect and fire every transfer that has drained, in id order,
-  // compacting the survivors in place. A completion callback may start
-  // or cancel transfers; firing after the sweep keeps it stable. The
-  // list borrows the member scratch's capacity while it fires.
-  std::vector<sim::Callback> done = std::move(done_);
-  done.clear();
-  auto kept = transfers_.begin();
-  for (Transfer& t : transfers_) {
-    if (t.remaining_bytes <= 0.5) {  // sub-byte fluid residue
-      if (transfers_c_ != nullptr) {
-        transfers_c_->add();
-        const sim::Duration actual = sim_->now() - t.started;
-        transfer_h_->observe(sim::to_seconds(actual));
-        const sim::Duration alone = uncontended_time(t.bytes);
-        wait_h_->observe(sim::to_seconds(
-            actual > alone ? actual - alone : sim::Duration{0}));
-      }
-      done.push_back(std::move(t.on_complete));
-      ++completed_;
-    } else {
-      if (&*kept != &t) *kept = std::move(t);
-      ++kept;
+  // Collect and fire every transfer that has drained, in id order. A
+  // completion callback may start or cancel transfers; firing after the
+  // sweep keeps it stable.
+  transfers_.erase_if([this](Transfer& t) {
+    if (t.remaining_bytes > 0.5) return false;  // sub-byte fluid residue
+    if (transfers_c_ != nullptr) {
+      transfers_c_->add();
+      const sim::Duration actual = sim_->now() - t.started;
+      transfer_h_->observe(sim::to_seconds(actual));
+      const sim::Duration alone = uncontended_time(t.bytes);
+      wait_h_->observe(sim::to_seconds(
+          actual > alone ? actual - alone : sim::Duration{0}));
     }
-  }
-  transfers_.erase(kept, transfers_.end());
+    done_.push_back(std::move(t.on_complete));
+    ++completed_;
+    return true;
+  });
   if (active_g_ != nullptr) {
     active_g_->set(static_cast<double>(transfers_.size()));
   }
   reschedule();
+  // The callbacks fire from a list that borrows the scratch's capacity.
+  std::vector<sim::Callback> done = std::move(done_);
   for (auto& fn : done) {
     if (fn) fn();
   }

@@ -4,6 +4,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/id_table.hpp"
 #include "sim/simulation.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -71,8 +72,8 @@ class BandwidthPool final {
 
  private:
   struct Transfer {
-    TransferId id;
-    double remaining_bytes;
+    TransferId id = kInvalidTransfer;
+    double remaining_bytes = 0.0;
     sim::Callback on_complete;
     std::uint64_t bytes = 0;     ///< original size, for metrics
     sim::Time started = 0;
@@ -88,11 +89,9 @@ class BandwidthPool final {
   sim::Simulation* sim_;
   double bps_;
   sim::Time last_settle_ = 0;
-  TransferId next_id_ = 1;
-  /// In-flight transfers in id order (ids only grow, so start appends).
-  /// Contiguous: every settle and reschedule walks them all, and there are
-  /// rarely more than a few dozen.
-  std::vector<Transfer> transfers_;
+  /// In-flight transfers. Contiguous: every settle and reschedule walks
+  /// them all, and there are rarely more than a few dozen.
+  sim::IdTable<Transfer> transfers_;
   /// Fires at the next finisher's completion; armed while transfers_ is
   /// non-empty.
   sim::Timer timer_;

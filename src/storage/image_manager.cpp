@@ -5,27 +5,6 @@
 
 namespace dvc::storage {
 
-ObjectId ImageManager::register_base_image(std::string name,
-                                           std::uint64_t bytes) {
-  // Base images are pre-seeded: they exist before the simulated experiment
-  // begins, so installation is a metadata-only operation.
-  const ObjectId id =
-      store_->put_object(name, bytes, synthetic_checksum(bytes, 0, 1));
-  base_images_[name] = id;
-  return id;
-}
-
-std::optional<ObjectId> ImageManager::find_base_image(
-    const std::string& name) const {
-  const auto it = base_images_.find(name);
-  if (it == base_images_.end() || it->second == kInvalidObject) {
-    telemetry::count(metrics_, "storage.images.base_image_misses");
-    return std::nullopt;
-  }
-  telemetry::count(metrics_, "storage.images.base_image_hits");
-  return it->second;
-}
-
 CheckpointSetId ImageManager::open_set(std::string label,
                                        std::size_t members,
                                        std::uint64_t epoch) {
@@ -259,8 +238,8 @@ void ImageManager::stage_set(CheckpointSetId set,
     if (on_staged) on_staged(true);
     return;
   }
-  const std::uint32_t id = next_staging_++;
-  stagings_.push_back({id, s->members.size(), true, std::move(on_staged)});
+  const std::uint32_t id = stagings_.open(
+      {.pending = s->members.size(), .on_staged = std::move(on_staged)}).id;
   // Copy the member list: read_member failure paths may mutate the set.
   std::vector<std::uint64_t> members;
   members.reserve(s->members.size());
@@ -272,13 +251,8 @@ void ImageManager::stage_set(CheckpointSetId set,
 }
 
 void ImageManager::member_staged(std::uint32_t id, bool ok) {
-  const auto it = std::ranges::lower_bound(stagings_, id, {}, &Staging::id);
-  if (!ok) it->all_ok = false;
-  if (--it->remaining > 0) return;
-  const bool all_ok = it->all_ok;
-  const std::function<void(bool)> on_staged = std::move(it->on_staged);
-  stagings_.erase(it);
-  if (on_staged) on_staged(all_ok);
+  const std::optional<Staging> staged = stagings_.join(id, ok);
+  if (staged && staged->on_staged) staged->on_staged(staged->all_ok);
 }
 
 }  // namespace dvc::storage

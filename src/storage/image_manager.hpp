@@ -4,10 +4,10 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "check/hooks.hpp"
+#include "sim/id_table.hpp"
 #include "storage/epoch_fence.hpp"
 #include "storage/shared_store.hpp"
 
@@ -53,7 +53,7 @@ struct CheckpointSet {
   }
 };
 
-/// Tracks base OS images and checkpoint sets, and stages them to nodes.
+/// Tracks checkpoint sets and stages them to nodes.
 /// This is the "image management capability to track the correct staging
 /// and restart of images" from §1 of the paper.
 ///
@@ -78,13 +78,6 @@ class ImageManager final {
   [[nodiscard]] std::size_t replica_count() const noexcept {
     return replicas_.size();
   }
-
-  /// Registers a named base OS image of the given size (instantaneous:
-  /// base images are pre-seeded before experiments start).
-  ObjectId register_base_image(std::string name, std::uint64_t bytes);
-
-  [[nodiscard]] std::optional<ObjectId> find_base_image(
-      const std::string& name) const;
 
   /// Opens a new checkpoint set expecting `members` images. A fenced
   /// (stale-epoch) open returns kInvalidCheckpointSet.
@@ -157,7 +150,7 @@ class ImageManager final {
 
   /// Attaches an optional metrics registry for set lifecycle counters
   /// (`storage.images.*`: sets opened/sealed/aborted/damaged, members
-  /// added, base-image lookup hits/misses, staging reads, sets discarded)
+  /// added, staging reads, sets discarded)
   /// and replication counters (`storage.replica.*`).
   void set_metrics(telemetry::MetricsRegistry* m) noexcept { metrics_ = m; }
 
@@ -198,10 +191,11 @@ class ImageManager final {
                         std::size_t copy, std::function<void(bool)> on_done);
 
   /// One stage_set call in flight. Its reads capture only `(this, id)`
-  /// and look it up here; the last one to land removes it and reports.
+  /// and join it (sim::IdTable::join); the last one to land takes it and
+  /// reports.
   struct Staging {
     std::uint32_t id = 0;
-    std::size_t remaining = 0;  ///< member reads still in flight
+    std::size_t pending = 0;  ///< member reads still in flight
     bool all_ok = true;
     std::function<void(bool)> on_staged;
   };
@@ -226,12 +220,9 @@ class ImageManager final {
   check::Checker* check_ = nullptr;
   SharedStore* store_;
   std::vector<SharedStore*> replicas_;
-  std::unordered_map<std::string, ObjectId> base_images_;
   CheckpointSetId next_set_ = 1;
   std::map<CheckpointSetId, CheckpointSet> sets_;
-  /// In-flight stage_set calls in id order (ids only grow).
-  std::vector<Staging> stagings_;
-  std::uint32_t next_staging_ = 1;
+  sim::IdTable<Staging, std::uint32_t> stagings_;
   /// Pending-copy slots, reused through `free_copies_`.
   std::vector<PendingCopy> copies_;
   std::vector<std::uint32_t> free_copies_;

@@ -138,15 +138,15 @@ ObjectId SharedStore::put_object(std::string name, std::uint64_t bytes,
 
 void SharedStore::read_object(ObjectId id,
                               std::function<void(ReadError)> on_complete) {
-  const std::uint64_t read = next_read_++;
-  reads_pending_.push_back(PendingRead{read, id, std::move(on_complete)});
+  const std::uint64_t read = reads_pending_.open(
+      {.object = id, .on_complete = std::move(on_complete)}).id;
   const auto start = [this, read] { start_read(read); };
   static_assert(sim::Simulation::stores_inline<decltype(start)>);
   sim_->schedule_after(cfg_.op_overhead, start);
 }
 
 void SharedStore::start_read(std::uint64_t read) {
-  const auto it = objects_.find(pending_read(read).object);
+  const auto it = objects_.find(reads_pending_.find(read)->object);
   if (it == objects_.end()) {
     telemetry::count(metrics_, instruments_.read_failures);
     finish_read(read, ReadError::kNotFound);
@@ -160,7 +160,7 @@ void SharedStore::start_read(std::uint64_t read) {
 void SharedStore::verify_read(std::uint64_t read) {
   // Re-verify after the transfer: the object may have been removed,
   // corrupted, or identified as torn while the read streamed.
-  const auto again = objects_.find(pending_read(read).object);
+  const auto again = objects_.find(reads_pending_.find(read)->object);
   ReadError err = ReadError::kOk;
   if (again == objects_.end()) {
     err = ReadError::kNotFound;
@@ -178,17 +178,9 @@ void SharedStore::verify_read(std::uint64_t read) {
   finish_read(read, err);
 }
 
-SharedStore::PendingRead& SharedStore::pending_read(std::uint64_t read) {
-  return *std::lower_bound(
-      reads_pending_.begin(), reads_pending_.end(), read,
-      [](const PendingRead& r, std::uint64_t want) { return r.id < want; });
-}
-
 void SharedStore::finish_read(std::uint64_t read, ReadError err) {
-  PendingRead& r = pending_read(read);
-  const std::function<void(ReadError)> cb = std::move(r.on_complete);
-  reads_pending_.erase(reads_pending_.begin() + (&r - reads_pending_.data()));
-  if (cb) cb(err);
+  const std::optional<PendingRead> r = reads_pending_.take(read);
+  if (r->on_complete) r->on_complete(err);
 }
 
 bool SharedStore::remove_object(ObjectId id) {

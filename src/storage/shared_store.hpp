@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/id_table.hpp"
 #include "sim/simulation.hpp"
 #include "storage/bandwidth_pool.hpp"
 
@@ -191,8 +192,6 @@ class SharedStore final {
   void verify_read(std::uint64_t read);
   /// Removes the read from `reads_pending_`, then reports `err` to it.
   void finish_read(std::uint64_t read, ReadError err);
-  /// The pending read with this id (it must be pending).
-  PendingRead& pending_read(std::uint64_t read);
 
   sim::Simulation* sim_;
   Config cfg_;
@@ -208,10 +207,9 @@ class SharedStore final {
   /// keep key order and lookups as they were).
   std::vector<ObjectMap::node_type> spare_objects_;
   std::vector<InflightMap::node_type> spare_inflight_;
-  /// Reads in flight, in id order (ids only grow, so read_object appends).
-  /// Their op event and pool transfer carry `(this, read id)`.
-  std::vector<PendingRead> reads_pending_;
-  std::uint64_t next_read_ = 1;
+  /// Reads in flight. Their op event and pool transfer carry
+  /// `(this, read id)`.
+  sim::IdTable<PendingRead> reads_pending_;
   std::uint64_t bytes_stored_ = 0;
   std::uint64_t bytes_written_total_ = 0;
   telemetry::MetricsRegistry* metrics_ = nullptr;

@@ -1,20 +1,17 @@
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
+#include "sim/id_table.hpp"
 #include "sim/simulation.hpp"
 #include "vm/execution_context.hpp"
 
 namespace dvc::vm {
 
-/// The pending guest timers of one execution context, in one id-ordered
-/// flat table. Ids only grow, so add() appends and every walk
-/// (freeze/thaw/drop) visits timers in id order: thawed timers re-enter
-/// the kernel in the order they were first scheduled, which fixes their
-/// same-tick tie-breaks. The kernel closure of an armed timer holds only
-/// `(this, id)`, and the table keeps its capacity, so a context that
-/// schedules and fires timers in steady state never touches the heap.
+/// The pending guest timers of one execution context, in one
+/// sim::IdTable: every walk (freeze/thaw/drop) visits timers in id order,
+/// so thawed timers re-enter the kernel in the order they were first
+/// scheduled, which fixes their same-tick tie-breaks. The kernel closure
+/// of an armed timer holds only `(this, id)`, so a context that schedules
+/// and fires timers in steady state never touches the heap.
 class GuestTimerTable final {
  public:
   explicit GuestTimerTable(sim::Simulation& sim) : sim_(&sim) {}
@@ -46,23 +43,20 @@ class GuestTimerTable final {
 
  private:
   struct Entry {
-    GuestTimerId id;
-    sim::Duration remaining;  ///< valid while frozen
-    sim::Time due_at;         ///< valid while armed
-    sim::EventId event;       ///< kInvalidEvent while frozen
+    GuestTimerId id = kInvalidGuestTimer;
+    sim::Duration remaining = 0;  ///< valid while frozen
+    sim::Time due_at = 0;         ///< valid while armed
+    sim::EventId event = sim::kInvalidEvent;  ///< kInvalidEvent while frozen
     sim::Callback fn;
   };
 
-  /// Index of the entry with this id, or entries_.size() if none.
-  [[nodiscard]] std::size_t index_of(GuestTimerId id) const;
   /// Hands `e` to the kernel to fire after its remaining progress.
   void arm(Entry& e);
   /// Kernel callback: removes the timer, then runs its closure.
   void fire(GuestTimerId id);
 
   sim::Simulation* sim_;
-  GuestTimerId next_id_ = 1;
-  std::vector<Entry> entries_;  ///< ascending id
+  sim::IdTable<Entry> entries_;
 };
 
 }  // namespace dvc::vm

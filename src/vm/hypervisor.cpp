@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -32,18 +33,9 @@ sim::Duration Hypervisor::cmd_latency() {
 }
 
 template <class Op>
-typename std::vector<Op>::iterator Hypervisor::find_op(std::vector<Op>& ops,
-                                                       std::uint64_t id) {
-  const auto it = std::lower_bound(
-      ops.begin(), ops.end(), id,
-      [](const Op& op, std::uint64_t want) { return op.id < want; });
-  return it != ops.end() && it->id == id ? it : ops.end();
-}
-
-template <class Op>
-void Hypervisor::drop_ops(std::vector<Op>& ops,
+void Hypervisor::drop_ops(sim::IdTable<Op>& ops,
                           std::span<const VirtualMachine* const> vms) {
-  std::erase_if(ops, [this, vms](const Op& op) {
+  ops.erase_if([this, vms](const Op& op) {
     if (!std::binary_search(vms.begin(), vms.end(), op.vm,
                             std::less<const VirtualMachine*>())) {
       return false;
@@ -58,43 +50,33 @@ void Hypervisor::boot_domain(VirtualMachine& vm,
   if (node_failed()) return;
   vm.place_on(fabric_->node(node_));
   residents_.insert(&vm);
-  const std::uint64_t id = next_op_++;
-  BootOp& op = boots_.emplace_back();
-  op.id = id;
-  op.vm = &vm;
-  op.begin = sim_->now();
-  op.cb = std::move(on_booted);
-  op.span = telemetry::begin_span(metrics_, op.begin, track_, "boot");
-  after<&Hypervisor::boot_done>(kBootTime, id);
+  const sim::Time begin = sim_->now();
+  const BootOp& op = boots_.open(
+      {.vm = &vm, .begin = begin, .cb = std::move(on_booted),
+       .span = telemetry::begin_span(metrics_, begin, track_, "boot")});
+  after<&Hypervisor::boot_done>(kBootTime, op.id);
 }
 
 void Hypervisor::boot_done(std::uint64_t id) {
-  const auto op = find_op(boots_, id);
-  if (op == boots_.end()) return;  // destroyed mid-boot
+  const std::optional<BootOp> op = boots_.take(id);
+  if (!op) return;  // destroyed mid-boot
   telemetry::end_span(metrics_, op->span, sim_->now());
-  VirtualMachine& vm = *op->vm;
-  const sim::Time begin = op->begin;
-  const std::function<void()> cb = std::move(op->cb);
-  boots_.erase(op);
-  if (node_failed() || vm.state() == DomainState::kDead) return;
-  vm.resume();
+  if (node_failed() || op->vm->state() == DomainState::kDead) return;
+  op->vm->resume();
   telemetry::count(metrics_, boots_c_);
   telemetry::observe(metrics_, boot_s_h_,
-                     sim::to_seconds(sim_->now() - begin));
-  if (cb) cb();
+                     sim::to_seconds(sim_->now() - op->begin));
+  if (op->cb) op->cb();
 }
 
 void Hypervisor::finish_save(std::uint64_t id, bool ok) {
-  const auto op = find_op(saves_, id);
-  if (op == saves_.end()) return;
-  // Take what the report needs before the entry goes: the callback may
-  // start another save on this node.
-  std::function<void(bool, std::any)> cb = std::move(op->cb);
-  std::any state = ok ? std::move(op->state) : std::any{};
+  // Out of the table before the report: the callback may start another
+  // save on this node.
+  std::optional<SaveOp> op = saves_.take(id);
+  if (!op) return;
   telemetry::end_span(metrics_, op->span, sim_->now());
-  saves_.erase(op);
   if (!ok) telemetry::count(metrics_, save_failures_c_);
-  if (cb) cb(ok, std::move(state));
+  if (op->cb) op->cb(ok, ok ? std::move(op->state) : std::any{});
 }
 
 void Hypervisor::save_domain(VirtualMachine& vm,
@@ -103,24 +85,18 @@ void Hypervisor::save_domain(VirtualMachine& vm,
                              std::uint64_t member,
                              std::function<void(bool, std::any)> on_durable,
                              bool incremental, std::uint64_t epoch) {
-  const std::uint64_t id = next_op_++;
-  SaveOp& op = saves_.emplace_back();
-  op.id = id;
-  op.vm = &vm;
-  op.images = &images;
-  op.set = set;
-  op.member = member;
-  op.epoch = epoch;
-  op.begin = sim_->now();
-  op.incremental = incremental;
-  op.cb = std::move(on_durable);
-  op.span = telemetry::begin_span(metrics_, op.begin, track_, "save");
-  after<&Hypervisor::save_freeze>(cmd_latency(), id);
+  const sim::Time begin = sim_->now();
+  const SaveOp& op = saves_.open(
+      {.vm = &vm, .images = &images, .set = set, .member = member,
+       .epoch = epoch, .begin = begin, .incremental = incremental,
+       .cb = std::move(on_durable),
+       .span = telemetry::begin_span(metrics_, begin, track_, "save")});
+  after<&Hypervisor::save_freeze>(cmd_latency(), op.id);
 }
 
 void Hypervisor::save_freeze(std::uint64_t id) {
-  const auto op = find_op(saves_, id);
-  if (op == saves_.end()) return;  // aborted by node death
+  SaveOp* op = saves_.find(id);
+  if (op == nullptr) return;  // aborted by node death
   VirtualMachine& vm = *op->vm;
   if (node_failed() || vm.state() == DomainState::kDead) {
     finish_save(id, false);
@@ -150,8 +126,8 @@ void Hypervisor::save_freeze(std::uint64_t id) {
 }
 
 void Hypervisor::save_stream(std::uint64_t id) {
-  const auto op = find_op(saves_, id);
-  if (op == saves_.end()) return;
+  const SaveOp* op = saves_.find(id);
+  if (op == nullptr) return;
   if (node_failed() || op->vm->state() == DomainState::kDead) {
     finish_save(id, false);
     return;
@@ -167,15 +143,12 @@ void Hypervisor::save_stream(std::uint64_t id) {
       op->epoch);
   // A write the image manager refused never completes, so nothing would
   // ever report the save: drop it, unless a node failure may abort it.
-  if (!streaming && !cfg_.abort_saves_on_failure) {
-    const auto refused = find_op(saves_, id);
-    if (refused != saves_.end()) saves_.erase(refused);
-  }
+  if (!streaming && !cfg_.abort_saves_on_failure) saves_.take(id);
 }
 
 void Hypervisor::save_durable(std::uint64_t id) {
-  const auto op = find_op(saves_, id);
-  if (op == saves_.end()) return;
+  const SaveOp* op = saves_.find(id);
+  if (op == nullptr) return;
   VirtualMachine& vm = *op->vm;
   if (vm.state() == DomainState::kDead) {
     finish_save(id, false);
@@ -224,15 +197,12 @@ void Hypervisor::restore_domain(VirtualMachine& vm,
   }
   vm.place_on(fabric_->node(node_));
   residents_.insert(&vm);
-  const std::uint64_t id = next_op_++;
-  RestoreOp& op = restores_.emplace_back();
-  op.id = id;
-  op.vm = &vm;
-  op.begin = sim_->now();
-  op.image_bytes = image->bytes;
-  op.state = &app_state;
-  op.cb = std::move(on_done);
-  op.span = telemetry::begin_span(metrics_, op.begin, track_, "restore");
+  const sim::Time begin = sim_->now();
+  const std::uint64_t id = restores_.open(
+      {.vm = &vm, .begin = begin, .image_bytes = image->bytes,
+       .state = &app_state, .cb = std::move(on_done),
+       .span = telemetry::begin_span(metrics_, begin, track_, "restore")})
+      .id;
   // Verified read with replica failover: the image manager tries every
   // copy and reports false only when none verifies (the set is then
   // marked damaged, which recovery uses to fall back a generation).
@@ -241,7 +211,7 @@ void Hypervisor::restore_domain(VirtualMachine& vm,
 }
 
 void Hypervisor::restore_read(std::uint64_t id, bool ok) {
-  if (find_op(restores_, id) == restores_.end()) return;
+  if (restores_.find(id) == nullptr) return;
   if (!ok || node_failed()) {
     finish_restore(id, false);
     return;
@@ -250,8 +220,8 @@ void Hypervisor::restore_read(std::uint64_t id, bool ok) {
 }
 
 void Hypervisor::restore_done(std::uint64_t id) {
-  const auto op = find_op(restores_, id);
-  if (op == restores_.end()) return;
+  const RestoreOp* op = restores_.find(id);
+  if (op == nullptr) return;
   if (node_failed()) {
     finish_restore(id, false);
     return;
@@ -267,15 +237,14 @@ void Hypervisor::restore_done(std::uint64_t id) {
 }
 
 void Hypervisor::finish_restore(std::uint64_t id, bool ok) {
-  const auto op = find_op(restores_, id);
-  if (op == restores_.end()) return;
-  // The callback owns the snapshot `state` points at; take it before the
-  // entry goes, since it may start another restore on this node.
-  const std::function<void(bool)> cb = std::move(op->cb);
+  // The callback owns the snapshot `state` points at; the record leaves
+  // the table first, since the callback may start another restore on this
+  // node.
+  const std::optional<RestoreOp> op = restores_.take(id);
+  if (!op) return;
   telemetry::end_span(metrics_, op->span, sim_->now());
-  restores_.erase(op);
   if (!ok) telemetry::count(metrics_, restore_failures_c_);
-  if (cb) cb(ok);
+  if (op->cb) op->cb(ok);
 }
 
 void Hypervisor::evict(VirtualMachine& vm) {
@@ -321,8 +290,9 @@ void Hypervisor::on_node_failure() {
   // immediately and can retry or trigger recovery. A save a callback
   // starts lands in the emptied table and is not aborted here.
   if (cfg_.abort_saves_on_failure && !saves_.empty()) {
-    std::vector<SaveOp> dying;
-    dying.swap(saves_);
+    std::vector<SaveOp> dying(std::make_move_iterator(saves_.begin()),
+                              std::make_move_iterator(saves_.end()));
+    saves_.clear();
     for (SaveOp& op : dying) {
       telemetry::count(metrics_, saves_aborted_c_);
       telemetry::count(metrics_, save_failures_c_);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "hw/cluster.hpp"
+#include "sim/id_table.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 #include "storage/image_manager.hpp"
@@ -152,7 +153,7 @@ class Hypervisor final {
     sim::Time begin = 0;
     bool incremental = false;
     std::function<void(bool, std::any)> cb;
-    std::any state;  ///< guest snapshot, taken when the guest froze
+    std::any state{};  ///< guest snapshot, taken when the guest froze
     telemetry::MetricsRegistry::SpanId span =
         telemetry::MetricsRegistry::kInvalidSpan;
   };
@@ -168,14 +169,10 @@ class Hypervisor final {
   };
 
   [[nodiscard]] sim::Duration cmd_latency();
-  /// The in-flight operation `id` of `ops`, or end() once it has finished.
-  template <class Op>
-  [[nodiscard]] static typename std::vector<Op>::iterator find_op(
-      std::vector<Op>& ops, std::uint64_t id);
   /// Ends every operation of `ops` on a domain in `vms` (sorted) without
   /// reporting it.
   template <class Op>
-  void drop_ops(std::vector<Op>& ops,
+  void drop_ops(sim::IdTable<Op>& ops,
                 std::span<const VirtualMachine* const> vms);
   /// Runs stage `Stage` of operation `id` after `delay`. The event
   /// captures `(this, id)` and is pinned to the kernel's inline store.
@@ -207,11 +204,9 @@ class Hypervisor final {
   Config cfg_;
   sim::Rng rng_;
   std::unordered_set<VirtualMachine*> residents_;
-  /// In-flight operations in id order (ids only grow, so each appends).
-  std::vector<BootOp> boots_;
-  std::vector<SaveOp> saves_;
-  std::vector<RestoreOp> restores_;
-  std::uint64_t next_op_ = 1;
+  sim::IdTable<BootOp> boots_;
+  sim::IdTable<SaveOp> saves_;
+  sim::IdTable<RestoreOp> restores_;
   telemetry::MetricsRegistry* metrics_ = nullptr;
   telemetry::CounterHandle boots_c_{"vm.hypervisor.boots"};
   telemetry::HistogramHandle boot_s_h_{"vm.hypervisor.boot_s"};

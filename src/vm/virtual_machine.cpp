@@ -82,9 +82,7 @@ void VirtualMachine::resume() {
   // boot freeze is not a lost timer tick.
   if (was_booted && cfg_.watchdog_enabled && gap > cfg_.watchdog_period) {
     ++watchdog_timeouts_;
-    log_kernel("watchdog: BUG: soft lockup - CPU stuck for " +
-               std::to_string(sim::to_seconds(gap)) + "s");
-    log_kernel("watchdog: timer tick lost across suspend/resume");
+    kernel_messages_total_ += 2;
   }
 }
 
@@ -112,7 +110,7 @@ void VirtualMachine::rollback_and_resume(const std::any& app_state) {
   frozen_accum_ += sim_->now() - pause_started_;
   if (cfg_.watchdog_enabled) {
     ++watchdog_timeouts_;
-    log_kernel("watchdog: timer tick lost across restore");
+    ++kernel_messages_total_;
   }
   if (software_ != nullptr) software_->restore_state(app_state);
 }
@@ -132,12 +130,6 @@ void VirtualMachine::mark_imaged() {
   imaged_once_ = true;
   imaged_at_ = sim_->now();
   frozen_at_image_ = total_frozen();
-}
-
-void VirtualMachine::log_kernel(std::string msg) {
-  ++kernel_messages_total_;
-  kernel_log_.push_back(std::move(msg));
-  if (kernel_log_.size() > kKernelLogCap) kernel_log_.pop_front();
 }
 
 }  // namespace dvc::vm

@@ -2,7 +2,6 @@
 
 #include <any>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -127,9 +126,9 @@ class VirtualMachine final : public ExecutionContext {
   [[nodiscard]] std::uint64_t watchdog_timeouts() const noexcept {
     return watchdog_timeouts_;
   }
-  [[nodiscard]] const std::deque<std::string>& kernel_log() const noexcept {
-    return kernel_log_;
-  }
+  /// Watchdog lines the guest kernel has logged: two per resume after a
+  /// freeze longer than the watchdog period (the soft lockup and the lost
+  /// tick), one per restore (the lost tick).
   [[nodiscard]] std::uint64_t kernel_messages_total() const noexcept {
     return kernel_messages_total_;
   }
@@ -158,8 +157,6 @@ class VirtualMachine final : public ExecutionContext {
   void mark_imaged();
 
  private:
-  void log_kernel(std::string msg);
-
   sim::Simulation* sim_;
   net::Network* net_;
   VmId id_;
@@ -183,9 +180,6 @@ class VirtualMachine final : public ExecutionContext {
   std::uint64_t pauses_ = 0;
   std::uint64_t watchdog_timeouts_ = 0;
   std::uint64_t kernel_messages_total_ = 0;
-  std::deque<std::string> kernel_log_;
-
-  static constexpr std::size_t kKernelLogCap = 4096;
 };
 
 }  // namespace dvc::vm

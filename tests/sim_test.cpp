@@ -9,9 +9,11 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "sim/id_table.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 #include "sim/stats.hpp"
@@ -1146,6 +1148,136 @@ TEST(StatsTest, RepeatedPercentileCallsAgree) {
 
   // Moments are untouched by the lazy reordering.
   EXPECT_NEAR(st.mean(), st.sum() / 1002.0, 1e-12);
+}
+
+struct TableRecord {
+  std::uint32_t id = 0;
+  int payload = 0;
+  std::unique_ptr<int> owned{};  ///< move-only, like a boxed closure
+  std::function<void()> then{};  ///< run by the test once taken
+};
+using Table = IdTable<TableRecord, std::uint32_t>;
+
+std::vector<std::uint32_t> ids_of(const Table& t) {
+  std::vector<std::uint32_t> ids;
+  for (const TableRecord& r : t) ids.push_back(r.id);
+  return ids;
+}
+
+TEST(IdTableTest, IdsStartAtOneAndAreNeverReused) {
+  Table t;
+  EXPECT_EQ(t.open({.payload = 10}).id, 1u);
+  EXPECT_EQ(t.open({.payload = 20}).id, 2u);
+  EXPECT_EQ(t.open({.payload = 30}).id, 3u);
+  // The newest record ends: its id is not handed out again.
+  ASSERT_TRUE(t.take(3).has_value());
+  EXPECT_EQ(t.open({}).id, 4u);
+  t.erase_if([](const TableRecord&) { return true; });
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.open({}).id, 5u);
+  t.clear();
+  EXPECT_EQ(t.open({}).id, 6u);
+  EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(IdTableTest, FindIsNullOnceTakenOrErased) {
+  Table t;
+  for (int i = 1; i <= 4; ++i) t.open({.payload = 10 * i});
+  ASSERT_NE(t.find(2), nullptr);
+  EXPECT_EQ(t.find(2)->payload, 20);
+  const std::optional<TableRecord> taken = t.take(2);
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->id, 2u);
+  EXPECT_EQ(taken->payload, 20);
+  EXPECT_EQ(t.find(2), nullptr);
+  EXPECT_FALSE(t.take(2).has_value());
+  t.erase_if([](const TableRecord& r) { return r.id == 3; });
+  EXPECT_EQ(t.find(3), nullptr);
+  EXPECT_EQ(t.size(), 2u);
+  const Table& view = t;
+  ASSERT_NE(view.find(1), nullptr);
+  ASSERT_NE(view.find(4), nullptr);
+  EXPECT_EQ(view.find(4)->payload, 40);
+  EXPECT_EQ(view.find(0), nullptr);
+  EXPECT_EQ(view.find(5), nullptr);  // never opened
+}
+
+TEST(IdTableTest, ContinuationRunAfterTakeMayOpenRecords) {
+  Table t;
+  t.open({.payload = 1});
+  // Opens enough records to grow (and so move) the table's storage.
+  const std::uint32_t first = t.open({.then = [&t] {
+                                 for (int i = 0; i < 100; ++i) {
+                                   t.open({.payload = 100 + i});
+                                 }
+                               }}).id;
+  std::optional<TableRecord> r = t.take(first);
+  ASSERT_TRUE(r.has_value());
+  r->then();
+  EXPECT_EQ(t.size(), 101u);
+  EXPECT_EQ(t.find(first), nullptr);
+  ASSERT_NE(t.find(3), nullptr);
+  EXPECT_EQ(t.find(3)->payload, 100);
+  ASSERT_NE(t.find(102), nullptr);
+  EXPECT_EQ(t.find(102)->payload, 199);
+  const std::vector<std::uint32_t> ids = ids_of(t);
+  EXPECT_TRUE(std::ranges::is_sorted(ids));
+}
+
+TEST(IdTableTest, EraseIfKeepsIdOrderAndLetsThePredicateMoveOut) {
+  Table t;
+  for (int i = 1; i <= 10; ++i) {
+    t.open({.payload = i, .owned = std::make_unique<int>(i)});
+  }
+  std::vector<std::uint32_t> seen;
+  std::vector<std::unique_ptr<int>> moved_out;
+  t.erase_if([&](TableRecord& r) {
+    seen.push_back(r.id);
+    if (r.id % 2 != 0) return false;
+    moved_out.push_back(std::move(r.owned));
+    return true;
+  });
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(ids_of(t), (std::vector<std::uint32_t>{1, 3, 5, 7, 9}));
+  ASSERT_EQ(moved_out.size(), 5u);
+  for (std::size_t i = 0; i < moved_out.size(); ++i) {
+    ASSERT_NE(moved_out[i], nullptr);
+    EXPECT_EQ(*moved_out[i], 2 * static_cast<int>(i) + 2);
+  }
+  // The survivors kept their own payloads and are still found by id.
+  for (const std::uint32_t id : {1u, 3u, 5u, 7u, 9u}) {
+    const TableRecord* r = t.find(id);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->payload, static_cast<int>(id));
+    ASSERT_NE(r->owned, nullptr);
+    EXPECT_EQ(*r->owned, static_cast<int>(id));
+  }
+  EXPECT_EQ(t.open({}).id, 11u);
+  EXPECT_EQ(ids_of(t), (std::vector<std::uint32_t>{1, 3, 5, 7, 9, 11}));
+}
+
+TEST(IdTableTest, JoinTakesTheRecordOnItsLastReport) {
+  struct Fan {
+    std::uint64_t id = 0;
+    std::uint32_t pending = 0;
+    bool all_ok = true;
+  };
+  IdTable<Fan> t;
+  const std::uint64_t a = t.open({.pending = 3}).id;
+  const std::uint64_t b = t.open({.pending = 1}).id;
+  EXPECT_FALSE(t.join(a, true).has_value());
+  EXPECT_FALSE(t.join(a, false).has_value());
+  ASSERT_NE(t.find(a), nullptr);
+  EXPECT_EQ(t.find(a)->pending, 1u);
+  const std::optional<Fan> done = t.join(a, true);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_FALSE(done->all_ok);  // one report failed
+  EXPECT_EQ(t.find(a), nullptr);
+  EXPECT_FALSE(t.join(a, true).has_value());  // a late report finds nothing
+  const std::optional<Fan> single = t.join(b, true);
+  ASSERT_TRUE(single.has_value());
+  EXPECT_TRUE(single->all_ok);
+  EXPECT_TRUE(t.empty());
 }
 
 }  // namespace

@@ -486,15 +486,6 @@ TEST(SharedStoreTest, ChecksumIsDeterministicAndDiscriminates) {
   EXPECT_NE(synthetic_checksum(1, 2, 3), synthetic_checksum(3, 2, 1));
 }
 
-TEST(ImageManagerTest, BaseImagesAreFindable) {
-  sim::Simulation s;
-  SharedStore store(s, {});
-  ImageManager mgr(store);
-  const ObjectId id = mgr.register_base_image("debian-hpc", 2ull << 30);
-  EXPECT_EQ(mgr.find_base_image("debian-hpc"), std::optional(id));
-  EXPECT_FALSE(mgr.find_base_image("missing").has_value());
-}
-
 TEST(ImageManagerTest, SetSealsWhenAllMembersDurable) {
   sim::Simulation s;
   SharedStore store(s, {});
