@@ -398,6 +398,40 @@ TEST(NaiveLscTest, SaveAndHoldAlsoWorksNaively) {
   EXPECT_TRUE(test::clean_end_of_run(f));
 }
 
+TEST(NaiveLscTest, RoundOpenedWhileAnotherFiresLeavesBothWhole) {
+  // The coordinator holds its rounds by value, so opening round "b" moves
+  // round "a" while a's save commands are still queued. Each firing and
+  // save report finds its round by id, so both rounds complete.
+  tools::CellRig f(lsc_cell(4, 64ull << 20));
+  NaiveLscCoordinator lsc(f.room.sim, sim::Rng(9));
+  const std::vector<SaveTarget> all = f.room.dvc->save_targets(*f.vc);
+  std::optional<LscResult> a;
+  std::optional<LscResult> b;
+  f.room.sim.schedule_after(2 * sim::kSecond, [&] {
+    lsc.checkpoint("a", {all[0], all[1]}, f.room.images,
+                   [&](LscResult r) { a = std::move(r); },
+                   /*resume_after_save=*/false);
+  });
+  // Before a's first command lands: each costs at least 175 ms.
+  f.room.sim.schedule_after(2100 * sim::kMillisecond, [&] {
+    lsc.checkpoint("b", {all[2], all[3]}, f.room.images,
+                   [&](LscResult r) { b = std::move(r); },
+                   /*resume_after_save=*/false);
+  });
+  f.room.sim.run_until(60 * sim::kSecond);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  EXPECT_TRUE(a->ok);
+  EXPECT_TRUE(b->ok);
+  EXPECT_NE(a->set, b->set);
+  EXPECT_EQ(a->app_snapshots.size(), 2u);
+  EXPECT_EQ(b->app_snapshots.size(), 2u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(f.vc->machine(i).state(), vm::DomainState::kSaved);
+  }
+  EXPECT_TRUE(test::clean_end_of_run(f));
+}
+
 TEST(NaiveLscTest, SkewGrowsLinearlyWithNodeCount) {
   // The naive skew is a sum of per-terminal dispatch gaps, so its *mean*
   // grows linearly in the node count; average over seeds to see it.
