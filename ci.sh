@@ -10,6 +10,7 @@
 #                       owns a sim::IdTable
 #                       (tools/lint_dvc_continuations.py: no lambda in
 #                       src/core/dvc_manager.cpp, src/ckpt/lsc.cpp,
+#                       src/ckpt/cocheck.cpp,
 #                       src/storage/image_manager.cpp,
 #                       src/storage/shared_store.cpp,
 #                       src/storage/bandwidth_pool.cpp,
@@ -19,10 +20,11 @@
 #                       adopt_checkpoint's snapshot vector; a DvcManager
 #                       callback carries its VC's id and issuing epoch or
 #                       its operation's id, an LSC event its operation's
-#                       id and round, an image-manager read its staging
-#                       id, and a store read, pool transfer, hypervisor
-#                       stage or guest timer `(this, id)`) and config
-#                       fields (tools/lint_config_fields.py: every
+#                       id and round, a CoCheck event its round's id, an
+#                       image-manager read its staging id, and a store
+#                       read, pool transfer, hypervisor stage or guest
+#                       timer `(this, id)`) and config fields
+#                       (tools/lint_config_fields.py: every
 #                       defaulted field of a *Config, *Options or *Policy
 #                       struct under src/ is assigned by some file outside
 #                       its header, so each is an option a caller uses;
@@ -263,7 +265,7 @@ sys.exit(0 if correct is True and failed == 0 and not zero else 1)
     python3 tools/lint_metric_names.py src
     python3 tools/lint_vc_state.py src
     python3 tools/lint_dvc_continuations.py src/core/dvc_manager.cpp \
-      src/ckpt/lsc.cpp src/storage/image_manager.cpp \
+      src/ckpt/lsc.cpp src/ckpt/cocheck.cpp src/storage/image_manager.cpp \
       src/storage/shared_store.cpp src/storage/bandwidth_pool.cpp \
       src/vm/hypervisor.cpp src/vm/guest_timers.cpp
     python3 tools/lint_config_fields.py

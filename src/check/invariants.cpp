@@ -10,7 +10,6 @@ namespace {
 /// Catalog names, indexed by Invariants::Invariant.
 constexpr std::string_view kInvariantNames[] = {
     "generation-monotonicity",
-    "refcount-consistency",
     "retention-liveness",
     "epoch-fence",
     "image-completeness",
@@ -103,8 +102,8 @@ void Invariants::on_vc_boundary(Boundary boundary, std::uint64_t vc) {
     // monotonically, so a seal below the previous one means the control
     // plane adopted a stale set as its newest recovery point.
     for (const core::VirtualCluster* v : w_.dvc->live_vcs()) {
-      if (v->id() != vc) continue;
-      const storage::CheckpointSetId set = v->last_checkpoint().set;
+      if (v->id() != vc || v->generations().empty()) continue;
+      const storage::CheckpointSetId set = v->generations().back().set();
       auto [it, fresh] = seal_watermark_.try_emplace(vc, set);
       if (!fresh) {
         if (set <= it->second) {
@@ -115,14 +114,6 @@ void Invariants::on_vc_boundary(Boundary boundary, std::uint64_t vc) {
                   boundary);
         }
         it->second = set;
-      }
-      if (v->generations().empty() ||
-          v->generations().back().checkpoint.set != set) {
-        violate(Invariant::kGenerationMonotonicity,
-                "vc#" + std::to_string(vc) +
-                    " newest generation disagrees with last_checkpoint "
-                    "(set#" + std::to_string(set) + ")",
-                boundary);
       }
     }
   }
@@ -194,9 +185,8 @@ void Invariants::sweep(Boundary b) {
   const std::vector<const core::VirtualCluster*> vcs = w_.dvc->live_vcs();
   for (const core::VirtualCluster* vc : vcs) {
     check_generations(*vc, b);
-    check_image_sets(*vc, b);
+    check_chains(*vc, b);
   }
-  check_refcounts(vcs, b);
   check_membership(vcs, b);
 }
 
@@ -217,85 +207,30 @@ void Invariants::check_generations(const core::VirtualCluster& vc,
               who() + " has an empty chain", b);
       continue;
     }
-    if (g.chain.back() != g.checkpoint.set) {
+    if (g.set() <= prev_set) {
       violate(Invariant::kGenerationMonotonicity,
-              who() + " chain tail set#" + std::to_string(g.chain.back()) +
-                  " != recovery point set#" +
-                  std::to_string(g.checkpoint.set),
-              b);
-    }
-    if (g.checkpoint.set <= prev_set) {
-      violate(Invariant::kGenerationMonotonicity,
-              who() + " set#" + std::to_string(g.checkpoint.set) +
+              who() + " set#" + std::to_string(g.set()) +
                   " does not advance past set#" + std::to_string(prev_set),
               b);
     }
-    if (g.checkpoint.taken_at < prev_taken) {
+    if (g.taken_at < prev_taken) {
       violate(Invariant::kGenerationMonotonicity,
               who() + " taken_at moves backwards", b);
     }
-    prev_set = g.checkpoint.set;
-    prev_taken = g.checkpoint.taken_at;
+    prev_set = g.set();
+    prev_taken = g.taken_at;
   }
 }
 
-void Invariants::check_refcounts(
-    const std::vector<const core::VirtualCluster*>& vcs, Boundary b) {
-  // Re-derive the expected reference count of every retained set from the
-  // live VCs' generation chains and compare with the manager's table; any
-  // divergence is a leak (sets never reclaimed) or a premature retire
-  // (recovery points yanked from under a VC). The chains' set ids, sorted,
-  // hold each set once per retaining chain.
-  chain_sets_.clear();
-  for (const core::VirtualCluster* vc : vcs) {
-    for (const core::VcGeneration& g : vc->generations()) {
-      chain_sets_.insert(chain_sets_.end(), g.chain.begin(), g.chain.end());
-    }
-  }
-  std::sort(chain_sets_.begin(), chain_sets_.end());
-  const auto& actual = w_.dvc->set_refs();
-  for (auto run = chain_sets_.begin(); run != chain_sets_.end();) {
-    const storage::CheckpointSetId s = *run;
-    const auto next = std::upper_bound(run, chain_sets_.end(), s);
-    const auto n = static_cast<int>(next - run);
-    run = next;
-    const auto it = actual.find(s);
-    if (it == actual.end() || it->second != n) {
-      violate(Invariant::kRefcountConsistency,
-              "set#" + std::to_string(s) + " referenced by " +
-                  std::to_string(n) + " retained chains but refcounted " +
-                  std::to_string(it == actual.end() ? 0 : it->second),
-              b);
-    }
-  }
-  for (const auto& [s, n] : actual) {
-    if (!std::binary_search(chain_sets_.begin(), chain_sets_.end(), s)) {
-      violate(Invariant::kRefcountConsistency,
-              "set#" + std::to_string(s) + " refcounted " +
-                  std::to_string(n) + " with no retaining chain (leak)",
-              b);
-    }
-    if (w_.images != nullptr) {
-      const storage::CheckpointSet* cs = w_.images->find_set(s);
-      if (cs == nullptr || !cs->sealed || cs->aborted) {
-        violate(Invariant::kRetentionLiveness,
-                "refcounted set#" + std::to_string(s) +
-                    (cs == nullptr
-                         ? " is gone from the store"
-                         : (cs->aborted ? " was aborted" : " never sealed")),
-                b);
-      }
-    }
-  }
-}
-
-void Invariants::check_image_sets(const core::VirtualCluster& vc,
-                                  Boundary b) {
+void Invariants::check_chains(const core::VirtualCluster& vc, Boundary b) {
   if (w_.images == nullptr) return;
-  // Every restorable generation must be stageable end to end: each set in
-  // its chain present, sealed, unaborted, and fully populated. A *damaged*
-  // set is a legal fault effect (recovery falls back past it); a sealed
-  // set missing members is corruption of the seal protocol itself.
+  // Every set a retained chain lists must still be in the store, sealed and
+  // unaborted: the manager discards a set only once no generation of its VC
+  // lists it (retention-liveness). And every restorable generation must be
+  // stageable end to end, each set of its chain fully populated
+  // (image-completeness). A *damaged* set is a legal fault effect (recovery
+  // falls back past it); a sealed set missing members is corruption of the
+  // seal protocol itself.
   for (const core::VcGeneration& g : vc.generations()) {
     for (const storage::CheckpointSetId s : g.chain) {
       const storage::CheckpointSet* cs = w_.images->find_set(s);
@@ -303,16 +238,13 @@ void Invariants::check_image_sets(const core::VirtualCluster& vc,
         return "vc#" + std::to_string(vc.id()) + " chain set#" +
                std::to_string(s);
       };
-      if (cs == nullptr) {
-        violate(Invariant::kImageCompleteness,
-                who() + " missing from the store", b);
-        continue;
-      }
-      if (!cs->sealed || cs->aborted) {
-        violate(Invariant::kImageCompleteness,
-                who() + (cs->aborted ? " aborted" : " unsealed") +
-                    " inside a retained chain",
-                b);
+      if (cs == nullptr || !cs->sealed || cs->aborted) {
+        const std::string lost =
+            who() + (cs == nullptr ? " missing from the store"
+                     : cs->aborted ? " aborted inside a retained chain"
+                                   : " unsealed inside a retained chain");
+        violate(Invariant::kRetentionLiveness, lost, b);
+        violate(Invariant::kImageCompleteness, lost, b);
         continue;
       }
       if (cs->members.size() != cs->expected_members) {

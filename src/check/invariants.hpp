@@ -32,8 +32,8 @@ struct Violation {
 ///
 /// Invariant catalog (see docs/ARCHITECTURE.md for the full rationale):
 ///   generation-monotonicity  per-VC recovery points strictly advance
-///   refcount-consistency     set_refs_ == refs re-derived from live VCs
-///   retention-liveness       every refcounted set exists, sealed, unaborted
+///   retention-liveness       every set a retained chain lists exists,
+///                            sealed, unaborted
 ///   epoch-fence              fence advances strictly; no deposed-epoch
 ///                            mutation is ever *admitted*
 ///   image-completeness       every restorable generation's chain is fully
@@ -103,7 +103,6 @@ class Invariants final : public Checker {
   /// The catalog above, in its order.
   enum class Invariant : std::uint8_t {
     kGenerationMonotonicity,
-    kRefcountConsistency,
     kRetentionLiveness,
     kEpochFence,
     kImageCompleteness,
@@ -117,9 +116,7 @@ class Invariants final : public Checker {
   void violate(Invariant invariant, std::string detail, Boundary b);
   void sweep(Boundary b);
   void check_generations(const core::VirtualCluster& vc, Boundary b);
-  void check_refcounts(const std::vector<const core::VirtualCluster*>& vcs,
-                       Boundary b);
-  void check_image_sets(const core::VirtualCluster& vc, Boundary b);
+  void check_chains(const core::VirtualCluster& vc, Boundary b);
   void check_membership(const std::vector<const core::VirtualCluster*>& vcs,
                         Boundary b);
 
@@ -133,9 +130,8 @@ class Invariants final : public Checker {
   /// the watermark means the control plane resurrected an old one.
   std::map<core::VcId, storage::CheckpointSetId> seal_watermark_;
   std::vector<Violation> violations_;
-  /// Sweep scratch, kept for its capacity: every retaining chain's set ids
-  /// (check_refcounts) and one VC's placed nodes (check_membership).
-  std::vector<storage::CheckpointSetId> chain_sets_;
+  /// Sweep scratch, kept for its capacity: one VC's placed nodes
+  /// (check_membership).
   std::vector<hw::NodeId> seen_nodes_;
   /// `check.violation.<name>`, indexed by Invariant.
   std::vector<telemetry::CounterHandle> violation_c_;

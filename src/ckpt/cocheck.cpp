@@ -1,5 +1,6 @@
 #include "ckpt/cocheck.hpp"
 
+#include <optional>
 #include <utility>
 
 namespace dvc::ckpt {
@@ -14,73 +15,77 @@ constexpr sim::Duration kQuiesceTimeout = 10 * sim::kMinute;
 
 }  // namespace
 
-struct CocheckCoordinator::Round {
-  app::ParallelApp* application = nullptr;
-  storage::ImageManager* images = nullptr;
-  std::uint64_t image_bytes = 0;  ///< one rank's process image
-  Result result;
-  sim::Time started = 0;
-  std::function<void(Result)> done;
-};
-
 void CocheckCoordinator::checkpoint(app::ParallelApp& application,
                                     const vm::GuestConfig& guest,
                                     storage::ImageManager& images,
                                     std::function<void(Result)> done) {
-  auto round = std::make_shared<Round>();
-  round->application = &application;
-  round->images = &images;
   // The honest restriction check: without network interception a
   // user-level library cannot cut a parallel job — the quiesce protocol
   // below IS that interception, so we proceed for any rank count; what
   // stays impossible is checkpointing an application that was not
   // re-linked (modelled by the caller choosing this coordinator at all).
-  round->image_bytes =
-      footprint(MethodKind::kUserLevel, application.spec(), guest).bytes;
-  round->started = sim_->now();
-  round->done = std::move(done);
+  const std::uint32_t id =
+      rounds_
+          .open({.application = &application,
+                 .images = &images,
+                 .image_bytes = footprint(MethodKind::kUserLevel,
+                                          application.spec(), guest)
+                                    .bytes,
+                 .started = sim_->now(),
+                 .done = std::move(done)})
+          .id;
 
   // 1. Park every rank at its next iteration boundary (library handshake
   //    costs one agent round trip).
-  sim_->schedule_after(kAgentLatency, [this, round] {
-    round->application->request_quiesce([this, round] { drain(round); });
+  sim_->schedule_after(kAgentLatency, [this, id] {
+    if (Round* round = rounds_.find(id)) {
+      round->application->request_quiesce([this, id] { drain(id); });
+    }
   });
 }
 
-void CocheckCoordinator::drain(const std::shared_ptr<Round>& round) {
+void CocheckCoordinator::drain(std::uint32_t id) {
+  Round* round = rounds_.find(id);
+  if (round == nullptr) return;
   // 2. Ranks are parked; wait for in-flight traffic to drain.
   if (sim_->now() - round->started > kQuiesceTimeout) {
-    round->application->release_quiesce();
-    round->result.ok = false;
-    if (round->done) round->done(round->result);
+    std::optional<Round> over = rounds_.take(id);
+    over->application->release_quiesce();
+    over->result.ok = false;
+    if (over->done) over->done(over->result);
     return;
   }
   if (!round->application->mesh_drained()) {
-    sim_->schedule_after(kDrainPoll, [this, round] { drain(round); });
+    sim_->schedule_after(kDrainPoll, [this, id] { drain(id); });
     return;
   }
   // 3. Consistent cut achieved by cooperation: write each process image
   //    (user-level footprint) to the shared store.
   round->result.quiesce_time = sim_->now() - round->started;
   const app::RankId ranks = round->application->size();
-  round->result.set = round->images->open_set("cocheck", ranks);
+  storage::ImageManager& images = *round->images;
+  const std::uint64_t bytes = round->image_bytes;
+  const storage::CheckpointSetId set = images.open_set("cocheck", ranks);
+  round->result.set = set;
+  round->result.bytes_written += bytes * ranks;
   for (app::RankId r = 0; r < ranks; ++r) {
-    round->images->add_member(round->result.set, r, round->image_bytes,
-                              [this, round] { member_durable(round); });
-    round->result.bytes_written += round->image_bytes;
+    images.add_member(set, r, bytes, [this, id] { member_durable(id); });
   }
 }
 
-void CocheckCoordinator::member_durable(const std::shared_ptr<Round>& round) {
+void CocheckCoordinator::member_durable(std::uint32_t id) {
+  const Round* round = rounds_.find(id);
+  if (round == nullptr) return;
   const auto* set = round->images->find_set(round->result.set);
   if (set == nullptr || !set->sealed) return;
   // 4. Every image is durable: resume the application.
-  round->result.total_time = sim_->now() - round->started;
-  round->result.write_time =
-      round->result.total_time - round->result.quiesce_time;
-  round->result.ok = true;
-  round->application->release_quiesce();
-  if (round->done) round->done(round->result);
+  std::optional<Round> sealed = rounds_.take(id);
+  sealed->result.total_time = sim_->now() - sealed->started;
+  sealed->result.write_time =
+      sealed->result.total_time - sealed->result.quiesce_time;
+  sealed->result.ok = true;
+  sealed->application->release_quiesce();
+  if (sealed->done) sealed->done(sealed->result);
 }
 
 }  // namespace dvc::ckpt

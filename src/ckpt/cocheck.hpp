@@ -2,11 +2,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "app/workload.hpp"
 #include "ckpt/methods.hpp"
+#include "sim/id_table.hpp"
 #include "sim/simulation.hpp"
 #include "storage/image_manager.hpp"
 
@@ -43,18 +43,27 @@ class CocheckCoordinator final {
                   std::function<void(Result)> done);
 
  private:
-  /// One checkpoint() call, from the request until `done` runs. Each
-  /// step's event carries it.
-  struct Round;
+  /// One checkpoint() call, from the request until `done` runs. Its
+  /// quiesce, drain-poll and member-durable events carry `(this, id)`.
+  struct Round {
+    std::uint32_t id = 0;
+    app::ParallelApp* application = nullptr;
+    storage::ImageManager* images = nullptr;
+    std::uint64_t image_bytes = 0;  ///< one rank's process image
+    Result result{};
+    sim::Time started = 0;
+    std::function<void(Result)> done{};
+  };
 
   /// Ranks are parked: write the images once the mesh has drained,
   /// polling until it has, or give up at the quiesce timeout.
-  void drain(const std::shared_ptr<Round>& round);
+  void drain(std::uint32_t id);
   /// One member image is durable; the last one, whose landing sealed the
-  /// set, resumes the application.
-  void member_durable(const std::shared_ptr<Round>& round);
+  /// set, ends the round and resumes the application.
+  void member_durable(std::uint32_t id);
 
   sim::Simulation* sim_;
+  sim::IdTable<Round, std::uint32_t> rounds_;
 };
 
 }  // namespace dvc::ckpt

@@ -15,11 +15,14 @@ constexpr sim::Duration kRecoveryRetryDelay = 30 * sim::kSecond;
 /// How often a headless control plane checks whether its head is back.
 constexpr sim::Duration kRepairPoll = 5 * sim::kSecond;
 
-/// The recovery point a sealed round leaves behind. It takes over the
-/// round's guest snapshots (moved, never copied), so the round's own
-/// continuation sees an empty `app_snapshots`.
-VcCheckpoint adopt_checkpoint(ckpt::LscResult& r, sim::Time at) {
-  return VcCheckpoint{r.set,
+/// The recovery point a sealed round leaves behind: `chain` followed by the
+/// round's set. It takes over the round's guest snapshots (moved, never
+/// copied), so the round's own continuation sees an empty `app_snapshots`.
+VcGeneration adopt_checkpoint(ckpt::LscResult& r,
+                              std::vector<storage::CheckpointSetId> chain,
+                              sim::Time at) {
+  chain.push_back(r.set);
+  return VcGeneration{std::move(chain),
                       std::make_shared<const std::vector<std::any>>(
                           std::move(r.app_snapshots)),
                       at};
@@ -167,11 +170,9 @@ void DvcManager::destroy_vc(VirtualCluster& vc) {
     if (fabric_->node(n).vc() == vc.id()) held.push_back(n);
   }
   fabric_->release(hw::Holder::kVc, held, vc.id());
-  // Retire the VC's retained generations: shared sets are reclaimed the
-  // moment their last reference drops, and the refcount table never
-  // accumulates entries owned by dead VCs.
-  for (const auto& g : vc.generations_) release_generation(g);
-  vc.generations_.clear();
+  // Retire the VC's retained generations, oldest first: each set leaves
+  // the store with the last generation that lists it.
+  while (!vc.generations_.empty()) release_generation(vc, 0);
 }  // `entry` frees the VirtualCluster and its VMs
 
 std::vector<const VirtualCluster*> DvcManager::live_vcs() const {
@@ -273,13 +274,14 @@ void DvcManager::checkpoint_vc(VirtualCluster& vc,
                          "sealed, skew " +
                          std::to_string(sim::to_milliseconds(r.pause_skew)) +
                          " ms");
-          vc.last_checkpoint_ = adopt_checkpoint(r, sim_->now());
-          if (round->can_increment) {
-            vc.checkpoint_chain_.push_back(r.set);
-          } else {
-            vc.checkpoint_chain_ = {r.set};
+          // An incremental set extends the current recovery point's
+          // chain; a full one starts a chain of its own.
+          std::vector<storage::CheckpointSetId> base;
+          if (round->can_increment && !vc.generations_.empty()) {
+            base = vc.generations_.back().chain;
           }
-          push_generation(*live);
+          push_generation(*live,
+                          adopt_checkpoint(r, std::move(base), sim_->now()));
           if (check_ != nullptr) {
             check_->on_vc_boundary(check::Boundary::kRoundSeal, vc.id());
           }
@@ -323,11 +325,12 @@ void DvcManager::restore_vc(VirtualCluster& vc,
 void DvcManager::restore(VcRuntime& rt, Op op) {
   VirtualCluster& vc = *rt.vc;
   require_size(vc.size(), op.to.size());
+  const VcGeneration& point = vc.generations_.back();
   transition(rt, VcState::kRecovering);
   sim::trace(trace_, sim_->now(), sim::TraceLevel::kWarn, "dvc",
              "vc#" + std::to_string(vc.id()) +
                  " rolling back to checkpoint set " +
-                 std::to_string(vc.last_checkpoint_.set));
+                 std::to_string(point.set()));
 
   // The entire cluster rolls back: freeze survivors, detach everything
   // from its old node, bump the transport epoch, then restore every member
@@ -344,17 +347,15 @@ void DvcManager::restore(VcRuntime& rt, Op op) {
   fabric_->hold(hw::Holder::kVc, vc.placement_, vc.id());
   ++vc.instantiations_;
 
-  op.set = vc.last_checkpoint_.set;
+  op.set = point.set();
   op.restore_lsn =
       journal(IntentKind::kRestore, vc.id(), vc.checkpoint_label());
   op.span = telemetry::begin_span(metrics_, sim_->now(), "dvc", "restore");
   op.started = sim_->now();
   // Incremental chains first stage every earlier set back to the last
   // full image; the newest set is staged by restore_domain itself.
-  std::vector<storage::CheckpointSetId> prior_sets = vc.checkpoint_chain_;
-  if (!prior_sets.empty() && prior_sets.back() == op.set) {
-    prior_sets.pop_back();
-  }
+  std::vector<storage::CheckpointSetId> prior_sets(point.chain.begin(),
+                                                   point.chain.end() - 1);
   if (prior_sets.empty()) {
     restore_members(std::move(op));
     return;
@@ -379,8 +380,8 @@ void DvcManager::restore_members(Op op) {
   const std::uint32_t n = vc.size();
   op.pending = n;
   // The record holds the snapshots until its last member reports, even if
-  // last_checkpoint_ moves on.
-  op.snapshots = vc.last_checkpoint_.app_snapshots;
+  // the VC's generations move on.
+  op.snapshots = vc.generations_.back().app_snapshots;
   // A member restore may report at once, but only the last report ends
   // (and so moves) the record: `filed` holds for every call below.
   const Op& filed = ops_.open(std::move(op));
@@ -456,7 +457,9 @@ void DvcManager::migrate_vc(VirtualCluster& vc, ckpt::LscCoordinator& lsc,
           if (move->done) move->done(false);
           return;
         }
-        live->vc->last_checkpoint_ = adopt_checkpoint(r, sim_->now());
+        // The migration image is the VC's recovery point from here on:
+        // a full set, so a chain of its own.
+        push_generation(*live, adopt_checkpoint(r, {}, sim_->now()));
         telemetry::count(metrics_, kMigrations);
         move->lsc = nullptr;  // the round is over
         restore(*live, std::move(*move));
@@ -602,10 +605,9 @@ void DvcManager::start_policy_checkpoint(VcRuntime& rt, bool first) {
   }
   rt.checkpoint_in_flight = true;
   // Checkpoint #0 is full; later rounds are incremental between periodic
-  // full images (bounding the restore chain). Old generations are
-  // collected by the refcounted GC inside push_generation, which keeps a
-  // shared base full image alive for as long as any retained chain still
-  // stages it.
+  // full images (bounding the restore chain). push_generation trims old
+  // generations, and a shared base full image stays in the store for as
+  // long as a retained chain still lists it.
   const bool incremental =
       !first && rt.policy->incremental &&
       (++rt.ckpt_round % std::max(rt.policy->full_every, 1)) != 0;
@@ -781,9 +783,8 @@ void DvcManager::recover(VcRuntime& rt) {
       }
       return;
     }
-    if (rt.vc->checkpoint_chain_.empty()
-            ? set_damaged(rt.vc->last_checkpoint_.set)
-            : chain_damaged(rt.vc->checkpoint_chain_)) {
+    const std::vector<VcGeneration>& gens = rt.vc->generations_;
+    if (gens.empty() || chain_damaged(gens.back().chain)) {
       // The recovery point itself is bad (torn or corrupted images that
       // no replica could mask). Retrying it would wedge forever; walk
       // back a generation and re-run the lost work instead.
@@ -796,7 +797,7 @@ void DvcManager::recover(VcRuntime& rt) {
       sim::trace(trace_, sim_->now(), sim::TraceLevel::kWarn, "dvc",
                  "vc#" + std::to_string(id) +
                      " checkpoint damaged; falling back to set " +
-                     std::to_string(rt.vc->last_checkpoint_.set));
+                     std::to_string(gens.back().set()));
       rt.restore_attempts = 0;
       recover_after(rt, kFailureDetectionDelay);
       return;
@@ -839,33 +840,25 @@ std::vector<hw::NodeId> DvcManager::free_pool(
   return pool;
 }
 
-void DvcManager::push_generation(VcRuntime& rt) {
+void DvcManager::push_generation(VcRuntime& rt, VcGeneration g) {
   VirtualCluster& vc = *rt.vc;
-  vc.generations_.push_back(
-      VcGeneration{vc.last_checkpoint_, vc.checkpoint_chain_});
-  for (const storage::CheckpointSetId s : vc.checkpoint_chain_) {
-    ++set_refs_[s];
-  }
+  vc.generations_.push_back(std::move(g));
   if (!rt.policy) return;
   const std::size_t keep =
       std::max<std::size_t>(1, rt.policy->keep_checkpoints);
-  while (vc.generations_.size() > keep) {
-    release_generation(vc.generations_.front());
-    vc.generations_.erase(vc.generations_.begin());
-  }
+  while (vc.generations_.size() > keep) release_generation(vc, 0);
 }
 
-void DvcManager::release_generation(const VcGeneration& g) {
+void DvcManager::release_generation(VirtualCluster& vc, std::size_t i) {
+  const VcGeneration g = std::move(vc.generations_[i]);
+  vc.generations_.erase(vc.generations_.begin() +
+                        static_cast<std::ptrdiff_t>(i));
   for (const storage::CheckpointSetId s : g.chain) {
-    const auto it = set_refs_.find(s);
-    if (it == set_refs_.end()) continue;
-    if (--it->second == 0) {
-      set_refs_.erase(it);
-      const std::uint64_t lsn =
-          journal(IntentKind::kRetire, 0, "set#" + std::to_string(s));
-      images_->discard_set(s, epoch_);
-      close_intent(lsn);
-    }
+    if (vc.retains(s)) continue;
+    const std::uint64_t lsn =
+        journal(IntentKind::kRetire, 0, "set#" + std::to_string(s));
+    images_->discard_set(s, epoch_);
+    close_intent(lsn);
   }
 }
 
@@ -883,37 +876,21 @@ bool DvcManager::chain_damaged(
 
 bool DvcManager::fall_back_generation(VcRuntime& rt) {
   VirtualCluster& vc = *rt.vc;
-  auto& gens = vc.generations_;
-  // Quarantine the current recovery point. Normally it is the newest
-  // generation; a migration checkpoint can sit outside the list, in which
-  // case only its set is discarded.
-  if (!gens.empty() && gens.back().checkpoint.set == vc.last_checkpoint_.set) {
-    release_generation(gens.back());
-    gens.pop_back();
-  } else {
-    images_->discard_set(vc.last_checkpoint_.set, epoch_);
+  // Quarantine the current recovery point, then every older one already
+  // known to be damaged.
+  while (!vc.generations_.empty()) {
+    release_generation(vc, vc.generations_.size() - 1);
+    if (!vc.generations_.empty() &&
+        !chain_damaged(vc.generations_.back().chain)) {
+      return true;
+    }
   }
-  // Walk back to the newest generation not already known to be damaged.
-  while (!gens.empty() &&
-         (gens.back().chain.empty() || chain_damaged(gens.back().chain))) {
-    release_generation(gens.back());
-    gens.pop_back();
-  }
-  if (gens.empty()) {
-    vc.last_checkpoint_ = VcCheckpoint{};
-    vc.checkpoint_chain_.clear();
-    return false;
-  }
-  vc.last_checkpoint_ = gens.back().checkpoint;
-  vc.checkpoint_chain_ = gens.back().chain;
-  return true;
+  return false;
 }
 
 void DvcManager::abandon_recovery(VcRuntime& rt, const std::string& why) {
   VirtualCluster& vc = *rt.vc;
   transition(rt, VcState::kFailed);
-  vc.last_checkpoint_ = VcCheckpoint{};
-  vc.checkpoint_chain_.clear();
   rt.recovery_in_flight = false;
   telemetry::count(metrics_, kRecoveriesAbandoned);
   telemetry::instant(metrics_, sim_->now(), "dvc", "recovery_abandoned");
@@ -1084,18 +1061,15 @@ void DvcManager::reconcile_vc(VcRuntime& rt) {
   rt.recovery_in_flight = false;
 
   // Orphaned checkpoint sets: anything in the store under this VC's label
-  // that no retained generation references and that is not the current
-  // recovery point was written by a round whose coordinator died. A sealed
-  // orphan is discarded — its app snapshots lived in coordinator memory,
-  // so it can never be restored and would only shadow the real recovery
-  // point as latest_sealed(). A half-open orphan is aborted so its members
-  // are garbage-collected instead of waiting forever to seal.
+  // that no retained generation lists was written by a round whose
+  // coordinator died. A sealed orphan is discarded — its app snapshots
+  // lived in coordinator memory, so it can never be restored and would
+  // only shadow the real recovery point as latest_sealed(). A half-open
+  // orphan is aborted so its members are garbage-collected instead of
+  // waiting forever to seal.
   for (const storage::CheckpointSet* s :
        images_->sets_with_label(vc.checkpoint_label())) {
-    if (s->aborted || set_refs_.contains(s->id) ||
-        s->id == vc.last_checkpoint_.set) {
-      continue;
-    }
+    if (s->aborted || vc.retains(s->id)) continue;
     if (s->sealed) {
       telemetry::count(metrics_, kOrphanSetsDiscarded);
       images_->discard_set(s->id, epoch_);

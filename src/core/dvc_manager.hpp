@@ -293,14 +293,6 @@ class DvcManager final {
   /// resolution (success or abandonment).
   void set_check(check::Checker* c) noexcept { check_ = c; }
 
-  /// Reference counts of every retained checkpoint set. Exposed so the
-  /// invariant checker can re-derive the expected counts from the live
-  /// VCs' generation chains and compare.
-  [[nodiscard]] const std::map<storage::CheckpointSetId, int>& set_refs()
-      const noexcept {
-    return set_refs_;
-  }
-
   /// Every VC the manager still tracks, id-ordered (destroyed VCs are
   /// erased and do not appear).
   [[nodiscard]] std::vector<const VirtualCluster*> live_vcs() const;
@@ -446,15 +438,20 @@ class DvcManager final {
   /// coordinator is down; `first` marks the full checkpoint #0.
   void start_policy_checkpoint(VcRuntime& rt, bool first);
   void schedule_member_watchdog(VcId id);
-  // ---- generation history (refcounted checkpoint-set GC) ----------------
-  void push_generation(VcRuntime& rt);
-  void release_generation(const VcGeneration& g);
+  // ---- generation history ------------------------------------------------
+  /// Makes `g` the VC's recovery point and trims the list to the policy's
+  /// keep window, oldest first.
+  void push_generation(VcRuntime& rt, VcGeneration g);
+  /// Erases generation `i` of `vc`, then discards each set of its chain
+  /// that no remaining generation lists. Set ids are per VC (each set is
+  /// filed under its VC's label), so no other VC can list them.
+  void release_generation(VirtualCluster& vc, std::size_t i);
   /// Missing from the store, or torn/corrupted beyond replica repair.
   [[nodiscard]] bool set_damaged(storage::CheckpointSetId s) const;
   [[nodiscard]] bool chain_damaged(
       const std::vector<storage::CheckpointSetId>& chain) const;
-  /// Drops the damaged current recovery point and rolls last_checkpoint_
-  /// back to the newest undamaged generation. False = none left.
+  /// Drops the damaged current recovery point and every older generation
+  /// already known to be damaged. False = none left.
   bool fall_back_generation(VcRuntime& rt);
   void abandon_recovery(VcRuntime& rt, const std::string& why);
 
@@ -465,10 +462,6 @@ class DvcManager final {
   clocksync::ClusterTimeService* time_;
   VcId next_vc_ = 1;
   std::map<VcId, VcRuntime> vcs_;
-  /// How many retained generations reference each checkpoint set
-  /// (incremental chains share their base full image across generations).
-  /// A set leaves the store when its last reference drops.
-  std::map<storage::CheckpointSetId, int> set_refs_;
   /// In-flight operations. A member's or an LSC round's report joins its
   /// record (sim::IdTable::join), which the last one takes out.
   sim::IdTable<Op, std::uint32_t> ops_;

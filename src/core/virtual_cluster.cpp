@@ -1,5 +1,7 @@
 #include "core/virtual_cluster.hpp"
 
+#include <algorithm>
+
 namespace dvc::core {
 
 VirtualCluster::VirtualCluster(sim::Simulation& sim, net::Network& net,
@@ -19,6 +21,12 @@ std::vector<vm::ExecutionContext*> VirtualCluster::contexts() {
   out.reserve(vms_.size());
   for (auto& v : vms_) out.push_back(v.get());
   return out;
+}
+
+bool VirtualCluster::retains(storage::CheckpointSetId s) const {
+  return std::ranges::any_of(generations_, [s](const VcGeneration& g) {
+    return std::ranges::find(g.chain, s) != g.chain.end();
+  });
 }
 
 }  // namespace dvc::core

@@ -39,23 +39,21 @@ enum class VcState : std::uint8_t {
   kFailed,
 };
 
-/// The last durable coordinated checkpoint of a virtual cluster: the
-/// sealed image set plus the guest-software snapshots captured with it.
-/// The snapshots (one per member, in member order) are immutable once
-/// sealed, so every copy of a VcCheckpoint, in VirtualCluster and in its
-/// generation history, shares one vector instead of copying it.
-struct VcCheckpoint {
-  storage::CheckpointSetId set = storage::kInvalidCheckpointSet;
+/// One recovery point of a virtual cluster: the chain of sealed image sets
+/// a restore stages (the last full image set, then every incremental set
+/// since; length 1 for a full checkpoint) and the guest-software snapshots
+/// captured with its newest set. The snapshots (one per member, in member
+/// order) are immutable once sealed, so a restore in flight shares the
+/// vector instead of copying it.
+struct VcGeneration {
+  std::vector<storage::CheckpointSetId> chain;
   std::shared_ptr<const std::vector<std::any>> app_snapshots;
   sim::Time taken_at = 0;
-};
 
-/// One recovery point in the VC's generation history: the checkpoint plus
-/// the full chain of sets a restore from it must stage. Recovery walks
-/// this list newest-to-oldest when a generation turns out to be damaged.
-struct VcGeneration {
-  VcCheckpoint checkpoint;
-  std::vector<storage::CheckpointSetId> chain;
+  /// The set this recovery point restores: the chain's newest.
+  [[nodiscard]] storage::CheckpointSetId set() const noexcept {
+    return chain.empty() ? storage::kInvalidCheckpointSet : chain.back();
+  }
 };
 
 /// A virtual cluster: a set of virtual machines with stable fabric
@@ -105,27 +103,23 @@ class VirtualCluster final {
     return spec_.name + "#" + std::to_string(id_);
   }
 
-  [[nodiscard]] const VcCheckpoint& last_checkpoint() const noexcept {
-    return last_checkpoint_;
-  }
+  /// A VC has a recovery point until recovery is abandoned (kFailed) or
+  /// no generation is left.
   [[nodiscard]] bool has_checkpoint() const noexcept {
-    return last_checkpoint_.set != storage::kInvalidCheckpointSet;
-  }
-
-  /// The incremental chain a restore must stage: the last full image set
-  /// followed by every incremental set since. Length 1 = full checkpoints.
-  [[nodiscard]] const std::vector<storage::CheckpointSetId>&
-  checkpoint_chain() const noexcept {
-    return checkpoint_chain_;
+    return state_ != VcState::kFailed && !generations_.empty();
   }
 
   /// Retained recovery points, oldest first; the back entry is the current
-  /// checkpoint. DvcManager trims this to the policy's keep window with
-  /// refcounted set GC (chains may share their base full image).
+  /// one. DvcManager trims this to the policy's keep window and discards a
+  /// set once no retained generation lists it (chains may share their base
+  /// full image).
   [[nodiscard]] const std::vector<VcGeneration>& generations()
       const noexcept {
     return generations_;
   }
+
+  /// Whether a retained generation lists set `s`.
+  [[nodiscard]] bool retains(storage::CheckpointSetId s) const;
 
   [[nodiscard]] std::uint32_t recoveries() const noexcept {
     return recoveries_;
@@ -142,8 +136,6 @@ class VirtualCluster final {
   VcState state_ = VcState::kProvisioning;
   std::vector<std::unique_ptr<vm::VirtualMachine>> vms_;
   std::vector<hw::NodeId> placement_;
-  VcCheckpoint last_checkpoint_;
-  std::vector<storage::CheckpointSetId> checkpoint_chain_;
   std::vector<VcGeneration> generations_;
   std::uint32_t recoveries_ = 0;
   std::uint32_t instantiations_ = 0;

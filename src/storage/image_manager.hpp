@@ -103,8 +103,8 @@ class ImageManager final {
   /// Permanently removes a set, sealed or not, reclaiming its bytes.
   /// Unlike abort_set this also takes sealed sets — used to quarantine a
   /// checkpoint whose application image is known-bad, and to retire a
-  /// set once no retained generation references it (the one retention
-  /// path: core::DvcManager's refcounted generations).
+  /// set once no retained generation lists it (the one retention path:
+  /// core::DvcManager's generation lists).
   std::uint64_t discard_set(CheckpointSetId set,
                             std::uint64_t epoch = kUnfencedEpoch);
 

@@ -86,8 +86,8 @@ TEST(InvariantCheckerTest, RetiringAReferencedGenerationFires) {
   ASSERT_TRUE(rig.inv.ok()) << rig.inv.report();
 
   // Hand-retire the recovery point out from under the live VC, bypassing
-  // the manager's refcounting entirely.
-  const storage::CheckpointSetId set = rig.vc->last_checkpoint().set;
+  // the manager's generation list entirely.
+  const storage::CheckpointSetId set = rig.vc->generations().back().set();
   ASSERT_GT(rig.bed.images.discard_set(set), 0u);
 
   rig.inv.end_of_run(/*expect_quiesced=*/false);
@@ -290,18 +290,15 @@ TEST(InvariantMessageTest, GenerationMonotonicity) {
   ASSERT_TRUE(rig.inv.ok()) << rig.inv.report();
   auto& gens = generations_of(*rig.vc);
   ASSERT_EQ(gens.size(), 3u);
-  const storage::CheckpointSetId s0 = gens[0].checkpoint.set;
-  const storage::CheckpointSetId s1 = gens[1].checkpoint.set;
+  const storage::CheckpointSetId s0 = gens[0].set();
+  const storage::CheckpointSetId s1 = gens[1].set();
   gens[0].chain.clear();
-  gens[2].checkpoint.set = s1;
-  gens[2].checkpoint.taken_at = gens[1].checkpoint.taken_at - 1;
+  gens[2].chain.back() = s1;
+  gens[2].taken_at = gens[1].taken_at - 1;
   rig.inv.end_of_run(/*expect_quiesced=*/false);
-  const std::string t2 = std::to_string(gens[2].chain.back());
   EXPECT_EQ(details(rig.inv, "generation-monotonicity"),
             (std::vector<std::string>{
                 "vc#1 generation[0] has an empty chain",
-                "vc#1 generation[2] chain tail set#" + t2 +
-                    " != recovery point set#" + std::to_string(s1),
                 "vc#1 generation[2] set#" + std::to_string(s1) +
                     " does not advance past set#" + std::to_string(s1),
                 "vc#1 generation[2] taken_at moves backwards"}));
@@ -316,9 +313,9 @@ TEST(InvariantMessageTest, ImageCompleteness) {
   ASSERT_TRUE(rig.inv.ok()) << rig.inv.report();
   const auto& gens = rig.vc->generations();
   ASSERT_EQ(gens.size(), 3u);
-  const storage::CheckpointSetId s0 = gens[0].checkpoint.set;
-  const storage::CheckpointSetId s1 = gens[1].checkpoint.set;
-  const storage::CheckpointSetId s2 = gens[2].checkpoint.set;
+  const storage::CheckpointSetId s0 = gens[0].set();
+  const storage::CheckpointSetId s1 = gens[1].set();
+  const storage::CheckpointSetId s2 = gens[2].set();
   set_of(rig.bed.images, s1).members.pop_back();
   set_of(rig.bed.images, s2).aborted = true;
   ASSERT_GT(rig.bed.images.discard_set(s0), 0u);
@@ -469,19 +466,21 @@ TEST(InvariantCheckerTest, WorkOnAFailedVcIsRefused) {
   EXPECT_TRUE(rig.inv.ok()) << rig.inv.report();
 }
 
-TEST(InvariantCheckerTest, DestroyedVcLeavesNoRefcountResidue) {
+TEST(InvariantCheckerTest, DestroyedVcLeavesNoSetInTheStore) {
   Rig rig;
   rig.checkpoint();
   rig.checkpoint();
-  EXPECT_FALSE(rig.bed.dvc->set_refs().empty());
+  const std::string label = rig.vc->checkpoint_label();
+  EXPECT_EQ(rig.bed.images.sets_with_label(label).size(), 2u);
 
   rig.bed.dvc->destroy_vc(*rig.vc);
   rig.vc = nullptr;
-  // With the VC gone its retained generations must be released — a
-  // leftover refcount entry is exactly the leak check_refcounts flags.
+  // With the VC gone its retained generations must be released: no set
+  // filed under its label may outlive it, or nothing would ever reclaim
+  // it.
   rig.inv.end_of_run(/*expect_quiesced=*/false);
   EXPECT_TRUE(rig.inv.ok()) << rig.inv.report();
-  EXPECT_TRUE(rig.bed.dvc->set_refs().empty());
+  EXPECT_TRUE(rig.bed.images.sets_with_label(label).empty());
 }
 
 }  // namespace

@@ -293,7 +293,7 @@ TEST(NtpLscTest, CheckpointIsTransparentToTheApplication) {
   EXPECT_GT(result->total_time, 5 * sim::kSecond);
   EXPECT_FALSE(f.application->failed());
   EXPECT_TRUE(f.vc->has_checkpoint());
-  EXPECT_EQ(f.vc->last_checkpoint().app_snapshots->size(), 8u);
+  EXPECT_EQ(f.vc->generations().back().app_snapshots->size(), 8u);
   for (std::uint32_t i = 0; i < 8; ++i) {
     EXPECT_TRUE(f.vc->machine(i).running());
     // The >10 s freeze trips each guest's software watchdog (§3.2).

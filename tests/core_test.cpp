@@ -169,7 +169,7 @@ TEST(DvcManagerTest, CheckpointRecordsRecoveryPoint) {
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->ok);
   EXPECT_TRUE(r.vc->has_checkpoint());
-  EXPECT_EQ(r.vc->last_checkpoint().set, result->set);
+  EXPECT_EQ(r.vc->generations().back().set(), result->set);
   EXPECT_EQ(bed.dvc->checkpoints_taken(), 1u);
   EXPECT_FALSE(r.application->failed());
 }
@@ -251,9 +251,8 @@ class CopyCountingGuest final : public vm::GuestSoftware {
 };
 
 TEST(DvcManagerTest, CheckpointAndMigrationNeverCopySnapshots) {
-  // From snapshot_state() to the VC's recovery point and its generation,
-  // and on to the restored guest, each member's snapshot is moved or
-  // shared, never copied.
+  // From snapshot_state() to the VC's generation and on to the restored
+  // guest, each member's snapshot is moved or shared, never copied.
   TestBed bed(two_cluster_opts());
   VirtualCluster& vc = bed.dvc->create_vc(small_vc(3), {0, 1, 2}, {});
   bed.sim.run_until(20 * sim::kSecond);
@@ -271,10 +270,8 @@ TEST(DvcManagerTest, CheckpointAndMigrationNeverCopySnapshots) {
   bed.sim.run_until(60 * sim::kSecond);
   ASSERT_TRUE(sealed);
   EXPECT_EQ(copies, 0);
-  ASSERT_EQ(vc.last_checkpoint().app_snapshots->size(), 3u);
   ASSERT_EQ(vc.generations().size(), 1u);
-  EXPECT_EQ(vc.generations().back().checkpoint.app_snapshots,
-            vc.last_checkpoint().app_snapshots);  // shared, not copied
+  ASSERT_EQ(vc.generations().back().app_snapshots->size(), 3u);
 
   bool migrated = false;
   bed.dvc->migrate_vc(vc, lsc, {5, 6, 7}, [&](bool ok) { migrated = ok; });
@@ -390,7 +387,7 @@ TEST(DvcManagerTest, IncrementalCheckpointsAreSmallAndRestorable) {
   EXPECT_LT(set_bytes[1], set_bytes[0] * 3 / 4);
   EXPECT_LT(set_bytes[2], set_bytes[0] * 3 / 4);
   EXPECT_GT(set_bytes[1], 3ull * (4ull << 20));  // at least the dirty maps
-  EXPECT_EQ(r.vc->checkpoint_chain().size(), 3u);
+  EXPECT_EQ(r.vc->generations().back().chain.size(), 3u);
 
   // Restoring from the newest incremental stages the whole chain and the
   // application resumes correctly.
@@ -416,7 +413,7 @@ TEST(DvcManagerTest, IncrementalWithoutBaselineFallsBackToFull) {
   // No prior image existed, so the "incremental" round wrote full images.
   EXPECT_EQ(bed.images.find_set(res->set)->total_bytes(),
             3ull * (64ull << 20));
-  EXPECT_EQ(r.vc->checkpoint_chain().size(), 1u);
+  EXPECT_EQ(r.vc->generations().back().chain.size(), 1u);
 }
 
 TEST(DvcManagerTest, LiveMigrationMovesRunningVcWithTinyDowntime) {
@@ -522,6 +519,57 @@ TEST(DvcManagerTest, ProactiveMigrationEvacuatesBeforeTheFault) {
   EXPECT_FALSE(r.application->failed());
 }
 
+TEST(DvcManagerTest, EvacuationRestoresFromItsOwnImageAndRetainsIt) {
+  // A cold migration's image is a full set, so the evacuation's restore
+  // stages no earlier set, and it becomes the VC's recovery point: a
+  // generation retained and released like any sealed round's.
+  TestBed bed(two_cluster_opts());
+  RunningVc r(bed, 3, 600, {0, 1, 2});
+  ckpt::NtpLscCoordinator lsc(bed.sim, {}, sim::Rng(17));
+  DvcManager::RecoveryPolicy policy;
+  policy.coordinator = &lsc;
+  policy.interval = 60 * sim::kSecond;
+  policy.keep_checkpoints = 2;
+  policy.proactive_migration = true;
+  bed.dvc->enable_auto_recovery(*r.vc, policy);
+  // Checkpoint #0 seals within seconds; the next round is due at 80 s.
+  bed.sim.run_until(40 * sim::kSecond);
+  ASSERT_EQ(r.vc->generations().size(), 1u);
+
+  // storage.images.stage_reads counts only stage_set's chain reads.
+  const auto stage_reads = [&] {
+    return bed.metrics.counter_value("storage.images.stage_reads");
+  };
+  const std::uint64_t staged_before = stage_reads();
+  bed.fabric.predict_failure(1, 60 * sim::kSecond);
+  while (bed.dvc->evacuations_performed() == 0 &&
+         bed.sim.now() < 75 * sim::kSecond) {
+    bed.sim.run_until(bed.sim.now() + sim::kSecond);
+  }
+  ASSERT_EQ(bed.dvc->evacuations_performed(), 1u);
+  EXPECT_EQ(stage_reads(), staged_before);
+  ASSERT_EQ(r.vc->generations().size(), 2u);
+  EXPECT_EQ(r.vc->generations().back().chain.size(), 1u);
+  const storage::CheckpointSetId evacuated = r.vc->generations().back().set();
+
+  const std::uint64_t taken = bed.dvc->checkpoints_taken();
+  while (bed.dvc->checkpoints_taken() == taken &&
+         bed.sim.now() < 200 * sim::kSecond) {
+    bed.sim.run_until(bed.sim.now() + sim::kSecond);
+  }
+  ASSERT_GT(bed.dvc->checkpoints_taken(), taken);
+  // Ground truth: every sealed set the store files under the VC's label
+  // is one a retained generation lists; nothing sealed is left unowned.
+  for (const storage::CheckpointSet* s :
+       bed.images.sets_with_label(r.vc->checkpoint_label())) {
+    if (s->sealed && !s->aborted) {
+      EXPECT_TRUE(r.vc->retains(s->id)) << "set#" << s->id;
+    }
+  }
+  EXPECT_TRUE(r.vc->retains(evacuated));
+  EXPECT_EQ(r.vc->generations().size(), 2u);
+}
+
 TEST(DvcManagerTest, LifecycleTakesExactlyTheExpectedEdges) {
   // create -> checkpoint -> node crash -> recover -> live migrate, with a
   // recording checker attached from the start.
@@ -583,11 +631,11 @@ TEST(DvcManagerTest, FailedChainStagingEndsTheRestoreLikeAnyOther) {
     }
     ASSERT_TRUE(res->ok);
   }
-  ASSERT_EQ(r.vc->checkpoint_chain().size(), 2u);
+  ASSERT_EQ(r.vc->generations().back().chain.size(), 2u);
 
   // Rot every image of the chain's full base set; no replica masks it.
   const storage::CheckpointSet* base =
-      bed.images.find_set(r.vc->checkpoint_chain().front());
+      bed.images.find_set(r.vc->generations().back().chain.front());
   ASSERT_NE(base, nullptr);
   for (const auto& m : base->members) {
     ASSERT_TRUE(bed.store.corrupt_object(m.object));
@@ -634,12 +682,12 @@ TEST(DvcManagerTest, RoundSealedAroundAFailedAppIsQuarantined) {
     return *res;
   };
   ASSERT_TRUE(checkpoint(/*fail_app=*/false).ok);
-  const storage::CheckpointSetId kept = r.vc->last_checkpoint().set;
+  const storage::CheckpointSetId kept = r.vc->generations().back().set();
 
   const ckpt::LscResult quarantined = checkpoint(/*fail_app=*/true);
   EXPECT_FALSE(quarantined.ok);
   EXPECT_EQ(bed.images.find_set(quarantined.set), nullptr);
-  EXPECT_EQ(r.vc->last_checkpoint().set, kept);
+  EXPECT_EQ(r.vc->generations().back().set(), kept);
   EXPECT_EQ(r.vc->state(), VcState::kRunning);
   EXPECT_EQ(bed.metrics.counter_value("core.dvc.checkpoints"), 2u);
   EXPECT_EQ(bed.metrics.counter_value("core.dvc.checkpoints_quarantined"),
@@ -667,8 +715,8 @@ TEST(DvcManagerTest, RecoverNowHandlesSoftwareFailure) {
 // ---------------------------------------------------------------------------
 // destroy_vc is safe in every state: whatever the VC is doing when it is
 // torn down, no pending event touches its freed guests (the sanitizer
-// build checks that), the node ledger and the set refcounts end empty, and
-// the invariant checker stays clean.
+// build checks that), the node ledger ends empty, no sealed set is left
+// under its label, and the invariant checker stays clean.
 
 enum class DestroyAt {
   kMidBoot,
@@ -800,7 +848,7 @@ TEST_P(DvcManagerDestroyTest, DestroyInEveryState) {
       if (state == DestroyAt::kRestoreStaging) {
         bed.sim.run_until(bed.sim.now() + 5 * sim::kSecond);
         checkpoint(/*incremental=*/true);
-        ASSERT_EQ(vc->checkpoint_chain().size(), 2u);
+        ASSERT_EQ(vc->generations().back().chain.size(), 2u);
       }
       bed.dvc->restore_vc(*vc, targets, {});
       at = bed.sim.now() + 300 * sim::kMillisecond;
@@ -808,6 +856,7 @@ TEST_P(DvcManagerDestroyTest, DestroyInEveryState) {
   }
 
   const VcId id = vc->id();
+  const std::string label = vc->checkpoint_label();
   bool destroyed = false;
   // The round-policy counters at the destroy: nothing may move them after.
   // A watchdog that still expired would count a timeout and a retry, and a
@@ -882,7 +931,7 @@ TEST_P(DvcManagerDestroyTest, DestroyInEveryState) {
   EXPECT_TRUE(bed.dvc->live_vcs().empty());
   EXPECT_EQ(bed.dvc->operations_in_flight(), 0u);
   EXPECT_TRUE(test::vc_held_nodes(bed.fabric).empty());
-  EXPECT_TRUE(bed.dvc->set_refs().empty());
+  EXPECT_EQ(test::sealed_sets(bed.images, label), 0u);
   for (const hw::NodeId n : {0u, 1u, 2u, 6u, 7u, 8u}) {
     EXPECT_EQ(hv(n).resident_count(), 0u) << "node " << n;
   }

@@ -251,7 +251,8 @@ TEST(JobRunnerTest, JobFinishingMidRoundTearsDownCleanly) {
   EXPECT_EQ(s.room.metrics.counter_value("ckpt.lsc.members_saved"), 0u);
   EXPECT_TRUE(s.room.dvc->live_vcs().empty());
   EXPECT_TRUE(test::vc_held_nodes(s.room.fabric).empty());
-  EXPECT_TRUE(s.room.dvc->set_refs().empty());
+  // The room's one VC (id 1) filed its sets under "itest#1".
+  EXPECT_EQ(test::sealed_sets(s.room.images, "itest#1"), 0u);
   s.expect_clean();
 }
 

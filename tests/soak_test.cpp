@@ -1,15 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "tools/sweep.hpp"
 
 // Seeded fault soak, driven through the dvcsweep harness: each campaign is
-// one mix of the scenarios/sweep26.scn grid (kept verbatim below), run
-// across a worker pool with the invariant checker attached to every cell.
+// one mix of the scenarios/sweep26.scn grid, run across a worker pool with
+// the invariant checker attached to every cell.
 // The core assertion is unchanged from the original hand-rolled loops —
 // every schedule either completes or reports a diagnosed failure, never a
 // silent hang — and now additionally: zero invariant violations anywhere.
@@ -36,69 +38,19 @@ constexpr std::uint64_t kStorageSeeds = 20;
 constexpr std::uint64_t kControlSeeds = 15;
 #endif
 
-// The soak grid — scenarios/sweep26.scn inline (the dvcsweep_grid_scenario
-// ctest entry runs the file itself; keep the two in sync).
-constexpr const char* kSoakGrid = R"(
-clusters = 2
-nodes_per_cluster = 5
-store_write_mbps = 400
-abort_saves_on_failure = true
-vc_size = 6
-guest_ram_mib = 64
-
-workload = ptrans
-pattern = alltoall
-msg_bytes = 4096
-iterations = 200
-iter_seconds = 0.1
-
-checkpoint_interval_s = 15
-watchdog_interval_s = 11
-lsc.round_timeout_s = 30
-lsc.max_round_retries = 2
-lsc.retry_backoff_s = 2
-
-horizon_s = 1200
-slice_s = 100
-settle_s = 150
-
-fault.enabled = true
-fault.start_s = 30
-fault.horizon_s = 90
-fault.node_crash_mtbf_s = 70
-fault.node_down_s = 25
-fault.link_down_mtbf_s = 120
-fault.link_down_s = 15
-fault.disk_slow_mtbf_s = 100
-fault.disk_slow_s = 30
-fault.disk_slow_factor = 4.0
-fault.clock_step_mtbf_s = 80
-fault.clock_step_ms = 300
-
-sweep.seeds = 1..8
-sweep.mixes = faulty durable partition
-
-mix.durable.store_replicas = 1
-mix.durable.iterations = 500
-mix.durable.checkpoint_interval_s = 25
-mix.durable.fault.horizon_s = 150
-mix.durable.fault.node_crash_mtbf_s = 28
-mix.durable.fault.store_corrupt_mtbf_s = 10
-mix.durable.fault.store_tear_mtbf_s = 20
-mix.durable.fault.link_down_mtbf_s = 0
-mix.durable.fault.disk_slow_mtbf_s = 0
-mix.durable.fault.clock_step_mtbf_s = 0
-
-mix.partition.coordinator.head_node = 9
-mix.partition.fault.partition_mtbf_s = 110
-mix.partition.fault.partition_s = 12
-mix.partition.fault.coordinator_crash_mtbf_s = 55
-mix.partition.fault.coordinator_down_s = 10
-)";
+/// The soak grid: scenarios/sweep26.scn, read from the source tree (the
+/// dvcsweep_grid_scenario ctest entry runs the same file).
+std::string soak_grid() {
+  std::ifstream file(DVC_SOURCE_DIR "/scenarios/sweep26.scn");
+  EXPECT_TRUE(file) << "cannot open scenarios/sweep26.scn";
+  std::ostringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
 
 /// Expands the soak grid to one mix's cells over seeds 1..n.
 std::vector<SweepCell> mix_cells(const std::string& mix, std::uint64_t n) {
-  SweepGrid grid = SweepGrid::load("sweep26.scn", kSoakGrid);
+  SweepGrid grid = SweepGrid::load("sweep26.scn", soak_grid());
   std::vector<std::uint64_t> seeds;
   for (std::uint64_t s = 1; s <= n; ++s) seeds.push_back(s);
   grid.set_seeds(seeds);

@@ -84,6 +84,17 @@ inline std::vector<hw::NodeId> vc_held_nodes(const hw::Fabric& fabric) {
   return out;
 }
 
+/// Sealed sets the store still files under `label`. A VC's label names
+/// only its own sets, so none is left once the VC is destroyed.
+inline std::size_t sealed_sets(const storage::ImageManager& images,
+                               const std::string& label) {
+  std::size_t n = 0;
+  for (const storage::CheckpointSet* s : images.sets_with_label(label)) {
+    n += s->sealed ? 1 : 0;
+  }
+  return n;
+}
+
 /// Records every lifecycle edge and boundary a DvcManager publishes, and
 /// hands each on to `next` (say, a check::Invariants) when one is given.
 class RecordingChecker final : public check::Checker {

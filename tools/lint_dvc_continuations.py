@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Fail if a lambda in DvcManager, the LSC coordinator or the image manager
-captures by reference, or if one shares state through a weak_ptr or a
-make_shared.
+"""Fail if a lambda in DvcManager, the LSC or CoCheck coordinator or the
+image manager captures by reference, or if one shares state through a
+weak_ptr or a make_shared.
 
     python3 tools/lint_dvc_continuations.py [FILE...]
                                     (default: src/core/dvc_manager.cpp)
@@ -11,12 +11,13 @@ issuing coordinator epoch (DvcManager::Issued) and resolves them when it
 runs; it never holds a reference to a VcRuntime, a VirtualCluster or a
 guest, which destroy_vc may have freed by then. An LscCoordinator event
 likewise carries its operation's id and round (LscCoordinator::OpRef) and
-resolves them in the coordinator's table, which abort() empties, and a
+resolves them in the coordinator's table, which abort() empties, a
+CocheckCoordinator event carries its round's id, and a
 storage::ImageManager copy or staging read carries its slot or id. So
 does every other layer that keeps its in-flight records in a
 sim::IdTable: a store read, a pool transfer, a hypervisor stage and a
 guest timer carry `(this, id)`. ci.sh runs it on src/core/dvc_manager.cpp,
-src/ckpt/lsc.cpp, src/storage/image_manager.cpp,
+src/ckpt/lsc.cpp, src/ckpt/cocheck.cpp, src/storage/image_manager.cpp,
 src/storage/shared_store.cpp, src/storage/bandwidth_pool.cpp,
 src/vm/hypervisor.cpp and src/vm/guest_timers.cpp. This lint reads
 every lambda capture list in the given files and flags each capture that
@@ -26,10 +27,11 @@ Capturing a pointer by value (`p = &x`) is not a by-reference capture.
 Nor does an operation keep its state alive through shared ownership: a
 member join's counter or flag, or a continuation that holds itself, lives
 in the owner's sim::IdTable (DvcManager::Op, LscCoordinator::Op,
-ImageManager::Staging), and the events carry the id. So the lint also flags
-every `std::weak_ptr` and every `std::make_shared` in the given files,
-except the one in `adopt_checkpoint`: a recovery point's snapshot vector,
-which restores read in place and a retained generation shares.
+CocheckCoordinator::Round, ImageManager::Staging), and the events carry
+the id. So the lint also flags every `std::weak_ptr` and every
+`std::make_shared` in the given files, except the one in
+`adopt_checkpoint`: a recovery point's snapshot vector, which a retained
+generation holds and a restore in flight shares.
 
 It prints each finding as file:line and exits 1 if there is one.
 """
